@@ -109,24 +109,29 @@ class ChainComplex:
 
     def validate(self):
         for d in self.degrees():
-            m = self.diff.get(d)
-            if m is None:
-                continue
-            dd = self.pred(d)
-            m2 = self.diff.get(dd)
-            if m2 is None:
-                continue
-            comp = m2.mul(m)
-            if not comp.is_zero():
-                j = min(j for (_, j) in comp.d)
-                label = self.basis[d][j]
-                col = comp.column(j)
-                target = self.basis[self.pred(dd)]
-                image = {target[i]: self.ring.show(v) for i, v in sorted(col.items())}
-                raise NotADifferential(
-                    f"d^2 != 0 on basis element {label!r} in degree {d}: {image}"
-                )
+            self.check_d_squared(d)
         return self
+
+    def check_d_squared(self, d: int):
+        """Raise NotADifferential unless d_{d-1} d_d = 0, naming the first
+        basis element of degree d whose image under d^2 is nonzero."""
+        m = self.diff.get(d)
+        if m is None:
+            return
+        dd = self.pred(d)
+        m2 = self.diff.get(dd)
+        if m2 is None:
+            return
+        comp = m2.mul(m)
+        if not comp.is_zero():
+            j = min(j for (_, j) in comp.d)
+            label = self.basis[d][j]
+            col = comp.column(j)
+            target = self.basis[self.pred(dd)]
+            image = {target[i]: self.ring.show(v) for i, v in sorted(col.items())}
+            raise NotADifferential(
+                f"d^2 != 0 on basis element {label!r} in degree {d}: {image}"
+            )
 
     # -- constructions -------------------------------------------------------
 
@@ -503,6 +508,17 @@ class HomologyReport:
 
 
 def homology(C: ChainComplex, degree: int) -> HomologyReport:
+    """H_degree(C): a dimension over a field, free rank and torsion over Z.
+
+    C is degreewise free of finite rank, so with d_out = d_degree and
+    d_in = d_{degree+1},
+
+        dim / free rank = dim C_degree - rank(d_out) - rank(d_in),
+
+    and over Z the torsion is Z/e for each entry e != 1 of the Smith diagonal
+    of d_in (whose length is rank(d_in)).  Over Z, d_out d_in = 0 is checked
+    first and NotADifferential names a witness otherwise.
+    """
     ring = C.ring
     if ring.is_novikov:
         raise UnsupportedRing(
@@ -519,21 +535,11 @@ def homology(C: ChainComplex, degree: int) -> HomologyReport:
         return HomologyReport(degree, True, dimension=ker - img)
     if ring.kind != "Z":
         raise UnsupportedRing(f"homology not implemented over {ring!r}")
-    kernel = linalg.z_kernel_basis(d_out)
-    k = len(kernel)
-    if k == 0:
-        return HomologyReport(degree, False, free_rank=0, invariant_factors=[])
-    K = Mat.zeros(ring, C.dim(degree), k)
-    for j, vec in enumerate(kernel):
-        for i, v in vec.items():
-            K.set(i, j, v)
-    X = linalg.z_solve_mat(K, d_in)
-    if X is None:
-        raise NotADifferential("image does not lie in the kernel (d^2 != 0?)")
-    factors = linalg.snf_diagonal(X)
-    torsion = [f for f in factors if f not in (0, 1)]
-    return HomologyReport(degree, False, free_rank=k - len(factors),
-                          invariant_factors=torsion)
+    C.check_d_squared(C.succ(degree))
+    factors = linalg.snf_diagonal(d_in)
+    free_rank = C.dim(degree) - linalg.z_rank(d_out) - len(factors)
+    return HomologyReport(degree, False, free_rank=free_rank,
+                          invariant_factors=[f for f in factors if f != 1])
 
 
 class QuasiIsoResult:

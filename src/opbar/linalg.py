@@ -4,6 +4,17 @@ Matrices are stored as {(row, col): value} dicts with explicit shape; vectors
 as {index: value} dicts.  Gaussian elimination handles fields; Smith normal
 form (with magnitude-minimizing pivot selection) handles the integers.  No
 floats anywhere.
+
+The integer routines all run one diagonalization (`_ZWorker`) and differ in
+which transforms they track:
+
+* `snf_diagonal` -- the invariant factors d1 | d2 | ...; no transforms;
+* `z_rank` -- the number of nonzero diagonal entries; no transforms;
+* `z_kernel_basis` -- a basis of the (saturated) kernel; tracks V;
+* `z_solve`, `z_solve_mat` -- one factorization tracking U and V, then one
+  back-substitution per right-hand side.
+
+Integer homology (`complexes.homology`) needs only `snf_diagonal` and `z_rank`.
 """
 
 from __future__ import annotations
@@ -596,32 +607,37 @@ def z_kernel_basis(mat: Mat):
     return basis
 
 
-def z_solve(mat: Mat, rhs: dict):
-    """Integer solution x of mat @ x = rhs, or None."""
+def _z_factor(mat: Mat):
+    """Diagonalize mat once, tracking U and V, for solving many right-hand sides."""
     if mat.ring.kind != "Z":
         raise ValueError("integer routine")
     w = _ZWorker(mat, track_u=True, track_v=True)
-    diag_signed = w.diagonalize()
-    r = len(diag_signed)
-    # U @ rhs
-    ub = {}
+    r = len(w.diagonalize())
+    u_cols = {}
     for i, urow in w.U.items():
-        acc = 0
         for k, v in urow.items():
-            b = rhs.get(k)
-            if b:
-                acc += v * b
-        if acc:
-            ub[i] = acc
+            u_cols.setdefault(k, []).append((i, v))
+    return w, r, u_cols
+
+
+def _z_back_solve(w: _ZWorker, r: int, u_cols: dict, rhs: dict):
+    """x with U @ A @ V diagonal: y = D^-1 U rhs, x = V y; None if inconsistent."""
+    ub = {}
+    for k, b in rhs.items():
+        if not b:
+            continue
+        for i, v in u_cols.get(k, ()):
+            ub[i] = ub.get(i, 0) + v * b
     y = {}
     for i, v in ub.items():
+        if not v:
+            continue
         if i >= r:
             return None
         d = w.rows.get(i, {}).get(i, 0)
         if v % d != 0:
             return None
         y[i] = v // d
-    # x = V @ y
     x = {}
     for jcol, col in w.V.items():
         c = y.get(jcol)
@@ -636,10 +652,20 @@ def z_solve(mat: Mat, rhs: dict):
     return x
 
 
+def z_solve(mat: Mat, rhs: dict):
+    """Integer solution x of mat @ x = rhs, or None."""
+    return _z_back_solve(*_z_factor(mat), rhs)
+
+
 def z_solve_mat(mat: Mat, rhs: Mat):
+    """Solve mat @ X = rhs over Z on one factorization; None if any column fails."""
+    factored = _z_factor(mat)
+    by_col = {}
+    for (i, j), v in rhs.d.items():
+        by_col.setdefault(j, {})[i] = v
     cols = {}
     for j in range(rhs.ncols):
-        x = z_solve(mat, {i: v for i, v in rhs.column(j).items()})
+        x = _z_back_solve(*factored, by_col.get(j, {}))
         if x is None:
             return None
         cols[j] = x

@@ -76,6 +76,16 @@ def test_group_homology_z3():
     assert torsion == [3]
 
 
+def test_group_homology_s3_degree_3():
+    # H_3(S_3; Z) = Z/6 (the 2- and 3-primary parts, Z/2 and Z/3); H_3 needs
+    # only C_2, C_3 and C_4, all complete at n_max = 4
+    gens = [Perm((2, 1, 3)), Perm((2, 3, 1))]
+    bar = group_bar_complex(Z, 3, gens, 4)
+    assert bar.complex.d_mat(4).nrows == 216 and bar.complex.d_mat(4).ncols == 1296
+    h = homology(bar.complex, 3)
+    assert h.free_rank == 0 and h.invariant_factors == [6]
+
+
 def test_group_homology_rational_vanishes():
     bar = group_bar_complex(Q, 2, [Perm((2, 1))], 5)
     assert homology(bar.complex, 0).format() == "k^1"

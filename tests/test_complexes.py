@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from opbar.complexes import (
 from opbar.errors import DegreeMismatch, NotAcyclic, NotADifferential, UnsupportedRing
 from opbar.linalg import Mat
 
-from .genutil import random_acyclic, random_complex
+from .genutil import random_acyclic, random_complex, random_unitriangular, unitriangular_inverse
 
 Z = Ring.Z()
 Q = Ring.Q()
@@ -165,6 +166,88 @@ def test_invariant_factors_2_6():
     )
     h = homology(c, 0)
     assert h.free_rank == 0 and h.invariant_factors == [2, 6]
+
+
+def test_homology_names_d_squared_witness():
+    # d(x) = y, d(y) = z, so d^2(x) = z; built without validation
+    basis = {0: ["z"], 1: ["y"], 2: ["x"]}
+    diff = {1: Mat.from_rows(Z, [[1]]), 2: Mat.from_rows(Z, [[1]])}
+    c = ChainComplex(Z, "Z", basis, diff, validate=False)
+    witness = re.escape("d^2 != 0 on basis element 'x' in degree 2: {'z': '1'}")
+    with pytest.raises(NotADifferential, match=witness):
+        homology(c, 1)
+    with pytest.raises(NotADifferential, match=witness):
+        c.validate()
+
+
+def _random_unimodular(rng, n):
+    """(M, M^-1) for M = permutation . lower . upper unitriangular over Z."""
+    upper = random_unitriangular(rng, Z, n)
+    lower = random_unitriangular(rng, Z, n).transpose()
+    order = list(range(n))
+    rng.shuffle(order)
+    perm = Mat(Z, n, n, {(order[j], j): 1 for j in range(n)})
+    m = perm.mul(lower).mul(upper)
+    lower_inv = unitriangular_inverse(Z, lower.transpose()).transpose()
+    inv = unitriangular_inverse(Z, upper).mul(lower_inv).mul(perm.transpose())
+    assert m.mul(inv) == Mat.identity(Z, n)
+    return m, inv
+
+
+def _invariant_factors(orders):
+    """Invariant factors (ascending) of the sum of Z/m over orders, all m > 1."""
+    powers = {}
+    for m in orders:
+        for p, e in sympy.factorint(m).items():
+            powers.setdefault(p, []).append(p ** e)
+    out = [1] * max((len(v) for v in powers.values()), default=0)
+    for v in powers.values():
+        for i, q in enumerate(sorted(v, reverse=True)):
+            out[i] *= q
+    return sorted(out)
+
+
+def test_z_homology_random_elementary_sums():
+    """Sums of Z in degree d and Z --(x m)--> Z from degree d+1 to d, in a
+    scrambled basis: H_d has one Z per free piece and Z/m per m != 1 piece,
+    and over F_p each Z/m with p | m adds one dimension in degrees d and d+1."""
+    rng = random.Random(2210)
+    for _ in range(12):
+        # one free and one torsion piece share degree 1 in every draw
+        pieces = [("free", 1), ("tors", 1, rng.choice([2, 4, 6]))]
+        for _ in range(rng.randint(2, 7)):
+            d = rng.randint(0, 3)
+            if rng.random() < 0.3:
+                pieces.append(("free", d))
+            else:
+                pieces.append(("tors", d, rng.randint(1, 6)))
+        basis = {}
+        entries = []
+        for k, piece in enumerate(pieces):
+            d = piece[1]
+            basis.setdefault(d, []).append(("b", k))
+            if piece[0] == "tors":
+                basis.setdefault(d + 1, []).append(("a", k))
+                entries.append((d + 1, ("a", k), ("b", k), piece[2]))
+        changes = {d: _random_unimodular(rng, len(ls)) for d, ls in basis.items()}
+        diff = {}
+        for d, src, tgt, m in entries:
+            mat = diff.setdefault(d, Mat.zeros(Z, len(basis[d - 1]), len(basis[d])))
+            mat.set(basis[d - 1].index(tgt), basis[d].index(src), m)
+        diff = {d: changes[d - 1][1].mul(mat).mul(changes[d][0])
+                for d, mat in diff.items()}
+        c = ChainComplex(Z, "Z", basis, diff)
+        for d in range(-1, 6):
+            free = sum(1 for p in pieces if p == ("free", d))
+            orders = [p[2] for p in pieces if p[0] == "tors" and p[1] == d and p[2] != 1]
+            h = homology(c, d)
+            assert (h.free_rank, h.invariant_factors) == (free, _invariant_factors(orders))
+            below = [p[2] for p in pieces if p[0] == "tors" and p[1] == d - 1]
+            for prime in (2, 3):
+                fp = Ring.Fp(prime)
+                hp = homology(c.map_coefficients(fp, fp.canon), d)
+                assert hp.dimension == free + sum(1 for m in orders + below
+                                                  if m % prime == 0)
 
 
 def test_homology_unsupported_over_novikov():

@@ -13,6 +13,7 @@ from opbar.linalg import (
     z_kernel_basis,
     z_rank,
     z_solve,
+    z_solve_mat,
 )
 
 Z = Ring.Z()
@@ -77,6 +78,34 @@ def test_z_solve_exact():
 def test_z_solve_no_solution():
     a = Mat.from_rows(Z, [[2]])
     assert z_solve(a, {0: 1}) is None
+
+
+def test_z_solve_mat_matches_column_solves():
+    rng = random.Random(23)
+    for trial in range(20):
+        m, n, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 4)
+        a = _random_int_mat(rng, m, n, density=0.6)
+        rhs = Mat.zeros(Z, m, k)
+        for j in range(k):
+            x = {i: rng.randint(-3, 3) for i in range(n) if rng.random() < 0.7}
+            for i, v in a.apply(x).items():
+                rhs.set(i, j, v)
+        if trial % 4 == 3:
+            # every entry of 2a is even, so e_0 is not in its image
+            a = a.scale_int(2)
+            rhs = rhs.scale_int(2)
+            rhs.set(0, rng.randrange(k), 1)
+        cols = [z_solve(a, rhs.column(j)) for j in range(k)]
+        got = z_solve_mat(a, rhs)
+        if trial % 4 == 3:
+            assert any(x is None for x in cols) and got is None
+            continue
+        want = Mat.zeros(Z, n, k)
+        for j, x in enumerate(cols):
+            for i, v in x.items():
+                want.set(i, j, v)
+        assert got == want
+        assert a.mul(got) == rhs
 
 
 def test_field_rank_and_kernel():
