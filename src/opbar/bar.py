@@ -1,6 +1,8 @@
 """The operadic bar construction core: free algebras, the simplicial Kan
-object of a multifunctor, realization with its operad action, untangling,
-and the comparison map between the categorical and operadic extensions.
+object of a multifunctor, and its realization with the operad action.
+
+The comparison map between the categorical and operadic extensions is not
+built here yet (ROADMAP item 5).
 
 Elements of iterated free algebras are decorated leveled trees, stored as
 nested labels:
@@ -21,17 +23,11 @@ from __future__ import annotations
 
 import itertools
 
-from .barcat import BarBimoduleComplex, _free_quotient
-from .complexes import ChainComplex, ChainMap, homology, is_quasi_iso
-from .dgcat import DgCategory, DgFunctor, LeftModule, RightModule, \
-    under_functor_left_module
-from .errors import ArityOverflow, EngineError, NonPermutationAction, \
-    UnorderedSequence
-from .lincomb import add_into, bilinear, combine, eq as lc_eq, linear, \
-    scaled, scaled_int
+from .complexes import ChainComplex, ChainMap
+from .errors import ArityOverflow, EngineError, NonPermutationAction
+from .lincomb import add_into, eq as lc_eq, linear
 from .linalg import Mat
-from .multicat import MultiAlgebra, MultiCat, MultiFunctor, PropData, \
-    perm_morphism, prop_of
+from .multicat import MultiAlgebra, MultiCat, MultiFunctor
 from .simplicial import RealizedComplex, SimplicialComplexObj, realize, shuffles
 from .symgrp import GroupRingModule, Perm, koszul_sign, tensor_over_group_ring
 
@@ -601,8 +597,16 @@ def operadic_kan(pi: MultiFunctor, A: MultiAlgebra, n_max, arity_max=None,
 
     Returns (realized, structure) where structure.mu(k) is the chain map
     (realized)^(x k) (x) O(k) -> realized assembled through the
-    Eilenberg-Zilber shuffles, checked to be a chain map and equivariant
-    within the truncation window.
+    Eilenberg-Zilber shuffles.  With check on, for k = 2:
+
+    * d mu(x) = mu(d x) on every basis tensor x = z_1 (x) z_2 (x) o whose
+      simplicial levels sum to at most n_max - 1 (beyond that, d mu(x) needs
+      a level the truncation dropped);
+    * mu is S_2-equivariant on every pair z_1, z_2 whose levels sum to at
+      most n_max, for every key o of O(2).
+
+    Both checks read mu one basis tensor at a time from the structure's memo,
+    so each value is computed once.
     """
     simp = simplicial_kan(pi, A, n_max, arity_max, check=check)
     real = realize(simp)
@@ -615,21 +619,43 @@ def operadic_kan(pi: MultiFunctor, A: MultiAlgebra, n_max, arity_max=None,
 
 
 class KanAlgebraStructure:
+    """The operad action mu: (realized)^(x k) (x) O(k) -> realized.
+
+    Values of mu on basis tensors, and the degeneracy words that the shuffles
+    apply, are memoized per structure: mu_on_labels returns a shared dict,
+    which callers must not mutate.  check_chain_map(k) covers the basis
+    tensors whose levels sum to at most n_max - 1; check_equivariance(2)
+    covers those whose levels sum to at most n_max, with every key of O(2).
+    """
+
     def __init__(self, simp, real: RealizedComplex):
         self.simp = simp
         self.real = real
         self.calc = simp.calc
         self.O = self.calc.O
         self.ring = self.calc.ring
+        self._mu_memo = {}
+        self._degen_memo = {}
+        c = real.complex
+        self._boundary = {l: {} for d in c.degrees() for l in c.labels(d)}
+        for d, m in c.diff.items():
+            src, tgt = c.labels(d), c.labels(c.pred(d))
+            for (i, j), v in m.d.items():
+                self._boundary[src[j]][tgt[i]] = v
 
     def _apply_degen_word(self, n, word, label) -> dict:
         """Apply s_{w[0]}, s_{w[1]}, ... (0-based indices) to a level-n label."""
-        cur = {label: self.ring.one}
-        lvl = n
-        for i in word:
-            cur = linear(self.ring,
-                         lambda l, lv=lvl, ii=i: self.calc.degen(lv, ii, l), cur)
-            lvl += 1
+        key = (n, tuple(word), label)
+        cur = self._degen_memo.get(key)
+        if cur is None:
+            cur = {label: self.ring.one}
+            lvl = n
+            for i in word:
+                cur = linear(self.ring,
+                             lambda l, lv=lvl, ii=i: self.calc.degen(lv, ii, l),
+                             cur)
+                lvl += 1
+            self._degen_memo[key] = cur
         return cur
 
     def product_levelwise(self, okey, labels) -> dict:
@@ -656,6 +682,12 @@ class KanAlgebraStructure:
                 add_into(ring, out, l2,
                          ring.mul(ring.from_int(sign), ring.mul(gv, v2)))
         return out
+
+    def _okeys(self, k):
+        star = self.O.objects[0]
+        if self.O.complex((star,) * k, star) is None:
+            raise EngineError(f"the operad has no arity-{k} operations")
+        return self.O.basis_keys((star,) * k, star)
 
     def mu(self, k) -> ChainMap:
         """The structure map (realized)^(x k) (x) O(k) -> realized.
@@ -685,11 +717,23 @@ class KanAlgebraStructure:
                                        validate=False)
 
     def mu_on_labels(self, zs, okey) -> dict:
+        """mu(z_1 (x) ... (x) z_k (x) okey) on realized basis labels.
+
+        Zero when the levels sum past n_max; otherwise memoized, so the
+        returned dict is shared and must not be mutated.
+        """
+        zs = tuple(zs)
+        if sum(z[1] for z in zs) > self.simp.n_max:
+            return {}
+        out = self._mu_memo.get((zs, okey))
+        if out is None:
+            out = self._mu_memo[(zs, okey)] = self._mu_uncached(zs, okey)
+        return out
+
+    def _mu_uncached(self, zs, okey) -> dict:
         ring = self.ring
         levels = [z[1] for z in zs]
         total = sum(levels)
-        if total > self.simp.n_max:
-            return {}
         out = {}
         for sign, words in _multi_shuffle_words(levels):
             factor_lcs = []
@@ -705,48 +749,68 @@ class KanAlgebraStructure:
                              ring.mul(ring.from_int(s), v3))
         return out
 
-    def mu2_on_labels(self, la, lb, okey) -> dict:
-        return self.mu_on_labels([la, lb], okey)
+    def window_columns(self, k, top):
+        """The basis tensors (zs, okey) of (realized)^(x k) (x) O(k) whose
+        simplicial levels sum to at most top."""
+        c = self.real.complex
+        by_level = {}
+        for d in c.degrees():
+            for z in c.labels(d):
+                by_level.setdefault(z[1], []).append(z)
+        okeys = self._okeys(k)
+        for levels in itertools.product(sorted(by_level), repeat=k):
+            if sum(levels) > top:
+                continue
+            for zs in itertools.product(*(by_level[n] for n in levels)):
+                for okey in okeys:
+                    yield zs, okey
+
+    def _deg(self, z) -> int:
+        return self.calc.deg(z[2]) + z[1]
+
+    def chain_map_sides(self, zs, okey):
+        """(d mu(x), mu(d x)) for the basis tensor x = z_1 (x) ... (x) okey,
+        with d x by the Koszul rule on the realized complex and on O(k)."""
+        ring = self.ring
+        lhs = linear(ring, self._boundary.__getitem__,
+                     self.mu_on_labels(zs, okey))
+        rhs = {}
+        pre = 0
+        for t, z in enumerate(zs):
+            for z2, v in self._boundary[z].items():
+                c = ring.neg(v) if pre % 2 else v
+                for l, w in self.mu_on_labels(
+                        zs[:t] + (z2,) + zs[t + 1:], okey).items():
+                    add_into(ring, rhs, l, ring.mul(c, w))
+            pre += self._deg(z)
+        for o2, v in self.O.diff_key(okey).items():
+            c = ring.neg(v) if pre % 2 else v
+            for l, w in self.mu_on_labels(zs, o2).items():
+                add_into(ring, rhs, l, ring.mul(c, w))
+        return lhs, rhs
 
     def check_chain_map(self, k):
-        mu = self.mu(k)
-        src = mu.source
-        ok_cols = set()
-        for d in src.degrees():
-            for l in src.labels(d):
-                _, parts = l
-                if sum(p[1] for p in parts[:k]) <= self.simp.n_max - 1:
-                    ok_cols.add(l)
-        dmu = _compose_on_subdomain(mu, ok_cols, after_diff=False)
-        mud = _compose_on_subdomain(mu, ok_cols, after_diff=True)
-        if not dmu.eq(mud):
-            raise EngineError("operad structure map is not a chain map")
+        ring = self.ring
+        for zs, okey in self.window_columns(k, self.simp.n_max - 1):
+            lhs, rhs = self.chain_map_sides(zs, okey)
+            if not lc_eq(ring, lhs, rhs):
+                raise EngineError("operad structure map is not a chain map")
 
     def check_equivariance(self, k):
         if k != 2:
             return
         ring = self.ring
-        star = self.O.objects[0]
         sigma = Perm((2, 1))
-        okeys = self.O.basis_keys((star, star), star)
-        for d in self.real.complex.degrees():
-            for la in self.real.complex.labels(d):
-                for d2 in self.real.complex.degrees():
-                    for lb in self.real.complex.labels(d2):
-                        if la[1] + lb[1] > self.simp.n_max:
-                            continue
-                        for okey in okeys:
-                            lhs = {}
-                            for ok2, v in self.O.act(sigma, okey).items():
-                                for l3, v3 in self.mu_on_labels(
-                                        [lb, la], ok2).items():
-                                    add_into(ring, lhs, l3, ring.mul(v, v3))
-                            ks = -1 if (d % 2 and d2 % 2) else 1
-                            rhs = scaled_int(
-                                ring, self.mu_on_labels([la, lb], okey), ks)
-                            if not lc_eq(ring, lhs, rhs):
-                                raise EngineError(
-                                    "structure map is not equivariant")
+        for (la, lb), okey in self.window_columns(2, self.simp.n_max):
+            lhs = {}
+            for ok2, v in self.O.act(sigma, okey).items():
+                for l3, v3 in self.mu_on_labels((lb, la), ok2).items():
+                    add_into(ring, lhs, l3, ring.mul(v, v3))
+            rhs = self.mu_on_labels((la, lb), okey)
+            if self._deg(la) % 2 and self._deg(lb) % 2:
+                rhs = {l: ring.neg(v) for l, v in rhs.items()}
+            if not lc_eq(ring, lhs, rhs):
+                raise EngineError("structure map is not equivariant")
 
 
 def _unit_sign(ring, v):
@@ -777,23 +841,3 @@ def _multi_shuffle_words(levels):
                 new_states.append((sign * s2, new_words, P + q))
         states = new_states
     return [(s, ws) for s, ws, _ in states]
-
-
-def _compose_on_subdomain(mu: ChainMap, ok_cols, after_diff):
-    """d o mu or mu o d restricted to selected source columns."""
-    src = mu.source
-    tgt = mu.target
-    ring = src.ring
-    mats = {}
-    from .complexes import differential_as_map
-    d_src = differential_as_map(src)
-    d_tgt = differential_as_map(tgt)
-    full = d_tgt.compose(mu) if not after_diff else mu.compose(d_src)
-    for d in src.degrees():
-        m = full.mat(d)
-        keep = Mat.zeros(ring, m.nrows, m.ncols)
-        for (i, j), v in m.d.items():
-            if src.labels(d)[j] in ok_cols:
-                keep.set(i, j, v)
-        mats[d] = keep
-    return ChainMap(src, tgt, -1, mats, validate=False)

@@ -80,18 +80,18 @@ class ChainComplex:
     def total_dim(self) -> int:
         return sum(len(v) for v in self.basis.values())
 
-    def index(self, d: int, label) -> int:
+    def _label_index(self) -> dict:
+        """{degree: {label: position}}, built on first use, ascending degrees."""
         if self._index is None:
             self._index = {dd: {l: i for i, l in enumerate(ls)}
                            for dd, ls in self.basis.items()}
-        return self._index[d][label]
+        return self._index
+
+    def index(self, d: int, label) -> int:
+        return self._label_index()[d][label]
 
     def has_label(self, d: int, label) -> bool:
-        if self._index is None:
-            self.index(d, self.basis[d][0]) if self.basis.get(d) else None
-        if self._index is None:
-            return False
-        return label in self._index.get(d, {})
+        return label in self._label_index().get(d, {})
 
     def d_mat(self, d: int) -> Mat:
         m = self.diff.get(d)
@@ -100,8 +100,9 @@ class ChainComplex:
         return Mat.zeros(self.ring, self.dim(self.pred(d)), self.dim(d))
 
     def degree_of(self, label):
-        for d, ls in self.basis.items():
-            if label in ls:
+        """The lowest degree whose basis holds label; KeyError if none does."""
+        for d, idx in self._label_index().items():
+            if label in idx:
                 return d
         raise KeyError(label)
 
@@ -239,7 +240,9 @@ class ChainComplex:
 
     @staticmethod
     def tensor_many(ring, factors, tag="x", grading="Z") -> "ChainComplex":
-        """Flat tensor product: labels (tag, (l_1, ..., l_k)), Koszul signs."""
+        """Flat tensor product: labels (tag, (l_1, ..., l_k)), Koszul signs.
+
+        With grading="Z2" the factors are Z/2-graded and degrees add mod 2."""
         import itertools as _it
         pools = []
         for c in factors:
@@ -247,6 +250,8 @@ class ChainComplex:
         basis = {}
         for combo in _it.product(*pools):
             deg = sum(d for d, _ in combo)
+            if grading == "Z2":
+                deg %= 2
             basis.setdefault(deg, []).append((tag, tuple(l for _, l in combo)))
         out = ChainComplex(ring, grading, basis, {}, validate=False)
         diff = {}
@@ -261,7 +266,7 @@ class ChainComplex:
                     col = c.d_mat(ld).column(c.index(ld, l))
                     s = ring.from_int(-1 if pre % 2 else 1)
                     for i2, v in col.items():
-                        tl = (tag, labels[:t] + (c.labels(ld - 1)[i2],)
+                        tl = (tag, labels[:t] + (c.labels(c.pred(ld))[i2],)
                               + labels[t + 1:])
                         m.add_to(out.index(pd, tl), j, ring.mul(s, v))
                     pre += ld

@@ -109,6 +109,49 @@ def test_tensor_associative_and_unital_up_to_bijection():
     assert iso.compose(other).eq(ChainMap.identity(right))
 
 
+def test_degree_of_lowest_degree_and_missing():
+    c = ChainComplex(Z, "Z", {2: ["p"], 1: ["r"], 0: ["q", "p"]}, {})
+    assert c.degree_of("p") == 0
+    assert c.degree_of("r") == 1
+    assert c.index(2, "p") == 0
+    with pytest.raises(KeyError):
+        c.degree_of("s")
+
+
+def _boundaries(c):
+    """{label: {boundary label: coeff}} over every basis element."""
+    out = {}
+    for d in c.degrees():
+        rows = c.labels(c.pred(d))
+        for j, l in enumerate(c.labels(d)):
+            out[l] = {rows[i]: v for i, v in c.d_mat(d).column(j).items()}
+    return out
+
+
+def test_tensor_many_z2_matches_z_grading_mod_2():
+    # Z-graded complexes and their Z/2 reductions: a -> b in C lives in
+    # degrees 2 -> 1, so the reduced C has a differential on both slots.
+    pieces = [({0: ["a0"], 1: ["b", "b1"], 2: ["a"]},
+               {(1, "b", "a0"): 1, (2, "a", "b1"): 3}),
+              ({0: ["x", "y"], 1: ["z"]}, {(1, "z", "x"): 1, (1, "z", "y"): -1})]
+    zs, z2s = [], []
+    for basis, entries in pieces:
+        zs.append(ChainComplex.free(Z, basis, entries))
+        slots = {0: [], 1: []}
+        for d, ls in basis.items():
+            slots[d % 2] += ls
+        z2s.append(ChainComplex.free(
+            Z, slots, {(d % 2, s, t): v for (d, s, t), v in entries.items()},
+            grading="Z2"))
+    assert not z2s[0].d_mat(0).is_zero()
+    t = ChainComplex.tensor_many(Z, zs)
+    t2 = ChainComplex.tensor_many(Z, z2s, grading="Z2")
+    t2.validate()
+    assert [t2.dim(s) for s in (0, 1)] == [
+        sum(t.dim(d) for d in t.degrees() if d % 2 == s) for s in (0, 1)]
+    assert _boundaries(t2) == _boundaries(t)
+
+
 # -- shift and cone ----------------------------------------------------------
 
 def test_cone_of_identity_acyclic():
