@@ -26,7 +26,7 @@ import itertools
 from .complexes import ChainComplex, ChainMap
 from .errors import ArityOverflow, EngineError, NonPermutationAction
 from .lincomb import add_into, eq as lc_eq, linear
-from .linalg import Mat
+from .linalg import Mat, block_matrix
 from .multicat import MultiAlgebra, MultiCat, MultiFunctor
 from .simplicial import RealizedComplex, SimplicialComplexObj, realize, shuffles
 from .symgrp import GroupRingModule, Perm, koszul_sign, tensor_over_group_ring
@@ -480,12 +480,11 @@ def _ordered_form(M, calc, carriers, y, cpx):
     diff = {}
     for d in ocpx.degrees():
         pd = ocpx.pred(d)
-        m = Mat.zeros(ring, ocpx.dim(pd), ocpx.dim(d))
-        for j, (_, xs, l) in enumerate(ocpx.labels(d)):
-            quot = next(q for (x2, q, _, _, _) in pieces if x2 == xs)
-            col = quot.d_mat(d).column(quot.index(d, l))
-            for i2, v in col.items():
-                m.add_to(ocpx.index(pd, ("of", xs, quot.labels(pd)[i2])), j, v)
+        blocks, r0, c0 = [], 0, 0  # the pieces follow each other
+        for _, quot, _, _, _ in pieces:
+            blocks.append((quot.d_mat(d), r0, c0, 1))
+            r0, c0 = r0 + quot.dim(pd), c0 + quot.dim(d)
+        m = block_matrix(ring, ocpx.dim(pd), ocpx.dim(d), blocks)
         if not m.is_zero():
             diff[d] = m
     ocpx.diff = diff

@@ -23,7 +23,7 @@ from .dgcat import DgCategory, DgFunctor, LeftModule, RightModule, \
 from .errors import EngineError, ModuleMismatch, NonComposable, \
     NonCommutingSquare, NonTorsionFree, UnsupportedRing
 from .lincomb import add_into, eq as lc_eq
-from .linalg import Mat
+from .linalg import Mat, block_matrix
 from .simplicial import RealizedComplex, SimplicialComplexObj, realize
 from .symgrp import Perm
 
@@ -182,6 +182,7 @@ class BarBimoduleComplex:
         tensor, proj = self.tensor_quotient()
         ring = self.C.ring
         const = realize(constant_simplicial(tensor, self.n_max))
+        images = {}  # degree -> proj's image of every label, read once
 
         def collapse(label):
             _, mk, us, yk = label
@@ -194,7 +195,9 @@ class BarBimoduleComplex:
             out = {}
             for lab, v in acc.items():
                 d0 = lab[1][1] + lab[3][1]
-                for tl, c in proj.apply_label(d0, lab).items():
+                if d0 not in images:
+                    images[d0] = proj.label_images(d0)
+                for tl, c in images[d0][lab].items():
                     add_into(ring, out, tl, ring.mul(v, c))
             return out
 
@@ -399,8 +402,9 @@ def _union_find_quotient(cpx: ChainComplex, relations):
     for d in quot.degrees():
         pd = quot.pred(d)
         m = Mat.zeros(ring, quot.dim(pd), quot.dim(d))
+        cols = cpx.d_mat(d).columns()
         for k, l in enumerate(quot.labels(d)):
-            col = cpx.d_mat(d).column(cpx.index(d, l))
+            col = cols.get(cpx.index(d, l), {})
             for kk, v in project(cpx.pred(d), col).items():
                 m.add_to(kk, k, v)
         if not m.is_zero():
@@ -534,24 +538,30 @@ def telescope_complex(complexes, maps) -> ChainComplex:
         for d in c.degrees():
             basis.setdefault(d + 1, []).extend(("t1", i, l) for l in c.labels(d))
     out = ChainComplex(ring, "Z", basis, {}, validate=False)
+
+    def offsets(d):
+        # where the ("t0", i, .) and ("t1", i, .) labels start in degree d
+        t0, pos = [], 0
+        for c in complexes:
+            t0.append(pos)
+            pos += c.dim(d)
+        t1 = []
+        for c in complexes[:k]:
+            t1.append(pos)
+            pos += c.dim(d - 1)
+        return t0, t1
+
     diff = {}
     for d in out.degrees():
         pd = d - 1
-        m = Mat.zeros(ring, out.dim(pd), out.dim(d))
-        for j, label in enumerate(out.labels(d)):
-            tag, i, l = label
+        (r0, r1), (c0, c1) = offsets(pd), offsets(d)
+        blocks = [(c.d_mat(d), r0[i], c0[i], 1) for i, c in enumerate(complexes)]
+        for i in range(k):
             c = complexes[i]
-            if tag == "t0":
-                for i2, v in c.d_mat(d).column(c.index(d, l)).items():
-                    m.add_to(out.index(pd, ("t0", i, c.labels(d - 1)[i2])), j, v)
-            else:
-                ld = d - 1
-                for i2, v in c.d_mat(ld).column(c.index(ld, l)).items():
-                    m.add_to(out.index(pd, ("t1", i, c.labels(ld - 1)[i2])), j,
-                             ring.neg(v))
-                for tl, v in maps[i].apply_label(ld, l).items():
-                    m.add_to(out.index(pd, ("t0", i + 1, tl)), j, v)
-                m.add_to(out.index(pd, ("t0", i, l)), j, ring.from_int(-1))
+            blocks += [(c.d_mat(pd), r1[i], c1[i], -1),
+                       (maps[i].mat(pd), r0[i + 1], c1[i], 1),
+                       (Mat.identity(ring, c.dim(pd)), r0[i], c1[i], -1)]
+        m = block_matrix(ring, out.dim(pd), out.dim(d), blocks)
         if not m.is_zero():
             diff[d] = m
     out.diff = diff

@@ -41,10 +41,11 @@ class Ring:
     """An exact coefficient ring; all element operations live here.
 
     Instances are immutable and hashable; elements are plain Python values
-    interpreted relative to their ring.
+    interpreted relative to their ring.  `zero` and `one` are computed once
+    per ring; identity (==, hash) is (kind, p, base, cutoff, grid).
     """
 
-    __slots__ = ("kind", "p", "base", "cutoff", "grid")
+    __slots__ = ("kind", "p", "base", "cutoff", "grid", "zero", "one")
 
     def __init__(self, kind, p=None, base=None, cutoff=None, grid=None):
         self.kind = kind
@@ -52,6 +53,8 @@ class Ring:
         self.base = base
         self.cutoff = cutoff
         self.grid = grid
+        self.zero = {"Z": 0, "Q": Fraction(0), "Fp": 0}.get(kind, ())
+        self.one = self.from_int(1)
 
     # -- constructors ---------------------------------------------------
 
@@ -111,20 +114,6 @@ class Ring:
         return self.kind == "nov"
 
     # -- element construction -------------------------------------------
-
-    @property
-    def zero(self):
-        if self.kind == "Z":
-            return 0
-        if self.kind == "Q":
-            return Fraction(0)
-        if self.kind == "Fp":
-            return 0
-        return ()
-
-    @property
-    def one(self):
-        return self.from_int(1)
 
     def from_int(self, n: int):
         if self.kind == "Z":

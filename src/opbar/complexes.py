@@ -183,12 +183,9 @@ class ChainComplex:
         diff = {}
         for d in out.degrees():
             pd = out.pred(d)
-            m = Mat.zeros(self.ring, out.dim(pd), out.dim(d))
-            for (i, j), v in self.d_mat(d).d.items():
-                m.set(i, j, v)
-            off_r, off_c = self.dim(pd), self.dim(d)
-            for (i, j), v in other.d_mat(d).d.items():
-                m.set(i + off_r, j + off_c, v)
+            m = linalg.block_matrix(self.ring, out.dim(pd), out.dim(d), [
+                (self.d_mat(d), 0, 0, 1),
+                (other.d_mat(d), self.dim(pd), self.dim(d), 1)])
             if not m.is_zero():
                 diff[d] = m
         out.diff = diff
@@ -201,36 +198,39 @@ class ChainComplex:
             raise MixedRings("tensor needs matching ring and grading")
         ring = self.ring
         basis = {}
-        degree_pairs = {}
+        start = {}  # (da, db) -> where the block of pairs (la, lb) starts
         for da in self.degrees():
             for db in other.degrees():
-                d = self.shift_deg(da, db)
-                for la in self.labels(da):
-                    for lb in other.labels(db):
-                        basis.setdefault(d, []).append(("t", la, lb))
-                        degree_pairs[("t", la, lb)] = (da, db)
+                ls = basis.setdefault(self.shift_deg(da, db), [])
+                start[(da, db)] = len(ls)
+                ls.extend(("t", la, lb) for la in self.labels(da)
+                          for lb in other.labels(db))
         out = ChainComplex(ring, self.grading, basis, {}, validate=False)
+        # (la, lb) sits at start + ia * dim(db) + ib; every entry lands once
+        entries = {}
+        for da, ma in self.diff.items():
+            pa = self.pred(da)
+            for db in other.degrees():
+                nb = other.dim(db)
+                r0, c0 = start[(pa, db)], start[(da, db)]
+                acc = entries.setdefault(self.shift_deg(da, db), {})
+                for (i, j), v in ma.d.items():
+                    for ib in range(nb):
+                        acc[(r0 + i * nb + ib, c0 + j * nb + ib)] = v
+        for db, mb in other.diff.items():
+            pb = other.pred(db)
+            nb, npb = other.dim(db), other.dim(pb)
+            for da in self.degrees():
+                r0, c0 = start[(da, pb)], start[(da, db)]
+                acc = entries.setdefault(self.shift_deg(da, db), {})
+                for (i, j), v in mb.d.items():
+                    w = ring.neg(v) if da % 2 else v
+                    for ia in range(self.dim(da)):
+                        acc[(r0 + ia * npb + i, c0 + ia * nb + j)] = w
         diff = {}
-        for d, ls in out.basis.items():
-            pd = out.pred(d)
-            m = Mat.zeros(ring, out.dim(pd), out.dim(d))
-            for j, (_, la, lb) in enumerate(ls):
-                da, db = degree_pairs[("t", la, lb)]
-                ma = self.diff.get(da)
-                if ma is not None:
-                    ja = self.index(da, la)
-                    for i, v in ma.column(ja).items():
-                        tl = ("t", self.basis[self.pred(da)][i], lb)
-                        m.add_to(out.index(pd, tl), j, v)
-                mb = other.diff.get(db)
-                if mb is not None:
-                    jb = other.index(db, lb)
-                    sgn = ring.from_int(-1 if da % 2 else 1)
-                    for i, v in mb.column(jb).items():
-                        tl = ("t", la, other.basis[other.pred(db)][i])
-                        m.add_to(out.index(pd, tl), j, ring.mul(sgn, v))
-            if not m.is_zero():
-                diff[d] = m
+        for d, acc in entries.items():
+            diff[d] = Mat(ring, out.dim(out.pred(d)), out.dim(d))
+            diff[d].d = acc
         out.diff = diff
         return out
 
@@ -254,6 +254,17 @@ class ChainComplex:
                 deg %= 2
             basis.setdefault(deg, []).append((tag, tuple(l for _, l in combo)))
         out = ChainComplex(ring, grading, basis, {}, validate=False)
+        # per factor: label -> (lowest degree, [(boundary label, coeff)])
+        tables = []
+        for c in factors:
+            table = {}
+            for ld in c.degrees():
+                cols = c.d_mat(ld).columns()
+                below = c.labels(c.pred(ld))
+                for j, l in enumerate(c.labels(ld)):
+                    table.setdefault(l, (ld, [(below[i], v) for i, v in
+                                              cols.get(j, {}).items()]))
+            tables.append(table)
         diff = {}
         for d in out.degrees():
             pd = out.pred(d)
@@ -261,14 +272,11 @@ class ChainComplex:
             for j, (_, labels) in enumerate(out.labels(d)):
                 pre = 0
                 for t, l in enumerate(labels):
-                    c = factors[t]
-                    ld = c.degree_of(l)
-                    col = c.d_mat(ld).column(c.index(ld, l))
-                    s = ring.from_int(-1 if pre % 2 else 1)
-                    for i2, v in col.items():
-                        tl = (tag, labels[:t] + (c.labels(c.pred(ld))[i2],)
-                              + labels[t + 1:])
-                        m.add_to(out.index(pd, tl), j, ring.mul(s, v))
+                    ld, bd = tables[t][l]
+                    for bl, v in bd:
+                        tl = (tag, labels[:t] + (bl,) + labels[t + 1:])
+                        m.add_to(out.index(pd, tl), j,
+                                 ring.neg(v) if pre % 2 else v)
                     pre += ld
             if not m.is_zero():
                 diff[d] = m
@@ -427,6 +435,14 @@ class ChainMap:
         td = self.target_deg(d)
         return {self.target.labels(td)[i]: v for i, v in col.items()}
 
+    def label_images(self, d) -> dict:
+        """{label: image} for every basis element of degree d, from one walk
+        over the matrix (apply_label costs that walk per label)."""
+        cols = self.mat(d).columns()
+        tgt = self.target.labels(self.target_deg(d))
+        return {l: {tgt[i]: v for i, v in cols.get(j, {}).items()}
+                for j, l in enumerate(self.source.labels(d))}
+
     def map_coefficients(self, new_ring, fn, new_source, new_target) -> "ChainMap":
         mats = {d: m.map_ring(new_ring, fn) for d, m in self.mats.items()}
         return ChainMap(new_source, new_target, self.degree, mats, validate=False)
@@ -452,19 +468,12 @@ def cone(f: ChainMap) -> ChainComplex:
     diff = {}
     for d in out.degrees():
         pd = out.pred(d)
-        m = Mat.zeros(ring, out.dim(pd), out.dim(d))
-        for (i, j), v in T.d_mat(d).d.items():
-            m.set(out.index(pd, ("c0", T.labels(pd)[i])),
-                  out.index(d, ("c0", T.labels(d)[j])), v)
         sd = S.shift_deg(d, -1)
-        for j, l in enumerate(S.labels(sd)):
-            jj = out.index(d, ("c1", l))
-            for i, v in S.d_mat(sd).column(S.index(sd, l)).items():
-                tl = ("c1", S.labels(S.pred(sd))[i])
-                m.add_to(out.index(pd, tl), jj, ring.neg(v))
-            for i, v in f.mat(sd).column(S.index(sd, l)).items():
-                tl = ("c0", T.labels(sd)[i])
-                m.add_to(out.index(pd, tl), jj, v)
+        # the c1 labels follow the c0 labels in every degree
+        m = linalg.block_matrix(ring, out.dim(pd), out.dim(d), [
+            (T.d_mat(d), 0, 0, 1),
+            (S.d_mat(sd), T.dim(pd), T.dim(d), -1),
+            (f.mat(sd), 0, T.dim(d), 1)])
         if not m.is_zero():
             diff[d] = m
     out.diff = diff
@@ -613,14 +622,10 @@ def _splitting_homotopy(C: ChainComplex) -> ChainMap:
     selected = {}
     image_basis = {}
     for d in degs:
-        m = C.d_mat(d)
         pivots = {}
         chosen = []
         img_vecs = []
-        for j in range(m.ncols):
-            col = m.column(j)
-            if not col:
-                continue
+        for j, col in sorted(C.d_mat(d).columns().items()):
             before = len(pivots)
             linalg._rref_insert(ring, col, pivots)
             if len(pivots) > before:
@@ -645,10 +650,8 @@ def _splitting_homotopy(C: ChainComplex) -> ChainMap:
         if sol is None:
             raise NotAcyclic(f"complex is not acyclic in degree {d}")
         h = Mat.zeros(ring, C.dim(sd), n)
-        for col in range(n):
-            for i, v in sol.column(col).items():
-                if i < len(img):
-                    h.add_to(wn[i], col, v)
+        h.d = {(wn[i], col): v for (i, col), v in sol.d.items()
+               if i < len(img)}
         mats[d] = h
     hmap = ChainMap(C, C, 1, mats, validate=False)
     check = C_dh_plus_hd(C, hmap)

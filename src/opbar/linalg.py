@@ -182,7 +182,18 @@ class Mat:
         return {i: v for i, v in out.items() if not ring.is_zero(v)}
 
     def column(self, j) -> dict:
+        """Column j as {row: value}.
+
+        Each call scans every nonzero entry, O(nnz): use it for a single
+        lookup, never in a loop over all columns (use `columns` there)."""
         return {i: v for (i, jj), v in self.d.items() if jj == j}
+
+    def columns(self) -> dict:
+        """{col: {row: value}} for every nonzero column, from one walk."""
+        out = {}
+        for (i, j), v in self.d.items():
+            out.setdefault(j, {})[i] = v
+        return out
 
     def map_ring(self, new_ring: Ring, fn) -> "Mat":
         out = Mat(new_ring, self.nrows, self.ncols)
@@ -203,6 +214,23 @@ class Mat:
             raise MixedRings("matrices over different rings")
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
+
+
+def block_matrix(ring: Ring, nrows: int, ncols: int, blocks) -> Mat:
+    """The sum of placed blocks: each (m, row_offset, col_offset, sign) adds
+    sign * m (sign is 1 or -1) at those offsets, walking m's entries once.
+    Entries that cancel are dropped."""
+    acc = {}
+    for m, r0, c0, sign in blocks:
+        for (i, j), v in m.d.items():
+            if sign < 0:
+                v = ring.neg(v)
+            key = (i + r0, j + c0)
+            w = acc.get(key)
+            acc[key] = v if w is None else ring.add(w, v)
+    out = Mat(ring, nrows, ncols)
+    out.d = {k: v for k, v in acc.items() if not ring.is_zero(v)}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +347,9 @@ def field_solve(mat: Mat, rhs: dict):
 def field_solve_mat(mat: Mat, rhs: Mat):
     """Solve mat @ X = rhs column by column; None if any column fails."""
     cols = {}
+    by_col = rhs.columns()
     for j in range(rhs.ncols):
-        x = field_solve(mat, rhs.column(j))
+        x = field_solve(mat, by_col.get(j, {}))
         if x is None:
             return None
         cols[j] = x

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .complexes import ChainComplex, ChainMap
 from .errors import EngineError, TruncationTooSmall
-from .linalg import Mat
+from .linalg import Mat, block_matrix
 from .symgrp import Perm
 
 
@@ -98,25 +98,33 @@ class RealizedComplex:
                 basis.setdefault(d + n, []).extend(
                     ("lv", n, l) for l in lv.labels(d))
         self.complex = ChainComplex(ring, grading, basis, {}, validate=False)
+        levels = [simplicial.level(n) for n in range(simplicial.n_max + 1)]
+
+        def offsets(deg):
+            # where level n's labels start in the basis of realized degree deg
+            out, pos = [], 0
+            for n, lv in enumerate(levels):
+                out.append(pos)
+                pos += lv.dim(deg - n)
+            return out
+
         diff = {}
         for deg in self.complex.degrees():
             pd = deg - 1
-            m = Mat.zeros(ring, len(self.complex.basis.get(pd, [])),
-                          len(self.complex.basis.get(deg, [])))
-            for j, (_, n, l) in enumerate(self.complex.labels(deg)):
-                lv = simplicial.level(n)
+            rows, cols = offsets(pd), offsets(deg)
+            blocks = []
+            for n, lv in enumerate(levels):
                 ld = deg - n
-                col = lv.d_mat(ld).column(lv.index(ld, l))
-                sgn = ring.from_int(-1 if n % 2 else 1)
-                for i2, v in col.items():
-                    tl = ("lv", n, lv.labels(ld - 1)[i2])
-                    m.add_to(self.complex.index(pd, tl), j, ring.mul(sgn, v))
+                dm = lv.diff.get(ld)
+                if dm is not None:
+                    blocks.append((dm, rows[n], cols[n], -1 if n % 2 else 1))
                 for i in range(0, n + 1) if n >= 1 else ():
-                    fm = simplicial.face(n, i)
-                    s = ring.from_int(-1 if i % 2 else 1)
-                    for tl2, v in fm.apply_label(ld, l).items():
-                        tl = ("lv", n - 1, tl2)
-                        m.add_to(self.complex.index(pd, tl), j, ring.mul(s, v))
+                    fm = simplicial.face(n, i).mats.get(ld)
+                    if fm is not None:
+                        blocks.append((fm, rows[n - 1], cols[n],
+                                       -1 if i % 2 else 1))
+            m = block_matrix(ring, self.complex.dim(pd), self.complex.dim(deg),
+                             blocks)
             if not m.is_zero():
                 diff[deg] = m
         self.complex.diff = diff
@@ -159,30 +167,30 @@ def normalized_realization(simplicial: SimplicialComplexObj):
     ring = real.complex.ring
     degenerate = set()
     for (n, i), s in simplicial.degens.items():
-        lv = simplicial.level(n)
-        for d in lv.degrees():
-            for l in lv.labels(d):
-                img = s.apply_label(d, l)
+        for d in simplicial.level(n).degrees():
+            cols = s.mat(d).columns()
+            for j in range(s.source.dim(d)):
+                img = cols.get(j, {})
                 if len(img) != 1:
                     raise EngineError("degeneracy is not label-to-label")
-                ((tl, c),) = img.items()
+                ((i, c),) = img.items()
                 if not ring.eq(c, ring.one):
                     raise EngineError("degeneracy has a non-unit coefficient")
-                degenerate.add(("lv", n + 1, tl))
+                degenerate.add(("lv", n + 1, s.target.labels(d)[i]))
     basis = {d: [l for l in real.complex.labels(d) if l not in degenerate]
              for d in real.complex.degrees()}
     quot = ChainComplex(ring, real.complex.grading, basis, {}, validate=False)
+    # old position -> new position of every kept label, per degree
+    keep = {d: {real.complex.index(d, l): k for k, l in enumerate(ls)}
+            for d, ls in quot.basis.items()}
     diff = {}
     for d in quot.degrees():
         pd = quot.pred(d)
+        rows, cols = keep.get(pd, {}), keep[d]
         m = Mat.zeros(ring, quot.dim(pd), quot.dim(d))
-        for j, l in enumerate(quot.labels(d)):
-            col = real.complex.d_mat(d).column(real.complex.index(d, l))
-            for i2, v in col.items():
-                tl = real.complex.labels(pd)[i2]
-                if tl in degenerate:
-                    continue
-                m.add_to(quot.index(pd, tl), j, v)
+        m.d = {(rows[i], cols[j]): v
+               for (i, j), v in real.complex.d_mat(d).d.items()
+               if i in rows and j in cols}
         if not m.is_zero():
             diff[d] = m
     quot.diff = diff

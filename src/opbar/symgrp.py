@@ -173,6 +173,20 @@ def enumerate_group(generators, n: int, bound: int = GROUP_DEGREE_BOUND):
     return sorted(seen, key=lambda p: p.images)
 
 
+def _close(gens, maps, product):
+    """Extend maps from the generators to the whole group generated:
+    maps[g o cur] = product(maps[g], maps[cur]).  The generators are already
+    assigned, so the search starts from them."""
+    frontier = list(gens)
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = g.compose(cur)
+            if nxt not in maps:
+                maps[nxt] = product(maps[g], maps[cur])
+                frontier.append(nxt)
+
+
 class GroupAction:
     """A left action of a subgroup of S_n on a chain complex by chain maps."""
 
@@ -187,20 +201,9 @@ class GroupAction:
             if m.source is not complex or m.target is not complex or m.degree != 0:
                 raise NonPermutationAction("action maps must be degree-0 self-maps")
             self._maps[g] = m
-        self._close()
+        _close(self.gens, self._maps, lambda mg, mcur: mg.compose(mcur))
         if check:
             self.check_consistency()
-
-    def _close(self):
-        # BFS assignment: map(g o cur) = map(g) o map(cur)
-        frontier = [Perm.identity(self.n)]
-        while frontier:
-            cur = frontier.pop()
-            for g in self.gens:
-                nxt = g.compose(cur)
-                if nxt not in self._maps:
-                    self._maps[nxt] = self._maps[g].compose(self._maps[cur])
-                    frontier.append(nxt)
 
     def check_consistency(self):
         """Relations hold on the nose: map(g o h) == map(g) o map(h) for all pairs."""
@@ -263,10 +266,9 @@ def coinvariants(action: GroupAction):
     for d in C.degrees():
         vecs = []
         for g in action.gens:
-            m = action.map_of(g).mat(d)
+            cols = action.map_of(g).mat(d).columns()
             for j in range(C.dim(d)):
-                col = m.column(j)
-                vec = dict(col)
+                vec = dict(cols.get(j, {}))
                 vec[j] = C.ring.sub(vec.get(j, C.ring.zero), C.ring.one)
                 vec = {i: C.ring.neg(v) for i, v in vec.items() if not C.ring.is_zero(v)}
                 if vec:
@@ -330,9 +332,9 @@ def _orbit_coinvariants(action: GroupAction, tables):
     for d in quot.degrees():
         pd = quot.pred(d)
         m = Mat.zeros(ring, quot.dim(pd), quot.dim(d))
+        cols = C.d_mat(d).columns()
         for k, i in enumerate(reps[d]):
-            col = C.d_mat(d).column(i)
-            for kk, v in project_vec(C.pred(d), col).items():
+            for kk, v in project_vec(C.pred(d), cols.get(i, {})).items():
                 m.add_to(kk, k, v)
         if not m.is_zero():
             diff[d] = m
@@ -392,8 +394,9 @@ def quotient_by_span(C: ChainComplex, spans: dict):
     for d in quot.degrees():
         pd = quot.pred(d)
         m = Mat.zeros(ring, quot.dim(pd), quot.dim(d))
+        cols = C.d_mat(d).columns()
         for k, j in enumerate(keep[d]):
-            for kk, v in project_vec(C.pred(d), C.d_mat(d).column(j)).items():
+            for kk, v in project_vec(C.pred(d), cols.get(j, {})).items():
                 m.add_to(kk, k, v)
         if not m.is_zero():
             diff[d] = m
@@ -427,18 +430,11 @@ class GroupRingModule:
         self._maps = {Perm.identity(n): ChainMap.identity(complex)}
         for g, m in zip(self.gens, gen_maps):
             self._maps[g] = m
-        frontier = [Perm.identity(n)]
-        while frontier:
-            cur = frontier.pop()
-            for g in self.gens:
-                nxt = g.compose(cur)
-                if nxt not in self._maps:
-                    if side == "left":
-                        self._maps[nxt] = self._maps[g].compose(self._maps[cur])
-                    else:
-                        # operator of m.(g o cur): first g, then cur acts
-                        self._maps[nxt] = self._maps[cur].compose(self._maps[g])
-                    frontier.append(nxt)
+        if side == "left":
+            _close(self.gens, self._maps, lambda mg, mcur: mg.compose(mcur))
+        else:
+            # operator of m.(g o cur): first g, then cur acts
+            _close(self.gens, self._maps, lambda mg, mcur: mcur.compose(mg))
         if check:
             for g in self.gens:
                 for h in self.elements:
@@ -488,15 +484,21 @@ def tensor_over_group_ring(Mr: GroupRingModule, Ml: GroupRingModule):
 
 def _tensor_chain_map(TS, TT, f: ChainMap, g: ChainMap) -> ChainMap:
     """f (x) g on tensor complexes built by ChainComplex.tensor (degree 0 only)."""
-    A, B = f.source, g.source
+    def images(h):
+        # label -> image, in the lowest degree holding the label
+        out = {}
+        for d in h.source.degrees():
+            for l, img in h.label_images(d).items():
+                out.setdefault(l, img)
+        return out
+
+    fa, gb = images(f), images(g)
 
     def fn(label):
         _, la, lb = label
-        da = A.degree_of(la)
-        db = B.degree_of(lb)
         out = []
-        for ta, ca in f.apply_label(da, la).items():
-            for tb, cb in g.apply_label(db, lb).items():
+        for ta, ca in fa[la].items():
+            for tb, cb in gb[lb].items():
                 out.append((("t", ta, tb), TS.ring.mul(ca, cb)))
         return out
 
@@ -565,10 +567,10 @@ def descend_to_coinvariants(action_src: GroupAction, action_tgt: GroupAction,
     ring = f.source.ring
     for d in qs.degrees():
         m = Mat.zeros(ring, qt.dim(d), qs.dim(d))
+        cols = pt.mat(d).mul(f.mat(d)).columns()
         for k, label in enumerate(qs.labels(d)):
             j = action_src.complex.index(d, label)
-            vec = pt.mat(d).mul(f.mat(d)).column(j)
-            for i, v in vec.items():
+            for i, v in cols.get(j, {}).items():
                 m.set(i, k, v)
         mats[d] = m
     descended = ChainMap(qs, qt, 0, mats)

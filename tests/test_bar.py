@@ -139,6 +139,15 @@ def test_free_sym_assoc_algebra_dimension():
     assert res.ordered["*"].total_dim() == res.complexes["*"].total_dim()
 
 
+def test_free_sym_assoc_algebra_dimension_arity_3():
+    # O(3) = R[S_3]: needs the S_3 actions on O(3) and C^(x)3 in full
+    C = ChainComplex.free(Q, {0: ["a", "b"], 1: ["c"]}, {(1, "c", "a"): 1})
+    res = free_algebra(fix.sym_assoc_operad(Q, 3), {"*": C})
+    n = C.total_dim()
+    assert res.complexes["*"].total_dim() == sum(n ** k for k in (1, 2, 3))
+    assert res.ordered["*"].total_dim() == res.complexes["*"].total_dim()
+
+
 def test_mu_body_runs_once_per_window_tensor(monkeypatch):
     calls = []
     body = KanAlgebraStructure._mu_uncached

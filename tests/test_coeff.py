@@ -129,3 +129,14 @@ def test_canonical_idempotence(ta):
 def test_ring_descriptor_roundtrip():
     for ring in (Z, Q, Ring.Fp(5), NOV14, Ring.novikov(Ring.Fp(3), Fraction(3, 2), 2)):
         assert Ring.from_descriptor(ring.descriptor()) == ring
+
+
+def test_ring_constants_computed_once():
+    for ring in (Z, Q, Ring.Fp(5), NOV14):
+        assert ring.one is ring.one and ring.zero is ring.zero
+        assert ring.eq(ring.one, ring.from_int(1))
+        assert ring.is_zero(ring.zero)
+    # identity stays on the descriptor fields, not on the constants
+    assert Ring.novikov(Q, 1, 4) == NOV14
+    assert hash(Ring.novikov(Q, 1, 4)) == hash(NOV14)
+    assert Ring.novikov(Q, 1, 4) != NOV13

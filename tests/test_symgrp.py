@@ -251,3 +251,37 @@ def test_equivariant_map_descends_and_composes():
     desc_g, _, _ = descend_to_coinvariants(a2, a2, g)
     desc_gf, _, _ = descend_to_coinvariants(a1, a2, g.compose(f))
     assert desc_gf.eq(desc_g.compose(desc_f))
+
+
+# -- groups of order > 2 -------------------------------------------------------------
+
+S3_GENS = [Perm((2, 1, 3)), Perm((2, 3, 1))]
+
+
+def _permutation_map(c, g):
+    """g acting on the labels e1, e2, e3 of c by e_i -> e_{g(i)}."""
+    return ChainMap.from_label_fn(c, c, 0, lambda l: [(f"e{g(int(l[1]))}", 1)])
+
+
+def test_s3_action_maps_every_element():
+    # the closure starts from the generators; it used to stop at them
+    c = ChainComplex.free(Z, {0: ["e1", "e2", "e3"]}, {})
+    act = GroupAction(3, S3_GENS, c, [_permutation_map(c, g) for g in S3_GENS])
+    assert len(act.elements) == 6
+    for g in act.elements:
+        assert act.map_of(g).eq(_permutation_map(c, g)), g
+    act.check_consistency()
+    q, _ = coinvariants(act)
+    assert q.total_dim() == 1
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_s3_group_ring_module_maps_every_element(side):
+    c = ChainComplex.free(Q, {0: ["e1", "e2", "e3"]}, {})
+    # a right action m.g is the left action of g^{-1}
+    gen_maps = [_permutation_map(c, g if side == "left" else g.inverse())
+                for g in S3_GENS]
+    mod = GroupRingModule(side, 3, S3_GENS, c, gen_maps)
+    for g in enumerate_group(S3_GENS, 3):
+        want = _permutation_map(c, g if side == "left" else g.inverse())
+        assert mod.map_of(g).eq(want), g
