@@ -381,6 +381,13 @@ def free_algebra(M: MultiCat, carriers: dict, arity_max=None,
 
     The canonical isomorphism with the ordered form is verified on the nose:
     both composites are identity matrices.
+
+    Over Z the coinvariants follow the engine-wide free-quotient convention:
+    an orbit whose stabilizer acts on it by a sign is killed, so torsion
+    coinvariants are dropped.  On `as_operad(Z, 3)` with the carrier y in
+    degree 0 and x in degree 1 (d x = y), x (x) x, whose S_2-coinvariants
+    are Z/2, is missing and the dims are {0: 3, 1: 3}.  The result is exact
+    only where those orbits are free (ROADMAP item 2).
     """
     if arity_max is not None and arity_max != M.arity_max:
         raise ArityOverflow("free algebra truncation must match the bound")

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import itertools
 
-from .complexes import ChainComplex, ChainMap, homology, is_quasi_iso
+from .complexes import ChainComplex, ChainMap, is_quasi_iso
 from .dgcat import DgCategory, DgFunctor, LeftModule, RightModule, \
     corepresented_right_module, poset_category, pullback_right_module, \
     trivial_left_module, under_functor_left_module
@@ -24,8 +24,7 @@ from .errors import EngineError, ModuleMismatch, NonComposable, \
     NonCommutingSquare, NonTorsionFree, UnsupportedRing
 from .lincomb import add_into, eq as lc_eq
 from .linalg import Mat, block_matrix
-from .simplicial import RealizedComplex, SimplicialComplexObj, realize
-from .symgrp import Perm
+from .simplicial import SimplicialComplexObj, realize
 
 
 def _bar_level_basis(Mr: RightModule, C: DgCategory, Ml: LeftModule, n):
@@ -270,6 +269,7 @@ def _z_quotient(cpx: ChainComplex, spans):
     ring = cpx.ring
     proj_rows = {}
     sections = {}
+    relation_mats = {}
     for d in cpx.degrees():
         n = cpx.dim(d)
         rels = spans.get(d, [])
@@ -277,6 +277,7 @@ def _z_quotient(cpx: ChainComplex, spans):
         for j, vec in enumerate(rels):
             for i, v in vec.items():
                 R.set(i, j, v)
+        relation_mats[d] = R
         worker = linalg._ZWorker(R, track_u=True)
         diag = worker.diagonalize()
         if any(abs(x) != 1 for x in diag):
@@ -309,13 +310,11 @@ def _z_quotient(cpx: ChainComplex, spans):
         pd = quot.pred(d)
         if pd not in proj_rows:
             continue
-        m = proj_rows[pd].mul(cpx.d_mat(d)).mul(sections[d])
-        # well-definedness: the relations must form a subcomplex
-        rels = spans.get(d, [])
-        for vec in rels:
-            img = cpx.d_mat(d).apply(vec)
-            if proj_rows[pd].apply(img):
-                raise EngineError("relation span is not a subcomplex")
+        proj_d = proj_rows[pd].mul(cpx.d_mat(d))
+        # well-definedness: the relations must form a subcomplex, P d R = 0
+        if not proj_d.mul(relation_mats[d]).is_zero():
+            raise EngineError("relation span is not a subcomplex")
+        m = proj_d.mul(sections[d])
         if not m.is_zero():
             diff[d] = m
     quot.diff = diff

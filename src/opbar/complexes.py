@@ -363,7 +363,8 @@ class ChainMap:
         ring = source.ring
         for d in source.degrees():
             td = target.shift_deg(d, degree)
-            m = Mat.zeros(ring, target.dim(td), source.dim(d))
+            row_of = target._label_index().get(td, {})
+            acc = {}
             for j, l in enumerate(source.labels(d)):
                 hits = fn(d, l)
                 if not hits:
@@ -371,7 +372,12 @@ class ChainMap:
                 if isinstance(hits, tuple):
                     hits = [hits]
                 for tl, c in hits:
-                    m.add_to(target.index(td, tl), j, ring.canon(c))
+                    key = (row_of[tl], j)
+                    c = ring.canon(c)
+                    w = acc.get(key)
+                    acc[key] = c if w is None else ring.add(w, c)
+            m = Mat.zeros(ring, target.dim(td), source.dim(d))
+            m.d = {k: v for k, v in acc.items() if not ring.is_zero(v)}
             mats[d] = m
         return ChainMap(source, target, degree, mats, validate=validate)
 

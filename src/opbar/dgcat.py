@@ -10,8 +10,6 @@ u: a -> b; a left module L is contravariant: u.y in L(a) for y in L(b).
 
 from __future__ import annotations
 
-import itertools
-
 from .complexes import ChainComplex
 from .errors import EngineError
 from .lincomb import add_into, bilinear, combine, eq as lc_eq, linear, scaled_int

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 
 from .complexes import ChainComplex, ChainMap
-from .lincomb import add_into, combine, scaled_int
+from .lincomb import combine, scaled_int
 from .multicat import MultiAlgebra, MultiCat, MultiFunctor, endomorphism_multicat
 from .symgrp import Perm
 

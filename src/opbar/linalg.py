@@ -15,12 +15,27 @@ which transforms they track:
   back-substitution per right-hand side.
 
 Integer homology (`complexes.homology`) needs only `snf_diagonal` and `z_rank`.
+
+`Mat.mul` computes over plain Python ints, never through `Ring.mul` and
+`Ring.add`.  It clears the denominators of each operand once (over Q, every
+entry becomes an int over the lcm of the matrix's denominators), runs one
+integer multiply-accumulate loop, and restores the values once per output
+entry: n / den as a `Fraction` (one object per distinct n), n mod p over F_p.
+Over a truncated Novikov ring an entry is an int polynomial in the grid step:
+c T^e becomes the term (k, n) with k = e * q, so the loop adds step counts,
+keeps k1 + k2 < ceil(c * q) (the cutoff) and restores exponents as k / q.
+An exponent off the grid raises `NonGridExponent`.  Canonical forms are
+unique, so on canonical operands the output equals, value for value and
+type for type, the sum of per-entry ring products.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 from .coeff import Ring
-from .errors import MixedRings
+from .errors import MixedRings, NonGridExponent
 
 
 def xgcd(a: int, b: int):
@@ -136,28 +151,18 @@ class Mat:
         return self.scale(self.ring.from_int(n))
 
     def mul(self, other: "Mat") -> "Mat":
+        """The product self * other, computed over plain ints (see the
+        module docstring); the output is canonical, without zero entries."""
         if self.ring != other.ring:
             raise MixedRings("matrix product over different rings")
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.ncols} vs {other.nrows}")
         ring = self.ring
-        by_row = {}
-        for (i, k), v in other.d.items():
-            by_row.setdefault(i, []).append((k, v))
         out = Mat(ring, self.nrows, other.ncols)
-        acc = {}
-        for (i, j), v in self.d.items():
-            hits = by_row.get(j)
-            if not hits:
-                continue
-            for k, w in hits:
-                key = (i, k)
-                prod = ring.mul(v, w)
-                if key in acc:
-                    acc[key] = ring.add(acc[key], prod)
-                else:
-                    acc[key] = prod
-        out.d = {k: v for k, v in acc.items() if not ring.is_zero(v)}
+        if ring.kind == "nov":
+            out.d = _nov_product(ring, self.d, other.d)
+        else:
+            out.d = _scalar_product(ring, self.d, other.d)
         return out
 
     def transpose(self) -> "Mat":
@@ -214,6 +219,124 @@ class Mat:
             raise MixedRings("matrices over different rings")
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
+
+
+# ---------------------------------------------------------------------------
+# Products over plain ints
+# ---------------------------------------------------------------------------
+
+
+def _int_form(ring: Ring, entries: dict):
+    """(den, ints) with entries == ints / den; den is 1 unless over Q."""
+    if ring.kind != "Q":
+        return 1, entries
+    den = math.lcm(*{v.denominator for v in entries.values()})
+    if den == 1:
+        return 1, {key: v.numerator for key, v in entries.items()}
+    return den, {key: v.numerator * (den // v.denominator)
+                 for key, v in entries.items()}
+
+
+def _by_row(entries: dict) -> dict:
+    by_row = {}
+    for (j, k), w in entries.items():
+        by_row.setdefault(j, []).append((k, w))
+    return by_row
+
+
+def _scalar_product(ring: Ring, a: dict, b: dict) -> dict:
+    """Entries of a * b over Z, Q or F_p, with zeros dropped."""
+    den_a, a = _int_form(ring, a)
+    den_b, b = _int_form(ring, b)
+    by_row = _by_row(b)
+    acc = {}
+    get = acc.get
+    for (i, j), v in a.items():
+        hits = by_row.get(j)
+        if hits:
+            for k, w in hits:
+                key = (i, k)
+                acc[key] = get(key, 0) + v * w
+    if ring.kind == "Fp":
+        p = ring.p
+        return {key: n % p for key, n in acc.items() if n % p}
+    if ring.kind == "Z":
+        return {key: n for key, n in acc.items() if n}
+    restore = _fraction_restorer(den_a * den_b)
+    return {key: restore(n) for key, n in acc.items() if n}
+
+
+def _fraction_restorer(den: int):
+    """n -> Fraction(n, den), one object per distinct n."""
+    restored = {}
+
+    def restore(n):
+        f = restored.get(n)
+        if f is None:
+            f = restored[n] = Fraction(n, den)
+        return f
+    return restore
+
+
+def _nov_int_form(ring: Ring, entries: dict):
+    """(den, {key: [(k, n), ...]}): each term c T^e becomes the grid step
+    k = e * grid and the int n = c * den, den the lcm of the coefficient
+    denominators (1 over F_p).  Raises NonGridExponent off the grid."""
+    q = ring.grid
+    den = math.lcm(*{c.denominator for v in entries.values() for _, c in v})
+    out = {}
+    for key, v in entries.items():
+        terms = []
+        for e, c in v:
+            k, r = divmod(e.numerator * q, e.denominator)
+            if r or k < 0:
+                raise NonGridExponent(f"exponent {e} not on grid (1/{q})Z>=0")
+            terms.append((k, c.numerator * (den // c.denominator)))
+        out[key] = terms
+    return den, out
+
+
+def _nov_product(ring: Ring, a: dict, b: dict) -> dict:
+    """Entries of a * b over a truncated Novikov ring: a truncated product
+    of int polynomials in the grid step, which keeps k1 + k2 < ceil(c * q)."""
+    q = ring.grid
+    steps = math.ceil(ring.cutoff * q)
+    den_a, a = _nov_int_form(ring, a)
+    den_b, b = _nov_int_form(ring, b)
+    by_row = _by_row(b)
+    acc = {}
+    for (i, j), v in a.items():
+        hits = by_row.get(j)
+        if not hits:
+            continue
+        for col, w in hits:
+            key = (i, col)
+            poly = acc.get(key)
+            if poly is None:
+                poly = acc[key] = {}
+            for k1, c1 in v:
+                for k2, c2 in w:
+                    e = k1 + k2
+                    if e < steps:
+                        poly[e] = poly.get(e, 0) + c1 * c2
+    exponent = [Fraction(k, q) for k in range(steps)]
+    if ring.base.kind == "Q":
+        coeff = _fraction_restorer(den_a * den_b)
+    else:
+        p = ring.base.p
+
+        def coeff(n):
+            return n % p
+    out = {}
+    for key, poly in acc.items():
+        terms = []
+        for k in sorted(poly):
+            c = coeff(poly[k])
+            if c:
+                terms.append((exponent[k], c))
+        if terms:
+            out[key] = tuple(terms)
+    return out
 
 
 def block_matrix(ring: Ring, nrows: int, ncols: int, blocks) -> Mat:

@@ -19,7 +19,6 @@ from __future__ import annotations
 from .complexes import ChainComplex, ChainMap
 from .errors import EngineError, TruncationTooSmall
 from .linalg import Mat, block_matrix
-from .symgrp import Perm
 
 
 class SimplicialComplexObj:

@@ -5,6 +5,7 @@ import pytest
 
 from opbar.barcat import (
     BarBimoduleComplex,
+    _free_quotient,
     cat_left_kan,
     complete_tower,
     cyclic_group_homology_oracle,
@@ -28,7 +29,7 @@ from opbar.dgcat import (
     under_functor_left_module,
     functor_right_module,
 )
-from opbar.errors import NonCommutingSquare
+from opbar.errors import EngineError, NonCommutingSquare
 from opbar.linalg import Mat
 from opbar.symgrp import Perm
 
@@ -312,3 +313,36 @@ def test_reduce_complex_cutoff():
     red = reduce_complex(c, 1)
     assert red.ring.cutoff == 1
     assert red.d_mat(1).get(0, 0) == red.ring.one
+
+
+def _z_triangle():
+    """The simplicial 2-simplex over Z: vertices a, b, c, edges x = [a, b],
+    y = [b, c], z = [a, c] and the face t, with d t = x + y - z."""
+    d1 = Mat.from_rows(Z, [[-1, 0, -1], [1, -1, 0], [0, 1, 1]])
+    d2 = Mat.from_rows(Z, [[1], [1], [-1]])
+    basis = {0: ["a", "b", "c"], 1: ["x", "y", "z"], 2: ["t"]}
+    return ChainComplex(Z, "Z", basis, {1: d1, 2: d2})
+
+
+def test_free_quotient_z_general_subcomplex():
+    # 2x + y - z has boundary b - a, so the span of both is a subcomplex
+    # (and acyclic: d maps one onto the other), the quotient is free of
+    # ranks 2, 2, 1 and has the homology of the triangle, Z in degree 0
+    cpx = _z_triangle()
+    quot, proj = _free_quotient(cpx, [{"x": 2, "y": 1, "z": -1},
+                                      {"a": -1, "b": 1}])
+    assert {d: quot.dim(d) for d in quot.degrees()} == {0: 2, 1: 2, 2: 1}
+    assert quot.d_mat(1).mul(quot.d_mat(2)).is_zero()
+    proj.validate()
+    h0, h1, h2 = (homology(quot, d) for d in (0, 1, 2))
+    assert (h0.free_rank, h0.invariant_factors) == (1, [])
+    assert h1.is_zero() and h2.is_zero()
+
+
+def test_free_quotient_z_general_not_subcomplex_raises():
+    cpx = _z_triangle()
+    with pytest.raises(EngineError, match="not a subcomplex"):
+        _free_quotient(cpx, [{"x": 2, "y": 1, "z": -1}])
+    with pytest.raises(EngineError, match="not a subcomplex"):
+        _free_quotient(cpx, [{"x": 2, "y": 1, "z": -1},
+                             {"a": 1, "b": 1, "c": 1}])

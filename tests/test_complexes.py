@@ -430,3 +430,24 @@ def test_chain_map_validation():
     c = interval(Q)
     with pytest.raises(DegreeMismatch):
         ChainMap(c, c, 0, {1: Mat.from_rows(Q, [[2]])})
+
+
+def test_from_label_fn_sums_repeated_hits():
+    # repeated targets add up, hits that cancel leave no entry, a single
+    # (label, coeff) tuple is one hit, and coefficients are canonicalized
+    src = ChainComplex.free(Q, {0: ["a", "b", "c"]}, {})
+    tgt = ChainComplex.free(Q, {0: ["u", "v"]}, {})
+    hits = {"a": [("u", 1), ("v", Fraction(1, 2)), ("u", Fraction(1, 3))],
+            "b": [("v", 2), ("u", 1), ("v", -2)],
+            "c": ("v", 3)}
+    f = ChainMap.from_label_fn(src, tgt, 0, hits.get)
+    assert f.mat(0).d == {(0, 0): Fraction(4, 3), (1, 0): Fraction(1, 2),
+                          (0, 1): Fraction(1), (1, 2): Fraction(3)}
+    assert all(type(v) is Fraction for v in f.mat(0).d.values())
+    nov = Ring.novikov(Q, 1, 2)
+    t = nov.monomial(1, Fraction(1, 2))
+    g = ChainMap.from_label_fn(
+        ChainComplex.free(nov, {0: ["a"]}, {}),
+        ChainComplex.free(nov, {0: ["u"]}, {}), 0,
+        lambda l: [("u", t), ("u", nov.one), ("u", nov.neg(t))])
+    assert g.mat(0).d == {(0, 0): nov.one}

@@ -1,9 +1,12 @@
 import random
+from fractions import Fraction
 
+import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 from opbar.coeff import Ring
+from opbar.errors import NonGridExponent
 from opbar.linalg import (
     Mat,
     field_kernel,
@@ -143,3 +146,186 @@ def test_mat_mul_matches_sympy():
     b = _random_int_mat(rng, 5, 3)
     ours = _sympy_of(a.mul(b))
     assert ours == _sympy_of(a) * _sympy_of(b)
+
+
+# -- the product against the per-entry loop --------------------------------
+
+
+def _oracle_mul(a: Mat, b: Mat) -> dict:
+    """The entries of a * b from one Ring.mul and one Ring.add per scalar
+    product: the loop Mat.mul ran before it cleared denominators."""
+    ring = a.ring
+    by_row = {}
+    for (j, k), w in b.d.items():
+        by_row.setdefault(j, []).append((k, w))
+    acc = {}
+    for (i, j), v in a.d.items():
+        for k, w in by_row.get(j, ()):
+            key = (i, k)
+            prod = ring.mul(v, w)
+            acc[key] = ring.add(acc[key], prod) if key in acc else prod
+    return {key: v for key, v in acc.items() if not ring.is_zero(v)}
+
+
+def _random_scalar(rng, ring):
+    if ring.kind == "Q":
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 12))
+    if ring.kind == "Fp":
+        return rng.randrange(ring.p)
+    return rng.randint(-4, 4)
+
+
+def _random_entry(rng, ring):
+    """A random element; over Novikov, up to three terms on the grid below
+    the cutoff, so that products also land exactly on and past it."""
+    if ring.kind != "nov":
+        return ring.canon(_random_scalar(rng, ring))
+    steps = -(-ring.cutoff.numerator * ring.grid // ring.cutoff.denominator)
+    terms = [(Fraction(rng.randrange(steps), ring.grid),
+              _random_scalar(rng, ring.base)) for _ in range(rng.randint(1, 3))]
+    return ring.canon(terms)
+
+
+def _random_mat(rng, ring, m, n, density=0.5):
+    a = Mat.zeros(ring, m, n)
+    for i in range(m):
+        for j in range(n):
+            if rng.random() < density:
+                a.set(i, j, _random_entry(rng, ring))
+    return a
+
+
+def _cancelling_pair(rng, ring, m, n):
+    """a (m x 2) with equal columns and b (2 x n) with opposite rows: every
+    scalar product has a partner that cancels it, so a * b = 0."""
+    def nonzero():
+        v = _random_entry(rng, ring)
+        return v if not ring.is_zero(v) else nonzero()
+
+    a, b = Mat.zeros(ring, m, 2), Mat.zeros(ring, 2, n)
+    for i in range(m):
+        v = nonzero()
+        a.set(i, 0, v)
+        a.set(i, 1, v)
+    for k in range(n):
+        v = nonzero()
+        b.set(0, k, v)
+        b.set(1, k, ring.neg(v))
+    return a, b
+
+
+PRODUCT_RINGS = [
+    Z, Ring.Fp(2), Ring.Fp(3), Ring.Fp(5), Q,
+    Ring.novikov(Q, 2, 2),
+    Ring.novikov(Q, Fraction(3, 4), 4),
+    Ring.novikov(Ring.Fp(3), 1, 3),
+    Ring.novikov(Q, Fraction(3, 4), 2),  # c * q = 3/2 is off the grid
+]
+
+
+def _assert_product_as_oracle(a, b):
+    got = a.mul(b)
+    want = _oracle_mul(a, b)
+    assert (got.nrows, got.ncols) == (a.nrows, b.ncols)
+    assert got.d == want
+    assert {k: repr(v) for k, v in got.d.items()} == \
+        {k: repr(v) for k, v in want.items()}
+    ring = a.ring
+    for v in got.d.values():
+        if ring.kind == "Q":
+            assert type(v) is Fraction
+        elif ring.kind == "nov":
+            assert all(type(e) is Fraction for e, _ in v)
+            if ring.base.kind == "Q":
+                assert all(type(c) is Fraction for _, c in v)
+            else:
+                assert all(type(c) is int for _, c in v)
+        else:
+            assert type(v) is int
+    return got
+
+
+@pytest.mark.parametrize("ring", PRODUCT_RINGS, ids=repr)
+def test_mat_mul_matches_per_entry_loop(ring):
+    rng = random.Random(f"mat_mul:{ring!r}")
+    for _ in range(12):
+        m, n, k = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
+        _assert_product_as_oracle(_random_mat(rng, ring, m, n),
+                                  _random_mat(rng, ring, n, k, 0.4))
+    for m, n, k in ((0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0)):
+        got = _assert_product_as_oracle(_random_mat(rng, ring, m, n),
+                                        _random_mat(rng, ring, n, k))
+        assert got.is_zero()
+    assert _assert_product_as_oracle(Mat.zeros(ring, 2, 3),
+                                     _random_mat(rng, ring, 3, 2)).is_zero()
+    a, b = _cancelling_pair(rng, ring, 4, 3)
+    assert a.d and b.d
+    assert _assert_product_as_oracle(a, b).is_zero()
+
+
+def test_mat_mul_q_denominators_1_to_12():
+    rng = random.Random(12)
+    dens = range(1, 13)
+    a = Mat.zeros(Q, 12, 12)
+    b = Mat.zeros(Q, 12, 12)
+    for i in range(12):
+        for j in range(12):
+            a.set(i, j, Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), dens[j]))
+            b.set(i, j, Fraction(rng.randint(-5, 5), dens[i]))
+    _assert_product_as_oracle(a, b)
+    # a product whose entries cancel to an integer and to zero
+    c = Mat.from_rows(Q, [[Fraction(1, 6), Fraction(1, 3)]])
+    d = Mat.from_rows(Q, [[Fraction(3), Fraction(-2)], [Fraction(3, 2), 1]])
+    assert _assert_product_as_oracle(c, d).d == {(0, 0): Fraction(1)}
+
+
+def test_mat_mul_novikov_on_the_cutoff():
+    nov = Ring.novikov(Q, Fraction(3, 4), 4)
+    t = nov.monomial(1, Fraction(1, 4))
+    t2 = nov.monomial(Fraction(1, 2), Fraction(1, 2))
+    a = Mat.zeros(nov, 1, 2)
+    a.set(0, 0, nov.add(nov.one, t2))
+    a.set(0, 1, t)
+    b = Mat.zeros(nov, 2, 1)
+    b.set(0, 0, nov.add(t, t2))
+    b.set(1, 0, t2)
+    # (1 + T^1/2 / 2)(T^1/4 + T^1/2 / 2) + T^1/4 T^1/2 / 2: the T^3/4 terms
+    # land on the cutoff and are dropped
+    got = _assert_product_as_oracle(a, b)
+    assert got.d == {(0, 0): ((Fraction(1, 4), Fraction(1)),
+                              (Fraction(1, 2), Fraction(1, 2)))}
+
+
+def test_mat_mul_calls_no_ring_arithmetic(monkeypatch):
+    rng = random.Random(5)
+    pairs = []
+    for ring in (Q, Ring.novikov(Q, 2, 2)):
+        pairs.append((_random_mat(rng, ring, 6, 6), _random_mat(rng, ring, 6, 6)))
+    calls = {"mul": 0, "add": 0}
+
+    def counting(name):
+        real = getattr(Ring, name)
+
+        def wrapped(self, x, y):
+            calls[name] += 1
+            return real(self, x, y)
+        return wrapped
+
+    monkeypatch.setattr(Ring, "mul", counting("mul"))
+    monkeypatch.setattr(Ring, "add", counting("add"))
+    for a, b in pairs:
+        assert not a.mul(b).is_zero()
+    assert calls == {"mul": 0, "add": 0}
+    assert _oracle_mul(*pairs[0]) and calls["mul"] > 0  # the counters count
+
+
+@pytest.mark.parametrize("exponent", [Fraction(1, 3), Fraction(-1, 2)])
+def test_mat_mul_off_grid_exponent_raises(exponent):
+    nov = Ring.novikov(Q, 2, 2)
+    good = Mat.identity(nov, 1)
+    bad = Mat.zeros(nov, 1, 1)
+    bad.d[(0, 0)] = ((exponent, Fraction(1)),)
+    with pytest.raises(NonGridExponent):
+        bad.mul(good)
+    with pytest.raises(NonGridExponent):
+        good.mul(bad)
