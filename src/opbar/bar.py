@@ -627,11 +627,25 @@ def operadic_kan(pi: MultiFunctor, A: MultiAlgebra, n_max, arity_max=None,
 class KanAlgebraStructure:
     """The operad action mu: (realized)^(x k) (x) O(k) -> realized.
 
-    Values of mu on basis tensors, and the degeneracy words that the shuffles
-    apply, are memoized per structure: mu_on_labels returns a shared dict,
-    which callers must not mutate.  check_chain_map(k) covers the basis
-    tensors whose levels sum to at most n_max - 1; check_equivariance(2)
-    covers those whose levels sum to at most n_max, with every key of O(2).
+    Values of mu on basis tensors are memoized per structure in
+    ``_mu_memo``, (zs, okey) -> mu(z_1 (x) ... (x) z_k (x) okey), and
+    mu_on_labels returns the shared dict, which callers must not mutate.
+    Three more memos, each filled once per key, hold the parts of mu that
+    many basis tensors share:
+
+    * ``_shuffle_memo``: the levels tuple (p_1, ..., p_k) -> the shuffle
+      words of `_multi_shuffle_words`, as tuples;
+    * ``_degen_memo``: (n, word, label) -> the image of a level-n label under
+      a degeneracy word, as a tuple of (label, +-1);
+    * ``_graft_memo``: (okey, ((ok_t, parities of the words of z_t) for each
+      t)) -> [(gamma key, coefficient)] of the levelwise root graft, the Koszul
+      sign of the reordering included.
+
+    check_chain_map(k) covers the basis tensors whose levels sum to at most
+    n_max - 1; check_equivariance(2) covers those whose levels sum to at most
+    n_max, with every key of O(2).  A failing check raises EngineError naming
+    the first failing column, with ``.witness = {"zs", "okey", "lhs",
+    "rhs"}``.
     """
 
     def __init__(self, simp, real: RealizedComplex):
@@ -641,7 +655,9 @@ class KanAlgebraStructure:
         self.O = self.calc.O
         self.ring = self.calc.ring
         self._mu_memo = {}
+        self._shuffle_memo = {}
         self._degen_memo = {}
+        self._graft_memo = {}
         c = real.complex
         self._boundary = {l: {} for d in c.degrees() for l in c.labels(d)}
         for d, m in c.diff.items():
@@ -649,11 +665,18 @@ class KanAlgebraStructure:
             for (i, j), v in m.d.items():
                 self._boundary[src[j]][tgt[i]] = v
 
-    def _apply_degen_word(self, n, word, label) -> dict:
-        """Apply s_{w[0]}, s_{w[1]}, ... (0-based indices) to a level-n label."""
-        key = (n, tuple(word), label)
-        cur = self._degen_memo.get(key)
-        if cur is None:
+    def _shuffle_words(self, levels):
+        out = self._shuffle_memo.get(levels)
+        if out is None:
+            out = self._shuffle_memo[levels] = _multi_shuffle_words(levels)
+        return out
+
+    def _apply_degen_word(self, n, word, label):
+        """Apply s_{w[0]}, s_{w[1]}, ... (0-based indices) to a level-n label;
+        the image as a tuple of (label, +-1)."""
+        key = (n, word, label)
+        out = self._degen_memo.get(key)
+        if out is None:
             cur = {label: self.ring.one}
             lvl = n
             for i in word:
@@ -661,32 +684,40 @@ class KanAlgebraStructure:
                              lambda l, lv=lvl, ii=i: self.calc.degen(lv, ii, l),
                              cur)
                 lvl += 1
-            self._degen_memo[key] = cur
-        return cur
+            out = self._degen_memo[key] = tuple(
+                (l, _unit_sign(self.ring, v)) for l, v in cur.items())
+        return out
+
+    def _graft(self, okey, labels):
+        """[(gamma key, coefficient)] of the root graft of same-level labels
+        along okey, which depends on the labels only through their root keys
+        and the parities of their words."""
+        deg = self.calc.deg
+        key = (okey, tuple((l[1], tuple(deg(w) % 2 for w in l[2]))
+                           for l in labels))
+        out = self._graft_memo.get(key)
+        if out is None:
+            # (w_1.., o_1, w_2.., o_2, ..) -> (w_1.., w_2.., .., o_1, o_2, ..):
+            # o_s passes the words of every later z_t
+            odd, pre = 0, 0
+            for ok, parities in key[1]:
+                odd += pre * sum(parities)
+                pre += ok[2]
+            ring = self.ring
+            gam = self.O.gamma(okey, [{ok: ring.one} for ok, _ in key[1]])
+            out = self._graft_memo[key] = [
+                (gk, ring.neg(gv) if odd % 2 else gv)
+                for gk, gv in gam.items()]
+        return out
 
     def product_levelwise(self, okey, labels) -> dict:
         """Root-graft of same-level elements z_1, ..., z_k along okey."""
         ring = self.ring
-        pieces = [(l[2], l[1]) for l in labels]
-        degs = []
-        flat = []
-        for t, (ws, ok) in enumerate(pieces):
-            for wi, w in enumerate(ws):
-                flat.append(("w", t, wi))
-                degs.append(self.calc.deg(w))
-            flat.append(("o", t))
-            degs.append(ok[2])
-        order = [flat.index(("w", t, wi))
-                 for t, (ws, _) in enumerate(pieces) for wi in range(len(ws))]
-        order += [flat.index(("o", t)) for t in range(len(pieces))]
-        sign = _reorder_sign_int(degs, order)
-        gam = self.O.gamma(okey, [{ok: ring.one} for _, ok in pieces])
-        children = tuple(w for ws, _ in pieces for w in ws)
+        children = tuple(w for l in labels for w in l[2])
         out = {}
-        for gk, gv in gam.items():
+        for gk, gv in self._graft(okey, labels):
             for l2, v2 in self.calc.make_root(gk, children).items():
-                add_into(ring, out, l2,
-                         ring.mul(ring.from_int(sign), ring.mul(gv, v2)))
+                add_into(ring, out, l2, ring.mul(gv, v2))
         return out
 
     def _okeys(self, k):
@@ -729,30 +760,36 @@ class KanAlgebraStructure:
         returned dict is shared and must not be mutated.
         """
         zs = tuple(zs)
-        if sum(z[1] for z in zs) > self.simp.n_max:
-            return {}
         out = self._mu_memo.get((zs, okey))
         if out is None:
+            if sum(z[1] for z in zs) > self.simp.n_max:
+                return {}
             out = self._mu_memo[(zs, okey)] = self._mu_uncached(zs, okey)
         return out
 
     def _mu_uncached(self, zs, okey) -> dict:
+        """The shuffle sum of levelwise grafts, with the Eilenberg-Zilber
+        sign (-1)^(sum_{s<t} |z_s| p_t) for internal degrees |z_s| and
+        levels p_t."""
         ring = self.ring
-        levels = [z[1] for z in zs]
+        levels = tuple(z[1] for z in zs)
         total = sum(levels)
+        ez, pre = 0, 0
+        for z in zs:
+            ez += pre * z[1]
+            pre += self.calc.deg(z[2])
+        ez = -1 if ez % 2 else 1
         out = {}
-        for sign, words in _multi_shuffle_words(levels):
-            factor_lcs = []
+        for sign, words in self._shuffle_words(levels):
+            combos = [(sign * ez, ())]
             for z, word in zip(zs, words):
-                factor_lcs.append(self._apply_degen_word(z[1], word, z[2]))
-            combos = [(sign, [])]
-            for lc in factor_lcs:
-                combos = [(s * _unit_sign(ring, v), labs + [l])
-                          for (s, labs) in combos for l, v in lc.items()]
+                image = self._apply_degen_word(z[1], word, z[2])
+                combos = [(s * u, labs + (l,))
+                          for s, labs in combos for l, u in image]
             for s, labs in combos:
                 for l3, v3 in self.product_levelwise(okey, labs).items():
                     add_into(ring, out, ("lv", total, l3),
-                             ring.mul(ring.from_int(s), v3))
+                             v3 if s > 0 else ring.neg(v3))
         return out
 
     def window_columns(self, k, top):
@@ -800,23 +837,34 @@ class KanAlgebraStructure:
         for zs, okey in self.window_columns(k, self.simp.n_max - 1):
             lhs, rhs = self.chain_map_sides(zs, okey)
             if not lc_eq(ring, lhs, rhs):
-                raise EngineError("operad structure map is not a chain map")
+                raise _column_error("operad structure map is not a chain map",
+                                    zs, okey, lhs, rhs)
 
     def check_equivariance(self, k):
         if k != 2:
             return
         ring = self.ring
         sigma = Perm((2, 1))
+        acts = {okey: self.O.act(sigma, okey) for okey in self._okeys(2)}
         for (la, lb), okey in self.window_columns(2, self.simp.n_max):
             lhs = {}
-            for ok2, v in self.O.act(sigma, okey).items():
+            for ok2, v in acts[okey].items():
                 for l3, v3 in self.mu_on_labels((lb, la), ok2).items():
                     add_into(ring, lhs, l3, ring.mul(v, v3))
             rhs = self.mu_on_labels((la, lb), okey)
             if self._deg(la) % 2 and self._deg(lb) % 2:
                 rhs = {l: ring.neg(v) for l, v in rhs.items()}
             if not lc_eq(ring, lhs, rhs):
-                raise EngineError("structure map is not equivariant")
+                raise _column_error("structure map is not equivariant",
+                                    (la, lb), okey, lhs, rhs)
+
+
+def _column_error(message, zs, okey, lhs, rhs) -> EngineError:
+    """EngineError naming the first failing column (zs, okey) of a check,
+    with both sides as ``.witness``."""
+    err = EngineError(f"{message} on column {zs!r} (x) {okey!r}")
+    err.witness = {"zs": zs, "okey": okey, "lhs": lhs, "rhs": rhs}
+    return err
 
 
 def _unit_sign(ring, v):
@@ -830,20 +878,20 @@ def _unit_sign(ring, v):
 def _multi_shuffle_words(levels):
     """Degeneracy words shuffling levels (p_1..p_k) to their sum.
 
-    Returns a list of (sign, [word_1, ..., word_k]); word_t lists 0-based
-    degeneracy indices applied first-to-last to factor t.  Built by iterating
-    the binary shuffle: at each step the existing partial product receives
-    word_a on every already-merged factor and the new factor receives word_b.
+    Returns a list of (sign, (word_1, ..., word_k)); word_t is a tuple of
+    0-based degeneracy indices applied first-to-last to factor t.  Built by
+    iterating the binary shuffle: at each step the existing partial product
+    receives word_a on every already-merged factor and the new factor
+    receives word_b.
     """
     if not levels:
-        return [(1, [])]
-    states = [(1, [[]], levels[0])]
+        return [(1, ())]
+    states = [(1, ((),), levels[0])]
     for q in levels[1:]:
         new_states = []
         for sign, words, P in states:
             for s2, word_a, word_b in shuffles(P, q):
-                new_words = [w + list(word_a) for w in words]
-                new_words.append(list(word_b))
+                new_words = tuple(w + word_a for w in words) + (word_b,)
                 new_states.append((sign * s2, new_words, P + q))
         states = new_states
     return [(s, ws) for s, ws, _ in states]

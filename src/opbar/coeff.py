@@ -145,7 +145,7 @@ class Ring:
         if self.kind == "Z":
             return int(value)
         if self.kind == "Q":
-            return Fraction(value)
+            return value if type(value) is Fraction else Fraction(value)
         if self.kind == "Fp":
             return int(value) % self.p
         terms = {}

@@ -140,3 +140,14 @@ def test_ring_constants_computed_once():
     assert Ring.novikov(Q, 1, 4) == NOV14
     assert hash(Ring.novikov(Q, 1, 4)) == hash(NOV14)
     assert Ring.novikov(Q, 1, 4) != NOV13
+
+
+def test_q_canon_keeps_fractions_and_converts_ints():
+    f = Fraction(-3, 4)
+    assert Q.canon(f) is f
+    for n in (0, 1, -7):
+        c = Q.canon(n)
+        assert type(c) is Fraction and c == n
+    # Novikov coefficients over Q go through the same path
+    ((_, c),) = NOV2.canon(((1, 2),))
+    assert type(c) is Fraction and c == 2
