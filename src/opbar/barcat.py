@@ -8,6 +8,13 @@ Bar levels are B_n = (+) R(a_0) (x) C(a_0,a_1) (x) ... (x) C(a_{n-1},a_n)
 u_1, faces 0 < i < n compose u_i u_{i+1}, and d_n pulls y back along u_n;
 degeneracies insert units.  All structure maps have degree 0, so no Koszul
 signs appear beyond the Leibniz rule inside each level.
+
+The augmentation triangle (`augmentation_maps`) has three maps out of or into
+the realized bar: f multiplies each label out to level 0 of the constant
+simplicial object on Mr (x)_C Ml, pushing m along u_1, ..., u_n (each prefix
+once); q is the identity on level 0 of that realization; p is the tensor
+projection on level 0 and 0 above it.  `two_sided_bar` checks q o f = p, so
+it compares the multiplication in f with the projection read off the labels.
 """
 
 from __future__ import annotations
@@ -171,39 +178,43 @@ class BarBimoduleComplex:
         return _free_quotient(level0, relations)
 
     def augmentation_maps(self):
-        """(p, f, q, tensor): p = q o f with f levelwise multiplication.
+        """(p, f, q, tensor, const) with f levelwise multiplication.
 
-        p: realized bar -> Mr (x)_C Ml;  f: realized bar -> the alternating
-        realization of the constant simplicial object on the tensor product;
-        q: that realization -> the tensor product.
+        p: realized bar -> Mr (x)_C Ml, the tensor projection on level 0 and
+        0 above it;  f: realized bar -> const, the alternating realization of
+        the constant simplicial object on the tensor product;  q: const ->
+        the tensor product, the identity on level 0.  p is built from labels,
+        not as q o f, so `two_sided_bar` checks q o f = p between two
+        independent constructions.
         """
         from .simplicial import constant_simplicial
         tensor, proj = self.tensor_quotient()
         ring = self.C.ring
         const = realize(constant_simplicial(tensor, self.n_max))
         images = {}  # degree -> proj's image of every label, read once
+        pushed = {}  # (m, (u_1..u_k)) -> m pushed along u_1, ..., u_k
 
-        def collapse(label):
-            _, mk, us, yk = label
-            acc = {("bar", mk, (), yk): ring.one} if not us else {}
-            if us:
-                cur = {mk: ring.one}
-                for u in us:
-                    cur = {k: v for k, v in _push(self.Mr, ring, cur, u).items()}
-                acc = {("bar", kk, (), yk): v for kk, v in cur.items()}
-            out = {}
-            for lab, v in acc.items():
-                d0 = lab[1][1] + lab[3][1]
-                if d0 not in images:
-                    images[d0] = proj.label_images(d0)
-                for tl, c in images[d0][lab].items():
-                    add_into(ring, out, tl, ring.mul(v, c))
-            return out
+        def image(lab):
+            d0 = lab[1][1] + lab[3][1]
+            if d0 not in images:
+                images[d0] = proj.label_images(d0)
+            return images[d0][lab]
+
+        def push(mk, us):
+            cur = pushed.get((mk, us))
+            if cur is None:
+                cur = {mk: ring.one} if not us else \
+                    _push(self.Mr, ring, push(mk, us[:-1]), us[-1])
+                pushed[(mk, us)] = cur
+            return cur
 
         def f_fn(d, label):
-            _, n, lab = label
-            hits = collapse(lab)
-            return [(("lv", n, tl), v) for tl, v in hits.items()]
+            _, n, (_, mk, us, yk) = label
+            out = {}
+            for kk, v in push(mk, us).items():
+                for tl, c in image(("bar", kk, (), yk)).items():
+                    add_into(ring, out, tl, ring.mul(v, c))
+            return [(("lv", n, tl), v) for tl, v in out.items()]
 
         f = ChainMap.from_label_fn2(self.complex, const.complex, 0, f_fn)
 
@@ -212,7 +223,12 @@ class BarBimoduleComplex:
             return [(tl, 1)] if n == 0 else None
 
         q = ChainMap.from_label_fn2(const.complex, tensor, 0, q_fn)
-        p = q.compose(f)
+
+        def p_fn(d, label):
+            _, n, lab = label
+            return list(image(lab).items()) if n == 0 else None
+
+        p = ChainMap.from_label_fn2(self.complex, tensor, 0, p_fn)
         return p, f, q, tensor, const
 
 

@@ -330,27 +330,6 @@ class Ring:
             return Ring.novikov(base_ring, Fraction(d["cutoff"]), int(d["grid"]))
         raise ValueError(f"unknown ring kind {kind!r}")
 
-    def parse(self, v):
-        """Parse a JSON scalar into a raw element (ints, 'a/b' strings, term lists)."""
-        if self.kind == "Z":
-            return int(v)
-        if self.kind == "Q":
-            return Fraction(v) if isinstance(v, str) else Fraction(int(v))
-        if self.kind == "Fp":
-            return int(v) % self.p
-        if isinstance(v, (int, str)):
-            return self.from_int(int(v)) if isinstance(v, int) else self.canon(
-                (((Fraction(0)), self.base.parse(v)),)
-            )
-        return self.canon(tuple((Fraction(str(e)), self.base.parse(c)) for e, c in v))
-
-    def dump(self, a):
-        if self.kind == "Z" or self.kind == "Fp":
-            return a
-        if self.kind == "Q":
-            return str(a) if a.denominator != 1 else a.numerator
-        return [[str(e), self.base.dump(c)] for e, c in a]
-
 
 class RingElem:
     """A ring element bundled with its ring, with operator syntax."""

@@ -28,6 +28,7 @@ class DgCategory:
         self.units = dict(units)
         self.name = name
         self._cache = {}
+        self._diff_cache = {}
 
     def hom(self, a, b) -> ChainComplex | None:
         return self.homs.get((a, b))
@@ -51,11 +52,16 @@ class DgCategory:
         return key[2]
 
     def diff_key(self, key) -> dict:
-        a, b, d, l = key
-        c = self.hom(a, b)
-        col = c.d_mat(d).column(c.index(d, l))
-        pd = c.pred(d)
-        return {(a, b, pd, c.labels(pd)[i]): v for i, v in col.items()}
+        """d of a basis morphism, memoized per key: callers only read it."""
+        cached = self._diff_cache.get(key)
+        if cached is None:
+            a, b, d, l = key
+            c = self.hom(a, b)
+            col = c.d_mat(d).column(c.index(d, l))
+            pd = c.pred(d)
+            cached = self._diff_cache[key] = {
+                (a, b, pd, c.labels(pd)[i]): v for i, v in col.items()}
+        return cached
 
     def compose_keys(self, ukey, vkey) -> dict:
         """u then v, for u: a -> b and v: b -> c."""
@@ -189,6 +195,7 @@ class RightModule:
         self.complexes = dict(complexes)
         self._action_fn = action_fn
         self._cache = {}
+        self._diff_cache = {}
         self.name = name
 
     def complex(self, a) -> ChainComplex:
@@ -215,11 +222,16 @@ class RightModule:
         return cached
 
     def diff_key(self, mkey) -> dict:
-        a, d, l = mkey
-        c = self.complex(a)
-        col = c.d_mat(d).column(c.index(d, l))
-        pd = c.pred(d)
-        return {(a, pd, c.labels(pd)[i]): v for i, v in col.items()}
+        """d of a basis element, memoized per key: callers only read it."""
+        cached = self._diff_cache.get(mkey)
+        if cached is None:
+            a, d, l = mkey
+            c = self.complex(a)
+            col = c.d_mat(d).column(c.index(d, l))
+            pd = c.pred(d)
+            cached = self._diff_cache[mkey] = {
+                (a, pd, c.labels(pd)[i]): v for i, v in col.items()}
+        return cached
 
     def validate(self):
         ring = self.ring
@@ -266,6 +278,7 @@ class LeftModule:
         self.complexes = dict(complexes)
         self._action_fn = action_fn
         self._cache = {}
+        self._diff_cache = {}
         self.name = name
 
     def complex(self, a) -> ChainComplex:
@@ -292,11 +305,16 @@ class LeftModule:
         return cached
 
     def diff_key(self, ykey) -> dict:
-        a, d, l = ykey
-        c = self.complex(a)
-        col = c.d_mat(d).column(c.index(d, l))
-        pd = c.pred(d)
-        return {(a, pd, c.labels(pd)[i]): v for i, v in col.items()}
+        """d of a basis element, memoized per key: callers only read it."""
+        cached = self._diff_cache.get(ykey)
+        if cached is None:
+            a, d, l = ykey
+            c = self.complex(a)
+            col = c.d_mat(d).column(c.index(d, l))
+            pd = c.pred(d)
+            cached = self._diff_cache[ykey] = {
+                (a, pd, c.labels(pd)[i]): v for i, v in col.items()}
+        return cached
 
     def validate(self):
         ring = self.ring

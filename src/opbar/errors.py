@@ -101,13 +101,3 @@ class NonCommutingSquare(EngineError):
 
 class NonTorsionFree(EngineError):
     """Flag-style error: carried in reports, not raised fatally."""
-
-
-# -- presentation files ------------------------------------------------------
-
-class ParseError(EngineError):
-    pass
-
-
-class UnresolvedReference(EngineError):
-    """Reported with kind "ReferenceError" in CLI output."""

@@ -16,11 +16,15 @@ which transforms they track:
 
 Integer homology (`complexes.homology`) needs only `snf_diagonal` and `z_rank`.
 
-`Mat.mul` computes over plain Python ints, never through `Ring.mul` and
-`Ring.add`.  It clears the denominators of each operand once (over Q, every
-entry becomes an int over the lcm of the matrix's denominators), runs one
-integer multiply-accumulate loop, and restores the values once per output
+Products are computed over plain Python ints, never through `Ring.mul` and
+`Ring.add`, in two steps.  `prepare` writes an operand once in int form,
+with its row index: over Q every entry becomes an int over den, the lcm of
+the matrix's denominators.  `product` runs one integer multiply-accumulate
+loop over two prepared operands and restores the values once per output
 entry: n / den as a `Fraction` (one object per distinct n), n mod p over F_p.
+`Mat.mul` is these two steps.  `SimplicialComplexObj.check_identities`
+prepares each stored face and degeneracy once and reuses it in every
+composite it appears in.
 Over a truncated Novikov ring an entry is an int polynomial in the grid step:
 c T^e becomes the term (k, n) with k = e * q, so the loop adds step counts,
 keeps k1 + k2 < ceil(c * q) (the cutoff) and restores exponents as k / q.
@@ -151,18 +155,17 @@ class Mat:
         return self.scale(self.ring.from_int(n))
 
     def mul(self, other: "Mat") -> "Mat":
-        """The product self * other, computed over plain ints (see the
-        module docstring); the output is canonical, without zero entries."""
+        """The product self * other: `prepare` both operands, then `product`
+        (see the module docstring); the output is canonical, without zero
+        entries."""
         if self.ring != other.ring:
             raise MixedRings("matrix product over different rings")
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.ncols} vs {other.nrows}")
         ring = self.ring
         out = Mat(ring, self.nrows, other.ncols)
-        if ring.kind == "nov":
-            out.d = _nov_product(ring, self.d, other.d)
-        else:
-            out.d = _scalar_product(ring, self.d, other.d)
+        if self.d and other.d:
+            out.d = product(ring, prepare(ring, self.d), prepare(ring, other.d))
         return out
 
     def transpose(self) -> "Mat":
@@ -226,6 +229,31 @@ class Mat:
 # ---------------------------------------------------------------------------
 
 
+def prepare(ring: Ring, entries: dict):
+    """The operand form `product` reads: (den, ints, rows).
+
+    ints is the int form of the entries (see the module docstring) with
+    entries == ints / den, and rows indexes it by row as
+    {row: [(col, int), ...]}.  A matrix used in many products is prepared
+    once."""
+    if ring.kind == "nov":
+        den, ints = _nov_int_form(ring, entries)
+    else:
+        den, ints = _int_form(ring, entries)
+    rows = {}
+    for (j, k), w in ints.items():
+        rows.setdefault(j, []).append((k, w))
+    return den, ints, rows
+
+
+def product(ring: Ring, a, b) -> dict:
+    """The canonical entries of a * b, zeros dropped, from two operands that
+    `prepare` made over `ring`."""
+    if ring.kind == "nov":
+        return _nov_product(ring, a, b)
+    return _scalar_product(ring, a, b)
+
+
 def _int_form(ring: Ring, entries: dict):
     """(den, ints) with entries == ints / den; den is 1 unless over Q."""
     if ring.kind != "Q":
@@ -237,18 +265,10 @@ def _int_form(ring: Ring, entries: dict):
                  for key, v in entries.items()}
 
 
-def _by_row(entries: dict) -> dict:
-    by_row = {}
-    for (j, k), w in entries.items():
-        by_row.setdefault(j, []).append((k, w))
-    return by_row
-
-
-def _scalar_product(ring: Ring, a: dict, b: dict) -> dict:
+def _scalar_product(ring: Ring, a, b) -> dict:
     """Entries of a * b over Z, Q or F_p, with zeros dropped."""
-    den_a, a = _int_form(ring, a)
-    den_b, b = _int_form(ring, b)
-    by_row = _by_row(b)
+    den_a, a, _ = a
+    den_b, _, by_row = b
     acc = {}
     get = acc.get
     for (i, j), v in a.items():
@@ -296,14 +316,13 @@ def _nov_int_form(ring: Ring, entries: dict):
     return den, out
 
 
-def _nov_product(ring: Ring, a: dict, b: dict) -> dict:
+def _nov_product(ring: Ring, a, b) -> dict:
     """Entries of a * b over a truncated Novikov ring: a truncated product
     of int polynomials in the grid step, which keeps k1 + k2 < ceil(c * q)."""
     q = ring.grid
     steps = math.ceil(ring.cutoff * q)
-    den_a, a = _nov_int_form(ring, a)
-    den_b, b = _nov_int_form(ring, b)
-    by_row = _by_row(b)
+    den_a, a, _ = a
+    den_b, _, by_row = b
     acc = {}
     for (i, j), v in a.items():
         hits = by_row.get(j)
@@ -826,11 +845,3 @@ def z_solve_mat(mat: Mat, rhs: Mat):
         for i, v in x.items():
             out.set(i, j, v)
     return out
-
-
-def mat_rank(mat: Mat) -> int:
-    if mat.ring.is_field:
-        return field_rank(mat)
-    if mat.ring.kind == "Z":
-        return z_rank(mat)
-    raise ValueError(f"no rank over {mat.ring!r}")

@@ -25,7 +25,7 @@ import itertools
 
 from .complexes import ChainComplex, ChainMap
 from .dgcat import DgCategory
-from .errors import ArityOverflow, EngineError
+from .errors import EngineError
 from .lincomb import add_into, bilinear, combine, eq as lc_eq, linear, scaled_int
 from .symgrp import GroupRingModule, Perm, block_perm, enumerate_group, \
     is_free_module, koszul_sign
@@ -739,68 +739,6 @@ def _endo_transpose(ring, i, fkey):
     new_args = args[:i - 1] + (args[i], args[i - 1]) + args[i + 1:]
     new_xs = xs[:i - 1] + (xs[i], xs[i - 1]) + xs[i + 1:]
     return {(new_xs, y, d, ("h", new_args, out)): ring.from_int(sign)}
-
-
-# ---------------------------------------------------------------------------
-# Table-driven multicategories (for presentation files and small fixtures)
-# ---------------------------------------------------------------------------
-
-
-def table_multicat(ring, objects, arity_max, sig_bases, diff_entries,
-                   comp_entries, sym_entries, units, name="M") -> MultiCat:
-    """Build from explicit tables keyed by globally unique morphism labels.
-
-    sig_bases: {(xs, y): {degree: [labels]}}
-    diff_entries: {label: [(coeff, label')]}
-    comp_entries: {(f_label, i, g_label): [(coeff, label')]}
-    sym_entries: {(i, f_label): [(coeff, label')]}
-    units: {object: label}
-    """
-    owner = {}
-    complexes = {}
-    for (xs, y), basis in sig_bases.items():
-        xs = tuple(xs)
-        entries = {}
-        for d, ls in basis.items():
-            for l in ls:
-                if l in owner:
-                    raise EngineError(f"duplicate label {l!r}")
-                owner[l] = (xs, y, d)
-        for d, ls in basis.items():
-            for l in ls:
-                for coeff, l2 in diff_entries.get(l, ()):
-                    entries[(d, l, l2)] = coeff
-        complexes[(xs, y)] = ChainComplex.free(ring, basis, entries)
-
-    def lookup(label):
-        xs, y, d = owner[label]
-        return (xs, y, d, label)
-
-    def compose_fn(M, fkey, i, gkey):
-        hits = comp_entries.get((fkey[3], i, gkey[3]))
-        if hits is None:
-            if fkey[3] == units.get(fkey[1]):
-                return {gkey: ring.one}
-            if gkey[3] == units.get(gkey[1]) and M.arity(gkey) == 1:
-                return {fkey: ring.one}
-            raise ArityOverflow(
-                f"no composition entry for ({fkey[3]}, {i}, {gkey[3]})")
-        out = {}
-        for coeff, l2 in hits:
-            add_into(ring, out, lookup(l2), ring.canon(coeff))
-        return out
-
-    def sym_fn(M, i, fkey):
-        hits = sym_entries.get((i, fkey[3]))
-        if hits is None:
-            raise ArityOverflow(f"no symmetry entry for ({i}, {fkey[3]})")
-        out = {}
-        for coeff, l2 in hits:
-            add_into(ring, out, lookup(l2), ring.canon(coeff))
-        return out
-
-    return MultiCat(ring, objects, arity_max, complexes, compose_fn, sym_fn,
-                    units, name=name)
 
 
 # ---------------------------------------------------------------------------

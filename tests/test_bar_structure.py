@@ -1,0 +1,339 @@
+"""The two-sided bar's structure maps: the simplicial identity check on
+prepared operands, the memoized key differentials, and the augmentation
+triangle, each against the construction it replaced."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import opbar.linalg as linalg
+import opbar.simplicial as simplicial
+from opbar.barcat import (
+    _bar_level_complex,
+    group_bar_complex,
+    telescope_vs_hocolim,
+    two_sided_bar,
+)
+from opbar.coeff import Ring
+from opbar.complexes import ChainComplex, ChainMap
+from opbar.dgcat import (
+    DgFunctor,
+    group_ring_category,
+    table_category,
+    trivial_left_module,
+    trivial_right_module,
+    under_functor_left_module,
+)
+from opbar.errors import EngineError
+from opbar.lincomb import add_into
+from opbar.linalg import Mat
+from opbar.simplicial import SimplicialComplexObj, constant_simplicial, realize
+from opbar.symgrp import Perm
+
+Z = Ring.Z()
+Q = Ring.Q()
+F3 = Ring.Fp(3)
+NOV = Ring.novikov(Q, 2, 2)
+S3 = [Perm((2, 1, 3)), Perm((2, 3, 1))]
+
+
+def _compose_check(simp):
+    """The identity check as it was before prepared operands: one
+    `ChainMap.compose` per side of every identity, and a new identity map
+    for every d_i s_j = id."""
+    for n in range(2, simp.n_max + 1):
+        for j in range(0, n + 1):
+            for i in range(0, j):
+                lhs = simp.face(n - 1, i).compose(simp.face(n, j))
+                rhs = simp.face(n - 1, j - 1).compose(simp.face(n, i))
+                if not lhs.eq(rhs):
+                    return {"identity": "dd", "n": n, "i": i, "j": j}
+    for n in range(0, simp.n_max):
+        for j in range(0, n + 1):
+            if (n, j) not in simp.degens:
+                continue
+            s = simp.degen(n, j)
+            for i in range(0, n + 2):
+                lhs = simp.face(n + 1, i).compose(s)
+                if i == j or i == j + 1:
+                    if not lhs.eq(ChainMap.identity(simp.level(n))):
+                        return {"identity": "ds=id", "n": n, "i": i, "j": j}
+                elif i < j:
+                    rhs = simp.degen(n - 1, j - 1).compose(simp.face(n, i))
+                    if not lhs.eq(rhs):
+                        return {"identity": "ds", "n": n, "i": i, "j": j}
+                else:
+                    rhs = simp.degen(n - 1, j).compose(simp.face(n, i - 1))
+                    if not lhs.eq(rhs):
+                        return {"identity": "ds", "n": n, "i": i, "j": j}
+            if n + 2 <= simp.n_max:
+                for i in range(0, j + 1):
+                    if (n + 1, i) not in simp.degens or (n, i) not in simp.degens:
+                        continue
+                    lhs = simp.degen(n + 1, i).compose(simp.degen(n, j))
+                    rhs = simp.degen(n + 1, j + 1).compose(simp.degen(n, i))
+                    if not lhs.eq(rhs):
+                        return {"identity": "ss", "n": n, "i": i, "j": j}
+    return None
+
+
+def _regular_bar(ring, n_max):
+    C = group_ring_category(ring, 3, S3)
+    regular = under_functor_left_module(DgFunctor.identity(C), C.objects[0])
+    return two_sided_bar(trivial_right_module(C), C, regular, n_max)
+
+
+def _novikov_constant():
+    t_half = NOV.canon(((Fraction(1, 2), Fraction(1)),))
+    C = ChainComplex(NOV, "Z", {0: ["y0", "y1"], 1: ["x"]},
+                     {1: Mat(NOV, 2, 1, {(0, 0): t_half, (1, 0): NOV.one})})
+    const = constant_simplicial(C, 3)
+    return SimplicialComplexObj(3, const.levels, const.faces, const.degens,
+                                validate=True)
+
+
+SIMPLICIAL = {
+    "group_bar_z_s3": lambda: group_bar_complex(Z, 3, S3, 3).simplicial,
+    "regular_bar_q_s3": lambda: _regular_bar(Q, 3).simplicial,
+    "group_bar_f3_z3": lambda: group_bar_complex(F3, 3, [Perm((2, 3, 1))],
+                                                 3).simplicial,
+    "constant_novikov": _novikov_constant,
+}
+
+
+def _corrupted(simp, rng, mode):
+    """A copy of simp with one entry of one stored face or degeneracy
+    negated, dropped or moved to an empty position of its column (of its
+    row when the column is full)."""
+    stored = [("face", k) for k in simp.faces] + [("degen", k) for k in simp.degens]
+    kind, key = rng.choice(sorted(stored))
+    maps = dict(simp.faces if kind == "face" else simp.degens)
+    f = maps[key]
+    d = rng.choice(sorted(f.mats))
+    m = f.mats[d].clone()
+    pos = rng.choice(sorted(m.d))
+    i, j = pos
+    free = [(r, j) for r in range(m.nrows) if (r, j) not in m.d] \
+        or [(i, c) for c in range(m.ncols) if (i, c) not in m.d]
+    if mode == "drop":
+        del m.d[pos]
+    elif mode == "move" and free:
+        m.d[rng.choice(free)] = m.d.pop(pos)
+    else:
+        m.d[pos] = m.ring.neg(m.d[pos])
+    maps[key] = ChainMap(f.source, f.target, f.degree, {**f.mats, d: m},
+                         validate=False)
+    faces = maps if kind == "face" else simp.faces
+    degens = maps if kind == "degen" else simp.degens
+    return SimplicialComplexObj(simp.n_max, simp.levels, faces, degens,
+                                validate=False)
+
+
+@pytest.fixture(scope="module")
+def simplicial_objects():
+    return {name: build() for name, build in SIMPLICIAL.items()}
+
+
+@pytest.mark.parametrize("name", sorted(SIMPLICIAL))
+def test_identity_check_passes_on_uncorrupted_objects(simplicial_objects, name):
+    simp = simplicial_objects[name]
+    assert simp.check_identities() is None
+    assert _compose_check(simp) is None
+
+
+def test_identity_check_matches_compose_oracle_on_corruptions(simplicial_objects):
+    rng = random.Random(7)
+    families = set()
+    cases = 0
+    for name in sorted(SIMPLICIAL):
+        simp = simplicial_objects[name]
+        for k in range(12):
+            bad = _corrupted(simp, rng, ("negate", "drop", "move")[k % 3])
+            got = bad.check_identities()
+            assert got == _compose_check(bad), (name, k)
+            if got is not None:
+                families.add(got["identity"])
+            cases += 1
+    assert cases >= 40
+    assert families == {"dd", "ds=id", "ds", "ss"}
+
+
+def test_identity_check_runs_the_product_kernel_not_mat_mul(monkeypatch,
+                                                            simplicial_objects):
+    calls = {"mul": 0, "product": 0}
+    mul, product = Mat.mul, linalg.product
+
+    def counting_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    def counting_product(ring, a, b):
+        calls["product"] += 1
+        return product(ring, a, b)
+
+    assert simplicial.product is linalg.product
+    monkeypatch.setattr(Mat, "mul", counting_mul)
+    monkeypatch.setattr(linalg, "product", counting_product)
+    monkeypatch.setattr(simplicial, "product", counting_product)
+    assert simplicial_objects["group_bar_z_s3"].check_identities() is None
+    assert calls["mul"] == 0 and calls["product"] > 0
+    before = calls["product"]
+    a = Mat.from_rows(Z, [[1, 2], [0, 1]])
+    assert a.mul(a) == Mat.from_rows(Z, [[1, 4], [0, 1]])
+    assert calls == {"mul": 1, "product": before + 1}
+
+
+def test_mat_mul_with_an_empty_operand_is_zero():
+    a = Mat.from_rows(Q, [[1, 2], [3, 4]])
+    zero = Mat.zeros(Q, 2, 3)
+    assert a.mul(zero) == Mat.zeros(Q, 2, 3)
+    assert zero.transpose().mul(a) == Mat.zeros(Q, 3, 2)
+
+
+# -- memoized key differentials ---------------------------------------------
+
+
+def _column_read(c, d, l, wrap):
+    col = c.d_mat(d).column(c.index(d, l))
+    pd = c.pred(d)
+    return {wrap(pd, c.labels(pd)[i]): v for i, v in col.items()}
+
+
+def _check_diff_memo(C, modules):
+    for a, b, d, l in C.all_keys():
+        key = (a, b, d, l)
+        want = _column_read(C.hom(a, b), d, l, lambda pd, t: (a, b, pd, t))
+        assert C.diff_key(key) == want
+        assert C.diff_key(key) is C.diff_key(key)
+    for M in modules:
+        for obj in C.objects:
+            for key in M.elem_keys(obj):
+                want = _column_read(M.complex(obj), key[1], key[2],
+                                    lambda pd, t: (obj, pd, t))
+                assert M.diff_key(key) == want
+                assert M.diff_key(key) is M.diff_key(key)
+
+
+def _telescope_bar():
+    c = ChainComplex.free(Q, {0: ["y0", "y1"], 1: ["x0", "x1"]},
+                          {(1, "x0", "y0"): 1, (1, "x0", "y1"): -1,
+                           (1, "x1", "y1"): 2})
+    maps = [ChainMap.identity(c).scale_int(2), ChainMap.identity(c).scale_int(-3)]
+    return telescope_vs_hocolim([c, c, c], maps, 3).hocolim
+
+
+def test_diff_key_memo_equals_column_read():
+    for ring in (Z, Q):
+        C = group_ring_category(ring, 3, S3)
+        regular = under_functor_left_module(DgFunctor.identity(C), C.objects[0])
+        _check_diff_memo(C, [trivial_right_module(C), trivial_left_module(C),
+                             regular])
+    tel = _telescope_bar()
+    assert any(tel.Mr.complex(a).diff for a in tel.C.objects)
+    _check_diff_memo(tel.C, [tel.Mr, tel.Ml])
+    # an interval hom complex, d a = b - c, so the category's keys and the
+    # corepresented module's elements have nonzero differentials
+    comp = {("e0", "e0"): [(1, "e0")], ("e1", "e1"): [(1, "e1")]}
+    for l in ("a", "b", "c"):
+        comp[("e0", l)] = comp[(l, "e1")] = [(1, l)]
+    C = table_category(Z, [0, 1], {(0, 0): {0: ["e0"]}, (1, 1): {0: ["e1"]},
+                                   (0, 1): {0: ["b", "c"], 1: ["a"]}},
+                       {(0, 1, "a"): [(1, "b"), (-1, "c")]}, comp,
+                       {0: "e0", 1: "e1"}, name="I")
+    assert C.validate() is None
+    assert C.diff_key((0, 1, 1, "a")) == {(0, 1, 0, "b"): 1, (0, 1, 0, "c"): -1}
+    _check_diff_memo(C, [trivial_right_module(C),
+                         under_functor_left_module(DgFunctor.identity(C), 1)])
+
+
+def test_level_differentials_read_each_column_once(monkeypatch):
+    column = Mat.column
+    calls = []
+
+    def counting_column(self, j):
+        calls.append(j)
+        return column(self, j)
+
+    monkeypatch.setattr(Mat, "column", counting_column)
+    for ring in (Z, Q):
+        C = group_ring_category(ring, 3, S3)
+        Mr = trivial_right_module(C)
+        for Ml in (trivial_left_module(C),
+                   under_functor_left_module(DgFunctor.identity(C), C.objects[0])):
+            calls.clear()
+            for n in range(4):
+                _bar_level_complex(Mr, C, Ml, n)
+            distinct = len(C.all_keys()) + sum(
+                len(M.elem_keys(a)) for M in (Mr, Ml) for a in C.objects)
+            assert 0 < len(calls) <= distinct
+
+
+# -- the augmentation triangle ----------------------------------------------
+
+
+def _per_label_f(bar):
+    """f as built before shared prefixes: each label's module element pushed
+    along its whole chain u_1..u_n."""
+    tensor, proj = bar.tensor_quotient()
+    ring = bar.C.ring
+    const = realize(constant_simplicial(tensor, bar.n_max))
+    images = {}
+
+    def f_fn(d, label):
+        _, n, (_, mk, us, yk) = label
+        cur = {mk: ring.one}
+        for u in us:
+            nxt = {}
+            for k, v in cur.items():
+                for kk, c in bar.Mr.act_key(k, u).items():
+                    add_into(ring, nxt, kk, ring.mul(v, c))
+            cur = nxt
+        out = {}
+        for kk, v in cur.items():
+            d0 = kk[1] + yk[1]
+            if d0 not in images:
+                images[d0] = proj.label_images(d0)
+            for tl, c in images[d0][("bar", kk, (), yk)].items():
+                add_into(ring, out, tl, ring.mul(v, c))
+        return [(("lv", n, tl), v) for tl, v in out.items()]
+
+    return ChainMap.from_label_fn2(bar.complex, const.complex, 0, f_fn)
+
+
+@pytest.mark.parametrize("build", [lambda: _regular_bar(Q, 3), _telescope_bar],
+                         ids=["regular_q_s3", "telescope_cf"])
+def test_shared_prefix_f_equals_per_label_push(build):
+    bar = build()
+    p, f, q, tensor, const = bar.augmentation_maps()
+    old = _per_label_f(bar)
+    assert f.mats.keys() == old.mats.keys()
+    for d, m in f.mats.items():
+        assert m == old.mats[d], d
+    assert q.compose(f).eq(p)
+    assert q.compose(old).eq(p)
+
+
+def test_tampered_f_breaks_the_augmentation_triangle(monkeypatch):
+    # f with its one level-0 column in degree 0 negated is still a chain map
+    # (the trivial modules make every level-1 boundary 0), so only the
+    # triangle can see it; p must not be derived from f for that.
+    build = ChainMap.from_label_fn2
+
+    def tampering(source, target, degree, fn, validate=True):
+        labels = [l for d in target.degrees() for l in target.labels(d)]
+        if not labels or any(l[0] != "lv" for l in labels):
+            return build(source, target, degree, fn, validate)
+
+        def negated(d, label):
+            hits = fn(d, label)
+            if d == 0 and label[1] == 0:
+                return [(tl, source.ring.neg(v)) for tl, v in hits]
+            return hits
+        return build(source, target, degree, negated, validate)
+
+    C = group_ring_category(Z, 3, S3)
+    two_sided_bar(trivial_right_module(C), C, trivial_left_module(C), 2)
+    monkeypatch.setattr(ChainMap, "from_label_fn2", staticmethod(tampering))
+    with pytest.raises(EngineError, match="augmentation triangle does not commute"):
+        two_sided_bar(trivial_right_module(C), C, trivial_left_module(C), 2)
