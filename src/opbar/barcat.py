@@ -154,6 +154,7 @@ class BarBimoduleComplex:
                                                validate=check)
         self.realized = realize(self.simplicial)
         self.complex = self.realized.complex
+        self._augmentation = None
 
     # -- the augmentation triangle -----------------------------------------
 
@@ -185,8 +186,14 @@ class BarBimoduleComplex:
         the constant simplicial object on the tensor product;  q: const ->
         the tensor product, the identity on level 0.  p is built from labels,
         not as q o f, so `two_sided_bar` checks q o f = p between two
-        independent constructions.
+        independent constructions.  They are built on the first call and
+        the same objects are returned on every later one.
         """
+        if self._augmentation is None:
+            self._augmentation = self._build_augmentation_maps()
+        return self._augmentation
+
+    def _build_augmentation_maps(self):
         from .simplicial import constant_simplicial
         tensor, proj = self.tensor_quotient()
         ring = self.C.ring

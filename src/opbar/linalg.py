@@ -1,20 +1,21 @@
 """Sparse exact linear algebra over the coefficient rings.
 
 Matrices are stored as {(row, col): value} dicts with explicit shape; vectors
-as {index: value} dicts.  Gaussian elimination handles fields; Smith normal
-form (with magnitude-minimizing pivot selection) handles the integers.  No
-floats anywhere.
+as {index: value} dicts.  No floats anywhere.  Which kernel serves what:
 
-The integer routines all run one diagonalization (`_ZWorker`) and differ in
-which transforms they track:
-
-* `snf_diagonal` -- the invariant factors d1 | d2 | ...; no transforms;
-* `z_rank` -- the number of nonzero diagonal entries; no transforms;
-* `z_kernel_basis` -- a basis of the (saturated) kernel; tracks V;
-* `z_solve`, `z_solve_mat` -- one factorization tracking U and V, then one
-  back-substitution per right-hand side.
-
-Integer homology (`complexes.homology`) needs only `snf_diagonal` and `z_rank`.
+* `Mat.mul` -- products: `prepare` and `product` (below);
+* `column_form`, `column_product`, `columns_equal` -- the composites of
+  `SimplicialComplexObj.check_identities` (below);
+* `field_rank` -- ranks over Q and F_p (field homology): forward
+  elimination over plain ints, no back-reduction;
+* `field_kernel`, `field_solve`, `field_solve_mat` -- fully reduced row
+  echelon form (`_field_rref`) through the ring operations;
+* the integer routines -- one Smith diagonalization (`_ZWorker`) with
+  magnitude-minimizing pivots, differing in the transforms they track:
+  `snf_diagonal` (the invariant factors d1 | d2 | ...) and `z_rank` track
+  none, and `z_solve`, `z_solve_mat` run one factorization tracking U and V
+  and one back-substitution per right-hand side.  Integer homology
+  (`complexes.homology`) needs only `snf_diagonal` and `z_rank`.
 
 Products are computed over plain Python ints, never through `Ring.mul` and
 `Ring.add`, in two steps.  `prepare` writes an operand once in int form,
@@ -22,15 +23,22 @@ with its row index: over Q every entry becomes an int over den, the lcm of
 the matrix's denominators.  `product` runs one integer multiply-accumulate
 loop over two prepared operands and restores the values once per output
 entry: n / den as a `Fraction` (one object per distinct n), n mod p over F_p.
-`Mat.mul` is these two steps.  `SimplicialComplexObj.check_identities`
-prepares each stored face and degeneracy once and reuses it in every
-composite it appears in.
+`Mat.mul` is these two steps.
 Over a truncated Novikov ring an entry is an int polynomial in the grid step:
 c T^e becomes the term (k, n) with k = e * q, so the loop adds step counts,
 keeps k1 + k2 < ceil(c * q) (the cutoff) and restores exponents as k / q.
 An exponent off the grid raises `NonGridExponent`.  Canonical forms are
 unique, so on canonical operands the output equals, value for value and
 type for type, the sum of per-entry ring products.
+
+The identity check composes maps that mostly send a basis label to one label
+with coefficient 1, and only compares the composites, so it never restores
+ring values.  `column_form` writes a matrix once in the same int form, as
+one tuple ((row, int), ...) per column sorted by row.  In `column_product`
+column j of g * f is g's column tuple itself when column j of f is the
+single int entry (r, 1); other columns are scaled or accumulated in ints.
+`columns_equal` compares two column forms as plain lists, cross-multiplying
+when their denominators differ.
 """
 
 from __future__ import annotations
@@ -173,22 +181,6 @@ class Mat:
         out.d = {(j, i): v for (i, j), v in self.d.items()}
         return out
 
-    def apply(self, vec: dict) -> dict:
-        """Matrix times a sparse column vector."""
-        ring = self.ring
-        by_col = {}
-        for (i, j), v in self.d.items():
-            by_col.setdefault(j, []).append((i, v))
-        out = {}
-        for j, c in vec.items():
-            for i, v in by_col.get(j, ()):  # noqa: B905
-                w = ring.mul(v, c)
-                if i in out:
-                    out[i] = ring.add(out[i], w)
-                else:
-                    out[i] = w
-        return {i: v for i, v in out.items() if not ring.is_zero(v)}
-
     def column(self, j) -> dict:
         """Column j as {row: value}.
 
@@ -234,8 +226,7 @@ def prepare(ring: Ring, entries: dict):
 
     ints is the int form of the entries (see the module docstring) with
     entries == ints / den, and rows indexes it by row as
-    {row: [(col, int), ...]}.  A matrix used in many products is prepared
-    once."""
+    {row: [(col, int), ...]}."""
     if ring.kind == "nov":
         den, ints = _nov_int_form(ring, entries)
     else:
@@ -358,6 +349,138 @@ def _nov_product(ring: Ring, a, b) -> dict:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Composites column by column
+# ---------------------------------------------------------------------------
+
+
+def column_form(ring: Ring, m: Mat):
+    """(den, cols, rows): m in the int form of `prepare` (over Novikov each
+    entry a tuple of grid-step terms), as one tuple ((row, int), ...) sorted
+    by row per column, () for a zero column.  rows lists, column by column,
+    the row r of a map whose every column is the single int entry (r, 1),
+    as faces and degeneracies mostly are; it is None otherwise."""
+    if ring.kind == "nov":
+        den, ints = _nov_int_form(ring, m.d)
+        ints = {key: tuple(terms) for key, terms in ints.items()}
+    else:
+        den, ints = _int_form(ring, m.d)
+    by_col = [[] for _ in range(m.ncols)]
+    for (i, j), w in sorted(ints.items()):
+        by_col[j].append((i, w))
+    cols = list(map(tuple, by_col))
+    rows = None
+    if len(ints) == m.ncols:
+        one = _int_one(ring)
+        rows = [col[0][0] for col in cols if col and col[0][1] == one]
+        if len(rows) < m.ncols:
+            rows = None
+    return den, cols, rows
+
+
+def _int_one(ring: Ring):
+    return ((0, 1),) if ring.kind == "nov" else 1
+
+
+def unit_columns(ring: Ring, n: int):
+    """The column form of the n x n identity."""
+    one = _int_one(ring)
+    return 1, [((k, one),) for k in range(n)], list(range(n))
+
+
+def column_product(ring: Ring, g, f):
+    """The column form of g * f, from the column forms of g and f.
+
+    Column j of the product is g's column r itself when column j of f is
+    the single int entry (r, 1), whatever f's denominator: the product's
+    ints are g's ints times f's, over den_g * den_f.  Otherwise g's columns
+    are scaled or accumulated over plain ints."""
+    den_g, g_cols, _ = g
+    den_f, f_cols, f_rows = f
+    if f_rows is not None:
+        return den_g * den_f, [g_cols[r] for r in f_rows], None
+    nov = ring.kind == "nov"
+    p = ring.base.p if nov else ring.p
+    one = _int_one(ring)
+    out = []
+    for col in f_cols:
+        if len(col) == 1:
+            r, c = col[0]
+            if c == one:
+                out.append(g_cols[r])
+                continue
+            if not nov:
+                if p:
+                    out.append(tuple((i, c * w % p) for i, w in g_cols[r]))
+                else:
+                    out.append(tuple((i, c * w) for i, w in g_cols[r]))
+                continue
+        if not col:
+            out.append(())
+        elif nov:
+            out.append(_nov_column(ring, g_cols, col))
+        else:
+            acc = {}
+            get = acc.get
+            for r, c in col:
+                for i, w in g_cols[r]:
+                    acc[i] = get(i, 0) + c * w
+            if p:
+                out.append(tuple(sorted((i, n % p) for i, n in acc.items()
+                                        if n % p)))
+            else:
+                out.append(tuple(sorted((i, n) for i, n in acc.items() if n)))
+    return den_g * den_f, out, None
+
+
+def _nov_column(ring: Ring, g_cols, col):
+    """One column of a Novikov product: a truncated sum of int polynomials
+    in the grid step, as in `_nov_product`."""
+    steps = math.ceil(ring.cutoff * ring.grid)
+    p = ring.base.p
+    acc = {}
+    for r, c in col:
+        for i, w in g_cols[r]:
+            poly = acc.get(i)
+            if poly is None:
+                poly = acc[i] = {}
+            for k1, n1 in c:
+                for k2, n2 in w:
+                    e = k1 + k2
+                    if e < steps:
+                        poly[e] = poly.get(e, 0) + n1 * n2
+    out = []
+    for i in sorted(acc):
+        poly = acc[i]
+        if p:
+            terms = tuple((k, poly[k] % p) for k in sorted(poly) if poly[k] % p)
+        else:
+            terms = tuple((k, poly[k]) for k in sorted(poly) if poly[k])
+        if terms:
+            out.append((i, terms))
+    return tuple(out)
+
+
+def columns_equal(ring: Ring, a, b) -> bool:
+    """Whether two column forms hold the same matrix: plain equality of the
+    column lists when their denominators agree, otherwise each side scaled
+    by the other's denominator."""
+    den_a, a_cols, _ = a
+    den_b, b_cols, _ = b
+    if den_a == den_b:
+        return a_cols == b_cols
+    if len(a_cols) != len(b_cols):
+        return False
+    if ring.kind == "nov":
+        def scaled(col, s):
+            return [(i, [(k, n * s) for k, n in t]) for i, t in col]
+    else:
+        def scaled(col, s):
+            return [(i, n * s) for i, n in col]
+    return all(scaled(x, den_b) == scaled(y, den_a)
+               for x, y in zip(a_cols, b_cols))
+
+
 def block_matrix(ring: Ring, nrows: int, ncols: int, blocks) -> Mat:
     """The sum of placed blocks: each (m, row_offset, col_offset, sign) adds
     sign * m (sign is 1 or -1) at those offsets, walking m's entries once.
@@ -451,7 +574,58 @@ def _field_rref(mat: Mat, rhs: dict | None = None):
 
 
 def field_rank(mat: Mat) -> int:
-    pivots, _ = _field_rref(mat)
+    """The rank over Q (of an integer or rational matrix) or over F_p, by
+    forward elimination over plain ints, without back-reduction.
+
+    Over Q each row is cleared to coprime integers; a row whose leading
+    column has a pivot row becomes a * row - c * pivot row (a, c the two
+    leading entries over their gcd), divided by its content.  Over F_p the
+    entries are residues and pivot rows are monic."""
+    ring = mat.ring
+    if ring.kind not in ("Q", "Z", "Fp"):
+        raise ValueError(f"field_rank needs Q, Z or F_p, not {ring!r}")
+    p = ring.p
+    rows = _rows_of(mat)
+    pivots = {}
+    for row in rows.values():
+        if ring.kind == "Q":
+            den = math.lcm(*(v.denominator for v in row.values()))
+            row = {k: v.numerator * (den // v.denominator)
+                   for k, v in row.items()}
+            g = math.gcd(*row.values())
+            if g > 1:
+                row = {k: v // g for k, v in row.items()}
+        while row:
+            j = min(row)
+            prow = pivots.get(j)
+            if prow is None:
+                if p:
+                    inv = pow(row[j], -1, p)
+                    row = {k: v * inv % p for k, v in row.items()}
+                pivots[j] = row
+                break
+            c = row[j]
+            if p:
+                for k, v in prow.items():
+                    w = (row.get(k, 0) - c * v) % p
+                    if w:
+                        row[k] = w
+                    else:
+                        row.pop(k, None)
+                continue
+            a = prow[j]
+            g = math.gcd(a, c)
+            a, c = a // g, c // g
+            row = {k: a * v for k, v in row.items()}
+            for k, v in prow.items():
+                w = row.get(k, 0) - c * v
+                if w:
+                    row[k] = w
+                else:
+                    row.pop(k, None)
+            g = math.gcd(*row.values())
+            if g > 1:
+                row = {k: v // g for k, v in row.items()}
     return len(pivots)
 
 
@@ -759,23 +933,6 @@ def snf_diagonal(mat: Mat):
 def z_rank(mat: Mat) -> int:
     w = _ZWorker(mat)
     return len(w.diagonalize())
-
-
-def z_kernel_basis(mat: Mat):
-    """Integer basis of the kernel, as sparse column vectors."""
-    if mat.ring.kind != "Z":
-        raise ValueError("integer routine")
-    w = _ZWorker(mat, track_v=True)
-    diag = w.diagonalize()
-    r = len(diag)
-    basis = []
-    for j in range(mat.ncols):
-        if j < r:
-            continue
-        col = w.V.get(j, {})
-        if col:
-            basis.append(dict(col))
-    return basis
 
 
 def _z_factor(mat: Mat):

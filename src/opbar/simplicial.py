@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from .complexes import ChainComplex, ChainMap
 from .errors import DegreeMismatch, EngineError, TruncationTooSmall
-from .linalg import Mat, block_matrix, prepare, product
+from .linalg import Mat, block_matrix, column_form, column_product, \
+    columns_equal, unit_columns
 
 
 class SimplicialComplexObj:
@@ -53,34 +54,41 @@ class SimplicialComplexObj:
 
         Returns None, or the first failing identity as {"identity": "dd",
         "ds=id", "ds" or "ss", "n", "i", "j"}.  Each stored face and
-        degeneracy is prepared once per degree (`linalg.prepare`), and every
-        composite is computed by `linalg.product`, the kernel of `Mat.mul`,
-        as a degree and a dict of canonical entries per source degree; two
-        composites agree when those are equal, and d_i s_j = id compares
-        with the unit diagonal of the level."""
+        degeneracy is written once per degree in column form
+        (`linalg.column_form`: int columns sorted by row), and a composite is
+        a degree and {source degree: `linalg.column_product`}.  Faces and
+        degeneracies mostly send a label to one label with coefficient 1, and
+        then a composite's column is the outer map's column itself.  Two
+        composites agree when their degrees, their nonzero source degrees and
+        their columns (`linalg.columns_equal`) agree; d_i s_j = id compares
+        with the unit columns of the level, built once per level."""
         ring = self.level(0).ring
-        prepared = {}  # stored map -> (map, {degree: prepared matrix})
+        forms = {}  # stored map -> (map, {degree: column form})
 
         def operand(f):
-            got = prepared.get(f)
+            got = forms.get(f)
             if got is None:
-                got = prepared[f] = (f, {d: prepare(ring, m.d)
-                                         for d, m in f.mats.items()})
+                got = forms[f] = (f, {d: column_form(ring, m)
+                                      for d, m in f.mats.items()})
             return got
 
         def compose(outer, inner):
-            g, g_ops = outer
-            f, f_ops = inner
+            g, g_cols = outer
+            f, f_cols = inner
             if f.target is not g.source and f.target.basis != g.source.basis:
                 raise DegreeMismatch("composition mismatch")
             out = {}
-            for d, a in f_ops.items():
-                b = g_ops.get(f.target_deg(d))
+            for d, a in f_cols.items():
+                b = g_cols.get(f.target_deg(d))
                 if b is not None:
-                    m = product(ring, b, a)
-                    if m:
+                    m = column_product(ring, b, a)
+                    if any(m[1]):
                         out[d] = m
             return g.degree + f.degree, out
+
+        def same(lhs, rhs):
+            return lhs[0] == rhs[0] and lhs[1].keys() == rhs[1].keys() and \
+                all(columns_equal(ring, m, rhs[1][d]) for d, m in lhs[1].items())
 
         def face(n, i):
             return operand(self.faces[(n, i)])
@@ -91,13 +99,12 @@ class SimplicialComplexObj:
         for n in range(2, self.n_max + 1):
             for j in range(0, n + 1):
                 for i in range(0, j):
-                    if compose(face(n - 1, i), face(n, j)) \
-                            != compose(face(n - 1, j - 1), face(n, i)):
+                    if not same(compose(face(n - 1, i), face(n, j)),
+                                compose(face(n - 1, j - 1), face(n, i))):
                         return {"identity": "dd", "n": n, "i": i, "j": j}
-        one = ring.one
         for n in range(0, self.n_max):
             lv = self.level(n)
-            unit = (0, {d: {(k, k): one for k in range(lv.dim(d))}
+            unit = (0, {d: unit_columns(ring, lv.dim(d))
                         for d in lv.degrees() if lv.dim(d)})
             for j in range(0, n + 1):
                 if (n, j) not in self.degens:
@@ -106,19 +113,21 @@ class SimplicialComplexObj:
                 for i in range(0, n + 2):
                     lhs = compose(face(n + 1, i), s)
                     if i == j or i == j + 1:
-                        if lhs != unit:
+                        if not same(lhs, unit):
                             return {"identity": "ds=id", "n": n, "i": i, "j": j}
                     elif i < j:
-                        if lhs != compose(degen(n - 1, j - 1), face(n, i)):
+                        if not same(lhs, compose(degen(n - 1, j - 1),
+                                                 face(n, i))):
                             return {"identity": "ds", "n": n, "i": i, "j": j}
-                    elif lhs != compose(degen(n - 1, j), face(n, i - 1)):
+                    elif not same(lhs, compose(degen(n - 1, j),
+                                               face(n, i - 1))):
                         return {"identity": "ds", "n": n, "i": i, "j": j}
                 if n + 2 <= self.n_max:
                     for i in range(0, j + 1):
                         if (n + 1, i) not in self.degens or (n, i) not in self.degens:
                             continue
-                        if compose(degen(n + 1, i), s) \
-                                != compose(degen(n + 1, j + 1), degen(n, i)):
+                        if not same(compose(degen(n + 1, i), s),
+                                    compose(degen(n + 1, j + 1), degen(n, i))):
                             return {"identity": "ss", "n": n, "i": i, "j": j}
         return None
 

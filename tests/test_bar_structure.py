@@ -1,5 +1,5 @@
 """The two-sided bar's structure maps: the simplicial identity check on
-prepared operands, the memoized key differentials, and the augmentation
+column forms, the memoized key differentials, and the augmentation
 triangle, each against the construction it replaced."""
 
 import random
@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 import opbar.linalg as linalg
-import opbar.simplicial as simplicial
 from opbar.barcat import (
     _bar_level_complex,
     group_bar_complex,
@@ -31,15 +30,18 @@ from opbar.linalg import Mat
 from opbar.simplicial import SimplicialComplexObj, constant_simplicial, realize
 from opbar.symgrp import Perm
 
+from .genutil import unitriangular_inverse
+
 Z = Ring.Z()
 Q = Ring.Q()
 F3 = Ring.Fp(3)
+F5 = Ring.Fp(5)
 NOV = Ring.novikov(Q, 2, 2)
 S3 = [Perm((2, 1, 3)), Perm((2, 3, 1))]
 
 
 def _compose_check(simp):
-    """The identity check as it was before prepared operands: one
+    """The identity check as it was before column forms: one
     `ChainMap.compose` per side of every identity, and a new identity map
     for every d_i s_j = id."""
     for n in range(2, simp.n_max + 1):
@@ -93,13 +95,61 @@ def _novikov_constant():
                                 validate=True)
 
 
+def _random_nonzero(rng, ring):
+    """A nonzero entry: over Q with denominator 1..4, over Novikov up to two
+    terms on the grid below the cutoff."""
+    if ring.kind == "Q":
+        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+    if ring.kind == "Fp":
+        return rng.randrange(1, ring.p)
+    terms = [(Fraction(rng.randrange(4), 2), _random_nonzero(rng, ring.base))
+             for _ in range(rng.randint(1, 2))]
+    return ring.canon(terms) or ring.one
+
+
+def _conjugated(simp, ring, seed):
+    """simp with d_i replaced by U_{n-1} d_i U_n^-1 and s_j by
+    U_{n+1} s_j U_n^-1, for a seeded unitriangular U_n per level and degree:
+    the identities still hold, but the maps have columns with several
+    entries and (over Q) denominators that differ from map to map."""
+    rng = random.Random(seed)
+    change, inverse = {}, {}
+    for n in range(simp.n_max + 1):
+        lv = simp.level(n)
+        for d in lv.degrees():
+            u = Mat.identity(ring, lv.dim(d))
+            for i in range(u.nrows):
+                for j in range(i + 1, u.ncols):
+                    if rng.random() < 0.4:
+                        u.set(i, j, _random_nonzero(rng, ring))
+            change[(n, d)] = u
+            inverse[(n, d)] = unitriangular_inverse(ring, u)
+
+    def conj(f, n, m):
+        mats = {d: change[(m, f.target_deg(d))].mul(a).mul(inverse[(n, d)])
+                for d, a in f.mats.items()}
+        return ChainMap(f.source, f.target, f.degree, mats, validate=False)
+
+    faces = {(n, i): conj(f, n, n - 1) for (n, i), f in simp.faces.items()}
+    degens = {(n, i): conj(s, n, n + 1) for (n, i), s in simp.degens.items()}
+    return SimplicialComplexObj(simp.n_max, simp.levels, faces, degens,
+                                validate=False)
+
+
+Z3 = [Perm((2, 3, 1))]
 SIMPLICIAL = {
     "group_bar_z_s3": lambda: group_bar_complex(Z, 3, S3, 3).simplicial,
     "regular_bar_q_s3": lambda: _regular_bar(Q, 3).simplicial,
-    "group_bar_f3_z3": lambda: group_bar_complex(F3, 3, [Perm((2, 3, 1))],
-                                                 3).simplicial,
+    "group_bar_f3_z3": lambda: group_bar_complex(F3, 3, Z3, 3).simplicial,
     "constant_novikov": _novikov_constant,
+    "conjugated_q_z3": lambda: _conjugated(
+        group_bar_complex(Q, 3, Z3, 3).simplicial, Q, "conj:Q"),
+    "conjugated_f5_z3": lambda: _conjugated(
+        group_bar_complex(F5, 3, Z3, 3).simplicial, F5, "conj:F5"),
+    "conjugated_novikov": lambda: _conjugated(_novikov_constant(), NOV,
+                                              "conj:nov"),
 }
+CONJUGATED = ("conjugated_q_z3", "conjugated_f5_z3", "conjugated_novikov")
 
 
 def _corrupted(simp, rng, mode):
@@ -159,29 +209,53 @@ def test_identity_check_matches_compose_oracle_on_corruptions(simplicial_objects
     assert families == {"dd", "ds=id", "ds", "ss"}
 
 
-def test_identity_check_runs_the_product_kernel_not_mat_mul(monkeypatch,
-                                                            simplicial_objects):
-    calls = {"mul": 0, "product": 0}
-    mul, product = Mat.mul, linalg.product
+def test_conjugated_objects_reach_the_general_columns(simplicial_objects):
+    # every conjugated object has maps with multi-entry columns, and over Q
+    # denominators > 1 that differ between maps, which the bar maps lack
+    for name in CONJUGATED:
+        simp = simplicial_objects[name]
+        ring = simp.level(0).ring
+        forms = [linalg.column_form(ring, m)
+                 for f in (*simp.faces.values(), *simp.degens.values())
+                 for m in f.mats.values()]
+        assert any(rows is None for _, _, rows in forms), name
+        assert any(len(col) > 1 for _, cols, _ in forms for col in cols), name
+        if ring.kind == "Q":
+            assert len({den for den, _, _ in forms} - {1}) > 1
+    plain = simplicial_objects["group_bar_z_s3"]
+    assert all(linalg.column_form(Z, m)[2] is not None
+               for f in plain.faces.values() for m in f.mats.values())
 
-    def counting_mul(self, other):
-        calls["mul"] += 1
-        return mul(self, other)
 
-    def counting_product(ring, a, b):
-        calls["product"] += 1
-        return product(ring, a, b)
+@pytest.mark.parametrize("ring", [Z, Q, F3], ids=repr)
+def test_identity_check_makes_no_products_and_no_ring_arithmetic(monkeypatch,
+                                                                 ring):
+    simp = group_bar_complex(ring, 3, S3, 3).simplicial
+    calls = {"Mat.mul": 0, "product": 0, "prepare": 0, "Ring.mul": 0,
+             "Ring.add": 0}
 
-    assert simplicial.product is linalg.product
-    monkeypatch.setattr(Mat, "mul", counting_mul)
-    monkeypatch.setattr(linalg, "product", counting_product)
-    monkeypatch.setattr(simplicial, "product", counting_product)
-    assert simplicial_objects["group_bar_z_s3"].check_identities() is None
-    assert calls["mul"] == 0 and calls["product"] > 0
-    before = calls["product"]
-    a = Mat.from_rows(Z, [[1, 2], [0, 1]])
-    assert a.mul(a) == Mat.from_rows(Z, [[1, 4], [0, 1]])
-    assert calls == {"mul": 1, "product": before + 1}
+    def counting(owner, attr, key):
+        real = getattr(owner, attr)
+
+        def wrapped(*args):
+            calls[key] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, attr, wrapped)
+
+    counting(Mat, "mul", "Mat.mul")
+    counting(linalg, "product", "product")
+    counting(linalg, "prepare", "prepare")
+    counting(Ring, "mul", "Ring.mul")
+    counting(Ring, "add", "Ring.add")
+    assert simp.check_identities() is None
+    assert calls == dict.fromkeys(calls, 0)
+    # the counters count
+    a = Mat.from_rows(ring, [[1, 2], [0, 1]])
+    a.mul(a)
+    ring.mul(ring.one, ring.one)
+    ring.add(ring.one, ring.one)
+    assert calls == {"Mat.mul": 1, "product": 1, "prepare": 2, "Ring.mul": 1,
+                     "Ring.add": 1}
 
 
 def test_mat_mul_with_an_empty_operand_is_zero():
@@ -312,6 +386,24 @@ def test_shared_prefix_f_equals_per_label_push(build):
         assert m == old.mats[d], d
     assert q.compose(f).eq(p)
     assert q.compose(old).eq(p)
+
+
+def test_augmentation_maps_are_built_once(monkeypatch):
+    C = group_ring_category(Q, 3, S3)
+    bar = two_sided_bar(trivial_right_module(C), C, trivial_left_module(C), 2)
+    calls = []
+    quotient = type(bar).tensor_quotient
+
+    def counting(self):
+        calls.append(self)
+        return quotient(self)
+
+    monkeypatch.setattr(type(bar), "tensor_quotient", counting)
+    first = bar.augmentation_maps()
+    second = bar.augmentation_maps()
+    assert calls == []  # two_sided_bar's triangle check built them
+    assert len(first) == 5
+    assert all(a is b for a, b in zip(first, second))
 
 
 def test_tampered_f_breaks_the_augmentation_triangle(monkeypatch):

@@ -3,17 +3,20 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy import GF
 from sympy.matrices.normalforms import smith_normal_form
+from sympy.polys.matrices import DomainMatrix
 
+import opbar.linalg as linalg
 from opbar.coeff import Ring
 from opbar.errors import NonGridExponent
 from opbar.linalg import (
     Mat,
+    _field_rref,
     field_kernel,
     field_rank,
     field_solve,
     snf_diagonal,
-    z_kernel_basis,
     z_rank,
     z_solve,
     z_solve_mat,
@@ -30,6 +33,14 @@ def _random_int_mat(rng, m, n, density=0.4, lo=-6, hi=6):
             if rng.random() < density:
                 a.set(i, j, rng.randint(lo, hi))
     return a
+
+
+def _times(a: Mat, vec: dict) -> dict:
+    """a @ vec as a sparse vector, through `Mat.mul`."""
+    x = Mat.zeros(a.ring, a.ncols, 1)
+    for i, v in vec.items():
+        x.set(i, 0, v)
+    return a.mul(x).column(0)
 
 
 def _sympy_of(a: Mat):
@@ -53,29 +64,16 @@ def test_snf_against_sympy_random():
         assert ours == sorted(theirs)
 
 
-def test_z_kernel_is_kernel_and_full():
-    rng = random.Random(11)
-    for _ in range(20):
-        m, n = rng.randint(1, 5), rng.randint(1, 6)
-        a = _random_int_mat(rng, m, n)
-        ker = z_kernel_basis(a)
-        for vec in ker:
-            assert a.apply(vec) == {}
-        assert len(ker) == n - z_rank(a)
-        # saturation: sympy nullspace has the same dimension
-        assert len(ker) == len(_sympy_of(a).nullspace())
-
-
 def test_z_solve_exact():
     rng = random.Random(13)
     for _ in range(20):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         a = _random_int_mat(rng, m, n, density=0.6)
         x = {j: rng.randint(-3, 3) for j in range(n) if rng.random() < 0.7}
-        b = a.apply(x)
+        b = _times(a, x)
         sol = z_solve(a, b)
         assert sol is not None
-        assert a.apply(sol) == b
+        assert _times(a, sol) == b
 
 
 def test_z_solve_no_solution():
@@ -91,7 +89,7 @@ def test_z_solve_mat_matches_column_solves():
         rhs = Mat.zeros(Z, m, k)
         for j in range(k):
             x = {i: rng.randint(-3, 3) for i in range(n) if rng.random() < 0.7}
-            for i, v in a.apply(x).items():
+            for i, v in _times(a, x).items():
                 rhs.set(i, j, v)
         if trial % 4 == 3:
             # every entry of 2a is even, so e_0 is not in its image
@@ -121,7 +119,45 @@ def test_field_rank_and_kernel():
         ker = field_kernel(a)
         assert len(ker) == n - r
         for vec in ker:
-            assert a.apply(vec) == {}
+            assert _times(a, vec) == {}
+
+
+def _sympy_rank(a: Mat) -> int:
+    if a.ring.kind != "Fp":
+        return _sympy_of(a).rank()
+    dom = GF(a.ring.p)
+    rows = [[dom(v) for v in row] for row in a.to_rows()]
+    return DomainMatrix(rows, (a.nrows, a.ncols), dom).rank()
+
+
+@pytest.mark.parametrize("ring", [Q, Ring.Fp(2), Ring.Fp(3), Ring.Fp(5)],
+                         ids=repr)
+def test_field_rank_matches_rref_and_sympy(ring):
+    rng = random.Random(f"field_rank:{ring!r}")
+    cases = []
+    for _ in range(15):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        cases.append(_random_mat(rng, ring, m, n, rng.choice((0.2, 0.5, 0.8))))
+        # rank at most r, with zero rows wherever the left factor has one
+        r = rng.randint(1, 3)
+        cases.append(_random_mat(rng, ring, m, r).mul(
+            _random_mat(rng, ring, r, n)))
+    x, y = ring.from_int(2), ring.from_int(3)
+    cases.append(Mat.from_rows(ring, [[x, y, 0], [0, 0, 0], [x, y, 0]]))
+    cases += [Mat.zeros(ring, m, n) for m, n in ((0, 0), (0, 4), (4, 0), (3, 3))]
+    ranks = []
+    for a in cases:
+        want = len(_field_rref(a)[0])
+        assert field_rank(a) == want == _sympy_rank(a), a.to_rows()
+        ranks.append(want < min(a.nrows, a.ncols))
+    assert any(ranks) and not all(ranks)
+    if ring.kind == "Q":
+        assert any(v.denominator > 1 for a in cases for v in a.d.values())
+
+
+def test_field_rank_over_z_is_the_rational_rank():
+    assert field_rank(Mat.from_rows(Z, [[2, 4], [1, 2]])) == 1
+    assert field_rank(Mat.from_rows(Z, [[2, 4], [0, 6]])) == 2
 
 
 def test_field_solve():
@@ -131,10 +167,10 @@ def test_field_solve():
         a = _random_int_mat(rng, m, n, density=0.6).map_ring(Q, Q.canon)
         x = {j: Q.from_int(rng.randint(-3, 3)) for j in range(n)}
         x = {j: v for j, v in x.items() if v}
-        b = a.apply(x)
+        b = _times(a, x)
         sol = field_solve(a, b)
         assert sol is not None
-        assert a.apply(sol) == b
+        assert _times(a, sol) == b
     # inconsistent system
     bad = Mat.from_rows(Q, [[1], [1]])
     assert field_solve(bad, {0: Q.from_int(1), 1: Q.from_int(2)}) is None
@@ -317,6 +353,59 @@ def test_mat_mul_calls_no_ring_arithmetic(monkeypatch):
         assert not a.mul(b).is_zero()
     assert calls == {"mul": 0, "add": 0}
     assert _oracle_mul(*pairs[0]) and calls["mul"] > 0  # the counters count
+
+
+def _with_unit_columns(rng, a):
+    """a with about half its columns replaced by a unit entry (r, 1)."""
+    out = a.clone()
+    for j in range(a.ncols):
+        if a.nrows and rng.random() < 0.5:
+            out.d = {k: v for k, v in out.d.items() if k[1] != j}
+            out.d[(rng.randrange(a.nrows), j)] = a.ring.one
+    return out
+
+
+@pytest.mark.parametrize("ring", PRODUCT_RINGS, ids=repr)
+def test_column_product_matches_mat_mul(ring):
+    rng = random.Random(f"column_product:{ring!r}")
+    for trial in range(16):
+        m, n, k = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        g = _random_mat(rng, ring, m, n)
+        f = _random_mat(rng, ring, n, k, 0.4)
+        if trial % 2:
+            f = _with_unit_columns(rng, f)
+        if trial % 4 == 3:
+            # every column the int entry 1: the whole-map path, over Q also
+            # with a denominator (1/3 is the int 1 over 3)
+            one = Fraction(1, 3) if ring.kind == "Q" and trial % 8 == 7 \
+                else ring.one
+            f = Mat.zeros(ring, n, k)
+            f.d = {(rng.randrange(n), j): one for j in range(k)}
+            assert linalg.column_form(ring, f)[2] is not None
+        got = linalg.column_product(ring, linalg.column_form(ring, g),
+                                    linalg.column_form(ring, f))
+        want = g.mul(f)
+        assert linalg.columns_equal(ring, got, linalg.column_form(ring, want))
+        assert linalg.columns_equal(ring, linalg.column_form(ring, want), got)
+        if want.d:
+            key = rng.choice(sorted(want.d))
+            bad = want.clone()
+            bad.d[key] = ring.add(bad.d[key], ring.one)
+            if ring.is_zero(bad.d[key]):
+                del bad.d[key]
+            assert not linalg.columns_equal(ring, got,
+                                            linalg.column_form(ring, bad))
+
+
+def test_columns_equal_cross_multiplies_denominators():
+    half = Mat.from_rows(Q, [[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
+    a = linalg.column_form(Q, half)
+    b = (6, [((0, 3),), ((1, 2),)], None)
+    assert a[0] == 6 and linalg.columns_equal(Q, a, b)
+    assert linalg.columns_equal(Q, a, (12, [((0, 6),), ((1, 4),)], None))
+    assert not linalg.columns_equal(Q, a, (12, [((0, 6),), ((1, 3),)], None))
+    assert linalg.columns_equal(Q, linalg.unit_columns(Q, 2),
+                                (3, [((0, 3),), ((1, 3),)], None))
 
 
 @pytest.mark.parametrize("exponent", [Fraction(1, 3), Fraction(-1, 2)])
