@@ -2,7 +2,7 @@
 object of a multifunctor, and its realization with the operad action.
 
 The comparison map between the categorical and operadic extensions is not
-built here yet (ROADMAP item 5).
+built here yet (ROADMAP item 4).
 
 Elements of iterated free algebras are decorated leveled trees, stored as
 nested labels:
@@ -14,7 +14,8 @@ nested labels:
 Tensor factors are ordered children-first, decoration last (the root complex
 is C_{v_1} (x) ... (x) C_{v_k} (x) O(k)).  Symmetric-group coinvariants at
 every node are realized by canonical orbit representatives: a node label is
-the minimum of its signed orbit, and orbits carrying a sign conflict die.
+the minimum of its signed orbit in `repr` order, and orbits carrying a sign
+conflict die.
 All structure maps canonicalize, and the simplicial identities plus d^2 = 0
 are asserted exactly on every construction.
 """
@@ -48,7 +49,13 @@ def _ev_sign(fdeg, args_deg):
 
 
 class WordCalculus:
-    """Label-level operations for decorated leveled trees over (pi, A)."""
+    """Label-level operations for decorated leveled trees over (pi, A).
+
+    A node (key, children) is made canonical by walking its orbit under
+    S_k, read from a table built once per (structure, key, parities of the
+    children's degrees); the representative is the orbit element whose
+    `repr` is least, its string assembled from memoized per-label reprs.
+    """
 
     def __init__(self, pi: MultiFunctor, A: MultiAlgebra):
         self.pi = pi
@@ -58,6 +65,8 @@ class WordCalculus:
         self.ring = self.M.ring
         self._deg = {}
         self._canon = {}
+        self._orbit_tables = {}
+        self._repr = {}
 
     # -- label structure ----------------------------------------------------
 
@@ -83,31 +92,56 @@ class WordCalculus:
 
     # -- canonical orbit representatives ----------------------------------
 
+    def _orbit_table(self, structure, key, parities):
+        """[(indices, image key, sign)] for every sigma in S_k, in the order
+        of `itertools.permutations`: the orbit element of sigma has the image
+        key and the children (c[indices[0]], ...), and its sign is the action
+        coefficient times the Koszul sign for the children's parities."""
+        tk = (structure, key, parities)
+        table = self._orbit_tables.get(tk)
+        if table is None:
+            ring = self.ring
+            table = []
+            for images in itertools.permutations(range(1, len(parities) + 1)):
+                sigma = Perm(images)
+                hit = structure.act(sigma, key)
+                if len(hit) != 1:
+                    raise NonPermutationAction(
+                        "node canonicalization needs signed permutation actions")
+                ((nk, coeff),) = hit.items()
+                if ring.eq(coeff, ring.one):
+                    s = 1
+                elif ring.eq(coeff, ring.from_int(-1)):
+                    s = -1
+                else:
+                    raise NonPermutationAction("non-unit symmetry coefficient")
+                table.append((tuple(i - 1 for i in images), nk,
+                              s * koszul_sign(sigma, parities)))
+            self._orbit_tables[tk] = table
+        return table
+
     def _orbit(self, structure, key, children):
         """All signed orbit elements of a node; None when the orbit dies."""
-        k = len(children)
-        ring = self.ring
+        parities = tuple(self.deg(c) % 2 for c in children)
         seen = {}
-        for images in itertools.permutations(range(1, k + 1)):
-            sigma = Perm(images)
-            hit = structure.act(sigma, key)
-            if len(hit) != 1:
-                raise NonPermutationAction(
-                    "node canonicalization needs signed permutation actions")
-            ((nk, coeff),) = hit.items()
-            if ring.eq(coeff, ring.one):
-                s = 1
-            elif ring.eq(coeff, ring.from_int(-1)):
-                s = -1
-            else:
-                raise NonPermutationAction("non-unit symmetry coefficient")
-            nc = tuple(children[sigma(t) - 1] for t in range(1, k + 1))
-            s *= koszul_sign(sigma, [self.deg(c) for c in children])
-            cand = (nk, nc)
-            if cand in seen and seen[cand] != s:
+        for idx, nk, s in self._orbit_table(structure, key, parities):
+            if seen.setdefault((nk, tuple(children[i] for i in idx)), s) != s:
                 return None
-            seen.setdefault(cand, s)
         return seen
+
+    def _repr_of(self, x) -> str:
+        r = self._repr.get(x)
+        if r is None:
+            r = self._repr[x] = repr(x)
+        return r
+
+    def _node_repr(self, cand) -> str:
+        """repr(cand) of an orbit element (key, children), assembled from
+        the memoized reprs of the key and of each child."""
+        nk, children = cand
+        rs = [self._repr_of(c) for c in children]
+        inner = rs[0] + "," if len(rs) == 1 else ", ".join(rs)
+        return "(" + self._repr_of(nk) + ", (" + inner + "))"
 
     def make_node(self, kind, structure, key, children) -> dict:
         """Canonical class of a node, as a linear combination (at most one term)."""
@@ -119,7 +153,8 @@ class WordCalculus:
             if orbit is None:
                 cached = {}
             else:
-                rep = min(orbit, key=repr)
+                rep = min(orbit, key=self._node_repr) if len(orbit) > 1 \
+                    else (key, children)
                 s = orbit[(key, children)] * orbit[rep]
                 cached = {(kind, rep[0], rep[1]): self.ring.from_int(s)}
             self._canon[ck] = cached
@@ -387,7 +422,7 @@ def free_algebra(M: MultiCat, carriers: dict, arity_max=None,
     coinvariants are dropped.  On `as_operad(Z, 3)` with the carrier y in
     degree 0 and x in degree 1 (d x = y), x (x) x, whose S_2-coinvariants
     are Z/2, is missing and the dims are {0: 3, 1: 3}.  The result is exact
-    only where those orbits are free (ROADMAP item 2).
+    only where those orbits are free (ROADMAP items 0 and 3).
     """
     if arity_max is not None and arity_max != M.arity_max:
         raise ArityOverflow("free algebra truncation must match the bound")
@@ -603,7 +638,8 @@ def operadic_kan(pi: MultiFunctor, A: MultiAlgebra, n_max, arity_max=None,
 
     Returns (realized, structure) where structure.mu(k) is the chain map
     (realized)^(x k) (x) O(k) -> realized assembled through the
-    Eilenberg-Zilber shuffles.  With check on, for k = 2:
+    Eilenberg-Zilber shuffles.  With check on, for k = 2 unless O has no
+    arity-2 operations:
 
     * d mu(x) = mu(d x) on every basis tensor x = z_1 (x) z_2 (x) o whose
       simplicial levels sum to at most n_max - 1 (beyond that, d mu(x) needs
@@ -619,8 +655,9 @@ def operadic_kan(pi: MultiFunctor, A: MultiAlgebra, n_max, arity_max=None,
     structure = KanAlgebraStructure(simp, real)
     if check:
         for k in range(2, min(pi.target.arity_max, 2) + 1):
-            structure.check_chain_map(k)
-            structure.check_equivariance(k)
+            if structure.has_arity(k):
+                structure.check_chain_map(k)
+                structure.check_equivariance(k)
     return real, structure
 
 
@@ -630,7 +667,7 @@ class KanAlgebraStructure:
     Values of mu on basis tensors are memoized per structure in
     ``_mu_memo``, (zs, okey) -> mu(z_1 (x) ... (x) z_k (x) okey), and
     mu_on_labels returns the shared dict, which callers must not mutate.
-    Three more memos, each filled once per key, hold the parts of mu that
+    Four more memos, each filled once per key, hold the parts of mu that
     many basis tensors share:
 
     * ``_shuffle_memo``: the levels tuple (p_1, ..., p_k) -> the shuffle
@@ -639,7 +676,10 @@ class KanAlgebraStructure:
       a degeneracy word, as a tuple of (label, +-1);
     * ``_graft_memo``: (okey, ((ok_t, parities of the words of z_t) for each
       t)) -> [(gamma key, coefficient)] of the levelwise root graft, the Koszul
-      sign of the reordering included.
+      sign of the reordering included;
+    * ``_graft_parts``: a level label -> its part (root key, parities of its
+      words) of the ``_graft_memo`` key, so a graft reads no word degrees
+      once its labels are known.
 
     check_chain_map(k) covers the basis tensors whose levels sum to at most
     n_max - 1; check_equivariance(2) covers those whose levels sum to at most
@@ -658,6 +698,7 @@ class KanAlgebraStructure:
         self._shuffle_memo = {}
         self._degen_memo = {}
         self._graft_memo = {}
+        self._graft_parts = {}
         c = real.complex
         self._boundary = {l: {} for d in c.degrees() for l in c.labels(d)}
         for d, m in c.diff.items():
@@ -688,12 +729,19 @@ class KanAlgebraStructure:
                 (l, _unit_sign(self.ring, v)) for l, v in cur.items())
         return out
 
+    def _graft_part(self, label):
+        """(root key, parities of the words) of a level label, memoized."""
+        deg = self.calc.deg
+        part = self._graft_parts[label] = (
+            label[1], tuple(deg(w) % 2 for w in label[2]))
+        return part
+
     def _graft(self, okey, labels):
         """[(gamma key, coefficient)] of the root graft of same-level labels
         along okey, which depends on the labels only through their root keys
         and the parities of their words."""
-        deg = self.calc.deg
-        key = (okey, tuple((l[1], tuple(deg(w) % 2 for w in l[2]))
+        parts = self._graft_parts
+        key = (okey, tuple(parts.get(l) or self._graft_part(l)
                            for l in labels))
         out = self._graft_memo.get(key)
         if out is None:
@@ -720,9 +768,14 @@ class KanAlgebraStructure:
                 add_into(ring, out, l2, ring.mul(gv, v2))
         return out
 
+    def has_arity(self, k) -> bool:
+        """Whether the operad has arity-k operations."""
+        star = self.O.objects[0]
+        return self.O.complex((star,) * k, star) is not None
+
     def _okeys(self, k):
         star = self.O.objects[0]
-        if self.O.complex((star,) * k, star) is None:
+        if not self.has_arity(k):
             raise EngineError(f"the operad has no arity-{k} operations")
         return self.O.basis_keys((star,) * k, star)
 

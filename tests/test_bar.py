@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 
 import pytest
 
@@ -10,10 +11,11 @@ from opbar.bar import KanAlgebraStructure, free_algebra, operadic_kan, \
 from opbar.coeff import Ring
 from opbar.complexes import ChainComplex, ChainMap, differential_as_map, \
     homology
-from opbar.errors import EngineError
+from opbar.errors import EngineError, NonPermutationAction
 from opbar.lincomb import add_into, eq as lc_eq, linear
+from opbar.multicat import MultiCat
 from opbar.simplicial import realize
-from opbar.symgrp import Perm
+from opbar.symgrp import Perm, koszul_sign
 
 Z = Ring.Z()
 Q = Ring.Q()
@@ -203,9 +205,35 @@ def test_interval_carrier_passes_both_checks():
 
 
 def test_unit_target_has_no_arity_two():
+    # operadic_kan skips the k = 2 checks, and mu(2) itself still raises;
+    # the poset 0 -> 1 has the terminal object 1, whose carrier is Z in
+    # degree 0
     M, A, _ = fix.two_object_kappa(Z)
+    real, structure = operadic_kan(fix.projection_to_unit(M), A, 2)
+    assert not structure.has_arity(2) and structure.has_arity(1)
     with pytest.raises(EngineError, match="no arity-2 operations"):
-        operadic_kan(fix.projection_to_unit(M), A, 2)
+        structure.mu(2)
+    assert real.reliable_degrees == [-1, 0]
+    assert [homology(real.complex, d).as_dict()
+            for d in real.reliable_degrees] == [
+        {"degree": -1, "rank": 0, "torsion": []},
+        {"degree": 0, "rank": 1, "torsion": []}]
+
+
+@pytest.mark.parametrize("ring,operad,n_cols", [
+    (Z, fix.sym_assoc_operad, 137),
+    (Q, fix.as_operad, 62),
+])
+def test_mu_unit_axiom(ring, operad, n_cols):
+    # mu(z; 1) = z on every arity-1 window column
+    structure = KanAlgebraStructure(*_kappa_setup(ring, operad, 2))
+    O = structure.O
+    assert O.basis_keys((O.objects[0],), O.objects[0]) == \
+        [O.unit_key(O.objects[0])]
+    cols = list(structure.window_columns(1, 2))
+    assert len(cols) == n_cols
+    for (z,), unit in cols:
+        assert structure.mu_on_labels((z,), unit) == {z: ring.one}, z
 
 
 def test_free_sym_assoc_algebra_dimension():
@@ -353,3 +381,194 @@ def test_graft_and_shuffle_run_once_per_pattern(monkeypatch):
     assert len(shuffle_calls) == len(set(shuffle_calls)) == len(
         {tuple(z[1] for z in zs) for zs, _ in structure._mu_memo})
     assert sorted(shuffle_calls) == [(0, 0), (0, 1), (1, 0)]
+
+
+def _oracle_orbit(calc, structure, key, children):
+    """Node canonicalization as first written: every permutation through
+    structure.act and koszul_sign; None when the orbit dies."""
+    k = len(children)
+    ring = calc.ring
+    seen = {}
+    for images in itertools.permutations(range(1, k + 1)):
+        sigma = Perm(images)
+        hit = structure.act(sigma, key)
+        if len(hit) != 1:
+            raise NonPermutationAction(
+                "node canonicalization needs signed permutation actions")
+        ((nk, coeff),) = hit.items()
+        if ring.eq(coeff, ring.one):
+            s = 1
+        elif ring.eq(coeff, ring.from_int(-1)):
+            s = -1
+        else:
+            raise NonPermutationAction("non-unit symmetry coefficient")
+        nc = tuple(children[sigma(t) - 1] for t in range(1, k + 1))
+        s *= koszul_sign(sigma, [calc.deg(c) for c in children])
+        cand = (nk, nc)
+        if cand in seen and seen[cand] != s:
+            return None
+        seen.setdefault(cand, s)
+    return seen
+
+
+def _oracle_make_node(calc, kind, key, children):
+    structure = calc.M if kind == "wd" else calc.O
+    orbit = _oracle_orbit(calc, structure, key, children)
+    if orbit is None:
+        return {}
+    rep = min(orbit, key=repr)
+    s = orbit[(key, children)] * orbit[rep]
+    return {(kind, rep[0], rep[1]): calc.ring.from_int(s)}
+
+
+def _assert_canon_matches_oracle(calc):
+    assert calc._canon
+    for (kind, key, children), got in calc._canon.items():
+        want = _oracle_make_node(calc, kind, key, children)
+        assert got == want and repr(got) == repr(want), (kind, key, children)
+
+
+def _free_algebra_calc(monkeypatch, operad, carrier):
+    made = []
+
+    class Recording(bar.WordCalculus):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(bar, "WordCalculus", Recording)
+    free_algebra(operad, {"*": carrier})
+    (calc,) = made
+    return calc
+
+
+@pytest.mark.parametrize("case", ["symas_z_n1", "as_q_n2", "odd_as_z_n1",
+                                  "interval_as_z_n1", "free_symas_q2",
+                                  "free_as_z3"])
+def test_canonical_nodes_match_oracle(case, monkeypatch):
+    if case == "symas_z_n1":
+        calc = _kan_structure(Z, fix.sym_assoc_operad(Z, 3), 1).calc
+    elif case == "as_q_n2":
+        calc = _kan_structure(Q, fix.as_operad(Q, 3), 2).calc
+    elif case == "odd_as_z_n1":
+        calc = _kan_structure(Z, fix.as_operad(Z, 3), 1, _odd_points(Z)).calc
+    elif case == "interval_as_z_n1":
+        calc = _kan_structure(Z, fix.as_operad(Z, 3), 1,
+                              _interval_carriers(Z)).calc
+    elif case == "free_symas_q2":
+        C = ChainComplex.free(Q, {0: ["a", "b"], 1: ["c"]},
+                              {(1, "c", "a"): 1})
+        calc = _free_algebra_calc(monkeypatch, fix.sym_assoc_operad(Q, 2), C)
+    else:
+        # x (x) x with x odd: its S_2-orbit under the symmetric mu2 dies
+        C = ChainComplex.free(Z, {0: ["y"], 1: ["x"]}, {(1, "x", "y"): 1})
+        calc = _free_algebra_calc(monkeypatch, fix.as_operad(Z, 3), C)
+        assert {} in calc._canon.values()
+    _assert_canon_matches_oracle(calc)
+
+
+def _leaf_calc(operad):
+    M, A, _ = fix.two_object_kappa(Z, *_odd_points(Z))
+    return bar.WordCalculus(fix.projection_to_operad(M, operad), A)
+
+
+def test_sign_conflict_kills_the_orbit():
+    calc = _leaf_calc(fix.as_operad(Z, 3))
+    (mu2,) = calc.O.basis_keys(("*", "*"), "*")
+    odd, even = ("lf", 0, 1, "c0"), ("lf", 0, 0, "c0")
+    assert _oracle_orbit(calc, calc.O, mu2, (odd, odd)) is None
+    assert calc.make_root(mu2, (odd, odd)) == {}
+    assert calc.make_root(mu2, (even, even)) == {("rt", mu2, (even, even)): 1}
+    assert calc.make_root(mu2, (odd, even)) == \
+        calc.make_root(mu2, (even, odd)) == {("rt", mu2, (even, odd)): 1}
+    _assert_canon_matches_oracle(calc)
+
+
+def test_one_child_node_repr_keeps_the_trailing_comma():
+    calc = _leaf_calc(fix.as_operad(Z, 3))
+    unit = calc.M.unit_key(0)
+    leaf = ("lf", 0, 1, "c0")
+    assert calc._node_repr((unit, (leaf,))) == repr((unit, (leaf,)))
+    assert calc._node_repr((unit, ())) == repr((unit, ()))
+    assert calc.make_word(unit, (leaf,)) == {("wd", unit, (leaf,)): 1}
+    _assert_canon_matches_oracle(calc)
+
+
+def test_children_with_prefix_reprs_order_as_repr():
+    # carrier labels 1, 12 and 123, whose reprs are prefixes of one another,
+    # and "a" and "a'", which repr quotes differently
+    calc = _leaf_calc(fix.sym_assoc_operad(Z, 3))
+    leaves = [("lf", 0, d, l) for d in (0, 1) for l in (1, 12, 123, "a", "a'")]
+    okeys = calc.O.basis_keys(("*",) * 3, "*") + \
+        calc.O.basis_keys(("*",) * 2, "*")
+    for okey in okeys:
+        for children in itertools.permutations(leaves, len(okey[0])):
+            cand = (okey, children)
+            assert calc._node_repr(cand) == repr(cand)
+            calc.make_root(okey, children)
+    _assert_canon_matches_oracle(calc)
+
+
+def test_orbit_tables_call_act_once_per_permutation(monkeypatch):
+    M, A, _ = fix.two_object_kappa(Z)
+    pi = fix.projection_to_operad(M, fix.sym_assoc_operad(Z, 3))
+    calls = []
+    act = MultiCat.act
+
+    def counted(self, sigma, f):
+        calls.append((sigma.images, f))
+        return act(self, sigma, f)
+
+    monkeypatch.setattr(MultiCat, "act", counted)
+    calc = simplicial_kan(pi, A, 1).calc
+    tables = {(calc.M if kind == "wd" else calc.O, key,
+               tuple(calc.deg(c) % 2 for c in children))
+              for kind, key, children in calc._canon}
+    assert any(len(p) > 1 for _, _, p in tables)
+    assert len(calls) == sum(math.factorial(len(p)) for _, _, p in tables)
+    # a second build on the same WordCalculus reads every node's orbit from
+    # the tables
+    canon = dict(calc._canon)
+    calc._canon.clear()
+    calls.clear()
+    monkeypatch.setattr(bar, "WordCalculus", lambda pi, A: calc)
+    assert simplicial_kan(pi, A, 1).calc is calc
+    assert calls == []
+    assert calc._canon == canon
+
+
+def test_graft_reads_no_degrees_for_memoized_labels(monkeypatch):
+    structure = _kan_structure(Z, fix.sym_assoc_operad(Z, 3), 1)
+    calc = structure.calc
+    inside, grafts, deg_calls = [], [], []
+    graft, deg = structure._graft, calc.deg
+
+    def traced_graft(okey, labels):
+        grafts.append(okey)
+        inside.append(okey)
+        try:
+            return graft(okey, labels)
+        finally:
+            inside.pop()
+
+    def counted_deg(label):
+        if inside:
+            deg_calls.append(label)
+        return deg(label)
+
+    monkeypatch.setattr(structure, "_graft", traced_graft)
+    monkeypatch.setattr(calc, "deg", counted_deg)
+
+    def rerun():
+        structure._mu_memo.clear()
+        structure.check_chain_map(2)
+        structure.check_equivariance(2)
+
+    rerun()
+    assert grafts and deg_calls == []
+    # a label without a memoized part reads the degree of each of its words,
+    # once
+    fresh = next(l for l in structure._graft_parts if l[2])
+    del structure._graft_parts[fresh]
+    rerun()
+    assert deg_calls == list(fresh[2])
