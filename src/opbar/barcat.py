@@ -4,24 +4,35 @@ versus bar homotopy colimits, the Hollender-Vogt pushout criterion, and
 Novikov completion towers.
 
 Bar levels are B_n = (+) R(a_0) (x) C(a_0,a_1) (x) ... (x) C(a_{n-1},a_n)
-(x) L(a_n), with labels (m, (u_1, ..., u_n), y).  Face d_0 pushes m along
-u_1, faces 0 < i < n compose u_i u_{i+1}, and d_n pulls y back along u_n;
-degeneracies insert units.  All structure maps have degree 0, so no Koszul
-signs appear beyond the Leibniz rule inside each level.
+(x) L(a_n), with labels ("bar", m, (u_1, ..., u_n), y).  Face d_0 pushes m
+along u_1, faces 0 < i < n compose u_i u_{i+1}, and d_n pulls y back along
+u_n; degeneracies insert units.  All structure maps have degree 0, so no
+Koszul signs appear beyond the Leibniz rule inside each level.
+
+`BarBimoduleComplex` numbers every key of Mr, C and Ml once per bar and
+gives each label the int coordinates c = (m, u_1, ..., u_n, y); each level
+keeps one dict per degree from coordinates to basis position, and every
+structure map is written as a matrix straight from coordinates and per-id
+tables:
+* the level differential from `diff_key` of each key (read once per key),
+  the term at c_t signed by (-1) to the sum of the degrees before it;
+* face d_i from the pair (c_i, c_{i+1}): m.u_1 (`Mr.act_key`), u_i u_{i+1}
+  (`C.compose_keys`) or u_n.y (`Ml.act_key`), one table entry per distinct
+  id pair with its coefficients canonicalized once (`_act`);
+* degeneracy s_i inserts the unit of the object where c_i ends.
 
 The augmentation triangle (`augmentation_maps`) has three maps out of or into
 the realized bar: f multiplies each label out to level 0 of the constant
-simplicial object on Mr (x)_C Ml, pushing m along u_1, ..., u_n (each prefix
-once); q is the identity on level 0 of that realization; p is the tensor
-projection on level 0 and 0 above it.  `two_sided_bar` checks q o f = p, so
-it compares the multiplication in f with the projection read off the labels.
+simplicial object on Mr (x)_C Ml, pushing m along u_1, ..., u_n through the
+same action table (each coordinate prefix once); q is the identity on level
+0 of that realization; p is the tensor projection on level 0 and 0 above
+it, read off the labels.  `two_sided_bar` checks q o f = p, so it compares
+the multiplication in f with the projection read off the labels.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-import itertools
 
 from .complexes import ChainComplex, ChainMap, is_quasi_iso
 from .dgcat import DgCategory, DgFunctor, LeftModule, RightModule, \
@@ -34,101 +45,6 @@ from .linalg import Mat, block_matrix
 from .simplicial import SimplicialComplexObj, realize
 
 
-def _bar_level_basis(Mr: RightModule, C: DgCategory, Ml: LeftModule, n):
-    """Labels (m, (u_1..u_n), y) with matching objects, grouped by degree."""
-    out = {}
-    chains = [(a,) for a in C.objects]
-    for _ in range(n):
-        chains = [ch + (b,) for ch in chains for b in C.objects
-                  if C.hom(ch[-1], b) is not None]
-    for ch in chains:
-        for m in Mr.elem_keys(ch[0]):
-            pools = []
-            ok = True
-            for t in range(n):
-                keys = C.basis_keys(ch[t], ch[t + 1])
-                if not keys:
-                    ok = False
-                    break
-                pools.append(keys)
-            if not ok:
-                continue
-            for us in itertools.product(*pools):
-                for y in Ml.elem_keys(ch[-1]):
-                    deg = m[1] + sum(u[2] for u in us) + y[1]
-                    out.setdefault(deg, []).append(("bar", m, us, y))
-    return out
-
-
-def _bar_level_complex(Mr, C, Ml, n) -> ChainComplex:
-    ring = C.ring
-    basis = _bar_level_basis(Mr, C, Ml, n)
-    cpx = ChainComplex(ring, "Z", basis, {}, validate=False)
-    diff = {}
-    for d in cpx.degrees():
-        pd = cpx.pred(d)
-        m = Mat.zeros(ring, cpx.dim(pd), cpx.dim(d))
-        for j, (_, mk, us, yk) in enumerate(cpx.labels(d)):
-            pre = 0
-            for kk, v in Mr.diff_key(mk).items():
-                tl = ("bar", kk, us, yk)
-                m.add_to(cpx.index(pd, tl), j, v)
-            pre += mk[1]
-            for t, u in enumerate(us):
-                s = -1 if pre % 2 else 1
-                for kk, v in C.diff_key(u).items():
-                    tl = ("bar", mk, us[:t] + (kk,) + us[t + 1:], yk)
-                    m.add_to(cpx.index(pd, tl), j,
-                             ring.mul(ring.from_int(s), v))
-                pre += u[2]
-            s = -1 if pre % 2 else 1
-            for kk, v in Ml.diff_key(yk).items():
-                tl = ("bar", mk, us, kk)
-                m.add_to(cpx.index(pd, tl), j, ring.mul(ring.from_int(s), v))
-        if not m.is_zero():
-            diff[d] = m
-    cpx.diff = diff
-    cpx.validate()
-    return cpx
-
-
-def _bar_face_fn(Mr, C, Ml, n, i):
-    ring = C.ring
-
-    def fn(label):
-        _, mk, us, yk = label
-        out = []
-        if i == 0:
-            hit = Mr.act_key(mk, us[0])
-            for kk, v in hit.items():
-                out.append((("bar", kk, us[1:], yk), v))
-        elif i == n:
-            hit = Ml.act_key(us[-1], yk)
-            for kk, v in hit.items():
-                out.append((("bar", mk, us[:-1], kk), v))
-        else:
-            hit = C.compose_keys(us[i - 1], us[i])
-            for kk, v in hit.items():
-                out.append((("bar", mk, us[:i - 1] + (kk,) + us[i + 1:], yk), v))
-        return out
-
-    return fn
-
-
-def _bar_degen_fn(C, n, i):
-    def fn(label):
-        _, mk, us, yk = label
-        if i == 0:
-            obj = mk[0]
-            new = (C.unit_key(obj),) + us
-        else:
-            obj = us[i - 1][1]
-            new = us[:i] + (C.unit_key(obj),) + us[i:]
-        return [(("bar", mk, new, yk), 1)]
-
-    return fn
-
-
 class BarBimoduleComplex:
     """B(Mr, C, Ml): levels, realization, and the comparison triangle."""
 
@@ -139,22 +55,121 @@ class BarBimoduleComplex:
         self.Mr, self.C, self.Ml = Mr, C, Ml
         self.n_max = n_max
         ring = C.ring
-        levels = {n: _bar_level_complex(Mr, C, Ml, n) for n in range(n_max + 1)}
-        faces = {}
-        degens = {}
-        for n in range(1, n_max + 1):
-            for i in range(0, n + 1):
-                faces[(n, i)] = ChainMap.from_label_fn(
-                    levels[n], levels[n - 1], 0, _bar_face_fn(Mr, C, Ml, n, i))
-        for n in range(0, n_max):
-            for i in range(0, n + 1):
-                degens[(n, i)] = ChainMap.from_label_fn(
-                    levels[n], levels[n + 1], 0, _bar_degen_fn(C, n, i))
+        objs = C.objects
+        mks = [m for a in objs for m in Mr.elem_keys(a)]
+        uks = [u for a in objs for b in objs for u in C.basis_keys(a, b)]
+        yks = [y for a in objs for y in Ml.elem_keys(a)]
+        keys = self._keys = mks + uks + yks
+        nm, ny = self._bounds = len(mks), len(mks) + len(uks)
+        self._ids = ids = ({k: x for x, k in enumerate(mks)},
+                           {k: x for x, k in enumerate(uks, nm)},
+                           {k: x for x, k in enumerate(yks, ny)})
+        acts = self._acts = {}  # (id, id) -> the face table entry, see _act
+        deg = [k[1] for k in mks] + [k[2] for k in uks] + [k[1] for k in yks]
+        dtab = []  # id -> [(id of a term of d key, coeff, -coeff)]
+        for diff, back, ks in ((Mr.diff_key, ids[0], mks),
+                               (C.diff_key, ids[1], uks),
+                               (Ml.diff_key, ids[2], yks)):
+            dtab += [[(back[k2], v, ring.neg(v)) for k2, v in diff(k).items()]
+                     for k in ks]
+        unit = {a: ids[1].get(C.unit_key(a)) for a in objs}
+        end = [unit[k[0]] for k in mks] + [unit[k[1]] for k in uks]
+        pools = {ab: [ids[1][u] for u in C.basis_keys(*ab)] for ab in C.homs}
+        m_at = {a: [ids[0][m] for m in Mr.elem_keys(a)] for a in objs}
+        y_at = {a: [ids[2][y] for y in Ml.elem_keys(a)] for a in objs}
+        # chains of objects, each with its words (u ids, u keys, degree)
+        chains = [((a,), [((), (), 0)]) for a in objs]
+        coords, levels = [], {}
+        for n in range(n_max + 1):
+            if n:
+                chains = [(ch + (b,), [(us + (u,), uk + (keys[u],), du + deg[u])
+                                       for us, uk, du in words
+                                       for u in pools[(ch[-1], b)]])
+                          for ch, words in chains for b in objs
+                          if (ch[-1], b) in pools]
+            basis, cs = {}, {}
+            for ch, words in chains:
+                for m in m_at[ch[0]]:
+                    for us, uk, du in words:
+                        for y in y_at[ch[-1]]:
+                            d = deg[m] + du + deg[y]
+                            basis.setdefault(d, []).append(
+                                ("bar", keys[m], uk, keys[y]))
+                            cs.setdefault(d, []).append((m,) + us + (y,))
+            coords.append(cs)
+            levels[n] = ChainComplex(ring, "Z", basis, {}, validate=False)
+        self._coords = coords
+        pos = [{d: {c: j for j, c in enumerate(col)} for d, col in cs.items()}
+               for cs in coords]
+
+        def mats(n, tn, shift, entries):
+            """{degree: matrix} from level n to level tn; entries(col, rows)
+            gives {(row, j): coefficient} for the coordinates col."""
+            out = {}
+            for d, col in coords[n].items():
+                ent = entries(col, pos[tn].get(d + shift, {}))
+                if ent:
+                    out[d] = Mat(ring, levels[tn].dim(d + shift), len(col))
+                    out[d].d = ent
+            return out
+
+        def level_diff(col, rows):
+            ent = {}
+            for j, c in enumerate(col):
+                pre = 0
+                for t, x in enumerate(c):
+                    for x2, v, nv in dtab[x]:
+                        ent[(rows[c[:t] + (x2,) + c[t + 1:]], j)] = \
+                            nv if pre % 2 else v
+                    pre += deg[x]
+            return ent
+
+        def face(i):  # reads the pair (c[i], c[i + 1]) and replaces it
+            def entries(col, rows):
+                ent = {}
+                for j, c in enumerate(col):
+                    for w, v in acts.get(c[i:i + 2]) or self._act(*c[i:i + 2]):
+                        ent[(rows[c[:i] + (w,) + c[i + 2:]], j)] = v
+                return ent
+            return entries
+
+        def degen(i):  # inserts the unit at the end object of c[i]
+            return lambda col, rows: {
+                (rows[c[:i + 1] + (end[c[i]],) + c[i + 1:]], j): ring.one
+                for j, c in enumerate(col)}
+
+        if any(dtab):  # else every level differential is 0
+            for n in range(n_max + 1):
+                levels[n].diff = mats(n, n, -1, level_diff)
+                levels[n].validate()
+        faces = {(n, i): ChainMap(levels[n], levels[n - 1], 0,
+                                  mats(n, n - 1, 0, face(i)))
+                 for n in range(1, n_max + 1) for i in range(n + 1)}
+        degens = {(n, i): ChainMap(levels[n], levels[n + 1], 0,
+                                   mats(n, n + 1, 0, degen(i)))
+                  for n in range(n_max) for i in range(n + 1)}
         self.simplicial = SimplicialComplexObj(n_max, levels, faces, degens,
                                                validate=check)
         self.realized = realize(self.simplicial)
         self.complex = self.realized.complex
         self._augmentation = None
+
+    def _act(self, a, b):
+        """m.u, u then v, or u.y for the ids (a, b), as [(id, coefficient)]
+        with canonical nonzero coefficients; read once per pair."""
+        got = self._acts.get((a, b))
+        if got is None:
+            ring, keys, (nm, ny) = self.C.ring, self._keys, self._bounds
+            if a < nm:
+                hit, back = self.Mr.act_key(keys[a], keys[b]), self._ids[0]
+            elif b >= ny:
+                hit, back = self.Ml.act_key(keys[a], keys[b]), self._ids[2]
+            else:
+                hit, back = self.C.compose_keys(keys[a], keys[b]), self._ids[1]
+            hit = [(back[k], ring.canon(v)) for k, v in hit.items()]
+            got = self._acts[(a, b)] = [kv for kv in hit
+                                        if not ring.is_zero(kv[1])]
+        return got
 
     # -- the augmentation triangle -----------------------------------------
 
@@ -198,32 +213,38 @@ class BarBimoduleComplex:
         tensor, proj = self.tensor_quotient()
         ring = self.C.ring
         const = realize(constant_simplicial(tensor, self.n_max))
-        images = {}  # degree -> proj's image of every label, read once
-        pushed = {}  # (m, (u_1..u_k)) -> m pushed along u_1, ..., u_k
+        # f from coordinates: (m, y) -> proj's column, and each prefix
+        # (m, u_1, ..., u_k) -> m pushed along u_1, ..., u_k, built once
+        cols0 = {}
+        for d0, cs in self._coords[0].items():
+            cols = proj.mat(d0).columns()
+            cols0.update((c, cols.get(j, {})) for j, c in enumerate(cs))
+        pushed = {(m,): {m: ring.one} for m in range(self._bounds[0])}
 
-        def image(lab):
-            d0 = lab[1][1] + lab[3][1]
-            if d0 not in images:
-                images[d0] = proj.label_images(d0)
-            return images[d0][lab]
-
-        def push(mk, us):
-            cur = pushed.get((mk, us))
+        def push(prefix):
+            cur = pushed.get(prefix)
             if cur is None:
-                cur = {mk: ring.one} if not us else \
-                    _push(self.Mr, ring, push(mk, us[:-1]), us[-1])
-                pushed[(mk, us)] = cur
+                cur = pushed[prefix] = {}
+                for mk, v in push(prefix[:-1]).items():
+                    for kk, c in self._act(mk, prefix[-1]):
+                        add_into(ring, cur, kk, ring.mul(v, c))
             return cur
 
-        def f_fn(d, label):
-            _, n, (_, mk, us, yk) = label
-            out = {}
-            for kk, v in push(mk, us).items():
-                for tl, c in image(("bar", kk, (), yk)).items():
-                    add_into(ring, out, tl, ring.mul(v, c))
-            return [(("lv", n, tl), v) for tl, v in out.items()]
-
-        f = ChainMap.from_label_fn2(self.complex, const.complex, 0, f_fn)
+        mats = {}
+        for deg in self.complex.degrees():
+            ent, col, row = {}, 0, 0
+            for n, cs in enumerate(self._coords):
+                for j, c in enumerate(cs.get(deg - n, ()), col):
+                    out = {}
+                    for mk, v in push(c[:-1]).items():
+                        for r, w in cols0[(mk, c[-1])].items():
+                            add_into(ring, out, row + r, ring.mul(v, w))
+                    ent.update(((r, j), v) for r, v in out.items())
+                col += len(cs.get(deg - n, ()))
+                row += tensor.dim(deg - n)
+            mats[deg] = Mat(ring, const.complex.dim(deg), col)
+            mats[deg].d = ent
+        f = ChainMap(self.complex, const.complex, 0, mats)
 
         def q_fn(d, label):
             _, n, tl = label
@@ -231,20 +252,18 @@ class BarBimoduleComplex:
 
         q = ChainMap.from_label_fn2(const.complex, tensor, 0, q_fn)
 
+        images = {}  # degree -> proj's image of every level-0 label
+
         def p_fn(d, label):
             _, n, lab = label
-            return list(image(lab).items()) if n == 0 else None
+            if n:
+                return None
+            if d not in images:
+                images[d] = proj.label_images(d)
+            return list(images[d][lab].items())
 
         p = ChainMap.from_label_fn2(self.complex, tensor, 0, p_fn)
         return p, f, q, tensor, const
-
-
-def _push(Mr, ring, cur, u):
-    out = {}
-    for mk, v in cur.items():
-        for kk, c in Mr.act_key(mk, u).items():
-            add_into(ring, out, kk, ring.mul(v, c))
-    return out
 
 
 def _free_quotient(cpx: ChainComplex, relations):
@@ -632,10 +651,6 @@ def telescope_vs_hocolim(complexes, maps, n_max) -> TelescopeReport:
     hi = bar.realized.reliable_degrees[-1]
     verdict = is_quasi_iso(comparison, range(lo, hi + 1))
     return TelescopeReport(tel, bar, comparison, verdict)
-
-
-def _deg(c, l, _):
-    return c.degree_of(l)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ as {index: value} dicts.  No floats anywhere.  Which kernel serves what:
   elimination over plain ints, no back-reduction;
 * `field_kernel`, `field_solve`, `field_solve_mat` -- fully reduced row
   echelon form (`_field_rref`) through the ring operations;
-* the integer routines -- one Smith diagonalization (`_ZWorker`) with
-  magnitude-minimizing pivots, differing in the transforms they track:
+* the integer routines -- one Smith diagonalization (`_ZWorker`) whose
+  pivot is the first +-1 entry of the trailing block, or without one the
+  smallest-magnitude entry with the fewest fill, differing in the
+  transforms they track:
   `snf_diagonal` (the invariant factors d1 | d2 | ...) and `z_rank` track
   none, and `z_solve`, `z_solve_mat` run one factorization tracking U and V
   and one back-substitution per right-hand side.  Integer homology
@@ -735,9 +737,7 @@ class _ZWorker:
             self.rows[i2] = r1
             for j in r1:
                 self.colocc.setdefault(j, set()).add(i2)
-        for j, occ in list(self.colocc.items()):
-            if not occ:
-                del self.colocc[j]
+        # every column of r1 or r2 got i2 or i1 back, so none is left empty
         if self.U is not None:
             self.U[i1], self.U[i2] = self.U.get(i2, {}), self.U.get(i1, {})
 
@@ -891,18 +891,21 @@ class _ZWorker:
         return diag
 
     def _pick_pivot(self, k):
-        """Smallest-magnitude entry in the trailing block, fewest-fill tie-break."""
+        """The first +-1 entry of the trailing block; without one, the
+        smallest-magnitude entry with the fewest fill as tie-break."""
         best = None
         best_key = None
+        rows = self.rows
         for j, occ in self.colocc.items():
             if j < k:
                 continue
             for i in occ:
                 if i < k:
                     continue
-                v = abs(self.rows[i][j])
-                fill = len(self.rows[i]) + len(self.colocc[j])
-                key = (v, fill, i, j)
+                v = abs(rows[i][j])
+                if v == 1:
+                    return i, j
+                key = (v, len(rows[i]) + len(occ), i, j)
                 if best_key is None or key < best_key:
                     best_key = key
                     best = (i, j)

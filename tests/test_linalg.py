@@ -64,6 +64,73 @@ def test_snf_against_sympy_random():
         assert ours == sorted(theirs)
 
 
+def _sympy_invariants(a: Mat):
+    if not a.nrows or not a.ncols:
+        return []
+    sm = smith_normal_form(_sympy_of(a))
+    return sorted(abs(sm[i, i]) for i in range(min(a.nrows, a.ncols))
+                  if sm[i, i] != 0)
+
+
+def test_snf_and_rank_against_sympy_on_sparse_small_entries():
+    # entries in -3..3 with zero rows and columns, and every fourth matrix
+    # without a +-1 entry, so pivots come from both rules of _pick_pivot
+    rng = random.Random(31)
+    shapes = [(0, 4), (4, 0), (0, 0)] + \
+        [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(60)]
+    no_unit = 0
+    for t, (m, n) in enumerate(shapes):
+        values = (-3, -2, 2, 3) if t % 4 == 0 else (-3, -2, -1, 1, 2, 3)
+        a = Mat.zeros(Z, m, n)
+        dead_row = rng.randrange(m) if m and rng.random() < 0.5 else None
+        dead_col = rng.randrange(n) if n and rng.random() < 0.5 else None
+        for i in range(m):
+            for j in range(n):
+                if i != dead_row and j != dead_col and rng.random() < 0.35:
+                    a.set(i, j, rng.choice(values))
+        no_unit += bool(a.d) and all(abs(v) != 1 for v in a.d.values())
+        want = _sympy_invariants(a)
+        assert snf_diagonal(a) == want, a.to_rows()
+        assert z_rank(a) == len(want)
+    assert no_unit >= 10
+
+
+def _shuffled(rng, a: Mat) -> Mat:
+    rows, cols = list(range(a.nrows)), list(range(a.ncols))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    out = Mat.zeros(Z, a.nrows, a.ncols)
+    out.d = {(rows[i], cols[j]): v for (i, j), v in a.d.items()}
+    return out
+
+
+def test_snf_on_group_bar_differentials_against_sympy():
+    from opbar.barcat import group_bar_complex
+    from opbar.symgrp import Perm
+    rng = random.Random(5)
+    for gens, n_max in (([Perm((2, 3, 1))], 4),
+                        ([Perm((2, 1, 3)), Perm((2, 3, 1))], 3)):
+        bar = group_bar_complex(Z, 3, gens, n_max)
+        assert bar.complex.diff
+        for m in bar.complex.diff.values():
+            want = _sympy_invariants(m)
+            for a in (m, _shuffled(rng, m)):
+                assert snf_diagonal(a) == want
+                assert z_rank(a) == len(want)
+
+
+def test_z_solve_mat_solves_after_the_unit_pivots():
+    rng = random.Random(43)
+    for _ in range(20):
+        m, n, k = rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 3)
+        a = _random_int_mat(rng, m, n, density=0.35, lo=-3, hi=3)
+        x = _random_int_mat(rng, n, k, density=0.5, lo=-3, hi=3)
+        rhs = a.mul(x)
+        got = z_solve_mat(a, rhs)
+        assert got is not None
+        assert a.mul(got) == rhs
+
+
 def test_z_solve_exact():
     rng = random.Random(13)
     for _ in range(20):
