@@ -83,10 +83,6 @@ class TruncationTooSmall(EngineError):
     pass
 
 
-class UnorderedSequence(EngineError):
-    pass
-
-
 class ModuleMismatch(EngineError):
     pass
 

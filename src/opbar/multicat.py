@@ -17,16 +17,26 @@ Conventions (enforced exhaustively by the validator):
   Koszul sign (-1)^{|f||g|}; the second slot shifts by arity(f) - 1.
 * act(sigma, f) moves M(xs; y) to M(xs o sigma; y) and is a right action:
   act(tau, act(sigma, f)) = act(sigma o tau, f).
+
+The validator numbers the keys once and reads each composite that fits
+arity_max, transposition and differential once, as ((id, int), ...) in the
+int form of `linalg._int_form` (residues over F_p, one denominator over Q);
+each check compares two sides built in int arithmetic.  Its oracle, the same
+checks in Ring arithmetic over all keys, is `_validate_unpruned` in
+tests/test_multicat_validate.py.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+from collections import defaultdict
 
 from .complexes import ChainComplex, ChainMap
 from .dgcat import DgCategory
-from .errors import EngineError
-from .lincomb import add_into, bilinear, combine, eq as lc_eq, linear, scaled_int
+from .errors import EngineError, UnsupportedRing
+from .lincomb import add_into, bilinear, eq as lc_eq, linear, scaled_int
 from .symgrp import GroupRingModule, Perm, block_perm, enumerate_group, \
     is_free_module, koszul_sign
 
@@ -191,29 +201,18 @@ class MultiCat:
             acc = linear(self.ring, lambda k, t=i: self.act_transposition(t, k), acc)
         return acc
 
-    def is_signed_perm_symmetry(self) -> bool:
-        for f in self.all_keys():
-            for i in range(1, self.arity(f)):
-                hit = self.act_transposition(i, f)
-                if len(hit) != 1:
-                    return False
-                ((_, c),) = hit.items()
-                if not (self.ring.eq(c, self.ring.one)
-                        or self.ring.eq(c, self.ring.from_int(-1))):
-                    return False
-        return True
-
     # -- validation ------------------------------------------------------------
 
     def validate(self):
         """Exhaustive check; returns None, or a witness naming the failure.
 
-        A check whose composite has arity above arity_max is skipped: zero
-        truncation makes both of its sides {}.  The kept checks run in the
-        order of the full loops, so the first failure found is the same.
+        Tables (see the module docstring): outer[(i, g)][f] = inner[(f, i)][g]
+        is f into slot i of g; sym[t][f] and dif[f] are t and d on f.  A side
+        with fewer table factors is scaled by den; act(sigma, .) walks
+        perm_word(sigma) over sym.  A check whose composite has arity above
+        arity_max is skipped: zero truncation makes both of its sides {}.  The
+        checks run in the oracle's order, so the first failure is the same.
         """
-        ring = self.ring
-        keys = self.all_keys()
         for x in self.objects:
             uk = self.unit_key(x)
             c = self.complex((x,), x)
@@ -221,157 +220,163 @@ class MultiCat:
                 return {"axiom": "unit-missing", "object": x}
             if self.diff_key(uk):
                 return {"axiom": "unit-not-closed", "object": x}
-        for g in keys:
-            for i in range(1, self.arity(g) + 1):
-                u = self.unit_key(g[0][i - 1])
-                if not lc_eq(ring, self.compose_keys(u, i, g), {g: ring.one}):
-                    return {"axiom": "eqMultComp3", "side": "unit-into", "g": g,
-                            "i": i}
-            u = self.unit_key(g[1])
-            if not lc_eq(ring, self.compose_keys(g, 1, u), {g: ring.one}):
-                return {"axiom": "eqMultComp3", "side": "into-unit", "g": g}
-        fits = self._keys_fitting(keys)
-        for f in keys:
-            for g in fits(self.arity_max + 1 - self.arity(f)):
-                for i in self._slots(f, g):
-                    lhs = self._diff_lc(self.compose_keys(f, i, g))
-                    rhs = combine(
-                        ring,
-                        self.compose(self.diff_key(f), i, {g: ring.one}),
-                        scaled_int(ring,
-                                   self.compose({f: ring.one}, i,
-                                                self.diff_key(g)),
-                                   -1 if self.key_degree(f) % 2 else 1),
-                    )
-                    if not lc_eq(ring, lhs, rhs):
-                        return {"axiom": "leibniz", "f": f, "g": g, "i": i}
-        w = self._validate_assoc(keys, fits)
-        if w is not None:
-            return w
-        return self._validate_equivariance(keys, fits)
+        if self.ring.is_novikov:
+            raise UnsupportedRing("validate needs Z, Q or F_p coefficients")
+        top, keys = self.arity_max, self.all_keys()
+        ids = {k: n for n, k in enumerate(keys)}
+        ar = [len(k[0]) for k in keys]
+        upto = [[f for f in ids.values() if ar[f] <= b] for b in range(top + 1)]
+
+        def fits(b):  # the ids of arity <= b
+            return upto[min(b, top)] if b >= 0 else []
+
+        slots = [{} for _ in keys]  # g -> {y: the slots of g taking y}
+        for g, k in enumerate(keys):
+            for i, x in enumerate(k[0], 1):
+                slots[g].setdefault(x, []).append(i)
+        comp = [(f, i, g, self.compose_keys(keys[f], i, keys[g]))
+                for g in ids.values() for f in fits(top + 1 - ar[g])
+                for i in slots[g].get(keys[f][1], ())]
+        sym_raw = [(t, f, self.act_transposition(t, k))
+                   for f, k in enumerate(keys) for t in range(1, ar[f])]
+        dif = [self.diff_key(k) for k in keys]
+        den = math.lcm(*{v.denominator for lc in dif + [e[-1] for e in comp]
+                         + [e[-1] for e in sym_raw] for v in lc.values()})
+
+        def ints(lc):
+            return tuple((ids[k], v.numerator * (den // v.denominator))
+                         for k, v in lc.items() if v)
+
+        outer, inner, sym = defaultdict(dict), defaultdict(dict), defaultdict(dict)
+        for f, i, g, lc in comp:
+            outer[(i, g)][f] = inner[(f, i)][g] = ints(lc)
+        for t, f, lc in sym_raw:
+            sym[t][f] = ints(lc)
+        dif = {f: ints(lc) for f, lc in enumerate(dif)}
+        p = self.ring.p
+
+        def into(acc, terms, row, s=1):
+            """acc plus s times the sum of c * row[k] over the terms (k, c)."""
+            get = acc.get
+            for k, c in terms:
+                c *= s
+                for k2, c2 in row.get(k, ()):
+                    acc[k2] = get(k2, 0) + c * c2
+            return acc
+
+        def walk(word, acc):  # the transpositions of word, in list order
+            for t in word:
+                acc = into({}, acc.items(), sym[t])
+            return acc
+
+        def same(a, b, na=2, nb=2):  # a, b: sums of products of na, nb entries
+            if na == nb and a == b:
+                return True
+            if na < nb:
+                a = {k: v * den ** (nb - na) for k, v in a.items()}
+            elif na > nb:
+                b = {k: v * den ** (na - nb) for k, v in b.items()}
+            if p:
+                return {k: v % p for k, v in a.items() if v % p} \
+                    == {k: v % p for k, v in b.items() if v % p}
+            return {k: v for k, v in a.items() if v} \
+                == {k: v for k, v in b.items() if v}
+
+        unit = {x: ids[self.unit_key(x)] for x in self.objects}
+        for g, key in enumerate(keys):
+            for i, x in enumerate(key[0], 1):
+                if not same(dict(outer[(i, g)][unit[x]]), {g: 1}, 1, 0):
+                    return {"axiom": "eqMultComp3", "side": "unit-into",
+                            "g": key, "i": i}
+            if not same(dict(outer[(1, unit[key[1]])][g]), {g: 1}, 1, 0):
+                return {"axiom": "eqMultComp3", "side": "into-unit", "g": key}
+        for f, key in enumerate(keys):
+            s = -1 if key[2] % 2 else 1
+            for g in fits(top + 1 - ar[f]):
+                for i in slots[g].get(key[1], ()):
+                    row = outer[(i, g)]
+                    rhs = into(into({}, dif[f], row), dif[g], inner[(f, i)], s)
+                    if not same(into({}, row[f], dif), rhs):
+                        return {"axiom": "leibniz", "f": key, "g": keys[g],
+                                "i": i}
+        for h, hk in enumerate(keys):
+            for g, gk in enumerate(keys):
+                # f, g and h compose to arity a_f + a_g + a_h - 2
+                fs = fits(top + 2 - ar[g] - ar[h])
+                for j in slots[h].get(gk[1], ()) if fs else ():
+                    row = outer[(j, h)]
+                    gh = row[g]
+                    for f in fs:
+                        fk = keys[f]
+                        for i in slots[g].get(fk[1], ()):
+                            if not same(into({}, outer[(i, g)][f], row),
+                                        into({}, gh, inner[(f, i + j - 1)])):
+                                return {"axiom": "eqMultComp1", "f": fk,
+                                        "g": gk, "h": hk, "i": i, "j": j}
+                        for i1 in slots[h].get(fk[1], ()):
+                            if i1 < j and not same(
+                                    into({}, gh, inner[(f, i1)]),
+                                    into({}, outer[(i1, h)].get(f, ()),
+                                         inner[(g, j + ar[f] - 1)],
+                                         -1 if fk[2] % 2 and gk[2] % 2 else 1)):
+                                return {"axiom": "eqMultComp2", "f": fk,
+                                        "g": gk, "h": hk, "i1": i1, "i2": j}
+        for f, key in enumerate(keys):
+            n = ar[f]
+            for i in range(1, n):
+                tf = sym[i][f]
+                if not same(into({}, tf, dif), into({}, dif[f], sym[i])):
+                    return {"axiom": "sym-chain-map", "f": key, "i": i}
+                if not same(into({}, tf, sym[i]), {f: 1}, 2, 0):
+                    return {"axiom": "sym-involution", "f": key, "i": i}
+            for i in range(1, n - 1):
+                if not same(walk((i, i + 1, i), {f: 1}),
+                            walk((i + 1, i, i + 1), {f: 1}), 3, 3):
+                    return {"axiom": "sym-braid", "f": key, "i": i}
+            for i in range(1, n):
+                for j in range(i + 2, n):
+                    if not same(walk((i, j), {f: 1}), walk((j, i), {f: 1})):
+                        return {"axiom": "sym-commute", "f": key, "i": i,
+                                "j": j}
+        for f, key in enumerate(keys):
+            for g in fits(top + 1 - ar[f]):
+                for i in slots[g].get(key[1], ()):
+                    row = outer[(i, g)]
+                    for t in range(1, ar[f]):
+                        # t inside the block of f is i + t - 1 on the composite
+                        if not same(into({}, sym[t][f], row),
+                                    into({}, row[f], sym[i + t - 1])):
+                            return {"axiom": "eqSymAc2", "f": key,
+                                    "g": keys[g], "i": i, "t": t}
+        for g, ng in enumerate(ar):
+            for t in range(1, ng):
+                for f in fits(top + 1 - ng):
+                    for i in slots[g].get(keys[f][1], ()):
+                        ip = t + 1 if i == t else t if i == t + 1 else i
+                        word = _block_word(ng, t, i, ar[f])
+                        if not same(into({}, sym[t][g], inner[(f, ip)]),
+                                    walk(word, dict(outer[(i, g)][f])),
+                                    2, 1 + len(word)):
+                            return {"axiom": "eqSymAc1", "f": keys[f],
+                                    "g": keys[g], "i": i, "t": t}
+        return None
 
     def _slots(self, f, g):
         return [i for i in range(1, self.arity(g) + 1) if g[0][i - 1] == f[1]]
-
-    def _keys_fitting(self, keys):
-        """fits(b): the keys of arity <= b, in the order of keys."""
-        top = self.arity_max
-        upto = [[k for k in keys if self.arity(k) <= b] for b in range(top + 1)]
-        return lambda b: upto[min(b, top)] if b >= 0 else []
-
-    def _diff_lc(self, lc: dict) -> dict:
-        return linear(self.ring, self.diff_key, lc)
-
-    def _validate_assoc(self, keys, fits):
-        ring = self.ring
-        for h in keys:
-            for g in keys:
-                # f, g and h compose to arity a_f + a_g + a_h - 2
-                fs = fits(self.arity_max + 2 - self.arity(g) - self.arity(h))
-                if not fs:
-                    continue
-                for j in self._slots(g, h):
-                    inner = self.compose_keys(g, j, h)
-                    for f in fs:
-                        for i in self._slots(f, g):
-                            lhs = self.compose(self.compose_keys(f, i, g), j,
-                                               {h: ring.one})
-                            rhs = self.compose({f: ring.one}, i + j - 1, inner)
-                            if not lc_eq(ring, lhs, rhs):
-                                return {"axiom": "eqMultComp1", "f": f, "g": g,
-                                        "h": h, "i": i, "j": j}
-                        for i1 in self._slots(f, h):
-                            if i1 >= j:
-                                continue
-                            lhs = self.compose({f: ring.one}, i1, inner)
-                            other = self.compose_keys(f, i1, h)
-                            rhs = self.compose({g: ring.one},
-                                               j + self.arity(f) - 1, other)
-                            sign = -1 if (self.key_degree(f) % 2
-                                          and self.key_degree(g) % 2) else 1
-                            rhs = scaled_int(ring, rhs, sign)
-                            if not lc_eq(ring, lhs, rhs):
-                                return {"axiom": "eqMultComp2", "f": f, "g": g,
-                                        "h": h, "i1": i1, "i2": j}
-        return None
-
-    def _validate_equivariance(self, keys, fits):
-        ring = self.ring
-        for f in keys:
-            n = self.arity(f)
-            for i in range(1, n):
-                tf = self.act_transposition(i, f)
-                lhs = self._diff_lc(tf)
-                rhs = linear(ring, lambda k, t=i: self.act_transposition(t, k),
-                             self.diff_key(f))
-                if not lc_eq(ring, lhs, rhs):
-                    return {"axiom": "sym-chain-map", "f": f, "i": i}
-                back = linear(ring, lambda k, t=i: self.act_transposition(t, k), tf)
-                if not lc_eq(ring, back, {f: ring.one}):
-                    return {"axiom": "sym-involution", "f": f, "i": i}
-            for i in range(1, n - 1):
-                a = Perm.transposition(n, i, i + 1)
-                b = Perm.transposition(n, i + 1, i + 2)
-                lhs = self.act(a.compose(b).compose(a), f)
-                rhs = self.act(b.compose(a).compose(b), f)
-                if not lc_eq(ring, lhs, rhs):
-                    return {"axiom": "sym-braid", "f": f, "i": i}
-            for i in range(1, n):
-                for j in range(i + 2, n):
-                    a = Perm.transposition(n, i, i + 1)
-                    b = Perm.transposition(n, j, j + 1)
-                    if not lc_eq(ring, self.act(a.compose(b), f),
-                                 self.act(b.compose(a), f)):
-                        return {"axiom": "sym-commute", "f": f, "i": i, "j": j}
-        for f in keys:
-            nf = self.arity(f)
-            for g in fits(self.arity_max + 1 - nf):
-                for i in self._slots(f, g):
-                    base = self.compose_keys(f, i, g)
-                    for t in range(1, nf):
-                        sigma = Perm.transposition(nf, t, t + 1)
-                        lhs = self.compose(self.act(sigma, f), i, {g: ring.one})
-                        zeta = _embed_at(sigma, i, self.arity(g))
-                        rhs = self.act(zeta, base)
-                        if not lc_eq(ring, lhs, rhs):
-                            return {"axiom": "eqSymAc2", "f": f, "g": g,
-                                    "i": i, "t": t}
-        for g in keys:
-            ng = self.arity(g)
-            fs = fits(self.arity_max + 1 - ng)
-            for t in range(1, ng):
-                sigma = Perm.transposition(ng, t, t + 1)
-                ag = self.act(sigma, g)
-                for f in fs:
-                    for i in self._slots(f, g):
-                        base = self.compose_keys(f, i, g)
-                        ip = sigma.inverse()(i)
-                        lhs = self.compose({f: ring.one}, ip, ag)
-                        sizes = [1] * ng
-                        sizes[i - 1] = self.arity(f)
-                        eta = block_perm(sizes, sigma).inverse()
-                        rhs = self.act(eta, base)
-                        if not lc_eq(ring, lhs, rhs):
-                            return {"axiom": "eqSymAc1", "f": f, "g": g,
-                                    "i": i, "t": t}
-        return None
 
     def __repr__(self):
         return f"MultiCat({self.name}, {len(self.objects)} objects, " \
                f"arity<={self.arity_max})"
 
 
-def _embed_at(sigma: Perm, i, outer_arity):
-    """zeta_i: sigma acting on the length-|sigma| block starting at slot i."""
-    k = sigma.n
-    n = outer_arity + k - 1
-    img = []
-    for t in range(1, n + 1):
-        if i <= t <= i + k - 1:
-            img.append(i - 1 + sigma(t - i + 1))
-        else:
-            img.append(t)
-    return Perm(img)
+@functools.lru_cache(maxsize=None)
+def _block_word(ng, t, i, nf):
+    """perm_word of eta: the block of f (arity nf) in slot i of g (arity ng)
+    moved back across the transposition t of g."""
+    sizes = [1] * ng
+    sizes[i - 1] = nf
+    return tuple(perm_word(block_perm(
+        sizes, Perm.transposition(ng, t, t + 1)).inverse()))
 
 
 def validate_multicategory(M: MultiCat):
@@ -780,10 +785,6 @@ class PropData:
         return [Perm(p) for p in itertools.permutations(range(1, n + 1))
                 if tuple(seq[i - 1] for i in p) == tuple(seq)]
 
-    def perm_morphism_key(self, seq, perm: Perm):
-        label = ("p", perm.images, tuple(self.M.unit_key(x)[3] for x in seq))
-        return (tuple(seq), tuple(seq), 0, label)
-
 
 def prop_of(M: MultiCat, seq_len_max: int) -> PropData:
     """May's PROP category on nondecreasing object sequences.
@@ -914,7 +915,6 @@ def _prop_compose(ring, M, C, ukey, vkey):
 
 def _identity_flag(M, cat, a) -> bool:
     """Does P(a, a) equal the group ring of Aut(a) on permutation morphisms?"""
-    ring = M.ring
     n = len(a)
     auts = [Perm(p) for p in itertools.permutations(range(1, n + 1))
             if tuple(a[i - 1] for i in p) == tuple(a)]

@@ -650,6 +650,31 @@ def test_non_associative_composition_fails_the_identity_check():
         two_sided_bar(Mr, C, Ml, 3)
 
 
+def test_face_tables_drop_explicit_zero_coefficients():
+    # Z[Z/3] whose composition also lists every other group element with an
+    # explicit 0: the faces must be the same matrices as without those terms,
+    # with no stored zero entry
+    clean = group_ring_category(Z, 3, [Perm((2, 3, 1))])
+    keys = clean.all_keys()
+
+    def compose_fn(C, ukey, vkey):
+        out = dict.fromkeys(keys, 0)
+        out.update(clean._compose_fn(C, ukey, vkey))
+        return out
+
+    padded = DgCategory(Z, clean.objects, clean.homs, compose_fn, clean.units,
+                        name="Z/3 with zeros")
+    assert 0 in padded.compose_keys(keys[0], keys[1]).values()
+    want, got = (BarBimoduleComplex(trivial_right_module(C), C,
+                                    trivial_left_module(C), 3).simplicial
+                 for C in (clean, padded))
+    assert got.faces.keys() == want.faces.keys()
+    for at, face in got.faces.items():
+        for d in face.source.degrees():
+            assert 0 not in face.mat(d).d.values(), at
+            assert face.mat(d).d == want.faces[at].mat(d).d, at
+
+
 # -- the augmentation triangle ----------------------------------------------
 
 
