@@ -27,7 +27,7 @@ import itertools
 from .complexes import ChainComplex, ChainMap
 from .errors import ArityOverflow, EngineError, NonPermutationAction
 from .lincomb import add_into, eq as lc_eq, linear
-from .linalg import Mat, block_matrix
+from .linalg import block_matrix
 from .multicat import MultiAlgebra, MultiCat, MultiFunctor
 from .simplicial import RealizedComplex, SimplicialComplexObj, realize, shuffles
 from .symgrp import GroupRingModule, Perm, koszul_sign, tensor_over_group_ring
@@ -252,24 +252,16 @@ class WordCalculus:
                             out.append(l)
         return out
 
-    def level_complex(self, n) -> ChainComplex:
-        ring = self.ring
+    def complex_on(self, labels) -> ChainComplex:
+        """The complex on the given labels, graded by `deg`, with d from
+        `diff_label`."""
         basis = {}
-        for l in self.level_basis(n):
+        for l in labels:
             basis.setdefault(self.deg(l), []).append(l)
-        cpx = ChainComplex(ring, "Z", basis, {}, validate=False)
-        diff = {}
-        for d in cpx.degrees():
-            pd = cpx.pred(d)
-            m = Mat.zeros(ring, cpx.dim(pd), cpx.dim(d))
-            for j, l in enumerate(cpx.labels(d)):
-                for l2, v in self.diff_label(l).items():
-                    m.add_to(cpx.index(pd, l2), j, v)
-            if not m.is_zero():
-                diff[d] = m
-        cpx.diff = diff
-        cpx.validate()
-        return cpx
+        return ChainComplex.from_labels(self.ring, basis, self.diff_label)
+
+    def level_complex(self, n) -> ChainComplex:
+        return self.complex_on(self.level_basis(n))
 
     # -- faces and degeneracies --------------------------------------------------
 
@@ -417,16 +409,16 @@ def free_algebra(M: MultiCat, carriers: dict, arity_max=None,
     The canonical isomorphism with the ordered form is verified on the nose:
     both composites are identity matrices.
 
-    Over Z the coinvariants follow the engine-wide free-quotient convention:
-    an orbit whose stabilizer acts on it by a sign is killed, so torsion
-    coinvariants are dropped.  On `as_operad(Z, 3)` with the carrier y in
-    degree 0 and x in degree 1 (d x = y), x (x) x, whose S_2-coinvariants
-    are Z/2, is missing and the dims are {0: 3, 1: 3}.  The result is exact
-    only where those orbits are free (ROADMAP items 0 and 3).
+    Over Z the coinvariants follow the engine-wide free-quotient convention
+    of `quotient`: an orbit whose stabilizer acts on it by a sign is killed,
+    so torsion coinvariants are dropped.  On `as_operad(Z, 3)` with the
+    carrier y in degree 0 and x in degree 1 (d x = y), x (x) x, whose
+    S_2-coinvariants are Z/2, is missing and the dims are {0: 3, 1: 3}.
+    The result is exact only where those orbits are free (ROADMAP items 0
+    and 3).
     """
     if arity_max is not None and arity_max != M.arity_max:
         raise ArityOverflow("free algebra truncation must match the bound")
-    ring = M.ring
     dummy_pi = pi or _dummy_pi(M)
     A = MultiAlgebra(M, carriers, lambda alg, f, args: {}, name="carrier")
     calc = WordCalculus(dummy_pi, A)
@@ -436,33 +428,10 @@ def free_algebra(M: MultiCat, carriers: dict, arity_max=None,
     ordered = {}
     iso = {}
     for y in M.objects:
-        basis = {}
-        for l in words[y]:
-            basis.setdefault(calc.deg(l), []).append(l)
-        cpx = ChainComplex(ring, "Z", basis, {}, validate=False)
-        diff = {}
-        for d in cpx.degrees():
-            pd = cpx.pred(d)
-            m = Mat.zeros(ring, cpx.dim(pd), cpx.dim(d))
-            for j, l in enumerate(cpx.labels(d)):
-                for l2, v in calc.diff_label(l).items():
-                    m.add_to(cpx.index(pd, l2), j, v)
-            if not m.is_zero():
-                diff[d] = m
-        cpx.diff = diff
-        cpx.validate()
-        complexes[y] = cpx
-
-        def inc_fn(dl, l, y=y, cpx=cpx):
-            _d, _l = dl, l
-            hit = calc.make_word(M.unit_key(y), (("lf", y, _d, _l),))
-            return [(k, v) for k, v in hit.items()]
-
-        c = carriers[y]
+        cpx = complexes[y] = calc.complex_on(words[y])
         inclusions[y] = ChainMap.from_label_fn2(
-            c, cpx, 0, lambda d, l, y=y: [
-                (k, v) for k, v in
-                calc.make_word(M.unit_key(y), (("lf", y, d, l),)).items()])
+            carriers[y], cpx, 0, lambda d, l, y=y: list(
+                calc.make_word(M.unit_key(y), (("lf", y, d, l),)).items()))
         ocpx, fwd, bwd = _ordered_form(M, calc, carriers, y, cpx)
         ordered[y] = ocpx
         iso[y] = (fwd, bwd)
@@ -512,27 +481,22 @@ def _ordered_form(M, calc, carriers, y, cpx):
                 [_act_leaf_map(ring, leafc, carriers, xs, g) for g in gens],
                 check=True)
             quot, proj = tensor_over_group_ring(right, left)
-            pieces.append((xs, quot, proj, homc, leafc))
+            pieces.append((xs, quot, proj))
     basis = {}
-    for xs, quot, proj, _, _ in pieces:
+    for xs, quot, _ in pieces:
         for d in quot.degrees():
             for l in quot.labels(d):
                 basis.setdefault(d, []).append(("of", xs, l))
-    ocpx = ChainComplex(ring, "Z", basis, {}, validate=False)
     diff = {}
-    for d in ocpx.degrees():
-        pd = ocpx.pred(d)
+    for d, ls in basis.items():
         blocks, r0, c0 = [], 0, 0  # the pieces follow each other
-        for _, quot, _, _, _ in pieces:
+        for _, quot, _ in pieces:
             blocks.append((quot.d_mat(d), r0, c0, 1))
-            r0, c0 = r0 + quot.dim(pd), c0 + quot.dim(d)
-        m = block_matrix(ring, ocpx.dim(pd), ocpx.dim(d), blocks)
-        if not m.is_zero():
-            diff[d] = m
-    ocpx.diff = diff
-    ocpx.validate()
+            r0, c0 = r0 + quot.dim(d - 1), c0 + quot.dim(d)
+        diff[d] = block_matrix(ring, len(basis.get(d - 1, ())), len(ls), blocks)
+    ocpx = ChainComplex(ring, "Z", basis, diff)
 
-    proj_of = {xs: (quot, proj) for xs, quot, proj, _, _ in pieces}
+    proj_of = {xs: (quot, proj) for xs, quot, proj in pieces}
 
     def fwd_fn(d, label):
         # free-word representative -> ordered class
@@ -575,13 +539,9 @@ def _gens_of(auts, n):
 
 
 def _act_hom_map(M, homc, g):
-    ring = M.ring
-
-    def fn(d, key):
-        hit = M.act(g, key)
-        return list(hit.items())
-
-    return ChainMap.from_label_fn2(homc, homc, 0, fn, validate=False)
+    return ChainMap.from_label_fn(homc, homc, 0,
+                                  lambda key: list(M.act(g, key).items()),
+                                  validate=False)
 
 
 def _act_leaf_map(ring, leafc, carriers, xs, g):

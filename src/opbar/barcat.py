@@ -42,6 +42,7 @@ from .errors import EngineError, ModuleMismatch, NonComposable, \
     NonCommutingSquare, NonTorsionFree, UnsupportedRing
 from .lincomb import add_into, eq as lc_eq
 from .linalg import Mat, block_matrix
+from .quotient import by_classes, by_span, by_z_span
 from .simplicial import SimplicialComplexObj, realize
 
 
@@ -79,7 +80,7 @@ class BarBimoduleComplex:
         y_at = {a: [ids[2][y] for y in Ml.elem_keys(a)] for a in objs}
         # chains of objects, each with its words (u ids, u keys, degree)
         chains = [((a,), [((), (), 0)]) for a in objs]
-        coords, levels = [], {}
+        coords, bases = [], []
         for n in range(n_max + 1):
             if n:
                 chains = [(ch + (b,), [(us + (u,), uk + (keys[u],), du + deg[u])
@@ -97,7 +98,7 @@ class BarBimoduleComplex:
                                 ("bar", keys[m], uk, keys[y]))
                             cs.setdefault(d, []).append((m,) + us + (y,))
             coords.append(cs)
-            levels[n] = ChainComplex(ring, "Z", basis, {}, validate=False)
+            bases.append(basis)
         self._coords = coords
         pos = [{d: {c: j for j, c in enumerate(col)} for d, col in cs.items()}
                for cs in coords]
@@ -109,7 +110,8 @@ class BarBimoduleComplex:
             for d, col in coords[n].items():
                 ent = entries(col, pos[tn].get(d + shift, {}))
                 if ent:
-                    out[d] = Mat(ring, levels[tn].dim(d + shift), len(col))
+                    out[d] = Mat(ring, len(coords[tn].get(d + shift, ())),
+                                 len(col))
                     out[d].d = ent
             return out
 
@@ -138,10 +140,10 @@ class BarBimoduleComplex:
                 (rows[c[:i + 1] + (end[c[i]],) + c[i + 1:]], j): ring.one
                 for j, c in enumerate(col)}
 
-        if any(dtab):  # else every level differential is 0
-            for n in range(n_max + 1):
-                levels[n].diff = mats(n, n, -1, level_diff)
-                levels[n].validate()
+        # without a term in any diff_key, every level differential is 0
+        levels = {n: ChainComplex(ring, "Z", bases[n],
+                                  mats(n, n, -1, level_diff) if any(dtab) else {})
+                  for n in range(n_max + 1)}
         faces = {(n, i): ChainMap(levels[n], levels[n - 1], 0,
                                   mats(n, n - 1, 0, face(i)))
                  for n in range(1, n_max + 1) for i in range(n + 1)}
@@ -267,21 +269,16 @@ class BarBimoduleComplex:
 
 
 def _free_quotient(cpx: ChainComplex, relations):
-    """Quotient by relation vectors; exact paths in order of generality:
-    union-find for +-basis differences, Gaussian reduction over fields, and
-    Smith normal form over Z (raising when the quotient has torsion)."""
+    """Quotient by relation vectors {label: coeff}, through `quotient`: when
+    every relation is a +-1 combination of two labels, by union-find
+    classes (`by_classes`); otherwise by the per-degree spans, with Gaussian
+    reduction over a field (`by_span`) or Smith normal form over Z
+    (`by_z_span`, raising when the quotient has torsion)."""
     ring = cpx.ring
-    simple = []
-    general = []
-    for vec in relations:
-        items = sorted(vec.items(), key=lambda kv: repr(kv[0]))
-        if len(items) == 2 and _is_pm_one(ring, items[0][1]) \
-                and _is_pm_one(ring, items[1][1]):
-            simple.append(vec)
-        elif items:
-            general.append(vec)
-    if not general:
-        return _union_find_quotient(cpx, simple)
+    relations = [vec for vec in relations if vec]
+    if all(len(vec) == 2 and all(_is_pm_one(ring, v) for v in vec.values())
+           for vec in relations):
+        return by_classes(cpx, _union_find_classes(cpx, relations))
     spans = {}
     for vec in relations:
         by_deg = {}
@@ -293,86 +290,22 @@ def _free_quotient(cpx: ChainComplex, relations):
         ((d, v),) = by_deg.items()
         spans.setdefault(d, []).append(v)
     if ring.is_field:
-        from .symgrp import quotient_by_span
-        return quotient_by_span(cpx, spans)
+        return by_span(cpx, spans)
     if ring.kind != "Z":
         raise UnsupportedRing(
             "general module quotients need field or integer coefficients")
-    return _z_quotient(cpx, spans)
-
-
-def _z_quotient(cpx: ChainComplex, spans):
-    """Quotient of a free Z-complex by integer relation spans via SNF.
-
-    The quotient must be free (all invariant factors 1); torsion raises.
-    Quotient bases are synthetic coordinates ("q", degree, t).
-    """
-    from . import linalg
-    ring = cpx.ring
-    proj_rows = {}
-    sections = {}
-    relation_mats = {}
-    for d in cpx.degrees():
-        n = cpx.dim(d)
-        rels = spans.get(d, [])
-        R = Mat.zeros(ring, n, len(rels))
-        for j, vec in enumerate(rels):
-            for i, v in vec.items():
-                R.set(i, j, v)
-        relation_mats[d] = R
-        worker = linalg._ZWorker(R, track_u=True)
-        diag = worker.diagonalize()
-        if any(abs(x) != 1 for x in diag):
-            raise UnsupportedRing("integer quotient has torsion")
-        r = len(diag)
-        U = Mat.zeros(ring, n, n)
-        for i, row in worker.U.items():
-            for k2, v in row.items():
-                U.set(i, k2, v)
-        Uinv = linalg.z_solve_mat(U, Mat.identity(ring, n))
-        P = Mat.zeros(ring, n - r, n)
-        for i in range(r, n):
-            for k2 in range(n):
-                v = U.get(i, k2)
-                if v:
-                    P.set(i - r, k2, v)
-        S = Mat.zeros(ring, n, n - r)
-        for i in range(n):
-            for k2 in range(r, n):
-                v = Uinv.get(i, k2)
-                if v:
-                    S.set(i, k2 - r, v)
-        proj_rows[d] = P
-        sections[d] = S
-    basis = {d: [("q", d, t) for t in range(proj_rows[d].nrows)]
-             for d in cpx.degrees() if proj_rows[d].nrows}
-    quot = ChainComplex(ring, cpx.grading, basis, {}, validate=False)
-    diff = {}
-    for d in quot.degrees():
-        pd = quot.pred(d)
-        if pd not in proj_rows:
-            continue
-        proj_d = proj_rows[pd].mul(cpx.d_mat(d))
-        # well-definedness: the relations must form a subcomplex, P d R = 0
-        if not proj_d.mul(relation_mats[d]).is_zero():
-            raise EngineError("relation span is not a subcomplex")
-        m = proj_d.mul(sections[d])
-        if not m.is_zero():
-            diff[d] = m
-    quot.diff = diff
-    quot.validate()
-    proj_mats = {d: proj_rows[d] for d in cpx.degrees() if d in proj_rows}
-    return quot, ChainMap(cpx, quot, 0,
-                          {d: m for d, m in proj_mats.items()
-                           if d in quot.basis or m.nrows == 0})
+    return by_z_span(cpx, spans)
 
 
 def _is_pm_one(ring, v):
     return ring.eq(v, ring.one) or ring.eq(v, ring.from_int(-1))
 
 
-def _union_find_quotient(cpx: ChainComplex, relations):
-    """Quotient by pairwise identifications label ~ sign . label'."""
+def _union_find_classes(cpx: ChainComplex, relations):
+    """{degree: [(root index, sign) or None per index]} for the
+    identifications c1 l1 + c2 l2 = 0 (c1, c2 = +-1).  The root of a class is
+    its least label in `repr` order; a class that the relations force to
+    equal its own negative is None."""
     ring = cpx.ring
     parent = {}
     psign = {}
@@ -407,59 +340,15 @@ def _union_find_quotient(cpx: ChainComplex, relations):
         # attach r2 under r1: l1 = rel_sign l2 means t1 x_{r1} = rel_sign t2 x_{r2}
         parent[r2] = r1
         psign[r2] = rel_sign * t1 * t2
-    # propagate deadness to roots
+        if r2 in dead:  # a killed class stays killed under its new root
+            dead.add(r1)
     classes = {}
     for d in cpx.degrees():
+        classes[d] = cls = []
         for l in cpx.labels(d):
             root, s = find2(l)
-            if root in dead:
-                classes[l] = None
-            else:
-                classes[l] = (root, s)
-    reps = {}
-    for d in cpx.degrees():
-        seen = []
-        for l in cpx.labels(d):
-            cls = classes[l]
-            if cls is not None and cls[0] == l:
-                seen.append(l)
-        reps[d] = seen
-    basis = {d: ls for d, ls in reps.items() if ls}
-    quot = ChainComplex(ring, cpx.grading, basis, {}, validate=False)
-
-    def project(d, vec):
-        out = {}
-        for idx, v in vec.items():
-            l = cpx.labels(d)[idx]
-            cls = classes[l]
-            if cls is None:
-                continue
-            root, s = cls
-            k = quot.index(d, root)
-            add_into(ring, out, k, ring.mul(ring.from_int(s), v))
-        return out
-
-    diff = {}
-    for d in quot.degrees():
-        pd = quot.pred(d)
-        m = Mat.zeros(ring, quot.dim(pd), quot.dim(d))
-        cols = cpx.d_mat(d).columns()
-        for k, l in enumerate(quot.labels(d)):
-            col = cols.get(cpx.index(d, l), {})
-            for kk, v in project(cpx.pred(d), col).items():
-                m.add_to(kk, k, v)
-        if not m.is_zero():
-            diff[d] = m
-    quot.diff = diff
-    quot.validate()
-    proj_mats = {}
-    for d in cpx.degrees():
-        m = Mat.zeros(ring, quot.dim(d), cpx.dim(d))
-        for jj in range(cpx.dim(d)):
-            for kk, v in project(d, {jj: ring.one}).items():
-                m.set(kk, jj, v)
-        proj_mats[d] = m
-    return quot, ChainMap(cpx, quot, 0, proj_mats)
+            cls.append(None if root in dead else (cpx.index(d, root), s))
+    return classes
 
 
 def two_sided_bar(Mr: RightModule, C: DgCategory, Ml: LeftModule, n_max,
@@ -525,9 +414,6 @@ class CatLeftKan:
             Ml = under_functor_left_module(p, c)
             self.bars[c] = BarBimoduleComplex(R, A, Ml, n_max, check=check)
 
-    def complex_at(self, c) -> ChainComplex:
-        return self.bars[c].complex
-
     def action(self, vkey) -> ChainMap:
         """The chain map L p_* R (v: c -> c') induces by postcomposition."""
         C = self.p.target
@@ -578,7 +464,6 @@ def telescope_complex(complexes, maps) -> ChainComplex:
         c = complexes[i]
         for d in c.degrees():
             basis.setdefault(d + 1, []).extend(("t1", i, l) for l in c.labels(d))
-    out = ChainComplex(ring, "Z", basis, {}, validate=False)
 
     def offsets(d):
         # where the ("t0", i, .) and ("t1", i, .) labels start in degree d
@@ -593,7 +478,7 @@ def telescope_complex(complexes, maps) -> ChainComplex:
         return t0, t1
 
     diff = {}
-    for d in out.degrees():
+    for d, ls in basis.items():
         pd = d - 1
         (r0, r1), (c0, c1) = offsets(pd), offsets(d)
         blocks = [(c.d_mat(d), r0[i], c0[i], 1) for i, c in enumerate(complexes)]
@@ -602,12 +487,8 @@ def telescope_complex(complexes, maps) -> ChainComplex:
             blocks += [(c.d_mat(pd), r1[i], c1[i], -1),
                        (maps[i].mat(pd), r0[i + 1], c1[i], 1),
                        (Mat.identity(ring, c.dim(pd)), r0[i], c1[i], -1)]
-        m = block_matrix(ring, out.dim(pd), out.dim(d), blocks)
-        if not m.is_zero():
-            diff[d] = m
-    out.diff = diff
-    out.validate()
-    return out
+        diff[d] = block_matrix(ring, len(basis.get(pd, ())), len(ls), blocks)
+    return ChainComplex(ring, "Z", basis, diff)
 
 
 def telescope_vs_hocolim(complexes, maps, n_max) -> TelescopeReport:

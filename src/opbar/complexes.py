@@ -26,6 +26,7 @@ from .errors import (
     UnsupportedRing,
 )
 from .linalg import Mat
+from .lincomb import add_into
 
 
 class ChainComplex:
@@ -145,19 +146,35 @@ class ChainComplex:
         return ChainComplex(ring, grading, {degree: [label]}, {})
 
     @staticmethod
-    def free(ring: Ring, basis: dict, entries: dict, grading: str = "Z") -> "ChainComplex":
-        """Build from {deg: [labels]} and {(deg, src_label, tgt_label): coeff}."""
-        basis = {d: list(ls) for d, ls in basis.items() if ls}
-        idx = {d: {l: i for i, l in enumerate(ls)} for d, ls in basis.items()}
+    def from_labels(ring: Ring, basis: dict, d_fn, grading: str = "Z",
+                    validate: bool = True) -> "ChainComplex":
+        """Build from {deg: [labels]} and d_fn(label) -> {target_label: coeff},
+        the boundary of a basis label, with coefficients in ring.  Raises
+        ValueError when d_fn names a label that is not in the basis one
+        degree below."""
         diff = {}
-        for (d, src, tgt), c in entries.items():
-            pd = ((d - 1) % 2) if grading == "Z2" else d - 1
-            m = diff.get(d)
-            if m is None:
-                m = Mat.zeros(ring, len(basis.get(pd, ())), len(basis.get(d, ())))
-                diff[d] = m
-            m.add_to(idx[pd][tgt], idx[d][src], ring.canon(c))
-        return ChainComplex(ring, grading, basis, diff)
+        for d, ls in basis.items():
+            below = basis.get((d - 1) % 2 if grading == "Z2" else d - 1, ())
+            rows = {l: i for i, l in enumerate(below)}
+            m = diff[d] = Mat.zeros(ring, len(below), len(ls))
+            for j, l in enumerate(ls):
+                for tl, c in d_fn(l).items():
+                    i = rows.get(tl)
+                    if i is None:
+                        raise ValueError(f"d({l!r}) names {tl!r}, which is not "
+                                         f"a basis label of degree {d} - 1")
+                    m.add_to(i, j, c)
+        return ChainComplex(ring, grading, basis, diff, validate)
+
+    @staticmethod
+    def free(ring: Ring, basis: dict, entries: dict, grading: str = "Z") -> "ChainComplex":
+        """Build from {deg: [labels]} and {(deg, src_label, tgt_label): coeff};
+        a label named as a source is a basis label of one degree only."""
+        bd = {}
+        for (_, src, tgt), c in entries.items():
+            bd.setdefault(src, {})[tgt] = ring.canon(c)
+        return ChainComplex.from_labels(ring, basis, lambda l: bd.get(l, {}),
+                                        grading)
 
     def relabel(self, fn) -> "ChainComplex":
         basis = {d: [fn(l) for l in ls] for d, ls in self.basis.items()}
@@ -175,20 +192,17 @@ class ChainComplex:
         """Returns (sum complex, inclusion0, inclusion1); labels get tagged."""
         if self.ring != other.ring or self.grading != other.grading:
             raise MixedRings("direct sum needs matching ring and grading")
-        basis = {}
+        basis, diff = {}, {}
         for d in sorted(set(self.degrees()) | set(other.degrees())):
             basis[d] = [(tag0, l) for l in self.labels(d)] + \
                        [(tag1, l) for l in other.labels(d)]
-        out = ChainComplex(self.ring, self.grading, basis, {}, validate=False)
-        diff = {}
-        for d in out.degrees():
-            pd = out.pred(d)
-            m = linalg.block_matrix(self.ring, out.dim(pd), out.dim(d), [
-                (self.d_mat(d), 0, 0, 1),
-                (other.d_mat(d), self.dim(pd), self.dim(d), 1)])
-            if not m.is_zero():
-                diff[d] = m
-        out.diff = diff
+        for d, ls in basis.items():
+            pd = self.pred(d)
+            diff[d] = linalg.block_matrix(
+                self.ring, len(basis.get(pd, ())), len(ls), [
+                    (self.d_mat(d), 0, 0, 1),
+                    (other.d_mat(d), self.dim(pd), self.dim(d), 1)])
+        out = ChainComplex(self.ring, self.grading, basis, diff, validate=False)
         inc0 = ChainMap.from_label_fn(self, out, 0, lambda l: ((tag0, l), 1))
         inc1 = ChainMap.from_label_fn(other, out, 0, lambda l: ((tag1, l), 1))
         return out, inc0, inc1
@@ -205,7 +219,6 @@ class ChainComplex:
                 start[(da, db)] = len(ls)
                 ls.extend(("t", la, lb) for la in self.labels(da)
                           for lb in other.labels(db))
-        out = ChainComplex(ring, self.grading, basis, {}, validate=False)
         # (la, lb) sits at start + ia * dim(db) + ib; every entry lands once
         entries = {}
         for da, ma in self.diff.items():
@@ -229,10 +242,9 @@ class ChainComplex:
                         acc[(r0 + ia * npb + i, c0 + ia * nb + j)] = w
         diff = {}
         for d, acc in entries.items():
-            diff[d] = Mat(ring, out.dim(out.pred(d)), out.dim(d))
+            diff[d] = Mat(ring, len(basis.get(self.pred(d), ())), len(basis[d]))
             diff[d].d = acc
-        out.diff = diff
-        return out
+        return ChainComplex(ring, self.grading, basis, diff, validate=False)
 
     def map_coefficients(self, new_ring: Ring, fn) -> "ChainComplex":
         diff = {d: m.map_ring(new_ring, fn) for d, m in self.diff.items()}
@@ -253,7 +265,6 @@ class ChainComplex:
             if grading == "Z2":
                 deg %= 2
             basis.setdefault(deg, []).append((tag, tuple(l for _, l in combo)))
-        out = ChainComplex(ring, grading, basis, {}, validate=False)
         # per factor: label -> (lowest degree, [(boundary label, coeff)])
         tables = []
         for c in factors:
@@ -265,23 +276,19 @@ class ChainComplex:
                     table.setdefault(l, (ld, [(below[i], v) for i, v in
                                               cols.get(j, {}).items()]))
             tables.append(table)
-        diff = {}
-        for d in out.degrees():
-            pd = out.pred(d)
-            m = Mat.zeros(ring, out.dim(pd), out.dim(d))
-            for j, (_, labels) in enumerate(out.labels(d)):
-                pre = 0
-                for t, l in enumerate(labels):
-                    ld, bd = tables[t][l]
-                    for bl, v in bd:
-                        tl = (tag, labels[:t] + (bl,) + labels[t + 1:])
-                        m.add_to(out.index(pd, tl), j,
-                                 ring.neg(v) if pre % 2 else v)
-                    pre += ld
-            if not m.is_zero():
-                diff[d] = m
-        out.diff = diff
-        return out
+
+        def d_fn(label):
+            labels, out, pre = label[1], {}, 0
+            for t, l in enumerate(labels):
+                ld, bd = tables[t][l]
+                for bl, v in bd:
+                    add_into(ring, out, (tag, labels[:t] + (bl,) + labels[t + 1:]),
+                             ring.neg(v) if pre % 2 else v)
+                pre += ld
+            return out
+
+        return ChainComplex.from_labels(ring, basis, d_fn, grading,
+                                        validate=False)
 
     def euler_characteristic(self) -> int:
         if self.grading == "Z2":
@@ -344,11 +351,9 @@ class ChainMap:
 
     @staticmethod
     def from_label_fn(source, target, degree, fn, validate=True):
-        """Build from a function label -> list of (target_label, coeff), or None.
-
-        fn may also take (degree, label) when it needs the degree; pass
-        with_degree=True via from_label_fn2 below instead.
-        """
+        """Build from a function label -> list of (target_label, coeff), a
+        single such pair, or None; `from_label_fn2` passes (degree, label)
+        to fn instead."""
         return ChainMap._from_fn(source, target, degree,
                                  lambda d, l: fn(l), validate)
 
@@ -470,21 +475,16 @@ def cone(f: ChainMap) -> ChainComplex:
         ls += [("c1", l) for l in S.labels(sd)]
         if ls:
             basis[d] = ls
-    out = ChainComplex(ring, S.grading, basis, {}, validate=False)
     diff = {}
-    for d in out.degrees():
-        pd = out.pred(d)
+    for d, ls in basis.items():
+        pd = S.pred(d)
         sd = S.shift_deg(d, -1)
         # the c1 labels follow the c0 labels in every degree
-        m = linalg.block_matrix(ring, out.dim(pd), out.dim(d), [
+        diff[d] = linalg.block_matrix(ring, len(basis.get(pd, ())), len(ls), [
             (T.d_mat(d), 0, 0, 1),
             (S.d_mat(sd), T.dim(pd), T.dim(d), -1),
             (f.mat(sd), 0, T.dim(d), 1)])
-        if not m.is_zero():
-            diff[d] = m
-    out.diff = diff
-    out.validate()
-    return out
+    return ChainComplex(ring, S.grading, basis, diff)
 
 
 class HomologyReport:

@@ -186,17 +186,18 @@ class DgFunctor:
         )
 
 
-class RightModule:
-    """Covariant dg functor to complexes: morphisms push elements forward."""
+class _Module:
+    """A one-sided dg module: a complex per object, keys (object, degree,
+    label), and an action through action_fn, memoized by `act_key`."""
 
-    def __init__(self, cat: DgCategory, complexes, action_fn, name="R"):
+    def __init__(self, cat: DgCategory, complexes, action_fn, name=None):
         self.cat = cat
         self.ring = cat.ring
         self.complexes = dict(complexes)
         self._action_fn = action_fn
         self._cache = {}
         self._diff_cache = {}
-        self.name = name
+        self.name = self.default_name if name is None else name
 
     def complex(self, a) -> ChainComplex:
         c = self.complexes.get(a)
@@ -207,6 +208,24 @@ class RightModule:
     def elem_keys(self, a):
         c = self.complex(a)
         return [(a, d, l) for d in c.degrees() for l in c.labels(d)]
+
+    def diff_key(self, key) -> dict:
+        """d of a basis element, memoized per key: callers only read it."""
+        cached = self._diff_cache.get(key)
+        if cached is None:
+            a, d, l = key
+            c = self.complex(a)
+            col = c.d_mat(d).column(c.index(d, l))
+            pd = c.pred(d)
+            cached = self._diff_cache[key] = {
+                (a, pd, c.labels(pd)[i]): v for i, v in col.items()}
+        return cached
+
+
+class RightModule(_Module):
+    """Covariant dg functor to complexes: morphisms push elements forward."""
+
+    default_name = "R"
 
     def act_key(self, mkey, ukey) -> dict:
         """m . u for m in R(a), u: a -> b; lands in R(b)."""
@@ -219,18 +238,6 @@ class RightModule:
                 if k[0] != ukey[1] or k[1] != mkey[1] + ukey[2]:
                     raise EngineError(f"module action off-signature: {k}")
             self._cache[(mkey, ukey)] = cached
-        return cached
-
-    def diff_key(self, mkey) -> dict:
-        """d of a basis element, memoized per key: callers only read it."""
-        cached = self._diff_cache.get(mkey)
-        if cached is None:
-            a, d, l = mkey
-            c = self.complex(a)
-            col = c.d_mat(d).column(c.index(d, l))
-            pd = c.pred(d)
-            cached = self._diff_cache[mkey] = {
-                (a, pd, c.labels(pd)[i]): v for i, v in col.items()}
         return cached
 
     def validate(self):
@@ -269,27 +276,10 @@ class RightModule:
         return None
 
 
-class LeftModule:
+class LeftModule(_Module):
     """Contravariant dg functor: morphisms pull elements back (u . y)."""
 
-    def __init__(self, cat: DgCategory, complexes, action_fn, name="L"):
-        self.cat = cat
-        self.ring = cat.ring
-        self.complexes = dict(complexes)
-        self._action_fn = action_fn
-        self._cache = {}
-        self._diff_cache = {}
-        self.name = name
-
-    def complex(self, a) -> ChainComplex:
-        c = self.complexes.get(a)
-        if c is None:
-            c = ChainComplex.zero(self.cat.ring)
-        return c
-
-    def elem_keys(self, a):
-        c = self.complex(a)
-        return [(a, d, l) for d in c.degrees() for l in c.labels(d)]
+    default_name = "L"
 
     def act_key(self, ukey, ykey) -> dict:
         """u . y for u: a -> b and y in L(b); lands in L(a)."""
@@ -302,18 +292,6 @@ class LeftModule:
                 if k[0] != ukey[0] or k[1] != ykey[1] + ukey[2]:
                     raise EngineError(f"module action off-signature: {k}")
             self._cache[(ukey, ykey)] = cached
-        return cached
-
-    def diff_key(self, ykey) -> dict:
-        """d of a basis element, memoized per key: callers only read it."""
-        cached = self._diff_cache.get(ykey)
-        if cached is None:
-            a, d, l = ykey
-            c = self.complex(a)
-            col = c.d_mat(d).column(c.index(d, l))
-            pd = c.pred(d)
-            cached = self._diff_cache[ykey] = {
-                (a, pd, c.labels(pd)[i]): v for i, v in col.items()}
         return cached
 
     def validate(self):

@@ -406,10 +406,6 @@ class MultiAlgebra:
     def carrier(self, x) -> ChainComplex:
         return self.carriers[x]
 
-    def restrict_to(self, sub: MultiCat) -> "MultiAlgebra":
-        return MultiAlgebra(sub, {x: self.carriers[x] for x in sub.objects},
-                            self._action_fn, name=self.name)
-
     def arg_tuples(self, xs):
         pools = []
         for x in xs:
@@ -575,11 +571,6 @@ class MultiFunctor:
     def on_lc(self, lc: dict) -> dict:
         return linear(self.source.ring, self.on_key, lc)
 
-    def restrict_to(self, sub: MultiCat) -> "MultiFunctor":
-        return MultiFunctor(sub, self.target,
-                            {x: self.obj_map[x] for x in sub.objects},
-                            self._key_fn, name=self.name)
-
     def validate(self):
         ring = self.source.ring
         S, T = self.source, self.target
@@ -649,11 +640,10 @@ def endomorphism_multicat(ring, carriers: dict, arity_max: int, name="End"):
                     basis.setdefault(deg, []).append(label)
                 if n == 1 and xs[0] == y:
                     basis.setdefault(0, []).insert(0, ("u",))
-                cx = ChainComplex(ring, "Z", basis, {}, validate=False)
-                diff = _hom_diff(ring, cx, [carriers[x] for x in xs], carriers[y])
-                cx.diff = diff
-                cx.validate()
-                complexes[(xs, y)] = cx
+                sources = [carriers[x] for x in xs]
+                complexes[(xs, y)] = ChainComplex.from_labels(
+                    ring, basis, lambda label: _hom_boundary(
+                        ring, sources, carriers[y], label))
 
     def compose_fn(M, fkey, i, gkey):
         return _endo_compose(ring, fkey, i, gkey)
@@ -678,42 +668,31 @@ def endomorphism_multicat(ring, carriers: dict, arity_max: int, name="End"):
     return M, A
 
 
-def _hom_diff(ring, cx, sources, target):
-    from .linalg import Mat
-    diff = {}
-    for d in cx.degrees():
-        pd = cx.pred(d)
-        m = Mat.zeros(ring, cx.dim(pd), cx.dim(d))
-        for j, label in enumerate(cx.labels(d)):
-            if label == ("u",):
+def _hom_boundary(ring, sources, target, label) -> dict:
+    """d F = d_target o F - (-1)^{|F|} F o d_tensor of an elementary map F."""
+    out = {}
+    if label == ("u",):
+        return out
+    _, args, (od, ol) = label
+    for i2, v in target.d_mat(od).column(target.index(od, ol)).items():
+        add_into(ring, out, ("h", args, (od - 1, target.labels(od - 1)[i2])), v)
+    # F o d_tensor only sees tuples whose differential hits `args`: raise one
+    # slot of args
+    sgn_f = -1 if (od - sum(ad for ad, _ in args)) % 2 else 1
+    pre = 0
+    for t, (ad, al) in enumerate(args):
+        src = sources[t]
+        up, row = src.succ(ad), src.index(ad, al)
+        dm = src.d_mat(up)
+        for jj, lab in enumerate(src.labels(up)):
+            coeff = dm.get(row, jj)
+            if ring.is_zero(coeff):
                 continue
-            _, args, (od, ol) = label
-            # d_target o F
-            tc = target
-            for i2, v in tc.d_mat(od).column(tc.index(od, ol)).items():
-                tl = ("h", args, (od - 1, tc.labels(od - 1)[i2]))
-                if cx.has_label(pd, tl):
-                    m.add_to(cx.index(pd, tl), j, v)
-            # -(-1)^{|F|} F o d_tensor: F only sees tuples whose differential
-            # hits `args`; equivalently raise one slot of args.
-            sgn_f = -1 if d % 2 else 1
-            pre = 0
-            for t, (ad, al) in enumerate(args):
-                src = sources[t]
-                up = src.succ(ad)
-                for jj, lab in enumerate(src.labels(up)):
-                    coeff = src.d_mat(up).get(src.index(ad, al), jj) \
-                        if src.dim(ad) else ring.zero
-                    if ring.is_zero(coeff):
-                        continue
-                    new_args = args[:t] + ((up, lab),) + args[t + 1:]
-                    tl = ("h", new_args, (od, ol))
-                    s = sgn_f * (-1 if pre % 2 else 1)
-                    m.add_to(cx.index(pd, tl), j, ring.mul(ring.from_int(-s), coeff))
-                pre += ad
-        if not m.is_zero():
-            diff[d] = m
-    return diff
+            s = sgn_f * (-1 if pre % 2 else 1)
+            add_into(ring, out, ("h", args[:t] + ((up, lab),) + args[t + 1:],
+                                 (od, ol)), ring.mul(ring.from_int(-s), coeff))
+        pre += ad
+    return out
 
 
 def _endo_compose(ring, fkey, i, gkey):
@@ -822,10 +801,8 @@ def prop_of(M: MultiCat, seq_len_max: int) -> PropData:
                     deg = sum(k[2] for k in combo)
                     basis.setdefault(deg, []).append(("s", f, combo))
             if basis:
-                cpx = ChainComplex(ring, "Z", basis, {}, validate=False)
-                cpx.diff = _prop_diff(ring, M, cpx)
-                cpx.validate()
-                homs[(a, b)] = cpx
+                homs[(a, b)] = ChainComplex.from_labels(
+                    ring, basis, lambda label: _prop_boundary(ring, M, label))
 
     def compose_fn(C, ukey, vkey):
         return _prop_compose(ring, M, C, ukey, vkey)
@@ -842,24 +819,19 @@ def prop_of(M: MultiCat, seq_len_max: int) -> PropData:
     return PropData(M, cat, seq_len_max, identity_flags)
 
 
-def _prop_diff(ring, M, cpx):
-    from .linalg import Mat
-    diff = {}
-    for d in cpx.degrees():
-        pd = cpx.pred(d)
-        m = Mat.zeros(ring, cpx.dim(pd), cpx.dim(d))
-        for j, (_, f, combo) in enumerate(cpx.labels(d)):
-            pre = 0
-            for t, key in enumerate(combo):
-                s = -1 if pre % 2 else 1
-                for k2, v in M.diff_key(key).items():
-                    tl = ("s", f, combo[:t] + (k2,) + combo[t + 1:])
-                    m.add_to(cpx.index(pd, tl), j,
-                             ring.mul(ring.from_int(s), v))
-                pre += key[2]
-        if not m.is_zero():
-            diff[d] = m
-    return diff
+def _prop_boundary(ring, M, label) -> dict:
+    """d of a PROP basis label ("s", f, combo), by the Leibniz rule over the
+    tensor factors."""
+    _, f, combo = label
+    out = {}
+    pre = 0
+    for t, key in enumerate(combo):
+        s = -1 if pre % 2 else 1
+        for k2, v in M.diff_key(key).items():
+            add_into(ring, out, ("s", f, combo[:t] + (k2,) + combo[t + 1:]),
+                     ring.mul(ring.from_int(s), v))
+        pre += key[2]
+    return out
 
 
 def _prop_compose(ring, M, C, ukey, vkey):
@@ -945,14 +917,6 @@ class FreenessReport:
         self.freeness1 = freeness1
         self.freeness2 = freeness2
         self.details = details
-
-    @property
-    def all_ok(self):
-        return self.identity and self.freeness1 and self.freeness2
-
-    def as_dict(self):
-        return {"identity": self.identity, "freeness1": self.freeness1,
-                "freeness2": self.freeness2, "details": self.details}
 
     def __repr__(self):
         return (f"FreenessReport(identity={self.identity}, "

@@ -7,7 +7,8 @@ by n, with total differential
 
 (the internal twist makes the cross terms cancel; d^2 = 0 is asserted).  A
 normalized variant quotients by the degeneracy images, which in this engine
-are always basis labels, so the quotient stays free and exact over any ring.
+are always basis labels, so the quotient stays free and exact over any ring;
+it is built by `quotient.by_classes`, the one place quotients are assembled.
 
 Homology of a truncated realization is only meaningful in low degrees: the
 degree-d differential sees levels <= d + 1 only, so with internal degrees
@@ -18,8 +19,9 @@ from __future__ import annotations
 
 from .complexes import ChainComplex, ChainMap
 from .errors import DegreeMismatch, EngineError, TruncationTooSmall
-from .linalg import Mat, block_matrix, column_form, column_product, \
+from .linalg import block_matrix, column_form, column_product, \
     columns_equal, unit_columns
+from .quotient import by_classes
 
 
 class SimplicialComplexObj:
@@ -145,7 +147,6 @@ class RealizedComplex:
             for d in lv.degrees():
                 basis.setdefault(d + n, []).extend(
                     ("lv", n, l) for l in lv.labels(d))
-        self.complex = ChainComplex(ring, grading, basis, {}, validate=False)
         levels = [simplicial.level(n) for n in range(simplicial.n_max + 1)]
 
         def offsets(deg):
@@ -157,7 +158,7 @@ class RealizedComplex:
             return out
 
         diff = {}
-        for deg in self.complex.degrees():
+        for deg, ls in basis.items():
             pd = deg - 1
             rows, cols = offsets(pd), offsets(deg)
             blocks = []
@@ -171,12 +172,9 @@ class RealizedComplex:
                     if fm is not None:
                         blocks.append((fm, rows[n - 1], cols[n],
                                        -1 if i % 2 else 1))
-            m = block_matrix(ring, self.complex.dim(pd), self.complex.dim(deg),
-                             blocks)
-            if not m.is_zero():
-                diff[deg] = m
-        self.complex.diff = diff
-        self.complex.validate()  # d^2 = 0, exactly
+            diff[deg] = block_matrix(ring, len(basis.get(pd, ())), len(ls),
+                                     blocks)
+        self.complex = ChainComplex(ring, grading, basis, diff)  # d^2 = 0
         dmins = [min(simplicial.level(n).degrees(), default=0)
                  for n in range(0, simplicial.n_max + 1)]
         self.d_min = min(dmins) if dmins else 0
@@ -186,13 +184,6 @@ class RealizedComplex:
         top = self.simplicial.n_max + self.d_min - 2
         lo = self.d_min - 1
         return list(range(lo, top + 1))
-
-    def level_inclusion(self, n) -> ChainMap:
-        lv = self.simplicial.level(n)
-        shifted = lv.shift(n)
-        return ChainMap.from_label_fn(shifted, self.complex, 0,
-                                      lambda l: [(("lv", n, l), 1)],
-                                      validate=False)
 
     def homology(self, degree):
         from .complexes import homology
@@ -211,8 +202,8 @@ def normalized_realization(simplicial: SimplicialComplexObj):
     all constructions in this engine); the quotient is then free on the
     non-degenerate labels.
     """
-    real = realize(simplicial)
-    ring = real.complex.ring
+    C = realize(simplicial).complex
+    ring = C.ring
     degenerate = set()
     for (n, i), s in simplicial.degens.items():
         for d in simplicial.level(n).degrees():
@@ -225,28 +216,9 @@ def normalized_realization(simplicial: SimplicialComplexObj):
                 if not ring.eq(c, ring.one):
                     raise EngineError("degeneracy has a non-unit coefficient")
                 degenerate.add(("lv", n + 1, s.target.labels(d)[i]))
-    basis = {d: [l for l in real.complex.labels(d) if l not in degenerate]
-             for d in real.complex.degrees()}
-    quot = ChainComplex(ring, real.complex.grading, basis, {}, validate=False)
-    # old position -> new position of every kept label, per degree
-    keep = {d: {real.complex.index(d, l): k for k, l in enumerate(ls)}
-            for d, ls in quot.basis.items()}
-    diff = {}
-    for d in quot.degrees():
-        pd = quot.pred(d)
-        rows, cols = keep.get(pd, {}), keep[d]
-        m = Mat.zeros(ring, quot.dim(pd), quot.dim(d))
-        m.d = {(rows[i], cols[j]): v
-               for (i, j), v in real.complex.d_mat(d).d.items()
-               if i in rows and j in cols}
-        if not m.is_zero():
-            diff[d] = m
-    quot.diff = diff
-    quot.validate()
-    proj = ChainMap.from_label_fn(
-        real.complex, quot, 0,
-        lambda l: None if l in degenerate else [(l, 1)])
-    return quot, proj
+    return by_classes(C, {d: [None if l in degenerate else (j, 1)
+                              for j, l in enumerate(C.labels(d))]
+                          for d in C.degrees()})
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ The engine-wide Koszul convention: permuting graded tensor factors picks up
 from __future__ import annotations
 
 import re
+from collections import Counter
 
 from .complexes import ChainComplex, ChainMap
 from .errors import GroupMismatch, GroupTooLarge, NonPermutationAction
 from .linalg import Mat
+from .quotient import by_classes, by_span
 
 GROUP_DEGREE_BOUND = 8
 
@@ -250,166 +252,55 @@ def coinvariants(action: GroupAction):
     """Quotient by the span of {x - g.x}; returns (quotient, projection).
 
     For signed permutation actions the quotient basis is the set of orbit
-    representatives (minimal index), and an orbit with a sign-conflicting
-    stabilizer is killed; this is the engine-wide free-quotient convention.
-    Otherwise falls back to exact column reduction over a field.
+    representatives (least index), and an orbit with a sign-conflicting
+    stabilizer is killed (`quotient.by_classes`; see the free-quotient
+    convention in `quotient`).  Otherwise exact column reduction over a
+    field (`quotient.by_span`).
     """
     C = action.complex
+    ring = C.ring
     tables = action.signed_perm_tables()
     if tables is not None:
-        return _orbit_coinvariants(action, tables)
-    if not C.ring.is_field:
+        return by_classes(C, _orbit_classes(C, tables))
+    if not ring.is_field:
         raise NonPermutationAction(
             "general (non signed-permutation) coinvariants need field coefficients"
         )
     spans = {}
     for d in C.degrees():
-        vecs = []
+        vecs = spans[d] = []
         for g in action.gens:
             cols = action.map_of(g).mat(d).columns()
             for j in range(C.dim(d)):
                 vec = dict(cols.get(j, {}))
-                vec[j] = C.ring.sub(vec.get(j, C.ring.zero), C.ring.one)
-                vec = {i: C.ring.neg(v) for i, v in vec.items() if not C.ring.is_zero(v)}
+                vec[j] = ring.sub(vec.get(j, ring.zero), ring.one)
+                vec = {i: ring.neg(v) for i, v in vec.items() if not ring.is_zero(v)}
                 if vec:
                     vecs.append(vec)
-        spans[d] = vecs
-    return quotient_by_span(C, spans)
+    return by_span(C, spans)
 
 
-def _orbit_coinvariants(action: GroupAction, tables):
-    C = action.complex
-    ring = C.ring
-    reps = {}
-    classes = {}  # (d, index) -> (rep_index, sign) or None if killed
+def _orbit_classes(C: ChainComplex, tables):
+    """{degree: [(least index of the orbit, sign) or None per index]}; None
+    marks an orbit whose stabilizer acts on it by a sign."""
+    classes = {}
     for d in C.degrees():
-        per_g = tables[d]
-        n = C.dim(d)
-        assigned = {}
-        order = []
-        for j0 in range(n):
-            if j0 in assigned:
+        cls = classes[d] = [None] * C.dim(d)
+        done = set()
+        for j0 in range(C.dim(d)):
+            if j0 in done:
                 continue
-            orbit = {}
-            dead = False
-            for g, cols in per_g.items():
+            orbit, dead = {}, False
+            for cols in tables[d].values():
                 i, s = cols[j0]
-                if i in orbit and orbit[i] != s:
+                if orbit.setdefault(i, s) != s:
                     dead = True
-                orbit.setdefault(i, s)
             rep = min(orbit)
-            rep_sign = orbit[rep]
             for i, s in orbit.items():
                 # [i] = (s / rep_sign) [rep]
-                assigned[i] = None if dead else (rep, s * rep_sign)
-            if not dead:
-                order.append(rep)
-        reps[d] = sorted(order)
-        for i in range(n):
-            classes[(d, i)] = assigned[i]
-    basis = {d: [C.labels(d)[i] for i in reps[d]] for d in C.degrees() if reps[d]}
-    quot = ChainComplex(ring, C.grading, basis, {}, validate=False)
-    rep_pos = {d: {i: k for k, i in enumerate(reps[d])} for d in reps}
-
-    def project_vec(d, vec):
-        if d not in rep_pos:
-            return {}
-        out = {}
-        for i, v in vec.items():
-            cls = classes.get((d, i))
-            if cls is None:
-                continue
-            rep, s = cls
-            k = rep_pos[d][rep]
-            acc = ring.add(out.get(k, ring.zero), ring.mul(ring.from_int(s), v))
-            if ring.is_zero(acc):
-                out.pop(k, None)
-            else:
-                out[k] = acc
-        return out
-
-    diff = {}
-    for d in quot.degrees():
-        pd = quot.pred(d)
-        m = Mat.zeros(ring, quot.dim(pd), quot.dim(d))
-        cols = C.d_mat(d).columns()
-        for k, i in enumerate(reps[d]):
-            for kk, v in project_vec(C.pred(d), cols.get(i, {})).items():
-                m.add_to(kk, k, v)
-        if not m.is_zero():
-            diff[d] = m
-    quot.diff = diff
-    quot.validate()
-    proj_mats = {}
-    for d in C.degrees():
-        m = Mat.zeros(ring, quot.dim(d), C.dim(d))
-        for j in range(C.dim(d)):
-            for k, v in project_vec(d, {j: ring.one}).items():
-                m.set(k, j, v)
-        proj_mats[d] = m
-    proj = ChainMap(C, quot, 0, proj_mats)
-    return quot, proj
-
-
-def quotient_by_span(C: ChainComplex, spans: dict):
-    """Quotient of C by per-degree relation spans (field coefficients).
-
-    Returns (quotient complex, projection).  The quotient basis is the set of
-    non-pivot basis labels after reducing the span to echelon form.
-    """
-    from . import linalg
-    ring = C.ring
-    pivots_by_deg = {}
-    for d in C.degrees():
-        pivots = {}
-        for vec in spans.get(d, ()):  # insert each relation vector
-            linalg._rref_insert(ring, dict(vec), pivots)
-        pivots_by_deg[d] = pivots
-    keep = {d: [j for j in range(C.dim(d)) if j not in pivots_by_deg[d]]
-            for d in C.degrees()}
-    basis = {d: [C.labels(d)[j] for j in keep[d]] for d in C.degrees() if keep[d]}
-    quot = ChainComplex(ring, C.grading, basis, {}, validate=False)
-    pos = {d: {j: k for k, j in enumerate(keep[d])} for d in keep}
-
-    def project_vec(d, vec):
-        if d not in pos:
-            return {}
-        vec = dict(vec)
-        pivots = pivots_by_deg.get(d, {})
-        for j in [j for j in vec if j in pivots]:
-            c = vec.pop(j)
-            if ring.is_zero(c):
-                continue
-            for kk, vv in pivots[j].items():
-                if kk == j:
-                    continue
-                acc = ring.sub(vec.get(kk, ring.zero), ring.mul(c, vv))
-                if ring.is_zero(acc):
-                    vec.pop(kk, None)
-                else:
-                    vec[kk] = acc
-        return {pos[d][j]: v for j, v in vec.items() if not ring.is_zero(v)}
-
-    diff = {}
-    for d in quot.degrees():
-        pd = quot.pred(d)
-        m = Mat.zeros(ring, quot.dim(pd), quot.dim(d))
-        cols = C.d_mat(d).columns()
-        for k, j in enumerate(keep[d]):
-            for kk, v in project_vec(C.pred(d), cols.get(j, {})).items():
-                m.add_to(kk, k, v)
-        if not m.is_zero():
-            diff[d] = m
-    quot.diff = diff
-    quot.validate()
-    proj_mats = {}
-    for d in C.degrees():
-        m = Mat.zeros(ring, quot.dim(d), C.dim(d))
-        for j in range(C.dim(d)):
-            for k, v in project_vec(d, {j: ring.one}).items():
-                m.set(k, j, v)
-        proj_mats[d] = m
-    return quot, ChainMap(C, quot, 0, proj_mats)
+                cls[i] = None if dead else (rep, s * orbit[rep])
+            done.update(orbit)
+    return classes
 
 
 class GroupRingModule:
@@ -522,32 +413,27 @@ class FreeModuleReport:
 
 def is_free_module(M: GroupRingModule) -> FreeModuleReport:
     """Freeness of a signed-permutation module: every orbit is a regular orbit."""
-    action = M.as_left_action()
-    tables = action.signed_perm_tables()
+    tables = M.as_left_action().signed_perm_tables()
     if tables is None:
         raise NonPermutationAction(
             "freeness is only decided for signed permutation actions")
     order = len(M.elements)
     reps = []
-    for d in sorted(tables):
-        per_g = tables[d]
-        seen = set()
-        for j in range(M.complex.dim(d)):
-            if j in seen:
+    # orbits in the order of their least index, which is the first index of
+    # a killed orbit and the representative of any other
+    for d, cls in _orbit_classes(M.complex, tables).items():
+        sizes = Counter(c[0] for c in cls if c is not None)
+        for j, c in enumerate(cls):
+            if c is None:
+                return FreeModuleReport(
+                    False, [], f"sign-stabilized orbit at degree {d}, index {j}")
+            if c[0] != j:
                 continue
-            orbit = {}
-            for g, cols in per_g.items():
-                i, s = cols[j]
-                if i in orbit and orbit[i] != s:
-                    return FreeModuleReport(
-                        False, [], f"sign-stabilized orbit at degree {d}, index {j}")
-                orbit.setdefault(i, s)
-            seen |= set(orbit)
-            if len(orbit) != order:
+            if sizes[j] != order:
                 return FreeModuleReport(
                     False, [],
-                    f"orbit of size {len(orbit)} < {order} at degree {d}, index {j}")
-            reps.append((d, M.complex.labels(d)[min(orbit)]))
+                    f"orbit of size {sizes[j]} < {order} at degree {d}, index {j}")
+            reps.append((d, M.complex.labels(d)[j]))
     return FreeModuleReport(True, reps)
 
 

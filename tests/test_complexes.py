@@ -15,7 +15,8 @@ from opbar.complexes import (
     is_quasi_iso,
     null_homotopy,
 )
-from opbar.errors import DegreeMismatch, NotAcyclic, NotADifferential, UnsupportedRing
+from opbar.errors import DegreeMismatch, MixedRings, NotAcyclic, NotADifferential, \
+    UnsupportedRing
 from opbar.linalg import Mat
 
 from .genutil import random_acyclic, random_complex, random_unitriangular, unitriangular_inverse
@@ -451,3 +452,40 @@ def test_from_label_fn_sums_repeated_hits():
         ChainComplex.free(nov, {0: ["u"]}, {}), 0,
         lambda l: [("u", t), ("u", nov.one), ("u", nov.neg(t))])
     assert g.mat(0).d == {(0, 0): nov.one}
+
+
+def test_from_labels_builds_the_free_complex():
+    basis = {0: ["y0", "y1"], 1: ["x"], 2: ["t"]}
+    bd = {"x": {"y0": Q.from_int(2), "y1": Q.from_int(-1)}}
+    c = ChainComplex.from_labels(Q, basis, lambda l: bd.get(l, {}))
+    assert c.diff == {1: Mat.from_rows(Q, [[2], [-1]])}
+    assert c.diff == ChainComplex.free(Q, basis, {(1, "x", "y0"): 2,
+                                                  (1, "x", "y1"): -1}).diff
+
+
+def test_from_labels_rejects_a_label_outside_the_basis():
+    basis = {0: ["y"], 1: ["x", "w"]}
+    with pytest.raises(ValueError, match="'z', which is not a basis label"):
+        ChainComplex.from_labels(Z, basis, lambda l: {"z": 1} if l == "x" else {})
+    # w is a basis label, but of degree 1, not 0
+    with pytest.raises(ValueError, match="'w', which is not a basis label"):
+        ChainComplex.from_labels(Z, basis, lambda l: {"w": 1} if l == "x" else {})
+    with pytest.raises(ValueError, match="not a basis label"):
+        ChainComplex.free(Z, basis, {(1, "x", "v"): 1})
+
+
+def test_from_labels_checks_d_squared_unless_told_not_to():
+    basis = {0: ["y"], 1: ["x"], 2: ["t"]}
+    bd = {"t": {"x": 1}, "x": {"y": 1}}
+    with pytest.raises(NotADifferential):
+        ChainComplex.from_labels(Z, basis, lambda l: bd.get(l, {}))
+    c = ChainComplex.from_labels(Z, basis, lambda l: bd.get(l, {}), validate=False)
+    assert c.d_mat(1).mul(c.d_mat(2)) == Mat.from_rows(Z, [[1]])
+
+
+def test_constructor_rejects_a_wrong_shape_and_ring():
+    basis = {0: ["y"], 1: ["x"]}
+    with pytest.raises(ValueError, match="shape"):
+        ChainComplex(Z, "Z", basis, {1: Mat.from_rows(Z, [[1], [1]])})
+    with pytest.raises(MixedRings):
+        ChainComplex(Z, "Z", basis, {1: Mat.from_rows(Q, [[1]])})
