@@ -59,6 +59,20 @@ class NonPermutationAction(EngineError):
     pass
 
 
+# -- trees -------------------------------------------------------------------
+
+class ExternalEdge(EngineError):
+    pass
+
+
+class BadIndex(EngineError):
+    pass
+
+
+class BadLevel(EngineError):
+    pass
+
+
 # -- multicategories / bar ---------------------------------------------------
 
 class ArityOverflow(EngineError):
