@@ -2,7 +2,7 @@
 object of a multifunctor, and its realization with the operad action.
 
 The comparison map between the categorical and operadic extensions is not
-built here yet (ROADMAP item 4).
+built here yet (ROADMAP item 5).
 
 Elements of iterated free algebras are decorated leveled trees, stored as
 nested labels:
@@ -414,8 +414,7 @@ def free_algebra(M: MultiCat, carriers: dict, arity_max=None,
     so torsion coinvariants are dropped.  On `as_operad(Z, 3)` with the
     carrier y in degree 0 and x in degree 1 (d x = y), x (x) x, whose
     S_2-coinvariants are Z/2, is missing and the dims are {0: 3, 1: 3}.
-    The result is exact only where those orbits are free (ROADMAP items 0
-    and 3).
+    The result is exact only where those orbits are free (ROADMAP item 0).
     """
     if arity_max is not None and arity_max != M.arity_max:
         raise ArityOverflow("free algebra truncation must match the bound")

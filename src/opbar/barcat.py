@@ -325,6 +325,8 @@ def _union_find_classes(cpx: ChainComplex, relations):
     for vec in relations:
         items = sorted(vec.items(), key=lambda kv: repr(kv[0]))
         (l1, c1), (l2, c2) = items
+        if cpx.degree_of(l1) != cpx.degree_of(l2):
+            raise EngineError("relation mixes degrees")
         s1 = 1 if ring.eq(c1, ring.one) else -1
         s2 = 1 if ring.eq(c2, ring.one) else -1
         # c1 l1 + c2 l2 = 0  =>  l1 = -(s2/s1) l2

@@ -15,6 +15,8 @@ each slot to the other.
 
 from __future__ import annotations
 
+import itertools
+
 from . import linalg
 from .coeff import Ring
 from .errors import (
@@ -208,43 +210,13 @@ class ChainComplex:
         return out, inc0, inc1
 
     def tensor(self, other: "ChainComplex") -> "ChainComplex":
+        """self (x) other with labels ("t", la, lb): `tensor_many` of the two
+        factors, relabelled."""
         if self.ring != other.ring or self.grading != other.grading:
             raise MixedRings("tensor needs matching ring and grading")
-        ring = self.ring
-        basis = {}
-        start = {}  # (da, db) -> where the block of pairs (la, lb) starts
-        for da in self.degrees():
-            for db in other.degrees():
-                ls = basis.setdefault(self.shift_deg(da, db), [])
-                start[(da, db)] = len(ls)
-                ls.extend(("t", la, lb) for la in self.labels(da)
-                          for lb in other.labels(db))
-        # (la, lb) sits at start + ia * dim(db) + ib; every entry lands once
-        entries = {}
-        for da, ma in self.diff.items():
-            pa = self.pred(da)
-            for db in other.degrees():
-                nb = other.dim(db)
-                r0, c0 = start[(pa, db)], start[(da, db)]
-                acc = entries.setdefault(self.shift_deg(da, db), {})
-                for (i, j), v in ma.d.items():
-                    for ib in range(nb):
-                        acc[(r0 + i * nb + ib, c0 + j * nb + ib)] = v
-        for db, mb in other.diff.items():
-            pb = other.pred(db)
-            nb, npb = other.dim(db), other.dim(pb)
-            for da in self.degrees():
-                r0, c0 = start[(da, pb)], start[(da, db)]
-                acc = entries.setdefault(self.shift_deg(da, db), {})
-                for (i, j), v in mb.d.items():
-                    w = ring.neg(v) if da % 2 else v
-                    for ia in range(self.dim(da)):
-                        acc[(r0 + ia * npb + i, c0 + ia * nb + j)] = w
-        diff = {}
-        for d, acc in entries.items():
-            diff[d] = Mat(ring, len(basis.get(self.pred(d), ())), len(basis[d]))
-            diff[d].d = acc
-        return ChainComplex(ring, self.grading, basis, diff, validate=False)
+        return ChainComplex.tensor_many(
+            self.ring, [self, other], tag="t", grading=self.grading
+        ).relabel(lambda l: ("t",) + l[1])
 
     def map_coefficients(self, new_ring: Ring, fn) -> "ChainComplex":
         diff = {d: m.map_ring(new_ring, fn) for d, m in self.diff.items()}
@@ -255,17 +227,17 @@ class ChainComplex:
         """Flat tensor product: labels (tag, (l_1, ..., l_k)), Koszul signs.
 
         With grading="Z2" the factors are Z/2-graded and degrees add mod 2."""
-        import itertools as _it
         pools = []
         for c in factors:
             pools.append([(d, l) for d in c.degrees() for l in c.labels(d)])
         basis = {}
-        for combo in _it.product(*pools):
+        for combo in itertools.product(*pools):
             deg = sum(d for d, _ in combo)
             if grading == "Z2":
                 deg %= 2
             basis.setdefault(deg, []).append((tag, tuple(l for _, l in combo)))
-        # per factor: label -> (lowest degree, [(boundary label, coeff)])
+        # per factor: label -> (degree, [(boundary label, coeff)]); d_fn sees
+        # labels only, so a label held in two degrees would read one boundary
         tables = []
         for c in factors:
             table = {}
@@ -273,8 +245,10 @@ class ChainComplex:
                 cols = c.d_mat(ld).columns()
                 below = c.labels(c.pred(ld))
                 for j, l in enumerate(c.labels(ld)):
-                    table.setdefault(l, (ld, [(below[i], v) for i, v in
-                                              cols.get(j, {}).items()]))
+                    if l in table:
+                        raise ValueError(f"tensor factor holds {l!r} in two degrees")
+                    table[l] = (ld, [(below[i], v) for i, v in
+                                     cols.get(j, {}).items()])
             tables.append(table)
 
         def d_fn(label):

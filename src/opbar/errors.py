@@ -59,20 +59,6 @@ class NonPermutationAction(EngineError):
     pass
 
 
-# -- trees -------------------------------------------------------------------
-
-class ExternalEdge(EngineError):
-    pass
-
-
-class BadIndex(EngineError):
-    pass
-
-
-class BadLevel(EngineError):
-    pass
-
-
 # -- multicategories / bar ---------------------------------------------------
 
 class ArityOverflow(EngineError):

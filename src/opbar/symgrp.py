@@ -175,25 +175,22 @@ def enumerate_group(generators, n: int, bound: int = GROUP_DEGREE_BOUND):
     return sorted(seen, key=lambda p: p.images)
 
 
-def _close(gens, maps, product):
-    """Extend maps from the generators to the whole group generated:
-    maps[g o cur] = product(maps[g], maps[cur]).  The generators are already
-    assigned, so the search starts from them."""
-    frontier = list(gens)
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = g.compose(cur)
-            if nxt not in maps:
-                maps[nxt] = product(maps[g], maps[cur])
-                frontier.append(nxt)
+class GroupRingModule:
+    """A chain complex with a one-sided action of a subgroup G of S_n by
+    degree-0 chain maps.
 
+    `side` is "left" or "right"; composition conventions are
+    left: (gh).m = g.(h.m),  right: m.(gh) = (m.g).h.
+    The side decides only how two maps compose (`_product`).  A right action
+    and the left action g -> map(g^{-1}) have the same maps, so both sides
+    have the same orbits, and `signed_perm_tables` reads either side as it is.
+    """
 
-class GroupAction:
-    """A left action of a subgroup of S_n on a chain complex by chain maps."""
-
-    def __init__(self, n, generators, complex: ChainComplex, gen_maps,
+    def __init__(self, side, n, generators, complex: ChainComplex, gen_maps,
                  check: bool = True):
+        if side not in ("left", "right"):
+            raise ValueError("side must be left or right")
+        self.side = side
         self.n = n
         self.gens = [g if isinstance(g, Perm) else Perm(g) for g in generators]
         self.complex = complex
@@ -203,20 +200,34 @@ class GroupAction:
             if m.source is not complex or m.target is not complex or m.degree != 0:
                 raise NonPermutationAction("action maps must be degree-0 self-maps")
             self._maps[g] = m
-        _close(self.gens, self._maps, lambda mg, mcur: mg.compose(mcur))
+        # extend to the whole group: map(g o cur) from map(g) and map(cur);
+        # the generators are already assigned, so the search starts from them
+        frontier = list(self.gens)
+        while frontier:
+            cur = frontier.pop()
+            for g in self.gens:
+                nxt = g.compose(cur)
+                if nxt not in self._maps:
+                    self._maps[nxt] = self._product(self._maps[g], self._maps[cur])
+                    frontier.append(nxt)
         if check:
             self.check_consistency()
 
+    def _product(self, mg: ChainMap, mh: ChainMap) -> ChainMap:
+        """The map of g o h from the maps of g and h: on the right,
+        m.(g o h) = (m.g).h, so the map of g runs first."""
+        return mg.compose(mh) if self.side == "left" else mh.compose(mg)
+
     def check_consistency(self):
-        """Relations hold on the nose: map(g o h) == map(g) o map(h) for all pairs."""
+        """Relations hold on the nose: map(g o h) == _product(map(g), map(h))
+        for every generator g and element h."""
         for g in self.gens:
             for h in self.elements:
-                lhs = self._maps[g.compose(h)]
-                rhs = self._maps[g].compose(self._maps[h])
-                if not lhs.eq(rhs):
+                rhs = self._product(self._maps[g], self._maps[h])
+                if not self._maps[g.compose(h)].eq(rhs):
                     raise NonPermutationAction(
-                        f"action violates the group relations at {g!r} o {h!r}"
-                    )
+                        f"{self.side} action violates the group relations "
+                        f"at {g!r} o {h!r}")
         return self
 
     def map_of(self, g: Perm) -> ChainMap:
@@ -246,6 +257,14 @@ class GroupAction:
                 per_g[g] = cols
             tables[d] = per_g
         return tables
+
+
+class GroupAction(GroupRingModule):
+    """A left action of a subgroup of S_n on a chain complex by chain maps."""
+
+    def __init__(self, n, generators, complex: ChainComplex, gen_maps,
+                 check: bool = True):
+        super().__init__("left", n, generators, complex, gen_maps, check)
 
 
 def coinvariants(action: GroupAction):
@@ -301,53 +320,6 @@ def _orbit_classes(C: ChainComplex, tables):
                 cls[i] = None if dead else (rep, s * orbit[rep])
             done.update(orbit)
     return classes
-
-
-class GroupRingModule:
-    """A chain complex with a one-sided action of a subgroup G of S_n.
-
-    `side` is "left" or "right"; composition conventions are
-    left: (gh).m = g.(h.m),  right: m.(gh) = (m.g).h.
-    """
-
-    def __init__(self, side, n, generators, complex, gen_maps, check=True):
-        if side not in ("left", "right"):
-            raise ValueError("side must be left or right")
-        self.side = side
-        self.n = n
-        self.gens = [g if isinstance(g, Perm) else Perm(g) for g in generators]
-        self.complex = complex
-        self.elements = enumerate_group(self.gens, n)
-        self._maps = {Perm.identity(n): ChainMap.identity(complex)}
-        for g, m in zip(self.gens, gen_maps):
-            self._maps[g] = m
-        if side == "left":
-            _close(self.gens, self._maps, lambda mg, mcur: mg.compose(mcur))
-        else:
-            # operator of m.(g o cur): first g, then cur acts
-            _close(self.gens, self._maps, lambda mg, mcur: mcur.compose(mg))
-        if check:
-            for g in self.gens:
-                for h in self.elements:
-                    gh = g.compose(h)
-                    if self.side == "left":
-                        rhs = self._maps[g].compose(self._maps[h])
-                    else:
-                        rhs = self._maps[h].compose(self._maps[g])
-                    if not self._maps[gh].eq(rhs):
-                        raise NonPermutationAction(
-                            f"{side} action violates relations at {g!r}, {h!r}")
-
-    def map_of(self, g: Perm) -> ChainMap:
-        return self._maps[g]
-
-    def as_left_action(self) -> GroupAction:
-        """The associated left action (right modules act through inverses)."""
-        if self.side == "left":
-            maps = [self._maps[g] for g in self.gens]
-        else:
-            maps = [self._maps[g.inverse()] for g in self.gens]
-        return GroupAction(self.n, self.gens, self.complex, maps, check=False)
 
 
 def tensor_over_group_ring(Mr: GroupRingModule, Ml: GroupRingModule):
@@ -413,7 +385,7 @@ class FreeModuleReport:
 
 def is_free_module(M: GroupRingModule) -> FreeModuleReport:
     """Freeness of a signed-permutation module: every orbit is a regular orbit."""
-    tables = M.as_left_action().signed_perm_tables()
+    tables = M.signed_perm_tables()
     if tables is None:
         raise NonPermutationAction(
             "freeness is only decided for signed permutation actions")

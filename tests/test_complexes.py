@@ -69,6 +69,18 @@ def test_tensor_unit_law():
         assert homology(t, k).as_dict() == homology(d, k).as_dict()
 
 
+def test_tensor_rejects_a_label_held_in_two_degrees():
+    # the boundary table is keyed by label, so "a" in degrees 0 and 1 would
+    # lose d a = a; raising beats a wrong differential
+    Z = Ring.Z()
+    a = ChainComplex(Z, "Z", {0: ["a"], 1: ["a"]}, {1: Mat.from_rows(Z, [[1]])})
+    b = ChainComplex.single(Z, "b", 0)
+    with pytest.raises(ValueError, match="in two degrees"):
+        a.tensor(b)
+    with pytest.raises(ValueError, match="in two degrees"):
+        ChainComplex.tensor_many(Z, [b, a])
+
+
 def test_tensor_square_homology():
     sq = interval(Q).tensor(interval(Q))
     assert [sq.dim(k) for k in (0, 1, 2)] == [4, 4, 1]

@@ -8,8 +8,7 @@
   to an item of one: every complex gets its differential from the
   constructor, which checks its shape and ring.
 * Every module is imported by another module of the package or named in
-  the `ENGINE` tuple of perfbench/run.py, apart from the ones named in
-  `STANDALONE`.
+  the `ENGINE` tuple of perfbench/run.py.
 """
 
 import ast
@@ -186,17 +185,8 @@ def engine_modules():
     raise AssertionError("perfbench/run.py defines no ENGINE tuple")
 
 
-# Modules kept on purpose although no other module imports them, each with
-# the reason.  A new entry needs one.
-STANDALONE = {
-    # pre-stable, weighted and leveled trees: the tree combinatorics of the
-    # paper, covered by tests/test_trees.py, not yet used by the bar engine
-    "trees",
-}
-
-
 def unreached_modules():
-    reached = set(engine_modules()) | STANDALONE
+    reached = set(engine_modules())
     for path in MODULES:
         reached |= imported_modules(path.read_text()) - {path.stem}
     return sorted({p.stem for p in MODULES} - {"__init__"} - reached)

@@ -147,6 +147,15 @@ def test_classes_that_are_not_a_subcomplex_raise():
         _free_quotient(C, [{"x0": 1, "x1": -1}])
 
 
+@pytest.mark.parametrize("coeff", [-1, -2], ids=["union_find", "span"])
+def test_relation_across_degrees_raises_on_both_paths(coeff):
+    # a +-1 pair goes through union-find, a 2 through the span; both name
+    # the fault instead of failing a label lookup in the wrong degree
+    C = ChainComplex.free(Z, {0: ["a"], 1: ["b"]}, {})
+    with pytest.raises(EngineError, match="relation mixes degrees"):
+        _free_quotient(C, [{"a": 1, "b": coeff}])
+
+
 # -- field echelon form -------------------------------------------------------------
 
 def _apply_d(C, d, vec):

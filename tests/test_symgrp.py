@@ -143,15 +143,16 @@ def group_ring_complex(ring, n, elements):
     return ChainComplex.free(ring, {0: [repr(g) for g in elements]}, {})
 
 
-def regular_module(ring, n, gens):
-    """R[G] as a right module over itself (right translation)."""
+def regular_module(ring, n, gens, side="right"):
+    """R[G] as a module over itself, by right or left translation."""
     elements = enumerate_group(gens, n)
     c = group_ring_complex(ring, n, elements)
     gen_maps = []
     for g in gens:
-        mapping = {repr(h): repr(h.compose(g)) for h in elements}
+        mapping = {repr(h): repr(h.compose(g) if side == "right" else g.compose(h))
+                   for h in elements}
         gen_maps.append(ChainMap.from_label_fn(c, c, 0, lambda l, m=mapping: [(m[l], 1)]))
-    return GroupRingModule("right", n, gens, c, gen_maps)
+    return GroupRingModule(side, n, gens, c, gen_maps)
 
 
 def trivial_module(ring, n, gens, side, label="m"):
@@ -187,16 +188,9 @@ def test_free_module_cancellation():
 def test_tensor_regular_against_regular_is_regular():
     # free right module cancellation: M (x)_{R[G]} R[G] ~ M
     gens = [Perm((2, 1))]
-    reg = regular_module(Z, 2, gens)
-    elements = enumerate_group(gens, 2)
-    c = group_ring_complex(Z, 2, elements)
-    left_maps = []
-    for g in gens:
-        mapping = {repr(h): repr(g.compose(h)) for h in elements}
-        left_maps.append(ChainMap.from_label_fn(c, c, 0, lambda l, m=mapping: [(m[l], 1)]))
-    lreg = GroupRingModule("left", 2, gens, c, left_maps)
-    t, proj = tensor_over_group_ring(reg, lreg)
-    assert t.dim(0) == len(elements)
+    t, proj = tensor_over_group_ring(regular_module(Z, 2, gens),
+                                     regular_module(Z, 2, gens, "left"))
+    assert t.dim(0) == 2
 
 
 # -- freeness ----------------------------------------------------------------------
@@ -285,3 +279,46 @@ def test_s3_group_ring_module_maps_every_element(side):
     for g in enumerate_group(S3_GENS, 3):
         want = _permutation_map(c, g if side == "left" else g.inverse())
         assert mod.map_of(g).eq(want), g
+
+
+def test_s3_regular_against_trivial_is_z():
+    reg = regular_module(Z, 3, S3_GENS)
+    t, _ = tensor_over_group_ring(reg, trivial_module(Z, 3, S3_GENS, "left", "b"))
+    assert t.dim(0) == 1
+    assert homology(t, 0).format() == "Z"
+
+
+def test_s3_regular_against_regular_is_regular():
+    t, _ = tensor_over_group_ring(regular_module(Z, 3, S3_GENS),
+                                  regular_module(Z, 3, S3_GENS, "left"))
+    assert t.total_dim() == t.dim(0) == 6
+
+
+def test_s3_regular_right_module_is_free():
+    # a right module is read as it is: its orbits are those of its inverse
+    # left action
+    rep = is_free_module(regular_module(Z, 3, S3_GENS))
+    assert rep.free
+    assert rep.orbit_reps == [(0, "id")]
+
+
+def test_s3_permutation_module_is_not_free():
+    c = ChainComplex.free(Z, {0: ["e1", "e2", "e3"]}, {})
+    mod = GroupRingModule("right", 3, S3_GENS, c,
+                          [_permutation_map(c, g.inverse()) for g in S3_GENS])
+    rep = is_free_module(mod)
+    assert not rep.free
+    assert "orbit of size 3 < 6" in rep.reason
+
+
+@pytest.mark.parametrize("bad", ["degree_1", "other_complex"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_group_ring_module_rejects_maps_that_are_not_degree_0_self_maps(side, bad):
+    c = ChainComplex.free(Z, {0: ["x"], 1: ["y"]}, {})
+    if bad == "degree_1":
+        m = ChainMap(c, c, 1, {0: Mat.from_rows(Z, [[1]])})
+    else:
+        m = ChainMap.identity(ChainComplex.free(Z, {0: ["x"], 1: ["y"]}, {}))
+    # check=False: the maps are rejected before any relation is checked
+    with pytest.raises(NonPermutationAction, match="degree-0 self-maps"):
+        GroupRingModule(side, 2, [Perm((2, 1))], c, [m], check=False)
