@@ -33,16 +33,6 @@ from .simplicial import RealizedComplex, SimplicialComplexObj, realize, shuffles
 from .symgrp import GroupRingModule, Perm, koszul_sign, tensor_over_group_ring
 
 
-def _reorder_sign_int(degrees_src, order):
-    sign = 1
-    for a in range(len(order)):
-        for b in range(a + 1, len(order)):
-            if order[a] > order[b] and degrees_src[order[a]] % 2 \
-                    and degrees_src[order[b]] % 2:
-                sign = -sign
-    return sign
-
-
 def _ev_sign(fdeg, args_deg):
     """Sign of the evaluation pairing in the order (arguments, operation)."""
     return -1 if (fdeg % 2 and args_deg % 2) else 1
@@ -265,76 +255,53 @@ class WordCalculus:
 
     # -- faces and degeneracies --------------------------------------------------
 
+    def _collapse(self, pieces, gam, make) -> dict:
+        """sum over gam of make(key, all children), for pieces [(children,
+        key)], with the Koszul sign of moving the tensor factors
+        (c_1, m_1, c_2, m_2, ...) to (c_1, ..., c_k, m_1, ..., m_k)."""
+        ring = self.ring
+        degs, c_pos, m_pos = [], [], []
+        for cs, mk in pieces:
+            for c in cs:
+                c_pos.append(len(degs))
+                degs.append(self.deg(c))
+            m_pos.append(len(degs))
+            degs.append(mk[2])
+        sign = ring.from_int(
+            koszul_sign(Perm([o + 1 for o in c_pos + m_pos]), degs))
+        all_children = tuple(c for cs, _ in pieces for c in cs)
+        out = {}
+        for gk, gv in gam.items():
+            for l2, v2 in make(gk, all_children).items():
+                add_into(ring, out, l2, ring.mul(sign, ring.mul(gv, v2)))
+        return out
+
     def face_root_collapse(self, label) -> dict:
         """d_0: project depth-1 decorations along pi and compose at the root."""
-        ring = self.ring
         okey, words = label[1], label[2]
-        degs = []
-        src_order = []
         pieces = []  # (children, mkey) per word
         for w in words:
             if w[0] != "wd":
                 raise EngineError("root collapse needs depth >= 1")
             pieces.append((w[2], w[1]))
-        # tensor order: (c_1, m_1, c_2, m_2, ..., theta); target:
-        # (c_1, ..., c_k, m_1, ..., m_k, theta)
-        degs = []
-        flat = []
-        for t, (cs, mk) in enumerate(pieces):
-            for ci, c in enumerate(cs):
-                flat.append(("c", t, ci))
-                degs.append(self.deg(c))
-            flat.append(("m", t))
-            degs.append(mk[2])
-        order = [flat.index(("c", t, ci))
-                 for t, (cs, _) in enumerate(pieces) for ci in range(len(cs))]
-        order += [flat.index(("m", t)) for t in range(len(pieces))]
-        sign = _reorder_sign_int(degs, order)
         # gamma in O over the projected decorations
-        pi_parts = [self.pi.on_key(mk) for _, mk in pieces]
-        gam = self.O.gamma(okey, pi_parts)
-        all_children = tuple(c for cs, _ in pieces for c in cs)
-        out = {}
-        for gk, gv in gam.items():
-            for l2, v2 in self.make_root(gk, all_children).items():
-                add_into(ring, out, l2,
-                         ring.mul(ring.from_int(sign), ring.mul(gv, v2)))
-        return out
+        gam = self.O.gamma(okey, [self.pi.on_key(mk) for _, mk in pieces])
+        return self._collapse(pieces, gam, self.make_root)
 
     def collapse_word_once(self, label) -> dict:
         """Compose a word's children (depth-1 collapse inside M)."""
-        ring = self.ring
         mkey, children = label[1], label[2]
-        degs = []
-        flat = []
         pieces = []
-        for t, c in enumerate(children):
+        for c in children:
             if c[0] != "wd":
                 raise EngineError("inner collapse needs word children")
             pieces.append((c[2], c[1]))
-        for t, (cs, mk) in enumerate(pieces):
-            for ci, c in enumerate(cs):
-                flat.append(("c", t, ci))
-                degs.append(self.deg(c))
-            flat.append(("m", t))
-            degs.append(mk[2])
-        order = [flat.index(("c", t, ci))
-                 for t, (cs, _) in enumerate(pieces) for ci in range(len(cs))]
-        order += [flat.index(("m", t)) for t in range(len(pieces))]
-        sign = _reorder_sign_int(degs, order)
-        total_arity = sum(len(cs) for cs, _ in pieces)
-        if total_arity > self.M.arity_max:
+        if sum(len(cs) for cs, _ in pieces) > self.M.arity_max:
             # zero truncation: the composite multimorphism space vanishes
             gam = {}
         else:
-            gam = self.M.gamma(mkey, [{mk: ring.one} for _, mk in pieces])
-        all_children = tuple(c for cs, _ in pieces for c in cs)
-        out = {}
-        for gk, gv in gam.items():
-            for l2, v2 in self.make_word(gk, all_children).items():
-                add_into(ring, out, l2,
-                         ring.mul(ring.from_int(sign), ring.mul(gv, v2)))
-        return out
+            gam = self.M.gamma(mkey, [{mk: self.ring.one} for _, mk in pieces])
+        return self._collapse(pieces, gam, self.make_word)
 
     def evaluate_word(self, label) -> dict:
         """Apply the algebra action to a depth-1 word (leaf children)."""

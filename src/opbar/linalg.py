@@ -1,46 +1,36 @@
 """Sparse exact linear algebra over the coefficient rings.
 
 Matrices are stored as {(row, col): value} dicts with explicit shape; vectors
-as {index: value} dicts.  No floats anywhere.  Which kernel serves what:
+as {index: value} dicts.  No floats anywhere.  One kernel per job:
 
-* `Mat.mul` -- products: `prepare` and `product` (below);
-* `column_form`, `column_product`, `columns_equal` -- the composites of
-  `SimplicialComplexObj.check_identities` (below);
+* products -- `column_form` and `column_product` (below), shared by
+  `Mat.mul`, which restores the values with `_restore`, and by
+  `SimplicialComplexObj.check_identities`, which compares the composites
+  in int form with `columns_equal`;
 * `field_rank` -- ranks over Q and F_p (field homology): forward
   elimination over plain ints, no back-reduction;
-* `field_kernel`, `field_solve`, `field_solve_mat` -- fully reduced row
-  echelon form (`_field_rref`) through the ring operations;
+* `field_solve`, `field_solve_mat` -- fully reduced row echelon form
+  (`_field_rref`) through the ring operations;
 * the integer routines -- one Smith diagonalization (`_ZWorker`) whose
   pivot is the first +-1 entry of the trailing block, or without one the
-  smallest-magnitude entry with the fewest fill, differing in the
-  transforms they track:
-  `snf_diagonal` (the invariant factors d1 | d2 | ...) and `z_rank` track
-  none, and `z_solve`, `z_solve_mat` run one factorization tracking U and V
-  and one back-substitution per right-hand side.  Integer homology
-  (`complexes.homology`) needs only `snf_diagonal` and `z_rank`.
+  smallest-magnitude entry with the fewest fill.  `snf_diagonal` (the
+  invariant factors d1 | d2 | ...) and `z_rank` track no transform;
+  `quotient.by_z_span` tracks the row transform U and its inverse.
 
 Products are computed over plain Python ints, never through `Ring.mul` and
-`Ring.add`, in two steps.  `prepare` writes an operand once in int form,
-with its row index: over Q every entry becomes an int over den, the lcm of
-the matrix's denominators.  `product` runs one integer multiply-accumulate
-loop over two prepared operands and restores the values once per output
-entry: n / den as a `Fraction` (one object per distinct n), n mod p over F_p.
-`Mat.mul` is these two steps.
+`Ring.add`.  `column_form` writes an operand once in int form, as one
+{row: int} dict per column: over Q every entry becomes an int over den, the
+lcm of the matrix's denominators.  In `column_product` column j of g * f is
+g's column itself when column j of f is the single int entry (r, 1), as in
+faces and degeneracies; other columns are scaled or accumulated in ints,
+over den_g * den_f.  `Mat.mul` restores each output entry once: n / den as
+a `Fraction` (one object per distinct n), the residue over F_p.
 Over a truncated Novikov ring an entry is an int polynomial in the grid step:
 c T^e becomes the term (k, n) with k = e * q, so the loop adds step counts,
 keeps k1 + k2 < ceil(c * q) (the cutoff) and restores exponents as k / q.
 An exponent off the grid raises `NonGridExponent`.  Canonical forms are
 unique, so on canonical operands the output equals, value for value and
 type for type, the sum of per-entry ring products.
-
-The identity check composes maps that mostly send a basis label to one label
-with coefficient 1, and only compares the composites, so it never restores
-ring values.  `column_form` writes a matrix once in the same int form, as
-one tuple ((row, int), ...) per column sorted by row.  In `column_product`
-column j of g * f is g's column tuple itself when column j of f is the
-single int entry (r, 1); other columns are scaled or accumulated in ints.
-`columns_equal` compares two column forms as plain lists, cross-multiplying
-when their denominators differ.
 """
 
 from __future__ import annotations
@@ -165,9 +155,9 @@ class Mat:
         return self.scale(self.ring.from_int(n))
 
     def mul(self, other: "Mat") -> "Mat":
-        """The product self * other: `prepare` both operands, then `product`
-        (see the module docstring); the output is canonical, without zero
-        entries."""
+        """The product self * other: the `column_product` of both operands'
+        `column_form`, restored to canonical entries without zeros (see the
+        module docstring)."""
         if self.ring != other.ring:
             raise MixedRings("matrix product over different rings")
         if self.ncols != other.nrows:
@@ -175,7 +165,8 @@ class Mat:
         ring = self.ring
         out = Mat(ring, self.nrows, other.ncols)
         if self.d and other.d:
-            out.d = product(ring, prepare(ring, self.d), prepare(ring, other.d))
+            out.d = _restore(ring, column_product(
+                ring, column_form(ring, self), column_form(ring, other)))
         return out
 
     def transpose(self) -> "Mat":
@@ -219,32 +210,8 @@ class Mat:
 
 
 # ---------------------------------------------------------------------------
-# Products over plain ints
+# Products over plain ints, column by column
 # ---------------------------------------------------------------------------
-
-
-def prepare(ring: Ring, entries: dict):
-    """The operand form `product` reads: (den, ints, rows).
-
-    ints is the int form of the entries (see the module docstring) with
-    entries == ints / den, and rows indexes it by row as
-    {row: [(col, int), ...]}."""
-    if ring.kind == "nov":
-        den, ints = _nov_int_form(ring, entries)
-    else:
-        den, ints = _int_form(ring, entries)
-    rows = {}
-    for (j, k), w in ints.items():
-        rows.setdefault(j, []).append((k, w))
-    return den, ints, rows
-
-
-def product(ring: Ring, a, b) -> dict:
-    """The canonical entries of a * b, zeros dropped, from two operands that
-    `prepare` made over `ring`."""
-    if ring.kind == "nov":
-        return _nov_product(ring, a, b)
-    return _scalar_product(ring, a, b)
 
 
 def _int_form(ring: Ring, entries: dict):
@@ -256,27 +223,6 @@ def _int_form(ring: Ring, entries: dict):
         return 1, {key: v.numerator for key, v in entries.items()}
     return den, {key: v.numerator * (den // v.denominator)
                  for key, v in entries.items()}
-
-
-def _scalar_product(ring: Ring, a, b) -> dict:
-    """Entries of a * b over Z, Q or F_p, with zeros dropped."""
-    den_a, a, _ = a
-    den_b, _, by_row = b
-    acc = {}
-    get = acc.get
-    for (i, j), v in a.items():
-        hits = by_row.get(j)
-        if hits:
-            for k, w in hits:
-                key = (i, k)
-                acc[key] = get(key, 0) + v * w
-    if ring.kind == "Fp":
-        p = ring.p
-        return {key: n % p for key, n in acc.items() if n % p}
-    if ring.kind == "Z":
-        return {key: n for key, n in acc.items() if n}
-    restore = _fraction_restorer(den_a * den_b)
-    return {key: restore(n) for key, n in acc.items() if n}
 
 
 def _fraction_restorer(den: int):
@@ -292,7 +238,7 @@ def _fraction_restorer(den: int):
 
 
 def _nov_int_form(ring: Ring, entries: dict):
-    """(den, {key: [(k, n), ...]}): each term c T^e becomes the grid step
+    """(den, {key: ((k, n), ...)}): each term c T^e becomes the grid step
     k = e * grid and the int n = c * den, den the lcm of the coefficient
     denominators (1 over F_p).  Raises NonGridExponent off the grid."""
     q = ring.grid
@@ -305,76 +251,31 @@ def _nov_int_form(ring: Ring, entries: dict):
             if r or k < 0:
                 raise NonGridExponent(f"exponent {e} not on grid (1/{q})Z>=0")
             terms.append((k, c.numerator * (den // c.denominator)))
-        out[key] = terms
+        out[key] = tuple(terms)
     return den, out
 
 
-def _nov_product(ring: Ring, a, b) -> dict:
-    """Entries of a * b over a truncated Novikov ring: a truncated product
-    of int polynomials in the grid step, which keeps k1 + k2 < ceil(c * q)."""
-    q = ring.grid
-    steps = math.ceil(ring.cutoff * q)
-    den_a, a, _ = a
-    den_b, _, by_row = b
-    acc = {}
-    for (i, j), v in a.items():
-        hits = by_row.get(j)
-        if not hits:
-            continue
-        for col, w in hits:
-            key = (i, col)
-            poly = acc.get(key)
-            if poly is None:
-                poly = acc[key] = {}
-            for k1, c1 in v:
-                for k2, c2 in w:
-                    e = k1 + k2
-                    if e < steps:
-                        poly[e] = poly.get(e, 0) + c1 * c2
-    exponent = [Fraction(k, q) for k in range(steps)]
-    if ring.base.kind == "Q":
-        coeff = _fraction_restorer(den_a * den_b)
-    else:
-        p = ring.base.p
-
-        def coeff(n):
-            return n % p
-    out = {}
-    for key, poly in acc.items():
-        terms = []
-        for k in sorted(poly):
-            c = coeff(poly[k])
-            if c:
-                terms.append((exponent[k], c))
-        if terms:
-            out[key] = tuple(terms)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Composites column by column
-# ---------------------------------------------------------------------------
-
-
 def column_form(ring: Ring, m: Mat):
-    """(den, cols, rows): m in the int form of `prepare` (over Novikov each
-    entry a tuple of grid-step terms), as one tuple ((row, int), ...) sorted
-    by row per column, () for a zero column.  rows lists, column by column,
-    the row r of a map whose every column is the single int entry (r, 1),
-    as faces and degeneracies mostly are; it is None otherwise."""
+    """(den, cols, rows): m in int form (see the module docstring), as one
+    {row: int} dict per column, {} for a zero column; over Novikov each int
+    is a tuple of grid-step terms (k, n).  rows lists, column by column, the
+    row r of a map whose every column is the single int entry (r, 1), as
+    faces and degeneracies mostly are; it is None otherwise.
+
+    Forms share columns: `column_product` hands an operand's column on
+    as the product's, so no column of a form may be mutated."""
     if ring.kind == "nov":
         den, ints = _nov_int_form(ring, m.d)
-        ints = {key: tuple(terms) for key, terms in ints.items()}
     else:
         den, ints = _int_form(ring, m.d)
-    by_col = [[] for _ in range(m.ncols)]
-    for (i, j), w in sorted(ints.items()):
-        by_col[j].append((i, w))
-    cols = list(map(tuple, by_col))
+    cols = [{} for _ in range(m.ncols)]
+    for (i, j), w in ints.items():
+        cols[j][i] = w
     rows = None
     if len(ints) == m.ncols:
         one = _int_one(ring)
-        rows = [col[0][0] for col in cols if col and col[0][1] == one]
+        rows = [r for col in cols if len(col) == 1
+                for r, c in col.items() if c == one]
         if len(rows) < m.ncols:
             rows = None
     return den, cols, rows
@@ -387,7 +288,7 @@ def _int_one(ring: Ring):
 def unit_columns(ring: Ring, n: int):
     """The column form of the n x n identity."""
     one = _int_one(ring)
-    return 1, [((k, one),) for k in range(n)], list(range(n))
+    return 1, [{k: one} for k in range(n)], list(range(n))
 
 
 def column_product(ring: Ring, g, f):
@@ -396,7 +297,7 @@ def column_product(ring: Ring, g, f):
     Column j of the product is g's column r itself when column j of f is
     the single int entry (r, 1), whatever f's denominator: the product's
     ints are g's ints times f's, over den_g * den_f.  Otherwise g's columns
-    are scaled or accumulated over plain ints."""
+    are scaled or accumulated over plain ints, zeros dropped."""
     den_g, g_cols, _ = g
     den_f, f_cols, f_rows = f
     if f_rows is not None:
@@ -407,42 +308,41 @@ def column_product(ring: Ring, g, f):
     out = []
     for col in f_cols:
         if len(col) == 1:
-            r, c = col[0]
+            ((r, c),) = col.items()
             if c == one:
                 out.append(g_cols[r])
                 continue
             if not nov:
                 if p:
-                    out.append(tuple((i, c * w % p) for i, w in g_cols[r]))
+                    out.append({i: c * w % p for i, w in g_cols[r].items()})
                 else:
-                    out.append(tuple((i, c * w) for i, w in g_cols[r]))
+                    out.append({i: c * w for i, w in g_cols[r].items()})
                 continue
         if not col:
-            out.append(())
+            out.append({})
         elif nov:
             out.append(_nov_column(ring, g_cols, col))
         else:
             acc = {}
             get = acc.get
-            for r, c in col:
-                for i, w in g_cols[r]:
+            for r, c in col.items():
+                for i, w in g_cols[r].items():
                     acc[i] = get(i, 0) + c * w
             if p:
-                out.append(tuple(sorted((i, n % p) for i, n in acc.items()
-                                        if n % p)))
+                out.append({i: n % p for i, n in acc.items() if n % p})
             else:
-                out.append(tuple(sorted((i, n) for i, n in acc.items() if n)))
+                out.append({i: n for i, n in acc.items() if n})
     return den_g * den_f, out, None
 
 
 def _nov_column(ring: Ring, g_cols, col):
-    """One column of a Novikov product: a truncated sum of int polynomials
-    in the grid step, as in `_nov_product`."""
+    """One column of a Novikov product: a sum of int polynomials in the
+    grid step, truncated to k1 + k2 < ceil(c * q), terms sorted by k."""
     steps = math.ceil(ring.cutoff * ring.grid)
     p = ring.base.p
     acc = {}
-    for r, c in col:
-        for i, w in g_cols[r]:
+    for r, c in col.items():
+        for i, w in g_cols[r].items():
             poly = acc.get(i)
             if poly is None:
                 poly = acc[i] = {}
@@ -451,16 +351,46 @@ def _nov_column(ring: Ring, g_cols, col):
                     e = k1 + k2
                     if e < steps:
                         poly[e] = poly.get(e, 0) + n1 * n2
-    out = []
-    for i in sorted(acc):
-        poly = acc[i]
+    out = {}
+    for i, poly in acc.items():
         if p:
             terms = tuple((k, poly[k] % p) for k in sorted(poly) if poly[k] % p)
         else:
             terms = tuple((k, poly[k]) for k in sorted(poly) if poly[k])
         if terms:
-            out.append((i, terms))
-    return tuple(out)
+            out[i] = terms
+    return out
+
+
+def _restore(ring: Ring, form) -> dict:
+    """The canonical entries {(row, col): value} of a column form: n / den
+    as a `Fraction` (one object per distinct n), the residue over F_p, and
+    over Novikov each grid step k as the exponent k / q."""
+    den, cols, _ = form
+    if ring.kind == "Q":
+        restore = _fraction_restorer(den)
+        return {(i, j): restore(n)
+                for j, col in enumerate(cols) for i, n in col.items()}
+    if ring.kind != "nov":
+        return {(i, j): n for j, col in enumerate(cols) for i, n in col.items()}
+    q = ring.grid
+    exponents = {}
+    if ring.base.kind == "Q":
+        coeff = _fraction_restorer(den)
+    else:
+        def coeff(n):
+            return n
+    out = {}
+    for j, col in enumerate(cols):
+        for i, terms in col.items():
+            restored = []
+            for k, n in terms:
+                e = exponents.get(k)
+                if e is None:
+                    e = exponents[k] = Fraction(k, q)
+                restored.append((e, coeff(n)))
+            out[(i, j)] = tuple(restored)
+    return out
 
 
 def columns_equal(ring: Ring, a, b) -> bool:
@@ -475,10 +405,10 @@ def columns_equal(ring: Ring, a, b) -> bool:
         return False
     if ring.kind == "nov":
         def scaled(col, s):
-            return [(i, [(k, n * s) for k, n in t]) for i, t in col]
+            return {i: [(k, n * s) for k, n in t] for i, t in col.items()}
     else:
         def scaled(col, s):
-            return [(i, n * s) for i, n in col]
+            return {i: n * s for i, n in col.items()}
     return all(scaled(x, den_b) == scaled(y, den_a)
                for x, y in zip(a_cols, b_cols))
 
@@ -631,23 +561,6 @@ def field_rank(mat: Mat) -> int:
     return len(pivots)
 
 
-def field_kernel(mat: Mat):
-    """Basis of the right kernel, as sparse column vectors."""
-    ring = mat.ring
-    pivots, _ = _field_rref(mat)
-    basis = []
-    for j in range(mat.ncols):
-        if j in pivots:
-            continue
-        vec = {j: ring.one}
-        for pj, row in pivots.items():
-            c = row.get(j)
-            if c is not None:
-                vec[pj] = ring.neg(c)
-        basis.append(vec)
-    return basis
-
-
 def field_solve(mat: Mat, rhs: dict):
     """One solution x of mat @ x = rhs over a field, or None."""
     ring = mat.ring
@@ -683,15 +596,41 @@ def field_solve_mat(mat: Mat, rhs: Mat):
 # ---------------------------------------------------------------------------
 
 
-class _ZWorker:
-    """Row/column reduction over Z with optional transform tracking.
+def _addmul(vecs, dst, src, c):
+    """vecs[dst] += c * vecs[src], on a dict of sparse int vectors."""
+    vdst = vecs.setdefault(dst, {})
+    for k, v in vecs.get(src, {}).items():
+        acc = vdst.get(k, 0) + c * v
+        if acc:
+            vdst[k] = acc
+        else:
+            vdst.pop(k, None)
 
-    Maintains A as dict-of-rows plus a column-occupancy index.  Column
-    operations are mirrored on V (so A_orig @ V tracks column history) and row
-    operations on U (so U @ A_orig tracks row history).
+
+def _mix(vecs, i1, i2, a, b, c, d):
+    """vecs[i1], vecs[i2] <- a vecs[i1] + b vecs[i2], c vecs[i1] + d vecs[i2]."""
+    v1, v2 = vecs.get(i1, {}), vecs.get(i2, {})
+    new1, new2 = {}, {}
+    for k in v1.keys() | v2.keys():
+        x, y = v1.get(k, 0), v2.get(k, 0)
+        s, t = a * x + b * y, c * x + d * y
+        if s:
+            new1[k] = s
+        if t:
+            new2[k] = t
+    vecs[i1], vecs[i2] = new1, new2
+
+
+class _ZWorker:
+    """Row/column reduction over Z, optionally tracking the row transform.
+
+    Maintains A as dict-of-rows plus a column-occupancy index.  With
+    track_u, each row operation E is applied to U (rows), so U @ A_orig
+    tracks the row history, and E^-1 to U^-1 (columns) as the inverse
+    column operation, so U @ Uinv stays the identity.
     """
 
-    def __init__(self, mat: Mat, track_u=False, track_v=False):
+    def __init__(self, mat: Mat, track_u=False):
         self.m = mat.nrows
         self.n = mat.ncols
         self.rows = {}
@@ -699,11 +638,11 @@ class _ZWorker:
         for (i, j), v in mat.d.items():
             self.rows.setdefault(i, {})[j] = v
             self.colocc.setdefault(j, set()).add(i)
+        # U as row -> {col: val}, Uinv as col -> {row: val}; both start as I
         self.U = {i: {i: 1} for i in range(self.m)} if track_u else None
-        self.V = {j: {j: 1} for j in range(self.n)} if track_v else None
-        # V stored as dict col -> {row_index_of_V: val}; V starts as identity.
+        self.Uinv = {i: {i: 1} for i in range(self.m)} if track_u else None
 
-    # -- elementary ops (also applied to transforms) ----------------------
+    # -- elementary ops (row ops also applied to U and U^-1) ---------------
 
     def _set(self, i, j, v):
         row = self.rows.setdefault(i, {})
@@ -739,7 +678,8 @@ class _ZWorker:
                 self.colocc.setdefault(j, set()).add(i2)
         # every column of r1 or r2 got i2 or i1 back, so none is left empty
         if self.U is not None:
-            self.U[i1], self.U[i2] = self.U.get(i2, {}), self.U.get(i1, {})
+            for vecs in (self.U, self.Uinv):
+                vecs[i1], vecs[i2] = vecs.get(i2, {}), vecs.get(i1, {})
 
     def swap_cols(self, j1, j2):
         if j1 == j2:
@@ -750,24 +690,17 @@ class _ZWorker:
             a, b = row.get(j1), row.get(j2)
             self._set(i, j1, b or 0)
             self._set(i, j2, a or 0)
-        if self.V is not None:
-            self.V[j1], self.V[j2] = self.V.get(j2, {}), self.V.get(j1, {})
 
     def addmul_row(self, dst, src, c):
-        """row[dst] += c * row[src]"""
+        """row[dst] += c * row[src]; on U^-1, col[src] -= c * col[dst]."""
         if c == 0:
             return
         for j, v in list(self.rows.get(src, {}).items()):
             cur = self.rows.get(dst, {}).get(j, 0)
             self._set(dst, j, cur + c * v)
         if self.U is not None:
-            udst = self.U.setdefault(dst, {})
-            for k, v in self.U.get(src, {}).items():
-                acc = udst.get(k, 0) + c * v
-                if acc:
-                    udst[k] = acc
-                else:
-                    udst.pop(k, None)
+            _addmul(self.U, dst, src, c)
+            _addmul(self.Uinv, src, dst, -c)
 
     def addmul_col(self, dst, src, c):
         """col[dst] += c * col[src]"""
@@ -777,14 +710,6 @@ class _ZWorker:
             v = self.rows.get(i, {}).get(src, 0)
             cur = self.rows.get(i, {}).get(dst, 0)
             self._set(i, dst, cur + c * v)
-        if self.V is not None:
-            vdst = self.V.setdefault(dst, {})
-            for k, v in self.V.get(src, {}).items():
-                acc = vdst.get(k, 0) + c * v
-                if acc:
-                    vdst[k] = acc
-                else:
-                    vdst.pop(k, None)
 
     def gcd_rows(self, i1, i2, j):
         """Unimodular 2x2 row op making A[i1,j] = gcd, A[i2,j] = 0."""
@@ -807,18 +732,9 @@ class _ZWorker:
             self._set(i1, jj, x * aa + y * bb)
             self._set(i2, jj, -bg * aa + ag * bb)
         if self.U is not None:
-            u1 = self.U.get(i1, {})
-            u2 = self.U.get(i2, {})
-            new1, new2 = {}, {}
-            for k in set(u1) | set(u2):
-                aa, bb = u1.get(k, 0), u2.get(k, 0)
-                s = x * aa + y * bb
-                t = -bg * aa + ag * bb
-                if s:
-                    new1[k] = s
-                if t:
-                    new2[k] = t
-            self.U[i1], self.U[i2] = new1, new2
+            # [[x, y], [-b/g, a/g]] has inverse [[a/g, -y], [b/g, x]]
+            _mix(self.U, i1, i2, x, y, -bg, ag)
+            _mix(self.Uinv, i1, i2, ag, bg, -y, x)
 
     def gcd_cols(self, j1, j2, i):
         a = self.rows.get(i, {}).get(j1, 0)
@@ -839,19 +755,6 @@ class _ZWorker:
             aa, bb = row.get(j1, 0), row.get(j2, 0)
             self._set(ii, j1, x * aa + y * bb)
             self._set(ii, j2, -bg * aa + ag * bb)
-        if self.V is not None:
-            v1 = self.V.get(j1, {})
-            v2 = self.V.get(j2, {})
-            new1, new2 = {}, {}
-            for k in set(v1) | set(v2):
-                aa, bb = v1.get(k, 0), v2.get(k, 0)
-                s = x * aa + y * bb
-                t = -bg * aa + ag * bb
-                if s:
-                    new1[k] = s
-                if t:
-                    new2[k] = t
-            self.V[j1], self.V[j2] = new1, new2
 
     # -- main loop --------------------------------------------------------
 
@@ -936,72 +839,3 @@ def snf_diagonal(mat: Mat):
 def z_rank(mat: Mat) -> int:
     w = _ZWorker(mat)
     return len(w.diagonalize())
-
-
-def _z_factor(mat: Mat):
-    """Diagonalize mat once, tracking U and V, for solving many right-hand sides."""
-    if mat.ring.kind != "Z":
-        raise ValueError("integer routine")
-    w = _ZWorker(mat, track_u=True, track_v=True)
-    r = len(w.diagonalize())
-    u_cols = {}
-    for i, urow in w.U.items():
-        for k, v in urow.items():
-            u_cols.setdefault(k, []).append((i, v))
-    return w, r, u_cols
-
-
-def _z_back_solve(w: _ZWorker, r: int, u_cols: dict, rhs: dict):
-    """x with U @ A @ V diagonal: y = D^-1 U rhs, x = V y; None if inconsistent."""
-    ub = {}
-    for k, b in rhs.items():
-        if not b:
-            continue
-        for i, v in u_cols.get(k, ()):
-            ub[i] = ub.get(i, 0) + v * b
-    y = {}
-    for i, v in ub.items():
-        if not v:
-            continue
-        if i >= r:
-            return None
-        d = w.rows.get(i, {}).get(i, 0)
-        if v % d != 0:
-            return None
-        y[i] = v // d
-    x = {}
-    for jcol, col in w.V.items():
-        c = y.get(jcol)
-        if not c:
-            continue
-        for i, v in col.items():
-            acc = x.get(i, 0) + c * v
-            if acc:
-                x[i] = acc
-            else:
-                x.pop(i, None)
-    return x
-
-
-def z_solve(mat: Mat, rhs: dict):
-    """Integer solution x of mat @ x = rhs, or None."""
-    return _z_back_solve(*_z_factor(mat), rhs)
-
-
-def z_solve_mat(mat: Mat, rhs: Mat):
-    """Solve mat @ X = rhs over Z on one factorization; None if any column fails."""
-    factored = _z_factor(mat)
-    by_col = {}
-    for (i, j), v in rhs.d.items():
-        by_col.setdefault(j, {})[i] = v
-    cols = {}
-    for j in range(rhs.ncols):
-        x = _z_back_solve(*factored, by_col.get(j, {}))
-        if x is None:
-            return None
-        cols[j] = x
-    out = Mat(mat.ring, mat.ncols, rhs.ncols)
-    for j, x in cols.items():
-        for i, v in x.items():
-            out.set(i, j, v)
-    return out

@@ -738,18 +738,6 @@ def _surjections(n, m):
             yield f
 
 
-def _reorder_sign(ring, degrees_src, order):
-    """Koszul sign of rearranging factors of the given source degrees into
-    the order listed by source indices."""
-    sign = 1
-    for a in range(len(order)):
-        for b in range(a + 1, len(order)):
-            if order[a] > order[b] and degrees_src[order[a]] % 2 \
-                    and degrees_src[order[b]] % 2:
-                sign = -sign
-    return ring.from_int(sign)
-
-
 class PropData:
     """The PROP category of a multicategory, plus its permutation morphisms."""
 
@@ -849,7 +837,7 @@ def _prop_compose(ring, M, C, ukey, vkey):
     for k in range(p):
         order.extend(t - 1 for t in fibers_g[k])
         order.append(m + k)
-    sign0 = _reorder_sign(ring, degs, order)
+    sign0 = ring.from_int(koszul_sign(Perm([o + 1 for o in order]), degs))
     chi_parts = []
     for k in range(p):
         fib = fibers_g[k]

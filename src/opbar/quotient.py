@@ -16,9 +16,9 @@ Three front ends compute the basis, P and S:
   in basis order.
 * `by_span`, over a field: the relations in reduced echelon form; the
   quotient basis is the non-pivot labels.
-* `by_z_span`, over Z: the Smith normal form of the relation matrix; the
-  quotient must be free (torsion raises UnsupportedRing), with basis labels
-  ("q", degree, t).
+* `by_z_span`, over Z: one Smith diagonalization of the relation matrix
+  that tracks the row transform U and its inverse; the quotient must be
+  free (torsion raises UnsupportedRing), with basis labels ("q", degree, t).
 
 The engine-wide free-quotient convention: a class on which the relations
 force x = -x (an orbit whose stabilizer acts by a sign) is sent to 0, so
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from .complexes import ChainComplex, ChainMap
 from .errors import DegreeMismatch, UnsupportedRing
-from .linalg import Mat, _rref_insert, _ZWorker, z_solve_mat
+from .linalg import Mat, _rref_insert, _ZWorker
 
 
 def _assemble(C: ChainComplex, basis: dict, proj: dict, section: dict):
@@ -94,7 +94,8 @@ def by_z_span(C: ChainComplex, spans: dict):
     """Quotient by the per-degree spans {d: [{index: int}]} over Z.
 
     With U R V = diag (Smith normal form, r nonzero entries), the rows r..
-    of U project and the columns r.. of U^-1 are the section."""
+    of U project and the columns r.. of U^-1, tracked next to U, are the
+    section."""
     ring = C.ring
     basis, proj, section = {}, {}, {}
     for d in C.degrees():
@@ -107,12 +108,11 @@ def by_z_span(C: ChainComplex, spans: dict):
         if any(abs(x) != 1 for x in diag):
             raise UnsupportedRing("integer quotient has torsion")
         r = len(diag)
-        U = Mat(ring, n, n, {(i, k): v for i, row in worker.U.items()
-                             for k, v in row.items()})
-        Uinv = z_solve_mat(U, Mat.identity(ring, n))
         basis[d] = [("q", d, t) for t in range(n - r)]
-        proj[d] = Mat(ring, n - r, n, {(i - r, k): v for (i, k), v in U.d.items()
-                                       if i >= r})
-        section[d] = Mat(ring, n, n - r, {(i, k - r): v for (i, k), v
-                                          in Uinv.d.items() if k >= r})
+        proj[d] = Mat(ring, n - r, n, {(i - r, k): v
+                                       for i, row in worker.U.items() if i >= r
+                                       for k, v in row.items()})
+        section[d] = Mat(ring, n, n - r, {(i, k - r): v
+                                          for k, col in worker.Uinv.items()
+                                          if k >= r for i, v in col.items()})
     return _assemble(C, basis, proj, section)

@@ -57,8 +57,8 @@ class SimplicialComplexObj:
         Returns None, or the first failing identity as {"identity": "dd",
         "ds=id", "ds" or "ss", "n", "i", "j"}.  Each stored face and
         degeneracy is written once per degree in column form
-        (`linalg.column_form`: int columns sorted by row), and a composite is
-        a degree and {source degree: `linalg.column_product`}.  Faces and
+        (`linalg.column_form`: one {row: int} dict per column), and a
+        composite is a degree and {source degree: `linalg.column_product`}.  Faces and
         degeneracies mostly send a label to one label with coefficient 1, and
         then a composite's column is the outer map's column itself.  Two
         composites agree when their degrees, their nonzero source degrees and

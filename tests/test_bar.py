@@ -299,7 +299,7 @@ def _oracle_mu(structure, zs, okey):
         order = [flat.index(("w", t, wi))
                  for t, (ws, _) in enumerate(pieces) for wi in range(len(ws))]
         order += [flat.index(("o", t)) for t in range(len(pieces))]
-        sign = bar._reorder_sign_int(degs, order)
+        sign = koszul_sign(Perm([o + 1 for o in order]), degs)
         gam = calc.O.gamma(okey, [{ok: ring.one} for _, ok in pieces])
         children = tuple(w for ws, _ in pieces for w in ws)
         out = {}

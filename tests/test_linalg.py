@@ -8,19 +8,22 @@ from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.matrices import DomainMatrix
 
 import opbar.linalg as linalg
+import opbar.quotient as quotient
 from opbar.coeff import Ring
+from opbar.complexes import ChainComplex
 from opbar.errors import NonGridExponent
 from opbar.linalg import (
     Mat,
     _field_rref,
-    field_kernel,
+    _ZWorker,
     field_rank,
     field_solve,
     snf_diagonal,
     z_rank,
-    z_solve,
-    z_solve_mat,
 )
+from opbar.quotient import by_z_span
+
+from .genutil import random_unitriangular
 
 Z = Ring.Z()
 Q = Ring.Q()
@@ -119,74 +122,122 @@ def test_snf_on_group_bar_differentials_against_sympy():
                 assert z_rank(a) == len(want)
 
 
-def test_z_solve_mat_solves_after_the_unit_pivots():
-    rng = random.Random(43)
-    for _ in range(20):
-        m, n, k = rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 3)
-        a = _random_int_mat(rng, m, n, density=0.35, lo=-3, hi=3)
-        x = _random_int_mat(rng, n, k, density=0.5, lo=-3, hi=3)
-        rhs = a.mul(x)
-        got = z_solve_mat(a, rhs)
-        assert got is not None
-        assert a.mul(got) == rhs
+# -- the row transform of the Smith diagonalization --------------------------
 
 
-def test_z_solve_exact():
-    rng = random.Random(13)
-    for _ in range(20):
-        m, n = rng.randint(1, 5), rng.randint(1, 5)
-        a = _random_int_mat(rng, m, n, density=0.6)
-        x = {j: rng.randint(-3, 3) for j in range(n) if rng.random() < 0.7}
-        b = _times(a, x)
-        sol = z_solve(a, b)
-        assert sol is not None
-        assert _times(a, sol) == b
+def _worker_transforms(a: Mat):
+    """(r, U, U^-1) from one diagonalization of a that tracks U."""
+    w = _ZWorker(a, track_u=True)
+    r = len(w.diagonalize())
+    U = Mat(Z, a.nrows, a.nrows, {(i, k): v for i, row in w.U.items()
+                                  for k, v in row.items()})
+    Uinv = Mat(Z, a.nrows, a.nrows, {(i, k): v for k, col in w.Uinv.items()
+                                     for i, v in col.items()})
+    return r, U, Uinv
 
 
-def test_z_solve_no_solution():
-    a = Mat.from_rows(Z, [[2]])
-    assert z_solve(a, {0: 1}) is None
+def _random_z_cases(rng):
+    """Seeded integer matrices, every third without a +-1 entry so that the
+    2x2 gcd step runs, plus empty shapes."""
+    cases = [Mat.zeros(Z, m, n) for m, n in ((0, 3), (3, 0), (2, 2))]
+    for t in range(40):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        if t % 3:
+            cases.append(_random_int_mat(rng, m, n, density=0.5))
+        else:
+            a = Mat.zeros(Z, m, n)
+            for i in range(m):
+                for j in range(n):
+                    if rng.random() < 0.6:
+                        a.set(i, j, rng.choice((-6, -4, -3, -2, 2, 3, 4, 6, 9)))
+            cases.append(a)
+    return cases
 
 
-def test_z_solve_mat_matches_column_solves():
-    rng = random.Random(23)
-    for trial in range(20):
-        m, n, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 4)
-        a = _random_int_mat(rng, m, n, density=0.6)
-        rhs = Mat.zeros(Z, m, k)
-        for j in range(k):
-            x = {i: rng.randint(-3, 3) for i in range(n) if rng.random() < 0.7}
-            for i, v in _times(a, x).items():
-                rhs.set(i, j, v)
-        if trial % 4 == 3:
-            # every entry of 2a is even, so e_0 is not in its image
-            a = a.scale_int(2)
-            rhs = rhs.scale_int(2)
-            rhs.set(0, rng.randrange(k), 1)
-        cols = [z_solve(a, rhs.column(j)) for j in range(k)]
-        got = z_solve_mat(a, rhs)
-        if trial % 4 == 3:
-            assert any(x is None for x in cols) and got is None
-            continue
-        want = Mat.zeros(Z, n, k)
-        for j, x in enumerate(cols):
-            for i, v in x.items():
-                want.set(i, j, v)
-        assert got == want
-        assert a.mul(got) == rhs
+def test_zworker_tracks_u_inverse(monkeypatch):
+    mixes = []
+    real_mix = linalg._mix
+
+    def counting(*args):
+        mixes.append(args)
+        return real_mix(*args)
+    monkeypatch.setattr(linalg, "_mix", counting)
+    for a in _random_z_cases(random.Random(43)):
+        _, U, Uinv = _worker_transforms(a)
+        one = Mat.identity(Z, a.nrows)
+        assert U.mul(Uinv) == one, a.to_rows()
+        assert Uinv.mul(U) == one, a.to_rows()
+    assert mixes  # the 2x2 gcd step and its inverse ran
 
 
-def test_field_rank_and_kernel():
+def test_zworker_rows_past_the_rank_annihilate_the_input():
+    for a in _random_z_cases(random.Random(47)):
+        r, U, _ = _worker_transforms(a)
+        assert r == len(snf_diagonal(a))
+        assert all(i < r for i, _ in U.mul(a).d), a.to_rows()
+
+
+def _direct_summand_span(rng, n, r, extra):
+    """r columns of a random unimodular n x n matrix W, in random order,
+    plus `extra` integer combinations of them: a span that is a direct
+    summand of Z^n of rank r."""
+    w = random_unitriangular(rng, Z, n).mul(
+        random_unitriangular(rng, Z, n).transpose())
+    perm = list(range(n))
+    rng.shuffle(perm)
+    cols = w.columns()
+    rels = [{perm[i]: v for i, v in cols.get(j, {}).items()}
+            for j in rng.sample(range(n), r)]
+    for _ in range(extra):
+        vec = {}
+        for rel in rels[:r]:
+            c = rng.randint(-2, 2)
+            for i, v in rel.items():
+                vec[i] = vec.get(i, 0) + c * v
+        vec = {i: v for i, v in vec.items() if v}
+        if vec:
+            rels.append(vec)
+    rng.shuffle(rels)
+    return rels
+
+
+def test_by_z_span_on_direct_summands(monkeypatch):
+    sections = []
+    real_assemble = quotient._assemble
+
+    def recording(C, basis, proj, section):
+        sections.append(section)
+        return real_assemble(C, basis, proj, section)
+    monkeypatch.setattr(quotient, "_assemble", recording)
+    rng = random.Random(53)
+    for _ in range(12):
+        dims = {d: rng.randint(1, 6) for d in (0, 1)}
+        C = ChainComplex.free(Z, {d: [f"e{d}_{i}" for i in range(n)]
+                                  for d, n in dims.items()}, {})
+        spans, ranks = {}, {}
+        for d, n in dims.items():
+            ranks[d] = rng.randint(0, n)
+            spans[d] = _direct_summand_span(rng, n, ranks[d], rng.randint(0, 2))
+        quot, proj = by_z_span(C, spans)
+        section = sections.pop()
+        for d, n in dims.items():
+            q = n - ranks[d]
+            assert quot.dim(d) == q
+            P, S = proj.mat(d), section[d]
+            assert (P.nrows, P.ncols, S.nrows, S.ncols) == (q, n, n, q)
+            assert P.mul(S) == Mat.identity(Z, q)
+            R = Mat(Z, n, len(spans[d]), {(i, j): v
+                                          for j, vec in enumerate(spans[d])
+                                          for i, v in vec.items()})
+            assert P.mul(R).is_zero()
+
+
+def test_field_rank_against_sympy_random_q():
     rng = random.Random(17)
     for _ in range(20):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         a = _random_int_mat(rng, m, n).map_ring(Q, Q.canon)
-        r = field_rank(a)
-        assert r == _sympy_of(a).rank()
-        ker = field_kernel(a)
-        assert len(ker) == n - r
-        for vec in ker:
-            assert _times(a, vec) == {}
+        assert field_rank(a) == _sympy_of(a).rank()
 
 
 def _sympy_rank(a: Mat) -> int:
@@ -348,6 +399,23 @@ def _assert_product_as_oracle(a, b):
     return got
 
 
+def _with_unit_columns(rng, a):
+    """a with about half its columns replaced by a unit entry (r, 1)."""
+    out = a.clone()
+    for j in range(a.ncols):
+        if a.nrows and rng.random() < 0.5:
+            out.d = {k: v for k, v in out.d.items() if k[1] != j}
+            out.d[(rng.randrange(a.nrows), j)] = a.ring.one
+    return out
+
+
+def _unit_column_map(rng, ring, n, k, one):
+    """An n x k map whose every column is the single entry one."""
+    f = Mat.zeros(ring, n, k)
+    f.d = {(rng.randrange(n), j): one for j in range(k)}
+    return f
+
+
 @pytest.mark.parametrize("ring", PRODUCT_RINGS, ids=repr)
 def test_mat_mul_matches_per_entry_loop(ring):
     rng = random.Random(f"mat_mul:{ring!r}")
@@ -355,6 +423,16 @@ def test_mat_mul_matches_per_entry_loop(ring):
         m, n, k = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
         _assert_product_as_oracle(_random_mat(rng, ring, m, n),
                                   _random_mat(rng, ring, n, k, 0.4))
+        # the paths column_product shortcuts: unit columns, and maps whose
+        # every column is a unit entry, over Q also 1/3 (the int 1 over 3)
+        _assert_product_as_oracle(
+            _random_mat(rng, ring, m, n),
+            _with_unit_columns(rng, _random_mat(rng, ring, n, k, 0.4)))
+        ones = [ring.one] + ([Fraction(1, 3)] if ring.kind == "Q" else [])
+        for one in ones:
+            f = _unit_column_map(rng, ring, n, k, one)
+            assert linalg.column_form(ring, f)[2] is not None
+            _assert_product_as_oracle(_random_mat(rng, ring, m, n), f)
     for m, n, k in ((0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0)):
         got = _assert_product_as_oracle(_random_mat(rng, ring, m, n),
                                         _random_mat(rng, ring, n, k))
@@ -422,18 +500,9 @@ def test_mat_mul_calls_no_ring_arithmetic(monkeypatch):
     assert _oracle_mul(*pairs[0]) and calls["mul"] > 0  # the counters count
 
 
-def _with_unit_columns(rng, a):
-    """a with about half its columns replaced by a unit entry (r, 1)."""
-    out = a.clone()
-    for j in range(a.ncols):
-        if a.nrows and rng.random() < 0.5:
-            out.d = {k: v for k, v in out.d.items() if k[1] != j}
-            out.d[(rng.randrange(a.nrows), j)] = a.ring.one
-    return out
-
-
 @pytest.mark.parametrize("ring", PRODUCT_RINGS, ids=repr)
 def test_column_product_matches_mat_mul(ring):
+    # against the per-entry loop, not Mat.mul, which runs column_product
     rng = random.Random(f"column_product:{ring!r}")
     for trial in range(16):
         m, n, k = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
@@ -446,12 +515,12 @@ def test_column_product_matches_mat_mul(ring):
             # with a denominator (1/3 is the int 1 over 3)
             one = Fraction(1, 3) if ring.kind == "Q" and trial % 8 == 7 \
                 else ring.one
-            f = Mat.zeros(ring, n, k)
-            f.d = {(rng.randrange(n), j): one for j in range(k)}
+            f = _unit_column_map(rng, ring, n, k, one)
             assert linalg.column_form(ring, f)[2] is not None
         got = linalg.column_product(ring, linalg.column_form(ring, g),
                                     linalg.column_form(ring, f))
-        want = g.mul(f)
+        want = Mat(ring, m, k)
+        want.d = _oracle_mul(g, f)
         assert linalg.columns_equal(ring, got, linalg.column_form(ring, want))
         assert linalg.columns_equal(ring, linalg.column_form(ring, want), got)
         if want.d:
@@ -467,12 +536,18 @@ def test_column_product_matches_mat_mul(ring):
 def test_columns_equal_cross_multiplies_denominators():
     half = Mat.from_rows(Q, [[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
     a = linalg.column_form(Q, half)
-    b = (6, [((0, 3),), ((1, 2),)], None)
+    b = (6, [{0: 3}, {1: 2}], None)
     assert a[0] == 6 and linalg.columns_equal(Q, a, b)
-    assert linalg.columns_equal(Q, a, (12, [((0, 6),), ((1, 4),)], None))
-    assert not linalg.columns_equal(Q, a, (12, [((0, 6),), ((1, 3),)], None))
+    assert linalg.columns_equal(Q, a, (12, [{0: 6}, {1: 4}], None))
+    assert not linalg.columns_equal(Q, a, (12, [{0: 6}, {1: 3}], None))
+    assert not linalg.columns_equal(Q, a, (12, [{0: 6}, {0: 4}], None))
     assert linalg.columns_equal(Q, linalg.unit_columns(Q, 2),
-                                (3, [((0, 3),), ((1, 3),)], None))
+                                (3, [{0: 3}, {1: 3}], None))
+    nov = Ring.novikov(Q, 2, 2)
+    assert linalg.columns_equal(nov, linalg.unit_columns(nov, 2),
+                                (3, [{0: ((0, 3),)}, {1: ((0, 3),)}], None))
+    assert not linalg.columns_equal(nov, linalg.unit_columns(nov, 2),
+                                    (3, [{0: ((1, 3),)}, {1: ((0, 3),)}], None))
 
 
 @pytest.mark.parametrize("exponent", [Fraction(1, 3), Fraction(-1, 2)])
