@@ -25,10 +25,10 @@ from __future__ import annotations
 import itertools
 
 from .complexes import ChainComplex, ChainMap
-from .errors import ArityOverflow, EngineError, NonPermutationAction
+from .errors import EngineError, NonPermutationAction
 from .lincomb import add_into, eq as lc_eq, linear
 from .linalg import block_matrix
-from .multicat import MultiAlgebra, MultiCat, MultiFunctor
+from .multicat import MultiAlgebra, MultiCat, MultiFunctor, _group_gens
 from .simplicial import RealizedComplex, SimplicialComplexObj, realize, shuffles
 from .symgrp import GroupRingModule, Perm, koszul_sign, tensor_over_group_ring
 
@@ -368,8 +368,7 @@ class FreeAlgebraResult:
         self.iso = iso
 
 
-def free_algebra(M: MultiCat, carriers: dict, arity_max=None,
-                 pi=None) -> FreeAlgebraResult:
+def free_algebra(M: MultiCat, carriers: dict) -> FreeAlgebraResult:
     """The free M-algebra on a family of complexes, with inclusions and the
     ordered form (tensor over the group rings of sequence stabilizers).
 
@@ -383,11 +382,8 @@ def free_algebra(M: MultiCat, carriers: dict, arity_max=None,
     S_2-coinvariants are Z/2, is missing and the dims are {0: 3, 1: 3}.
     The result is exact only where those orbits are free (ROADMAP item 0).
     """
-    if arity_max is not None and arity_max != M.arity_max:
-        raise ArityOverflow("free algebra truncation must match the bound")
-    dummy_pi = pi or _dummy_pi(M)
     A = MultiAlgebra(M, carriers, lambda alg, f, args: {}, name="carrier")
-    calc = WordCalculus(dummy_pi, A)
+    calc = WordCalculus(_dummy_pi(M), A)
     words = calc.words_by_depth(1)
     complexes = {}
     inclusions = {}
@@ -438,14 +434,13 @@ def _ordered_form(M, calc, carriers, y, cpx):
                 ring, [carriers[x] for x in xs], tag="x")
             auts = [p for p in itertools.permutations(range(1, n + 1))
                     if tuple(xs[i - 1] for i in p) == xs]
-            gens = _gens_of(auts, n)
+            gens = _group_gens([Perm(p) for p in auts])
             right = GroupRingModule(
                 "right", n, gens, homc,
-                [_act_hom_map(M, homc, g) for g in gens], check=True)
+                [_act_hom_map(M, homc, g) for g in gens])
             left = GroupRingModule(
                 "left", n, gens, leafc,
-                [_act_leaf_map(ring, leafc, carriers, xs, g) for g in gens],
-                check=True)
+                [_act_leaf_map(ring, leafc, carriers, xs, g) for g in gens])
             quot, proj = tensor_over_group_ring(right, left)
             pieces.append((xs, quot, proj))
     basis = {}
@@ -499,11 +494,6 @@ def _ordered_form(M, calc, carriers, y, cpx):
     return ocpx, fwd, bwd
 
 
-def _gens_of(auts, n):
-    from .multicat import _group_gens
-    return _group_gens([Perm(p) for p in auts])
-
-
 def _act_hom_map(M, homc, g):
     return ChainMap.from_label_fn(homc, homc, 0,
                                   lambda key: list(M.act(g, key).items()),
@@ -527,18 +517,16 @@ def _act_leaf_map(ring, leafc, carriers, xs, g):
 # ---------------------------------------------------------------------------
 
 
-def simplicial_kan(pi: MultiFunctor, A: MultiAlgebra, n_max, arity_max=None,
-                   check=True):
+def simplicial_kan(pi: MultiFunctor, A: MultiAlgebra, n_max):
     """The simplicial object whose realization models the operadic extension.
 
     Levels are root-coinvariant decorated leveled trees; faces project to the
     operad (d_0), compose inside the multicategory (0 < i < n), or apply the
-    algebra (d_n); degeneracies insert unit levels.
+    algebra (d_n); degeneracies insert unit levels.  The simplicial
+    identities are checked on every level.
     """
     if len(pi.target.objects) != 1:
         raise EngineError("the target of pi must be an operad (one object)")
-    if arity_max is not None and arity_max != pi.source.arity_max:
-        raise ArityOverflow("arity bound must match the multicategory")
     calc = WordCalculus(pi, A)
     levels = {n: calc.level_complex(n) for n in range(0, n_max + 1)}
     faces = {}
@@ -553,19 +541,18 @@ def simplicial_kan(pi: MultiFunctor, A: MultiAlgebra, n_max, arity_max=None,
             degens[(n, i)] = ChainMap.from_label_fn(
                 levels[n], levels[n + 1], 0,
                 lambda l, n=n, i=i: list(calc.degen(n, i, l).items()))
-    simp = SimplicialComplexObj(n_max, levels, faces, degens, validate=check)
+    simp = SimplicialComplexObj(n_max, levels, faces, degens)
     simp.calc = calc
     return simp
 
 
-def operadic_kan(pi: MultiFunctor, A: MultiAlgebra, n_max, arity_max=None,
-                 check=True):
+def operadic_kan(pi: MultiFunctor, A: MultiAlgebra, n_max):
     """Realize the Kan object and attach the operad structure maps.
 
     Returns (realized, structure) where structure.mu(k) is the chain map
     (realized)^(x k) (x) O(k) -> realized assembled through the
-    Eilenberg-Zilber shuffles.  With check on, for k = 2 unless O has no
-    arity-2 operations:
+    Eilenberg-Zilber shuffles.  Two checks always run, for k = 2 unless O
+    has no arity-2 operations:
 
     * d mu(x) = mu(d x) on every basis tensor x = z_1 (x) z_2 (x) o whose
       simplicial levels sum to at most n_max - 1 (beyond that, d mu(x) needs
@@ -576,14 +563,13 @@ def operadic_kan(pi: MultiFunctor, A: MultiAlgebra, n_max, arity_max=None,
     Both checks read mu one basis tensor at a time from the structure's memo,
     so each value is computed once.
     """
-    simp = simplicial_kan(pi, A, n_max, arity_max, check=check)
+    simp = simplicial_kan(pi, A, n_max)
     real = realize(simp)
     structure = KanAlgebraStructure(simp, real)
-    if check:
-        for k in range(2, min(pi.target.arity_max, 2) + 1):
-            if structure.has_arity(k):
-                structure.check_chain_map(k)
-                structure.check_equivariance(k)
+    for k in range(2, min(pi.target.arity_max, 2) + 1):
+        if structure.has_arity(k):
+            structure.check_chain_map(k)
+            structure.check_equivariance(k)
     return real, structure
 
 

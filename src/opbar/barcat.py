@@ -36,8 +36,9 @@ from fractions import Fraction
 
 from .complexes import ChainComplex, ChainMap, is_quasi_iso
 from .dgcat import DgCategory, DgFunctor, LeftModule, RightModule, \
-    corepresented_right_module, poset_category, pullback_right_module, \
-    trivial_left_module, under_functor_left_module
+    corepresented_right_module, functor_right_module, group_ring_category, \
+    poset_category, pullback_right_module, trivial_left_module, \
+    trivial_right_module, under_functor_left_module
 from .errors import EngineError, ModuleMismatch, NonComposable, \
     NonCommutingSquare, NonTorsionFree, UnsupportedRing
 from .lincomb import add_into, eq as lc_eq
@@ -353,14 +354,13 @@ def _union_find_classes(cpx: ChainComplex, relations):
     return classes
 
 
-def two_sided_bar(Mr: RightModule, C: DgCategory, Ml: LeftModule, n_max,
-                  check=True) -> BarBimoduleComplex:
+def two_sided_bar(Mr: RightModule, C: DgCategory, Ml: LeftModule,
+                  n_max) -> BarBimoduleComplex:
     """The two-sided bar construction with its augmentation triangle checked."""
-    bar = BarBimoduleComplex(Mr, C, Ml, n_max, check=check)
-    if check:
-        p, f, q, tensor, const = bar.augmentation_maps()
-        if not q.compose(f).eq(p):
-            raise EngineError("augmentation triangle does not commute")
+    bar = BarBimoduleComplex(Mr, C, Ml, n_max)
+    p, f, q, tensor, const = bar.augmentation_maps()
+    if not q.compose(f).eq(p):
+        raise EngineError("augmentation triangle does not commute")
     return bar
 
 
@@ -371,16 +371,9 @@ def two_sided_bar(Mr: RightModule, C: DgCategory, Ml: LeftModule, n_max,
 
 def group_bar_complex(ring, n, generators, n_max):
     """B(R, R[G], R) for G <= S_n with trivial modules; realized."""
-    from .dgcat import group_ring_category
     C = group_ring_category(ring, n, generators)
-    Mr = _trivial_right(C)
-    Ml = trivial_left_module(C)
-    return two_sided_bar(Mr, C, Ml, n_max)
-
-
-def _trivial_right(C: DgCategory):
-    from .dgcat import trivial_right_module
-    return trivial_right_module(C)
+    return two_sided_bar(trivial_right_module(C), C, trivial_left_module(C),
+                         n_max)
 
 
 def cyclic_group_homology_oracle(m: int, degree: int):
@@ -406,7 +399,7 @@ class CatLeftKan:
     """L p_* R = B(R, A, _p C), one realized complex per object of C,
     together with the action of C-morphisms by postcomposition."""
 
-    def __init__(self, p: DgFunctor, R: RightModule, n_max, check=True):
+    def __init__(self, p: DgFunctor, R: RightModule, n_max):
         self.p = p
         self.R = R
         self.n_max = n_max
@@ -414,7 +407,7 @@ class CatLeftKan:
         self.bars = {}
         for c in C.objects:
             Ml = under_functor_left_module(p, c)
-            self.bars[c] = BarBimoduleComplex(R, A, Ml, n_max, check=check)
+            self.bars[c] = BarBimoduleComplex(R, A, Ml, n_max)
 
     def action(self, vkey) -> ChainMap:
         """The chain map L p_* R (v: c -> c') induces by postcomposition."""
@@ -437,8 +430,8 @@ class CatLeftKan:
         return ChainMap.from_label_fn(src, tgt, vkey[2], fn, validate=False)
 
 
-def cat_left_kan(p: DgFunctor, R: RightModule, n_max, check=True) -> CatLeftKan:
-    return CatLeftKan(p, R, n_max, check=check)
+def cat_left_kan(p: DgFunctor, R: RightModule, n_max) -> CatLeftKan:
+    return CatLeftKan(p, R, n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +496,6 @@ def telescope_vs_hocolim(complexes, maps, n_max) -> TelescopeReport:
     ring = complexes[0].ring
     k = len(complexes) - 1
     N = poset_category(ring, k)
-    from .dgcat import functor_right_module
     comp_maps = {}
     for i in range(k + 1):
         comp_maps[(i, i, f"u{i}_{i}")] = ChainMap.identity(complexes[i])

@@ -6,12 +6,14 @@ is determined by a positive rational cutoff c and an integer grid q >= 1:
 elements are finite sums sum a_i T^(e_i) with exponents e_i in (1/q)Z
 intersected with [0, c), and any product term with exponent >= c is dropped.
 
-Raw element values (used by the linear algebra layer):
+Elements are plain Python values with no ring attached; every operation on
+them is a method of the `Ring` the caller holds (`ring.add(a, b)`,
+`ring.mul(a, b)`, ...).  The values are:
   Z   -> int
   Q   -> Fraction
   Fp  -> int in [0, p)
-  nov -> tuple of (exponent: Fraction, coefficient: base raw), sorted by
-         strictly increasing exponent, no zero coefficients.
+  nov -> tuple of (exponent: Fraction, coefficient: a value of the base),
+         sorted by strictly increasing exponent, no zero coefficients.
 
 Exponents are exact rationals, never floats, so valuations compare decidably.
 """
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import MixedRings, NonGridExponent, WrongRing
+from .errors import NonGridExponent, WrongRing
 
 INFINITY = math.inf
 
@@ -284,7 +286,7 @@ class Ring:
             raise WrongRing("at_cutoff needs a Novikov ring")
         return Ring.novikov(self.base, new_cutoff, self.grid)
 
-    # -- formatting / serialization ---------------------------------------
+    # -- formatting -------------------------------------------------------
 
     def show(self, a) -> str:
         if self.kind != "nov":
@@ -300,107 +302,3 @@ class Ring:
                 es = str(e) if e.denominator == 1 else f"({e})"
                 parts.append(f"{cs}T^{es}")
         return " + ".join(parts)
-
-    def descriptor(self) -> dict:
-        if self.kind == "Z":
-            return {"kind": "Z"}
-        if self.kind == "Q":
-            return {"kind": "Q"}
-        if self.kind == "Fp":
-            return {"kind": "Fp", "p": self.p}
-        return {
-            "kind": "novikov",
-            "base": "Q" if self.base.kind == "Q" else f"F{self.base.p}",
-            "cutoff": str(self.cutoff),
-            "grid": self.grid,
-        }
-
-    @staticmethod
-    def from_descriptor(d: dict) -> "Ring":
-        kind = d["kind"]
-        if kind == "Z":
-            return Ring.Z()
-        if kind == "Q":
-            return Ring.Q()
-        if kind == "Fp":
-            return Ring.Fp(int(d["p"]))
-        if kind == "novikov":
-            base = d["base"]
-            base_ring = Ring.Q() if base == "Q" else Ring.Fp(int(base.lstrip("F")))
-            return Ring.novikov(base_ring, Fraction(d["cutoff"]), int(d["grid"]))
-        raise ValueError(f"unknown ring kind {kind!r}")
-
-
-class RingElem:
-    """A ring element bundled with its ring, with operator syntax."""
-
-    __slots__ = ("ring", "value")
-
-    def __init__(self, ring: Ring, value):
-        self.ring = ring
-        self.value = ring.canon(value)
-
-    def _coerce(self, other) -> "RingElem":
-        if isinstance(other, RingElem):
-            if other.ring != self.ring:
-                raise MixedRings(f"{self.ring!r} vs {other.ring!r}")
-            return other
-        if isinstance(other, int):
-            return RingElem(self.ring, self.ring.from_int(other))
-        raise MixedRings(f"cannot coerce {other!r}")
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return RingElem(self.ring, self.ring.add(self.value, other.value))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RingElem(self.ring, self.ring.neg(self.value))
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return RingElem(self.ring, self.ring.mul(self.value, other.value))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self._coerce(other)
-        return isinstance(other, RingElem) and self.ring == other.ring \
-            and self.value == other.value
-
-    def __hash__(self):
-        return hash((self.ring, self.value))
-
-    def __bool__(self):
-        return not self.ring.is_zero(self.value)
-
-    def __repr__(self):
-        return self.ring.show(self.value)
-
-    def valuation(self):
-        return self.ring.valuation(self.value)
-
-    def residue(self) -> "RingElem":
-        if self.ring.kind != "nov":
-            raise WrongRing("residue needs a Novikov ring")
-        return RingElem(self.ring.base, self.ring.residue(self.value))
-
-
-def arith(a: RingElem, b: RingElem, op: str):
-    """Spec-surface arithmetic dispatcher: add, mul, neg, eq."""
-    if op == "neg":
-        return -a
-    if not isinstance(b, RingElem) or a.ring != b.ring:
-        raise MixedRings("operands belong to different rings")
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "eq":
-        return a == b
-    raise ValueError(f"unknown op {op!r}")

@@ -140,12 +140,12 @@ class ChainComplex:
     # -- constructions -------------------------------------------------------
 
     @staticmethod
-    def zero(ring: Ring, grading: str = "Z") -> "ChainComplex":
-        return ChainComplex(ring, grading, {}, {})
+    def zero(ring: Ring) -> "ChainComplex":
+        return ChainComplex(ring, "Z", {}, {})
 
     @staticmethod
-    def single(ring: Ring, label, degree: int = 0, grading: str = "Z") -> "ChainComplex":
-        return ChainComplex(ring, grading, {degree: [label]}, {})
+    def single(ring: Ring, label, degree: int = 0) -> "ChainComplex":
+        return ChainComplex(ring, "Z", {degree: [label]}, {})
 
     @staticmethod
     def from_labels(ring: Ring, basis: dict, d_fn, grading: str = "Z",
@@ -366,8 +366,8 @@ class ChainMap:
         return ChainMap(c, c, 0, mats, validate=False)
 
     @staticmethod
-    def zero(source, target, degree=0) -> "ChainMap":
-        return ChainMap(source, target, degree, {}, validate=False)
+    def zero(source, target) -> "ChainMap":
+        return ChainMap(source, target, 0, {}, validate=False)
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self after other (self o other)."""
@@ -509,9 +509,11 @@ def homology(C: ChainComplex, degree: int) -> HomologyReport:
 
         dim / free rank = dim C_degree - rank(d_out) - rank(d_in),
 
-    and over Z the torsion is Z/e for each entry e != 1 of the Smith diagonal
-    of d_in (whose length is rank(d_in)).  Over Z, d_out d_in = 0 is checked
-    first and NotADifferential names a witness otherwise.
+    with rank(d_out) from `field_rank` (over Z the rank over Q, which is
+    the same).  Over Z the torsion is Z/e for each entry e != 1 of the Smith
+    diagonal of d_in, whose length is rank(d_in): one Smith diagonalization
+    per call.  Over Z, d_out d_in = 0 is checked before it and
+    NotADifferential names a witness otherwise.
     """
     ring = C.ring
     if ring.is_novikov:
@@ -521,17 +523,16 @@ def homology(C: ChainComplex, degree: int) -> HomologyReport:
         )
     if C.grading == "Z2" and not ring.is_field:
         raise UnsupportedRing("Z2-graded homology needs field coefficients")
-    d_out = C.d_mat(degree)
+    if not ring.is_field and ring.kind != "Z":
+        raise UnsupportedRing(f"homology not implemented over {ring!r}")
+    ker = C.dim(degree) - linalg.field_rank(C.d_mat(degree))
     d_in = C.d_mat(C.succ(degree))
     if ring.is_field:
-        ker = C.dim(degree) - linalg.field_rank(d_out)
-        img = linalg.field_rank(d_in)
-        return HomologyReport(degree, True, dimension=ker - img)
-    if ring.kind != "Z":
-        raise UnsupportedRing(f"homology not implemented over {ring!r}")
+        return HomologyReport(degree, True,
+                              dimension=ker - linalg.field_rank(d_in))
     C.check_d_squared(C.succ(degree))
     factors = linalg.snf_diagonal(d_in)
-    free_rank = C.dim(degree) - linalg.z_rank(d_out) - len(factors)
+    free_rank = ker - len(factors)
     return HomologyReport(degree, False, free_rank=free_rank,
                           invariant_factors=[f for f in factors if f != 1])
 

@@ -375,7 +375,7 @@ def table_category(ring, objects, hom_bases, diff_entries, comp_entries, units,
     return DgCategory(ring, objects, homs, compose_fn, units, name=name)
 
 
-def group_ring_category(ring, n, generators, name=None) -> DgCategory:
+def group_ring_category(ring, n, generators) -> DgCategory:
     """R[G] as a one-object dg category, G a subgroup of S_n."""
     gens = [g if isinstance(g, Perm) else Perm(g) for g in generators]
     elements = enumerate_group(gens, n)
@@ -394,10 +394,10 @@ def group_ring_category(ring, n, generators, name=None) -> DgCategory:
         return {(obj, obj, 0, w): ring.one}
 
     return DgCategory(ring, [obj], homs, compose_fn, {obj: repr(Perm.identity(n))},
-                      name=name or f"R[G<=S{n}]")
+                      name=f"R[G<=S{n}]")
 
 
-def poset_category(ring, k, name=None) -> DgCategory:
+def poset_category(ring, k) -> DgCategory:
     """The chain poset 0 -> 1 -> ... -> k with one morphism per pair i <= j."""
     objects = list(range(k + 1))
     homs = {}
@@ -411,27 +411,26 @@ def poset_category(ring, k, name=None) -> DgCategory:
         return {(i, j, 0, f"u{i}_{j}"): ring.one}
 
     units = {i: f"u{i}_{i}" for i in objects}
-    return DgCategory(ring, objects, homs, compose_fn, units,
-                      name=name or f"N<={k}")
+    return DgCategory(ring, objects, homs, compose_fn, units, name=f"N<={k}")
 
 
-def trivial_right_module(cat: DgCategory, label="r") -> RightModule:
+def trivial_right_module(cat: DgCategory) -> RightModule:
     """The constant module R (each morphism acts as the augmentation 1)."""
     ring = cat.ring
-    complexes = {a: ChainComplex.single(ring, label, 0) for a in cat.objects}
+    complexes = {a: ChainComplex.single(ring, "r") for a in cat.objects}
 
     def action(R, mkey, ukey):
-        return {(ukey[1], 0, label): ring.one}
+        return {(ukey[1], 0, "r"): ring.one}
 
     return RightModule(cat, complexes, action, name="triv")
 
 
-def trivial_left_module(cat: DgCategory, label="l") -> LeftModule:
+def trivial_left_module(cat: DgCategory) -> LeftModule:
     ring = cat.ring
-    complexes = {a: ChainComplex.single(ring, label, 0) for a in cat.objects}
+    complexes = {a: ChainComplex.single(ring, "l") for a in cat.objects}
 
     def action(L, ukey, ykey):
-        return {(ukey[0], 0, label): ring.one}
+        return {(ukey[0], 0, "l"): ring.one}
 
     return LeftModule(cat, complexes, action, name="triv")
 
@@ -453,7 +452,7 @@ def functor_right_module(cat: DgCategory, complexes, maps, name="F") -> RightMod
     return RightModule(cat, complexes, action, name=name)
 
 
-def pullback_right_module(F: DgFunctor, R: RightModule, name=None) -> RightModule:
+def pullback_right_module(F: DgFunctor, R: RightModule) -> RightModule:
     """f^* R over the source category: (f^*R)(a) = R(F a)."""
     cat = F.source
     ring = cat.ring
@@ -467,10 +466,10 @@ def pullback_right_module(F: DgFunctor, R: RightModule, name=None) -> RightModul
                 add_into(ring, out, (ukey[1], kk[1], kk[2]), ring.mul(c, cc))
         return out
 
-    return RightModule(cat, complexes, action, name=name or f"{F.name}^*{R.name}")
+    return RightModule(cat, complexes, action, name=f"{F.name}^*{R.name}")
 
 
-def under_functor_left_module(p: DgFunctor, c_obj, name=None) -> LeftModule:
+def under_functor_left_module(p: DgFunctor, c_obj) -> LeftModule:
     """The left module a |-> D(p(a), c_obj) over the source of p: A -> D."""
     A, D = p.source, p.target
     ring = A.ring
@@ -486,7 +485,7 @@ def under_functor_left_module(p: DgFunctor, c_obj, name=None) -> LeftModule:
                 add_into(ring, out, (ukey[0], kk[2], kk[3]), ring.mul(c, cc))
         return out
 
-    return LeftModule(A, complexes, action, name=name or f"_{p.name}{D.name}")
+    return LeftModule(A, complexes, action, name=f"_{p.name}{D.name}")
 
 
 def _hom_as_complex(D: DgCategory, a, b) -> ChainComplex:
@@ -496,7 +495,7 @@ def _hom_as_complex(D: DgCategory, a, b) -> ChainComplex:
     return c
 
 
-def corepresented_right_module(D: DgCategory, b_obj, name=None) -> RightModule:
+def corepresented_right_module(D: DgCategory, b_obj) -> RightModule:
     """The right module a |-> D(b_obj, a) (postcomposition action)."""
     ring = D.ring
     complexes = {a: _hom_as_complex(D, b_obj, a) for a in D.objects}
@@ -509,4 +508,4 @@ def corepresented_right_module(D: DgCategory, b_obj, name=None) -> RightModule:
             add_into(ring, out, (ukey[1], kk[2], kk[3]), cc)
         return out
 
-    return RightModule(D, complexes, action, name=name or f"{D.name}({b_obj},-)")
+    return RightModule(D, complexes, action, name=f"{D.name}({b_obj},-)")

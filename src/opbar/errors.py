@@ -61,10 +61,6 @@ class NonPermutationAction(EngineError):
 
 # -- multicategories / bar ---------------------------------------------------
 
-class ArityOverflow(EngineError):
-    pass
-
-
 class TruncationTooSmall(EngineError):
     pass
 

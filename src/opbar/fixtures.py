@@ -141,13 +141,13 @@ def z2_group_ring_cat(ring) -> MultiCat:
 # -- algebras --------------------------------------------------------------
 
 
-def trivial_algebra(M: MultiCat, label="e") -> MultiAlgebra:
+def trivial_algebra(M: MultiCat) -> MultiAlgebra:
     """Rank-one degree-0 carriers; every basis operation acts by 1."""
     ring = M.ring
-    carriers = {x: ChainComplex.single(ring, label, 0) for x in M.objects}
+    carriers = {x: ChainComplex.single(ring, "e") for x in M.objects}
 
     def action_fn(alg, fkey, args):
-        return {(0, label): ring.one}
+        return {(0, "e"): ring.one}
 
     return MultiAlgebra(M, carriers, action_fn, name="trivial")
 

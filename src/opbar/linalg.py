@@ -7,15 +7,17 @@ as {index: value} dicts.  No floats anywhere.  One kernel per job:
   `Mat.mul`, which restores the values with `_restore`, and by
   `SimplicialComplexObj.check_identities`, which compares the composites
   in int form with `columns_equal`;
-* `field_rank` -- ranks over Q and F_p (field homology): forward
-  elimination over plain ints, no back-reduction;
-* `field_solve`, `field_solve_mat` -- fully reduced row echelon form
-  (`_field_rref`) through the ring operations;
+* `field_rank` -- ranks over Q and F_p, and of integer matrices as their
+  rank over Q (all homology): forward elimination over plain ints, no
+  back-reduction;
+* `field_solve_mat` -- one fully reduced row echelon form (`_field_rref`)
+  of the matrix with every right-hand side, through the ring operations;
 * the integer routines -- one Smith diagonalization (`_ZWorker`) whose
   pivot is the first +-1 entry of the trailing block, or without one the
   smallest-magnitude entry with the fewest fill.  `snf_diagonal` (the
-  invariant factors d1 | d2 | ...) and `z_rank` track no transform;
-  `quotient.by_z_span` tracks the row transform U and its inverse.
+  invariant factors d1 | d2 | ..., integer homology's torsion) tracks no
+  transform; `quotient.by_z_span` tracks the row transform U and its
+  inverse.
 
 Products are computed over plain Python ints, never through `Ring.mul` and
 `Ring.add`.  `column_form` writes an operand once in int form, as one
@@ -447,7 +449,8 @@ def _rref_insert(ring, row, pivots):
 
     `pivots` maps pivot column -> row dict; every pivot row has a unit pivot
     and contains no other pivot column, and that invariant is preserved.
-    Special column keys (non-integers, e.g. "rhs") are never chosen as pivots.
+    Non-integer column keys (the right-hand sides ("rhs", j)) are never
+    chosen as pivots.
     """
     row = dict(row)
     for j in [j for j in row if j in pivots]:
@@ -485,22 +488,19 @@ def _rref_insert(ring, row, pivots):
     return None
 
 
-def _field_rref(mat: Mat, rhs: dict | None = None):
-    """Fully reduced row echelon form; returns (pivots, inconsistent)."""
-    ring = mat.ring
+def _field_rref(mat: Mat, rhs: Mat | None = None):
+    """Fully reduced row echelon form of mat, with the columns of rhs
+    carried along under the keys ("rhs", j); returns (pivots, inconsistent),
+    inconsistent when some row of mat reduces to zero but its rhs does not."""
     rows = _rows_of(mat)
+    if rhs is not None:
+        for (i, j), v in rhs.d.items():
+            rows.setdefault(i, {})[("rhs", j)] = v
     pivots = {}
     inconsistent = False
     for i in range(mat.nrows):
-        row = dict(rows.get(i, {}))
-        if rhs is not None:
-            b = rhs.get(i)
-            if b is not None and not ring.is_zero(b):
-                row["rhs"] = b
-        if not row:
-            continue
-        leftover = _rref_insert(ring, row, pivots)
-        if leftover:
+        row = rows.get(i)
+        if row and _rref_insert(mat.ring, row, pivots):
             inconsistent = True
     return pivots, inconsistent
 
@@ -561,33 +561,16 @@ def field_rank(mat: Mat) -> int:
     return len(pivots)
 
 
-def field_solve(mat: Mat, rhs: dict):
-    """One solution x of mat @ x = rhs over a field, or None."""
-    ring = mat.ring
-    pivots, inconsistent = _field_rref(mat, rhs=rhs)
+def field_solve_mat(mat: Mat, rhs: Mat):
+    """One solution X of mat @ X = rhs over a field, free variables 0, from
+    one elimination of mat with every column of rhs; None if any column of
+    rhs is outside the column space of mat."""
+    pivots, inconsistent = _field_rref(mat, rhs)
     if inconsistent:
         return None
-    x = {}
-    for j, row in pivots.items():
-        b = row.get("rhs")
-        if b is not None and not ring.is_zero(b):
-            x[j] = b
-    return x
-
-
-def field_solve_mat(mat: Mat, rhs: Mat):
-    """Solve mat @ X = rhs column by column; None if any column fails."""
-    cols = {}
-    by_col = rhs.columns()
-    for j in range(rhs.ncols):
-        x = field_solve(mat, by_col.get(j, {}))
-        if x is None:
-            return None
-        cols[j] = x
     out = Mat(mat.ring, mat.ncols, rhs.ncols)
-    for j, x in cols.items():
-        for i, v in x.items():
-            out.set(i, j, v)
+    out.d = {(i, key[1]): v for i, row in pivots.items()
+             for key, v in row.items() if not isinstance(key, int)}
     return out
 
 
@@ -834,8 +817,3 @@ def snf_diagonal(mat: Mat):
                 changed = True
         diag.sort()
     return diag
-
-
-def z_rank(mat: Mat) -> int:
-    w = _ZWorker(mat)
-    return len(w.diagonalize())

@@ -119,7 +119,7 @@ class MultiCat:
         pd = c.pred(d)
         return {(xs, y, pd, c.labels(pd)[i]): v for i, v in col.items()}
 
-    def restrict_to(self, objects, name=None) -> "MultiCat":
+    def restrict_to(self, objects) -> "MultiCat":
         """The full sub-multicategory on a subset of the objects."""
         objects = [x for x in self.objects if x in set(objects)]
         keep = set(objects)
@@ -128,7 +128,7 @@ class MultiCat:
         return MultiCat(self.ring, objects, self.arity_max, complexes,
                         self._compose_fn, self._sym_fn,
                         {x: u for x, u in self.units.items() if x in keep},
-                        name=name or f"{self.name}|")
+                        name=f"{self.name}|")
 
     # -- composition ----------------------------------------------------------
 
@@ -911,9 +911,9 @@ class FreenessReport:
                 f"freeness1={self.freeness1}, freeness2={self.freeness2})")
 
 
-def check_freeness(M: MultiCat, pi: MultiFunctor, seq_len_max=2,
-                   prop: PropData | None = None) -> FreenessReport:
-    """The three conditions of the freeness hypothesis, within bounds.
+def check_freeness(M: MultiCat, pi: MultiFunctor) -> FreenessReport:
+    """The three conditions of the freeness hypothesis, within bounds: the
+    prop of M on sequences of length at most 2.
 
     pi maps M to a one-object multicategory O; Freeness 2 concerns the right
     symmetric-group action on O(n) for n <= O.arity_max.
@@ -922,8 +922,7 @@ def check_freeness(M: MultiCat, pi: MultiFunctor, seq_len_max=2,
     O = pi.target
     if len(O.objects) != 1:
         raise EngineError("the target of pi must have one object")
-    if prop is None:
-        prop = prop_of(M, seq_len_max)
+    prop = prop_of(M, 2)
     details = {}
     identity = all(prop.identity_flags.values())
     details["identity"] = {repr(k): v for k, v in prop.identity_flags.items()}

@@ -155,10 +155,10 @@ def parse_cycles(text: str, n: int) -> Perm:
     return Perm(img)
 
 
-def enumerate_group(generators, n: int, bound: int = GROUP_DEGREE_BOUND):
+def enumerate_group(generators, n: int):
     """Full element list of the subgroup generated inside S_n, by closure."""
-    if n > bound:
-        raise GroupTooLarge(f"degree {n} exceeds the bound {bound}")
+    if n > GROUP_DEGREE_BOUND:
+        raise GroupTooLarge(f"degree {n} exceeds the bound {GROUP_DEGREE_BOUND}")
     gens = [g if isinstance(g, Perm) else Perm(g) for g in generators]
     for g in gens:
         if g.n != n:
@@ -186,8 +186,7 @@ class GroupRingModule:
     have the same orbits, and `signed_perm_tables` reads either side as it is.
     """
 
-    def __init__(self, side, n, generators, complex: ChainComplex, gen_maps,
-                 check: bool = True):
+    def __init__(self, side, n, generators, complex: ChainComplex, gen_maps):
         if side not in ("left", "right"):
             raise ValueError("side must be left or right")
         self.side = side
@@ -210,8 +209,7 @@ class GroupRingModule:
                 if nxt not in self._maps:
                     self._maps[nxt] = self._product(self._maps[g], self._maps[cur])
                     frontier.append(nxt)
-        if check:
-            self.check_consistency()
+        self.check_consistency()
 
     def _product(self, mg: ChainMap, mh: ChainMap) -> ChainMap:
         """The map of g o h from the maps of g and h: on the right,
@@ -262,9 +260,8 @@ class GroupRingModule:
 class GroupAction(GroupRingModule):
     """A left action of a subgroup of S_n on a chain complex by chain maps."""
 
-    def __init__(self, n, generators, complex: ChainComplex, gen_maps,
-                 check: bool = True):
-        super().__init__("left", n, generators, complex, gen_maps, check)
+    def __init__(self, n, generators, complex: ChainComplex, gen_maps):
+        super().__init__("left", n, generators, complex, gen_maps)
 
 
 def coinvariants(action: GroupAction):
@@ -341,7 +338,7 @@ def tensor_over_group_ring(Mr: GroupRingModule, Ml: GroupRingModule):
         rg = Mr.map_of(g)
         lg = Ml.map_of(g.inverse())
         gen_maps.append(_tensor_chain_map(T, T, rg, lg))
-    action = GroupAction(Mr.n, gens, T, gen_maps, check=True)
+    action = GroupAction(Mr.n, gens, T, gen_maps)
     return coinvariants(action)
 
 

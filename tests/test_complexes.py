@@ -17,6 +17,7 @@ from opbar.complexes import (
 )
 from opbar.errors import DegreeMismatch, MixedRings, NotAcyclic, NotADifferential, \
     UnsupportedRing
+import opbar.linalg as linalg
 from opbar.linalg import Mat
 
 from .genutil import random_acyclic, random_complex, random_unitriangular, unitriangular_inverse
@@ -304,6 +305,24 @@ def test_z_homology_random_elementary_sums():
                 hp = homology(c.map_coefficients(fp, fp.canon), d)
                 assert hp.dimension == free + sum(1 for m in orders + below
                                                   if m % prime == 0)
+
+
+def test_z_homology_diagonalizes_once(monkeypatch):
+    """Over Z, rank(d_out) comes from `field_rank`; the one Smith
+    diagonalization is that of d_in, for the torsion."""
+    calls = []
+    diagonalize = linalg._ZWorker.diagonalize
+
+    def counted(self):
+        calls.append((self.m, self.n))
+        return diagonalize(self)
+
+    monkeypatch.setattr(linalg._ZWorker, "diagonalize", counted)
+    c = ChainComplex.free(Z, {0: ["y"], 1: ["x", "e"], 2: ["z"]},
+                          {(1, "x", "y"): 2, (2, "z", "e"): 3})
+    h = homology(c, 1)
+    assert (h.free_rank, h.invariant_factors) == (0, [3])
+    assert calls == [(2, 1)]
 
 
 def test_homology_unsupported_over_novikov():

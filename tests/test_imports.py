@@ -9,6 +9,9 @@
   constructor, which checks its shape and ring.
 * Every module is imported by another module of the package or named in
   the `ENGINE` tuple of perfbench/run.py.
+* Every defaulted parameter of a public function, or of a public method or
+  `__init__` of a public class, is passed by some call in src/opbar, tests
+  or perfbench: an option that only ever takes its default is a constant.
 """
 
 import ast
@@ -20,6 +23,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "opbar"
 MODULES = sorted(PACKAGE.glob("*.py"))
 RUN = ROOT / "perfbench" / "run.py"
+CALLERS = [p for d in ("src/opbar", "tests", "perfbench")
+           for p in sorted((ROOT / d).rglob("*.py"))]
 
 
 def _imported_names(tree):
@@ -209,3 +214,135 @@ def test_import_reader_sees_every_form():
            "    from .fixtures import unit_operad\n")
     assert imported_modules(src) == {"linalg", "coeff", "errors", "bar",
                                      "symgrp", "dgcat", "fixtures"}
+
+
+# -- every option is passed somewhere ---------------------------------------------
+
+def _defaulted(fn, bound):
+    """(name, positional index or None) of fn's defaulted parameters; the
+    index counts from the first argument a caller writes."""
+    args = fn.args
+    pos = [*args.posonlyargs, *args.args]
+    skip = 1 if bound else 0
+    out = [(a.arg, k - skip)
+           for k, a in enumerate(pos) if k >= len(pos) - len(args.defaults)]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def defaulted_options(source: str):
+    """(qualified name, callee name, parameter, positional index) for every
+    defaulted parameter of a public module-level function, and of a public
+    method or `__init__` of a public module-level class.  A constructor is
+    called by its class name, or by the name of a subclass in the same
+    source."""
+    tree = ast.parse(source)
+    classes = [n for n in tree.body if isinstance(n, ast.ClassDef)]
+    subclasses = {c.name: {c.name} for c in classes}
+    for c in classes:
+        for base in c.bases:
+            if isinstance(base, ast.Name) and base.id in subclasses:
+                subclasses[base.id].add(c.name)
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            out += [(node.name, {node.name}, p, i)
+                    for p, i in _defaulted(node, False)]
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        for fn in node.body:
+            if not isinstance(fn, ast.FunctionDef) or (
+                    fn.name.startswith("_") and fn.name != "__init__"):
+                continue
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in fn.decorator_list)
+            callees = subclasses[node.name] | {"__init__"} \
+                if fn.name == "__init__" else {fn.name}
+            out += [(f"{node.name}.{fn.name}", callees, p, i)
+                    for p, i in _defaulted(fn, not static)]
+    return out
+
+
+def passed_arguments(sources):
+    """{callee name: (keywords, positional indexes)} over every call whose
+    callee is a name or an attribute, matched by that name only.  A `**`
+    argument passes every keyword ("**"); a starred argument at index k
+    passes every index from k on ("*k")."""
+    out = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name is None:
+                continue
+            keywords, indexes = out.setdefault(name, (set(), set()))
+            keywords.update(k.arg or "**" for k in node.keywords)
+            indexes.update(f"*{k}" if isinstance(a, ast.Starred) else k
+                           for k, a in enumerate(node.args))
+    return out
+
+
+def unpassed_options(modules, callers):
+    passed = passed_arguments(callers)
+    out = []
+    for name, source in modules:
+        for qual, callees, param, index in defaulted_options(source):
+            live = False
+            for callee in callees:
+                keywords, indexes = passed.get(callee, ((), ()))
+                live |= param in keywords or "**" in keywords or (
+                    index is not None and (index in indexes or any(
+                        isinstance(k, str) and int(k[1:]) <= index
+                        for k in indexes)))
+            if not live:
+                out.append(f"{name}: {qual}({param})")
+    return out
+
+
+def test_every_option_is_passed_somewhere():
+    modules = [(p.name, p.read_text()) for p in MODULES]
+    assert unpassed_options(modules, [p.read_text() for p in CALLERS]) == []
+
+
+def test_option_reader_on_a_planted_module():
+    module = ("def kan(pi, n_max, check=True, *, arity=None):\n"
+              "    pass\n"
+              "def _private(x=1):\n"
+              "    pass\n"
+              "class Bar:\n"
+              "    def __init__(self, mr, check=True):\n"
+              "        pass\n"
+              "    def level(self, n, cache=None):\n"
+              "        pass\n"
+              "    @staticmethod\n"
+              "    def single(ring, label, degree=0):\n"
+              "        pass\n"
+              "    def _memo(self, key=None):\n"
+              "        pass\n"
+              "class Sub(Bar):\n"
+              "    pass\n")
+    options = [(q, sorted(c), p, i) for q, c, p, i in defaulted_options(module)]
+    assert options == [
+        ("kan", ["kan"], "check", 2), ("kan", ["kan"], "arity", None),
+        ("Bar.__init__", ["Bar", "Sub", "__init__"], "check", 1),
+        ("Bar.level", ["level"], "cache", 1),
+        ("Bar.single", ["single"], "degree", 2)]
+    every = ["planted.py: kan(check)", "planted.py: kan(arity)",
+             "planted.py: Bar.__init__(check)", "planted.py: Bar.level(cache)",
+             "planted.py: Bar.single(degree)"]
+    assert unpassed_options([("planted.py", module)], []) == every
+    callers = ("kan(pi, 2, False)\n"
+               "m.kan(pi, 2, arity=3)\n"
+               "Sub(mr, check=False)\n"
+               "b.level(*args)\n"
+               "Bar.single(ring, 'a', **opts)\n")
+    assert unpassed_options([("planted.py", module)], [callers]) == []
+    callers = ("kan(pi, n_max=2)\n"
+               "Bar(mr)\n"
+               "b.level(1)\n"
+               "single(ring, 'a')\n")
+    assert unpassed_options([("planted.py", module)], [callers]) == every

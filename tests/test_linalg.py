@@ -17,9 +17,8 @@ from opbar.linalg import (
     _field_rref,
     _ZWorker,
     field_rank,
-    field_solve,
+    field_solve_mat,
     snf_diagonal,
-    z_rank,
 )
 from opbar.quotient import by_z_span
 
@@ -36,14 +35,6 @@ def _random_int_mat(rng, m, n, density=0.4, lo=-6, hi=6):
             if rng.random() < density:
                 a.set(i, j, rng.randint(lo, hi))
     return a
-
-
-def _times(a: Mat, vec: dict) -> dict:
-    """a @ vec as a sparse vector, through `Mat.mul`."""
-    x = Mat.zeros(a.ring, a.ncols, 1)
-    for i, v in vec.items():
-        x.set(i, 0, v)
-    return a.mul(x).column(0)
 
 
 def _sympy_of(a: Mat):
@@ -94,7 +85,7 @@ def test_snf_and_rank_against_sympy_on_sparse_small_entries():
         no_unit += bool(a.d) and all(abs(v) != 1 for v in a.d.values())
         want = _sympy_invariants(a)
         assert snf_diagonal(a) == want, a.to_rows()
-        assert z_rank(a) == len(want)
+        assert field_rank(a) == len(want)
     assert no_unit >= 10
 
 
@@ -119,7 +110,7 @@ def test_snf_on_group_bar_differentials_against_sympy():
             want = _sympy_invariants(m)
             for a in (m, _shuffled(rng, m)):
                 assert snf_diagonal(a) == want
-                assert z_rank(a) == len(want)
+                assert field_rank(a) == len(want)
 
 
 # -- the row transform of the Smith diagonalization --------------------------
@@ -280,18 +271,79 @@ def test_field_rank_over_z_is_the_rational_rank():
 
 def test_field_solve():
     rng = random.Random(19)
-    for _ in range(20):
-        m, n = rng.randint(1, 5), rng.randint(1, 5)
+    for t in range(20):
+        m, n, k = rng.randint(1, 5), rng.randint(1, 5), 1 + t % 4
         a = _random_int_mat(rng, m, n, density=0.6).map_ring(Q, Q.canon)
-        x = {j: Q.from_int(rng.randint(-3, 3)) for j in range(n)}
-        x = {j: v for j, v in x.items() if v}
-        b = _times(a, x)
-        sol = field_solve(a, b)
-        assert sol is not None
-        assert _times(a, sol) == b
-    # inconsistent system
+        x = _random_int_mat(rng, n, k, density=0.6).map_ring(Q, Q.canon)
+        b = a.mul(x)
+        sol = field_solve_mat(a, b)
+        assert sol is not None and (sol.nrows, sol.ncols) == (n, k)
+        assert a.mul(sol) == b
+    # inconsistent systems: one column, and one bad column among good ones
     bad = Mat.from_rows(Q, [[1], [1]])
-    assert field_solve(bad, {0: Q.from_int(1), 1: Q.from_int(2)}) is None
+    assert field_solve_mat(bad, Mat.from_rows(Q, [[1], [2]])) is None
+    assert field_solve_mat(bad, Mat.from_rows(Q, [[1, 3, 0], [1, 2, 0]])) is None
+    assert field_solve_mat(bad, Mat.from_rows(Q, [[1, 3, 0], [1, 3, 0]])) == \
+        Mat.from_rows(Q, [[1, 3, 0]])
+
+
+def _oracle_rref_one_rhs(mat: Mat, rhs: dict):
+    """The elimination `field_solve_mat` used to run once per column: the
+    fully reduced form of mat with one right-hand side under the key
+    "rhs"; returns (pivots, inconsistent)."""
+    ring = mat.ring
+    rows = linalg._rows_of(mat)
+    pivots = {}
+    inconsistent = False
+    for i in range(mat.nrows):
+        row = dict(rows.get(i, {}))
+        b = rhs.get(i)
+        if b is not None and not ring.is_zero(b):
+            row["rhs"] = b
+        if not row:
+            continue
+        if linalg._rref_insert(ring, row, pivots):
+            inconsistent = True
+    return pivots, inconsistent
+
+
+def _oracle_field_solve_mat(mat: Mat, rhs: Mat):
+    """mat @ X = rhs solved column by column, one elimination per column."""
+    out = Mat(mat.ring, mat.ncols, rhs.ncols)
+    by_col = rhs.columns()
+    for j in range(rhs.ncols):
+        pivots, inconsistent = _oracle_rref_one_rhs(mat, by_col.get(j, {}))
+        if inconsistent:
+            return None
+        for i, row in pivots.items():
+            b = row.get("rhs")
+            if b is not None and not mat.ring.is_zero(b):
+                out.set(i, j, b)
+    return out
+
+
+@pytest.mark.parametrize("ring", [Q, Ring.Fp(2), Ring.Fp(5)], ids=repr)
+def test_field_solve_mat_matches_per_column_oracle(ring):
+    rng = random.Random(f"field_solve_mat:{ring!r}")
+    outcomes = set()
+    for t in range(60):
+        shape = ("square", "tall", "wide")[t % 3]
+        n = rng.randint(1, 6)
+        m = {"square": n, "tall": n + rng.randint(1, 3),
+             "wide": max(1, n - rng.randint(1, 3))}[shape]
+        a = _random_mat(rng, ring, m, n, rng.choice((0.3, 0.6, 0.9)))
+        k = rng.randint(1, 5)
+        if rng.random() < 0.7:
+            b = a.mul(_random_mat(rng, ring, n, k))   # consistent
+        else:
+            b = _random_mat(rng, ring, m, k)          # often inconsistent
+        want = _oracle_field_solve_mat(a, b)
+        got = field_solve_mat(a, b)
+        assert got == want, (a.to_rows(), b.to_rows())
+        if got is not None:
+            assert a.mul(got) == b
+        outcomes.add((shape, got is None))
+    assert len(outcomes) >= 5
 
 
 def test_mat_mul_matches_sympy():

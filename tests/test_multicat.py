@@ -241,7 +241,7 @@ def test_freeness_regular_orbits():
     from opbar.fixtures import projection_to_operad
     pi2 = projection_to_operad(M, O)
     assert pi2.validate() is None
-    rep = check_freeness(M, pi2, seq_len_max=2)
+    rep = check_freeness(M, pi2)
     assert rep.identity and rep.freeness1 and rep.freeness2
 
 
@@ -250,7 +250,7 @@ def test_freeness_fails_for_as():
     O = as_operad(Z, 2)
     from opbar.fixtures import projection_to_operad
     pi = projection_to_operad(M, O)
-    rep = check_freeness(M, pi, seq_len_max=2)
+    rep = check_freeness(M, pi)
     assert rep.identity and rep.freeness1
     assert not rep.freeness2  # orbit of size 1 < 2 in O(2)
 
@@ -258,7 +258,7 @@ def test_freeness_fails_for_as():
 def test_freeness_identity_fails_for_group_ring():
     M = z2_group_ring_cat(Z)
     pi = projection_to_unit(M, unit_operad(Z, 2))
-    rep = check_freeness(M, pi, seq_len_max=2)
+    rep = check_freeness(M, pi)
     assert not rep.identity
 
 

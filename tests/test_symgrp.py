@@ -319,6 +319,6 @@ def test_group_ring_module_rejects_maps_that_are_not_degree_0_self_maps(side, ba
         m = ChainMap(c, c, 1, {0: Mat.from_rows(Z, [[1]])})
     else:
         m = ChainMap.identity(ChainComplex.free(Z, {0: ["x"], 1: ["y"]}, {}))
-    # check=False: the maps are rejected before any relation is checked
+    # the maps are rejected before any relation is checked
     with pytest.raises(NonPermutationAction, match="degree-0 self-maps"):
-        GroupRingModule(side, 2, [Perm((2, 1))], c, [m], check=False)
+        GroupRingModule(side, 2, [Perm((2, 1))], c, [m])
