@@ -26,6 +26,7 @@ import itertools
 
 from .complexes import ChainComplex, ChainMap
 from .errors import EngineError, NonPermutationAction
+from .fixtures import unit_operad
 from .lincomb import add_into, eq as lc_eq, linear
 from .linalg import block_matrix
 from .multicat import MultiAlgebra, MultiCat, MultiFunctor, _group_gens
@@ -404,7 +405,6 @@ def free_algebra(M: MultiCat, carriers: dict) -> FreeAlgebraResult:
 
 
 def _dummy_pi(M: MultiCat):
-    from .fixtures import unit_operad
     O = unit_operad(M.ring, M.arity_max)
 
     def key_fn(F, key):

@@ -44,14 +44,13 @@ from .errors import EngineError, ModuleMismatch, NonComposable, \
 from .lincomb import add_into, eq as lc_eq
 from .linalg import Mat, block_matrix
 from .quotient import by_classes, by_span, by_z_span
-from .simplicial import SimplicialComplexObj, realize
+from .simplicial import SimplicialComplexObj, constant_simplicial, realize
 
 
 class BarBimoduleComplex:
     """B(Mr, C, Ml): levels, realization, and the comparison triangle."""
 
-    def __init__(self, Mr: RightModule, C: DgCategory, Ml: LeftModule, n_max,
-                 check=True):
+    def __init__(self, Mr: RightModule, C: DgCategory, Ml: LeftModule, n_max):
         if Mr.cat is not C or Ml.cat is not C:
             raise ModuleMismatch("modules over a different category")
         self.Mr, self.C, self.Ml = Mr, C, Ml
@@ -151,8 +150,7 @@ class BarBimoduleComplex:
         degens = {(n, i): ChainMap(levels[n], levels[n + 1], 0,
                                    mats(n, n + 1, 0, degen(i)))
                   for n in range(n_max) for i in range(n + 1)}
-        self.simplicial = SimplicialComplexObj(n_max, levels, faces, degens,
-                                               validate=check)
+        self.simplicial = SimplicialComplexObj(n_max, levels, faces, degens)
         self.realized = realize(self.simplicial)
         self.complex = self.realized.complex
         self._augmentation = None
@@ -212,7 +210,6 @@ class BarBimoduleComplex:
         return self._augmentation
 
     def _build_augmentation_maps(self):
-        from .simplicial import constant_simplicial
         tensor, proj = self.tensor_quotient()
         ring = self.C.ring
         const = realize(constant_simplicial(tensor, self.n_max))
@@ -570,7 +567,7 @@ def hv_pushout_check(f: DgFunctor, p: DgFunctor, g: DgFunctor, q: DgFunctor,
         Rb = pullback_right_module(f, corepresented_right_module(B, b))
         for c in C.objects:
             Lc = under_functor_left_module(p, c)
-            bar = BarBimoduleComplex(Rb, A, Lc, n_max, check=False)
+            bar = BarBimoduleComplex(Rb, A, Lc, n_max)
             target = D.hom(q.on_obj(b), g.on_obj(c))
             if target is None:
                 target = ChainComplex.zero(ring)
@@ -603,9 +600,9 @@ def hv_pushout_check(f: DgFunctor, p: DgFunctor, g: DgFunctor, q: DgFunctor,
     fX = pullback_right_module(f, X)
     for c in C.objects:
         Lc = under_functor_left_module(p, c)
-        src = BarBimoduleComplex(fX, A, Lc, n_max, check=False)
+        src = BarBimoduleComplex(fX, A, Lc, n_max)
         Ld = under_functor_left_module(q, g.on_obj(c))
-        tgt = BarBimoduleComplex(X, B, Ld, n_max, check=False)
+        tgt = BarBimoduleComplex(X, B, Ld, n_max)
 
         def fn(label):
             _, n, lab = label

@@ -1,8 +1,12 @@
-"""Finitely presented dg categories and one-sided modules over them.
+"""One-sided modules over dg categories, and the dg category builders.
 
-Morphism elements are linear combinations of basis keys (a, b, degree, label)
-for the complex C(a, b).  compose(u, v) means "u then v" and is a chain map
-in the tensor order (u, v):  d(uv) = (du)v + (-1)^{|u|} u (dv).
+`multicat.py` stores and validates a dg category: `DgCategory` is a view of
+the 1-ary MultiCat `C.M`, under the key translation (a, b, d, l) <->
+((a,), b, d, l), and compose(u, v), "u then v", plugs u into the one slot of
+v.  It is a chain map in the tensor order (u, v): d(uv) = (du)v + (-1)^{|u|}
+u (dv).  `C.validate()` is `C.M.validate()`, so a witness names a
+multicategory axiom ("eqMultComp3" for a unit law, "leibniz", "eqMultComp1"
+for associativity) with 1-ary keys, and a Novikov ring raises UnsupportedRing.
 
 A right module R is a covariant assignment a -> R(a) with x.u in R(b) for
 u: a -> b; a left module L is contravariant: u.y in L(a) for y in L(b).
@@ -13,187 +17,19 @@ from __future__ import annotations
 from .complexes import ChainComplex
 from .errors import EngineError
 from .lincomb import add_into, bilinear, combine, eq as lc_eq, linear, scaled_int
+from .multicat import DgCategory, DgFunctor
 from .symgrp import Perm, enumerate_group
 
 
-class DgCategory:
-    def __init__(self, ring, objects, homs, compose_fn, units, name="C"):
-        self.ring = ring
-        self.objects = list(objects)
-        self.homs = {}
-        for (a, b), c in homs.items():
-            if c is not None and c.total_dim() > 0:
-                self.homs[(a, b)] = c
-        self._compose_fn = compose_fn
-        self.units = dict(units)
-        self.name = name
-        self._cache = {}
-        self._diff_cache = {}
-
-    def hom(self, a, b) -> ChainComplex | None:
-        return self.homs.get((a, b))
-
-    def basis_keys(self, a, b):
-        c = self.hom(a, b)
-        if c is None:
-            return []
-        return [(a, b, d, l) for d in c.degrees() for l in c.labels(d)]
-
-    def all_keys(self):
-        out = []
-        for (a, b) in sorted(self.homs, key=repr):
-            out.extend(self.basis_keys(a, b))
-        return out
-
-    def unit_key(self, a):
-        return (a, a, 0, self.units[a])
-
-    def key_degree(self, key):
-        return key[2]
-
-    def diff_key(self, key) -> dict:
-        """d of a basis morphism, memoized per key: callers only read it."""
-        cached = self._diff_cache.get(key)
-        if cached is None:
-            a, b, d, l = key
-            c = self.hom(a, b)
-            col = c.d_mat(d).column(c.index(d, l))
-            pd = c.pred(d)
-            cached = self._diff_cache[key] = {
-                (a, b, pd, c.labels(pd)[i]): v for i, v in col.items()}
-        return cached
-
-    def compose_keys(self, ukey, vkey) -> dict:
-        """u then v, for u: a -> b and v: b -> c."""
-        if ukey[1] != vkey[0]:
-            raise EngineError(f"non-composable: {ukey} then {vkey}")
-        cached = self._cache.get((ukey, vkey))
-        if cached is None:
-            cached = self._compose_fn(self, ukey, vkey)
-            for k in cached:
-                if k[0] != ukey[0] or k[1] != vkey[1] or k[2] != ukey[2] + vkey[2]:
-                    raise EngineError(f"composition off-signature: {k}")
-            self._cache[(ukey, vkey)] = cached
-        return cached
-
-    def compose(self, u: dict, v: dict) -> dict:
-        return bilinear(self.ring, self.compose_keys, u, v)
-
-    def validate(self):
-        ring = self.ring
-        keys = self.all_keys()
-        for a in self.objects:
-            uk = self.unit_key(a)
-            c = self.hom(a, a)
-            if c is None or not c.has_label(0, uk[3]):
-                return {"axiom": "unit-missing", "object": a}
-            if self.diff_key(uk):
-                return {"axiom": "unit-not-closed", "object": a}
-        for u in keys:
-            if not lc_eq(ring, self.compose_keys(self.unit_key(u[0]), u),
-                         {u: ring.one}):
-                return {"axiom": "unit-left", "u": u}
-            if not lc_eq(ring, self.compose_keys(u, self.unit_key(u[1])),
-                         {u: ring.one}):
-                return {"axiom": "unit-right", "u": u}
-        for u in keys:
-            for v in keys:
-                if u[1] != v[0]:
-                    continue
-                lhs = linear(ring, self.diff_key, self.compose_keys(u, v))
-                rhs = combine(
-                    ring,
-                    self.compose(self.diff_key(u), {v: ring.one}),
-                    scaled_int(ring, self.compose({u: ring.one}, self.diff_key(v)),
-                               -1 if u[2] % 2 else 1),
-                )
-                if not lc_eq(ring, lhs, rhs):
-                    return {"axiom": "leibniz", "u": u, "v": v}
-                for w in keys:
-                    if v[1] != w[0]:
-                        continue
-                    lhs = self.compose(self.compose_keys(u, v), {w: ring.one})
-                    rhs = self.compose({u: ring.one}, self.compose_keys(v, w))
-                    if not lc_eq(ring, lhs, rhs):
-                        return {"axiom": "associativity", "u": u, "v": v, "w": w}
-        return None
-
-    def __repr__(self):
-        return f"DgCategory({self.name}, {len(self.objects)} objects)"
-
-
-class DgFunctor:
-    def __init__(self, source: DgCategory, target: DgCategory, obj_map, key_fn,
-                 name="F"):
-        self.source = source
-        self.target = target
-        self.obj_map = dict(obj_map)
-        self._key_fn = key_fn
-        self._cache = {}
-        self.name = name
-
-    def on_obj(self, a):
-        return self.obj_map[a]
-
-    def on_key(self, key) -> dict:
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = self._key_fn(self, key)
-            for k in cached:
-                if k[0] != self.on_obj(key[0]) or k[1] != self.on_obj(key[1]) \
-                        or k[2] != key[2]:
-                    raise EngineError(f"functor off-signature at {key}")
-            self._cache[key] = cached
-        return cached
-
-    def on_lc(self, lc: dict) -> dict:
-        return linear(self.source.ring, self.on_key, lc)
-
-    def validate(self):
-        ring = self.source.ring
-        S, T = self.source, self.target
-        for a in S.objects:
-            if not lc_eq(ring, self.on_key(S.unit_key(a)),
-                         {T.unit_key(self.on_obj(a)): ring.one}):
-                return {"axiom": "functor-unit", "object": a}
-        for u in S.all_keys():
-            if not lc_eq(ring, self.on_lc(S.diff_key(u)),
-                         linear(ring, T.diff_key, self.on_key(u))):
-                return {"axiom": "functor-chain-map", "u": u}
-            for v in S.all_keys():
-                if u[1] != v[0]:
-                    continue
-                lhs = self.on_lc(S.compose_keys(u, v))
-                rhs = bilinear(ring, T.compose_keys, self.on_key(u), self.on_key(v))
-                if not lc_eq(ring, lhs, rhs):
-                    return {"axiom": "functor-composition", "u": u, "v": v}
-        return None
-
-    @staticmethod
-    def identity(C: DgCategory) -> "DgFunctor":
-        return DgFunctor(C, C, {a: a for a in C.objects},
-                         lambda F, k: {k: C.ring.one}, name="id")
-
-    def compose_with(self, other: "DgFunctor") -> "DgFunctor":
-        """self after other."""
-        if other.target is not self.source:
-            raise EngineError("functor composition mismatch")
-        return DgFunctor(
-            other.source, self.target,
-            {a: self.on_obj(other.on_obj(a)) for a in other.source.objects},
-            lambda F, k: self.on_lc(other.on_key(k)),
-            name=f"{self.name}o{other.name}",
-        )
-
-
 class _Module:
-    """A one-sided dg module: a complex per object, keys (object, degree,
-    label), and an action through action_fn, memoized by `act_key`."""
+    """A one-sided dg module: a complex per object (None or absent for 0),
+    keys (object, degree, label), and an action through action_fn, memoized
+    by `act_key`."""
 
     def __init__(self, cat: DgCategory, complexes, action_fn, name=None):
         self.cat = cat
         self.ring = cat.ring
-        self.complexes = dict(complexes)
+        self.complexes = {a: c for a, c in complexes.items() if c is not None}
         self._action_fn = action_fn
         self._cache = {}
         self._diff_cache = {}
@@ -473,7 +309,7 @@ def under_functor_left_module(p: DgFunctor, c_obj) -> LeftModule:
     """The left module a |-> D(p(a), c_obj) over the source of p: A -> D."""
     A, D = p.source, p.target
     ring = A.ring
-    complexes = {a: _hom_as_complex(D, p.on_obj(a), c_obj) for a in A.objects}
+    complexes = {a: D.hom(p.on_obj(a), c_obj) for a in A.objects}
 
     def action(L, ukey, ykey):
         b, d, l = ykey  # y in D(p(b), c_obj)
@@ -488,17 +324,10 @@ def under_functor_left_module(p: DgFunctor, c_obj) -> LeftModule:
     return LeftModule(A, complexes, action, name=f"_{p.name}{D.name}")
 
 
-def _hom_as_complex(D: DgCategory, a, b) -> ChainComplex:
-    c = D.hom(a, b)
-    if c is None:
-        return ChainComplex.zero(D.ring)
-    return c
-
-
 def corepresented_right_module(D: DgCategory, b_obj) -> RightModule:
     """The right module a |-> D(b_obj, a) (postcomposition action)."""
     ring = D.ring
-    complexes = {a: _hom_as_complex(D, b_obj, a) for a in D.objects}
+    complexes = {a: D.hom(b_obj, a) for a in D.objects}
 
     def action(R, mkey, ukey):
         a, d, l = mkey

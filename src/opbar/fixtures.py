@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 
 from .complexes import ChainComplex, ChainMap
+from .dgcat import group_ring_category, poset_category
 from .lincomb import combine, scaled_int
 from .multicat import MultiAlgebra, MultiCat, MultiFunctor, endomorphism_multicat
 from .symgrp import Perm
@@ -89,53 +90,18 @@ def sym_assoc_operad(ring, arity_max=3) -> MultiCat:
                     {star: unit}, name="sym_assoc")
 
 
-def poset_multicat(ring, k, name=None) -> MultiCat:
-    """The chain poset 0 <= 1 <= ... <= k as a multicategory (1-ary only)."""
-    objects = list(range(k + 1))
-    complexes = {}
-    for i in objects:
-        for j in objects:
-            if i <= j:
-                complexes[((i,), j)] = ChainComplex.free(
-                    ring, {0: [f"u{i}_{j}"]}, {})
-
-    def compose_fn(M, fkey, i, gkey):
-        a = fkey[0][0]
-        c = gkey[1]
-        return {((a,), c, 0, f"u{a}_{c}"): ring.one}
-
-    def sym_fn(M, i, fkey):
-        raise AssertionError("1-ary only")
-
-    units = {i: f"u{i}_{i}" for i in objects}
-    return MultiCat(ring, objects, 3, complexes, compose_fn, sym_fn, units,
-                    name=name or f"poset{k}")
+def poset_multicat(ring, k) -> MultiCat:
+    """The chain poset 0 <= 1 <= ... <= k as a 1-ary multicategory."""
+    return poset_category(ring, k).M
 
 
-def group_ring_multicat(ring, n, generators, name=None) -> MultiCat:
-    """R[G] as a one-object multicategory (1-ary morphisms only)."""
-    from .symgrp import enumerate_group
-    gens = [g if isinstance(g, Perm) else Perm(g) for g in generators]
-    elements = enumerate_group(gens, n)
-    star = "*"
-    labels = [repr(g) for g in elements]
-    by_label = {repr(g): g for g in elements}
-    cx = ChainComplex.free(ring, {0: labels}, {})
-
-    def compose_fn(M, fkey, i, gkey):
-        g = by_label[fkey[3]]
-        h = by_label[gkey[3]]
-        return {((star,), star, 0, repr(h.compose(g))): ring.one}
-
-    def sym_fn(M, i, fkey):
-        raise AssertionError("1-ary only")
-
-    return MultiCat(ring, [star], 3, {((star,), star): cx}, compose_fn, sym_fn,
-                    {star: repr(Perm.identity(n))}, name=name or f"R[G<=S{n}]")
+def group_ring_multicat(ring, n, generators) -> MultiCat:
+    """R[G] as a one-object 1-ary multicategory, G a subgroup of S_n."""
+    return group_ring_category(ring, n, generators).M
 
 
 def z2_group_ring_cat(ring) -> MultiCat:
-    return group_ring_multicat(ring, 2, [Perm((2, 1))], name="z2_group_ring_cat")
+    return group_ring_multicat(ring, 2, [Perm((2, 1))])
 
 
 # -- algebras --------------------------------------------------------------
@@ -176,7 +142,7 @@ def two_object_kappa(ring, C0=None, C1=None, kappa=None):
     Defaults to rank-one carriers with the identity-like map.
     Returns (M, algebra, kappa map).
     """
-    M = poset_multicat(ring, 1, name="kappa_poset")
+    M = poset_multicat(ring, 1)
     if C0 is None:
         C0 = ChainComplex.single(ring, "c0", 0)
     if C1 is None:
@@ -198,15 +164,7 @@ def projection_to_unit(M: MultiCat, O: MultiCat | None = None) -> MultiFunctor:
     """Collapse a 1-ary multicategory onto the unit operad."""
     if O is None:
         O = unit_operad(M.ring, M.arity_max)
-    star = O.objects[0]
-
-    def key_fn(F, key):
-        if len(key[0]) != 1 or key[2] != 0:
-            raise AssertionError("projection defined for 1-ary degree-0 sources")
-        return {O.unit_key(star): M.ring.one}
-
-    return MultiFunctor(M, O, {x: star for x in M.objects}, key_fn,
-                        name="to_unit")
+    return projection_to_operad(M, O)
 
 
 def projection_to_operad(M: MultiCat, O: MultiCat) -> MultiFunctor:

@@ -23,7 +23,18 @@ arity_max, transposition and differential once, as ((id, int), ...) in the
 int form of `linalg._int_form` (residues over F_p, one denominator over Q);
 each check compares two sides built in int arithmetic.  Its oracle, the same
 checks in Ring arithmetic over all keys, is `_validate_unpruned` in
-tests/test_multicat_validate.py.
+tests/test_multicat_validate.py.  Over a Novikov ring it raises
+UnsupportedRing.
+
+A dg category is a 1-ary multicategory, and this module stores and validates
+both.  `DgCategory` keeps its (a, b, degree, label) keys but stores no table:
+its hom complexes, units and composition live in the MultiCat `C.M` (arity_max
+1), under the key translation (a, b, d, l) <-> ((a,), b, d, l), and "u then v"
+is u plugged into the one slot of v.  `C.validate()` is `C.M.validate()`, so a
+witness names a multicategory axiom ("unit-missing", "unit-not-closed",
+"eqMultComp3" for a unit law, "leibniz", "eqMultComp1" for associativity) and
+carries 1-ary keys.  `DgFunctor` reads a `MultiFunctor` between the two
+`.M`s the same way and validates through it.
 """
 
 from __future__ import annotations
@@ -34,7 +45,6 @@ import math
 from collections import defaultdict
 
 from .complexes import ChainComplex, ChainMap
-from .dgcat import DgCategory
 from .errors import EngineError, UnsupportedRing
 from .lincomb import add_into, bilinear, eq as lc_eq, linear, scaled_int
 from .symgrp import GroupRingModule, Perm, block_perm, enumerate_group, \
@@ -379,10 +389,6 @@ def _block_word(ng, t, i, nf):
         sizes, Perm.transposition(ng, t, t + 1)).inverse()))
 
 
-def validate_multicategory(M: MultiCat):
-    return M.validate()
-
-
 # ---------------------------------------------------------------------------
 # Algebras
 # ---------------------------------------------------------------------------
@@ -530,12 +536,6 @@ class MultiAlgebra:
         return None
 
 
-def validate_algebra(M: MultiCat, A: MultiAlgebra):
-    if A.M is not M:
-        raise EngineError("algebra belongs to a different multicategory")
-    return A.validate()
-
-
 # ---------------------------------------------------------------------------
 # Multifunctors
 # ---------------------------------------------------------------------------
@@ -599,6 +599,132 @@ class MultiFunctor:
                         return {"axiom": "functor-composition", "f": f,
                                 "g": g, "i": i}
         return None
+
+
+# ---------------------------------------------------------------------------
+# dg categories and dg functors: views of 1-ary multicategories
+# ---------------------------------------------------------------------------
+
+
+def _multi_key(key):
+    a, b, d, l = key
+    return (a,), b, d, l
+
+
+def _dg_key(key):
+    (a,), b, d, l = key
+    return a, b, d, l
+
+
+def _relabel(key_fn, lc) -> dict:
+    return {key_fn(k): v for k, v in lc.items()}
+
+
+def _one_ary(M, i, fkey):
+    raise AssertionError("1-ary only")
+
+
+class DgCategory:
+    """A dg category read from the 1-ary multicategory `M` (module docstring).
+
+    compose_fn(C, ukey, vkey) gives "u then v" in (a, b, d, l) keys.
+    """
+
+    ring = property(lambda self: self.M.ring)
+    objects = property(lambda self: self.M.objects)
+    units = property(lambda self: self.M.units)
+    name = property(lambda self: self.M.name)
+
+    def __init__(self, ring, objects, homs, compose_fn, units, name="C"):
+        self._compose_fn = compose_fn
+        self.M = MultiCat(
+            ring, objects, 1, {((a,), b): c for (a, b), c in homs.items()},
+            lambda M, f, i, g: _relabel(
+                _multi_key, compose_fn(self, _dg_key(f), _dg_key(g))),
+            _one_ary, units, name)
+        self._diff_cache = {}
+
+    @property
+    def homs(self):
+        return {(xs[0], y): c for (xs, y), c in self.M.complexes.items()}
+
+    def hom(self, a, b) -> ChainComplex | None:
+        return self.M.complex((a,), b)
+
+    def basis_keys(self, a, b):
+        return [_dg_key(k) for k in self.M.basis_keys((a,), b)]
+
+    def all_keys(self):
+        return [k for ab in sorted(self.homs, key=repr)
+                for k in self.basis_keys(*ab)]
+
+    def unit_key(self, a):
+        return (a, a, 0, self.units[a])
+
+    def diff_key(self, key) -> dict:
+        """d of a basis morphism, memoized per key: callers only read it."""
+        cached = self._diff_cache.get(key)
+        if cached is None:
+            cached = self._diff_cache[key] = _relabel(
+                _dg_key, self.M.diff_key(_multi_key(key)))
+        return cached
+
+    def compose_keys(self, ukey, vkey) -> dict:
+        """u then v, for u: a -> b and v: b -> c."""
+        return _relabel(_dg_key, self.M.compose_keys(
+            _multi_key(ukey), 1, _multi_key(vkey)))
+
+    def compose(self, u: dict, v: dict) -> dict:
+        return bilinear(self.ring, self.compose_keys, u, v)
+
+    def validate(self):
+        return self.M.validate()
+
+    def __repr__(self):
+        return f"DgCategory({self.name}, {len(self.objects)} objects)"
+
+
+class DgFunctor:
+    """A dg functor read from the MultiFunctor `F` between the `.M`s of its
+    source and target; key_fn(F, key) gives its value in (a, b, d, l) keys."""
+
+    name = property(lambda self: self.F.name)
+
+    def __init__(self, source: DgCategory, target: DgCategory, obj_map, key_fn,
+                 name="F"):
+        self.source = source
+        self.target = target
+        self.F = MultiFunctor(
+            source.M, target.M, obj_map,
+            lambda F, k: _relabel(_multi_key, key_fn(self, _dg_key(k))), name)
+
+    def on_obj(self, a):
+        return self.F.on_obj(a)
+
+    def on_key(self, key) -> dict:
+        return _relabel(_dg_key, self.F.on_key(_multi_key(key)))
+
+    def on_lc(self, lc: dict) -> dict:
+        return linear(self.source.ring, self.on_key, lc)
+
+    def validate(self):
+        return self.F.validate()
+
+    @staticmethod
+    def identity(C: DgCategory) -> "DgFunctor":
+        return DgFunctor(C, C, {a: a for a in C.objects},
+                         lambda F, k: {k: C.ring.one}, name="id")
+
+    def compose_with(self, other: "DgFunctor") -> "DgFunctor":
+        """self after other."""
+        if other.target is not self.source:
+            raise EngineError("functor composition mismatch")
+        return DgFunctor(
+            other.source, self.target,
+            {a: self.on_obj(other.on_obj(a)) for a in other.source.objects},
+            lambda F, k: self.on_lc(other.on_key(k)),
+            name=f"{self.name}o{other.name}",
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ bounded below by d_min, degrees d <= n_max + d_min - 2 are reliable.
 
 from __future__ import annotations
 
-from .complexes import ChainComplex, ChainMap
+from .complexes import ChainComplex, ChainMap, homology
 from .errors import DegreeMismatch, EngineError, TruncationTooSmall
 from .linalg import block_matrix, column_form, column_product, \
     columns_equal, unit_columns
@@ -186,7 +186,6 @@ class RealizedComplex:
         return list(range(lo, top + 1))
 
     def homology(self, degree):
-        from .complexes import homology
         return homology(self.complex, degree)
 
 

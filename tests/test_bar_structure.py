@@ -639,7 +639,7 @@ def test_non_associative_composition_fails_the_identity_check():
     comp[("b", "b")] = [(1, "b")]
     C = table_category(Z, ["*"], {("*", "*"): {0: ["e", "a", "b"]}}, {}, comp,
                        {"*": "e"}, name="Z/3 tampered")
-    assert C.validate()["axiom"] == "associativity"
+    assert C.validate()["axiom"] == "eqMultComp1"
     Mr, Ml = trivial_right_module(C), trivial_left_module(C)
     two_sided_bar(Mr, C, Ml, 2)
     with pytest.raises(EngineError, match="'identity': 'dd'"):

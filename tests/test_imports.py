@@ -12,6 +12,9 @@
 * Every defaulted parameter of a public function, or of a public method or
   `__init__` of a public class, is passed by some call in src/opbar, tests
   or perfbench: an option that only ever takes its default is a constant.
+* Imports go one way and sit at the top: no module imports an opbar module
+  inside a function or class body, and the modules' imports of each other
+  form no cycle.
 """
 
 import ast
@@ -214,6 +217,72 @@ def test_import_reader_sees_every_form():
            "    from .fixtures import unit_operad\n")
     assert imported_modules(src) == {"linalg", "coeff", "errors", "bar",
                                      "symgrp", "dgcat", "fixtures"}
+
+
+# -- imports go one way, at the top ------------------------------------------------
+
+def nested_imports(source: str):
+    """Lines of opbar imports inside a function or class body."""
+    out = set()
+    for scope in ast.walk(ast.parse(source)):
+        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            out.update(node.lineno for node in ast.walk(scope)
+                       if isinstance(node, (ast.Import, ast.ImportFrom))
+                       and imported_modules(ast.unparse(node)))
+    return sorted(out)
+
+
+def import_cycle(graph):
+    """One cycle of {module: the modules it imports}, as a path that starts
+    and ends at the same module, or None."""
+    done, path = set(), []
+
+    def visit(m):
+        path.append(m)
+        for n in sorted(graph.get(m, ())):
+            if n in path:
+                return path[path.index(n):] + [n]
+            if n not in done:
+                found = visit(n)
+                if found:
+                    return found
+        done.add(path.pop())
+        return None
+
+    for m in sorted(graph):
+        found = None if m in done else visit(m)
+        if found:
+            return found
+    return None
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    assert nested_imports(path.read_text()) == []
+
+
+def test_package_imports_form_no_cycle():
+    graph = {p.stem: imported_modules(p.read_text()) - {p.stem}
+             for p in MODULES}
+    assert import_cycle(graph) is None
+
+
+def test_import_checkers_on_planted_modules():
+    src = ("from .linalg import Mat\n"
+           "import itertools\n"
+           "def f():\n"
+           "    import os\n"
+           "    from .fixtures import unit_operad\n"
+           "class A:\n"
+           "    def g(self):\n"
+           "        import opbar.bar\n")
+    assert nested_imports(src) == [5, 8]
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": set()}) is None
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == \
+        ["a", "b", "c", "a"]
+    assert import_cycle({"a": {"b", "c"}, "b": set(), "c": {"c2"},
+                         "c2": {"c"}}) == ["c", "c2", "c"]
 
 
 # -- every option is passed somewhere ---------------------------------------------

@@ -29,8 +29,6 @@ from opbar.multicat import (
     endomorphism_multicat,
     perm_morphism,
     prop_of,
-    validate_algebra,
-    validate_multicategory,
 )
 from opbar.symgrp import Perm
 
@@ -41,48 +39,48 @@ Q = Ring.Q()
 # -- validation of fixtures ------------------------------------------------------
 
 def test_unit_operad_valid():
-    assert validate_multicategory(unit_operad(Z)) is None
+    assert unit_operad(Z).validate() is None
 
 
 def test_as_operad_valid():
-    assert validate_multicategory(as_operad(Z, 3)) is None
+    assert as_operad(Z, 3).validate() is None
 
 
 def test_sym_assoc_valid():
-    assert validate_multicategory(sym_assoc_operad(Z, 3)) is None
+    assert sym_assoc_operad(Z, 3).validate() is None
 
 
 def test_poset_valid():
-    assert validate_multicategory(poset_multicat(Z, 2)) is None
+    assert poset_multicat(Z, 2).validate() is None
 
 
 def test_group_ring_valid():
-    assert validate_multicategory(z2_group_ring_cat(Z)) is None
+    assert z2_group_ring_cat(Z).validate() is None
 
 
 def test_endomorphism_operad_valid():
     c = ChainComplex.free(Q, {0: ["a"], 1: ["t"]}, {(1, "t", "a"): 1})
     M, taut = endomorphism_multicat(Q, {"X": c}, 2)
-    assert validate_multicategory(M) is None
-    assert validate_algebra(M, taut) is None
+    assert M.validate() is None
+    assert taut.validate() is None
 
 
 def test_endomorphism_two_objects_valid():
     c0 = ChainComplex.single(Z, "p", 0)
     c1 = ChainComplex.free(Z, {0: ["q"], -1: ["r"]}, {})
     M, taut = endomorphism_multicat(Z, {"X": c0, "Y": c1}, 2)
-    assert validate_multicategory(M) is None
-    assert validate_algebra(M, taut) is None
+    assert M.validate() is None
+    assert taut.validate() is None
 
 
 def test_planted_nonassociative_witnessed():
-    w = validate_multicategory(planted_nonassociative(Z))
+    w = planted_nonassociative(Z).validate()
     assert w is not None
     assert w["axiom"] == "eqMultComp1"
 
 
 def test_planted_asymmetric_witnessed():
-    w = validate_multicategory(planted_asymmetric(Z))
+    w = planted_asymmetric(Z).validate()
     assert w is not None
     assert w["axiom"].startswith("sym") or w["axiom"].startswith("eqSymAc")
 
@@ -103,18 +101,18 @@ def test_act_is_right_action():
 
 def test_trivial_algebra_over_as():
     M = as_operad(Z, 3)
-    assert validate_algebra(M, trivial_algebra(M)) is None
+    assert trivial_algebra(M).validate() is None
 
 
 def test_trivial_algebra_over_sym_assoc():
     M = sym_assoc_operad(Z, 3)
-    assert validate_algebra(M, trivial_algebra(M)) is None
+    assert trivial_algebra(M).validate() is None
 
 
 def test_two_object_kappa_algebra():
     M, A, kappa = two_object_kappa(Z)
-    assert validate_multicategory(M) is None
-    assert validate_algebra(M, A) is None
+    assert M.validate() is None
+    assert A.validate() is None
 
 
 def test_exterior_algebra_over_as():
@@ -145,7 +143,7 @@ def test_exterior_algebra_over_as():
 
     from opbar.multicat import MultiAlgebra
     alg = MultiAlgebra(M, {"*": A}, action_fn, name="exterior")
-    assert validate_algebra(M, alg) is None
+    assert alg.validate() is None
 
 
 def test_planted_algebra_symmetry_witnessed():
@@ -164,7 +162,7 @@ def test_planted_algebra_symmetry_witnessed():
 
     from opbar.multicat import MultiAlgebra
     alg = MultiAlgebra(M, {"*": c}, action_fn)
-    w = validate_algebra(M, alg)
+    w = alg.validate()
     assert w is not None
     assert w["axiom"] in ("eqSymAc-algebra", "algebra-composition")
 
@@ -266,8 +264,8 @@ def test_freeness_identity_fails_for_group_ring():
 
 def test_bv_operad_validates():
     M, taut, keys = bv_operad(Q, 3)
-    assert validate_multicategory(M) is None
-    assert validate_algebra(M, taut) is None
+    assert M.validate() is None
+    assert taut.validate() is None
 
 
 def test_bv_delta_squared_zero():
@@ -308,6 +306,6 @@ def test_bv_seven_term_fails_with_wrong_third_term():
 def test_full_sub_multicategory():
     M = poset_multicat(Z, 2)
     sub = M.restrict_to([0, 2])
-    assert validate_multicategory(sub) is None
+    assert sub.validate() is None
     assert sub.complex((0,), 2) is not None
     assert sub.complex((1,), 2) is None
