@@ -27,7 +27,7 @@ import itertools
 from .complexes import ChainComplex, ChainMap
 from .errors import EngineError, NonPermutationAction
 from .fixtures import unit_operad
-from .lincomb import add_into, eq as lc_eq, linear
+from .lincomb import add_into, linear
 from .linalg import block_matrix
 from .multicat import MultiAlgebra, MultiCat, MultiFunctor, _group_gens
 from .simplicial import RealizedComplex, SimplicialComplexObj, realize, shuffles
@@ -46,6 +46,12 @@ class WordCalculus:
     S_k, read from a table built once per (structure, key, parities of the
     children's degrees); the representative is the orbit element whose
     `repr` is least, its string assembled from memoized per-label reprs.
+
+    One build's levels read per-id tables: `words_by_depth` builds the words
+    of each depth once, from the depth below, and numbers them, keeping each
+    word's child ids (and `level_basis` each root's); a face d_i (i > 0) or
+    degeneracy of a root maps its children through a list over word ids
+    (`_word_images`) filled once from the list one depth down.
     """
 
     def __init__(self, pi: MultiFunctor, A: MultiAlgebra):
@@ -58,6 +64,10 @@ class WordCalculus:
         self._canon = {}
         self._orbit_tables = {}
         self._repr = {}
+        self._words = []      # depth -> canonical words, in id order
+        self._kids = []       # depth -> child ids of each word
+        self._root_kids = {}  # root label -> child ids
+        self._images = {}     # ("d" or "s", n, i) -> image of each word id
 
     # -- label structure ----------------------------------------------------
 
@@ -206,31 +216,35 @@ class WordCalculus:
     # -- level enumeration ----------------------------------------------------
 
     def words_by_depth(self, depth):
-        """{object: [canonical word labels]} for uniform-depth words."""
-        levels = [{x: self.leaf_keys(x) for x in self.M.objects}]
+        """{object: [canonical word labels]} for uniform-depth words.
+
+        Builds and numbers the words of every depth up to `depth` once, each
+        depth from the one below; this starts a new build."""
+        objects = self.M.objects
+        cur = {x: self.leaf_keys(x) for x in objects}
+        self._words = [[l for x in objects for l in cur[x]]]
+        self._kids = [None]
+        self._root_kids = {}
+        self._images = {}
         for _ in range(depth):
-            prev = levels[-1]
-            cur = {x: [] for x in self.M.objects}
-            seen = set()
+            ids = {l: j for j, l in enumerate(self._words[-1])}
+            prev, cur, kids = cur, {x: [] for x in objects}, {}
             for mkey in self.M.all_keys():
-                pools = [prev[x] for x in mkey[0]]
-                for combo in itertools.product(*pools):
+                for combo in itertools.product(*(prev[x] for x in mkey[0])):
                     for l in self.make_word(mkey, combo):
-                        if l not in seen:
-                            seen.add(l)
+                        if l not in kids:
+                            kids[l] = tuple(ids[c] for c in l[2])
                             cur[self.obj(l)].append(l)
-            levels.append(cur)
-        return levels[-1]
+            self._words.append([l for x in objects for l in cur[x]])
+            self._kids.append([kids[l] for l in self._words[-1]])
+        return cur
 
     def level_basis(self, n):
-        """Canonical root labels over depth-n words."""
-        words = self.words_by_depth(n)
-        pool = []
-        for x in self.M.objects:
-            pool.extend(words[x])
+        """Canonical root labels over the depth-n words of this build."""
+        pool = self._words[n]
+        ids = {w: j for j, w in enumerate(pool)}
         star = self.O.objects[0]
-        out = []
-        seen = set()
+        kids = {}
         for k in range(1, self.O.arity_max + 1):
             okeys = self.O.basis_keys((star,) * k, star)
             if not okeys:
@@ -238,10 +252,10 @@ class WordCalculus:
             for combo in itertools.product(pool, repeat=k):
                 for okey in okeys:
                     for l in self.make_root(okey, combo):
-                        if l not in seen:
-                            seen.add(l)
-                            out.append(l)
-        return out
+                        if l not in kids:
+                            kids[l] = tuple(ids[w] for w in l[2])
+        self._root_kids.update(kids)
+        return list(kids)
 
     def complex_on(self, labels) -> ChainComplex:
         """The complex on the given labels, graded by `deg`, with d from
@@ -317,43 +331,44 @@ class WordCalculus:
                      ring.mul(ring.from_int(s), v))
         return out
 
-    def _map_children(self, label, fn) -> dict:
-        """Apply a degree-0 label map to every child of a node, multilinearly."""
-        kind = label[0]
-        structure = self.M if kind == "wd" else self.O
-        key, children = label[1], label[2]
-        return self.node_lc(kind, structure, {key: self.ring.one},
-                            [fn(c) for c in children])
-
     def face(self, n, i, label) -> dict:
         """The i-th face on a level-n root label."""
         if i == 0:
             return self.face_root_collapse(label)
-
-        def descend(depth):
-            if depth == 1:
-                if i == n:
-                    return self.evaluate_word
-                return self.collapse_word_once
-            inner = descend(depth - 1)
-            return lambda l: self._map_children(l, inner)
-
-        fn = descend(i if i < n else n)
-        return self._map_children(label, fn)
+        return self._map_root(label, self._word_images("d", n, i))
 
     def degen(self, n, i, label) -> dict:
         """The i-th degeneracy: insert a unit level at depth i + 1."""
-        def wrap(l) -> dict:
-            return self.make_word(self.M.unit_key(self.obj(l)), (l,))
+        return self._map_root(label, self._word_images("s", n, i))
 
-        def descend(depth):
-            if depth == 0:
-                return wrap
-            inner = descend(depth - 1)
-            return lambda l: self._map_children(l, inner)
+    def _map_root(self, label, images) -> dict:
+        """A root with each child word replaced by its image, multilinearly."""
+        return self.node_lc("rt", self.O, {label[1]: self.ring.one},
+                            [images[c] for c in self._root_kids[label]])
 
-        fn = descend(i)
-        return self._map_children(label, fn)
+    def _word_images(self, kind, n, i):
+        """[image of each depth-n word] under the map that d_i (kind "d",
+        i > 0) or s_i ("s") of level n applies to a root's children: d_1
+        composes a word with its children (evaluates it if n = 1), s_0 wraps
+        it in a unit, else d_{i-1} or s_{i-1} of level n - 1 maps them."""
+        key = (kind, n, i)
+        out = self._images.get(key)
+        if out is None:
+            words = self._words[n]
+            if kind == "s" and i == 0:
+                out = [self.make_word(self.M.unit_key(self.obj(w)), (w,))
+                       for w in words]
+            elif kind == "d" and i == 1:
+                fn = self.evaluate_word if n == 1 else self.collapse_word_once
+                out = [fn(w) for w in words]
+            else:
+                inner = self._word_images(kind, n - 1, i - 1)
+                one = self.ring.one
+                out = [self.node_lc("wd", self.M, {w[1]: one},
+                                    [inner[c] for c in kids])
+                       for w, kids in zip(words, self._kids[n])]
+            self._images[key] = out
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -522,28 +537,43 @@ def simplicial_kan(pi: MultiFunctor, A: MultiAlgebra, n_max):
 
     Levels are root-coinvariant decorated leveled trees; faces project to the
     operad (d_0), compose inside the multicategory (0 < i < n), or apply the
-    algebra (d_n); degeneracies insert unit levels.  The simplicial
-    identities are checked on every level.
+    algebra (d_n); degeneracies insert unit levels.  The inputs are
+    validated first, and the simplicial identities on every level.
     """
     if len(pi.target.objects) != 1:
         raise EngineError("the target of pi must be an operad (one object)")
+    _validate_inputs(pi, A)
     calc = WordCalculus(pi, A)
+    calc.words_by_depth(n_max)
     levels = {n: calc.level_complex(n) for n in range(0, n_max + 1)}
-    faces = {}
-    degens = {}
-    for n in range(1, n_max + 1):
-        for i in range(0, n + 1):
-            faces[(n, i)] = ChainMap.from_label_fn(
-                levels[n], levels[n - 1], 0,
-                lambda l, n=n, i=i: list(calc.face(n, i, l).items()))
-    for n in range(0, n_max):
-        for i in range(0, n + 1):
-            degens[(n, i)] = ChainMap.from_label_fn(
-                levels[n], levels[n + 1], 0,
-                lambda l, n=n, i=i: list(calc.degen(n, i, l).items()))
+    faces = {(n, i): ChainMap.from_label_fn(levels[n], levels[n - 1], 0,
+                                            lambda l, n=n, i=i:
+                                            calc.face(n, i, l).items())
+             for n in range(1, n_max + 1) for i in range(0, n + 1)}
+    degens = {(n, i): ChainMap.from_label_fn(levels[n], levels[n + 1], 0,
+                                             lambda l, n=n, i=i:
+                                             calc.degen(n, i, l).items())
+              for n in range(0, n_max) for i in range(0, n + 1)}
     simp = SimplicialComplexObj(n_max, levels, faces, degens)
     simp.calc = calc
     return simp
+
+
+def _validate_inputs(pi: MultiFunctor, A: MultiAlgebra):
+    """Raise EngineError, with the validator's dict as ``.witness``, at the
+    first of M, O, pi and A whose `validate` returns a witness.
+    `MultiCat.validate` has no Novikov arithmetic (it raises
+    UnsupportedRing), so over a Novikov ring only pi and A are validated."""
+    checks = [("functor pi", pi), ("algebra A", A)]
+    if not pi.source.ring.is_novikov:
+        checks[:0] = [("multicategory M", pi.source), ("operad O", pi.target)]
+    for role, structure in checks:
+        w = structure.validate()
+        if w is not None:
+            err = EngineError(f"{role} {structure.name!r} fails "
+                              f"{w['axiom']}: {w!r}")
+            err.witness = w
+            raise err
 
 
 def operadic_kan(pi: MultiFunctor, A: MultiAlgebra, n_max):
@@ -560,8 +590,8 @@ def operadic_kan(pi: MultiFunctor, A: MultiAlgebra, n_max):
     * mu is S_2-equivariant on every pair z_1, z_2 whose levels sum to at
       most n_max, for every key o of O(2).
 
-    Both checks read mu one basis tensor at a time from the structure's memo,
-    so each value is computed once.
+    Both checks read mu one basis tensor at a time from the structure's id
+    memo, so each value is computed once.
     """
     simp = simplicial_kan(pi, A, n_max)
     real = realize(simp)
@@ -576,28 +606,30 @@ def operadic_kan(pi: MultiFunctor, A: MultiAlgebra, n_max):
 class KanAlgebraStructure:
     """The operad action mu: (realized)^(x k) (x) O(k) -> realized.
 
-    Values of mu on basis tensors are memoized per structure in
-    ``_mu_memo``, (zs, okey) -> mu(z_1 (x) ... (x) z_k (x) okey), and
-    mu_on_labels returns the shared dict, which callers must not mutate.
-    Four more memos, each filled once per key, hold the parts of mu that
-    many basis tensors share:
+    The realized labels ("lv", n, l) are numbered once, in basis order
+    (``_labels``, ``_ids``); per id the structure keeps the level
+    (``_level``), the internal degree of l (``_ideg``), the graft part of l
+    (``_parts``, (root key, parities of its words), filled on first use)
+    and the boundary as a tuple of (id, coefficient) (``_boundary``).  mu,
+    its checks and their memos work on ids, coefficients combined through
+    `Ring.add`, `neg` and `mul`:
 
-    * ``_shuffle_memo``: the levels tuple (p_1, ..., p_k) -> the shuffle
-      words of `_multi_shuffle_words`, as tuples;
-    * ``_degen_memo``: (n, word, label) -> the image of a level-n label under
-      a degeneracy word, as a tuple of (label, +-1);
-    * ``_graft_memo``: (okey, ((ok_t, parities of the words of z_t) for each
-      t)) -> [(gamma key, coefficient)] of the levelwise root graft, the Koszul
-      sign of the reordering included;
-    * ``_graft_parts``: a level label -> its part (root key, parities of its
-      words) of the ``_graft_memo`` key, so a graft reads no word degrees
-      once its labels are known.
+    * ``_mu_memo``: (ids, okey) -> {id: coefficient};
+    * ``_shuffle_memo``: levels (p_1, ..., p_k) -> `_multi_shuffle_words`;
+    * ``_degen_memo``: (id, degeneracy word) -> ((id, +-1), ...);
+    * ``_product_memo``: (okey, ids of same-level labels) -> {id:
+      coefficient} of their root graft;
+    * ``_graft_memo``: (okey, parts) -> [(gamma key, coefficient)], the
+      Koszul sign of the reordering included.
 
+    Labels come back only in the views `mu_on_labels` (a new dict per call),
+    `mu(k)`, `window_columns`, `chain_map_sides` and the witnesses.
     check_chain_map(k) covers the basis tensors whose levels sum to at most
-    n_max - 1; check_equivariance(2) covers those whose levels sum to at most
-    n_max, with every key of O(2).  A failing check raises EngineError naming
-    the first failing column, with ``.witness = {"zs", "okey", "lhs",
-    "rhs"}``.
+    n_max - 1, check_equivariance(2) those whose levels sum to at most
+    n_max, with every key of O(2); each compares its two sides as dicts
+    without zeros.  A failing check raises EngineError naming the first
+    failing column, with ``.witness = {"zs", "okey", "lhs", "rhs"}`` in
+    labels.
     """
 
     def __init__(self, simp, real: RealizedComplex):
@@ -609,14 +641,23 @@ class KanAlgebraStructure:
         self._mu_memo = {}
         self._shuffle_memo = {}
         self._degen_memo = {}
+        self._product_memo = {}
         self._graft_memo = {}
-        self._graft_parts = {}
         c = real.complex
-        self._boundary = {l: {} for d in c.degrees() for l in c.labels(d)}
+        self._labels = [z for d in c.degrees() for z in c.labels(d)]
+        self._ids = {z: j for j, z in enumerate(self._labels)}
+        self._level = [z[1] for z in self._labels]
+        self._ideg = [self.calc.deg(z[2]) for z in self._labels]
+        self._arity = [len(z[2][2]) for z in self._labels]
+        self._parts = [None] * len(self._labels)
+        first, boundary = {}, [[] for _ in self._labels]
+        for d in c.degrees():
+            first[d] = self._ids[c.labels(d)[0]]
         for d, m in c.diff.items():
-            src, tgt = c.labels(d), c.labels(c.pred(d))
+            src, tgt = first[d], first[c.pred(d)]
             for (i, j), v in m.d.items():
-                self._boundary[src[j]][tgt[i]] = v
+                boundary[src + j].append((tgt + i, v))
+        self._boundary = [tuple(b) for b in boundary]
 
     def _shuffle_words(self, levels):
         out = self._shuffle_memo.get(levels)
@@ -624,37 +665,36 @@ class KanAlgebraStructure:
             out = self._shuffle_memo[levels] = _multi_shuffle_words(levels)
         return out
 
-    def _apply_degen_word(self, n, word, label):
-        """Apply s_{w[0]}, s_{w[1]}, ... (0-based indices) to a level-n label;
-        the image as a tuple of (label, +-1)."""
-        key = (n, word, label)
+    def _degen_word(self, z, word):
+        """Apply s_{w[0]}, s_{w[1]}, ... (0-based indices) to the label of id
+        z; the image as a tuple of (id, +-1)."""
+        key = (z, word)
         out = self._degen_memo.get(key)
         if out is None:
-            cur = {label: self.ring.one}
-            lvl = n
+            ring, calc = self.ring, self.calc
+            lvl = self._level[z]
+            cur = {self._labels[z][2]: ring.one}
             for i in word:
-                cur = linear(self.ring,
-                             lambda l, lv=lvl, ii=i: self.calc.degen(lv, ii, l),
+                cur = linear(ring, lambda l, lv=lvl, ii=i: calc.degen(lv, ii, l),
                              cur)
                 lvl += 1
             out = self._degen_memo[key] = tuple(
-                (l, _unit_sign(self.ring, v)) for l, v in cur.items())
+                (self._ids[("lv", lvl, l)], _unit_sign(ring, v))
+                for l, v in cur.items())
         return out
 
-    def _graft_part(self, label):
-        """(root key, parities of the words) of a level label, memoized."""
+    def _part(self, z):
+        """(root key, parities of the words) of the label of id z."""
         deg = self.calc.deg
-        part = self._graft_parts[label] = (
-            label[1], tuple(deg(w) % 2 for w in label[2]))
+        l = self._labels[z][2]
+        part = self._parts[z] = (l[1], tuple(deg(w) % 2 for w in l[2]))
         return part
 
-    def _graft(self, okey, labels):
+    def _graft(self, okey, ids):
         """[(gamma key, coefficient)] of the root graft of same-level labels
-        along okey, which depends on the labels only through their root keys
-        and the parities of their words."""
-        parts = self._graft_parts
-        key = (okey, tuple(parts.get(l) or self._graft_part(l)
-                           for l in labels))
+        along okey, which depends on the labels only through their parts."""
+        parts = self._parts
+        key = (okey, tuple(parts[z] or self._part(z) for z in ids))
         out = self._graft_memo.get(key)
         if out is None:
             # (w_1.., o_1, w_2.., o_2, ..) -> (w_1.., w_2.., .., o_1, o_2, ..):
@@ -670,14 +710,16 @@ class KanAlgebraStructure:
                 for gk, gv in gam.items()]
         return out
 
-    def product_levelwise(self, okey, labels) -> dict:
-        """Root-graft of same-level elements z_1, ..., z_k along okey."""
+    def _product_body(self, okey, ids) -> dict:
+        """{id: coefficient} of the root graft of same-level ids along okey."""
         ring = self.ring
-        children = tuple(w for l in labels for w in l[2])
+        lvl = self._level[ids[0]]
+        children = tuple(w for z in ids for w in self._labels[z][2][2])
         out = {}
-        for gk, gv in self._graft(okey, labels):
+        for gk, gv in self._graft(okey, ids):
             for l2, v2 in self.calc.make_root(gk, children).items():
-                add_into(ring, out, l2, ring.mul(gv, v2))
+                add_into(ring, out, self._ids[("lv", lvl, l2)],
+                         gv if v2 == ring.one else ring.neg(gv))
         return out
 
     def has_arity(self, k) -> bool:
@@ -719,117 +761,152 @@ class KanAlgebraStructure:
                                        validate=False)
 
     def mu_on_labels(self, zs, okey) -> dict:
-        """mu(z_1 (x) ... (x) z_k (x) okey) on realized basis labels.
+        """mu(z_1 (x) ... (x) z_k (x) okey) on realized basis labels, read
+        from the id memo into a new dict; zero when the levels sum past
+        n_max."""
+        return self._as_labels(self._mu(tuple(self._ids[z] for z in zs), okey))
 
-        Zero when the levels sum past n_max; otherwise memoized, so the
-        returned dict is shared and must not be mutated.
-        """
-        zs = tuple(zs)
-        out = self._mu_memo.get((zs, okey))
+    def _as_labels(self, lc) -> dict:
+        labels = self._labels
+        return {labels[j]: v for j, v in lc.items()}
+
+    def _mu(self, ids, okey) -> dict:
+        """mu on ids and okey, memoized: a shared dict, never mutated."""
+        out = self._mu_memo.get((ids, okey))
         if out is None:
-            if sum(z[1] for z in zs) > self.simp.n_max:
-                return {}
-            out = self._mu_memo[(zs, okey)] = self._mu_uncached(zs, okey)
+            if sum(map(self._level.__getitem__, ids)) > self.simp.n_max:
+                return _ZERO
+            out = self._mu_memo[(ids, okey)] = self._mu_body(ids, okey)
         return out
 
-    def _mu_uncached(self, zs, okey) -> dict:
+    def _mu_body(self, ids, okey) -> dict:
         """The shuffle sum of levelwise grafts, with the Eilenberg-Zilber
         sign (-1)^(sum_{s<t} |z_s| p_t) for internal degrees |z_s| and
-        levels p_t."""
+        levels p_t.  Zero, as the shared `_ZERO`, when the roots' arities
+        sum past the arity bound of O: then every graft is zero."""
+        if sum(map(self._arity.__getitem__, ids)) > self.O.arity_max:
+            return _ZERO
         ring = self.ring
-        levels = tuple(z[1] for z in zs)
-        total = sum(levels)
+        neg = ring.neg
+        level, ideg = self._level, self._ideg
+        levels = tuple(level[z] for z in ids)
         ez, pre = 0, 0
-        for z in zs:
-            ez += pre * z[1]
-            pre += self.calc.deg(z[2])
+        for z in ids:
+            ez += pre * level[z]
+            pre += ideg[z]
         ez = -1 if ez % 2 else 1
+        products = self._product_memo
         out = {}
         for sign, words in self._shuffle_words(levels):
             combos = [(sign * ez, ())]
-            for z, word in zip(zs, words):
-                image = self._apply_degen_word(z[1], word, z[2])
-                combos = [(s * u, labs + (l,))
-                          for s, labs in combos for l, u in image]
+            for z, word in zip(ids, words):
+                image = self._degen_word(z, word)
+                combos = [(s * u, labs + (j,))
+                          for s, labs in combos for j, u in image]
             for s, labs in combos:
-                for l3, v3 in self.product_levelwise(okey, labs).items():
-                    add_into(ring, out, ("lv", total, l3),
-                             v3 if s > 0 else ring.neg(v3))
+                got = products.get((okey, labs))
+                if got is None:
+                    got = products[(okey, labs)] = self._product_body(okey,
+                                                                      labs)
+                for j, v in got.items():
+                    add_into(ring, out, j, v if s > 0 else neg(v))
         return out
 
-    def window_columns(self, k, top):
-        """The basis tensors (zs, okey) of (realized)^(x k) (x) O(k) whose
+    def _window(self, k, top):
+        """The basis tensors (ids, okey) of (realized)^(x k) (x) O(k) whose
         simplicial levels sum to at most top."""
-        c = self.real.complex
         by_level = {}
-        for d in c.degrees():
-            for z in c.labels(d):
-                by_level.setdefault(z[1], []).append(z)
+        for z, n in enumerate(self._level):
+            by_level.setdefault(n, []).append(z)
         okeys = self._okeys(k)
         for levels in itertools.product(sorted(by_level), repeat=k):
             if sum(levels) > top:
                 continue
-            for zs in itertools.product(*(by_level[n] for n in levels)):
+            for ids in itertools.product(*(by_level[n] for n in levels)):
                 for okey in okeys:
-                    yield zs, okey
+                    yield ids, okey
+
+    def window_columns(self, k, top):
+        """`_window` in labels: the basis tensors (zs, okey)."""
+        labels = self._labels
+        for ids, okey in self._window(k, top):
+            yield tuple(labels[z] for z in ids), okey
 
     def _deg(self, z) -> int:
         return self.calc.deg(z[2]) + z[1]
 
     def chain_map_sides(self, zs, okey):
         """(d mu(x), mu(d x)) for the basis tensor x = z_1 (x) ... (x) okey,
-        with d x by the Koszul rule on the realized complex and on O(k)."""
+        in labels."""
+        lhs, rhs = self._sides(tuple(self._ids[z] for z in zs), okey,
+                               self.O.diff_key(okey))
+        return self._as_labels(lhs), self._as_labels(rhs)
+
+    def _sides(self, ids, okey, d_okey):
+        """(d mu(x), mu(d x)) on ids, with d x by the Koszul rule on the
+        realized complex and on O(k), where okey has the boundary d_okey."""
         ring = self.ring
-        lhs = linear(ring, self._boundary.__getitem__,
-                     self.mu_on_labels(zs, okey))
+        mul, neg = ring.mul, ring.neg
+        boundary = self._boundary
+        lhs = {}
+        for j, c in self._mu(ids, okey).items():
+            for j2, v in boundary[j]:
+                add_into(ring, lhs, j2, mul(c, v))
         rhs = {}
         pre = 0
-        for t, z in enumerate(zs):
-            for z2, v in self._boundary[z].items():
-                c = ring.neg(v) if pre % 2 else v
-                for l, w in self.mu_on_labels(
-                        zs[:t] + (z2,) + zs[t + 1:], okey).items():
-                    add_into(ring, rhs, l, ring.mul(c, w))
-            pre += self._deg(z)
-        for o2, v in self.O.diff_key(okey).items():
-            c = ring.neg(v) if pre % 2 else v
-            for l, w in self.mu_on_labels(zs, o2).items():
-                add_into(ring, rhs, l, ring.mul(c, w))
+        for t, z in enumerate(ids):
+            for z2, v in boundary[z]:
+                c = neg(v) if pre % 2 else v
+                for j, w in self._mu(ids[:t] + (z2,) + ids[t + 1:],
+                                     okey).items():
+                    add_into(ring, rhs, j, mul(c, w))
+            pre += self._ideg[z] + self._level[z]
+        for o2, v in d_okey.items():
+            c = neg(v) if pre % 2 else v
+            for j, w in self._mu(ids, o2).items():
+                add_into(ring, rhs, j, mul(c, w))
         return lhs, rhs
 
     def check_chain_map(self, k):
-        ring = self.ring
-        for zs, okey in self.window_columns(k, self.simp.n_max - 1):
-            lhs, rhs = self.chain_map_sides(zs, okey)
-            if not lc_eq(ring, lhs, rhs):
-                raise _column_error("operad structure map is not a chain map",
-                                    zs, okey, lhs, rhs)
+        diffs = {okey: self.O.diff_key(okey) for okey in self._okeys(k)}
+        for ids, okey in self._window(k, self.simp.n_max - 1):
+            lhs, rhs = self._sides(ids, okey, diffs[okey])
+            if lhs != rhs:
+                raise self._column_error(
+                    "operad structure map is not a chain map",
+                    ids, okey, lhs, rhs)
 
     def check_equivariance(self, k):
         if k != 2:
             return
         ring = self.ring
+        mul, neg = ring.mul, ring.neg
+        odd = [(d + n) % 2 for d, n in zip(self._ideg, self._level)]
         sigma = Perm((2, 1))
         acts = {okey: self.O.act(sigma, okey) for okey in self._okeys(2)}
-        for (la, lb), okey in self.window_columns(2, self.simp.n_max):
+        for (a, b), okey in self._window(2, self.simp.n_max):
             lhs = {}
             for ok2, v in acts[okey].items():
-                for l3, v3 in self.mu_on_labels((lb, la), ok2).items():
-                    add_into(ring, lhs, l3, ring.mul(v, v3))
-            rhs = self.mu_on_labels((la, lb), okey)
-            if self._deg(la) % 2 and self._deg(lb) % 2:
-                rhs = {l: ring.neg(v) for l, v in rhs.items()}
-            if not lc_eq(ring, lhs, rhs):
-                raise _column_error("structure map is not equivariant",
-                                    (la, lb), okey, lhs, rhs)
+                for j, w in self._mu((b, a), ok2).items():
+                    add_into(ring, lhs, j, mul(v, w))
+            rhs = self._mu((a, b), okey)
+            if odd[a] and odd[b]:
+                rhs = {j: neg(w) for j, w in rhs.items()}
+            if lhs != rhs:
+                raise self._column_error("structure map is not equivariant",
+                                         (a, b), okey, lhs, rhs)
+
+    def _column_error(self, message, ids, okey, lhs, rhs) -> EngineError:
+        """EngineError naming the first failing column (zs, okey) of a
+        check, with both sides as ``.witness``, all in labels."""
+        zs = tuple(self._labels[z] for z in ids)
+        err = EngineError(f"{message} on column {zs!r} (x) {okey!r}")
+        err.witness = {"zs": zs, "okey": okey, "lhs": self._as_labels(lhs),
+                       "rhs": self._as_labels(rhs)}
+        return err
 
 
-def _column_error(message, zs, okey, lhs, rhs) -> EngineError:
-    """EngineError naming the first failing column (zs, okey) of a check,
-    with both sides as ``.witness``."""
-    err = EngineError(f"{message} on column {zs!r} (x) {okey!r}")
-    err.witness = {"zs": zs, "okey": okey, "lhs": lhs, "rhs": rhs}
-    return err
+_ZERO = {}  # the memoized zero of every structure; never mutated
 
 
 def _unit_sign(ring, v):

@@ -143,13 +143,16 @@ class Ring:
             raise NonGridExponent(f"exponent {e} not on grid (1/{self.grid})Z>=0")
 
     def canon(self, value):
-        """Re-canonicalize a raw value (idempotent on canonical input)."""
+        """Re-canonicalize a raw value (idempotent on canonical input); an
+        int is read as `from_int` reads it, over every ring."""
         if self.kind == "Z":
             return int(value)
         if self.kind == "Q":
             return value if type(value) is Fraction else Fraction(value)
         if self.kind == "Fp":
             return int(value) % self.p
+        if isinstance(value, int):
+            return self.from_int(value)
         terms = {}
         for e, c in value:
             e = Fraction(e)

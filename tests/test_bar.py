@@ -103,7 +103,7 @@ def test_mu_keeps_full_domain():
     for d in mu.source.degrees():
         for label in mu.source.labels(d):
             zs, okey = label[1][:2], label[1][2]
-            want = structure._mu_uncached(zs, okey) \
+            want = _oracle_mu(structure, zs, okey) \
                 if sum(z[1] for z in zs) <= 1 else {}
             assert mu.apply_label(d, label) == want
 
@@ -117,12 +117,25 @@ def test_equivariance_holds_on_odd_pairs():
     assert odd  # the Koszul sign of the S_2 action is exercised
 
 
+def _in_labels(structure, ids):
+    """The realized labels of ids: the one id -> label helper of these
+    tests."""
+    return tuple(structure._labels[z] for z in ids)
+
+
+def _mu_memo_in_labels(structure):
+    """The id memo of mu as {(zs, okey): {label: coefficient}}."""
+    return {(_in_labels(structure, ids), okey):
+            dict(zip(_in_labels(structure, lc), lc.values()))
+            for (ids, okey), lc in structure._mu_memo.items()}
+
+
 class _Negated(KanAlgebraStructure):
     """mu negated on the columns (zs, okey) where bad(zs, okey) holds."""
 
-    def _mu_uncached(self, zs, okey):
-        out = super()._mu_uncached(zs, okey)
-        if self.bad(zs, okey):
+    def _mu_body(self, ids, okey):
+        out = super()._mu_body(ids, okey)
+        if self.bad(_in_labels(self, ids), okey):
             out = {l: self.ring.neg(v) for l, v in out.items()}
         return out
 
@@ -255,13 +268,13 @@ def test_free_sym_assoc_algebra_dimension_arity_3():
 
 def test_mu_body_runs_once_per_window_tensor(monkeypatch):
     calls = []
-    body = KanAlgebraStructure._mu_uncached
+    body = KanAlgebraStructure._mu_body
 
-    def counted(self, zs, okey):
-        calls.append((zs, okey))
-        return body(self, zs, okey)
+    def counted(self, ids, okey):
+        calls.append((_in_labels(self, ids), okey))
+        return body(self, ids, okey)
 
-    monkeypatch.setattr(KanAlgebraStructure, "_mu_uncached", counted)
+    monkeypatch.setattr(KanAlgebraStructure, "_mu_body", counted)
     M, A, _ = fix.two_object_kappa(Z)
     O = fix.sym_assoc_operad(Z, 3)
     real, _ = operadic_kan(fix.projection_to_operad(M, O), A, 1)
@@ -345,9 +358,9 @@ def test_mu_memo_matches_oracle(case):
         assert any(ok[2] % 2 for _, parts in structure._graft_memo
                    for ok, _ in parts)
     n_max = structure.simp.n_max
-    assert set(structure._mu_memo) == set(structure.window_columns(2, n_max))
-    assert structure._mu_memo == {
-        col: _oracle_mu(structure, *col) for col in structure._mu_memo}
+    memo = _mu_memo_in_labels(structure)
+    assert set(memo) == set(structure.window_columns(2, n_max))
+    assert memo == {col: _oracle_mu(structure, *col) for col in memo}
 
 
 def test_graft_and_shuffle_run_once_per_pattern(monkeypatch):
@@ -362,11 +375,11 @@ def test_graft_and_shuffle_run_once_per_pattern(monkeypatch):
         gammas.append(g)
         return gamma(g, fs)
 
-    def counted_graft(okey, labels):
-        grafts.append((okey, tuple((l[1], tuple(calc.deg(w) % 2
-                                                for w in l[2]))
-                                   for l in labels)))
-        return graft(okey, labels)
+    def counted_graft(okey, ids):
+        grafts.append((okey, tuple((z[2][1], tuple(calc.deg(w) % 2
+                                                   for w in z[2][2]))
+                                   for z in _in_labels(structure, ids))))
+        return graft(okey, ids)
 
     def counted_shuffle(levels):
         shuffle_calls.append(levels)
@@ -379,7 +392,7 @@ def test_graft_and_shuffle_run_once_per_pattern(monkeypatch):
     structure.check_equivariance(2)
     assert len(gammas) == len(set(grafts)) < len(grafts)
     assert len(shuffle_calls) == len(set(shuffle_calls)) == len(
-        {tuple(z[1] for z in zs) for zs, _ in structure._mu_memo})
+        {tuple(z[1] for z in zs) for zs, _ in _mu_memo_in_labels(structure)})
     assert sorted(shuffle_calls) == [(0, 0), (0, 1), (1, 0)]
 
 
@@ -543,11 +556,11 @@ def test_graft_reads_no_degrees_for_memoized_labels(monkeypatch):
     inside, grafts, deg_calls = [], [], []
     graft, deg = structure._graft, calc.deg
 
-    def traced_graft(okey, labels):
+    def traced_graft(okey, ids):
         grafts.append(okey)
         inside.append(okey)
         try:
-            return graft(okey, labels)
+            return graft(okey, ids)
         finally:
             inside.pop()
 
@@ -561,6 +574,7 @@ def test_graft_reads_no_degrees_for_memoized_labels(monkeypatch):
 
     def rerun():
         structure._mu_memo.clear()
+        structure._product_memo.clear()
         structure.check_chain_map(2)
         structure.check_equivariance(2)
 
@@ -568,7 +582,88 @@ def test_graft_reads_no_degrees_for_memoized_labels(monkeypatch):
     assert grafts and deg_calls == []
     # a label without a memoized part reads the degree of each of its words,
     # once
-    fresh = next(l for l in structure._graft_parts if l[2])
-    del structure._graft_parts[fresh]
+    z = next(z for z, part in enumerate(structure._parts) if part and part[1])
+    fresh = _in_labels(structure, (z,))[0][2]
+    structure._parts[z] = None
     rerun()
     assert deg_calls == list(fresh[2])
+
+
+def test_checks_read_mu_on_ids_once_per_column(monkeypatch):
+    # symAs over Z at n_max 1: the checks call no label view, run the mu body
+    # once per window column and the product body once per distinct
+    # (okey, level ids)
+    structure = KanAlgebraStructure(*_kappa_setup(Z, fix.sym_assoc_operad, 1))
+    views, bodies, products = [], [], []
+    view = KanAlgebraStructure.mu_on_labels
+    body = KanAlgebraStructure._mu_body
+    product = KanAlgebraStructure._product_body
+
+    def counted_view(self, zs, okey):
+        views.append((zs, okey))
+        return view(self, zs, okey)
+
+    def counted_body(self, ids, okey):
+        bodies.append((_in_labels(self, ids), okey))
+        return body(self, ids, okey)
+
+    def counted_product(self, okey, ids):
+        products.append((okey, ids))
+        return product(self, okey, ids)
+
+    monkeypatch.setattr(KanAlgebraStructure, "mu_on_labels", counted_view)
+    monkeypatch.setattr(KanAlgebraStructure, "_mu_body", counted_body)
+    monkeypatch.setattr(KanAlgebraStructure, "_product_body", counted_product)
+    structure.check_chain_map(2)
+    structure.check_equivariance(2)
+    window = list(structure.window_columns(2, 1))
+    assert views == []
+    assert len(bodies) == len(set(bodies)) == len(window)
+    assert set(bodies) == set(window)
+    assert 0 < len(products) == len(set(products)) == \
+        len(structure._product_memo)
+
+
+def _as_kan_n2(ring):
+    M, A, _ = fix.two_object_kappa(ring)
+    return operadic_kan(fix.projection_to_operad(M, fix.as_operad(ring, 3)),
+                        A, 2)  # runs both checks
+
+
+def test_kan_over_f3_matches_z():
+    real, _ = _as_kan_n2(Ring.Fp(3))
+    real_z, _ = _as_kan_n2(Z)
+    assert real.reliable_degrees == real_z.reliable_degrees == [-1, 0]
+    want = [{"degree": -1, "rank": 0, "torsion": []},
+            {"degree": 0, "rank": 3, "torsion": []}]
+    assert [homology(real.complex, d).as_dict() for d in (-1, 0)] == want
+    assert [homology(real_z.complex, d).as_dict() for d in (-1, 0)] == want
+
+
+def test_kan_over_novikov_matches_q():
+    nov = Ring.novikov(Q, 2, 2)
+    real, _ = _as_kan_n2(nov)
+    real_q, _ = _as_kan_n2(Q)
+    dims = {d: real.complex.dim(d) for d in real.complex.degrees()}
+    assert dims == {d: real_q.complex.dim(d) for d in real_q.complex.degrees()}
+    assert real.complex.total_dim() == 62
+    residue = real.complex.map_coefficients(Q, nov.residue)
+    assert homology(residue, 0).as_dict() == \
+        {"degree": 0, "rank": 3, "torsion": []}
+
+
+@pytest.mark.parametrize("operad,axiom", [
+    (fix.planted_nonassociative, "eqMultComp1"),
+    (fix.planted_asymmetric, "sym-involution"),
+])
+def test_kan_validates_its_inputs_at_entry(operad, axiom, monkeypatch):
+    M, A, _ = fix.two_object_kappa(Z)
+    O = operad(Z)
+    pi = fix.projection_to_operad(M, O)
+    monkeypatch.setattr(bar, "WordCalculus",
+                        lambda *args: pytest.fail("levels built"))
+    with pytest.raises(EngineError,
+                       match=f"^operad O '{O.name}' fails {axiom}: ") as err:
+        operadic_kan(pi, A, 2)
+    assert err.value.witness == O.validate()
+    assert err.value.witness["axiom"] == axiom
