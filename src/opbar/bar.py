@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 
-from .complexes import ChainComplex, ChainMap
+from .complexes import ChainComplex, ChainMap, first_difference
 from .errors import EngineError, NonPermutationAction
 from .fixtures import unit_operad
 from .lincomb import add_into, linear
@@ -413,8 +413,8 @@ def free_algebra(M: MultiCat, carriers: dict) -> FreeAlgebraResult:
         ocpx, fwd, bwd = _ordered_form(M, calc, carriers, y, cpx)
         ordered[y] = ocpx
         iso[y] = (fwd, bwd)
-        if not fwd.compose(bwd).eq(ChainMap.identity(ocpx)) or \
-                not bwd.compose(fwd).eq(ChainMap.identity(cpx)):
+        if first_difference((fwd, bwd), ChainMap.identity(ocpx)) or \
+                first_difference((bwd, fwd), ChainMap.identity(cpx)):
             raise EngineError("ordered-form comparison is not an isomorphism")
     return FreeAlgebraResult(complexes, inclusions, ordered, iso)
 
@@ -538,7 +538,9 @@ def simplicial_kan(pi: MultiFunctor, A: MultiAlgebra, n_max):
     Levels are root-coinvariant decorated leveled trees; faces project to the
     operad (d_0), compose inside the multicategory (0 < i < n), or apply the
     algebra (d_n); degeneracies insert unit levels.  The inputs are
-    validated first, and the simplicial identities on every level.
+    validated first, and the simplicial identities on every level.  Over Z
+    a tree orbit whose stabilizer acts by a sign has coinvariants Z/2 and
+    is dropped, as in `free_algebra`.
     """
     if len(pi.target.objects) != 1:
         raise EngineError("the target of pi must be an operad (one object)")
@@ -546,13 +548,14 @@ def simplicial_kan(pi: MultiFunctor, A: MultiAlgebra, n_max):
     calc = WordCalculus(pi, A)
     calc.words_by_depth(n_max)
     levels = {n: calc.level_complex(n) for n in range(0, n_max + 1)}
-    faces = {(n, i): ChainMap.from_label_fn(levels[n], levels[n - 1], 0,
-                                            lambda l, n=n, i=i:
-                                            calc.face(n, i, l).items())
+    # checked as chain maps by SimplicialComplexObj, in its one pass
+    faces = {(n, i): ChainMap.from_label_fn(
+        levels[n], levels[n - 1], 0,
+        lambda l, n=n, i=i: calc.face(n, i, l).items(), validate=False)
              for n in range(1, n_max + 1) for i in range(0, n + 1)}
-    degens = {(n, i): ChainMap.from_label_fn(levels[n], levels[n + 1], 0,
-                                             lambda l, n=n, i=i:
-                                             calc.degen(n, i, l).items())
+    degens = {(n, i): ChainMap.from_label_fn(
+        levels[n], levels[n + 1], 0,
+        lambda l, n=n, i=i: calc.degen(n, i, l).items(), validate=False)
               for n in range(0, n_max) for i in range(0, n + 1)}
     simp = SimplicialComplexObj(n_max, levels, faces, degens)
     simp.calc = calc
@@ -591,7 +594,8 @@ def operadic_kan(pi: MultiFunctor, A: MultiAlgebra, n_max):
       most n_max, for every key o of O(2).
 
     Both checks read mu one basis tensor at a time from the structure's id
-    memo, so each value is computed once.
+    memo, so each value is computed once.  Over Z the levels drop the
+    sign-stabilized orbits, whose coinvariants are Z/2 (`simplicial_kan`).
     """
     simp = simplicial_kan(pi, A, n_max)
     real = realize(simp)

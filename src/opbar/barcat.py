@@ -23,18 +23,18 @@ tables:
 
 The augmentation triangle (`augmentation_maps`) has three maps out of or into
 the realized bar: f multiplies each label out to level 0 of the constant
-simplicial object on Mr (x)_C Ml, pushing m along u_1, ..., u_n through the
-same action table (each coordinate prefix once); q is the identity on level
-0 of that realization; p is the tensor projection on level 0 and 0 above
-it, read off the labels.  `two_sided_bar` checks q o f = p, so it compares
-the multiplication in f with the projection read off the labels.
+simplicial object on Mr (x)_C Ml, pushing m along u_1, ..., u_n with the
+stored faces d_0 (int column forms, one product per level); q is the
+identity on level 0 of that realization; p is the tensor projection on level
+0 and 0 above it, read off the labels.  `two_sided_bar` checks q o f = p, so
+it compares the multiplication in f with the projection read off the labels.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .complexes import ChainComplex, ChainMap, is_quasi_iso
+from .complexes import ChainComplex, ChainMap, first_difference, is_quasi_iso
 from .dgcat import DgCategory, DgFunctor, LeftModule, RightModule, \
     corepresented_right_module, functor_right_module, group_ring_category, \
     poset_category, pullback_right_module, trivial_left_module, \
@@ -42,7 +42,8 @@ from .dgcat import DgCategory, DgFunctor, LeftModule, RightModule, \
 from .errors import EngineError, ModuleMismatch, NonComposable, \
     NonCommutingSquare, NonTorsionFree, UnsupportedRing
 from .lincomb import add_into, eq as lc_eq
-from .linalg import Mat, block_matrix
+from .linalg import Mat, _restore, block_matrix, check_pass, column_product, \
+    form
 from .quotient import by_classes, by_span, by_z_span
 from .simplicial import SimplicialComplexObj, constant_simplicial, realize
 
@@ -99,7 +100,6 @@ class BarBimoduleComplex:
                             cs.setdefault(d, []).append((m,) + us + (y,))
             coords.append(cs)
             bases.append(basis)
-        self._coords = coords
         pos = [{d: {c: j for j, c in enumerate(col)} for d, col in cs.items()}
                for cs in coords]
 
@@ -144,11 +144,12 @@ class BarBimoduleComplex:
         levels = {n: ChainComplex(ring, "Z", bases[n],
                                   mats(n, n, -1, level_diff) if any(dtab) else {})
                   for n in range(n_max + 1)}
+        # checked as chain maps by SimplicialComplexObj, in its one pass
         faces = {(n, i): ChainMap(levels[n], levels[n - 1], 0,
-                                  mats(n, n - 1, 0, face(i)))
+                                  mats(n, n - 1, 0, face(i)), validate=False)
                  for n in range(1, n_max + 1) for i in range(n + 1)}
         degens = {(n, i): ChainMap(levels[n], levels[n + 1], 0,
-                                   mats(n, n + 1, 0, degen(i)))
+                                   mats(n, n + 1, 0, degen(i)), validate=False)
                   for n in range(n_max) for i in range(n + 1)}
         self.simplicial = SimplicialComplexObj(n_max, levels, faces, degens)
         self.realized = realize(self.simplicial)
@@ -206,43 +207,32 @@ class BarBimoduleComplex:
         the same objects are returned on every later one.
         """
         if self._augmentation is None:
-            self._augmentation = self._build_augmentation_maps()
+            with check_pass():
+                self._augmentation = self._build_augmentation_maps()
         return self._augmentation
 
     def _build_augmentation_maps(self):
         tensor, proj = self.tensor_quotient()
         ring = self.C.ring
         const = realize(constant_simplicial(tensor, self.n_max))
-        # f from coordinates: (m, y) -> proj's column, and each prefix
-        # (m, u_1, ..., u_k) -> m pushed along u_1, ..., u_k, built once
-        cols0 = {}
-        for d0, cs in self._coords[0].items():
-            cols = proj.mat(d0).columns()
-            cols0.update((c, cols.get(j, {})) for j, c in enumerate(cs))
-        pushed = {(m,): {m: ring.one} for m in range(self._bounds[0])}
-
-        def push(prefix):
-            cur = pushed.get(prefix)
-            if cur is None:
-                cur = pushed[prefix] = {}
-                for mk, v in push(prefix[:-1]).items():
-                    for kk, c in self._act(mk, prefix[-1]):
-                        add_into(ring, cur, kk, ring.mul(v, c))
-            return cur
-
+        # f on level n is proj d_0^n, pushing m along u_1..u_n: one column
+        # product with d_0 per level and degree, over every ring in int form
+        chains = [{e: form(m) for e, m in proj.mats.items()}]
+        for n in range(1, self.n_max + 1):
+            d0 = self.simplicial.face(n, 0).mats
+            chains.append({e: column_product(ring, c, form(d0[e]))
+                           for e, c in chains[-1].items() if e in d0})
         mats = {}
         for deg in self.complex.degrees():
-            ent, col, row = {}, 0, 0
-            for n, cs in enumerate(self._coords):
-                for j, c in enumerate(cs.get(deg - n, ()), col):
-                    out = {}
-                    for mk, v in push(c[:-1]).items():
-                        for r, w in cols0[(mk, c[-1])].items():
-                            add_into(ring, out, row + r, ring.mul(v, w))
-                    ent.update(((r, j), v) for r, v in out.items())
-                col += len(cs.get(deg - n, ()))
-                row += tensor.dim(deg - n)
-            mats[deg] = Mat(ring, const.complex.dim(deg), col)
+            ent, row, col = {}, 0, 0
+            for n, chain in enumerate(chains):
+                e = deg - n
+                if e in chain:
+                    ent.update(((i + row, j + col), v) for (i, j), v
+                               in _restore(ring, chain[e]).items())
+                row += tensor.dim(e)
+                col += self.simplicial.level(n).dim(e)
+            mats[deg] = Mat(ring, row, col)
             mats[deg].d = ent
         f = ChainMap(self.complex, const.complex, 0, mats)
 
@@ -353,17 +343,19 @@ def _union_find_classes(cpx: ChainComplex, relations):
 
 def two_sided_bar(Mr: RightModule, C: DgCategory, Ml: LeftModule,
                   n_max) -> BarBimoduleComplex:
-    """The two-sided bar construction with its augmentation triangle checked."""
-    bar = BarBimoduleComplex(Mr, C, Ml, n_max)
-    p, f, q, tensor, const = bar.augmentation_maps()
-    if not q.compose(f).eq(p):
-        raise EngineError("augmentation triangle does not commute")
+    """The two-sided bar with its augmentation triangle q o f = p checked,
+    all in one check pass (each matrix formed once).  A failure names the
+    first differing column, ``.witness`` its `first_difference`."""
+    with check_pass():
+        bar = BarBimoduleComplex(Mr, C, Ml, n_max)
+        p, f, q, tensor, const = bar.augmentation_maps()
+        w = first_difference((q, f), p)
+    if w is not None:
+        err = EngineError(f"augmentation triangle does not commute at "
+                          f"{w['label']!r}: {w}")
+        err.witness = w
+        raise err
     return bar
-
-
-# ---------------------------------------------------------------------------
-# Group homology helpers (fixture surface for the acceptance suite)
-# ---------------------------------------------------------------------------
 
 
 def group_bar_complex(ring, n, generators, n_max):
@@ -371,20 +363,6 @@ def group_bar_complex(ring, n, generators, n_max):
     C = group_ring_category(ring, n, generators)
     return two_sided_bar(trivial_right_module(C), C, trivial_left_module(C),
                          n_max)
-
-
-def cyclic_group_homology_oracle(m: int, degree: int):
-    """Group homology of Z/m with integer coefficients, from the standard
-    periodic resolution ... -> Z[G] -(g-1)-> Z[G] -(norm)-> Z[G] -> Z.
-
-    Tensoring over Z[G] with Z gives ... -> Z -0-> Z -m-> Z -0-> Z, so
-    H_0 = Z, H_odd = Z/m, H_{even>0} = 0.  Independent of the bar machinery.
-    """
-    if degree == 0:
-        return ("Z", [])
-    if degree % 2 == 1:
-        return ("0", [m])
-    return ("0", [])
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ Conventions, used engine-wide:
 
 Z/2-graded complexes use the two degree slots {0, 1}; the differential maps
 each slot to the other.
+
+The exact checks (d^2 = 0, chain maps, `first_difference` of two maps)
+decide on the int column forms of `linalg`, each call one check pass.
 """
 
 from __future__ import annotations
@@ -112,30 +115,22 @@ class ChainComplex:
     # -- validation ---------------------------------------------------------
 
     def validate(self):
-        for d in self.degrees():
-            self.check_d_squared(d)
+        """d^2 = 0 in every degree, in one check pass: each differential is
+        formed once, for degree d and for d + 1."""
+        with linalg.check_pass():
+            for d in self.degrees():
+                self.check_d_squared(d)
         return self
 
     def check_d_squared(self, d: int):
         """Raise NotADifferential unless d_{d-1} d_d = 0, naming the first
         basis element of degree d whose image under d^2 is nonzero."""
-        m = self.diff.get(d)
-        if m is None:
-            return
-        dd = self.pred(d)
-        m2 = self.diff.get(dd)
-        if m2 is None:
-            return
-        comp = m2.mul(m)
-        if not comp.is_zero():
-            j = min(j for (_, j) in comp.d)
-            label = self.basis[d][j]
-            col = comp.column(j)
-            target = self.basis[self.pred(dd)]
-            image = {target[i]: self.ring.show(v) for i, v in sorted(col.items())}
-            raise NotADifferential(
-                f"d^2 != 0 on basis element {label!r} in degree {d}: {image}"
-            )
+        w = _witness(self.ring, self, d, self.labels(self.pred(self.pred(d))),
+                     _product(self.diff.get(self.pred(d)), self.diff.get(d)), None)
+        if w is not None:
+            image = {l: self.ring.show(v) for l, v in w["lhs"].items()}
+            raise NotADifferential(f"d^2 != 0 on basis element {w['label']!r} "
+                                   f"in degree {d}: {image}")
 
     # -- constructions -------------------------------------------------------
 
@@ -310,17 +305,8 @@ class ChainMap:
                          self.source.dim(d))
 
     def validate(self):
-        ring = self.source.ring
-        sign = -1 if self.degree % 2 else 1
-        for d in self.source.degrees():
-            lhs = self.target.d_mat(self.target_deg(d)).mul(self.mat(d))
-            rhs = self.mat(self.source.pred(d)).mul(self.source.d_mat(d))
-            if sign == -1:
-                rhs = rhs.neg()
-            if lhs != rhs:
-                raise DegreeMismatch(
-                    f"not a chain map in degree {d} (d f != {'-' if sign < 0 else ''}f d)"
-                )
+        """`check_chain_maps` of this one map."""
+        check_chain_maps([self])
         return self
 
     @staticmethod
@@ -406,12 +392,7 @@ class ChainMap:
         return all(m.is_zero() for m in self.mats.values())
 
     def eq(self, other: "ChainMap") -> bool:
-        if self.degree != other.degree:
-            return False
-        for d in set(self.mats) | set(other.mats):
-            if self.mat(d) != other.mat(d):
-                return False
-        return True
+        return self.degree == other.degree and first_difference(self, other) is None
 
     def apply_label(self, d, label) -> dict:
         """Image of a basis element, as {target_label: coeff}."""
@@ -434,6 +415,82 @@ class ChainMap:
 
     def __repr__(self):
         return f"ChainMap(degree {self.degree}, {len(self.mats)} nonzero degrees)"
+
+
+def _product(g, f):
+    """The column form of g f in the running check pass; None when g or f
+    is absent or zero, and then neither is formed."""
+    if g is None or f is None or not g.d or not f.d:
+        return None
+    return linalg.column_product(g.ring, linalg.form(g), linalg.form(f))
+
+
+def _witness(ring, source, d, rows, lhs, rhs):
+    """None when the column forms lhs and rhs (None: zero) hold the same
+    matrix.  Otherwise {"degree", "label", "lhs", "rhs"} at the first label
+    of source degree d where the columns differ, each image as {row label:
+    value}: values are restored only here, to name it."""
+    if lhs is None or rhs is None:
+        rest = lhs if rhs is None else rhs
+        if rest is None or not any(rest[1]):
+            return None
+    elif linalg.columns_equal(ring, lhs, rhs):
+        return None
+    a, b = {}, {}
+    for cols, side in ((a, lhs), (b, rhs)):
+        for (i, j), v in sorted(linalg._restore(ring, side).items() if side else ()):
+            cols.setdefault(j, {})[rows[i]] = v
+    j = min(j for j in a.keys() | b.keys() if a.get(j) != b.get(j))
+    return {"degree": d, "label": source.labels(d)[j], "lhs": a.get(j, {}),
+            "rhs": b.get(j, {})}
+
+
+def first_difference(lhs, rhs):
+    """None when lhs = rhs, on column forms in the running check pass; each
+    side is a ChainMap or a pair (g, f), which must compose, standing for
+    g o f.  Otherwise the `_witness` of the first label where they differ."""
+    for g, f in (x for x in (lhs, rhs) if not isinstance(x, ChainMap)):
+        if f.target is not g.source and f.target.basis != g.source.basis:
+            raise DegreeMismatch("composition mismatch")
+
+    def side(x, d):  # (column form, target degree) of x at source degree d
+        if isinstance(x, ChainMap):
+            m = x.mats.get(d)
+            return linalg.form(m) if m is not None else None, x.target_deg(d)
+        g, f = x
+        e = f.target_deg(d)
+        return _product(g.mats.get(e), f.mats.get(d)), g.target_deg(e)
+
+    S = (lhs if isinstance(lhs, ChainMap) else lhs[1]).source
+    T = (lhs if isinstance(lhs, ChainMap) else lhs[0]).target
+    with linalg.check_pass():
+        for d in S.degrees():
+            (a, td), (b, _) = side(lhs, d), side(rhs, d)
+            w = _witness(S.ring, S, d, T.labels(td), a, b)
+            if w is not None:
+                return w
+    return None
+
+
+def check_chain_maps(maps):
+    """Raise DegreeMismatch unless d f = (-1)^k f d for every map f of
+    degree k, on column forms in one check pass (each matrix formed once),
+    naming the first failing label, ``.witness`` its `_witness`."""
+    with linalg.check_pass():
+        for f in maps:
+            S, T = f.source, f.target
+            dS = {d: m.neg() for d, m in S.diff.items()} if f.degree % 2 else S.diff
+            for d in S.degrees():
+                td = f.target_deg(d)
+                w = _witness(S.ring, S, d, T.labels(T.pred(td)),
+                             _product(T.diff.get(td), f.mats.get(d)),
+                             _product(f.mats.get(S.pred(d)), dS.get(d)))
+                if w is not None:
+                    err = DegreeMismatch(
+                        f"not a chain map in degree {d} (d f != "
+                        f"{'-' if f.degree % 2 else ''}f d) at {w['label']!r}: {w}")
+                    err.witness = w
+                    raise err
 
 
 def cone(f: ChainMap) -> ChainComplex:

@@ -3,10 +3,11 @@
 Matrices are stored as {(row, col): value} dicts with explicit shape; vectors
 as {index: value} dicts.  No floats anywhere.  One kernel per job:
 
-* products -- `column_form` and `column_product` (below), shared by
-  `Mat.mul`, which restores the values with `_restore`, and by
-  `SimplicialComplexObj.check_identities`, which compares the composites
-  in int form with `columns_equal`;
+* products and exact checks -- `column_form` writes a matrix once in int
+  form and `column_product` multiplies forms (below); `Mat.mul` restores
+  the product's values once (`_restore`), while every exact check decides
+  on the forms (`columns_equal` or an emptiness test), each matrix formed
+  once per `check_pass`, and restores values only to name a witness;
 * `field_rank` -- ranks over Q and F_p, and of integer matrices as their
   rank over Q (all homology): forward elimination over plain ints, no
   back-reduction;
@@ -19,20 +20,14 @@ as {index: value} dicts.  No floats anywhere.  One kernel per job:
   transform; `quotient.by_z_span` tracks the row transform U and its
   inverse.
 
-Products are computed over plain Python ints, never through `Ring.mul` and
-`Ring.add`.  `column_form` writes an operand once in int form, as one
-{row: int} dict per column: over Q every entry becomes an int over den, the
-lcm of the matrix's denominators.  In `column_product` column j of g * f is
-g's column itself when column j of f is the single int entry (r, 1), as in
-faces and degeneracies; other columns are scaled or accumulated in ints,
-over den_g * den_f.  `Mat.mul` restores each output entry once: n / den as
-a `Fraction` (one object per distinct n), the residue over F_p.
-Over a truncated Novikov ring an entry is an int polynomial in the grid step:
-c T^e becomes the term (k, n) with k = e * q, so the loop adds step counts,
-keeps k1 + k2 < ceil(c * q) (the cutoff) and restores exponents as k / q.
-An exponent off the grid raises `NonGridExponent`.  Canonical forms are
-unique, so on canonical operands the output equals, value for value and
-type for type, the sum of per-entry ring products.
+Products run over plain Python ints, never through `Ring.mul`/`Ring.add`:
+over Q every entry is an int over den, the lcm of the matrix's
+denominators; over F_p a residue; over a truncated Novikov ring an int
+polynomial in the grid step, c T^e as the term (k, n) with k = e * q (off
+the grid raises `NonGridExponent`), truncated at k < ceil(c * q).
+Canonical forms are unique, so on canonical operands a restored product
+equals, value for value and type for type, the sum of per-entry ring
+products.
 """
 
 from __future__ import annotations
@@ -257,40 +252,64 @@ def _nov_int_form(ring: Ring, entries: dict):
     return den, out
 
 
-def column_form(ring: Ring, m: Mat):
+def column_form(ring: Ring, m: Mat, units=None):
     """(den, cols, rows): m in int form (see the module docstring), as one
     {row: int} dict per column, {} for a zero column; over Novikov each int
     is a tuple of grid-step terms (k, n).  rows lists, column by column, the
     row r of a map whose every column is the single int entry (r, 1), as
     faces and degeneracies mostly are; it is None otherwise.
 
-    Forms share columns: `column_product` hands an operand's column on
-    as the product's, so no column of a form may be mutated."""
+    Forms share columns: the columns of maps with rows share one dict per
+    (row, int) from units (a check pass shares one), and `column_product`
+    hands an operand's column on as the product's, so no column of a form
+    may be mutated."""
     if ring.kind == "nov":
         den, ints = _nov_int_form(ring, m.d)
     else:
         den, ints = _int_form(ring, m.d)
+    one = _int_one(ring)
+    at = {j: i for i, j in ints} if all(w == one for w in ints.values()) else {}
+    if len(at) == len(ints) == m.ncols:  # every column one entry (r, 1)
+        rows, units = [at[j] for j in range(m.ncols)], {} if units is None else units
+        return den, [units.get((r, one)) or units.setdefault((r, one), {r: one})
+                     for r in rows], rows
     cols = [{} for _ in range(m.ncols)]
     for (i, j), w in ints.items():
         cols[j][i] = w
-    rows = None
-    if len(ints) == m.ncols:
-        one = _int_one(ring)
-        rows = [r for col in cols if len(col) == 1
-                for r, c in col.items() if c == one]
-        if len(rows) < m.ncols:
-            rows = None
-    return den, cols, rows
+    return den, cols, None
 
 
 def _int_one(ring: Ring):
     return ((0, 1),) if ring.kind == "nov" else 1
 
 
-def unit_columns(ring: Ring, n: int):
-    """The column form of the n x n identity."""
-    one = _int_one(ring)
-    return 1, [{k: one} for k in range(n)], list(range(n))
+_pass_forms = None  # {id(m): (m, column form), None: units} in a check pass
+
+
+class check_pass:
+    """`with check_pass():` one check pass, inside which `form` writes each
+    matrix once.  The table is module state because checks run inside
+    constructors, which take none; a nested pass joins the outermost, whose
+    exit drops it, so no form outlives its pass (a `Mat` may change)."""
+
+    def __enter__(self):
+        global _pass_forms
+        self.outer = _pass_forms
+        _pass_forms = {None: {}} if self.outer is None else self.outer
+
+    def __exit__(self, *exc):
+        global _pass_forms
+        _pass_forms = self.outer
+
+
+def form(m: Mat):
+    """`column_form` of m, once per check pass; the table holds m, keeping its id."""
+    if _pass_forms is None:
+        return column_form(m.ring, m)
+    got = _pass_forms.get(id(m))
+    if got is None:
+        got = _pass_forms[id(m)] = (m, column_form(m.ring, m, _pass_forms[None]))
+    return got[1]
 
 
 def column_product(ring: Ring, g, f):
@@ -417,13 +436,14 @@ def columns_equal(ring: Ring, a, b) -> bool:
 
 def block_matrix(ring: Ring, nrows: int, ncols: int, blocks) -> Mat:
     """The sum of placed blocks: each (m, row_offset, col_offset, sign) adds
-    sign * m (sign is 1 or -1) at those offsets, walking m's entries once.
-    Entries that cancel are dropped."""
-    acc = {}
+    sign * m (sign is 1 or -1) at those offsets, walking m's entries once
+    and negating each distinct value object once.  Entries that cancel are
+    dropped."""
+    acc, neg = {}, {}
     for m, r0, c0, sign in blocks:
         for (i, j), v in m.d.items():
             if sign < 0:
-                v = ring.neg(v)
+                v = neg.get(id(v)) or neg.setdefault(id(v), ring.neg(v))
             key = (i + r0, j + c0)
             w = acc.get(key)
             acc[key] = v if w is None else ring.add(w, v)

@@ -17,10 +17,10 @@ bounded below by d_min, degrees d <= n_max + d_min - 2 are reliable.
 
 from __future__ import annotations
 
-from .complexes import ChainComplex, ChainMap, homology
-from .errors import DegreeMismatch, EngineError, TruncationTooSmall
-from .linalg import block_matrix, column_form, column_product, \
-    columns_equal, unit_columns
+from .complexes import ChainComplex, ChainMap, check_chain_maps, \
+    first_difference, homology
+from .errors import EngineError, TruncationTooSmall
+from .linalg import block_matrix, check_pass, column_form
 from .quotient import by_classes
 
 
@@ -34,8 +34,10 @@ class SimplicialComplexObj:
         self.levels = dict(levels)
         self.faces = dict(faces)
         self.degens = dict(degens)
-        if validate:
-            w = self.check_identities()
+        if validate:  # one pass: the maps' chain-map checks and the identities
+            with check_pass():
+                check_chain_maps([*self.faces.values(), *self.degens.values()])
+                w = self.check_identities()
             if w is not None:
                 raise EngineError(f"simplicial identities fail: {w}")
 
@@ -55,81 +57,49 @@ class SimplicialComplexObj:
         s_i s_j = s_{j+1} s_i (i <= j).
 
         Returns None, or the first failing identity as {"identity": "dd",
-        "ds=id", "ds" or "ss", "n", "i", "j"}.  Each stored face and
-        degeneracy is written once per degree in column form
-        (`linalg.column_form`: one {row: int} dict per column), and a
-        composite is a degree and {source degree: `linalg.column_product`}.  Faces and
-        degeneracies mostly send a label to one label with coefficient 1, and
-        then a composite's column is the outer map's column itself.  Two
-        composites agree when their degrees, their nonzero source degrees and
-        their columns (`linalg.columns_equal`) agree; d_i s_j = id compares
-        with the unit columns of the level, built once per level."""
-        ring = self.level(0).ring
-        forms = {}  # stored map -> (map, {degree: column form})
+        "ds=id", "ds" or "ss", "n", "i", "j"}.  One check pass (the
+        constructor's, shared with the chain-map checks), so each face and
+        degeneracy is formed once; composites: `complexes.first_difference`."""
+        with check_pass():
+            return self._identities()
 
-        def operand(f):
-            got = forms.get(f)
-            if got is None:
-                got = forms[f] = (f, {d: column_form(ring, m)
-                                      for d, m in f.mats.items()})
-            return got
-
-        def compose(outer, inner):
-            g, g_cols = outer
-            f, f_cols = inner
-            if f.target is not g.source and f.target.basis != g.source.basis:
-                raise DegreeMismatch("composition mismatch")
-            out = {}
-            for d, a in f_cols.items():
-                b = g_cols.get(f.target_deg(d))
-                if b is not None:
-                    m = column_product(ring, b, a)
-                    if any(m[1]):
-                        out[d] = m
-            return g.degree + f.degree, out
+    def _identities(self):
+        def degree(x):  # of a stored map or a pair (outer, inner)
+            return x.degree if isinstance(x, ChainMap) else x[0].degree + x[1].degree
 
         def same(lhs, rhs):
-            return lhs[0] == rhs[0] and lhs[1].keys() == rhs[1].keys() and \
-                all(columns_equal(ring, m, rhs[1][d]) for d, m in lhs[1].items())
+            return degree(lhs) == degree(rhs) and \
+                first_difference(lhs, rhs) is None
 
-        def face(n, i):
-            return operand(self.faces[(n, i)])
-
-        def degen(n, i):
-            return operand(self.degens[(n, i)])
-
+        face, degen = self.face, self.degen
         for n in range(2, self.n_max + 1):
             for j in range(0, n + 1):
                 for i in range(0, j):
-                    if not same(compose(face(n - 1, i), face(n, j)),
-                                compose(face(n - 1, j - 1), face(n, i))):
+                    if not same((face(n - 1, i), face(n, j)),
+                                (face(n - 1, j - 1), face(n, i))):
                         return {"identity": "dd", "n": n, "i": i, "j": j}
         for n in range(0, self.n_max):
-            lv = self.level(n)
-            unit = (0, {d: unit_columns(ring, lv.dim(d))
-                        for d in lv.degrees() if lv.dim(d)})
+            unit = ChainMap.identity(self.level(n))
             for j in range(0, n + 1):
                 if (n, j) not in self.degens:
                     continue
                 s = degen(n, j)
                 for i in range(0, n + 2):
-                    lhs = compose(face(n + 1, i), s)
+                    lhs = (face(n + 1, i), s)
                     if i == j or i == j + 1:
                         if not same(lhs, unit):
                             return {"identity": "ds=id", "n": n, "i": i, "j": j}
                     elif i < j:
-                        if not same(lhs, compose(degen(n - 1, j - 1),
-                                                 face(n, i))):
+                        if not same(lhs, (degen(n - 1, j - 1), face(n, i))):
                             return {"identity": "ds", "n": n, "i": i, "j": j}
-                    elif not same(lhs, compose(degen(n - 1, j),
-                                               face(n, i - 1))):
+                    elif not same(lhs, (degen(n - 1, j), face(n, i - 1))):
                         return {"identity": "ds", "n": n, "i": i, "j": j}
                 if n + 2 <= self.n_max:
                     for i in range(0, j + 1):
                         if (n + 1, i) not in self.degens or (n, i) not in self.degens:
                             continue
-                        if not same(compose(degen(n + 1, i), s),
-                                    compose(degen(n + 1, j + 1), degen(n, i))):
+                        if not same((degen(n + 1, i), s),
+                                    (degen(n + 1, j + 1), degen(n, i))):
                             return {"identity": "ss", "n": n, "i": i, "j": j}
         return None
 
@@ -202,19 +172,15 @@ def normalized_realization(simplicial: SimplicialComplexObj):
     non-degenerate labels.
     """
     C = realize(simplicial).complex
-    ring = C.ring
     degenerate = set()
     for (n, i), s in simplicial.degens.items():
         for d in simplicial.level(n).degrees():
-            cols = s.mat(d).columns()
-            for j in range(s.source.dim(d)):
-                img = cols.get(j, {})
-                if len(img) != 1:
-                    raise EngineError("degeneracy is not label-to-label")
-                ((i, c),) = img.items()
-                if not ring.eq(c, ring.one):
-                    raise EngineError("degeneracy has a non-unit coefficient")
-                degenerate.add(("lv", n + 1, s.target.labels(d)[i]))
+            den, cols, rows = column_form(C.ring, s.mat(d))
+            if any(len(col) != 1 for col in cols):
+                raise EngineError("degeneracy is not label-to-label")
+            if rows is None or den != 1:
+                raise EngineError("degeneracy has a non-unit coefficient")
+            degenerate.update(("lv", n + 1, s.target.labels(d)[r]) for r in rows)
     return by_classes(C, {d: [None if l in degenerate else (j, 1)
                               for j, l in enumerate(C.labels(d))]
                           for d in C.degrees()})

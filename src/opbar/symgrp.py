@@ -13,9 +13,9 @@ from __future__ import annotations
 import re
 from collections import Counter
 
-from .complexes import ChainComplex, ChainMap
+from .complexes import ChainComplex, ChainMap, first_difference
 from .errors import GroupMismatch, GroupTooLarge, NonPermutationAction
-from .linalg import Mat
+from .linalg import Mat, check_pass
 from .quotient import by_classes, by_span
 
 GROUP_DEGREE_BOUND = 8
@@ -181,7 +181,7 @@ class GroupRingModule:
 
     `side` is "left" or "right"; composition conventions are
     left: (gh).m = g.(h.m),  right: m.(gh) = (m.g).h.
-    The side decides only how two maps compose (`_product`).  A right action
+    The side decides only how two maps compose (`_pair`).  A right action
     and the left action g -> map(g^{-1}) have the same maps, so both sides
     have the same orbits, and `signed_perm_tables` reads either side as it is.
     """
@@ -207,25 +207,28 @@ class GroupRingModule:
             for g in self.gens:
                 nxt = g.compose(cur)
                 if nxt not in self._maps:
-                    self._maps[nxt] = self._product(self._maps[g], self._maps[cur])
+                    outer, inner = self._pair(self._maps[g], self._maps[cur])
+                    self._maps[nxt] = outer.compose(inner)
                     frontier.append(nxt)
         self.check_consistency()
 
-    def _product(self, mg: ChainMap, mh: ChainMap) -> ChainMap:
-        """The map of g o h from the maps of g and h: on the right,
-        m.(g o h) = (m.g).h, so the map of g runs first."""
-        return mg.compose(mh) if self.side == "left" else mh.compose(mg)
+    def _pair(self, mg: ChainMap, mh: ChainMap):
+        """(outer, inner) whose composite is the map of g o h, from the maps
+        of g and h: on the right, m.(g o h) = (m.g).h, so g's runs first."""
+        return (mg, mh) if self.side == "left" else (mh, mg)
 
     def check_consistency(self):
-        """Relations hold on the nose: map(g o h) == _product(map(g), map(h))
-        for every generator g and element h."""
-        for g in self.gens:
-            for h in self.elements:
-                rhs = self._product(self._maps[g], self._maps[h])
-                if not self._maps[g.compose(h)].eq(rhs):
-                    raise NonPermutationAction(
-                        f"{self.side} action violates the group relations "
-                        f"at {g!r} o {h!r}")
+        """Relations hold on the nose: map(g o h) is the composite of
+        `_pair(map(g), map(h))` for every generator g and element h, decided
+        on column forms in one check pass."""
+        with check_pass():
+            for g in self.gens:
+                for h in self.elements:
+                    pair = self._pair(self._maps[g], self._maps[h])
+                    if first_difference(pair, self._maps[g.compose(h)]):
+                        raise NonPermutationAction(
+                            f"{self.side} action violates the group relations "
+                            f"at {g!r} o {h!r}")
         return self
 
     def map_of(self, g: Perm) -> ChainMap:
@@ -270,8 +273,9 @@ def coinvariants(action: GroupAction):
     For signed permutation actions the quotient basis is the set of orbit
     representatives (least index), and an orbit with a sign-conflicting
     stabilizer is killed (`quotient.by_classes`; see the free-quotient
-    convention in `quotient`).  Otherwise exact column reduction over a
-    field (`quotient.by_span`).
+    convention in `quotient`): over Z its coinvariants Z/2 are dropped, as
+    in `bar.free_algebra`.  Otherwise exact column reduction over a field
+    (`quotient.by_span`).
     """
     C = action.complex
     ring = C.ring
@@ -410,9 +414,8 @@ def descend_to_coinvariants(action_src: GroupAction, action_tgt: GroupAction,
                             f: ChainMap):
     """Descend an equivariant chain map to the coinvariant quotients."""
     for g in action_src.gens:
-        lhs = f.compose(action_src.map_of(g))
-        rhs = action_tgt.map_of(g).compose(f)
-        if not lhs.eq(rhs):
+        if first_difference((f, action_src.map_of(g)),
+                            (action_tgt.map_of(g), f)):
             raise GroupMismatch(f"map is not equivariant at {g!r}")
     qs, ps = coinvariants(action_src)
     qt, pt = coinvariants(action_tgt)

@@ -80,3 +80,17 @@ def random_acyclic(rng, ring, tag=""):
     """A random acyclic degreewise-free complex: a scrambled cone of identity."""
     base = random_complex(rng, ring, tag=tag)
     return scramble_basis(rng, cone(ChainMap.identity(base)))
+
+
+def cyclic_group_homology_oracle(m: int, degree: int):
+    """Group homology of Z/m with integer coefficients, from the standard
+    periodic resolution ... -> Z[G] -(g-1)-> Z[G] -(norm)-> Z[G] -> Z.
+
+    Tensoring over Z[G] with Z gives ... -> Z -0-> Z -m-> Z -0-> Z, so
+    H_0 = Z, H_odd = Z/m, H_{even>0} = 0.  Independent of the bar machinery.
+    """
+    if degree == 0:
+        return ("Z", [])
+    if degree % 2 == 1:
+        return ("0", [m])
+    return ("0", [])

@@ -8,7 +8,6 @@ from opbar.barcat import (
     _free_quotient,
     cat_left_kan,
     complete_tower,
-    cyclic_group_homology_oracle,
     group_bar_complex,
     hv_pushout_check,
     reduce_complex,
@@ -33,7 +32,7 @@ from opbar.errors import EngineError, NonCommutingSquare
 from opbar.linalg import Mat
 from opbar.symgrp import Perm
 
-from .genutil import random_complex, random_two_term
+from .genutil import cyclic_group_homology_oracle, random_complex, random_two_term
 
 Z = Ring.Z()
 Q = Ring.Q()

@@ -593,12 +593,12 @@ def test_columns_equal_cross_multiplies_denominators():
     assert linalg.columns_equal(Q, a, (12, [{0: 6}, {1: 4}], None))
     assert not linalg.columns_equal(Q, a, (12, [{0: 6}, {1: 3}], None))
     assert not linalg.columns_equal(Q, a, (12, [{0: 6}, {0: 4}], None))
-    assert linalg.columns_equal(Q, linalg.unit_columns(Q, 2),
+    assert linalg.columns_equal(Q, linalg.column_form(Q, Mat.identity(Q, 2)),
                                 (3, [{0: 3}, {1: 3}], None))
     nov = Ring.novikov(Q, 2, 2)
-    assert linalg.columns_equal(nov, linalg.unit_columns(nov, 2),
+    assert linalg.columns_equal(nov, linalg.column_form(nov, Mat.identity(nov, 2)),
                                 (3, [{0: ((0, 3),)}, {1: ((0, 3),)}], None))
-    assert not linalg.columns_equal(nov, linalg.unit_columns(nov, 2),
+    assert not linalg.columns_equal(nov, linalg.column_form(nov, Mat.identity(nov, 2)),
                                     (3, [{0: ((1, 3),)}, {1: ((0, 3),)}], None))
 
 
