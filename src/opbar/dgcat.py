@@ -8,38 +8,44 @@ u (dv).  `C.validate()` is `C.M.validate()`, so a witness names a
 multicategory axiom ("eqMultComp3" for a unit law, "leibniz", "eqMultComp1"
 for associativity) with 1-ary keys, and a Novikov ring raises UnsupportedRing.
 
-A right module R is a covariant assignment a -> R(a) with x.u in R(b) for
-u: a -> b; a left module L is contravariant: u.y in L(a) for y in L(b).
+A right module R has complexes R(a) and m.u in R(b) for m in R(a) and
+u: a -> b; a left module L has u.y in L(a) for y in L(b).  Each is a view of
+the algebra `R.A`, which holds the carriers and the action: over `C.M` with
+u(m) = (-1)^{|m||u|} m.u for a right module, over `C.op().M` with u(y) = u.y
+for a left one.  The twist is applied when the action goes in and again when
+`act_key` reads it back, so `act_key` returns the builder's values.
+`R.validate()` is `R.A.validate()`: a witness names an algebra axiom
+("algebra-unit", "algebra-chain-map" for the Leibniz rule,
+"algebra-composition" for associativity) with 1-ary keys.  `apply_key`
+checks each value's degree and labels; the views check its object.
 """
 
 from __future__ import annotations
 
 from .complexes import ChainComplex
 from .errors import EngineError
-from .lincomb import add_into, bilinear, combine, eq as lc_eq, linear, scaled_int
-from .multicat import DgCategory, DgFunctor
+from .lincomb import add_into
+from .multicat import DgCategory, DgFunctor, MultiAlgebra
 from .symgrp import Perm, enumerate_group
 
 
 class _Module:
-    """A one-sided dg module: a complex per object (None or absent for 0),
-    keys (object, degree, label), and an action through action_fn, memoized
-    by `act_key`."""
+    """The view of `A` shared by both sides: carriers, elements and d."""
 
-    def __init__(self, cat: DgCategory, complexes, action_fn, name=None):
+    ring = property(lambda self: self.A.ring)
+    complexes = property(lambda self: self.A.carriers)
+    name = property(lambda self: self.A.name)
+
+    def __init__(self, cat: DgCategory, M, complexes, action, name):
         self.cat = cat
-        self.ring = cat.ring
-        self.complexes = {a: c for a, c in complexes.items() if c is not None}
-        self._action_fn = action_fn
-        self._cache = {}
+        zero = ChainComplex.zero(cat.ring)
+        carriers = {a: zero if complexes.get(a) is None else complexes[a]
+                    for a in cat.objects}
+        self.A = MultiAlgebra(M, carriers, action, name)
         self._diff_cache = {}
-        self.name = self.default_name if name is None else name
 
     def complex(self, a) -> ChainComplex:
-        c = self.complexes.get(a)
-        if c is None:
-            c = ChainComplex.zero(self.cat.ring)
-        return c
+        return self.A.carrier(a)
 
     def elem_keys(self, a):
         c = self.complex(a)
@@ -50,118 +56,73 @@ class _Module:
         cached = self._diff_cache.get(key)
         if cached is None:
             a, d, l = key
-            c = self.complex(a)
-            col = c.d_mat(d).column(c.index(d, l))
-            pd = c.pred(d)
             cached = self._diff_cache[key] = {
-                (a, pd, c.labels(pd)[i]): v for i, v in col.items()}
+                (a,) + k: v for k, v in self.A.diff_carrier(a, (d, l)).items()}
         return cached
+
+    def _stored(self, obj, lc, odd) -> dict:
+        """A builder's value {(obj, d, l): c} as {(d, l): +-c} for `A`."""
+        for k in lc:
+            if k[0] != obj:
+                raise EngineError(f"module action off-signature: {k}")
+        return {k[1:]: v for k, v in self._signed(lc, odd).items()}
+
+    def _read(self, obj, lc, odd) -> dict:
+        """A value {(d, l): c} of `A` as {(obj, d, l): +-c}."""
+        return {(obj,) + k: v for k, v in self._signed(lc, odd).items()}
+
+    def _signed(self, lc, odd) -> dict:
+        return {k: self.ring.neg(v) for k, v in lc.items()} if odd else lc
 
 
 class RightModule(_Module):
-    """Covariant dg functor to complexes: morphisms push elements forward."""
+    """Covariant dg functor to complexes: morphisms push elements forward.
 
-    default_name = "R"
+    action_fn(R, mkey, ukey) gives m.u in (object, degree, label) keys."""
+
+    def __init__(self, cat: DgCategory, complexes, action_fn, name="R"):
+        def action(A, fkey, args):
+            ((a,), b, du, lu), ((d, l),) = fkey, args
+            return self._stored(b, action_fn(self, (a, d, l), (a, b, du, lu)),
+                                d * du % 2)
+
+        super().__init__(cat, cat.M, complexes, action, name)
 
     def act_key(self, mkey, ukey) -> dict:
         """m . u for m in R(a), u: a -> b; lands in R(b)."""
         if mkey[0] != ukey[0]:
             raise EngineError("module action mismatch")
-        cached = self._cache.get((mkey, ukey))
-        if cached is None:
-            cached = self._action_fn(self, mkey, ukey)
-            for k in cached:
-                if k[0] != ukey[1] or k[1] != mkey[1] + ukey[2]:
-                    raise EngineError(f"module action off-signature: {k}")
-            self._cache[(mkey, ukey)] = cached
-        return cached
+        a, b, du, lu = ukey
+        return self._read(b, self.A.apply_key(((a,), b, du, lu), (mkey[1:],)),
+                          mkey[1] * du % 2)
 
     def validate(self):
-        ring = self.ring
-        for a in self.cat.objects:
-            for m in self.elem_keys(a):
-                got = self.act_key(m, self.cat.unit_key(a))
-                if not lc_eq(ring, got, {m: ring.one}):
-                    return {"axiom": "module-unit", "m": m}
-        for a in self.cat.objects:
-            for m in self.elem_keys(a):
-                for u in self.cat.all_keys():
-                    if u[0] != a:
-                        continue
-                    lhs = linear(ring, self.diff_key, self.act_key(m, u))
-                    rhs = combine(
-                        ring,
-                        bilinear(ring, self.act_key, self.diff_key(m),
-                                 {u: ring.one}),
-                        scaled_int(ring,
-                                   bilinear(ring, self.act_key, {m: ring.one},
-                                            self.cat.diff_key(u)),
-                                   -1 if m[1] % 2 else 1),
-                    )
-                    if not lc_eq(ring, lhs, rhs):
-                        return {"axiom": "module-leibniz", "m": m, "u": u}
-                    for v in self.cat.all_keys():
-                        if v[0] != u[1]:
-                            continue
-                        lhs2 = bilinear(ring, self.act_key,
-                                        self.act_key(m, u), {v: ring.one})
-                        rhs2 = bilinear(ring, self.act_key, {m: ring.one},
-                                        self.cat.compose_keys(u, v))
-                        if not lc_eq(ring, lhs2, rhs2):
-                            return {"axiom": "module-assoc", "m": m, "u": u, "v": v}
-        return None
+        return self.A.validate()
 
 
 class LeftModule(_Module):
-    """Contravariant dg functor: morphisms pull elements back (u . y)."""
+    """Contravariant dg functor: morphisms pull elements back (u . y).
 
-    default_name = "L"
+    action_fn(L, ukey, ykey) gives u.y in (object, degree, label) keys."""
+
+    def __init__(self, cat: DgCategory, complexes, action_fn, name="L"):
+        def action(A, fkey, args):
+            ((b,), a, du, lu), ((d, l),) = fkey, args
+            return self._stored(a, action_fn(self, (a, b, du, lu), (b, d, l)),
+                                False)
+
+        super().__init__(cat, cat.op().M, complexes, action, name)
 
     def act_key(self, ukey, ykey) -> dict:
         """u . y for u: a -> b and y in L(b); lands in L(a)."""
         if ykey[0] != ukey[1]:
             raise EngineError("module action mismatch")
-        cached = self._cache.get((ukey, ykey))
-        if cached is None:
-            cached = self._action_fn(self, ukey, ykey)
-            for k in cached:
-                if k[0] != ukey[0] or k[1] != ykey[1] + ukey[2]:
-                    raise EngineError(f"module action off-signature: {k}")
-            self._cache[(ukey, ykey)] = cached
-        return cached
+        a, b, du, lu = ukey
+        return self._read(a, self.A.apply_key(((b,), a, du, lu), (ykey[1:],)),
+                          False)
 
     def validate(self):
-        ring = self.ring
-        for b in self.cat.objects:
-            for y in self.elem_keys(b):
-                got = self.act_key(self.cat.unit_key(b), y)
-                if not lc_eq(ring, got, {y: ring.one}):
-                    return {"axiom": "module-unit", "y": y}
-                for u in self.cat.all_keys():
-                    if u[1] != b:
-                        continue
-                    lhs = linear(ring, self.diff_key, self.act_key(u, y))
-                    rhs = combine(
-                        ring,
-                        bilinear(ring, self.act_key, self.cat.diff_key(u),
-                                 {y: ring.one}),
-                        scaled_int(ring,
-                                   bilinear(ring, self.act_key, {u: ring.one},
-                                            self.diff_key(y)),
-                                   -1 if u[2] % 2 else 1),
-                    )
-                    if not lc_eq(ring, lhs, rhs):
-                        return {"axiom": "module-leibniz", "y": y, "u": u}
-                    for v in self.cat.all_keys():
-                        if v[1] != u[0]:
-                            continue
-                        lhs2 = bilinear(ring, self.act_key, {v: ring.one},
-                                        self.act_key(u, y))
-                        rhs2 = bilinear(ring, self.act_key,
-                                        self.cat.compose_keys(v, u), {y: ring.one})
-                        if not lc_eq(ring, lhs2, rhs2):
-                            return {"axiom": "module-assoc", "y": y, "u": u, "v": v}
-        return None
+        return self.A.validate()
 
 
 # ---------------------------------------------------------------------------

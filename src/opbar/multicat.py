@@ -34,7 +34,16 @@ is u plugged into the one slot of v.  `C.validate()` is `C.M.validate()`, so a
 witness names a multicategory axiom ("unit-missing", "unit-not-closed",
 "eqMultComp3" for a unit law, "leibniz", "eqMultComp1" for associativity) and
 carries 1-ary keys.  `DgFunctor` reads a `MultiFunctor` between the two
-`.M`s the same way and validates through it.
+`.M`s the same way and validates through it.  `C.op()`, built once, has the
+same hom complexes and units, keys (a, b, d, l) -> (b, a, d, l), and "x then
+y" equal to (-1)^{|x||y|} "y then x" in C; `C.op().op()` is C.
+
+A one-sided dg module is an algebra over a 1-ary multicategory: `dgcat`'s
+`RightModule` is a view of a `MultiAlgebra` over `C.M`, and `LeftModule` of
+one over `C.op().M`.  `MultiAlgebra.apply_key` raises EngineError when an
+action lands on a label that its target carrier lacks in degree
+|f| + sum |args|, so every algebra, module views included, has one signature
+check, and a witness of `MultiAlgebra.validate` names an algebra axiom.
 """
 
 from __future__ import annotations
@@ -425,6 +434,11 @@ class MultiAlgebra:
         if cached is None:
             cached = {k: v for k, v in self._action_fn(self, fkey, args).items()
                       if not self.ring.is_zero(v)}
+            c = self.carrier(fkey[1])
+            d = c.shift_deg(fkey[2], sum(a[0] for a in args))
+            for k in cached:
+                if k[0] != d or not c.has_label(d, k[1]):
+                    raise EngineError(f"algebra action lands off-signature: {k}")
             self._cache[(fkey, args)] = cached
         return cached
 
@@ -616,6 +630,11 @@ def _dg_key(key):
     return a, b, d, l
 
 
+def _flip(key):
+    a, b, d, l = key
+    return b, a, d, l
+
+
 def _relabel(key_fn, lc) -> dict:
     return {key_fn(k): v for k, v in lc.items()}
 
@@ -643,6 +662,7 @@ class DgCategory:
                 _multi_key, compose_fn(self, _dg_key(f), _dg_key(g))),
             _one_ary, units, name)
         self._diff_cache = {}
+        self._op = None
 
     @property
     def homs(self):
@@ -676,6 +696,23 @@ class DgCategory:
 
     def compose(self, u: dict, v: dict) -> dict:
         return bilinear(self.ring, self.compose_keys, u, v)
+
+    def op(self) -> "DgCategory":
+        """C^op, built once: the same hom complexes and units, keys
+        (a, b, d, l) -> (b, a, d, l), and "x then y" is (-1)^{|x||y|} times
+        "y then x" in C.  C.op().op() is C."""
+        if self._op is None:
+            def compose_fn(_, x, y):
+                neg = x[2] % 2 and y[2] % 2
+                return {_flip(k): self.ring.neg(v) if neg else v for k, v in
+                        self.compose_keys(_flip(y), _flip(x)).items()}
+
+            self._op = DgCategory(
+                self.ring, self.objects,
+                {(b, a): c for (a, b), c in self.homs.items()}, compose_fn,
+                self.units, name=f"{self.name}^op")
+            self._op._op = self
+        return self._op
 
     def validate(self):
         return self.M.validate()

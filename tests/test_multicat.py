@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from opbar.bar import operadic_kan
 from opbar.coeff import Ring
 from opbar.complexes import ChainComplex, ChainMap
+from opbar.errors import EngineError
 from opbar.fixtures import (
     as_operad,
     bv_operad,
@@ -113,6 +115,20 @@ def test_two_object_kappa_algebra():
     M, A, kappa = two_object_kappa(Z)
     assert M.validate() is None
     assert A.validate() is None
+
+
+def test_off_degree_action_raises_at_validate_and_in_kan():
+    # kappa sends c0 in degree 0 to c1 in degree 1 along u0_1 of degree 0
+    C0 = ChainComplex.single(Z, "c0", 0)
+    C1 = ChainComplex.single(Z, "c1", 1)
+    kappa = ChainMap.from_label_fn(C0, C1, 1, lambda l: [("c1", 1)])
+    M, A, _ = two_object_kappa(Z, C0, C1, kappa)
+    with pytest.raises(EngineError, match="algebra action lands off-signature"):
+        A.validate()
+    M, A, _ = two_object_kappa(Z, C0, C1, kappa)
+    pi = projection_to_unit(M, as_operad(Z, 3))
+    with pytest.raises(EngineError, match="algebra action lands off-signature"):
+        operadic_kan(pi, A, 2)
 
 
 def test_exterior_algebra_over_as():
