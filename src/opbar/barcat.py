@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .complexes import ChainComplex, ChainMap, first_difference, is_quasi_iso
+from .complexes import ChainComplex, ChainMap, _sliced, first_difference, is_quasi_iso
 from .dgcat import DgCategory, DgFunctor, LeftModule, RightModule, \
     corepresented_right_module, functor_right_module, group_ring_category, \
     poset_category, pullback_right_module, trivial_left_module, \
@@ -632,24 +632,20 @@ class TowerReport:
 
 
 def reduce_complex(C: ChainComplex, new_cutoff) -> ChainComplex:
-    ring = C.ring
-    new_ring = ring.at_cutoff(new_cutoff)
-    return C.map_coefficients(new_ring, lambda v: ring.reduce_cutoff(v, new_cutoff))
+    return _sliced(C, C.ring.at_cutoff(new_cutoff))
 
 
 def reduce_map(fmap: ChainMap, new_cutoff) -> ChainMap:
-    ring = fmap.source.ring
-    new_ring = ring.at_cutoff(new_cutoff)
-    return fmap.map_coefficients(
-        new_ring, lambda v: ring.reduce_cutoff(v, new_cutoff),
-        reduce_complex(fmap.source, new_cutoff),
-        reduce_complex(fmap.target, new_cutoff))
+    return _sliced(fmap, fmap.source.ring.at_cutoff(new_cutoff))
 
 
 def complete_tower(fmap: ChainMap, cutoffs, degrees) -> TowerReport:
     """Reduce a quasi-isomorphism over the largest cutoff to each smaller one
     and re-test; flags entries whose differentials contain zero divisors
-    (positive-valuation coefficients), the torsion obstruction shadow."""
+    (positive-valuation coefficients), the torsion obstruction shadow.
+
+    `is_quasi_iso` decides each reduced map on its residue (slice 0), and no
+    cutoff > 0 changes the residue, so the verdicts agree by construction."""
     ring = fmap.source.ring
     if not ring.is_novikov:
         raise UnsupportedRing("completion towers live over Novikov rings")

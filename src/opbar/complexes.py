@@ -19,6 +19,7 @@ decide on the int column forms of `linalg`, each call one check pass.
 from __future__ import annotations
 
 import itertools
+import math
 
 from . import linalg
 from .coeff import Ring
@@ -608,15 +609,21 @@ class QuasiIsoResult:
         return f"QuasiIsoResult({self.ok}, witness={self.witness})"
 
 
-def _residue_complex(C: ChainComplex) -> ChainComplex:
-    ring = C.ring
-    return C.map_coefficients(ring.base, ring.residue)
-
-
-def _residue_map(f: ChainMap) -> ChainMap:
-    ring = f.source.ring
-    return f.map_coefficients(ring.base, ring.residue,
-                              _residue_complex(f.source), _residue_complex(f.target))
+def _sliced(x, new_ring):
+    """A Novikov complex or map x over new_ring, from the grid slices of each
+    matrix (`linalg.slices`): over the base field slice 0 (the residue),
+    over a cutoff c' the slices k < ceil(c' q).  A map whose source is its
+    target takes that complex over once."""
+    ring = x.ring if isinstance(x, ChainComplex) else x.source.ring
+    keep = math.ceil(new_ring.cutoff * ring.grid) if new_ring.is_novikov else 1
+    mats = {d: linalg.from_slices(new_ring, linalg.slices(ring, m)[:keep],
+                                  m.nrows, m.ncols)
+            for d, m in (x.diff if isinstance(x, ChainComplex) else x.mats).items()}
+    if isinstance(x, ChainComplex):
+        return ChainComplex(new_ring, x.grading, x.basis, mats, validate=False)
+    S = _sliced(x.source, new_ring)
+    T = S if x.target is x.source else _sliced(x.target, new_ring)
+    return ChainMap(S, T, x.degree, mats, validate=False)
 
 
 def is_quasi_iso(f: ChainMap, degrees) -> QuasiIsoResult:
@@ -630,7 +637,7 @@ def is_quasi_iso(f: ChainMap, degrees) -> QuasiIsoResult:
         raise DegreeMismatch("quasi-isomorphism test needs a degree-0 map")
     ring = f.source.ring
     if ring.is_novikov:
-        return is_quasi_iso(_residue_map(f), degrees)
+        return is_quasi_iso(_sliced(f, ring.base), degrees)
     degrees = sorted(set(degrees))
     if not degrees:
         return QuasiIsoResult(True)
@@ -691,63 +698,55 @@ def _splitting_homotopy(C: ChainComplex) -> ChainMap:
         h.d = {(wn[i], col): v for (i, col), v in sol.d.items()
                if i < len(img)}
         mats[d] = h
-    hmap = ChainMap(C, C, 1, mats, validate=False)
-    check = C_dh_plus_hd(C, hmap)
-    idm = ChainMap.identity(C)
-    if not check.eq(idm):
-        raise NotAcyclic("no contraction exists: complex has homology")
-    return hmap
-
-
-def C_dh_plus_hd(C: ChainComplex, h: ChainMap) -> ChainMap:
-    dC = differential_as_map(C)
-    return dC.compose(h).add(h.compose(dC))
-
-
-def differential_as_map(C: ChainComplex) -> ChainMap:
-    return ChainMap(C, C, -1, dict(C.diff), validate=False)
+    return ChainMap(C, C, 1, mats, validate=False)
 
 
 def null_homotopy(C: ChainComplex) -> ChainMap:
     """h of degree +1 with d h + h d = id, for acyclic degreewise-free C.
 
-    Over a field this is an exact linear splitting.  Over a truncated Novikov
-    ring the contraction is solved over the residue field and lifted one grid
-    exponent at a time; the correction at each step is F o h for the current
-    error term F, which works because F commutes with d exactly.
+    Over a field this is an exact linear splitting (`_splitting_homotopy`).
+    Over a truncated Novikov ring it is lifted on the grid-slice view
+    (`linalg.slices`): D_a is the T^(a/q) coefficient of d, the residue
+    contraction H_0 = hbar of D_0 is a splitting over the base field, and
+    slice k >= 1 of h is H_k = -E_k hbar, where E_k = sum_{a+b=k, b<k}
+    (D_a H_b + H_b D_a) is slice k of d h + h d for the slices found so far;
+    E_k commutes with D_0, so adding T^k H_k cancels it.  Before h is
+    restored, slice k of d h + h d is checked exactly, in every degree, to
+    be the identity (k = 0, NotAcyclic if not) or zero (NoLift if not); over
+    a field the one slice is d itself.
     """
     ring = C.ring
-    if ring.is_field:
-        return _splitting_homotopy(C)
-    if not ring.is_novikov or not ring.base.is_field:
+    if not (ring.is_field or ring.is_novikov):
         raise UnsupportedRing("null_homotopy needs a field or Novikov-over-field ring")
-    Cbar = _residue_complex(C)
+    base = ring if ring.is_field else ring.base
+    no_contraction = ("no contraction exists: complex has homology" if ring.is_field
+                      else "residue complex has homology, so C is not acyclic")
     try:
-        hbar = _splitting_homotopy(Cbar)
-    except NotAcyclic:
-        raise NotAcyclic("residue complex has homology, so C is not acyclic")
-    from fractions import Fraction
-    inject = lambda v: ((Fraction(0), v),) if not ring.base.is_zero(v) else ()
-    h = hbar.map_coefficients(ring, inject, C, C)
-    idm = ChainMap.identity(C)
-    grid_exps = []
-    e = Fraction(1, ring.grid)
-    while e < ring.cutoff:
-        grid_exps.append(e)
-        e += Fraction(1, ring.grid)
-    for lam in grid_exps:
-        err = C_dh_plus_hd(C, h).sub(idm)
-        if err.is_zero():
-            break
-        # extract the T^lam coefficient of the error, as residue-field matrices
-        coeff = lambda v: dict(v).get(lam, ring.base.zero)
-        err_lam = err.map_coefficients(ring.base, coeff, Cbar, Cbar)
-        if err_lam.is_zero():
-            continue
-        delta = err_lam.compose(hbar).neg()
-        lift = lambda v: ((lam, v),) if not ring.base.is_zero(v) else ()
-        h = h.add(delta.map_coefficients(ring, lift, C, C))
-    final = C_dh_plus_hd(C, h)
-    if not final.eq(idm):
-        raise NoLift("order-by-order lift failed on a degreewise-free complex")
-    return h
+        hbar = _splitting_homotopy(C if ring.is_field else _sliced(C, base))
+    except NotAcyclic as err:
+        raise err if ring.is_field else NotAcyclic(no_contraction)
+    D = {d: [linalg.column_form(ring, m)] if ring.is_field else linalg.slices(ring, m)
+         for d, m in C.diff.items()}
+    H = {d: [linalg.column_form(base, m)] for d, m in hbar.mats.items()}
+    minus_hbar = {d: linalg.column_form(base, m.neg()) for d, m in hbar.mats.items()}
+
+    def dh_hd(e, k, bs):  # sum over b in bs of D_{k-b} H_b + H_b D_{k-b} on C_e
+        up, here, down, at = D.get(C.succ(e)), H.get(e), H.get(C.pred(e)), D.get(e)
+        pairs = [(up[k - b], here[b]) for b in bs if up and here] + \
+            [(down[b], at[k - b]) for b in bs if down and at]
+        return linalg.form_sum(base, [linalg.column_product(base, g, f)
+                                      for g, f in pairs if g and f])
+
+    for k in range(math.ceil(ring.cutoff * ring.grid) if ring.is_novikov else 1):
+        E = {e: dh_hd(e, k, range(k)) for e in C.degrees()}  # E_k; E_0 = 0
+        for d, mh in (minus_hbar.items() if k else ()):
+            H[d].append(E[C.succ(d)] and linalg.column_product(base, E[C.succ(d)], mh))
+        for e in C.degrees():  # slice k of d h + h d
+            S = linalg.form_sum(base, [x for x in (E[e], dh_hd(e, k, [k])) if x])
+            if k == 0 and not (S and linalg.columns_equal(
+                    base, S, (1, [{j: 1} for j in range(C.dim(e))], None))):
+                raise NotAcyclic(no_contraction)
+            if k and S:
+                raise NoLift("order-by-order lift failed on a degreewise-free complex")
+    return ChainMap(C, C, 1, {d: linalg.from_slices(ring, hs, C.dim(C.succ(d)), C.dim(d))
+                              for d, hs in H.items()}, validate=False)

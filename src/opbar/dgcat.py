@@ -211,8 +211,23 @@ def poset_category(ring, k) -> DgCategory:
     return DgCategory(ring, objects, homs, compose_fn, units, name=f"N<={k}")
 
 
+def _acts_by_one(cat: DgCategory):
+    """EngineError naming the first basis morphism of nonzero degree, or the
+    first pair whose composite is not one basis morphism with coefficient 1:
+    then acting by 1 on every basis morphism is no module."""
+    keys = cat.all_keys()
+    for u in (u for u in keys if u[2]):
+        raise EngineError(f"trivial module: basis morphism {u!r} has degree {u[2]}")
+    for u, v in ((u, v) for u in keys for v in keys if v[0] == u[1]):
+        w = {k: c for k, c in cat.compose_keys(u, v).items() if not cat.ring.is_zero(c)}
+        if list(w.values()) != [cat.ring.one]:
+            raise EngineError(f"trivial module: {u!r} then {v!r} is {w}, "
+                              "not one basis morphism with coefficient 1")
+
+
 def trivial_right_module(cat: DgCategory) -> RightModule:
     """The constant module R (each morphism acts as the augmentation 1)."""
+    _acts_by_one(cat)
     ring = cat.ring
     complexes = {a: ChainComplex.single(ring, "r") for a in cat.objects}
 
@@ -223,6 +238,7 @@ def trivial_right_module(cat: DgCategory) -> RightModule:
 
 
 def trivial_left_module(cat: DgCategory) -> LeftModule:
+    _acts_by_one(cat)
     ring = cat.ring
     complexes = {a: ChainComplex.single(ring, "l") for a in cat.objects}
 

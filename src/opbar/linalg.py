@@ -28,6 +28,10 @@ the grid raises `NonGridExponent`), truncated at k < ceil(c * q).
 Canonical forms are unique, so on canonical operands a restored product
 equals, value for value and type for type, the sum of per-entry ring
 products.
+
+The grid-slice view (`slices`) regroups a Novikov int form by grid step
+into base-field column forms; the null homotopy's lift, cutoff reduction
+and residues run on it, with the base-field kernels, and `from_slices`.
 """
 
 from __future__ import annotations
@@ -412,6 +416,49 @@ def _restore(ring: Ring, form) -> dict:
                 restored.append((e, coeff(n)))
             out[(i, j)] = tuple(restored)
     return out
+
+
+def slices(ring: Ring, m: Mat) -> list:
+    """The grid-slice view of a Novikov matrix m: [S_0, ..., S_{K-1}], K =
+    ceil(c * q), S_k the base-field column form of the T^(k/q) coefficients
+    (None when they are all 0), over the one den of m's int form."""
+    den, ints = _nov_int_form(ring, m.d)
+    out = [[{} for _ in range(m.ncols)]
+           for _ in range(math.ceil(ring.cutoff * ring.grid))]
+    for (i, j), terms in ints.items():
+        for k, n in terms:
+            out[k][j][i] = n
+    return [(den, cols, None) if any(cols) else None for cols in out]
+
+
+def from_slices(ring: Ring, forms, nrows: int, ncols: int) -> Mat:
+    """The Novikov matrix sum_k T^(k/q) S_k of base-field column forms S_k
+    (None: zero), restored once over the lcm of their dens; over a field,
+    the one S_0."""
+    if ring.kind != "nov":
+        return Mat(ring, nrows, ncols, forms[0] and _restore(ring, forms[0]))
+    forms = [(k, f) for k, f in enumerate(forms) if f]
+    den = math.lcm(*(f[0] for _, f in forms))
+    cols = [{} for _ in range(ncols)]
+    for k, (d, f_cols, _) in forms:
+        for col, f_col in zip(cols, f_cols):
+            for i, n in f_col.items():
+                col.setdefault(i, []).append((k, n * (den // d)))
+    return Mat(ring, nrows, ncols, _restore(ring, (den, cols, None)))
+
+
+def form_sum(ring: Ring, forms):
+    """The column form over Q or F_p of a sum of column forms of one shape,
+    over the lcm of their dens; None when the sum is 0."""
+    den = math.lcm(*(f[0] for f in forms))
+    cols = [{} for _ in forms[0][1]] if forms else []
+    for d, f_cols, _ in forms:
+        for acc, col in zip(cols, f_cols):
+            for i, n in col.items():
+                acc[i] = acc.get(i, 0) + n * (den // d)
+    cols = [{i: n % ring.p if ring.p else n for i, n in c.items()} for c in cols]
+    cols = [{i: n for i, n in c.items() if n} for c in cols]
+    return (den, cols, None) if any(cols) else None
 
 
 def columns_equal(ring: Ring, a, b) -> bool:

@@ -9,13 +9,14 @@ from opbar import fixtures as fix
 from opbar.bar import KanAlgebraStructure, free_algebra, operadic_kan, \
     simplicial_kan
 from opbar.coeff import Ring
-from opbar.complexes import ChainComplex, ChainMap, differential_as_map, \
-    homology
+from opbar.complexes import ChainComplex, ChainMap, homology
 from opbar.errors import EngineError, NonPermutationAction
 from opbar.lincomb import add_into, eq as lc_eq, linear
 from opbar.multicat import MultiCat
 from opbar.simplicial import realize
 from opbar.symgrp import Perm, koszul_sign
+
+from .genutil import differential_as_map
 
 Z = Ring.Z()
 Q = Ring.Q()

@@ -337,12 +337,13 @@ def test_diff_key_memo_equals_column_read():
     assert any(tel.Mr.complex(a).diff for a in tel.C.objects)
     _check_diff_memo(tel.C, [tel.Mr, tel.Ml])
     # an interval hom complex, d a = b - c, so the category's keys and the
-    # corepresented module's elements have nonzero differentials
+    # corepresented modules' elements have nonzero differentials
     C = _interval_category()
     assert C.validate() is None
     assert C.diff_key((0, 1, 1, "a")) == {(0, 1, 0, "b"): 1, (0, 1, 0, "c"): -1}
-    _check_diff_memo(C, [trivial_right_module(C),
-                         under_functor_left_module(DgFunctor.identity(C), 1)])
+    R = corepresented_right_module(C, 0)
+    assert R.diff_key((1, 1, "a")) == {(1, 0, "b"): 1, (1, 0, "c"): -1}
+    _check_diff_memo(C, [R, under_functor_left_module(DgFunctor.identity(C), 1)])
 
 
 def test_level_differentials_read_each_column_once(monkeypatch):

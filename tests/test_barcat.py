@@ -11,11 +11,12 @@ from opbar.barcat import (
     group_bar_complex,
     hv_pushout_check,
     reduce_complex,
+    reduce_map,
     telescope_vs_hocolim,
     two_sided_bar,
 )
 from opbar.coeff import Ring
-from opbar.complexes import ChainComplex, ChainMap, homology, is_quasi_iso
+from opbar.complexes import ChainComplex, ChainMap, _sliced, homology, is_quasi_iso
 from opbar.dgcat import (
     DgCategory,
     DgFunctor,
@@ -32,7 +33,8 @@ from opbar.errors import EngineError, NonCommutingSquare
 from opbar.linalg import Mat
 from opbar.symgrp import Perm
 
-from .genutil import cyclic_group_homology_oracle, random_complex, random_two_term
+from .genutil import NOVIKOV_RINGS, cyclic_group_homology_oracle, novikov_conjugate, \
+    random_complex, random_novikov_acyclic, random_novikov_element, random_two_term
 
 Z = Ring.Z()
 Q = Ring.Q()
@@ -312,6 +314,66 @@ def test_reduce_complex_cutoff():
     red = reduce_complex(c, 1)
     assert red.ring.cutoff == 1
     assert red.d_mat(1).get(0, 0) == red.ring.one
+
+
+def _per_entry(mats, ring, fn):
+    """The nonzero {d: m} of fn applied to every entry, over ring: the
+    per-entry oracle of reduce_complex, reduce_map and residues."""
+    out = {d: m.map_ring(ring, fn) for d, m in mats.items()}
+    return {d: m for d, m in out.items() if not m.is_zero()}
+
+
+@pytest.mark.parametrize("name", NOVIKOV_RINGS)
+def test_reduce_and_residue_match_the_per_entry_oracles(name):
+    nov = NOVIKOV_RINGS[name]
+    rng = random.Random(f"tower:{name}")
+    C = random_novikov_acyclic(rng, nov)
+    g = novikov_conjugate(rng, C)[1]
+    u = nov.add(nov.one, random_novikov_element(rng, nov, 1))
+    f = ChainMap(C, C, 0, {d: Mat.identity(nov, C.dim(d)).scale(u)
+                           for d in C.degrees()})
+    q = nov.grid
+    # every cutoff on the grid and halfway between, up to the ring's
+    cutoffs = [Fraction(k, 2 * q) for k in range(1, int(2 * q * nov.cutoff) + 1)]
+    for fmap in (f, g):
+        for c in cutoffs:
+            new = nov.at_cutoff(c)
+            red = reduce_map(fmap, c)
+            assert (red.source is red.target) == (fmap is f)
+            for got, orig in ((red.source, fmap.source), (red.target, fmap.target),
+                              (reduce_complex(fmap.source, c), fmap.source)):
+                assert got.ring == new and got.basis == orig.basis
+                assert got.diff == _per_entry(orig.diff, new,
+                                              lambda v: nov.reduce_cutoff(v, c))
+            assert red.mats == _per_entry(fmap.mats, new,
+                                          lambda v: nov.reduce_cutoff(v, c))
+        res = _sliced(fmap, nov.base)
+        assert (res.source is res.target) == (fmap is f)
+        for got, orig in ((res.source, fmap.source), (res.target, fmap.target),
+                          (_sliced(fmap.source, nov.base), fmap.source)):
+            assert got.ring == nov.base and got.basis == orig.basis
+            assert got.diff == _per_entry(orig.diff, nov.base, nov.residue)
+        assert res.mats == _per_entry(fmap.mats, nov.base, nov.residue)
+
+
+def test_seeded_tower_verdicts_and_flags():
+    """A seeded complex with homology (an acyclic one plus a lone generator):
+    (1 + T^(1/2)) id is a quasi-isomorphism at every cutoff and T^(1/2) id at
+    none; every differential of source and target is flagged."""
+    nov = Ring.novikov(Q, 2, 2)
+    C = random_novikov_acyclic(random.Random("seeded tower"), nov)
+    C = C.direct_sum(ChainComplex.single(nov, "lone", 0))[0]
+    cutoffs = [Fraction(1, 2), 1, Fraction(3, 2), 2]
+    t = nov.monomial(1, Fraction(1, 2))
+    for u, ok in ((nov.add(nov.one, t), True), (t, False)):
+        f = ChainMap(C, C, 0, {d: Mat.identity(nov, C.dim(d)).scale(u)
+                               for d in C.degrees()})
+        rep = complete_tower(f, cutoffs, range(-2, 4))
+        assert list(rep.verdicts) == cutoffs
+        assert [v.ok for v in rep.verdicts.values()] == [ok] * 4
+        assert len(rep.flags) == 2 * len(C.diff) == 4
+        if not ok:
+            assert {v.witness["degree"] for v in rep.verdicts.values()} == {0}
 
 
 def _z_triangle():

@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from opbar import complexes
 from opbar.coeff import Ring
 from opbar.complexes import (
     ChainComplex,
     ChainMap,
-    C_dh_plus_hd,
     cone,
     homology,
     is_quasi_iso,
@@ -20,7 +20,9 @@ from opbar.errors import DegreeMismatch, MixedRings, NotAcyclic, NotADifferentia
 import opbar.linalg as linalg
 from opbar.linalg import Mat
 
-from .genutil import random_acyclic, random_complex, random_unitriangular, unitriangular_inverse
+from .genutil import NOVIKOV_RINGS, C_dh_plus_hd, novikov_conjugate, null_homotopy_oracle, \
+    random_acyclic, random_complex, random_novikov_acyclic, random_novikov_element, \
+    random_unitriangular, unitriangular_inverse
 
 Z = Ring.Z()
 Q = Ring.Q()
@@ -440,6 +442,67 @@ def test_null_homotopy_random_acyclic_novikov():
         c2 = ChainComplex(nov, "Z", c.basis, new_diff)
         h = null_homotopy(c2)
         assert C_dh_plus_hd(c2, h).eq(ChainMap.identity(c2))
+
+
+@pytest.mark.parametrize("name", NOVIKOV_RINGS)
+def test_null_homotopy_matches_the_order_by_order_oracle(name):
+    nov = NOVIKOV_RINGS[name]
+    rng = random.Random(f"lift:{name}")
+    lifted = 0
+    for t in range(8):
+        C = random_novikov_acyclic(rng, nov, tag=f"t{t}")
+        h, want = null_homotopy(C), null_homotopy_oracle(C)
+        assert h.degree == want.degree == 1
+        assert h.mats == want.mats
+        lifted += any(e > 0 for m in h.mats.values() for v in m.d.values()
+                      for e, _ in v)
+    # h has T-terms unless the grid has one step below the cutoff
+    assert (lifted > 0) == (nov.cutoff * nov.grid > 1)
+
+
+@pytest.mark.parametrize("name", ["q_2_2", "f3_1_3"])
+def test_null_homotopy_z2_matches_the_oracle(name):
+    """Z/2-graded: two copies of x -> y with unit differentials, one from
+    each degree slot, conjugated; d h + h d runs through both slots."""
+    nov = NOVIKOV_RINGS[name]
+    rng = random.Random(f"z2:{name}")
+    for _ in range(4):
+        u, v = (nov.add(nov.from_int(n), random_novikov_element(rng, nov, 1))
+                for n in (1, 2))
+        C = ChainComplex(nov, "Z2", {0: ["a", "b"], 1: ["c", "e"]},
+                         {1: Mat(nov, 2, 2, {(0, 0): u}), 0: Mat(nov, 2, 2, {(1, 1): v})})
+        C = novikov_conjugate(rng, C)[0]
+        assert null_homotopy(C).mats == null_homotopy_oracle(C).mats
+
+
+@pytest.mark.parametrize("name", NOVIKOV_RINGS)
+def test_null_homotopy_not_acyclic_raises_as_the_oracle(name):
+    nov = NOVIKOV_RINGS[name]
+    C = random_novikov_acyclic(random.Random(f"homology:{name}"), nov)
+    C = C.direct_sum(ChainComplex.single(nov, "lone", 0))[0]
+    messages = []
+    for fn in (null_homotopy, null_homotopy_oracle):
+        with pytest.raises(NotAcyclic) as err:
+            fn(C)
+        messages.append(str(err.value))
+    assert messages == ["residue complex has homology, so C is not acyclic"] * 2
+
+
+@pytest.mark.parametrize("field", [True, False], ids=["q", "nov_q_2_2"])
+def test_null_homotopy_checks_the_contraction(monkeypatch, field):
+    """A splitting scaled by 2 fails d h + h d = id on slice 0: NotAcyclic,
+    with the message of the check the splitting used to run itself."""
+    splitting = complexes._splitting_homotopy
+    monkeypatch.setattr(complexes, "_splitting_homotopy",
+                        lambda C: splitting(C).scale_int(2))
+    rng = random.Random(5)
+    if field:
+        C, message = random_acyclic(rng, Q), "no contraction exists: complex has homology"
+    else:
+        C = random_novikov_acyclic(rng, NOVIKOV_RINGS["q_2_2"])
+        message = "residue complex has homology, so C is not acyclic"
+    with pytest.raises(NotAcyclic, match=f"^{message}$"):
+        null_homotopy(C)
 
 
 def _invert_unit_matrix(nov, g):
