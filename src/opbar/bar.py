@@ -593,6 +593,8 @@ def operadic_kan(pi: MultiFunctor, A: MultiAlgebra, n_max):
     * mu is S_2-equivariant on every pair z_1, z_2 whose levels sum to at
       most n_max, for every key o of O(2).
 
+    Both windows also bound the roots' arities by `O.arity_max`, past which
+    mu is zero (M has no nullary multimorphisms; `KanAlgebraStructure`).
     Both checks read mu one basis tensor at a time from the structure's id
     memo, so each value is computed once.  Over Z the levels drop the
     sign-stabilized orbits, whose coinvariants are Z/2 (`simplicial_kan`).
@@ -627,13 +629,20 @@ class KanAlgebraStructure:
       Koszul sign of the reordering included.
 
     Labels come back only in the views `mu_on_labels` (a new dict per call),
-    `mu(k)`, `window_columns`, `chain_map_sides` and the witnesses.
+    `mu(k)` and the witnesses.
     check_chain_map(k) covers the basis tensors whose levels sum to at most
     n_max - 1, check_equivariance(2) those whose levels sum to at most
     n_max, with every key of O(2); each compares its two sides as dicts
     without zeros.  A failing check raises EngineError naming the first
     failing column, with ``.witness = {"zs", "okey", "lhs", "rhs"}`` in
     labels.
+
+    mu is zero on a tensor whose roots' arities sum past `O.arity_max`;
+    the check windows skip it and the memo never stores it.  The skip is
+    exact: sigma keeps the arity sum, and no term of d x has a root of
+    lower arity (d_0 sums the words' arities, the other faces and the level
+    differentials keep the root key) as long as M has no nullary
+    multimorphisms, which construction asserts.
     """
 
     def __init__(self, simp, real: RealizedComplex):
@@ -647,6 +656,10 @@ class KanAlgebraStructure:
         self._degen_memo = {}
         self._product_memo = {}
         self._graft_memo = {}
+        for sig in self.calc.M.complexes:
+            if not sig[0]:
+                raise EngineError(f"M has the nullary signature {sig!r}, "
+                                  "which the arity-graded mu windows exclude")
         c = real.complex
         self._labels = [z for d in c.degrees() for z in c.labels(d)]
         self._ids = {z: j for j, z in enumerate(self._labels)}
@@ -775,10 +788,12 @@ class KanAlgebraStructure:
         return {labels[j]: v for j, v in lc.items()}
 
     def _mu(self, ids, okey) -> dict:
-        """mu on ids and okey, memoized: a shared dict, never mutated."""
+        """mu on ids and okey, memoized: a shared dict, never mutated; the
+        unstored `_ZERO` past the level or arity bound of the windows."""
         out = self._mu_memo.get((ids, okey))
         if out is None:
-            if sum(map(self._level.__getitem__, ids)) > self.simp.n_max:
+            if sum(map(self._level.__getitem__, ids)) > self.simp.n_max or \
+                    sum(map(self._arity.__getitem__, ids)) > self.O.arity_max:
                 return _ZERO
             out = self._mu_memo[(ids, okey)] = self._mu_body(ids, okey)
         return out
@@ -786,10 +801,7 @@ class KanAlgebraStructure:
     def _mu_body(self, ids, okey) -> dict:
         """The shuffle sum of levelwise grafts, with the Eilenberg-Zilber
         sign (-1)^(sum_{s<t} |z_s| p_t) for internal degrees |z_s| and
-        levels p_t.  Zero, as the shared `_ZERO`, when the roots' arities
-        sum past the arity bound of O: then every graft is zero."""
-        if sum(map(self._arity.__getitem__, ids)) > self.O.arity_max:
-            return _ZERO
+        levels p_t."""
         ring = self.ring
         neg = ring.neg
         level, ideg = self._level, self._ideg
@@ -818,33 +830,21 @@ class KanAlgebraStructure:
 
     def _window(self, k, top):
         """The basis tensors (ids, okey) of (realized)^(x k) (x) O(k) whose
-        simplicial levels sum to at most top."""
-        by_level = {}
-        for z, n in enumerate(self._level):
-            by_level.setdefault(n, []).append(z)
+        levels sum to at most top and root arities to at most arity_max."""
+        buckets = {}
+        for z, key in enumerate(zip(self._level, self._arity)):
+            buckets.setdefault(key, []).append(z)
         okeys = self._okeys(k)
-        for levels in itertools.product(sorted(by_level), repeat=k):
-            if sum(levels) > top:
+        for keys in itertools.product(sorted(buckets), repeat=k):
+            if sum(n for n, _ in keys) > top or \
+                    sum(a for _, a in keys) > self.O.arity_max:
                 continue
-            for ids in itertools.product(*(by_level[n] for n in levels)):
+            for ids in itertools.product(*(buckets[key] for key in keys)):
                 for okey in okeys:
                     yield ids, okey
 
-    def window_columns(self, k, top):
-        """`_window` in labels: the basis tensors (zs, okey)."""
-        labels = self._labels
-        for ids, okey in self._window(k, top):
-            yield tuple(labels[z] for z in ids), okey
-
     def _deg(self, z) -> int:
         return self.calc.deg(z[2]) + z[1]
-
-    def chain_map_sides(self, zs, okey):
-        """(d mu(x), mu(d x)) for the basis tensor x = z_1 (x) ... (x) okey,
-        in labels."""
-        lhs, rhs = self._sides(tuple(self._ids[z] for z in zs), okey,
-                               self.O.diff_key(okey))
-        return self._as_labels(lhs), self._as_labels(rhs)
 
     def _sides(self, ids, okey, d_okey):
         """(d mu(x), mu(d x)) on ids, with d x by the Koszul rule on the

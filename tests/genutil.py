@@ -1,5 +1,6 @@
 """Deterministic random generators and oracles shared by the test suite."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -207,3 +208,29 @@ def null_homotopy_oracle(C: ChainComplex) -> ChainMap:
     if not final.eq(idm):
         raise NoLift("order-by-order lift failed on a degreewise-free complex")
     return h
+
+
+def window_columns(structure, k, top):
+    """`_window` in labels: the basis tensors (zs, okey)."""
+    labels = structure._labels
+    for ids, okey in structure._window(k, top):
+        yield tuple(labels[z] for z in ids), okey
+
+
+def chain_map_sides(structure, zs, okey):
+    """(d mu(x), mu(d x)) for the basis tensor x = z_1 (x) ... (x) okey,
+    in labels."""
+    lhs, rhs = structure._sides(tuple(structure._ids[z] for z in zs), okey,
+                                structure.O.diff_key(okey))
+    return structure._as_labels(lhs), structure._as_labels(rhs)
+
+
+def level_window_columns(structure, k, top):
+    """The basis tensors (zs, okey) of (realized)^(x k) (x) O(k) whose
+    levels sum to at most top, whatever the roots' arities: the window
+    before the arity bound."""
+    okeys = structure._okeys(k)
+    for zs in itertools.product(structure._labels, repeat=k):
+        if sum(z[1] for z in zs) <= top:
+            for okey in okeys:
+                yield zs, okey

@@ -16,7 +16,8 @@ from opbar.multicat import MultiCat
 from opbar.simplicial import realize
 from opbar.symgrp import Perm, koszul_sign
 
-from .genutil import differential_as_map
+from .genutil import chain_map_sides, differential_as_map, \
+    level_window_columns, window_columns
 
 Z = Ring.Z()
 Q = Ring.Q()
@@ -84,14 +85,21 @@ def test_chain_map_columns_match_full_matrices(ring, operad, n_max, interval,
     structure = KanAlgebraStructure(
         *_kappa_setup(ring, operad, n_max, carriers))
     full = _full_matrix_columns(structure, 2)
-    window = list(structure.window_columns(2, n_max - 1))
+    window = list(window_columns(structure, 2, n_max - 1))
     assert len(window) == len(set(window))
-    assert set(window) == set(full)
+    assert set(level_window_columns(structure, 2, n_max - 1)) == set(full)
     assert any(lhs for lhs, _ in full.values()) == nonzero
     for col in window:
-        lhs, rhs = structure.chain_map_sides(*col)
+        lhs, rhs = chain_map_sides(structure, *col)
         assert lhs == full[col][0] and rhs == full[col][1], col
         assert lhs == rhs
+    # the columns the arity bound drops are zero on both sides, and mu is
+    # zero there
+    dropped = set(full) - set(window)
+    assert dropped
+    for col in dropped:
+        assert full[col] == ({}, {}), col
+        assert _oracle_mu(structure, *col) == {}, col
     structure.check_chain_map(2)
 
 
@@ -107,13 +115,15 @@ def test_mu_keeps_full_domain():
             want = _oracle_mu(structure, zs, okey) \
                 if sum(z[1] for z in zs) <= 1 else {}
             assert mu.apply_label(d, label) == want
+    # past the level or arity bound mu is zero and not stored
+    assert set(structure._mu_memo) == set(structure._window(2, 1))
 
 
 def test_equivariance_holds_on_odd_pairs():
     M, A, _ = fix.two_object_kappa(Z)
     pi = fix.projection_to_operad(M, fix.as_operad(Z, 3))
     real, structure = operadic_kan(pi, A, 2)
-    odd = [zs for zs, _ in structure.window_columns(2, 2)
+    odd = [zs for zs, _ in window_columns(structure, 2, 2)
            if all(structure._deg(z) % 2 for z in zs)]
     assert odd  # the Koszul sign of the S_2 action is exercised
 
@@ -175,7 +185,7 @@ def test_equivariance_catches_negated_key():
         return lhs, rhs
 
     assert (w["zs"], w["okey"], w["lhs"], w["rhs"]) == \
-        _first_failing(bad.window_columns(2, 1), sides)
+        _first_failing(window_columns(bad, 2, 1), sides)
 
 
 def test_chain_map_check_names_first_failing_column():
@@ -192,13 +202,14 @@ def test_chain_map_check_names_first_failing_column():
     assert set(w) == {"zs", "okey", "lhs", "rhs"}
     assert sum(z[1] for z in w["zs"]) == 1
     assert (w["zs"], w["okey"], w["lhs"], w["rhs"]) == \
-        _first_failing(bad.window_columns(2, 1), bad.chain_map_sides)
+        _first_failing(window_columns(bad, 2, 1),
+                       functools.partial(chain_map_sides, bad))
 
 
 def test_odd_carrier_is_equivariant_and_chain_map():
     # operadic_kan runs both checks
     structure = _kan_structure(Z, fix.as_operad(Z, 3), 1, _odd_points(Z))
-    odd = [zs for zs, _ in structure.window_columns(2, 1)
+    odd = [zs for zs, _ in window_columns(structure, 2, 1)
            if all(structure.calc.deg(z[2]) % 2 for z in zs)]
     assert odd  # the Eilenberg-Zilber sign is exercised
 
@@ -216,6 +227,34 @@ def test_interval_carrier_passes_both_checks():
         {"degree": -1, "rank": 0, "torsion": []}
     assert homology(real.complex, 0).as_dict() == \
         {"degree": 0, "rank": 3, "torsion": []}
+
+
+def test_interval_symas_memo_is_the_arity_graded_window():
+    # symAs on the interval carrier over Z at n_max 2: the memo holds one
+    # entry per column of the arity-graded equivariance window, and no key
+    # past either bound
+    M, A, _ = fix.two_object_kappa(Z, *_interval_carriers(Z))
+    O = fix.sym_assoc_operad(Z, 3)
+    real, structure = operadic_kan(fix.projection_to_operad(M, O), A, 2)
+    memo = structure._mu_memo
+    assert len(memo) == len(list(structure._window(2, 2))) == 5502
+    for ids, _ in memo:
+        assert sum(structure._level[z] for z in ids) <= 2
+        assert sum(structure._arity[z] for z in ids) <= O.arity_max
+    assert [homology(real.complex, d).as_dict() for d in (-1, 0)] == [
+        {"degree": -1, "rank": 0, "torsion": []},
+        {"degree": 0, "rank": 3, "torsion": []}]
+
+
+def test_nullary_multimorphism_is_rejected(monkeypatch):
+    # the arity bound of the mu windows is exact only when no face lowers a
+    # root's arity, which a nullary multimorphism of M would do
+    simp, real = _kappa_setup(Z, fix.as_operad, 1)
+    monkeypatch.setitem(simp.calc.M.complexes, ((), 1),
+                        ChainComplex.single(Z, "u", 0))
+    with pytest.raises(EngineError,
+                       match=r"^M has the nullary signature \(\(\), 1\)"):
+        KanAlgebraStructure(simp, real)
 
 
 def test_unit_target_has_no_arity_two():
@@ -244,7 +283,7 @@ def test_mu_unit_axiom(ring, operad, n_cols):
     O = structure.O
     assert O.basis_keys((O.objects[0],), O.objects[0]) == \
         [O.unit_key(O.objects[0])]
-    cols = list(structure.window_columns(1, 2))
+    cols = list(window_columns(structure, 1, 2))
     assert len(cols) == n_cols
     for (z,), unit in cols:
         assert structure.mu_on_labels((z,), unit) == {z: ring.one}, z
@@ -281,8 +320,11 @@ def test_mu_body_runs_once_per_window_tensor(monkeypatch):
     real, _ = operadic_kan(fix.projection_to_operad(M, O), A, 1)
     labels = [z for d in real.complex.degrees()
               for z in real.complex.labels(d)]
+    # the arity-graded window: levels sum to at most 1, root arities to at
+    # most O.arity_max
     pairs = [p for p in itertools.product(labels, repeat=2)
-             if p[0][1] + p[1][1] <= 1]
+             if p[0][1] + p[1][1] <= 1
+             and len(p[0][2][2]) + len(p[1][2][2]) <= O.arity_max]
     okeys = O.basis_keys(("*", "*"), "*")
     assert len(calls) == len(set(calls)) == len(pairs) * len(okeys)
     assert set(calls) == set(itertools.product(pairs, okeys))
@@ -360,8 +402,15 @@ def test_mu_memo_matches_oracle(case):
                    for ok, _ in parts)
     n_max = structure.simp.n_max
     memo = _mu_memo_in_labels(structure)
-    assert set(memo) == set(structure.window_columns(2, n_max))
+    assert set(memo) == set(window_columns(structure, 2, n_max))
     assert memo == {col: _oracle_mu(structure, *col) for col in memo}
+    if case in ("symas_z_n1", "as_q_n2"):
+        # the cases of the kan benchmark workload: mu is zero on every column
+        # that the arity bound drops from the level window
+        dropped = set(level_window_columns(structure, 2, n_max)) - set(memo)
+        assert len(dropped) == {"symas_z_n1": 2392, "as_q_n2": 1201}[case]
+        for col in dropped:
+            assert _oracle_mu(structure, *col) == {}, col
 
 
 def test_graft_and_shuffle_run_once_per_pattern(monkeypatch):
@@ -617,7 +666,7 @@ def test_checks_read_mu_on_ids_once_per_column(monkeypatch):
     monkeypatch.setattr(KanAlgebraStructure, "_product_body", counted_product)
     structure.check_chain_map(2)
     structure.check_equivariance(2)
-    window = list(structure.window_columns(2, 1))
+    window = list(window_columns(structure, 2, 1))
     assert views == []
     assert len(bodies) == len(set(bodies)) == len(window)
     assert set(bodies) == set(window)
