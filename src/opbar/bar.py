@@ -843,9 +843,6 @@ class KanAlgebraStructure:
                 for okey in okeys:
                     yield ids, okey
 
-    def _deg(self, z) -> int:
-        return self.calc.deg(z[2]) + z[1]
-
     def _sides(self, ids, okey, d_okey):
         """(d mu(x), mu(d x)) on ids, with d x by the Koszul rule on the
         realized complex and on O(k), where okey has the boundary d_okey."""

@@ -640,18 +640,21 @@ def reduce_map(fmap: ChainMap, new_cutoff) -> ChainMap:
 
 
 def complete_tower(fmap: ChainMap, cutoffs, degrees) -> TowerReport:
-    """Reduce a quasi-isomorphism over the largest cutoff to each smaller one
-    and re-test; flags entries whose differentials contain zero divisors
-    (positive-valuation coefficients), the torsion obstruction shadow.
+    """The quasi-isomorphism verdict on fmap at each cutoff, with flags for
+    the differential entries of positive valuation (zero divisors), the
+    torsion obstruction shadow.
 
-    `is_quasi_iso` decides each reduced map on its residue (slice 0), and no
-    cutoff > 0 changes the residue, so the verdicts agree by construction."""
+    The verdict at cutoff c is that on `reduce_map`(fmap, c), which keeps
+    slice 0 of every matrix.  `is_quasi_iso` decides on that residue, so
+    every cutoff gets the one verdict on fmap, decided once."""
     ring = fmap.source.ring
     if not ring.is_novikov:
         raise UnsupportedRing("completion towers live over Novikov rings")
     cutoffs = sorted(Fraction(c) for c in cutoffs)
     if cutoffs[-1] != ring.cutoff:
         raise EngineError("largest cutoff must match the ring")
+    if cutoffs[0] <= 0:
+        raise ValueError("need cutoff > 0")
     flags = []
     for side, cpx in (("source", fmap.source), ("target", fmap.target)):
         for d, m in cpx.diff.items():
@@ -661,8 +664,5 @@ def complete_tower(fmap: ChainMap, cutoffs, degrees) -> TowerReport:
                         f"{side} differential entry at degree {d} has positive "
                         f"valuation {ring.valuation(v)}"))
                     break
-    verdicts = {}
-    for c in cutoffs:
-        red = reduce_map(fmap, c) if c != ring.cutoff else fmap
-        verdicts[c] = is_quasi_iso(red, degrees)
-    return TowerReport(cutoffs, verdicts, flags)
+    return TowerReport(cutoffs, dict.fromkeys(cutoffs, is_quasi_iso(fmap, degrees)),
+                       flags)

@@ -494,8 +494,10 @@ def check_chain_maps(maps):
                     raise err
 
 
-def cone(f: ChainMap) -> ChainComplex:
-    """Mapping cone target (+) source[1]."""
+def cone(f: ChainMap, degrees=None) -> ChainComplex:
+    """Mapping cone target (+) source[1], built and checked for d^2 = 0 in
+    the given degrees only (every degree when None), with the differentials
+    between them."""
     if f.degree != 0:
         raise DegreeMismatch("cone needs a degree-0 map")
     S, T = f.source, f.target
@@ -505,17 +507,17 @@ def cone(f: ChainMap) -> ChainComplex:
         ls = [("c0", l) for l in T.labels(d)]
         sd = S.shift_deg(d, -1)
         ls += [("c1", l) for l in S.labels(sd)]
-        if ls:
+        if ls and (degrees is None or d in degrees):
             basis[d] = ls
     diff = {}
     for d, ls in basis.items():
         pd = S.pred(d)
         sd = S.shift_deg(d, -1)
-        # the c1 labels follow the c0 labels in every degree
-        diff[d] = linalg.block_matrix(ring, len(basis.get(pd, ())), len(ls), [
-            (T.d_mat(d), 0, 0, 1),
-            (S.d_mat(sd), T.dim(pd), T.dim(d), -1),
-            (f.mat(sd), 0, T.dim(d), 1)])
+        if pd in basis:  # the c1 labels follow the c0 labels in every degree
+            diff[d] = linalg.block_matrix(ring, len(basis[pd]), len(ls), [
+                (T.d_mat(d), 0, 0, 1),
+                (S.d_mat(sd), T.dim(pd), T.dim(d), -1),
+                (f.mat(sd), 0, T.dim(d), 1)])
     return ChainComplex(ring, S.grading, basis, diff)
 
 
@@ -573,6 +575,12 @@ def homology(C: ChainComplex, degree: int) -> HomologyReport:
     per call.  Over Z, d_out d_in = 0 is checked before it and
     NotADifferential names a witness otherwise.
     """
+    return _homology(C, degree, {})
+
+
+def _homology(C: ChainComplex, degree: int, ranks: dict) -> HomologyReport:
+    """`homology`, reading and filling ranks {e: rank of d_e}, so that a loop
+    over consecutive degrees ranks each differential once."""
     ring = C.ring
     if ring.is_novikov:
         raise UnsupportedRing(
@@ -583,13 +591,16 @@ def homology(C: ChainComplex, degree: int) -> HomologyReport:
         raise UnsupportedRing("Z2-graded homology needs field coefficients")
     if not ring.is_field and ring.kind != "Z":
         raise UnsupportedRing(f"homology not implemented over {ring!r}")
-    ker = C.dim(degree) - linalg.field_rank(C.d_mat(degree))
-    d_in = C.d_mat(C.succ(degree))
+    up = C.succ(degree)
+    for e in (degree, up) if ring.is_field else (degree,):
+        if e not in ranks:
+            ranks[e] = linalg.field_rank(C.d_mat(e))
+    ker = C.dim(degree) - ranks[degree]
     if ring.is_field:
-        return HomologyReport(degree, True,
-                              dimension=ker - linalg.field_rank(d_in))
-    C.check_d_squared(C.succ(degree))
-    factors = linalg.snf_diagonal(d_in)
+        return HomologyReport(degree, True, dimension=ker - ranks[up])
+    C.check_d_squared(up)
+    factors = linalg.snf_diagonal(C.d_mat(up))
+    ranks[up] = len(factors)
     free_rank = ker - len(factors)
     return HomologyReport(degree, False, free_rank=free_rank,
                           invariant_factors=[f for f in factors if f != 1])
@@ -629,25 +640,33 @@ def _sliced(x, new_ring):
 def is_quasi_iso(f: ChainMap, degrees) -> QuasiIsoResult:
     """True iff f induces isomorphisms on homology in every tested degree.
 
-    Decided through the mapping cone; over a truncated Novikov ring the
-    question is reduced to the residue field (valid for degreewise-free
-    complexes because the maximal ideal of the truncation is nilpotent).
+    Decided through the mapping cone: for Z-graded complexes and the window
+    [a, b] spanned by degrees, H_a .. H_{b+1} of the cone must vanish, and
+    only cone degrees a - 1 .. b + 2 are built (`cone` checks d^2 = 0 on
+    them); Z2-graded complexes test both slots of the full cone.  Each cone
+    differential is ranked once.  f is checked to be a chain map in all its
+    degrees at entry (`check_chain_maps`); d^2 = 0 of source and target is
+    their constructors' check.  Over a truncated Novikov ring the question
+    is reduced to the residue field (valid for degreewise-free complexes
+    because the maximal ideal of the truncation is nilpotent).
     """
     if f.degree != 0:
         raise DegreeMismatch("quasi-isomorphism test needs a degree-0 map")
+    check_chain_maps([f])
     ring = f.source.ring
     if ring.is_novikov:
-        return is_quasi_iso(_sliced(f, ring.base), degrees)
+        f = _sliced(f, ring.base)
     degrees = sorted(set(degrees))
     if not degrees:
         return QuasiIsoResult(True)
-    cn = cone(f)
     if f.source.grading == "Z2":
-        test = sorted({d % 2 for d in degrees} | {(d + 1) % 2 for d in degrees})
+        cn, test = cone(f), (0, 1)
     else:
-        test = list(range(degrees[0], degrees[-1] + 2))
+        test = range(degrees[0], degrees[-1] + 2)
+        cn = cone(f, range(degrees[0] - 1, degrees[-1] + 3))
+    ranks = {}
     for d in test:
-        h = homology(cn, d)
+        h = _homology(cn, d, ranks)
         if not h.is_zero():
             wd = d if d in degrees else max(degrees[0], d - 1)
             witness = {

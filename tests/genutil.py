@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from opbar import complexes
 from opbar.coeff import Ring
-from opbar.complexes import ChainComplex, ChainMap, cone
+from opbar.complexes import ChainComplex, ChainMap, cone, homology
 from opbar.errors import NoLift, NotAcyclic
 from opbar.linalg import Mat
 
@@ -210,11 +210,85 @@ def null_homotopy_oracle(C: ChainComplex) -> ChainMap:
     return h
 
 
+def full_cone_quasi_iso_oracle(f: ChainMap, degrees):
+    """(ok, witness) of `is_quasi_iso` by the full-cone route: the whole
+    cone(f), then `homology` in every tested degree, H_a .. H_{b+1} for the
+    window [a, b] (both slots when Z2-graded); over a Novikov ring on the
+    residue, taken entry by entry."""
+    ring = f.source.ring
+    if ring.is_novikov:
+        S, T = (_residue_complex_oracle(C) for C in (f.source, f.target))
+        f = f.map_coefficients(ring.base, ring.residue, S, T)
+    degrees = sorted(set(degrees))
+    if not degrees:
+        return True, None
+    cn = cone(f)
+    if f.source.grading == "Z2":
+        test = sorted({d % 2 for d in degrees} | {(d + 1) % 2 for d in degrees})
+    else:
+        test = list(range(degrees[0], degrees[-1] + 2))
+    for d in test:
+        h = homology(cn, d)
+        if not h.is_zero():
+            wd = d if d in degrees else max(degrees[0], d - 1)
+            return False, {"degree": wd, "cone_homology": h.format(),
+                           "source": homology(f.source, wd).format(),
+                           "target": homology(f.target, wd).format()}
+    return True, None
+
+
+def random_element(rng, ring):
+    """A seeded small element: an int in -3..3 over Z, Q and F_p, a
+    `random_novikov_element` over a Novikov ring."""
+    if ring.is_novikov:
+        return random_novikov_element(rng, ring, 0)
+    return ring.from_int(rng.randint(-3, 3))
+
+
+def random_chain_map(rng, ring, tag=""):
+    """A seeded degree-0 chain map g + d h + h d, which may or may not be a
+    quasi-isomorphism.  g is one of: a scaled identity of a random complex
+    S; the inclusion of S into S (+) S' or the projection of S (+) S' onto
+    S, with S' random or acyclic; the zero map to a random complex.  h is a
+    random degree-1 map, so d h + h d is null-homotopic."""
+    S = random_complex(rng, ring, tag=f"{tag}s")
+    kind = rng.choice(["scale", "include", "project", "zero"])
+    if kind == "scale":
+        c = random_element(rng, ring)
+        g = ChainMap(S, S, 0, {d: Mat.identity(ring, S.dim(d)).scale(c)
+                               for d in S.degrees()})
+    elif kind == "zero":
+        g = ChainMap.zero(S, random_complex(rng, ring, tag=f"{tag}t"))
+    else:
+        other = (random_acyclic(rng, ring, tag=f"{tag}a") if rng.random() < 0.5
+                 else random_complex(rng, ring, tag=f"{tag}o"))
+        total, inc, _ = S.direct_sum(other)
+        g = inc if kind == "include" else ChainMap.from_label_fn(
+            total, S, 0, lambda l: (l[1], 1) if l[0] == "s0" else None)
+    S, T = g.source, g.target
+    h = {d: Mat.zeros(ring, T.dim(d + 1), S.dim(d)) for d in S.degrees()}
+    for d, m in h.items():
+        for i in range(m.nrows):
+            for j in range(m.ncols):
+                if rng.random() < 0.3:
+                    m.set(i, j, random_element(rng, ring))
+    zero = lambda d: Mat.zeros(ring, T.dim(d), S.dim(d - 1))
+    mats = {d: g.mat(d).add(T.d_mat(d + 1).mul(h[d])).add(
+        h.get(d - 1, zero(d)).mul(S.d_mat(d))) for d in S.degrees()}
+    return ChainMap(S, T, 0, mats)
+
+
 def window_columns(structure, k, top):
     """`_window` in labels: the basis tensors (zs, okey)."""
     labels = structure._labels
     for ids, okey in structure._window(k, top):
         yield tuple(labels[z] for z in ids), okey
+
+
+def realized_degree(structure, z):
+    """The degree of the realized label z = ("lv", n, word): the word's
+    degree plus its level n."""
+    return structure.calc.deg(z[2]) + z[1]
 
 
 def chain_map_sides(structure, zs, okey):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from opbar import barcat, linalg
 from opbar.barcat import (
     BarBimoduleComplex,
     _free_quotient,
@@ -16,7 +17,7 @@ from opbar.barcat import (
     two_sided_bar,
 )
 from opbar.coeff import Ring
-from opbar.complexes import ChainComplex, ChainMap, _sliced, homology, is_quasi_iso
+from opbar.complexes import ChainComplex, ChainMap, _sliced, cone, homology, is_quasi_iso
 from opbar.dgcat import (
     DgCategory,
     DgFunctor,
@@ -33,7 +34,8 @@ from opbar.errors import EngineError, NonCommutingSquare
 from opbar.linalg import Mat
 from opbar.symgrp import Perm
 
-from .genutil import NOVIKOV_RINGS, cyclic_group_homology_oracle, novikov_conjugate, \
+from .genutil import NOVIKOV_RINGS, cyclic_group_homology_oracle, full_cone_quasi_iso_oracle, \
+    novikov_conjugate, \
     random_complex, random_novikov_acyclic, random_novikov_element, random_two_term
 
 Z = Ring.Z()
@@ -110,6 +112,50 @@ def test_bar_acyclicity_onto_module():
     assert q.compose(f).eq(p)
     window = [d for d in bar.realized.reliable_degrees if d >= 0]
     assert is_quasi_iso(p, window).ok
+
+
+S3_GENS = [Perm((2, 1, 3)), Perm((2, 3, 1))]
+
+
+def _s3_augmentation(ring, module):
+    """(p, window): the augmentation of B(k, k[S_3], M) onto k (x)_{k[S_3]} M
+    at n_max 3, M trivial or regular, and its window of reliable degrees
+    >= 0."""
+    C = group_ring_category(ring, 3, S3_GENS)
+    Ml = trivial_left_module(C) if module == "trivial" else \
+        under_functor_left_module(DgFunctor.identity(C), C.objects[0])
+    bar = two_sided_bar(trivial_right_module(C), C, Ml, 3)
+    return bar.augmentation_maps()[0], [d for d in bar.realized.reliable_degrees
+                                        if d >= 0]
+
+
+@pytest.mark.parametrize("ring,module,ok", [
+    (Q, "trivial", True), (Q, "regular", True), (Z, "regular", True),
+    (Z, "trivial", False)], ids=["q_trivial", "q_regular", "z_regular", "z_trivial"])
+def test_s3_augmentation_verdicts_match_the_full_cone(ring, module, ok):
+    """B(k, k[S_3], k[S_3]) ~ k always, B(k, k[S_3], k) ~ k only rationally:
+    over Z the cone has H_1 = H_1(S_3) = Z/2.  The windowed cone agrees
+    with the full one, whose top level no tested degree reads."""
+    p, window = _s3_augmentation(ring, module)
+    got = is_quasi_iso(p, window)
+    assert (got.ok, got.witness) == full_cone_quasi_iso_oracle(p, window)
+    assert got.ok == ok
+    if not ok:
+        assert got.witness["cone_homology"] == "Z/2"
+
+
+def test_quasi_iso_ranks_each_cone_differential_once(monkeypatch):
+    """On the regular S_3 bar over Q, `field_rank` runs once per cone
+    differential that the window [a, b] reads: d_a .. d_{b+2}."""
+    p, window = _s3_augmentation(Q, "regular")
+    ranked = []
+    field_rank = linalg.field_rank
+    monkeypatch.setattr(linalg, "field_rank", lambda m: ranked.append(m) or field_rank(m))
+    assert is_quasi_iso(p, window).ok
+    a, b = window[0], window[-1]
+    cn = cone(p, range(a - 1, b + 3))
+    assert len(ranked) == b - a + 3
+    assert ranked == [cn.d_mat(e) for e in range(a, b + 3)]
 
 
 def test_augmentation_triangle_on_group_bar():
@@ -374,6 +420,32 @@ def test_seeded_tower_verdicts_and_flags():
         assert len(rep.flags) == 2 * len(C.diff) == 4
         if not ok:
             assert {v.witness["degree"] for v in rep.verdicts.values()} == {0}
+
+
+@pytest.mark.parametrize("unit", [True, False], ids=["one_plus_t", "t"])
+def test_tower_decides_once_and_agrees_with_each_cutoff(monkeypatch, unit):
+    """`complete_tower` calls `is_quasi_iso` once; its verdict at every
+    cutoff is that of `is_quasi_iso` on the map reduced to the cutoff, for
+    (1 + T^(1/2)) id and for T^(1/2) id, which is not invertible."""
+    nov = Ring.novikov(Q, 2, 2)
+    C = random_novikov_acyclic(random.Random("seeded tower"), nov)
+    C = C.direct_sum(ChainComplex.single(nov, "lone", 0))[0]
+    t = nov.monomial(1, Fraction(1, 2))
+    u = nov.add(nov.one, t) if unit else t
+    f = ChainMap(C, C, 0, {d: Mat.identity(nov, C.dim(d)).scale(u)
+                           for d in C.degrees()})
+    cutoffs, window = [Fraction(1, 2), 1, Fraction(3, 2), 2], range(-2, 4)
+    calls = []
+    monkeypatch.setattr(barcat, "is_quasi_iso",
+                        lambda *a: calls.append(a) or is_quasi_iso(*a))
+    rep = complete_tower(f, cutoffs, window)
+    assert len(calls) == 1
+    for c in cutoffs:
+        want = is_quasi_iso(reduce_map(f, c) if c != 2 else f, window)
+        assert want.ok == unit
+        assert (rep.verdicts[c].ok, rep.verdicts[c].witness) == (want.ok, want.witness)
+    with pytest.raises(ValueError, match="cutoff > 0"):
+        complete_tower(f, [0, 2], window)
 
 
 def _z_triangle():

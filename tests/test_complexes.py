@@ -20,9 +20,10 @@ from opbar.errors import DegreeMismatch, MixedRings, NotAcyclic, NotADifferentia
 import opbar.linalg as linalg
 from opbar.linalg import Mat
 
-from .genutil import NOVIKOV_RINGS, C_dh_plus_hd, novikov_conjugate, null_homotopy_oracle, \
-    random_acyclic, random_complex, random_novikov_acyclic, random_novikov_element, \
-    random_unitriangular, unitriangular_inverse
+from .genutil import NOVIKOV_RINGS, C_dh_plus_hd, full_cone_quasi_iso_oracle, \
+    novikov_conjugate, null_homotopy_oracle, random_acyclic, random_chain_map, \
+    random_complex, random_novikov_acyclic, random_novikov_element, random_unitriangular, \
+    unitriangular_inverse
 
 Z = Ring.Z()
 Q = Ring.Q()
@@ -367,6 +368,76 @@ def test_quasi_iso_times_two_fails():
     assert not res.ok
     assert res.witness["degree"] == 0
     assert res.witness["cone_homology"] == "Z/2"
+
+
+@pytest.mark.parametrize("ring", [Z, Q, Ring.Fp(3), NOVIKOV_RINGS["q_2_2"]],
+                         ids=["z", "q", "f3", "nov_q_2_2"])
+def test_quasi_iso_matches_the_full_cone_oracle(ring):
+    """The windowed cone gives the verdict and witness of the full cone on
+    seeded maps, with windows that cut source and target at either end and
+    windows with gaps; the sweep holds quasi-isomorphisms and maps that are
+    not."""
+    rng = random.Random(f"quasi-iso:{ring!r}")
+    seen = set()
+    for k in range(40):
+        f = random_chain_map(rng, ring, tag=f"m{k}")
+        degs = sorted(set(f.source.degrees()) | set(f.target.degrees()))
+        lo, hi = degs[0], degs[-1]
+        for _ in range(3):
+            a = rng.randint(lo - 1, hi + 1)
+            b = rng.randint(a, hi + 1)
+            window = [d for d in range(a, b + 1)
+                      if d in (a, b) or rng.random() < 0.7]
+            got = is_quasi_iso(f, window)
+            assert (got.ok, got.witness) == full_cone_quasi_iso_oracle(f, window)
+            seen |= {got.ok, ("cut below", a > lo), ("cut above", b < hi)}
+    assert seen >= {True, False, ("cut below", True), ("cut above", True)}
+
+
+@pytest.mark.parametrize("ring", [Q, Ring.Fp(3), NOVIKOV_RINGS["q_2_2"]],
+                         ids=["q", "f3", "nov_q_2_2"])
+def test_quasi_iso_z2_matches_the_full_cone_oracle(ring):
+    """Z/2-graded: two copies of x -> y, one from each slot; c id for
+    seeded c, which is a quasi-isomorphism iff c is a unit (on the
+    residue)."""
+    rng = random.Random(f"quasi-iso z2:{ring!r}")
+    verdicts = set()
+    for _ in range(12):
+        u, v, c = (random_novikov_element(rng, ring, 0) if ring.is_novikov
+                   else ring.from_int(rng.randint(0, 2)) for _ in range(3))
+        C = ChainComplex(ring, "Z2", {0: ["a", "b"], 1: ["c", "e"]},
+                         {1: Mat(ring, 2, 2, {(0, 0): u}), 0: Mat(ring, 2, 2, {(1, 1): v})})
+        f = ChainMap(C, C, 0, {d: Mat.identity(ring, 2).scale(c) for d in (0, 1)})
+        for window in ([0], [1], [0, 1], [3]):
+            got = is_quasi_iso(f, window)
+            assert (got.ok, got.witness) == full_cone_quasi_iso_oracle(f, window)
+            verdicts.add(got.ok)
+    assert verdicts == {True, False}
+
+
+def test_quasi_iso_checks_the_map_outside_the_window():
+    """f fails d f = f d only at e in degree 4, past the cone degrees that
+    the window [0, 1] builds: the entry check still names e."""
+    c = ChainComplex.free(Z, {0: ["a"], 1: ["b"], 3: ["c"], 4: ["e"]},
+                          {(1, "b", "a"): 2, (4, "e", "c"): 1})
+    f = ChainMap(c, c, 0, {d: Mat.identity(Z, 1) for d in (0, 1, 3)},
+                 validate=False)
+    with pytest.raises(DegreeMismatch, match="'e'") as err:
+        is_quasi_iso(f, range(0, 2))
+    assert (err.value.witness["degree"], err.value.witness["label"]) == (4, "e")
+    assert is_quasi_iso(ChainMap.identity(c), range(0, 2)).ok
+
+
+def test_windowed_cone_keeps_the_window_and_its_differentials():
+    rng = random.Random(11)
+    for k in range(10):
+        f = random_chain_map(rng, Q, tag=f"w{k}")
+        full = cone(f)
+        for window in (range(-1, 2), range(0, 4), range(2, 3)):
+            cut = cone(f, window)
+            assert cut.basis == {d: ls for d, ls in full.basis.items() if d in window}
+            assert cut.diff == {d: m for d, m in full.diff.items()
+                                if d in window and d - 1 in window}
 
 
 # -- null_homotopy -------------------------------------------------------------
