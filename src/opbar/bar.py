@@ -29,7 +29,7 @@ from .errors import EngineError, NonPermutationAction
 from .fixtures import unit_operad
 from .lincomb import add_into, linear
 from .linalg import block_matrix
-from .multicat import MultiAlgebra, MultiCat, MultiFunctor, _group_gens
+from .multicat import MultiAlgebra, MultiCat, MultiFunctor, _group_gens, aut_group
 from .simplicial import RealizedComplex, SimplicialComplexObj, realize, shuffles
 from .symgrp import GroupRingModule, Perm, koszul_sign, tensor_over_group_ring
 
@@ -447,9 +447,7 @@ def _ordered_form(M, calc, carriers, y, cpx):
                                 validate=False)
             leafc = ChainComplex.tensor_many(
                 ring, [carriers[x] for x in xs], tag="x")
-            auts = [p for p in itertools.permutations(range(1, n + 1))
-                    if tuple(xs[i - 1] for i in p) == xs]
-            gens = _group_gens([Perm(p) for p in auts])
+            gens = _group_gens(aut_group(xs))
             right = GroupRingModule(
                 "right", n, gens, homc,
                 [_act_hom_map(M, homc, g) for g in gens])

@@ -627,7 +627,7 @@ def _sliced(x, new_ring):
     target takes that complex over once."""
     ring = x.ring if isinstance(x, ChainComplex) else x.source.ring
     keep = math.ceil(new_ring.cutoff * ring.grid) if new_ring.is_novikov else 1
-    mats = {d: linalg.from_slices(new_ring, linalg.slices(ring, m)[:keep],
+    mats = {d: linalg.from_slices(new_ring, linalg.slices(m)[:keep],
                                   m.nrows, m.ncols)
             for d, m in (x.diff if isinstance(x, ChainComplex) else x.mats).items()}
     if isinstance(x, ChainComplex):
@@ -652,10 +652,11 @@ def is_quasi_iso(f: ChainMap, degrees) -> QuasiIsoResult:
     """
     if f.degree != 0:
         raise DegreeMismatch("quasi-isomorphism test needs a degree-0 map")
-    check_chain_maps([f])
     ring = f.source.ring
-    if ring.is_novikov:
-        f = _sliced(f, ring.base)
+    with linalg.check_pass():  # the slices reuse the check's int forms
+        check_chain_maps([f])
+        if ring.is_novikov:
+            f = _sliced(f, ring.base)
     degrees = sorted(set(degrees))
     if not degrees:
         return QuasiIsoResult(True)
@@ -680,53 +681,39 @@ def is_quasi_iso(f: ChainMap, degrees) -> QuasiIsoResult:
 
 
 def _splitting_homotopy(C: ChainComplex) -> ChainMap:
-    """Contraction of an acyclic complex over a field, via an exact splitting."""
+    """Contraction h of an acyclic complex over a field, via an exact
+    splitting.  In each degree the columns of d that `linalg.eliminate`
+    keeps (each independent of the columns before it) give W_d, with d W_d
+    a basis of the boundaries B_{d-1}; if C is acyclic, C_d = B_d (+) W_d.
+    One `field_solve_mat` writes every basis vector in that basis, and h
+    sends d w to w and W_d to 0; NotAcyclic when the solve fails."""
     ring = C.ring
-    degs = C.degrees()
-    selected = {}
-    image_basis = {}
-    for d in degs:
-        pivots = {}
-        chosen = []
-        img_vecs = []
-        for j, col in sorted(C.d_mat(d).columns().items()):
-            before = len(pivots)
-            linalg._rref_insert(ring, col, pivots)
-            if len(pivots) > before:
-                chosen.append(j)
-                img_vecs.append(col)
-        selected[d] = chosen
-        image_basis[C.pred(d)] = img_vecs
+    W = {}  # degree: the (index, column) of d that eliminate keeps
+    for d in C.degrees():
+        cols = sorted(C.d_mat(d).columns().items())
+        W[d] = [cols[t] for t in linalg.eliminate(ring, [col for _, col in cols])[0]]
     mats = {}
-    for d in degs:
-        n = C.dim(d)
-        img = image_basis.get(d, [])
-        w_cols = selected.get(d, [])
-        sd = C.succ(d)
-        wn = selected.get(sd, [])
-        big = Mat.zeros(ring, n, len(img) + len(w_cols))
-        for j, vec in enumerate(img):
-            for i, v in vec.items():
-                big.set(i, j, v)
-        for j, cidx in enumerate(w_cols):
-            big.set(cidx, len(img) + j, ring.one)
+    for d in C.degrees():
+        n, up = C.dim(d), W.get(C.succ(d), [])
+        big = Mat(ring, n, len(up) + len(W[d]), {
+            (i, j): v for j, (_, col) in enumerate(up) for i, v in col.items()})
+        big.d.update(((w, len(up) + j), ring.one) for j, (w, _) in enumerate(W[d]))
         sol = linalg.field_solve_mat(big, Mat.identity(ring, n))
         if sol is None:
             raise NotAcyclic(f"complex is not acyclic in degree {d}")
-        h = Mat.zeros(ring, C.dim(sd), n)
-        h.d = {(wn[i], col): v for (i, col), v in sol.d.items()
-               if i < len(img)}
-        mats[d] = h
+        mats[d] = Mat(ring, C.dim(C.succ(d)), n)
+        mats[d].d = {(up[i][0], c): v for (i, c), v in sol.d.items() if i < len(up)}
     return ChainMap(C, C, 1, mats, validate=False)
 
 
 def null_homotopy(C: ChainComplex) -> ChainMap:
     """h of degree +1 with d h + h d = id, for acyclic degreewise-free C.
 
-    Over a field this is an exact linear splitting (`_splitting_homotopy`).
-    Over a truncated Novikov ring it is lifted on the grid-slice view
-    (`linalg.slices`): D_a is the T^(a/q) coefficient of d, the residue
-    contraction H_0 = hbar of D_0 is a splitting over the base field, and
+    Over a field this is an exact linear splitting (`_splitting_homotopy`,
+    on the one field elimination of `linalg`).  Over a truncated Novikov
+    ring it is lifted on the grid-slice view (`linalg.slices`, one int form
+    of each matrix of d): D_a is the T^(a/q) coefficient of d, the residue
+    contraction H_0 = hbar of D_0 is that splitting over the base field, and
     slice k >= 1 of h is H_k = -E_k hbar, where E_k = sum_{a+b=k, b<k}
     (D_a H_b + H_b D_a) is slice k of d h + h d for the slices found so far;
     E_k commutes with D_0, so adding T^k H_k cancels it.  Before h is
@@ -740,12 +727,14 @@ def null_homotopy(C: ChainComplex) -> ChainMap:
     base = ring if ring.is_field else ring.base
     no_contraction = ("no contraction exists: complex has homology" if ring.is_field
                       else "residue complex has homology, so C is not acyclic")
+    with linalg.check_pass():  # the residue and D share each int form
+        D = {d: [linalg.column_form(ring, m)] if ring.is_field else linalg.slices(m)
+             for d, m in C.diff.items()}
+        Cbar = C if ring.is_field else _sliced(C, base)
     try:
-        hbar = _splitting_homotopy(C if ring.is_field else _sliced(C, base))
+        hbar = _splitting_homotopy(Cbar)
     except NotAcyclic as err:
         raise err if ring.is_field else NotAcyclic(no_contraction)
-    D = {d: [linalg.column_form(ring, m)] if ring.is_field else linalg.slices(ring, m)
-         for d, m in C.diff.items()}
     H = {d: [linalg.column_form(base, m)] for d, m in hbar.mats.items()}
     minus_hbar = {d: linalg.column_form(base, m.neg()) for d, m in hbar.mats.items()}
 

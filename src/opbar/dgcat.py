@@ -42,7 +42,6 @@ class _Module:
         carriers = {a: zero if complexes.get(a) is None else complexes[a]
                     for a in cat.objects}
         self.A = MultiAlgebra(M, carriers, action, name)
-        self._diff_cache = {}
 
     def complex(self, a) -> ChainComplex:
         return self.A.carrier(a)
@@ -52,13 +51,9 @@ class _Module:
         return [(a, d, l) for d in c.degrees() for l in c.labels(d)]
 
     def diff_key(self, key) -> dict:
-        """d of a basis element, memoized per key: callers only read it."""
-        cached = self._diff_cache.get(key)
-        if cached is None:
-            a, d, l = key
-            cached = self._diff_cache[key] = {
-                (a,) + k: v for k, v in self.A.diff_carrier(a, (d, l)).items()}
-        return cached
+        """d of a basis element."""
+        a, d, l = key
+        return {(a,) + k: v for k, v in self.A.diff_carrier(a, (d, l)).items()}
 
     def _stored(self, obj, lc, odd) -> dict:
         """A builder's value {(obj, d, l): c} as {(d, l): +-c} for `A`."""

@@ -8,11 +8,13 @@ as {index: value} dicts.  No floats anywhere.  One kernel per job:
   the product's values once (`_restore`), while every exact check decides
   on the forms (`columns_equal` or an emptiness test), each matrix formed
   once per `check_pass`, and restores values only to name a witness;
-* `field_rank` -- ranks over Q and F_p, and of integer matrices as their
-  rank over Q (all homology): forward elimination over plain ints, no
-  back-reduction;
-* `field_solve_mat` -- one fully reduced row echelon form (`_field_rref`)
-  of the matrix with every right-hand side, through the ring operations;
+* field elimination -- one forward elimination over plain ints
+  (`eliminate`: primitive integer rows over Q, monic residues over F_p,
+  over Z the rank over Q) and one back-reduction (`reduced_echelon`),
+  which restores values once.  `field_rank` counts the pivots (all
+  homology); `field_solve_mat` fully reduces the matrix with every
+  right-hand side; `quotient.by_span` reduces the relation spans, and the
+  null homotopy's splitting keeps the columns `eliminate` keeps;
 * the integer routines -- one Smith diagonalization (`_ZWorker`) whose
   pivot is the first +-1 entry of the trailing block, or without one the
   smallest-magnitude entry with the fewest fill.  `snf_diagonal` (the
@@ -418,16 +420,18 @@ def _restore(ring: Ring, form) -> dict:
     return out
 
 
-def slices(ring: Ring, m: Mat) -> list:
+def slices(m: Mat) -> list:
     """The grid-slice view of a Novikov matrix m: [S_0, ..., S_{K-1}], K =
     ceil(c * q), S_k the base-field column form of the T^(k/q) coefficients
-    (None when they are all 0), over the one den of m's int form."""
-    den, ints = _nov_int_form(ring, m.d)
+    (None when they are all 0), over the one den of m's int form, regrouped
+    from `form(m)` (so formed once per check pass)."""
+    den, cols, _ = form(m)
     out = [[{} for _ in range(m.ncols)]
-           for _ in range(math.ceil(ring.cutoff * ring.grid))]
-    for (i, j), terms in ints.items():
-        for k, n in terms:
-            out[k][j][i] = n
+           for _ in range(math.ceil(m.ring.cutoff * m.ring.grid))]
+    for j, col in enumerate(cols):
+        for i, terms in col.items():
+            for k, n in terms:
+                out[k][j][i] = n
     return [(den, cols, None) if any(cols) else None for cols in out]
 
 
@@ -500,8 +504,91 @@ def block_matrix(ring: Ring, nrows: int, ncols: int, blocks) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# Field routines (Gaussian elimination on dict-of-rows)
+# Field routines: one elimination over plain ints
 # ---------------------------------------------------------------------------
+
+
+def _int_row(ring: Ring, row: dict) -> dict:
+    """The row {col: value} as plain ints: over F_p a copy (the values are
+    residues), over Q a new primitive integer row, over Z the row itself."""
+    if ring.p:
+        return dict(row)
+    if ring.kind != "Q":
+        return row
+    den = math.lcm(*(v.denominator for v in row.values()))
+    row = {k: v.numerator * (den // v.denominator) for k, v in row.items() if v}
+    g = math.gcd(*row.values())
+    return {k: v // g for k, v in row.items()} if g > 1 else row
+
+
+def _clear(row: dict, prow: dict, j: int, p) -> dict:
+    """row with its entry at column j cleared by the pivot row prow: over
+    F_p row - c * prow, prow monic, in place; over Q and Z a new row
+    a * row - c * prow (a, c the entries of prow and row at j over their
+    gcd), divided by its content."""
+    c = row[j]
+    if p:
+        for k, v in prow.items():
+            w = (row.get(k, 0) - c * v) % p
+            if w:
+                row[k] = w
+            else:
+                del row[k]
+        return row
+    a = prow[j]
+    g = math.gcd(a, c)
+    a, c = a // g, c // g
+    row = {k: a * v for k, v in row.items()}
+    for k, v in prow.items():
+        w = row.get(k, 0) - c * v
+        if w:
+            row[k] = w
+        else:
+            del row[k]
+    g = math.gcd(*row.values())
+    return {k: v // g for k, v in row.items()} if g > 1 else row
+
+
+def eliminate(ring: Ring, rows) -> tuple:
+    """(kept, pivots): forward elimination of the rows {col: value} over Q,
+    F_p or Z (there over Q), in order, on plain ints (`_int_row`), without
+    back-reduction.  Each row is cleared at its least column until that
+    column has no pivot row, then inserted there, monic over F_p.  kept
+    lists the positions of the rows independent of the rows before them;
+    pivots maps each leading column to its int row."""
+    p = ring.p
+    kept, pivots = [], {}
+    for t, row in enumerate(rows):
+        row = _int_row(ring, row)
+        while row:
+            j = min(row)
+            prow = pivots.get(j)
+            if prow is None:
+                if p:
+                    inv = pow(row[j], -1, p)
+                    row = {k: v * inv % p for k, v in row.items()}
+                pivots[j] = row
+                kept.append(t)
+                break
+            row = _clear(row, prow, j, p)
+    return kept, pivots
+
+
+def reduced_echelon(ring: Ring, pivots: dict) -> dict:
+    """The fully reduced row echelon form of `eliminate`'s pivot rows over
+    Q or F_p: {pivot column: row}, each row 1 at its pivot and 0 at every
+    other pivot column.  The rows are back-reduced from the last pivot over
+    plain ints, then their values restored once."""
+    out = {}
+    for j in sorted(pivots, reverse=True):
+        row = dict(pivots[j])
+        for k in [k for k in row if k != j and k in out]:
+            row = _clear(row, out[k], k, ring.p)
+        out[j] = row
+    if ring.p:
+        return out
+    return {j: {k: Fraction(v, row[j]) for k, v in row.items()}
+            for j, row in out.items()}
 
 
 def _rows_of(mat: Mat):
@@ -511,133 +598,30 @@ def _rows_of(mat: Mat):
     return rows
 
 
-def _rref_insert(ring, row, pivots):
-    """Reduce a row against a fully reduced pivot set, then insert it.
-
-    `pivots` maps pivot column -> row dict; every pivot row has a unit pivot
-    and contains no other pivot column, and that invariant is preserved.
-    Non-integer column keys (the right-hand sides ("rhs", j)) are never
-    chosen as pivots.
-    """
-    row = dict(row)
-    for j in [j for j in row if j in pivots]:
-        c = row.pop(j)
-        if ring.is_zero(c):
-            continue
-        for kk, vv in pivots[j].items():
-            if kk == j:
-                continue
-            acc = ring.sub(row.get(kk, ring.zero), ring.mul(c, vv))
-            if ring.is_zero(acc):
-                row.pop(kk, None)
-            else:
-                row[kk] = acc
-    real_cols = [k for k in row if isinstance(k, int)]
-    if not real_cols:
-        return row if row else None
-    j = min(real_cols)
-    inv = ring.invert(row[j])
-    row = {k: ring.mul(inv, v) for k, v in row.items()}
-    for pj, prow in pivots.items():
-        c = prow.get(j)
-        if c is None:
-            continue
-        for kk, vv in row.items():
-            if kk == j:
-                prow.pop(j, None)
-                continue
-            acc = ring.sub(prow.get(kk, ring.zero), ring.mul(c, vv))
-            if ring.is_zero(acc):
-                prow.pop(kk, None)
-            else:
-                prow[kk] = acc
-    pivots[j] = row
-    return None
-
-
-def _field_rref(mat: Mat, rhs: Mat | None = None):
-    """Fully reduced row echelon form of mat, with the columns of rhs
-    carried along under the keys ("rhs", j); returns (pivots, inconsistent),
-    inconsistent when some row of mat reduces to zero but its rhs does not."""
-    rows = _rows_of(mat)
-    if rhs is not None:
-        for (i, j), v in rhs.d.items():
-            rows.setdefault(i, {})[("rhs", j)] = v
-    pivots = {}
-    inconsistent = False
-    for i in range(mat.nrows):
-        row = rows.get(i)
-        if row and _rref_insert(mat.ring, row, pivots):
-            inconsistent = True
-    return pivots, inconsistent
-
-
 def field_rank(mat: Mat) -> int:
-    """The rank over Q (of an integer or rational matrix) or over F_p, by
-    forward elimination over plain ints, without back-reduction.
-
-    Over Q each row is cleared to coprime integers; a row whose leading
-    column has a pivot row becomes a * row - c * pivot row (a, c the two
-    leading entries over their gcd), divided by its content.  Over F_p the
-    entries are residues and pivot rows are monic."""
+    """The rank over Q (of an integer or rational matrix) or over F_p: the
+    number of pivots of `eliminate`, without back-reduction."""
     ring = mat.ring
     if ring.kind not in ("Q", "Z", "Fp"):
         raise ValueError(f"field_rank needs Q, Z or F_p, not {ring!r}")
-    p = ring.p
-    rows = _rows_of(mat)
-    pivots = {}
-    for row in rows.values():
-        if ring.kind == "Q":
-            den = math.lcm(*(v.denominator for v in row.values()))
-            row = {k: v.numerator * (den // v.denominator)
-                   for k, v in row.items()}
-            g = math.gcd(*row.values())
-            if g > 1:
-                row = {k: v // g for k, v in row.items()}
-        while row:
-            j = min(row)
-            prow = pivots.get(j)
-            if prow is None:
-                if p:
-                    inv = pow(row[j], -1, p)
-                    row = {k: v * inv % p for k, v in row.items()}
-                pivots[j] = row
-                break
-            c = row[j]
-            if p:
-                for k, v in prow.items():
-                    w = (row.get(k, 0) - c * v) % p
-                    if w:
-                        row[k] = w
-                    else:
-                        row.pop(k, None)
-                continue
-            a = prow[j]
-            g = math.gcd(a, c)
-            a, c = a // g, c // g
-            row = {k: a * v for k, v in row.items()}
-            for k, v in prow.items():
-                w = row.get(k, 0) - c * v
-                if w:
-                    row[k] = w
-                else:
-                    row.pop(k, None)
-            g = math.gcd(*row.values())
-            if g > 1:
-                row = {k: v // g for k, v in row.items()}
-    return len(pivots)
+    return len(eliminate(ring, _rows_of(mat).values())[1])
 
 
 def field_solve_mat(mat: Mat, rhs: Mat):
     """One solution X of mat @ X = rhs over a field, free variables 0, from
-    one elimination of mat with every column of rhs; None if any column of
-    rhs is outside the column space of mat."""
-    pivots, inconsistent = _field_rref(mat, rhs)
-    if inconsistent:
+    one elimination of [mat | rhs], column c of rhs under the key
+    mat.ncols + c; None if any column of rhs is outside the column space of
+    mat, which is when some pivot falls in rhs."""
+    ring, n = mat.ring, mat.ncols
+    rows = _rows_of(mat)
+    for (i, c), v in rhs.d.items():
+        rows.setdefault(i, {})[n + c] = v
+    pivots = eliminate(ring, rows.values())[1]
+    if pivots and max(pivots) >= n:
         return None
-    out = Mat(mat.ring, mat.ncols, rhs.ncols)
-    out.d = {(i, key[1]): v for i, row in pivots.items()
-             for key, v in row.items() if not isinstance(key, int)}
+    out = Mat(ring, n, rhs.ncols)
+    out.d = {(j, k - n): v for j, row in reduced_echelon(ring, pivots).items()
+             for k, v in row.items() if k >= n}
     return out
 
 

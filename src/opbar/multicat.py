@@ -661,7 +661,6 @@ class DgCategory:
             lambda M, f, i, g: _relabel(
                 _multi_key, compose_fn(self, _dg_key(f), _dg_key(g))),
             _one_ary, units, name)
-        self._diff_cache = {}
         self._op = None
 
     @property
@@ -682,12 +681,8 @@ class DgCategory:
         return (a, a, 0, self.units[a])
 
     def diff_key(self, key) -> dict:
-        """d of a basis morphism, memoized per key: callers only read it."""
-        cached = self._diff_cache.get(key)
-        if cached is None:
-            cached = self._diff_cache[key] = _relabel(
-                _dg_key, self.M.diff_key(_multi_key(key)))
-        return cached
+        """d of a basis morphism."""
+        return _relabel(_dg_key, self.M.diff_key(_multi_key(key)))
 
     def compose_keys(self, ukey, vkey) -> dict:
         """u then v, for u: a -> b and v: b -> c."""
@@ -910,10 +905,13 @@ class PropData:
         self.seq_len_max = seq_len_max
         self.identity_flags = identity_flags
 
-    def aut_group(self, seq):
-        n = len(seq)
-        return [Perm(p) for p in itertools.permutations(range(1, n + 1))
-                if tuple(seq[i - 1] for i in p) == tuple(seq)]
+
+def aut_group(xs) -> list:
+    """Aut(xs), the stabilizer of an object sequence: every permutation p
+    of 1..n with xs[p(i)] = xs[i] for all i, as a Perm."""
+    xs = tuple(xs)
+    return [Perm(p) for p in itertools.permutations(range(1, len(xs) + 1))
+            if tuple(xs[i - 1] for i in p) == xs]
 
 
 def prop_of(M: MultiCat, seq_len_max: int) -> PropData:
@@ -1038,9 +1036,7 @@ def _prop_compose(ring, M, C, ukey, vkey):
 
 def _identity_flag(M, cat, a) -> bool:
     """Does P(a, a) equal the group ring of Aut(a) on permutation morphisms?"""
-    n = len(a)
-    auts = [Perm(p) for p in itertools.permutations(range(1, n + 1))
-            if tuple(a[i - 1] for i in p) == tuple(a)]
+    auts = aut_group(a)
     hom = cat.hom(a, a)
     if hom is None or hom.degrees() != [0] or hom.dim(0) != len(auts):
         return False
@@ -1093,7 +1089,7 @@ def check_freeness(M: MultiCat, pi: MultiFunctor) -> FreenessReport:
     freeness1 = True
     f1 = {}
     for a in prop.cat.objects:
-        auts = prop.aut_group(a)
+        auts = aut_group(a)
         gens = _group_gens(auts)
         for b in prop.cat.objects:
             hom = prop.cat.hom(a, b)

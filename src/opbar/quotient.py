@@ -14,8 +14,10 @@ Three front ends compute the basis, P and S:
   least index of an orbit, `simplicial.normalized_realization` every
   non-degenerate label.  The quotient basis is the representatives' labels
   in basis order.
-* `by_span`, over a field: the relations in reduced echelon form; the
-  quotient basis is the non-pivot labels.
+* `by_span`, over a field: the relations in fully reduced row echelon
+  form, from the one field elimination of `linalg` (`eliminate` over plain
+  ints, then `reduced_echelon`); the quotient basis is the non-pivot
+  labels.
 * `by_z_span`, over Z: one Smith diagonalization of the relation matrix
   that tracks the row transform U and its inverse; the quotient must be
   free (torsion raises UnsupportedRing), with basis labels ("q", degree, t).
@@ -29,12 +31,13 @@ from __future__ import annotations
 
 from .complexes import ChainComplex, ChainMap
 from .errors import DegreeMismatch, UnsupportedRing
-from .linalg import Mat, _rref_insert, _ZWorker
+from .linalg import Mat, _ZWorker, eliminate, reduced_echelon
 
 
 def _assemble(C: ChainComplex, basis: dict, proj: dict, section: dict):
     """(quotient, projection) from {degree: quotient labels} and the
-    matrices P_d and S_d for every degree of C."""
+    matrices P_d and S_d for every degree of C.  When the relations span no
+    subcomplex, DegreeMismatch keeps the failing label's ``.witness``."""
     diff = {d: proj[C.pred(d)].mul(C.d_mat(d)).mul(section[d])
             for d, ls in basis.items() if ls and basis.get(C.pred(d))}
     quot = ChainComplex(C.ring, C.grading, basis, diff, validate=False)
@@ -42,8 +45,9 @@ def _assemble(C: ChainComplex, basis: dict, proj: dict, section: dict):
     try:
         p.validate()
     except DegreeMismatch as err:
-        raise DegreeMismatch(f"relation span is not a subcomplex: {err}") \
-            from None
+        outer = DegreeMismatch(f"relation span is not a subcomplex: {err}")
+        outer.witness = err.witness
+        raise outer from None
     return quot.validate(), p
 
 
@@ -70,14 +74,13 @@ def by_classes(C: ChainComplex, classes: dict):
 def by_span(C: ChainComplex, spans: dict):
     """Quotient by the per-degree spans {d: [{index: coeff}]} over a field.
 
-    Each span is put in reduced echelon form; a kept (non-pivot) index
-    projects to itself and a pivot index j to minus the rest of its row."""
+    Each span is put in fully reduced row echelon form (`linalg.eliminate`,
+    then `linalg.reduced_echelon`); a kept (non-pivot) index projects to
+    itself and a pivot index j to minus the rest of its row."""
     ring = C.ring
     basis, proj, section = {}, {}, {}
     for d in C.degrees():
-        pivots = {}
-        for vec in spans.get(d, ()):
-            _rref_insert(ring, vec, pivots)
+        pivots = reduced_echelon(ring, eliminate(ring, spans.get(d, ()))[1])
         keep = [j for j in range(C.dim(d)) if j not in pivots]
         pos = {j: k for k, j in enumerate(keep)}
         basis[d] = [C.labels(d)[j] for j in keep]

@@ -17,6 +17,8 @@ bounded below by d_min, degrees d <= n_max + d_min - 2 are reliable.
 
 from __future__ import annotations
 
+import itertools
+
 from .complexes import ChainComplex, ChainMap, check_chain_maps, \
     first_difference, homology
 from .errors import EngineError, TruncationTooSmall
@@ -25,7 +27,9 @@ from .quotient import by_classes
 
 
 class SimplicialComplexObj:
-    """Levels (chain complexes) with faces d_i and degeneracies s_i."""
+    """Levels (chain complexes) with faces d_i and degeneracies s_i.  With
+    validate, a failing simplicial identity raises EngineError with
+    `check_identities`'s dict as ``.witness``."""
 
     def __init__(self, n_max, levels, faces, degens, validate=True):
         if n_max < 1:
@@ -39,7 +43,9 @@ class SimplicialComplexObj:
                 check_chain_maps([*self.faces.values(), *self.degens.values()])
                 w = self.check_identities()
             if w is not None:
-                raise EngineError(f"simplicial identities fail: {w}")
+                err = EngineError(f"simplicial identities fail: {w}")
+                err.witness = w
+                raise err
 
     def level(self, n) -> ChainComplex:
         return self.levels[n]
@@ -199,10 +205,9 @@ def shuffles(p, q):
     versa, following the standard shuffle formula for the EZ map
     X_p (x) Y_q -> (X x Y)_{p+q}.
     """
-    import itertools as it
     out = []
     total = p + q
-    for mu in it.combinations(range(total), p):
+    for mu in itertools.combinations(range(total), p):
         nu = tuple(k for k in range(total) if k not in mu)
         # sign: parity of the shuffle permutation (mu, nu)
         seq = list(mu) + list(nu)

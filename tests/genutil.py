@@ -4,7 +4,10 @@ import itertools
 import math
 from fractions import Fraction
 
-from opbar import complexes
+import sympy
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
+
 from opbar.coeff import Ring
 from opbar.complexes import ChainComplex, ChainMap, cone, homology
 from opbar.errors import NoLift, NotAcyclic
@@ -173,15 +176,65 @@ def _residue_complex_oracle(C):
     return C.map_coefficients(ring.base, ring.residue)
 
 
+def sympy_rref(ring, rows, ncols) -> dict:
+    """{pivot column: {col: value}}, the reduced row echelon form of the
+    dense rows over Q or F_p, computed by sympy (`Matrix.rref` over QQ,
+    `DomainMatrix.rref` over GF(p)): an oracle that shares no code with
+    `opbar.linalg`."""
+    if ring.kind == "Q":
+        R, pivots = sympy.Matrix(len(rows), ncols, lambda i, j: rows[i][j]).rref()
+        R = R.tolist()
+
+        def value(x):
+            return Fraction(int(x.p), int(x.q))
+    else:
+        dom = GF(ring.p)
+        R, pivots = DomainMatrix([[dom(int(v)) for v in row] for row in rows],
+                                 (len(rows), ncols), dom).rref()
+        R = R.to_list()
+
+        def value(x):
+            return int(x) % ring.p
+    return {j: {k: value(x) for k, x in enumerate(R[t]) if x}
+            for t, j in enumerate(pivots)}
+
+
+def splitting_oracle(C: ChainComplex) -> ChainMap:
+    """The contraction `null_homotopy` splits off over a field, by sympy:
+    in each degree the pivot columns of the rref of d are the columns
+    independent of the columns before them (W); with B the images of the
+    W one degree up, [B | the unit vectors of W] is inverted (the rref of
+    [it | I]), and h sends d w to w and W to 0.  NotAcyclic when that
+    matrix is not square and invertible."""
+    ring = C.ring
+    W = {d: list(sympy_rref(ring, C.d_mat(d).to_rows(), C.dim(d)))
+         for d in C.degrees()}
+    mats = {}
+    for d in C.degrees():
+        n, up = C.dim(d), C.succ(d)
+        cols = [C.d_mat(up).column(w) for w in W.get(up, ())]
+        cols += [{w: ring.one} for w in W[d]]
+        if len(cols) != n:
+            raise NotAcyclic(f"complex is not acyclic in degree {d}")
+        rows = [[col.get(i, ring.zero) for col in cols] +
+                [ring.one if k == i else ring.zero for k in range(n)] for i in range(n)]
+        R = sympy_rref(ring, rows, 2 * n)
+        if list(R) != list(range(n)):
+            raise NotAcyclic(f"complex is not acyclic in degree {d}")
+        mats[d] = Mat(ring, C.dim(up), n, {(w, k - n): v for t, w in enumerate(W.get(up, ()))
+                                           for k, v in R[t].items() if k >= n})
+    return ChainMap(C, C, 1, mats, validate=False)
+
+
 def null_homotopy_oracle(C: ChainComplex) -> ChainMap:
     """The order-by-order Novikov lift in Ring arithmetic: the contraction is
-    solved over the residue field and lifted one grid exponent at a time; the
-    correction at each step is F o h for the current error term F, which
-    works because F commutes with d exactly."""
+    solved over the residue field (`splitting_oracle`) and lifted one grid
+    exponent at a time; the correction at each step is F o h for the current
+    error term F, which works because F commutes with d exactly."""
     ring = C.ring
     Cbar = _residue_complex_oracle(C)
     try:
-        hbar = complexes._splitting_homotopy(Cbar)
+        hbar = splitting_oracle(Cbar)
     except NotAcyclic:
         raise NotAcyclic("residue complex has homology, so C is not acyclic")
     inject = lambda v: ((Fraction(0), v),) if not ring.base.is_zero(v) else ()

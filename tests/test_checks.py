@@ -253,6 +253,22 @@ def test_face_that_is_no_chain_map_fails_the_simplicial_pass():
                                   "rhs": {"x0": -1, "x1": 1}}
 
 
+def test_scaled_degeneracy_fails_an_identity_with_its_witness():
+    # s_0 = 2 id on the constant object is still a chain map, so only the
+    # simplicial identity d_i s_0 = id fails: the constructor raises with
+    # `check_identities`'s dict as .witness
+    interval = ChainComplex.free(Z, {0: ["x0", "x1"], 1: ["e"]},
+                                 {(1, "e", "x1"): 1, (1, "e", "x0"): -1})
+    ident = ChainMap.identity(interval)
+    args = (1, {0: interval, 1: interval}, {(1, 0): ident, (1, 1): ident},
+            {(0, 0): ident.scale_int(2)})
+    with pytest.raises(EngineError, match="^simplicial identities fail") as info:
+        SimplicialComplexObj(*args)
+    assert info.value.witness["identity"] == "ds=id"
+    assert info.value.witness == \
+        SimplicialComplexObj(*args, validate=False).check_identities()
+
+
 def test_triangle_witness_names_the_first_differing_column(monkeypatch):
     # f doubled on degree 0 is still a chain map (the trivial modules make
     # every level-1 boundary 0), so only the triangle sees it; f is the one

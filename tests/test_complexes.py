@@ -23,7 +23,7 @@ from opbar.linalg import Mat
 from .genutil import NOVIKOV_RINGS, C_dh_plus_hd, full_cone_quasi_iso_oracle, \
     novikov_conjugate, null_homotopy_oracle, random_acyclic, random_chain_map, \
     random_complex, random_novikov_acyclic, random_novikov_element, random_unitriangular, \
-    unitriangular_inverse
+    splitting_oracle, unitriangular_inverse
 
 Z = Ring.Z()
 Q = Ring.Q()
@@ -394,6 +394,30 @@ def test_quasi_iso_matches_the_full_cone_oracle(ring):
     assert seen >= {True, False, ("cut below", True), ("cut above", True)}
 
 
+def test_novikov_matrices_are_formed_once(monkeypatch):
+    """`_nov_int_form` runs once per distinct matrix: in `is_quasi_iso` of
+    the source, the target and the map, whose entry chain-map check and
+    residue slicing share one check pass, and in `null_homotopy` of the
+    differentials, whose slices and residue share one."""
+    nov = NOVIKOV_RINGS["q_2_2"]
+    calls = []
+    real = linalg._nov_int_form
+    monkeypatch.setattr(linalg, "_nov_int_form",
+                        lambda ring, entries: calls.append(entries) or real(ring, entries))
+    rng = random.Random("novikov-forms")
+    for k in range(10):
+        f = random_chain_map(rng, nov, tag=f"m{k}")
+        distinct = {id(m) for mats in (f.source.diff, f.target.diff, f.mats)
+                    for m in mats.values()}
+        calls.clear()
+        is_quasi_iso(f, f.source.degrees())
+        assert len(calls) == len(distinct) > 0
+        C = random_novikov_acyclic(rng, nov, tag=f"a{k}")
+        calls.clear()
+        null_homotopy(C)
+        assert len(calls) == len(C.diff) > 0
+
+
 @pytest.mark.parametrize("ring", [Q, Ring.Fp(3), NOVIKOV_RINGS["q_2_2"]],
                          ids=["q", "f3", "nov_q_2_2"])
 def test_quasi_iso_z2_matches_the_full_cone_oracle(ring):
@@ -513,6 +537,25 @@ def test_null_homotopy_random_acyclic_novikov():
         c2 = ChainComplex(nov, "Z", c.basis, new_diff)
         h = null_homotopy(c2)
         assert C_dh_plus_hd(c2, h).eq(ChainMap.identity(c2))
+
+
+@pytest.mark.parametrize("ring", [Q, Ring.Fp(2), Ring.Fp(3), Ring.Fp(5)], ids=repr)
+def test_splitting_matches_the_sympy_oracle(ring):
+    """The residue splitting, entry for entry, against sympy's rref, and so
+    `null_homotopy` over a field; with a lone generator added, both raise
+    the same NotAcyclic."""
+    rng = random.Random(f"splitting:{ring!r}")
+    for t in range(10):
+        C = random_acyclic(rng, ring, tag=f"t{t}")
+        want = splitting_oracle(C).mats
+        assert complexes._splitting_homotopy(C).mats == null_homotopy(C).mats == want
+        C = C.direct_sum(ChainComplex.single(ring, "lone", rng.randint(-1, 2)))[0]
+        messages = []
+        for fn in (complexes._splitting_homotopy, splitting_oracle):
+            with pytest.raises(NotAcyclic) as err:
+                fn(C)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("name", NOVIKOV_RINGS)

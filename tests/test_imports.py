@@ -12,7 +12,7 @@
 * Every defaulted parameter of a public function, or of a public method or
   `__init__` of a public class, is passed by some call in src/opbar, tests
   or perfbench: an option that only ever takes its default is a constant.
-* Imports go one way and sit at the top: no module imports an opbar module
+* Imports go one way and sit at the top: no module imports anything
   inside a function or class body, and the modules' imports of each other
   form no cycle.
 """
@@ -222,14 +222,13 @@ def test_import_reader_sees_every_form():
 # -- imports go one way, at the top ------------------------------------------------
 
 def nested_imports(source: str):
-    """Lines of opbar imports inside a function or class body."""
+    """Lines of imports inside a function or class body."""
     out = set()
     for scope in ast.walk(ast.parse(source)):
         if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef,
                               ast.ClassDef)):
             out.update(node.lineno for node in ast.walk(scope)
-                       if isinstance(node, (ast.Import, ast.ImportFrom))
-                       and imported_modules(ast.unparse(node)))
+                       if isinstance(node, (ast.Import, ast.ImportFrom)))
     return sorted(out)
 
 
@@ -277,7 +276,7 @@ def test_import_checkers_on_planted_modules():
            "class A:\n"
            "    def g(self):\n"
            "        import opbar.bar\n")
-    assert nested_imports(src) == [5, 8]
+    assert nested_imports(src) == [4, 5, 8]
     assert import_cycle({"a": {"b"}, "b": {"c"}, "c": set()}) is None
     assert import_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == \
         ["a", "b", "c", "a"]

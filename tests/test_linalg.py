@@ -14,7 +14,6 @@ from opbar.complexes import ChainComplex
 from opbar.errors import NonGridExponent
 from opbar.linalg import (
     Mat,
-    _field_rref,
     _ZWorker,
     field_rank,
     field_solve_mat,
@@ -22,7 +21,7 @@ from opbar.linalg import (
 )
 from opbar.quotient import by_z_span
 
-from .genutil import random_unitriangular
+from .genutil import random_unitriangular, sympy_rref
 
 Z = Ring.Z()
 Q = Ring.Q()
@@ -256,7 +255,7 @@ def test_field_rank_matches_rref_and_sympy(ring):
     cases += [Mat.zeros(ring, m, n) for m, n in ((0, 0), (0, 4), (4, 0), (3, 3))]
     ranks = []
     for a in cases:
-        want = len(_field_rref(a)[0])
+        want = len(sympy_rref(ring, a.to_rows(), a.ncols))
         assert field_rank(a) == want == _sympy_rank(a), a.to_rows()
         ranks.append(want < min(a.nrows, a.ncols))
     assert any(ranks) and not all(ranks)
@@ -287,38 +286,21 @@ def test_field_solve():
         Mat.from_rows(Q, [[1, 3, 0]])
 
 
-def _oracle_rref_one_rhs(mat: Mat, rhs: dict):
-    """The elimination `field_solve_mat` used to run once per column: the
-    fully reduced form of mat with one right-hand side under the key
-    "rhs"; returns (pivots, inconsistent)."""
-    ring = mat.ring
-    rows = linalg._rows_of(mat)
-    pivots = {}
-    inconsistent = False
-    for i in range(mat.nrows):
-        row = dict(rows.get(i, {}))
-        b = rhs.get(i)
-        if b is not None and not ring.is_zero(b):
-            row["rhs"] = b
-        if not row:
-            continue
-        if linalg._rref_insert(ring, row, pivots):
-            inconsistent = True
-    return pivots, inconsistent
-
-
 def _oracle_field_solve_mat(mat: Mat, rhs: Mat):
-    """mat @ X = rhs solved column by column, one elimination per column."""
-    out = Mat(mat.ring, mat.ncols, rhs.ncols)
-    by_col = rhs.columns()
-    for j in range(rhs.ncols):
-        pivots, inconsistent = _oracle_rref_one_rhs(mat, by_col.get(j, {}))
-        if inconsistent:
+    """mat @ X = rhs solved column by column by sympy: the rref of
+    [mat | column] is inconsistent when its last column is a pivot, and
+    otherwise sets each pivot variable to its row's last entry, the free
+    variables to 0."""
+    ring, n = mat.ring, mat.ncols
+    out = Mat(ring, n, rhs.ncols)
+    rows, b = mat.to_rows(), rhs.to_rows()
+    for c in range(rhs.ncols):
+        R = sympy_rref(ring, [row + [b[i][c]] for i, row in enumerate(rows)], n + 1)
+        if n in R:
             return None
-        for i, row in pivots.items():
-            b = row.get("rhs")
-            if b is not None and not mat.ring.is_zero(b):
-                out.set(i, j, b)
+        for j, row in R.items():
+            if n in row:
+                out.set(j, c, row[n])
     return out
 
 

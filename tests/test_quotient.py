@@ -7,9 +7,11 @@ saturated, of the same rank, and the projection kills the span).
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
+import opbar.quotient as quotient
 from opbar.barcat import _free_quotient
 from opbar.coeff import Ring
 from opbar.complexes import ChainComplex, ChainMap, homology
@@ -18,7 +20,7 @@ from opbar.linalg import Mat, field_rank, snf_diagonal
 from opbar.quotient import by_span, by_z_span
 from opbar.symgrp import GroupAction, Perm, coinvariants
 
-from .genutil import random_complex
+from .genutil import random_complex, sympy_rref
 
 Z, Q, F3 = Ring.Z(), Ring.Q(), Ring.Fp(3)
 SEEDS = range(8)
@@ -143,8 +145,10 @@ def test_classes_that_are_not_a_subcomplex_raise():
     # x1 = x0 in degree 1, but their boundaries y1, y0 stay apart
     C = ChainComplex.free(Z, {0: ["y0", "y1"], 1: ["x0", "x1"]},
                           {(1, "x0", "y0"): 1, (1, "x1", "y1"): 1})
-    with pytest.raises(EngineError, match="not a subcomplex"):
+    with pytest.raises(EngineError, match="not a subcomplex") as info:
         _free_quotient(C, [{"x0": 1, "x1": -1}])
+    assert info.value.witness == {"degree": 1, "label": "x1", "lhs": {"y0": 1},
+                                  "rhs": {"y1": 1}}
 
 
 @pytest.mark.parametrize("coeff", [-1, -2], ids=["union_find", "span"])
@@ -198,6 +202,63 @@ def test_span_quotient_pins_non_pivot_labels(ring, two):
     assert quot.labels(0) == ["c"]
     assert proj.apply_label(0, "a") == {"c": ring.from_int(two)}
     assert proj.apply_label(0, "b") == {"c": ring.from_int(-1)}
+
+
+def _random_span(rng, ring, n):
+    """Random relation vectors on n indices, some combinations of the
+    vectors before them; over Q with fractional coefficients."""
+    def coeff():
+        if ring.kind == "Q" and rng.random() < 0.4:
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return ring.from_int(rng.randint(-3, 3))
+    vecs = []
+    for _ in range(rng.randint(0, n + 1)):
+        if vecs and rng.random() < 0.3:
+            a, b = rng.sample(vecs, 2) if len(vecs) > 1 else (vecs[0], {})
+            x, y = coeff(), coeff()
+            vec = {j: ring.add(ring.mul(x, a.get(j, ring.zero)),
+                               ring.mul(y, b.get(j, ring.zero))) for j in range(n)}
+        else:
+            vec = {j: coeff() for j in range(n) if rng.random() < 0.6}
+        vec = {j: v for j, v in vec.items() if not ring.is_zero(v)}
+        if vec:
+            vecs.append(vec)
+    return vecs
+
+
+@pytest.mark.parametrize("ring", [Q, Ring.Fp(2), F3, Ring.Fp(5)], ids=repr)
+def test_span_quotient_matches_the_sympy_oracle(monkeypatch, ring):
+    """The quotient labels, projection and section of `by_span`, entry for
+    entry, against sympy's rref of each span: a non-pivot index is kept and
+    projects to itself, a pivot index j to minus the rest of its row, and
+    the section includes the kept indices."""
+    sections = []
+    real_assemble = quotient._assemble
+    monkeypatch.setattr(quotient, "_assemble", lambda C, basis, proj, section: (
+        sections.append(section) or real_assemble(C, basis, proj, section)))
+    rng = random.Random(f"by_span:{ring!r}")
+    seen = set()
+    for _ in range(25):
+        dims = {d: rng.randint(1, 7) for d in (0, 1)}
+        C = ChainComplex.free(ring, {d: [f"e{d}_{i}" for i in range(n)]
+                                     for d, n in dims.items()}, {})
+        spans = {d: _random_span(rng, ring, n) for d, n in dims.items()}
+        quot, proj = by_span(C, spans)
+        section = sections.pop()
+        for d, n in dims.items():
+            R = sympy_rref(ring, [[vec.get(j, ring.zero) for j in range(n)]
+                                  for vec in spans[d]], n)
+            keep = [j for j in range(n) if j not in R]
+            pos = {j: k for k, j in enumerate(keep)}
+            want = {(k, j): ring.one for k, j in enumerate(keep)}
+            want.update(((pos[kk], j), ring.neg(v)) for j, row in R.items()
+                        for kk, v in row.items() if kk != j)
+            assert quot.labels(d) == [C.labels(d)[j] for j in keep]
+            assert proj.mat(d) == Mat(ring, len(keep), n, want)
+            assert section[d] == Mat(ring, n, len(keep),
+                                     {(j, k): ring.one for k, j in enumerate(keep)})
+            seen.add((len(keep) < n, any(len(row) > 1 for row in R.values())))
+    assert seen == {(False, False), (True, False), (True, True)}
 
 
 # -- Smith normal form over Z --------------------------------------------------------
