@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import itertools
 
-from .complexes import ChainComplex, ChainMap, first_difference
+from .complexes import ChainComplex, ChainMap, first_difference, total
 from .errors import EngineError, NonPermutationAction
 from .fixtures import unit_operad
 from .lincomb import add_into, linear
-from .linalg import block_matrix
 from .multicat import MultiAlgebra, MultiCat, MultiFunctor, _group_gens, aut_group
 from .simplicial import RealizedComplex, SimplicialComplexObj, realize, shuffles
 from .symgrp import GroupRingModule, Perm, koszul_sign, tensor_over_group_ring
@@ -110,11 +109,8 @@ class WordCalculus:
                     raise NonPermutationAction(
                         "node canonicalization needs signed permutation actions")
                 ((nk, coeff),) = hit.items()
-                if ring.eq(coeff, ring.one):
-                    s = 1
-                elif ring.eq(coeff, ring.from_int(-1)):
-                    s = -1
-                else:
+                s = ring.as_sign(coeff)
+                if s is None:
                     raise NonPermutationAction("non-unit symmetry coefficient")
                 table.append((tuple(i - 1 for i in images), nk,
                               s * koszul_sign(sigma, parities)))
@@ -456,19 +452,7 @@ def _ordered_form(M, calc, carriers, y, cpx):
                 [_act_leaf_map(ring, leafc, carriers, xs, g) for g in gens])
             quot, proj = tensor_over_group_ring(right, left)
             pieces.append((xs, quot, proj))
-    basis = {}
-    for xs, quot, _ in pieces:
-        for d in quot.degrees():
-            for l in quot.labels(d):
-                basis.setdefault(d, []).append(("of", xs, l))
-    diff = {}
-    for d, ls in basis.items():
-        blocks, r0, c0 = [], 0, 0  # the pieces follow each other
-        for _, quot, _ in pieces:
-            blocks.append((quot.d_mat(d), r0, c0, 1))
-            r0, c0 = r0 + quot.dim(d - 1), c0 + quot.dim(d)
-        diff[d] = block_matrix(ring, len(basis.get(d - 1, ())), len(ls), blocks)
-    ocpx = ChainComplex(ring, "Z", basis, diff)
+    ocpx = total(ring, "Z", [(("of", xs), quot, 0) for xs, quot, _ in pieces], [])
 
     proj_of = {xs: (quot, proj) for xs, quot, proj in pieces}
 
@@ -693,9 +677,11 @@ class KanAlgebraStructure:
                 cur = linear(ring, lambda l, lv=lvl, ii=i: calc.degen(lv, ii, l),
                              cur)
                 lvl += 1
-            out = self._degen_memo[key] = tuple(
-                (self._ids[("lv", lvl, l)], _unit_sign(ring, v))
-                for l, v in cur.items())
+            out = tuple((self._ids[("lv", lvl, l)], ring.as_sign(v))
+                        for l, v in cur.items())
+            if any(s is None for _, s in out):
+                raise EngineError("degeneracy fold produced a non-unit coefficient")
+            self._degen_memo[key] = out
         return out
 
     def _part(self, z):
@@ -906,14 +892,6 @@ class KanAlgebraStructure:
 
 
 _ZERO = {}  # the memoized zero of every structure; never mutated
-
-
-def _unit_sign(ring, v):
-    if ring.eq(v, ring.one):
-        return 1
-    if ring.eq(v, ring.from_int(-1)):
-        return -1
-    raise EngineError("degeneracy fold produced a non-unit coefficient")
 
 
 def _multi_shuffle_words(levels):

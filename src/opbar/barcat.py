@@ -34,7 +34,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .complexes import ChainComplex, ChainMap, _sliced, first_difference, is_quasi_iso
+from .complexes import ChainComplex, ChainMap, _sliced, first_difference, \
+    is_quasi_iso, total
 from .dgcat import DgCategory, DgFunctor, LeftModule, RightModule, \
     corepresented_right_module, functor_right_module, group_ring_category, \
     poset_category, pullback_right_module, trivial_left_module, \
@@ -42,8 +43,7 @@ from .dgcat import DgCategory, DgFunctor, LeftModule, RightModule, \
 from .errors import EngineError, ModuleMismatch, NonComposable, \
     NonCommutingSquare, NonTorsionFree, UnsupportedRing
 from .lincomb import add_into, eq as lc_eq
-from .linalg import Mat, _restore, block_matrix, check_pass, column_product, \
-    form
+from .linalg import Mat, _restore, check_pass, column_product, form
 from .quotient import by_classes, by_span, by_z_span
 from .simplicial import SimplicialComplexObj, constant_simplicial, realize
 
@@ -264,7 +264,7 @@ def _free_quotient(cpx: ChainComplex, relations):
     (`by_z_span`, raising when the quotient has torsion)."""
     ring = cpx.ring
     relations = [vec for vec in relations if vec]
-    if all(len(vec) == 2 and all(_is_pm_one(ring, v) for v in vec.values())
+    if all(len(vec) == 2 and None not in map(ring.as_sign, vec.values())
            for vec in relations):
         return by_classes(cpx, _union_find_classes(cpx, relations))
     spans = {}
@@ -283,10 +283,6 @@ def _free_quotient(cpx: ChainComplex, relations):
         raise UnsupportedRing(
             "general module quotients need field or integer coefficients")
     return by_z_span(cpx, spans)
-
-
-def _is_pm_one(ring, v):
-    return ring.eq(v, ring.one) or ring.eq(v, ring.from_int(-1))
 
 
 def _union_find_classes(cpx: ChainComplex, relations):
@@ -315,10 +311,8 @@ def _union_find_classes(cpx: ChainComplex, relations):
         (l1, c1), (l2, c2) = items
         if cpx.degree_of(l1) != cpx.degree_of(l2):
             raise EngineError("relation mixes degrees")
-        s1 = 1 if ring.eq(c1, ring.one) else -1
-        s2 = 1 if ring.eq(c2, ring.one) else -1
-        # c1 l1 + c2 l2 = 0  =>  l1 = -(s2/s1) l2
-        rel_sign = -s1 * s2
+        # c1 l1 + c2 l2 = 0  =>  l1 = -(c2/c1) l2
+        rel_sign = -ring.as_sign(c1) * ring.as_sign(c2)
         r1, t1 = find2(l1)
         r2, t2 = find2(l2)
         if r1 == r2:
@@ -423,42 +417,17 @@ class TelescopeReport:
 
 
 def telescope_complex(complexes, maps) -> ChainComplex:
-    """The finite mapping telescope of C^0 -> C^1 -> ... -> C^k."""
-    ring = complexes[0].ring
+    """The finite mapping telescope of C^0 -> C^1 -> ... -> C^k (`total`):
+    the parts ("t0", i) = C^i and ("t1", i) = C^i[1] (i < k), with
+    d = maps[i] - id on ("t1", i)."""
     k = len(complexes) - 1
-    basis = {}
-    for i, c in enumerate(complexes):
-        for d in c.degrees():
-            basis.setdefault(d, []).extend(("t0", i, l) for l in c.labels(d))
-    for i in range(k):
-        c = complexes[i]
-        for d in c.degrees():
-            basis.setdefault(d + 1, []).extend(("t1", i, l) for l in c.labels(d))
-
-    def offsets(d):
-        # where the ("t0", i, .) and ("t1", i, .) labels start in degree d
-        t0, pos = [], 0
-        for c in complexes:
-            t0.append(pos)
-            pos += c.dim(d)
-        t1 = []
-        for c in complexes[:k]:
-            t1.append(pos)
-            pos += c.dim(d - 1)
-        return t0, t1
-
-    diff = {}
-    for d, ls in basis.items():
-        pd = d - 1
-        (r0, r1), (c0, c1) = offsets(pd), offsets(d)
-        blocks = [(c.d_mat(d), r0[i], c0[i], 1) for i, c in enumerate(complexes)]
-        for i in range(k):
-            c = complexes[i]
-            blocks += [(c.d_mat(pd), r1[i], c1[i], -1),
-                       (maps[i].mat(pd), r0[i + 1], c1[i], 1),
-                       (Mat.identity(ring, c.dim(pd)), r0[i], c1[i], -1)]
-        diff[d] = block_matrix(ring, len(basis.get(pd, ())), len(ls), blocks)
-    return ChainComplex(ring, "Z", basis, diff)
+    parts = [(("t0", i), c, 0) for i, c in enumerate(complexes)]
+    parts += [(("t1", i), c, 1) for i, c in enumerate(complexes[:k])]
+    arrows = []
+    for i in range(k):  # ("t1", i) is part k + 1 + i
+        arrows += [(k + 1 + i, i + 1, maps[i], 1),
+                   (k + 1 + i, i, ChainMap.identity(complexes[i]), -1)]
+    return total(complexes[0].ring, "Z", parts, arrows)
 
 
 def telescope_vs_hocolim(complexes, maps, n_max) -> TelescopeReport:

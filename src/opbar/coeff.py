@@ -221,6 +221,12 @@ class Ring:
     def eq(self, a, b) -> bool:
         return self.canon(a) == self.canon(b)
 
+    def as_sign(self, a):
+        """1 when a is one, -1 when a is minus one, else None; one is tested
+        first, so over F_2 one reads 1."""
+        a = self.canon(a)
+        return 1 if a == self.one else -1 if a == self.from_int(-1) else None
+
     def scale_int(self, n: int, a):
         return self.mul(self.from_int(n), a)
 

@@ -9,6 +9,13 @@ Conventions, used engine-wide:
 * shift C[n] places C_d in degree d+n and twists d by (-1)^n;
 * cone(f) = target (+) source[1] with d(t, s) = (d t + f s, -d s).
 
+Every sum of shifted complexes is laid out by `total`, the one caller of
+`linalg.block_matrix`: the cone, the mapping telescope, the realization of
+a simplicial object and the ordered form of the Kan object.  Part C[n]
+holds the labels prefix + (l,) with the shift sign on d, the parts follow
+each other in every degree, and signed degree-0 maps between parts add the
+cross terms.
+
 Z/2-graded complexes use the two degree slots {0, 1}; the differential maps
 each slot to the other.
 
@@ -185,25 +192,6 @@ class ChainComplex:
         for d, m in self.diff.items():
             diff[self.shift_deg(d, n)] = m if sign == 1 else m.neg()
         return ChainComplex(self.ring, self.grading, basis, diff, validate=False)
-
-    def direct_sum(self, other: "ChainComplex", tag0="s0", tag1="s1"):
-        """Returns (sum complex, inclusion0, inclusion1); labels get tagged."""
-        if self.ring != other.ring or self.grading != other.grading:
-            raise MixedRings("direct sum needs matching ring and grading")
-        basis, diff = {}, {}
-        for d in sorted(set(self.degrees()) | set(other.degrees())):
-            basis[d] = [(tag0, l) for l in self.labels(d)] + \
-                       [(tag1, l) for l in other.labels(d)]
-        for d, ls in basis.items():
-            pd = self.pred(d)
-            diff[d] = linalg.block_matrix(
-                self.ring, len(basis.get(pd, ())), len(ls), [
-                    (self.d_mat(d), 0, 0, 1),
-                    (other.d_mat(d), self.dim(pd), self.dim(d), 1)])
-        out = ChainComplex(self.ring, self.grading, basis, diff, validate=False)
-        inc0 = ChainMap.from_label_fn(self, out, 0, lambda l: ((tag0, l), 1))
-        inc1 = ChainMap.from_label_fn(other, out, 0, lambda l: ((tag1, l), 1))
-        return out, inc0, inc1
 
     def tensor(self, other: "ChainComplex") -> "ChainComplex":
         """self (x) other with labels ("t", la, lb): `tensor_many` of the two
@@ -494,31 +482,45 @@ def check_chain_maps(maps):
                     raise err
 
 
+def total(ring: Ring, grading: str, parts, arrows, degrees=None) -> ChainComplex:
+    """The total complex of shifted parts joined by arrows.
+
+    parts is a list of (prefix, C, n): the part C[n] holds C_e in degree
+    e + n with labels prefix + (l,) and differential (-1)^n d_C, and within
+    each degree the labels come in part order.  arrows is a list of
+    (s, t, f, sign), each adding sign * f from part s to part t, where f is
+    a degree-0 map C_s -> C_t and n_s = n_t + 1.  Only the given degrees
+    (every degree when None) are built, with the differentials between
+    them, and d^2 = 0 is checked on them."""
+    basis, at = {}, {}  # at[D, p]: where part p's labels start in degree D
+    for D in sorted({C.shift_deg(e, n) for _, C, n in parts for e in C.degrees()}):
+        if degrees is None or D in degrees:
+            ls = basis[D] = []
+            for p, (prefix, C, n) in enumerate(parts):
+                at[D, p] = len(ls)
+                ls += [prefix + (l,) for l in C.labels(C.shift_deg(D, -n))]
+    diff = {}
+    for D, ls in basis.items():
+        E = (D - 1) % 2 if grading == "Z2" else D - 1
+        if E in basis:
+            blocks = [(C.diff.get(C.shift_deg(D, -n)), at[E, p], at[D, p],
+                       -1 if n % 2 else 1) for p, (_, C, n) in enumerate(parts)]
+            blocks += [(f.mats.get(parts[s][1].shift_deg(D, -parts[s][2])),
+                        at[E, t], at[D, s], sign) for s, t, f, sign in arrows]
+            diff[D] = linalg.block_matrix(ring, len(basis[E]), len(ls),
+                                          [b for b in blocks if b[0] is not None])
+    return ChainComplex(ring, grading, basis, diff)
+
+
 def cone(f: ChainMap, degrees=None) -> ChainComplex:
-    """Mapping cone target (+) source[1], built and checked for d^2 = 0 in
-    the given degrees only (every degree when None), with the differentials
-    between them."""
+    """Mapping cone target (+) source[1] (`total`), built and checked for
+    d^2 = 0 in the given degrees only (every degree when None), with the
+    differentials between them."""
     if f.degree != 0:
         raise DegreeMismatch("cone needs a degree-0 map")
-    S, T = f.source, f.target
-    ring = S.ring
-    basis = {}
-    for d in sorted(set(T.degrees()) | {S.shift_deg(d, 1) for d in S.degrees()}):
-        ls = [("c0", l) for l in T.labels(d)]
-        sd = S.shift_deg(d, -1)
-        ls += [("c1", l) for l in S.labels(sd)]
-        if ls and (degrees is None or d in degrees):
-            basis[d] = ls
-    diff = {}
-    for d, ls in basis.items():
-        pd = S.pred(d)
-        sd = S.shift_deg(d, -1)
-        if pd in basis:  # the c1 labels follow the c0 labels in every degree
-            diff[d] = linalg.block_matrix(ring, len(basis[pd]), len(ls), [
-                (T.d_mat(d), 0, 0, 1),
-                (S.d_mat(sd), T.dim(pd), T.dim(d), -1),
-                (f.mat(sd), 0, T.dim(d), 1)])
-    return ChainComplex(ring, S.grading, basis, diff)
+    return total(f.source.ring, f.source.grading,
+                 [(("c0",), f.target, 0), (("c1",), f.source, 1)], [(1, 0, f, 1)],
+                 degrees)
 
 
 class HomologyReport:
@@ -682,16 +684,15 @@ def is_quasi_iso(f: ChainMap, degrees) -> QuasiIsoResult:
 
 def _splitting_homotopy(C: ChainComplex) -> ChainMap:
     """Contraction h of an acyclic complex over a field, via an exact
-    splitting.  In each degree the columns of d that `linalg.eliminate`
-    keeps (each independent of the columns before it) give W_d, with d W_d
-    a basis of the boundaries B_{d-1}; if C is acyclic, C_d = B_d (+) W_d.
-    One `field_solve_mat` writes every basis vector in that basis, and h
-    sends d w to w and W_d to 0; NotAcyclic when the solve fails."""
+    splitting.  W_d holds the nonzero columns of d.  One `field_solve_mat`
+    per degree writes every basis vector in the columns of
+    [d W_{d+1} | e_{W_d}]; its pivots are the columns independent of those
+    before them, so if C is acyclic they are a basis d w, e_w of
+    C_d = B_d (+) W_d, and h sends d w to w and W_d to 0.  NotAcyclic when
+    a solve fails; homology the solves do not see fails the check in
+    `null_homotopy`."""
     ring = C.ring
-    W = {}  # degree: the (index, column) of d that eliminate keeps
-    for d in C.degrees():
-        cols = sorted(C.d_mat(d).columns().items())
-        W[d] = [cols[t] for t in linalg.eliminate(ring, [col for _, col in cols])[0]]
+    W = {d: sorted(C.d_mat(d).columns().items()) for d in C.degrees()}
     mats = {}
     for d in C.degrees():
         n, up = C.dim(d), W.get(C.succ(d), [])

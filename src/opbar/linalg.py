@@ -13,8 +13,8 @@ as {index: value} dicts.  No floats anywhere.  One kernel per job:
   over Z the rank over Q) and one back-reduction (`reduced_echelon`),
   which restores values once.  `field_rank` counts the pivots (all
   homology); `field_solve_mat` fully reduces the matrix with every
-  right-hand side; `quotient.by_span` reduces the relation spans, and the
-  null homotopy's splitting keeps the columns `eliminate` keeps;
+  right-hand side, once per degree for the null homotopy's splitting;
+  `quotient.by_span` reduces the relation spans;
 * the integer routines -- one Smith diagonalization (`_ZWorker`) whose
   pivot is the first +-1 entry of the trailing block, or without one the
   smallest-magnitude entry with the fewest fill.  `snf_diagonal` (the
@@ -486,10 +486,10 @@ def columns_equal(ring: Ring, a, b) -> bool:
 
 
 def block_matrix(ring: Ring, nrows: int, ncols: int, blocks) -> Mat:
-    """The sum of placed blocks: each (m, row_offset, col_offset, sign) adds
-    sign * m (sign is 1 or -1) at those offsets, walking m's entries once
-    and negating each distinct value object once.  Entries that cancel are
-    dropped."""
+    """The sum of placed blocks, for `complexes.total` (its one caller):
+    each (m, row_offset, col_offset, sign) adds sign * m (sign is 1 or -1)
+    at those offsets, walking m's entries once and negating each distinct
+    value object once.  Entries that cancel are dropped."""
     acc, neg = {}, {}
     for m, r0, c0, sign in blocks:
         for (i, j), v in m.d.items():

@@ -1,11 +1,13 @@
 """Truncated simplicial objects in chain complexes and their realizations.
 
-The realization is semisimplicial: the direct sum of the n-th level shifted
-by n, with total differential
+The realization is semisimplicial: `complexes.total` over the levels, level
+n shifted by n with labels ("lv", n, l), and one arrow (-1)^i d_i per face,
+so the total differential is
 
     d  =  (-1)^n d_int  +  sum_{i=0..n} (-1)^i d_i      (on the level-n part)
 
-(the internal twist makes the cross terms cancel; d^2 = 0 is asserted).  A
+(the internal twist makes the cross terms cancel; d^2 = 0 is asserted).
+Z2-graded levels are refused: level n would wrap into the slots {0, 1}.  A
 normalized variant quotients by the degeneracy images, which in this engine
 are always basis labels, so the quotient stays free and exact over any ring;
 it is built by `quotient.by_classes`, the one place quotients are assembled.
@@ -20,9 +22,9 @@ from __future__ import annotations
 import itertools
 
 from .complexes import ChainComplex, ChainMap, check_chain_maps, \
-    first_difference, homology
+    first_difference, homology, total
 from .errors import EngineError, TruncationTooSmall
-from .linalg import block_matrix, check_pass, column_form
+from .linalg import check_pass, column_form
 from .quotient import by_classes
 
 
@@ -115,45 +117,14 @@ class RealizedComplex:
 
     def __init__(self, simplicial: SimplicialComplexObj):
         self.simplicial = simplicial
-        ring = simplicial.level(0).ring
-        grading = simplicial.level(0).grading
-        basis = {}
-        for n in range(0, simplicial.n_max + 1):
-            lv = simplicial.level(n)
-            for d in lv.degrees():
-                basis.setdefault(d + n, []).extend(
-                    ("lv", n, l) for l in lv.labels(d))
         levels = [simplicial.level(n) for n in range(simplicial.n_max + 1)]
-
-        def offsets(deg):
-            # where level n's labels start in the basis of realized degree deg
-            out, pos = [], 0
-            for n, lv in enumerate(levels):
-                out.append(pos)
-                pos += lv.dim(deg - n)
-            return out
-
-        diff = {}
-        for deg, ls in basis.items():
-            pd = deg - 1
-            rows, cols = offsets(pd), offsets(deg)
-            blocks = []
-            for n, lv in enumerate(levels):
-                ld = deg - n
-                dm = lv.diff.get(ld)
-                if dm is not None:
-                    blocks.append((dm, rows[n], cols[n], -1 if n % 2 else 1))
-                for i in range(0, n + 1) if n >= 1 else ():
-                    fm = simplicial.face(n, i).mats.get(ld)
-                    if fm is not None:
-                        blocks.append((fm, rows[n - 1], cols[n],
-                                       -1 if i % 2 else 1))
-            diff[deg] = block_matrix(ring, len(basis.get(pd, ())), len(ls),
-                                     blocks)
-        self.complex = ChainComplex(ring, grading, basis, diff)  # d^2 = 0
-        dmins = [min(simplicial.level(n).degrees(), default=0)
-                 for n in range(0, simplicial.n_max + 1)]
-        self.d_min = min(dmins) if dmins else 0
+        if levels[0].grading == "Z2":  # level n would wrap into the slots
+            raise ValueError("Z2-graded complexes use degree slots {0, 1}")
+        self.complex = total(  # checks d^2 = 0
+            levels[0].ring, "Z", [(("lv", n), lv, n) for n, lv in enumerate(levels)],
+            [(n, n - 1, simplicial.face(n, i), -1 if i % 2 else 1)
+             for n in range(1, len(levels)) for i in range(n + 1)])
+        self.d_min = min(min(lv.degrees(), default=0) for lv in levels)
 
     @property
     def reliable_degrees(self):

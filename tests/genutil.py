@@ -9,7 +9,7 @@ from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
 from opbar.coeff import Ring
-from opbar.complexes import ChainComplex, ChainMap, cone, homology
+from opbar.complexes import ChainComplex, ChainMap, cone, homology, total
 from opbar.errors import NoLift, NotAcyclic
 from opbar.linalg import Mat
 
@@ -35,8 +35,16 @@ def random_complex(rng, ring, max_pieces=3, tag=""):
             piece = ChainComplex.single(ring, f"{tag}p{k}", rng.randint(-1, 2))
         else:
             piece = random_two_term(rng, ring, tag=f"{tag}q{k}_").shift(rng.randint(-1, 1))
-        out = piece if out is None else out.direct_sum(piece, f"a{k}", f"b{k}")[0]
+        out = piece if out is None else total(
+            ring, "Z", [((f"a{k}",), out, 0), ((f"b{k}",), piece, 0)], [])
     return out
+
+
+def plus_lone(C, degree):
+    """C (+) one generator "lone" in degree, which C's homology gains; the
+    labels are ("s0", l) and ("s1", "lone")."""
+    lone = ChainComplex.single(C.ring, "lone", degree)
+    return total(C.ring, "Z", [(("s0",), C, 0), (("s1",), lone, 0)], [])
 
 
 def random_unitriangular(rng, ring, n, lo=-2, hi=2):
@@ -315,9 +323,12 @@ def random_chain_map(rng, ring, tag=""):
     else:
         other = (random_acyclic(rng, ring, tag=f"{tag}a") if rng.random() < 0.5
                  else random_complex(rng, ring, tag=f"{tag}o"))
-        total, inc, _ = S.direct_sum(other)
-        g = inc if kind == "include" else ChainMap.from_label_fn(
-            total, S, 0, lambda l: (l[1], 1) if l[0] == "s0" else None)
+        both = total(ring, "Z", [(("s0",), S, 0), (("s1",), other, 0)], [])
+        if kind == "include":
+            g = ChainMap.from_label_fn(S, both, 0, lambda l: (("s0", l), 1))
+        else:
+            g = ChainMap.from_label_fn(
+                both, S, 0, lambda l: (l[1], 1) if l[0] == "s0" else None)
     S, T = g.source, g.target
     h = {d: Mat.zeros(ring, T.dim(d + 1), S.dim(d)) for d in S.degrees()}
     for d, m in h.items():

@@ -375,7 +375,7 @@ def _oracle_mu(structure, zs, okey):
                       for z, word in zip(zs, words)]
         combos = [(sign * (-1) ** ez, [])]
         for lc in factor_lcs:
-            combos = [(s * bar._unit_sign(ring, v), labs + [l])
+            combos = [(s * ring.as_sign(v), labs + [l])
                       for (s, labs) in combos for l, v in lc.items()]
         for s, labs in combos:
             for l3, v3 in product_levelwise(labs).items():

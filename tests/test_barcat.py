@@ -35,7 +35,7 @@ from opbar.linalg import Mat
 from opbar.symgrp import Perm
 
 from .genutil import NOVIKOV_RINGS, cyclic_group_homology_oracle, full_cone_quasi_iso_oracle, \
-    novikov_conjugate, \
+    novikov_conjugate, plus_lone, \
     random_complex, random_novikov_acyclic, random_novikov_element, random_two_term
 
 Z = Ring.Z()
@@ -408,7 +408,7 @@ def test_seeded_tower_verdicts_and_flags():
     none; every differential of source and target is flagged."""
     nov = Ring.novikov(Q, 2, 2)
     C = random_novikov_acyclic(random.Random("seeded tower"), nov)
-    C = C.direct_sum(ChainComplex.single(nov, "lone", 0))[0]
+    C = plus_lone(C, 0)
     cutoffs = [Fraction(1, 2), 1, Fraction(3, 2), 2]
     t = nov.monomial(1, Fraction(1, 2))
     for u, ok in ((nov.add(nov.one, t), True), (t, False)):
@@ -429,7 +429,7 @@ def test_tower_decides_once_and_agrees_with_each_cutoff(monkeypatch, unit):
     (1 + T^(1/2)) id and for T^(1/2) id, which is not invertible."""
     nov = Ring.novikov(Q, 2, 2)
     C = random_novikov_acyclic(random.Random("seeded tower"), nov)
-    C = C.direct_sum(ChainComplex.single(nov, "lone", 0))[0]
+    C = plus_lone(C, 0)
     t = nov.monomial(1, Fraction(1, 2))
     u = nov.add(nov.one, t) if unit else t
     f = ChainMap(C, C, 0, {d: Mat.identity(nov, C.dim(d)).scale(u)

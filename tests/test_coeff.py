@@ -141,3 +141,17 @@ def test_q_canon_keeps_fractions_and_converts_ints():
     # Novikov coefficients over Q go through the same path
     ((_, c),) = NOV2.canon(((1, 2),))
     assert type(c) is Fraction and c == 2
+
+
+@pytest.mark.parametrize("ring", [Z, Q, Ring.Fp(2), Ring.Fp(3), NOV13], ids=repr)
+def test_as_sign_reads_plus_and_minus_one(ring):
+    """1 for one, -1 for minus one, None for any other value; over F_2,
+    where one is minus one, it reads 1."""
+    assert ring.as_sign(ring.one) == 1
+    assert ring.as_sign(ring.from_int(-1)) == (1 if ring.p == 2 else -1)
+    assert ring.as_sign(1) == 1
+    for v in [ring.zero] + ([ring.from_int(2)] if ring.p is None else []):
+        assert ring.as_sign(v) is None
+    if ring.is_novikov:
+        t = ring.monomial(1, Fraction(1, 3))
+        assert ring.as_sign(t) is ring.as_sign(ring.add(ring.one, t)) is None

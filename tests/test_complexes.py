@@ -14,6 +14,7 @@ from opbar.complexes import (
     homology,
     is_quasi_iso,
     null_homotopy,
+    total,
 )
 from opbar.errors import DegreeMismatch, MixedRings, NotAcyclic, NotADifferential, \
     UnsupportedRing
@@ -21,7 +22,7 @@ import opbar.linalg as linalg
 from opbar.linalg import Mat
 
 from .genutil import NOVIKOV_RINGS, C_dh_plus_hd, full_cone_quasi_iso_oracle, \
-    novikov_conjugate, null_homotopy_oracle, random_acyclic, random_chain_map, \
+    novikov_conjugate, null_homotopy_oracle, plus_lone, random_acyclic, random_chain_map, \
     random_complex, random_novikov_acyclic, random_novikov_element, random_unitriangular, \
     splitting_oracle, unitriangular_inverse
 
@@ -207,6 +208,26 @@ def test_shift_sign():
     assert s.d_mat(2).get(0, 0) == Q.one
     assert s.d_mat(2).get(1, 0) == Q.from_int(-1)
     s.validate()
+
+
+def test_total_lays_out_parts_in_order_with_the_shift_sign():
+    """A lone part C[n] of `total` is C.shift(n) with its labels prefixed;
+    parts follow each other in every degree; an arrow adds sign * f from
+    its source part's columns to its target part's rows; a window keeps
+    its degrees and the differentials between them."""
+    c = interval(Q)
+    for n in range(-1, 3):
+        t = total(Q, "Z", [(("p",), c, n)], [])
+        assert t.basis == c.shift(n).relabel(lambda l: ("p", l)).basis
+        assert t.diff == c.shift(n).diff
+    a, b = ChainComplex.single(Q, "a", 0), ChainComplex.single(Q, "b", 0)
+    f = ChainMap.from_label_fn(b, a, 0, lambda l: ("a", 3))
+    parts = [(("s",), a, 0), (("t",), a, 0), (("u",), b, 1)]
+    t = total(Q, "Z", parts, [(2, 1, f, -1)])
+    assert t.basis == {0: [("s", "a"), ("t", "a")], 1: [("u", "b")]}
+    assert t.diff == {1: Mat(Q, 2, 1, {(1, 0): Q.from_int(-3)})}
+    t = total(Q, "Z", parts, [(2, 1, f, -1)], range(1, 3))
+    assert (t.basis, t.diff) == ({1: [("u", "b")]}, {})
 
 
 # -- homology ----------------------------------------------------------------
@@ -543,19 +564,28 @@ def test_null_homotopy_random_acyclic_novikov():
 def test_splitting_matches_the_sympy_oracle(ring):
     """The residue splitting, entry for entry, against sympy's rref, and so
     `null_homotopy` over a field; with a lone generator added, both raise
-    the same NotAcyclic."""
+    the same NotAcyclic; with homology in a dependent column, the splitting
+    solves and `null_homotopy`'s check raises."""
     rng = random.Random(f"splitting:{ring!r}")
     for t in range(10):
         C = random_acyclic(rng, ring, tag=f"t{t}")
         want = splitting_oracle(C).mats
         assert complexes._splitting_homotopy(C).mats == null_homotopy(C).mats == want
-        C = C.direct_sum(ChainComplex.single(ring, "lone", rng.randint(-1, 2)))[0]
+        C = plus_lone(C, rng.randint(-1, 2))
         messages = []
         for fn in (complexes._splitting_homotopy, splitting_oracle):
             with pytest.raises(NotAcyclic) as err:
                 fn(C)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
+    # d a = d b = c: H_1 is spanned by a - b
+    C = ChainComplex.free(ring, {1: ["a", "b"], 0: ["c"]},
+                          {(1, "a", "c"): 1, (1, "b", "c"): 1})
+    complexes._splitting_homotopy(C)
+    with pytest.raises(NotAcyclic, match="in degree 1"):
+        splitting_oracle(C)
+    with pytest.raises(NotAcyclic, match="no contraction exists"):
+        null_homotopy(C)
 
 
 @pytest.mark.parametrize("name", NOVIKOV_RINGS)
@@ -593,7 +623,7 @@ def test_null_homotopy_z2_matches_the_oracle(name):
 def test_null_homotopy_not_acyclic_raises_as_the_oracle(name):
     nov = NOVIKOV_RINGS[name]
     C = random_novikov_acyclic(random.Random(f"homology:{name}"), nov)
-    C = C.direct_sum(ChainComplex.single(nov, "lone", 0))[0]
+    C = plus_lone(C, 0)
     messages = []
     for fn in (null_homotopy, null_homotopy_oracle):
         with pytest.raises(NotAcyclic) as err:

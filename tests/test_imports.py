@@ -7,6 +7,8 @@
 * No code outside `ChainComplex.__init__` assigns to a `.diff` attribute or
   to an item of one: every complex gets its differential from the
   constructor, which checks its shape and ring.
+* No code outside `complexes.total` imports or names `block_matrix`: every
+  sum of complexes is laid out by that one builder.
 * Every module is imported by another module of the package or named in
   the `ENGINE` tuple of perfbench/run.py.
 * Every defaulted parameter of a public function, or of a public method or
@@ -162,6 +164,52 @@ def test_checker_flags_a_diff_assignment():
            "    m.d = {}\n"
            "    diff = c.diff\n")
     assert diff_assignments(src) == [6, 7, 8, 9]
+
+
+# -- one caller of block_matrix -----------------------------------------------------
+
+def block_matrix_uses(name: str, source: str):
+    """Lines that import `block_matrix` or name it (as a name or an
+    attribute) anywhere but in the module-level `total` of complexes.py."""
+    out = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            hit = (isinstance(child, ast.Name) and child.id == "block_matrix") or (
+                isinstance(child, ast.Attribute) and child.attr == "block_matrix") or (
+                isinstance(child, ast.ImportFrom)
+                and any(a.name == "block_matrix" for a in child.names))
+            if hit and (name, scope) != ("complexes.py", ("total",)):
+                out.add(child.lineno)
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_block_matrix_is_called_by_total_only(path):
+    assert block_matrix_uses(path.name, path.read_text()) == []
+
+
+def test_checker_flags_a_block_matrix_use():
+    src = ("from . import linalg\n"
+           "from .linalg import block_matrix as bm\n"
+           "def total(ring):\n"
+           "    return linalg.block_matrix(ring, 0, 0, [])\n"
+           "def cone(ring):\n"
+           "    return bm(ring, 0, 0, []), linalg.block_matrix\n"
+           "class A:\n"
+           "    def total(self, ring):\n"
+           "        return linalg.block_matrix(ring, 0, 0, [])\n"
+           "def block_matrix(ring):\n"
+           "    return block_matrix\n")
+    assert block_matrix_uses("complexes.py", src) == [2, 6, 9, 11]
+    assert block_matrix_uses("bar.py", src) == [2, 4, 6, 9, 11]
 
 
 # -- every module is reached --------------------------------------------------------
