@@ -574,7 +574,10 @@ def homology(C: ChainComplex, degree: int) -> HomologyReport:
     with rank(d_out) from `field_rank` (over Z the rank over Q, which is
     the same).  Over Z the torsion is Z/e for each entry e != 1 of the Smith
     diagonal of d_in, whose length is rank(d_in): one Smith diagonalization
-    per call.  Over Z, d_out d_in = 0 is checked before it and
+    per call, whose unit phase takes each +-1 pivot by row operations and
+    drops its row and column (a 1 of the diagonal: the column is then +-e_i,
+    so clearing the row touches it alone), leaving the swap loop the
+    torsion.  Over Z, d_out d_in = 0 is checked before it and
     NotADifferential names a witness otherwise.
     """
     return _homology(C, degree, {})

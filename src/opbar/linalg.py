@@ -16,11 +16,13 @@ as {index: value} dicts.  No floats anywhere.  One kernel per job:
   right-hand side, once per degree for the null homotopy's splitting;
   `quotient.by_span` reduces the relation spans;
 * the integer routines -- one Smith diagonalization (`_ZWorker`) whose
-  pivot is the first +-1 entry of the trailing block, or without one the
-  smallest-magnitude entry with the fewest fill.  `snf_diagonal` (the
-  invariant factors d1 | d2 | ..., integer homology's torsion) tracks no
-  transform; `quotient.by_z_span` tracks the row transform U and its
-  inverse.
+  swap loop's pivot is the first +-1 entry of the trailing block, or
+  without one the smallest-magnitude entry with the fewest fill.
+  `snf_diagonal` (the invariant factors d1 | d2 | ..., integer homology's
+  torsion) tracks no transform: a unit phase first takes the +-1 pivots by
+  row operations and drops their rows and columns, leaving the loop the
+  torsion block; `quotient.by_z_span` tracks the row transform U and its
+  inverse, on the swap loop alone.
 
 Products run over plain Python ints, never through `Ring.mul`/`Ring.add`:
 over Q every entry is an int over den, the lcm of the matrix's
@@ -592,9 +594,12 @@ def reduced_echelon(ring: Ring, pivots: dict) -> dict:
 
 
 def _rows_of(mat: Mat):
+    """{row: {col: value}} of mat's nonzero entries; a stored 0 (direct
+    `m.d` assignment) is skipped."""
     rows = {}
     for (i, j), v in mat.d.items():
-        rows.setdefault(i, {})[j] = v
+        if v:
+            rows.setdefault(i, {})[j] = v
     return rows
 
 
@@ -615,7 +620,8 @@ def field_solve_mat(mat: Mat, rhs: Mat):
     ring, n = mat.ring, mat.ncols
     rows = _rows_of(mat)
     for (i, c), v in rhs.d.items():
-        rows.setdefault(i, {})[n + c] = v
+        if v:
+            rows.setdefault(i, {})[n + c] = v
     pivots = eliminate(ring, rows.values())[1]
     if pivots and max(pivots) >= n:
         return None
@@ -661,7 +667,8 @@ class _ZWorker:
     Maintains A as dict-of-rows plus a column-occupancy index.  With
     track_u, each row operation E is applied to U (rows), so U @ A_orig
     tracks the row history, and E^-1 to U^-1 (columns) as the inverse
-    column operation, so U @ Uinv stays the identity.
+    column operation, so U @ Uinv stays the identity.  Without it,
+    `diagonalize` runs the unit phase (`_take_units`) before the swap loop.
     """
 
     def __init__(self, mat: Mat, track_u=False):
@@ -670,8 +677,9 @@ class _ZWorker:
         self.rows = {}
         self.colocc = {}
         for (i, j), v in mat.d.items():
-            self.rows.setdefault(i, {})[j] = v
-            self.colocc.setdefault(j, set()).add(i)
+            if v:  # a stored 0 (direct `m.d` assignment) is no entry
+                self.rows.setdefault(i, {})[j] = v
+                self.colocc.setdefault(j, set()).add(i)
         # U as row -> {col: val}, Uinv as col -> {row: val}; both start as I
         self.U = {i: {i: 1} for i in range(self.m)} if track_u else None
         self.Uinv = {i: {i: 1} for i in range(self.m)} if track_u else None
@@ -726,12 +734,21 @@ class _ZWorker:
             self._set(i, j2, a or 0)
 
     def addmul_row(self, dst, src, c):
-        """row[dst] += c * row[src]; on U^-1, col[src] -= c * col[dst]."""
+        """row[dst] += c * row[src] (dst != src); on U^-1, col[src] -= c *
+        col[dst].  Each column of row src keeps src, so none goes empty."""
         if c == 0:
             return
-        for j, v in list(self.rows.get(src, {}).items()):
-            cur = self.rows.get(dst, {}).get(j, 0)
-            self._set(dst, j, cur + c * v)
+        row, colocc = self.rows.setdefault(dst, {}), self.colocc
+        for j, v in self.rows.get(src, {}).items():
+            w = row.get(j, 0) + c * v
+            if w:
+                row[j] = w
+                colocc[j].add(dst)
+            else:
+                del row[j]
+                colocc[j].discard(dst)
+        if not row:
+            del self.rows[dst]
         if self.U is not None:
             _addmul(self.U, dst, src, c)
             _addmul(self.Uinv, src, dst, -c)
@@ -792,9 +809,38 @@ class _ZWorker:
 
     # -- main loop --------------------------------------------------------
 
+    def _take_units(self):
+        """The unit phase: one sweep over the columns takes in each column
+        j its +-1 entry of the shortest row i, if any, as a pivot.  Row
+        operations clear column j in the other rows; then row i and column j
+        leave A, with no swap and no column operation.  Exact: column j is
+        now +-e_i, so the column operations clearing row i touch row i
+        alone: SNF(A) = 1 (+) SNF(the rest).  Returns the pivots taken."""
+        rows, colocc = self.rows, self.colocc
+        taken = 0
+        for j in range(self.n):
+            occ = colocc.get(j, ())
+            units = [(len(rows[i]), i) for i in occ if rows[i][j] in (1, -1)]
+            if not units:
+                continue
+            i = min(units)[1]
+            u = rows[i][j]
+            for r in [r for r in occ if r != i]:
+                self.addmul_row(r, i, -u * rows[r][j])
+            for c in rows.pop(i):
+                colocc[c].discard(i)
+                if not colocc[c]:
+                    del colocc[c]
+            taken += 1
+        return taken
+
     def diagonalize(self):
-        """Bring A to diagonal form; returns the list of nonzero diagonals."""
-        diag = []
+        """Bring A to diagonal form; returns the list of nonzero diagonals.
+        Without track_u, the unit phase (`_take_units`) first takes the +-1
+        pivots, a 1 each; the swap loop then sees the rest, which holds every
+        invariant factor other than 1, the rows and columns the phase
+        emptied being zero.  With track_u the swap loop runs on all of A."""
+        diag = [1] * self._take_units() if self.U is None else []
         k = 0
         limit = min(self.m, self.n)
         while k < limit:
@@ -804,26 +850,19 @@ class _ZWorker:
             pi, pj = piv
             self.swap_rows(k, pi)
             self.swap_cols(k, pj)
+            # a gcd step keeps A[k, k] != 0 and clears A[i, k] (A[k, j]),
+            # touching rows k and i (columns k and j) alone
             while True:
-                col_rows = [i for i in self.colocc.get(k, set()) if i > k]
-                for i in sorted(col_rows):
+                for i in sorted(i for i in self.colocc[k] if i > k):
                     self.gcd_rows(k, i, k)
-                row = self.rows.get(k, {})
-                row_cols = [j for j in row if j > k]
+                row_cols = sorted(j for j in self.rows[k] if j > k)
                 if not row_cols:
-                    if not any(i > k for i in self.colocc.get(k, set())):
-                        break
-                    continue
-                for j in sorted(row_cols):
+                    break
+                for j in row_cols:
                     self.gcd_cols(k, j, k)
-                if not any(i > k for i in self.colocc.get(k, set())):
-                    row = self.rows.get(k, {})
-                    if not any(j > k for j in row):
-                        break
-            d = self.rows.get(k, {}).get(k, 0)
-            if d == 0:
-                break
-            diag.append(abs(d))
+                if not any(i > k for i in self.colocc[k]):
+                    break
+            diag.append(abs(self.rows[k][k]))
             k += 1
         return diag
 
@@ -831,7 +870,6 @@ class _ZWorker:
         """The first +-1 entry of the trailing block; without one, the
         smallest-magnitude entry with the fewest fill as tie-break."""
         best = None
-        best_key = None
         rows = self.rows
         for j, occ in self.colocc.items():
             if j < k:
@@ -843,19 +881,21 @@ class _ZWorker:
                 if v == 1:
                     return i, j
                 key = (v, len(rows[i]) + len(occ), i, j)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (i, j)
-        return best
+                if best is None or key < best:
+                    best = key
+        return best and best[2:]
 
 
 def snf_diagonal(mat: Mat):
-    """Nonzero diagonal of the Smith normal form, as a divisibility chain."""
+    """Nonzero diagonal of the Smith normal form, as a divisibility chain:
+    one `_ZWorker.diagonalize` (unit phase, then swap loop), then the chain."""
     if mat.ring.kind != "Z":
         raise ValueError("snf_diagonal is an integer routine")
-    w = _ZWorker(mat)
-    diag = w.diagonalize()
-    # enforce d1 | d2 | ... by gcd/lcm passes on the diagonal values
+    return _divisibility_chain(_ZWorker(mat).diagonalize())
+
+
+def _divisibility_chain(diag):
+    """The invariant factors d1 | d2 | ... of a diagonal, by gcd/lcm passes."""
     diag = sorted(diag)
     changed = True
     while changed:

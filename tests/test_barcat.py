@@ -90,6 +90,31 @@ def test_group_homology_s3_degree_3():
     assert h.free_rank == 0 and h.invariant_factors == [6]
 
 
+def _v4_homology_oracle(degree: int):
+    """H_degree((Z/2)^2; Z) by Kunneth from H_*(Z/2; Z) = Z, Z/2, 0, Z/2, ...:
+    Z in degree 0, (Z/2)^((n+3)/2) for odd n and (Z/2)^(n/2) for even n > 0."""
+    if degree == 0:
+        return ("Z", [])
+    return ("0", [2] * ((degree + 3) // 2 if degree % 2 else degree // 2))
+
+
+@pytest.mark.parametrize("n, gens, n_max, oracle", [
+    (4, [Perm((2, 3, 4, 1))], 5, lambda d: cyclic_group_homology_oracle(4, d)),
+    (4, [Perm((2, 1, 3, 4)), Perm((1, 2, 4, 3))], 4, _v4_homology_oracle),
+    (5, [Perm((2, 3, 1, 5, 4))], 4, lambda d: cyclic_group_homology_oracle(6, d)),
+], ids=["z4", "v4", "z6"])
+def test_group_homology_composite_torsion(n, gens, n_max, oracle):
+    """Groups of order 4 and 6 whose torsion is composite: Z/4 against Z/2 +
+    Z/2 in H_1, and Z/6 from a 3-cycle times a disjoint transposition."""
+    bar = group_bar_complex(Z, n, gens, n_max)
+    degrees = [d for d in bar.realized.reliable_degrees if d >= 0]
+    assert degrees == list(range(n_max - 1))
+    for deg in degrees:
+        h = homology(bar.complex, deg)
+        free, torsion = oracle(deg)
+        assert (h.free_rank, h.invariant_factors) == (int(free == "Z"), torsion)
+
+
 def test_group_homology_rational_vanishes():
     bar = group_bar_complex(Q, 2, [Perm((2, 1))], 5)
     assert homology(bar.complex, 0).format() == "k^1"

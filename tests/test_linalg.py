@@ -112,6 +112,100 @@ def test_snf_on_group_bar_differentials_against_sympy():
                 assert field_rank(a) == len(want)
 
 
+def _unimodular(rng, n):
+    """A random n x n unimodular integer matrix: a unitriangular times a
+    transposed unitriangular, so its entries fill in and some stay +-1."""
+    return random_unitriangular(rng, Z, n).mul(
+        random_unitriangular(rng, Z, n).transpose())
+
+
+def _mixed_diagonal(rng, m, n, ones, torsion, zero_rows, zero_cols):
+    """diag(1, ..., 1, t_1, ..., t_r) as an m x n matrix, mixed by random
+    unimodular row and column operations, then spread over
+    (m + zero_rows) x (n + zero_cols) so that the added rows and columns at
+    random positions are zero."""
+    d = Mat(Z, m, n, {(k, k): v for k, v in enumerate([1] * ones + torsion)})
+    a = _unimodular(rng, m).mul(d).mul(_unimodular(rng, n))
+    rows = sorted(rng.sample(range(m + zero_rows), m))
+    cols = sorted(rng.sample(range(n + zero_cols), n))
+    out = Mat(Z, m + zero_rows, n + zero_cols)
+    out.d = {(rows[i], cols[j]): v for (i, j), v in a.d.items()}
+    return out
+
+
+def test_snf_sweep_with_known_invariant_factors():
+    """Invariant factors fixed by construction (Z/2 + Z/2 against Z/4 among
+    them), against sympy and against the swap loop alone: the tracked
+    diagonalization, which skips the unit phase, through the same chain."""
+    rng = random.Random(61)
+    torsions = ([], [2, 2], [4], [2, 6], [3], [2, 4, 12], [5, 10], [2, 2, 2])
+    # (ones, torsion, m, n, zero rows, zero columns); 0 x n shapes first
+    cases = [(0, [], 0, 0, 0, 5), (0, [], 0, 0, 4, 0), (0, [], 0, 0, 0, 0)]
+    for t in range(48):
+        torsion = torsions[t % len(torsions)]
+        ones = rng.randint(0, 4)
+        s = ones + len(torsion)
+        cases.append((ones, torsion, s + rng.randint(0, 2), s + rng.randint(0, 2),
+                      rng.randint(0, 2), rng.randint(0, 2)))
+    units_and_fill = 0
+    for ones, torsion, m, n, zero_rows, zero_cols in cases:
+        a = _mixed_diagonal(rng, m, n, ones, torsion, zero_rows, zero_cols)
+        want = [1] * ones + torsion
+        tracked = linalg._divisibility_chain(
+            _ZWorker(a, track_u=True).diagonalize())
+        assert snf_diagonal(a) == want == _sympy_invariants(a) == tracked, \
+            a.to_rows()
+        units_and_fill += (any(abs(v) == 1 for v in a.d.values())
+                           and len(a.d) > len(want))
+    assert units_and_fill >= 24
+
+
+def test_snf_unit_phase_and_swap_loop_counts(monkeypatch):
+    """On the bar of Z/3 (n_max 6), the unit phase takes every pivot of the
+    torsion-free d_3 and d_5, and the swap loop takes only the Z/3 factor
+    of d_2, d_4 and d_6."""
+    from opbar.barcat import group_bar_complex
+    from opbar.symgrp import Perm
+    taken = []
+    take_units = _ZWorker._take_units
+
+    def counted(self):
+        taken.append(take_units(self))
+        return taken[-1]
+    monkeypatch.setattr(_ZWorker, "_take_units", counted)
+    bar = group_bar_complex(Z, 3, [Perm((2, 3, 1))], 6)
+    counts, factors = {}, {}
+    for e, m in sorted(bar.complex.diff.items()):
+        factors[e] = snf_diagonal(m)
+        counts[e] = (taken[-1], len(factors[e]) - taken[-1])
+    assert counts == {2: (2, 1), 3: (6, 0), 4: (20, 1), 5: (60, 0),
+                      6: (182, 1)}
+    assert {e: [f for f in fs if f != 1] for e, fs in factors.items()} == \
+        {2: [3], 3: [], 4: [3], 5: [], 6: [3]}
+
+
+def test_stored_zero_is_no_entry():
+    """A `Mat` whose d holds an explicit 0 (direct `m.d` assignment): every
+    kernel reads it as no entry, over each ring."""
+    def with_d(ring, m, n, d):
+        a = Mat(ring, m, n)
+        a.d = d
+        return a
+    z = with_d(Z, 2, 2, {(0, 0): 0, (0, 1): 2, (1, 0): 3})
+    assert snf_diagonal(z) == [1, 6]  # looped forever on the pivot 0
+    assert field_rank(z) == 2
+    assert field_rank(with_d(Z, 1, 1, {(0, 0): 0})) == 0
+    assert snf_diagonal(with_d(Z, 1, 1, {(0, 0): 0})) == []
+    f3 = Ring.Fp(3)
+    assert field_rank(with_d(f3, 2, 2, {(0, 0): 0, (0, 1): 1, (1, 0): 1})) == 2
+    assert field_solve_mat(Mat.identity(f3, 1),
+                           with_d(f3, 1, 1, {(0, 0): 0})) == Mat(f3, 1, 1)
+    q = with_d(Q, 2, 2, {(0, 0): Fraction(0), (0, 1): Fraction(1, 2)})
+    assert field_rank(q) == 1
+    assert field_solve_mat(q, with_d(Q, 2, 1, {(0, 0): Fraction(1), (1, 0): Fraction(0)})) \
+        == Mat(Q, 2, 1, {(1, 0): Fraction(2)})
+
+
 # -- the row transform of the Smith diagonalization --------------------------
 
 
