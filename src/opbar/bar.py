@@ -96,7 +96,8 @@ class WordCalculus:
         """[(indices, image key, sign)] for every sigma in S_k, in the order
         of `itertools.permutations`: the orbit element of sigma has the image
         key and the children (c[indices[0]], ...), and its sign is the action
-        coefficient times the Koszul sign for the children's parities."""
+        coefficient times the Koszul sign for the children's parities, read
+        through the ring (so 1 over F_2)."""
         tk = (structure, key, parities)
         table = self._orbit_tables.get(tk)
         if table is None:
@@ -112,8 +113,8 @@ class WordCalculus:
                 s = ring.as_sign(coeff)
                 if s is None:
                     raise NonPermutationAction("non-unit symmetry coefficient")
-                table.append((tuple(i - 1 for i in images), nk,
-                              s * koszul_sign(sigma, parities)))
+                table.append((tuple(i - 1 for i in images), nk, ring.as_sign(
+                    ring.from_int(s * koszul_sign(sigma, parities)))))
             self._orbit_tables[tk] = table
         return table
 

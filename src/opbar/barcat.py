@@ -9,17 +9,27 @@ along u_1, faces 0 < i < n compose u_i u_{i+1}, and d_n pulls y back along
 u_n; degeneracies insert units.  All structure maps have degree 0, so no
 Koszul signs appear beyond the Leibniz rule inside each level.
 
-`BarBimoduleComplex` numbers every key of Mr, C and Ml once per bar and
-gives each label the int coordinates c = (m, u_1, ..., u_n, y); each level
-keeps one dict per degree from coordinates to basis position, and every
-structure map is written as a matrix straight from coordinates and per-id
-tables:
+`BarBimoduleComplex` numbers every key of Mr, C and Ml once per bar, K keys
+in all, and codes each label by one int c = sum_t c_t K^t, the digits c_t
+the ids of its coordinates (m, u_1, ..., u_n, y); each level keeps one dict
+per degree from codes to basis position, and every structure map is written
+as a matrix straight from codes and per-id tables:
 * the level differential from `diff_key` of each key (read once per key),
-  the term at c_t signed by (-1) to the sum of the degrees before it;
-* face d_i from the pair (c_i, c_{i+1}): m.u_1 (`Mr.act_key`), u_i u_{i+1}
-  (`C.compose_keys`) or u_n.y (`Ml.act_key`), one table entry per distinct
-  id pair with its coefficients canonicalized once (`_act`);
-* degeneracy s_i inserts the unit of the object where c_i ends.
+  replacing the digit c_t by a term of its d, signed by (-1) to the sum of
+  the degrees before it;
+* face d_i from the pair c // K^i % K^2 = c_i + c_{i+1} K: m.u_1
+  (`Mr.act_key`), u_i u_{i+1} (`C.compose_keys`) or u_n.y (`Ml.act_key`),
+  one table entry per distinct pair with its coefficients canonicalized
+  once (`_act`), written back as the one digit c % K^i + w K^i +
+  c // K^(i+2) K^(i+1);
+* degeneracy s_i inserts the unit of the object where c_i ends as the
+  digit i + 1, by the same arithmetic.
+Every degeneracy, and every face whose columns each hit one table entry
+with coefficient 1 (every face of a group bar), is a `linalg.row_map`; the
+constructor runs in one check pass, so the row maps hand their column forms
+to the chain-map and simplicial identity checks (and, inside
+`two_sided_bar`'s pass, to the augmentation's d_0 chain), and no check
+forms them again.
 
 The augmentation triangle (`augmentation_maps`) has three maps out of or into
 the realized bar: f multiplies each label out to level 0 of the constant
@@ -43,7 +53,8 @@ from .dgcat import DgCategory, DgFunctor, LeftModule, RightModule, \
 from .errors import EngineError, ModuleMismatch, NonComposable, \
     NonCommutingSquare, NonTorsionFree, UnsupportedRing
 from .lincomb import add_into, eq as lc_eq
-from .linalg import Mat, _restore, check_pass, column_product, form
+from .linalg import Mat, _restore, check_pass, column_product, form, \
+    row_map
 from .quotient import by_classes, by_span, by_z_span
 from .simplicial import SimplicialComplexObj, constant_simplicial, realize
 
@@ -56,17 +67,24 @@ class BarBimoduleComplex:
             raise ModuleMismatch("modules over a different category")
         self.Mr, self.C, self.Ml = Mr, C, Ml
         self.n_max = n_max
+        with check_pass():  # the row maps hand their forms to every check
+            self._build()
+        self._augmentation = None
+
+    def _build(self):
+        Mr, C, Ml, n_max = self.Mr, self.C, self.Ml, self.n_max
         ring = C.ring
         objs = C.objects
         mks = [m for a in objs for m in Mr.elem_keys(a)]
         uks = [u for a in objs for b in objs for u in C.basis_keys(a, b)]
         yks = [y for a in objs for y in Ml.elem_keys(a)]
         keys = self._keys = mks + uks + yks
+        K, one = len(keys), ring.one
         nm, ny = self._bounds = len(mks), len(mks) + len(uks)
         self._ids = ids = ({k: x for x, k in enumerate(mks)},
                            {k: x for x, k in enumerate(uks, nm)},
                            {k: x for x, k in enumerate(yks, ny)})
-        acts = self._acts = {}  # (id, id) -> the face table entry, see _act
+        acts = self._acts = {}  # a + b K -> the face table entry, see _act
         deg = [k[1] for k in mks] + [k[2] for k in uks] + [k[1] for k in yks]
         dtab = []  # id -> [(id of a term of d key, coeff, -coeff)]
         for diff, back, ks in ((Mr.diff_key, ids[0], mks),
@@ -79,16 +97,18 @@ class BarBimoduleComplex:
         pools = {ab: [ids[1][u] for u in C.basis_keys(*ab)] for ab in C.homs}
         m_at = {a: [ids[0][m] for m in Mr.elem_keys(a)] for a in objs}
         y_at = {a: [ids[2][y] for y in Ml.elem_keys(a)] for a in objs}
-        # chains of objects, each with its words (u ids, u keys, degree)
-        chains = [((a,), [((), (), 0)]) for a in objs]
-        coords, bases = [], []
+        # chains of objects, each with its words (code of u_1..u_n, u keys,
+        # degree); u_t is the digit t of the code
+        chains = [((a,), [(0, (), 0)]) for a in objs]
+        codes, bases = [], []
         for n in range(n_max + 1):
             if n:
-                chains = [(ch + (b,), [(us + (u,), uk + (keys[u],), du + deg[u])
+                chains = [(ch + (b,), [(us + u * K ** n, uk + (keys[u],), du + deg[u])
                                        for us, uk, du in words
                                        for u in pools[(ch[-1], b)]])
                           for ch, words in chains for b in objs
                           if (ch[-1], b) in pools]
+            top = K ** (n + 1)
             basis, cs = {}, {}
             for ch, words in chains:
                 for m in m_at[ch[0]]:
@@ -97,54 +117,75 @@ class BarBimoduleComplex:
                             d = deg[m] + du + deg[y]
                             basis.setdefault(d, []).append(
                                 ("bar", keys[m], uk, keys[y]))
-                            cs.setdefault(d, []).append((m,) + us + (y,))
-            coords.append(cs)
+                            cs.setdefault(d, []).append(m + us + y * top)
+            codes.append(cs)
             bases.append(basis)
         pos = [{d: {c: j for j, c in enumerate(col)} for d, col in cs.items()}
-               for cs in coords]
+               for cs in codes]
 
-        def mats(n, tn, shift, entries):
-            """{degree: matrix} from level n to level tn; entries(col, rows)
-            gives {(row, j): coefficient} for the coordinates col."""
+        def mats(n, tn, shift, build):
+            """{degree: matrix} from level n to level tn; build(col, rows,
+            nrows) gives the matrix on the codes col, or None when it is 0."""
             out = {}
-            for d, col in coords[n].items():
-                ent = entries(col, pos[tn].get(d + shift, {}))
-                if ent:
-                    out[d] = Mat(ring, len(coords[tn].get(d + shift, ())),
-                                 len(col))
-                    out[d].d = ent
+            for d, col in codes[n].items():
+                rows = pos[tn].get(d + shift, {})
+                m = build(col, rows, len(rows))
+                if m is not None:
+                    out[d] = m
             return out
 
-        def level_diff(col, rows):
-            ent = {}
-            for j, c in enumerate(col):
-                pre = 0
-                for t, x in enumerate(c):
-                    for x2, v, nv in dtab[x]:
-                        ent[(rows[c[:t] + (x2,) + c[t + 1:]], j)] = \
-                            nv if pre % 2 else v
-                    pre += deg[x]
-            return ent
+        def matrix(ent, nrows, ncols):
+            if not ent:
+                return None
+            m = Mat(ring, nrows, ncols)
+            m.d = ent
+            return m
 
-        def face(i):  # reads the pair (c[i], c[i + 1]) and replaces it
-            def entries(col, rows):
+        def level_diff(n):  # replaces one digit t by a term of its d
+            places = [K ** t for t in range(n + 2)]
+
+            def build(col, rows, nrows):
                 ent = {}
                 for j, c in enumerate(col):
-                    for w, v in acts.get(c[i:i + 2]) or self._act(*c[i:i + 2]):
-                        ent[(rows[c[:i] + (w,) + c[i + 2:]], j)] = v
-                return ent
-            return entries
+                    pre = 0
+                    for p in places:
+                        x = c // p % K
+                        for x2, v, nv in dtab[x]:
+                            ent[(rows[c + (x2 - x) * p], j)] = \
+                                nv if pre % 2 else v
+                        pre += deg[x]
+                return matrix(ent, nrows, len(col))
+            return build
 
-        def degen(i):  # inserts the unit at the end object of c[i]
-            return lambda col, rows: {
-                (rows[c[:i + 1] + (end[c[i]],) + c[i + 1:]], j): ring.one
-                for j, c in enumerate(col)}
+        def face(i):  # reads the pair c // K^i % K^2 and replaces it
+            p, q, r, kk = K ** i, K ** (i + 1), K ** (i + 2), K * K
+
+            def build(col, rows, nrows):
+                hit_rows = []
+                for c in col:
+                    hit = acts.get(c // p % kk) or self._act(c // p % kk)
+                    if len(hit) != 1 or hit[0][1] != one:
+                        break
+                    hit_rows.append(rows[c % p + hit[0][0] * p + c // r * q])
+                else:
+                    return row_map(ring, nrows, hit_rows)
+                ent = {}
+                for j, c in enumerate(col):
+                    for w, v in acts.get(c // p % kk) or self._act(c // p % kk):
+                        ent[(rows[c % p + w * p + c // r * q], j)] = v
+                return matrix(ent, nrows, len(col))
+            return build
+
+        def degen(i):  # inserts the unit at the end object of digit i
+            p, q = K ** i, K ** (i + 1)
+            return lambda col, rows, nrows: row_map(ring, nrows, [
+                rows[c % q + (end[c // p % K] + c // q * K) * q] for c in col])
 
         # without a term in any diff_key, every level differential is 0
-        levels = {n: ChainComplex(ring, "Z", bases[n],
-                                  mats(n, n, -1, level_diff) if any(dtab) else {})
+        levels = {n: ChainComplex(ring, "Z", bases[n], mats(n, n, -1, level_diff(n))
+                                  if any(dtab) else {})
                   for n in range(n_max + 1)}
-        # checked as chain maps by SimplicialComplexObj, in its one pass
+        # checked as chain maps by SimplicialComplexObj, in the bar's pass
         faces = {(n, i): ChainMap(levels[n], levels[n - 1], 0,
                                   mats(n, n - 1, 0, face(i)), validate=False)
                  for n in range(1, n_max + 1) for i in range(n + 1)}
@@ -154,14 +195,15 @@ class BarBimoduleComplex:
         self.simplicial = SimplicialComplexObj(n_max, levels, faces, degens)
         self.realized = realize(self.simplicial)
         self.complex = self.realized.complex
-        self._augmentation = None
 
-    def _act(self, a, b):
-        """m.u, u then v, or u.y for the ids (a, b), as [(id, coefficient)]
-        with canonical nonzero coefficients; read once per pair."""
-        got = self._acts.get((a, b))
+    def _act(self, ab):
+        """m.u, u then v, or u.y for the ids (a, b), ab = a + b K, as
+        [(id, coefficient)] with canonical nonzero coefficients; read once
+        per pair."""
+        got = self._acts.get(ab)
         if got is None:
             ring, keys, (nm, ny) = self.C.ring, self._keys, self._bounds
+            b, a = divmod(ab, len(keys))
             if a < nm:
                 hit, back = self.Mr.act_key(keys[a], keys[b]), self._ids[0]
             elif b >= ny:
@@ -169,8 +211,7 @@ class BarBimoduleComplex:
             else:
                 hit, back = self.C.compose_keys(keys[a], keys[b]), self._ids[1]
             hit = [(back[k], ring.canon(v)) for k, v in hit.items()]
-            got = self._acts[(a, b)] = [kv for kv in hit
-                                        if not ring.is_zero(kv[1])]
+            got = self._acts[ab] = [kv for kv in hit if not ring.is_zero(kv[1])]
         return got
 
     # -- the augmentation triangle -----------------------------------------

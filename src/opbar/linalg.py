@@ -8,6 +8,9 @@ as {index: value} dicts.  No floats anywhere.  One kernel per job:
   the product's values once (`_restore`), while every exact check decides
   on the forms (`columns_equal` or an emptiness test), each matrix formed
   once per `check_pass`, and restores values only to name a witness;
+  `row_map` builds a map whose every column is one entry (r, 1), as the
+  bar's faces and degeneracies are, and inside a check pass stores its
+  column form with it, so no check forms it again;
 * field elimination -- one forward elimination over plain ints
   (`eliminate`: primitive integer rows over Q, monic residues over F_p,
   over Z the rank over Q) and one back-reduction (`reduced_echelon`),
@@ -278,9 +281,8 @@ def column_form(ring: Ring, m: Mat, units=None):
     one = _int_one(ring)
     at = {j: i for i, j in ints} if all(w == one for w in ints.values()) else {}
     if len(at) == len(ints) == m.ncols:  # every column one entry (r, 1)
-        rows, units = [at[j] for j in range(m.ncols)], {} if units is None else units
-        return den, [units.get((r, one)) or units.setdefault((r, one), {r: one})
-                     for r in rows], rows
+        rows = [at[j] for j in range(m.ncols)]
+        return den, _unit_columns(rows, one, {} if units is None else units), rows
     cols = [{} for _ in range(m.ncols)]
     for (i, j), w in ints.items():
         cols[j][i] = w
@@ -289,6 +291,13 @@ def column_form(ring: Ring, m: Mat, units=None):
 
 def _int_one(ring: Ring):
     return ((0, 1),) if ring.kind == "nov" else 1
+
+
+def _unit_columns(rows, one, units):
+    """The columns {r: one} of a map with rows, one shared dict per row r
+    from units."""
+    return [units.get((r, one)) or units.setdefault((r, one), {r: one})
+            for r in rows]
 
 
 _pass_forms = None  # {id(m): (m, column form), None: units} in a check pass
@@ -318,6 +327,19 @@ def form(m: Mat):
     if got is None:
         got = _pass_forms[id(m)] = (m, column_form(m.ring, m, _pass_forms[None]))
     return got[1]
+
+
+def row_map(ring: Ring, nrows: int, rows) -> Mat:
+    """The nrows x len(rows) matrix whose column j is the single entry
+    (rows[j], 1), as faces and degeneracies mostly are.  Inside a check
+    pass its column form is stored with it, as `form` would compute it, so
+    no check reads the matrix again."""
+    m = Mat(ring, nrows, len(rows))
+    m.d = {(r, j): ring.one for j, r in enumerate(rows)}
+    if _pass_forms is not None:
+        cols = _unit_columns(rows, _int_one(ring), _pass_forms[None])
+        _pass_forms[id(m)] = (m, (1, cols, rows))
+    return m
 
 
 def column_product(ring: Ring, g, f):

@@ -31,6 +31,7 @@ from opbar.dgcat import (
     functor_right_module,
 )
 from opbar.errors import EngineError, NonCommutingSquare
+from opbar.lincomb import add_into, eq as lc_eq
 from opbar.linalg import Mat
 from opbar.symgrp import Perm
 
@@ -188,6 +189,106 @@ def test_augmentation_triangle_on_group_bar():
     p, f, q, tensor, const = bar.augmentation_maps()
     assert q.compose(f).eq(p)
     assert tensor.dim(0) == 1  # Z (x)_{Z[G]} Z = Z
+
+
+# -- the structure maps against the labels -------------------------------------------
+
+def _image_by_labels(bar, kind, i, label):
+    """The image of a bar label under the level differential (kind "d"),
+    face d_i ("face") or degeneracy s_i ("degen"), read off its keys alone:
+    the actions and compositions of the modules and the category, their
+    differentials and units."""
+    Mr, C, Ml = bar.Mr, bar.C, bar.Ml
+    ring = C.ring
+    _, m, us, y = label
+    n = len(us)
+    out = {}
+
+    def put(m2, us2, y2, v):
+        add_into(ring, out, ("bar", m2, us2, y2), v)
+    if kind == "degen":  # the unit at the object where c_i ends
+        put(m, us[:i] + (C.unit_key(m[0] if i == 0 else us[i - 1][1]),) + us[i:],
+            y, ring.one)
+    elif kind == "d":  # Leibniz, signed by the degrees before each key
+        keys, pre = (m,) + us + (y,), 0
+        for t, k in enumerate(keys):
+            inner = 0 < t <= n
+            diff = C.diff_key if inner else Mr.diff_key if t == 0 else Ml.diff_key
+            for k2, v in diff(k).items():
+                new = keys[:t] + (k2,) + keys[t + 1:]
+                put(new[0], new[1:-1], new[-1], ring.neg(v) if pre % 2 else v)
+            pre += k[2] if inner else k[1]
+    elif i == 0:
+        for k, v in Mr.act_key(m, us[0]).items():
+            put(k, us[1:], y, v)
+    elif i == n:
+        for k, v in Ml.act_key(us[-1], y).items():
+            put(m, us[:-1], k, v)
+    else:
+        for k, v in C.compose_keys(us[i - 1], us[i]).items():
+            put(m, us[:i - 1] + (k,) + us[i + 1:], y, v)
+    return out
+
+
+def _check_against_labels(bar):
+    """Every column of every level differential, face and degeneracy of bar
+    equals `_image_by_labels`; returns {kind: columns checked}."""
+    simp, ring = bar.simplicial, bar.C.ring
+    maps = [("d", None, simp.level(n), simp.level(n), simp.level(n).diff, -1)
+            for n in range(bar.n_max + 1)]
+    maps += [("face", i, simp.level(n), simp.level(n - 1), simp.face(n, i).mats, 0)
+             for n in range(1, bar.n_max + 1) for i in range(n + 1)]
+    maps += [("degen", i, simp.level(n), simp.level(n + 1), simp.degen(n, i).mats, 0)
+             for n in range(bar.n_max) for i in range(n + 1)]
+    checked = {}
+    for kind, i, src, tgt, mats, shift in maps:
+        for d in src.degrees():
+            rows = tgt.labels(d + shift)
+            cols = mats[d].columns() if d in mats else {}
+            for j, label in enumerate(src.labels(d)):
+                got = {rows[r]: v for r, v in cols.get(j, {}).items()}
+                want = _image_by_labels(bar, kind, i, label)
+                assert lc_eq(ring, got, want), (kind, i, label, got, want)
+                checked[kind] = checked.get(kind, 0) + 1
+    return checked
+
+
+def _telescope_bar():
+    """The hocolim bar of b -> a under 2: d_0 multiplies by 2, and the
+    level differentials are the complex's."""
+    c = ChainComplex.free(Z, {0: ["a"], 1: ["b"]}, {(1, "b", "a"): 1})
+    two = ChainMap(c, c, 0, {0: Mat.from_rows(Z, [[2]]), 1: Mat.from_rows(Z, [[2]])})
+    return telescope_vs_hocolim([c, c, c], [two, two], 3).hocolim
+
+
+def _regular_s3_bar():
+    C = group_ring_category(Q, 3, [Perm((2, 1, 3)), Perm((2, 3, 1))])
+    regular = under_functor_left_module(DgFunctor.identity(C), C.objects[0])
+    return two_sided_bar(trivial_right_module(C), C, regular, 3)
+
+
+def _poset_bar():
+    P = poset_category(Z, 2)
+    Ml = under_functor_left_module(DgFunctor.identity(P), 2)
+    return BarBimoduleComplex(trivial_right_module(P), P, Ml, 3)
+
+
+@pytest.mark.parametrize("build,row_faces", [
+    (lambda: group_bar_complex(Z, 3, [(2, 3, 1)], 5), True),
+    (_regular_s3_bar, True),
+    (_telescope_bar, False),
+    (_poset_bar, True),
+], ids=["z3_z", "s3_regular_q", "telescope_z", "poset_z"])
+def test_faces_and_degeneracies_match_the_label_formulas(build, row_faces):
+    bar = build()
+    checked = _check_against_labels(bar)
+    assert checked["face"] and checked["degen"] and checked["d"]
+    simp, ring = bar.simplicial, bar.C.ring
+    faces = [m for f in simp.faces.values() for m in f.mats.values()]
+    # a row map has one entry 1 per column; the telescope's d_0 has 2s
+    assert all(linalg.column_form(ring, m)[2] is not None for m in faces) == row_faces
+    if not row_faces:
+        assert any(simp.level(n).diff for n in range(bar.n_max + 1))
 
 
 # -- cat_left_kan ---------------------------------------------------------------

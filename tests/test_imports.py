@@ -9,6 +9,9 @@
   constructor, which checks its shape and ring.
 * No code outside `complexes.total` imports or names `block_matrix`: every
   sum of complexes is laid out by that one builder.
+* No code outside linalg.py names `_pass_forms` (src/opbar, tests and
+  perfbench alike): the check pass's table of forms has one owner, and
+  everything else reaches it through `check_pass`, `form` and `row_map`.
 * Every module is imported by another module of the package or named in
   the `ENGINE` tuple of perfbench/run.py.
 * Every defaulted parameter of a public function, or of a public method or
@@ -210,6 +213,54 @@ def test_checker_flags_a_block_matrix_use():
            "    return block_matrix\n")
     assert block_matrix_uses("complexes.py", src) == [2, 6, 9, 11]
     assert block_matrix_uses("bar.py", src) == [2, 4, 6, 9, 11]
+
+
+# -- one owner of the pass table ---------------------------------------------------
+
+def _names(node):
+    """The identifiers a node writes: a name, an attribute, an imported
+    name or its alias, a global or nonlocal, a definition or an argument."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.alias):
+        return [node.name, node.asname]
+    if isinstance(node, (ast.Global, ast.Nonlocal)):
+        return node.names
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.arg):
+        return [node.arg]
+    return []
+
+
+def pass_table_uses(source: str):
+    """Lines that name `_pass_forms` in any way `_names` reads."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if "_pass_forms" in _names(node)})
+
+
+def test_pass_table_is_named_in_linalg_only():
+    hits = [(str(p.relative_to(ROOT)), line) for p in CALLERS
+            if p != PACKAGE / "linalg.py"
+            for line in pass_table_uses(p.read_text())]
+    assert hits == []
+    assert pass_table_uses((PACKAGE / "linalg.py").read_text())  # it is found
+
+
+def test_checker_flags_a_pass_table_name():
+    src = ("from .linalg import _pass_forms\n"
+           "from . import linalg\n"
+           "from .linalg import check_pass as _pass_forms\n"
+           "def f():\n"
+           "    global _pass_forms\n"
+           "    return linalg._pass_forms[None]\n"
+           "def g(_pass_forms):\n"
+           "    return '_pass_forms'  # a string is no name\n"
+           "class _pass_forms:\n"
+           "    pass_forms = _pass_forms\n")
+    assert pass_table_uses(src) == [1, 3, 5, 6, 7, 9, 10]
 
 
 # -- every module is reached --------------------------------------------------------

@@ -661,6 +661,38 @@ def test_column_product_matches_mat_mul(ring):
                                             linalg.column_form(ring, bad))
 
 
+@pytest.mark.parametrize("ring", [Z, Q, Ring.Fp(3), Ring.novikov(Q, 2, 2)],
+                         ids=repr)
+def test_row_map_stores_the_form_that_column_form_computes(ring, monkeypatch):
+    rng = random.Random(f"row_map:{ring!r}")
+    column_form, formed = linalg.column_form, []
+
+    def counting_form(ring, m, *units):
+        formed.append(m)
+        return column_form(ring, m, *units)
+    monkeypatch.setattr(linalg, "column_form", counting_form)
+    shapes = [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(12)]
+    for nrows, ncols in shapes + [(3, 0), (0, 0)]:
+        rows = [rng.randrange(nrows) for _ in range(ncols)]
+        want = Mat(ring, nrows, ncols, {(r, j): ring.one for j, r in enumerate(rows)})
+        with linalg.check_pass():
+            m = linalg.row_map(ring, nrows, rows)
+            stored = linalg.form(m)
+            assert formed == []  # handed over, not formed
+            # the same form, sharing the pass's unit columns
+            assert stored == column_form(ring, m) == column_form(ring, want)
+            assert all(col is linalg.form(linalg.row_map(ring, nrows, rows))[1][j]
+                       for j, col in enumerate(stored[1]))
+        assert m == want and m.d == want.d
+        assert formed == []
+        # outside a check pass nothing is stored: the next pass forms m
+        m = linalg.row_map(ring, nrows, rows)
+        with linalg.check_pass():
+            assert linalg.form(m) == column_form(ring, want)
+        assert formed == [m]
+        formed.clear()
+
+
 def test_columns_equal_cross_multiplies_denominators():
     half = Mat.from_rows(Q, [[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
     a = linalg.column_form(Q, half)
