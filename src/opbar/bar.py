@@ -453,7 +453,7 @@ def _ordered_form(M, calc, carriers, y, cpx):
                 [_act_leaf_map(ring, leafc, carriers, xs, g) for g in gens])
             quot, proj = tensor_over_group_ring(right, left)
             pieces.append((xs, quot, proj))
-    ocpx = total(ring, "Z", [(("of", xs), quot, 0) for xs, quot, _ in pieces], [])
+    ocpx = total(ring, [(("of", xs), quot, 0) for xs, quot, _ in pieces], [])
 
     proj_of = {xs: (quot, proj) for xs, quot, proj in pieces}
 

@@ -468,7 +468,7 @@ def telescope_complex(complexes, maps) -> ChainComplex:
     for i in range(k):  # ("t1", i) is part k + 1 + i
         arrows += [(k + 1 + i, i + 1, maps[i], 1),
                    (k + 1 + i, i, ChainMap.identity(complexes[i]), -1)]
-    return total(complexes[0].ring, "Z", parts, arrows)
+    return total(complexes[0].ring, parts, arrows)
 
 
 def telescope_vs_hocolim(complexes, maps, n_max) -> TelescopeReport:

@@ -2,7 +2,7 @@
 
 Conventions, used engine-wide:
 
-* homological grading, differentials lower degree by one;
+* Z-graded, homological: differentials lower degree by one;
 * cohomological input is stored by negating degrees;
 * Koszul sign rule: d(a (x) b) = da (x) b + (-1)^{|a|} a (x) db;
 * a chain map of degree k satisfies  d f = (-1)^k f d;
@@ -15,9 +15,6 @@ a simplicial object and the ordered form of the Kan object.  Part C[n]
 holds the labels prefix + (l,) with the shift sign on d, the parts follow
 each other in every degree, and signed degree-0 maps between parts add the
 cross terms.
-
-Z/2-graded complexes use the two degree slots {0, 1}; the differential maps
-each slot to the other.
 
 The exact checks (d^2 = 0, chain maps, `first_difference` of two maps)
 decide on the int column forms of `linalg`, each call one check pass.
@@ -43,19 +40,18 @@ from .lincomb import add_into
 
 
 class ChainComplex:
-    """A degreewise-free complex with an ordered labeled basis per degree."""
+    """A degreewise-free complex with an ordered labeled basis per degree.
+    Every complex is Z-graded: the grading argument must be "Z"."""
 
-    __slots__ = ("ring", "grading", "basis", "diff", "_index")
+    __slots__ = ("ring", "basis", "diff", "_index")
+    grading = "Z"
 
     def __init__(self, ring: Ring, grading: str, basis: dict, diff: dict,
                  validate: bool = True):
-        if grading not in ("Z", "Z2"):
-            raise ValueError("grading must be 'Z' or 'Z2'")
+        if grading != "Z":
+            raise ValueError(f"grading must be 'Z', not {grading!r}")
         self.ring = ring
-        self.grading = grading
         self.basis = {d: list(ls) for d, ls in sorted(basis.items()) if ls}
-        if grading == "Z2" and any(d not in (0, 1) for d in self.basis):
-            raise ValueError("Z2-graded complexes use degree slots {0, 1}")
         self.diff = {}
         self._index = None
         for d in self.basis:
@@ -74,13 +70,10 @@ class ChainComplex:
     # -- degree bookkeeping ------------------------------------------------
 
     def pred(self, d: int) -> int:
-        return (d - 1) % 2 if self.grading == "Z2" else d - 1
+        return d - 1
 
     def succ(self, d: int) -> int:
-        return (d + 1) % 2 if self.grading == "Z2" else d + 1
-
-    def shift_deg(self, d: int, n: int) -> int:
-        return (d + n) % 2 if self.grading == "Z2" else d + n
+        return d + 1
 
     def degrees(self):
         return sorted(self.basis)
@@ -151,15 +144,14 @@ class ChainComplex:
         return ChainComplex(ring, "Z", {degree: [label]}, {})
 
     @staticmethod
-    def from_labels(ring: Ring, basis: dict, d_fn, grading: str = "Z",
-                    validate: bool = True) -> "ChainComplex":
+    def from_labels(ring: Ring, basis: dict, d_fn, validate: bool = True) -> "ChainComplex":
         """Build from {deg: [labels]} and d_fn(label) -> {target_label: coeff},
         the boundary of a basis label, with coefficients in ring.  Raises
         ValueError when d_fn names a label that is not in the basis one
         degree below."""
         diff = {}
         for d, ls in basis.items():
-            below = basis.get((d - 1) % 2 if grading == "Z2" else d - 1, ())
+            below = basis.get(d - 1, ())
             rows = {l: i for i, l in enumerate(below)}
             m = diff[d] = Mat.zeros(ring, len(below), len(ls))
             for j, l in enumerate(ls):
@@ -169,57 +161,52 @@ class ChainComplex:
                         raise ValueError(f"d({l!r}) names {tl!r}, which is not "
                                          f"a basis label of degree {d} - 1")
                     m.add_to(i, j, c)
-        return ChainComplex(ring, grading, basis, diff, validate)
+        return ChainComplex(ring, "Z", basis, diff, validate)
 
     @staticmethod
-    def free(ring: Ring, basis: dict, entries: dict, grading: str = "Z") -> "ChainComplex":
+    def free(ring: Ring, basis: dict, entries: dict) -> "ChainComplex":
         """Build from {deg: [labels]} and {(deg, src_label, tgt_label): coeff};
         a label named as a source is a basis label of one degree only."""
         bd = {}
         for (_, src, tgt), c in entries.items():
             bd.setdefault(src, {})[tgt] = ring.canon(c)
-        return ChainComplex.from_labels(ring, basis, lambda l: bd.get(l, {}),
-                                        grading)
+        return ChainComplex.from_labels(ring, basis, lambda l: bd.get(l, {}))
 
     def relabel(self, fn) -> "ChainComplex":
         basis = {d: [fn(l) for l in ls] for d, ls in self.basis.items()}
-        return ChainComplex(self.ring, self.grading, basis, self.diff, validate=False)
+        return ChainComplex(self.ring, "Z", basis, self.diff, validate=False)
 
     def shift(self, n: int) -> "ChainComplex":
-        basis = {self.shift_deg(d, n): ls for d, ls in self.basis.items()}
+        basis = {d + n: ls for d, ls in self.basis.items()}
         sign = 1 if n % 2 == 0 else -1
         diff = {}
         for d, m in self.diff.items():
-            diff[self.shift_deg(d, n)] = m if sign == 1 else m.neg()
-        return ChainComplex(self.ring, self.grading, basis, diff, validate=False)
+            diff[d + n] = m if sign == 1 else m.neg()
+        return ChainComplex(self.ring, "Z", basis, diff, validate=False)
 
     def tensor(self, other: "ChainComplex") -> "ChainComplex":
         """self (x) other with labels ("t", la, lb): `tensor_many` of the two
         factors, relabelled."""
-        if self.ring != other.ring or self.grading != other.grading:
-            raise MixedRings("tensor needs matching ring and grading")
-        return ChainComplex.tensor_many(
-            self.ring, [self, other], tag="t", grading=self.grading
-        ).relabel(lambda l: ("t",) + l[1])
+        if self.ring != other.ring:
+            raise MixedRings("tensor needs matching rings")
+        return ChainComplex.tensor_many(self.ring, [self, other], tag="t") \
+            .relabel(lambda l: ("t",) + l[1])
 
     def map_coefficients(self, new_ring: Ring, fn) -> "ChainComplex":
         diff = {d: m.map_ring(new_ring, fn) for d, m in self.diff.items()}
-        return ChainComplex(new_ring, self.grading, self.basis, diff, validate=False)
+        return ChainComplex(new_ring, "Z", self.basis, diff, validate=False)
 
     @staticmethod
-    def tensor_many(ring, factors, tag="x", grading="Z") -> "ChainComplex":
-        """Flat tensor product: labels (tag, (l_1, ..., l_k)), Koszul signs.
-
-        With grading="Z2" the factors are Z/2-graded and degrees add mod 2."""
+    def tensor_many(ring, factors, tag="x") -> "ChainComplex":
+        """Flat tensor product: labels (tag, (l_1, ..., l_k)) in the degree
+        sum of the factors' degrees, Koszul signs."""
         pools = []
         for c in factors:
             pools.append([(d, l) for d in c.degrees() for l in c.labels(d)])
         basis = {}
         for combo in itertools.product(*pools):
-            deg = sum(d for d, _ in combo)
-            if grading == "Z2":
-                deg %= 2
-            basis.setdefault(deg, []).append((tag, tuple(l for _, l in combo)))
+            basis.setdefault(sum(d for d, _ in combo), []).append(
+                (tag, tuple(l for _, l in combo)))
         # per factor: label -> (degree, [(boundary label, coeff)]); d_fn sees
         # labels only, so a label held in two degrees would read one boundary
         tables = []
@@ -245,17 +232,14 @@ class ChainComplex:
                 pre += ld
             return out
 
-        return ChainComplex.from_labels(ring, basis, d_fn, grading,
-                                        validate=False)
+        return ChainComplex.from_labels(ring, basis, d_fn, validate=False)
 
     def euler_characteristic(self) -> int:
-        if self.grading == "Z2":
-            return self.dim(0) - self.dim(1)
         return sum((-1) ** (d % 2) * self.dim(d) for d in self.degrees())
 
     def __repr__(self):
         dims = ", ".join(f"{d}:{self.dim(d)}" for d in self.degrees())
-        return f"ChainComplex({self.ring!r}, {self.grading}, dims {{{dims}}})"
+        return f"ChainComplex({self.ring!r}, Z, dims {{{dims}}})"
 
 
 class ChainMap:
@@ -266,8 +250,6 @@ class ChainMap:
     def __init__(self, source, target, degree, mats, validate=True):
         if source.ring != target.ring:
             raise MixedRings("chain map between different rings")
-        if source.grading != target.grading:
-            raise DegreeMismatch("chain map between different gradings")
         self.source = source
         self.target = target
         self.degree = degree
@@ -275,8 +257,7 @@ class ChainMap:
         for d, m in mats.items():
             if m is None or m.is_zero():
                 continue
-            td = target.shift_deg(d, degree) if target.grading == "Z2" else d + degree
-            want = (target.dim(td), source.dim(d))
+            want = (target.dim(d + degree), source.dim(d))
             if (m.nrows, m.ncols) != want:
                 raise ValueError(f"map at degree {d}: shape {(m.nrows, m.ncols)}, want {want}")
             self.mats[d] = m
@@ -284,7 +265,7 @@ class ChainMap:
             self.validate()
 
     def target_deg(self, d):
-        return self.target.shift_deg(d, self.degree)
+        return d + self.degree
 
     def mat(self, d) -> Mat:
         m = self.mats.get(d)
@@ -316,7 +297,7 @@ class ChainMap:
         mats = {}
         ring = source.ring
         for d in source.degrees():
-            td = target.shift_deg(d, degree)
+            td = d + degree
             row_of = target._label_index().get(td, {})
             acc = {}
             for j, l in enumerate(source.labels(d)):
@@ -337,7 +318,10 @@ class ChainMap:
 
     @staticmethod
     def identity(c: ChainComplex) -> "ChainMap":
-        mats = {d: Mat.identity(c.ring, c.dim(d)) for d in c.degrees()}
+        """id_c, one `linalg.row_map` per degree: inside a check pass its
+        column form is stored with it."""
+        mats = {d: linalg.row_map(c.ring, c.dim(d), list(range(c.dim(d))))
+                for d in c.degrees()}
         return ChainMap(c, c, 0, mats, validate=False)
 
     @staticmethod
@@ -482,7 +466,7 @@ def check_chain_maps(maps):
                     raise err
 
 
-def total(ring: Ring, grading: str, parts, arrows, degrees=None) -> ChainComplex:
+def total(ring: Ring, parts, arrows, degrees=None) -> ChainComplex:
     """The total complex of shifted parts joined by arrows.
 
     parts is a list of (prefix, C, n): the part C[n] holds C_e in degree
@@ -493,23 +477,23 @@ def total(ring: Ring, grading: str, parts, arrows, degrees=None) -> ChainComplex
     (every degree when None) are built, with the differentials between
     them, and d^2 = 0 is checked on them."""
     basis, at = {}, {}  # at[D, p]: where part p's labels start in degree D
-    for D in sorted({C.shift_deg(e, n) for _, C, n in parts for e in C.degrees()}):
+    for D in sorted({e + n for _, C, n in parts for e in C.degrees()}):
         if degrees is None or D in degrees:
             ls = basis[D] = []
             for p, (prefix, C, n) in enumerate(parts):
                 at[D, p] = len(ls)
-                ls += [prefix + (l,) for l in C.labels(C.shift_deg(D, -n))]
+                ls += [prefix + (l,) for l in C.labels(D - n)]
     diff = {}
     for D, ls in basis.items():
-        E = (D - 1) % 2 if grading == "Z2" else D - 1
+        E = D - 1
         if E in basis:
-            blocks = [(C.diff.get(C.shift_deg(D, -n)), at[E, p], at[D, p],
+            blocks = [(C.diff.get(D - n), at[E, p], at[D, p],
                        -1 if n % 2 else 1) for p, (_, C, n) in enumerate(parts)]
-            blocks += [(f.mats.get(parts[s][1].shift_deg(D, -parts[s][2])),
+            blocks += [(f.mats.get(D - parts[s][2]),
                         at[E, t], at[D, s], sign) for s, t, f, sign in arrows]
             diff[D] = linalg.block_matrix(ring, len(basis[E]), len(ls),
                                           [b for b in blocks if b[0] is not None])
-    return ChainComplex(ring, grading, basis, diff)
+    return ChainComplex(ring, "Z", basis, diff)
 
 
 def cone(f: ChainMap, degrees=None) -> ChainComplex:
@@ -518,9 +502,8 @@ def cone(f: ChainMap, degrees=None) -> ChainComplex:
     differentials between them."""
     if f.degree != 0:
         raise DegreeMismatch("cone needs a degree-0 map")
-    return total(f.source.ring, f.source.grading,
-                 [(("c0",), f.target, 0), (("c1",), f.source, 1)], [(1, 0, f, 1)],
-                 degrees)
+    return total(f.source.ring, [(("c0",), f.target, 0), (("c1",), f.source, 1)],
+                 [(1, 0, f, 1)], degrees)
 
 
 class HomologyReport:
@@ -592,8 +575,6 @@ def _homology(C: ChainComplex, degree: int, ranks: dict) -> HomologyReport:
             "homology over a truncated Novikov ring is undefined here; "
             "use is_quasi_iso (residue reduction) instead"
         )
-    if C.grading == "Z2" and not ring.is_field:
-        raise UnsupportedRing("Z2-graded homology needs field coefficients")
     if not ring.is_field and ring.kind != "Z":
         raise UnsupportedRing(f"homology not implemented over {ring!r}")
     up = C.succ(degree)
@@ -636,7 +617,7 @@ def _sliced(x, new_ring):
                                   m.nrows, m.ncols)
             for d, m in (x.diff if isinstance(x, ChainComplex) else x.mats).items()}
     if isinstance(x, ChainComplex):
-        return ChainComplex(new_ring, x.grading, x.basis, mats, validate=False)
+        return ChainComplex(new_ring, "Z", x.basis, mats, validate=False)
     S = _sliced(x.source, new_ring)
     T = S if x.target is x.source else _sliced(x.target, new_ring)
     return ChainMap(S, T, x.degree, mats, validate=False)
@@ -645,10 +626,9 @@ def _sliced(x, new_ring):
 def is_quasi_iso(f: ChainMap, degrees) -> QuasiIsoResult:
     """True iff f induces isomorphisms on homology in every tested degree.
 
-    Decided through the mapping cone: for Z-graded complexes and the window
-    [a, b] spanned by degrees, H_a .. H_{b+1} of the cone must vanish, and
-    only cone degrees a - 1 .. b + 2 are built (`cone` checks d^2 = 0 on
-    them); Z2-graded complexes test both slots of the full cone.  Each cone
+    Decided through the mapping cone: for the window [a, b] spanned by
+    degrees, H_a .. H_{b+1} of the cone must vanish, and only cone degrees
+    a - 1 .. b + 2 are built (`cone` checks d^2 = 0 on them).  Each cone
     differential is ranked once.  f is checked to be a chain map in all its
     degrees at entry (`check_chain_maps`); d^2 = 0 of source and target is
     their constructors' check.  Over a truncated Novikov ring the question
@@ -665,13 +645,9 @@ def is_quasi_iso(f: ChainMap, degrees) -> QuasiIsoResult:
     degrees = sorted(set(degrees))
     if not degrees:
         return QuasiIsoResult(True)
-    if f.source.grading == "Z2":
-        cn, test = cone(f), (0, 1)
-    else:
-        test = range(degrees[0], degrees[-1] + 2)
-        cn = cone(f, range(degrees[0] - 1, degrees[-1] + 3))
+    cn = cone(f, range(degrees[0] - 1, degrees[-1] + 3))
     ranks = {}
-    for d in test:
+    for d in range(degrees[0], degrees[-1] + 2):
         h = _homology(cn, d, ranks)
         if not h.is_zero():
             wd = d if d in degrees else max(degrees[0], d - 1)

@@ -435,7 +435,7 @@ class MultiAlgebra:
             cached = {k: v for k, v in self._action_fn(self, fkey, args).items()
                       if not self.ring.is_zero(v)}
             c = self.carrier(fkey[1])
-            d = c.shift_deg(fkey[2], sum(a[0] for a in args))
+            d = fkey[2] + sum(a[0] for a in args)
             for k in cached:
                 if k[0] != d or not c.has_label(d, k[1]):
                     raise EngineError(f"algebra action lands off-signature: {k}")

@@ -40,7 +40,7 @@ def _assemble(C: ChainComplex, basis: dict, proj: dict, section: dict):
     subcomplex, DegreeMismatch keeps the failing label's ``.witness``."""
     diff = {d: proj[C.pred(d)].mul(C.d_mat(d)).mul(section[d])
             for d, ls in basis.items() if ls and basis.get(C.pred(d))}
-    quot = ChainComplex(C.ring, C.grading, basis, diff, validate=False)
+    quot = ChainComplex(C.ring, "Z", basis, diff, validate=False)
     p = ChainMap(C, quot, 0, proj, validate=False)
     try:
         p.validate()

@@ -6,8 +6,7 @@ so the total differential is
 
     d  =  (-1)^n d_int  +  sum_{i=0..n} (-1)^i d_i      (on the level-n part)
 
-(the internal twist makes the cross terms cancel; d^2 = 0 is asserted).
-Z2-graded levels are refused: level n would wrap into the slots {0, 1}.  A
+(the internal twist makes the cross terms cancel; d^2 = 0 is asserted).  A
 normalized variant quotients by the degeneracy images, which in this engine
 are always basis labels, so the quotient stays free and exact over any ring;
 it is built by `quotient.by_classes`, the one place quotients are assembled.
@@ -118,10 +117,8 @@ class RealizedComplex:
     def __init__(self, simplicial: SimplicialComplexObj):
         self.simplicial = simplicial
         levels = [simplicial.level(n) for n in range(simplicial.n_max + 1)]
-        if levels[0].grading == "Z2":  # level n would wrap into the slots
-            raise ValueError("Z2-graded complexes use degree slots {0, 1}")
         self.complex = total(  # checks d^2 = 0
-            levels[0].ring, "Z", [(("lv", n), lv, n) for n, lv in enumerate(levels)],
+            levels[0].ring, [(("lv", n), lv, n) for n, lv in enumerate(levels)],
             [(n, n - 1, simplicial.face(n, i), -1 if i % 2 else 1)
              for n in range(1, len(levels)) for i in range(n + 1)])
         self.d_min = min(min(lv.degrees(), default=0) for lv in levels)

@@ -82,7 +82,7 @@ def _old_cone_diff(f, out):
         for (i, j), v in T.d_mat(d).d.items():
             m.set(out.index(pd, ("c0", T.labels(pd)[i])),
                   out.index(d, ("c0", T.labels(d)[j])), v)
-        sd = S.shift_deg(d, -1)
+        sd = d - 1
         for l in S.labels(sd):
             jj = out.index(d, ("c1", l))
             for i, v in S.d_mat(sd).column(S.index(sd, l)).items():

@@ -110,15 +110,6 @@ def _novikov_constant():
                                 validate=True)
 
 
-def test_z2_graded_realization_is_refused():
-    """Level n of a realization sits n degrees up, which the degree slots
-    of a Z2-graded complex cannot hold, so `realize` refuses it."""
-    C = ChainComplex(Q, "Z2", {0: ["y"], 1: ["x"]}, {1: Mat(Q, 1, 1, {(0, 0): Q.one})})
-    for n_max in (1, 2):
-        with pytest.raises(ValueError, match=r"use degree slots \{0, 1\}"):
-            realize(constant_simplicial(C, n_max))
-
-
 def _random_nonzero(rng, ring):
     """A nonzero entry: over Q with denominator 1..4, over Novikov up to two
     terms on the grid below the cutoff."""

@@ -332,13 +332,13 @@ def test_two_sided_bar_forms_each_matrix_once_and_checks_restore_nothing(monkeyp
                 for m in f.mats.values()}
     # every face and degeneracy is a row map (2 + 3 + 4 faces and 1 + 2 + 3
     # degeneracies, one matrix each, in degree 0): the bar hands their forms
-    # over, so none reaches column_form.  The rest is formed once each: the
-    # identity maps of levels 0-2 in the ds = id check, the three realized
+    # over, so none reaches column_form, and so do the identity maps of the
+    # ds = id check.  The rest is formed once each: the three realized
     # differentials and seven matrices of the augmentation triangle (the
     # level differentials are 0 here); no check restores a value
     assert len(row_maps) == 2 + 3 + 4 + 1 + 2 + 3
     assert sum(id(m) in row_maps for m in formed) == 0
-    assert len({id(m) for m in formed}) == len(formed) == 3 + 3 + 7
+    assert len({id(m) for m in formed}) == len(formed) == 3 + 7
     assert checks["ChainComplex"] > 0 and checks["ChainMap"] > 0
     assert restored == []
     # the counters count: each validate is its own pass, so a differential
@@ -349,6 +349,6 @@ def test_two_sided_bar_forms_each_matrix_once_and_checks_restore_nothing(monkeyp
     C1.validate()
     assert sum(m is d1 for m in formed) == 2
     with pytest.raises(NotADifferential):
-        ChainComplex(Q, "Z2", {0: ["y"], 1: ["x"]},
-                     {0: Mat.from_rows(Q, [[1]]), 1: Mat.from_rows(Q, [[1]])})
+        ChainComplex(Q, "Z", {0: ["y"], 1: ["x"], 2: ["w"]},
+                     {1: Mat.from_rows(Q, [[1]]), 2: Mat.from_rows(Q, [[1]])})
     assert restored

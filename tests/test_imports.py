@@ -12,6 +12,8 @@
 * No code outside linalg.py names `_pass_forms` (src/opbar, tests and
   perfbench alike): the check pass's table of forms has one owner, and
   everything else reaches it through `check_pass`, `form` and `row_map`.
+* No string constant in src/opbar holds "Z2": every complex is Z-graded,
+  and a second grading would come back as a branch on that string.
 * Every module is imported by another module of the package or named in
   the `ENGINE` tuple of perfbench/run.py.
 * Every defaulted parameter of a public function, or of a public method or
@@ -261,6 +263,32 @@ def test_checker_flags_a_pass_table_name():
            "class _pass_forms:\n"
            "    pass_forms = _pass_forms\n")
     assert pass_table_uses(src) == [1, 3, 5, 6, 7, 9, 10]
+
+
+# -- one grading ---------------------------------------------------------------------
+
+def z2_strings(source: str):
+    """Lines of the string constants (docstrings and f-string parts too)
+    that hold "Z2"."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and "Z2" in node.value})
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_z2_grading_string(path):
+    assert z2_strings(path.read_text()) == []
+
+
+def test_checker_flags_a_z2_string():
+    src = ('"""A Z2-graded module."""\n'
+           "Z2 = 'Z'\n"
+           "def pred(grading, d):\n"
+           "    if grading == 'Z2':\n"
+           "        return (d - 1) % 2  # Z2 in a comment is no string\n"
+           "    raise ValueError(f'{grading}: not Z2')\n"
+           "GRADINGS = ('Z', 'Z/2')\n")
+    assert z2_strings(src) == [1, 4, 6]
 
 
 # -- every module is reached --------------------------------------------------------
