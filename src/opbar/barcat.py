@@ -25,11 +25,10 @@ as a matrix straight from codes and per-id tables:
 * degeneracy s_i inserts the unit of the object where c_i ends as the
   digit i + 1, by the same arithmetic.
 Every degeneracy, and every face whose columns each hit one table entry
-with coefficient 1 (every face of a group bar), is a `linalg.row_map`; the
-constructor runs in one check pass, so the row maps hand their column forms
-to the chain-map and simplicial identity checks (and, inside
-`two_sided_bar`'s pass, to the augmentation's d_0 chain), and no check
-forms them again.
+with coefficient 1 (every face of a group bar), is a `linalg.row_map`,
+which carries its column form from construction, so the chain-map and
+simplicial identity checks and the augmentation's d_0 chain read that
+form, and no check forms them.
 
 The augmentation triangle (`augmentation_maps`) has three maps out of or into
 the realized bar: f multiplies each label out to level 0 of the constant
@@ -53,8 +52,7 @@ from .dgcat import DgCategory, DgFunctor, LeftModule, RightModule, \
 from .errors import EngineError, ModuleMismatch, NonComposable, \
     NonCommutingSquare, NonTorsionFree, UnsupportedRing
 from .lincomb import add_into, eq as lc_eq
-from .linalg import Mat, _restore, check_pass, column_product, form, \
-    row_map
+from .linalg import Mat, _restore, column_product, form, row_map
 from .quotient import by_classes, by_span, by_z_span
 from .simplicial import SimplicialComplexObj, constant_simplicial, realize
 
@@ -67,8 +65,7 @@ class BarBimoduleComplex:
             raise ModuleMismatch("modules over a different category")
         self.Mr, self.C, self.Ml = Mr, C, Ml
         self.n_max = n_max
-        with check_pass():  # the row maps hand their forms to every check
-            self._build()
+        self._build()
         self._augmentation = None
 
     def _build(self):
@@ -135,11 +132,7 @@ class BarBimoduleComplex:
             return out
 
         def matrix(ent, nrows, ncols):
-            if not ent:
-                return None
-            m = Mat(ring, nrows, ncols)
-            m.d = ent
-            return m
+            return Mat(ring, nrows, ncols, ent) if ent else None
 
         def level_diff(n):  # replaces one digit t by a term of its d
             places = [K ** t for t in range(n + 2)]
@@ -185,7 +178,7 @@ class BarBimoduleComplex:
         levels = {n: ChainComplex(ring, "Z", bases[n], mats(n, n, -1, level_diff(n))
                                   if any(dtab) else {})
                   for n in range(n_max + 1)}
-        # checked as chain maps by SimplicialComplexObj, in the bar's pass
+        # checked as chain maps by SimplicialComplexObj
         faces = {(n, i): ChainMap(levels[n], levels[n - 1], 0,
                                   mats(n, n - 1, 0, face(i)), validate=False)
                  for n in range(1, n_max + 1) for i in range(n + 1)}
@@ -248,8 +241,7 @@ class BarBimoduleComplex:
         the same objects are returned on every later one.
         """
         if self._augmentation is None:
-            with check_pass():
-                self._augmentation = self._build_augmentation_maps()
+            self._augmentation = self._build_augmentation_maps()
         return self._augmentation
 
     def _build_augmentation_maps(self):
@@ -273,8 +265,7 @@ class BarBimoduleComplex:
                                in _restore(ring, chain[e]).items())
                 row += tensor.dim(e)
                 col += self.simplicial.level(n).dim(e)
-            mats[deg] = Mat(ring, row, col)
-            mats[deg].d = ent
+            mats[deg] = Mat(ring, row, col, ent)
         f = ChainMap(self.complex, const.complex, 0, mats)
 
         def q_fn(d, label):
@@ -378,13 +369,12 @@ def _union_find_classes(cpx: ChainComplex, relations):
 
 def two_sided_bar(Mr: RightModule, C: DgCategory, Ml: LeftModule,
                   n_max) -> BarBimoduleComplex:
-    """The two-sided bar with its augmentation triangle q o f = p checked,
-    all in one check pass (each matrix formed once).  A failure names the
-    first differing column, ``.witness`` its `first_difference`."""
-    with check_pass():
-        bar = BarBimoduleComplex(Mr, C, Ml, n_max)
-        p, f, q, tensor, const = bar.augmentation_maps()
-        w = first_difference((q, f), p)
+    """The two-sided bar with its augmentation triangle q o f = p checked
+    (each matrix formed once).  A failure names the first differing column,
+    ``.witness`` its `first_difference`."""
+    bar = BarBimoduleComplex(Mr, C, Ml, n_max)
+    p, f, q, tensor, const = bar.augmentation_maps()
+    w = first_difference((q, f), p)
     if w is not None:
         err = EngineError(f"augmentation triangle does not commute at "
                           f"{w['label']!r}: {w}")

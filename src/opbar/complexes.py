@@ -17,7 +17,8 @@ each other in every degree, and signed degree-0 maps between parts add the
 cross terms.
 
 The exact checks (d^2 = 0, chain maps, `first_difference` of two maps)
-decide on the int column forms of `linalg`, each call one check pass.
+decide on the int column forms of `linalg`, which each matrix keeps, so a
+matrix that several checks read is formed once.
 """
 
 from __future__ import annotations
@@ -116,11 +117,9 @@ class ChainComplex:
     # -- validation ---------------------------------------------------------
 
     def validate(self):
-        """d^2 = 0 in every degree, in one check pass: each differential is
-        formed once, for degree d and for d + 1."""
-        with linalg.check_pass():
-            for d in self.degrees():
-                self.check_d_squared(d)
+        """d^2 = 0 in every degree, on the differentials' kept forms."""
+        for d in self.degrees():
+            self.check_d_squared(d)
         return self
 
     def check_d_squared(self, d: int):
@@ -153,14 +152,15 @@ class ChainComplex:
         for d, ls in basis.items():
             below = basis.get(d - 1, ())
             rows = {l: i for i, l in enumerate(below)}
-            m = diff[d] = Mat.zeros(ring, len(below), len(ls))
+            acc = {}
             for j, l in enumerate(ls):
                 for tl, c in d_fn(l).items():
                     i = rows.get(tl)
                     if i is None:
                         raise ValueError(f"d({l!r}) names {tl!r}, which is not "
                                          f"a basis label of degree {d} - 1")
-                    m.add_to(i, j, c)
+                    acc[(i, j)] = ring.add(acc.get((i, j), ring.zero), c)
+            diff[d] = Mat(ring, len(below), len(ls), acc)
         return ChainComplex(ring, "Z", basis, diff, validate)
 
     @staticmethod
@@ -311,17 +311,13 @@ class ChainMap:
                     c = ring.canon(c)
                     w = acc.get(key)
                     acc[key] = c if w is None else ring.add(w, c)
-            m = Mat.zeros(ring, target.dim(td), source.dim(d))
-            m.d = {k: v for k, v in acc.items() if not ring.is_zero(v)}
-            mats[d] = m
+            mats[d] = Mat(ring, target.dim(td), source.dim(d), acc)
         return ChainMap(source, target, degree, mats, validate=validate)
 
     @staticmethod
     def identity(c: ChainComplex) -> "ChainMap":
-        """id_c, one `linalg.row_map` per degree: inside a check pass its
-        column form is stored with it."""
-        mats = {d: linalg.row_map(c.ring, c.dim(d), list(range(c.dim(d))))
-                for d in c.degrees()}
+        """id_c, one `Mat.identity` (a row map, its form kept) per degree."""
+        mats = {d: Mat.identity(c.ring, c.dim(d)) for d in c.degrees()}
         return ChainMap(c, c, 0, mats, validate=False)
 
     @staticmethod
@@ -391,8 +387,8 @@ class ChainMap:
 
 
 def _product(g, f):
-    """The column form of g f in the running check pass; None when g or f
-    is absent or zero, and then neither is formed."""
+    """The column form of g f, from the kept forms of g and f; None when g
+    or f is absent or zero, and then neither is formed."""
     if g is None or f is None or not g.d or not f.d:
         return None
     return linalg.column_product(g.ring, linalg.form(g), linalg.form(f))
@@ -419,9 +415,9 @@ def _witness(ring, source, d, rows, lhs, rhs):
 
 
 def first_difference(lhs, rhs):
-    """None when lhs = rhs, on column forms in the running check pass; each
-    side is a ChainMap or a pair (g, f), which must compose, standing for
-    g o f.  Otherwise the `_witness` of the first label where they differ."""
+    """None when lhs = rhs, on the kept column forms; each side is a
+    ChainMap or a pair (g, f), which must compose, standing for g o f.
+    Otherwise the `_witness` of the first label where they differ."""
     for g, f in (x for x in (lhs, rhs) if not isinstance(x, ChainMap)):
         if f.target is not g.source and f.target.basis != g.source.basis:
             raise DegreeMismatch("composition mismatch")
@@ -436,34 +432,32 @@ def first_difference(lhs, rhs):
 
     S = (lhs if isinstance(lhs, ChainMap) else lhs[1]).source
     T = (lhs if isinstance(lhs, ChainMap) else lhs[0]).target
-    with linalg.check_pass():
-        for d in S.degrees():
-            (a, td), (b, _) = side(lhs, d), side(rhs, d)
-            w = _witness(S.ring, S, d, T.labels(td), a, b)
-            if w is not None:
-                return w
+    for d in S.degrees():
+        (a, td), (b, _) = side(lhs, d), side(rhs, d)
+        w = _witness(S.ring, S, d, T.labels(td), a, b)
+        if w is not None:
+            return w
     return None
 
 
 def check_chain_maps(maps):
     """Raise DegreeMismatch unless d f = (-1)^k f d for every map f of
-    degree k, on column forms in one check pass (each matrix formed once),
-    naming the first failing label, ``.witness`` its `_witness`."""
-    with linalg.check_pass():
-        for f in maps:
-            S, T = f.source, f.target
-            dS = {d: m.neg() for d, m in S.diff.items()} if f.degree % 2 else S.diff
-            for d in S.degrees():
-                td = f.target_deg(d)
-                w = _witness(S.ring, S, d, T.labels(T.pred(td)),
-                             _product(T.diff.get(td), f.mats.get(d)),
-                             _product(f.mats.get(S.pred(d)), dS.get(d)))
-                if w is not None:
-                    err = DegreeMismatch(
-                        f"not a chain map in degree {d} (d f != "
-                        f"{'-' if f.degree % 2 else ''}f d) at {w['label']!r}: {w}")
-                    err.witness = w
-                    raise err
+    degree k, on the kept column forms, naming the first failing label,
+    ``.witness`` its `_witness`."""
+    for f in maps:
+        S, T = f.source, f.target
+        dS = {d: m.neg() for d, m in S.diff.items()} if f.degree % 2 else S.diff
+        for d in S.degrees():
+            td = f.target_deg(d)
+            w = _witness(S.ring, S, d, T.labels(T.pred(td)),
+                         _product(T.diff.get(td), f.mats.get(d)),
+                         _product(f.mats.get(S.pred(d)), dS.get(d)))
+            if w is not None:
+                err = DegreeMismatch(
+                    f"not a chain map in degree {d} (d f != "
+                    f"{'-' if f.degree % 2 else ''}f d) at {w['label']!r}: {w}")
+                err.witness = w
+                raise err
 
 
 def total(ring: Ring, parts, arrows, degrees=None) -> ChainComplex:
@@ -638,10 +632,9 @@ def is_quasi_iso(f: ChainMap, degrees) -> QuasiIsoResult:
     if f.degree != 0:
         raise DegreeMismatch("quasi-isomorphism test needs a degree-0 map")
     ring = f.source.ring
-    with linalg.check_pass():  # the slices reuse the check's int forms
-        check_chain_maps([f])
-        if ring.is_novikov:
-            f = _sliced(f, ring.base)
+    check_chain_maps([f])
+    if ring.is_novikov:  # the slices reuse the check's int forms
+        f = _sliced(f, ring.base)
     degrees = sorted(set(degrees))
     if not degrees:
         return QuasiIsoResult(True)
@@ -675,14 +668,14 @@ def _splitting_homotopy(C: ChainComplex) -> ChainMap:
     mats = {}
     for d in C.degrees():
         n, up = C.dim(d), W.get(C.succ(d), [])
-        big = Mat(ring, n, len(up) + len(W[d]), {
-            (i, j): v for j, (_, col) in enumerate(up) for i, v in col.items()})
-        big.d.update(((w, len(up) + j), ring.one) for j, (w, _) in enumerate(W[d]))
-        sol = linalg.field_solve_mat(big, Mat.identity(ring, n))
+        entries = {(i, j): v for j, (_, col) in enumerate(up) for i, v in col.items()}
+        entries.update(((w, len(up) + j), ring.one) for j, (w, _) in enumerate(W[d]))
+        sol = linalg.field_solve_mat(Mat(ring, n, len(up) + len(W[d]), entries),
+                                     Mat.identity(ring, n))
         if sol is None:
             raise NotAcyclic(f"complex is not acyclic in degree {d}")
-        mats[d] = Mat(ring, C.dim(C.succ(d)), n)
-        mats[d].d = {(up[i][0], c): v for (i, c), v in sol.d.items() if i < len(up)}
+        mats[d] = Mat(ring, C.dim(C.succ(d)), n, {
+            (up[i][0], c): v for (i, c), v in sol.d.items() if i < len(up)})
     return ChainMap(C, C, 1, mats, validate=False)
 
 
@@ -707,16 +700,16 @@ def null_homotopy(C: ChainComplex) -> ChainMap:
     base = ring if ring.is_field else ring.base
     no_contraction = ("no contraction exists: complex has homology" if ring.is_field
                       else "residue complex has homology, so C is not acyclic")
-    with linalg.check_pass():  # the residue and D share each int form
-        D = {d: [linalg.column_form(ring, m)] if ring.is_field else linalg.slices(m)
-             for d, m in C.diff.items()}
-        Cbar = C if ring.is_field else _sliced(C, base)
+    # the residue and D share each differential's kept int form
+    D = {d: [linalg.form(m)] if ring.is_field else linalg.slices(m)
+         for d, m in C.diff.items()}
+    Cbar = C if ring.is_field else _sliced(C, base)
     try:
         hbar = _splitting_homotopy(Cbar)
     except NotAcyclic as err:
         raise err if ring.is_field else NotAcyclic(no_contraction)
-    H = {d: [linalg.column_form(base, m)] for d, m in hbar.mats.items()}
-    minus_hbar = {d: linalg.column_form(base, m.neg()) for d, m in hbar.mats.items()}
+    H = {d: [linalg.form(m)] for d, m in hbar.mats.items()}
+    minus_hbar = {d: linalg.form(m.neg()) for d, m in hbar.mats.items()}
 
     def dh_hd(e, k, bs):  # sum over b in bs of D_{k-b} H_b + H_b D_{k-b} on C_e
         up, here, down, at = D.get(C.succ(e)), H.get(e), H.get(C.pred(e)), D.get(e)

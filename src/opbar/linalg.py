@@ -1,16 +1,18 @@
 """Sparse exact linear algebra over the coefficient rings.
 
-Matrices are stored as {(row, col): value} dicts with explicit shape; vectors
-as {index: value} dicts.  No floats anywhere.  One kernel per job:
+Matrices are stored as {(row, col): value} dicts with explicit shape, and
+hold no 0: every builder drops zeros, and only this module writes `Mat.d`.
+Vectors are {index: value} dicts.  No floats anywhere.  One kernel per job:
 
-* products and exact checks -- `column_form` writes a matrix once in int
-  form and `column_product` multiplies forms (below); `Mat.mul` restores
-  the product's values once (`_restore`), while every exact check decides
-  on the forms (`columns_equal` or an emptiness test), each matrix formed
-  once per `check_pass`, and restores values only to name a witness;
-  `row_map` builds a map whose every column is one entry (r, 1), as the
-  bar's faces and degeneracies are, and inside a check pass stores its
-  column form with it, so no check forms it again;
+* products and exact checks -- `column_form` writes a matrix in int form
+  and `column_product` multiplies forms (below).  Each matrix keeps its
+  form: `form` computes it on first use, `Mat.mul` keeps the product's and
+  `row_map` (identities, the bar's faces and degeneracies: every column one
+  entry (r, 1)) sets it at construction, so no matrix is formed twice and
+  `Mat.set` alone drops it.  `Mat.mul` restores the product's values once
+  (`_restore`), while every exact check decides on the forms
+  (`columns_equal` or an emptiness test) and restores values only to name
+  a witness;
 * field elimination -- one forward elimination over plain ints
   (`eliminate`: primitive integer rows over Q, monic residues over F_p,
   over Z the rank over Q) and one back-reduction (`reduced_echelon`),
@@ -29,9 +31,10 @@ as {index: value} dicts.  No floats anywhere.  One kernel per job:
 
 Products run over plain Python ints, never through `Ring.mul`/`Ring.add`:
 over Q every entry is an int over den, the lcm of the matrix's
-denominators; over F_p a residue; over a truncated Novikov ring an int
-polynomial in the grid step, c T^e as the term (k, n) with k = e * q (off
-the grid raises `NonGridExponent`), truncated at k < ceil(c * q).
+denominators (a kept product's den is its operands' dens multiplied);
+over F_p a residue; over a truncated Novikov ring an int polynomial in the
+grid step, c T^e as the term (k, n) with k = e * q (off the grid raises
+`NonGridExponent`), truncated at k < ceil(c * q).
 Canonical forms are unique, so on canonical operands a restored product
 equals, value for value and type for type, the sum of per-entry ring
 products.
@@ -66,18 +69,20 @@ def xgcd(a: int, b: int):
 
 
 class Mat:
-    """A sparse matrix over an exact ring."""
+    """A sparse matrix over an exact ring, zero-free: no entry of `d` is 0.
 
-    __slots__ = ("ring", "nrows", "ncols", "d")
+    Only linalg writes `d`; `set` drops the kept column form (`form`)."""
+
+    __slots__ = ("ring", "nrows", "ncols", "d", "_form")
 
     def __init__(self, ring: Ring, nrows: int, ncols: int, entries=None):
+        """entries: {(row, col): canonical value}; the zeros (0, Fraction(0)
+        or the empty Novikov tuple, all falsy) are dropped."""
         self.ring = ring
         self.nrows = nrows
         self.ncols = ncols
-        self.d = {}
-        if entries:
-            for (i, j), v in entries.items():
-                self.set(i, j, v)
+        self.d = {k: v for k, v in entries.items() if v} if entries else {}
+        self._form = None
 
     @staticmethod
     def zeros(ring, nrows, ncols) -> "Mat":
@@ -85,19 +90,13 @@ class Mat:
 
     @staticmethod
     def identity(ring, n) -> "Mat":
-        m = Mat(ring, n, n)
-        one = ring.one
-        for i in range(n):
-            m.d[(i, i)] = one
-        return m
+        return row_map(ring, n, list(range(n)))
 
     @staticmethod
     def from_rows(ring, rows) -> "Mat":
-        m = Mat(ring, len(rows), len(rows[0]) if rows else 0)
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                m.set(i, j, ring.canon(v))
-        return m
+        return Mat(ring, len(rows), len(rows[0]) if rows else 0,
+                   {(i, j): ring.canon(v) for i, row in enumerate(rows)
+                    for j, v in enumerate(row)})
 
     def get(self, i, j):
         return self.d.get((i, j), self.ring.zero)
@@ -105,6 +104,7 @@ class Mat:
     def set(self, i, j, v):
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
             raise IndexError((i, j))
+        self._form = None
         if self.ring.is_zero(v):
             self.d.pop((i, j), None)
         else:
@@ -115,7 +115,7 @@ class Mat:
 
     def clone(self) -> "Mat":
         m = Mat(self.ring, self.nrows, self.ncols)
-        m.d = dict(self.d)
+        m.d, m._form = dict(self.d), self._form
         return m
 
     def is_zero(self) -> bool:
@@ -152,20 +152,16 @@ class Mat:
         return out
 
     def scale(self, c) -> "Mat":
-        out = Mat(self.ring, self.nrows, self.ncols)
-        for k, v in self.d.items():
-            w = self.ring.mul(c, v)
-            if not self.ring.is_zero(w):
-                out.d[k] = w
-        return out
+        return Mat(self.ring, self.nrows, self.ncols,
+                   {k: self.ring.mul(c, v) for k, v in self.d.items()})
 
     def scale_int(self, n: int) -> "Mat":
         return self.scale(self.ring.from_int(n))
 
     def mul(self, other: "Mat") -> "Mat":
         """The product self * other: the `column_product` of both operands'
-        `column_form`, restored to canonical entries without zeros (see the
-        module docstring)."""
+        kept forms (`form`), restored to canonical entries without zeros
+        (see the module docstring); the product keeps its form too."""
         if self.ring != other.ring:
             raise MixedRings("matrix product over different rings")
         if self.ncols != other.nrows:
@@ -173,8 +169,8 @@ class Mat:
         ring = self.ring
         out = Mat(ring, self.nrows, other.ncols)
         if self.d and other.d:
-            out.d = _restore(ring, column_product(
-                ring, column_form(ring, self), column_form(ring, other)))
+            out._form = column_product(ring, form(self), form(other))
+            out.d = _restore(ring, out._form)
         return out
 
     def transpose(self) -> "Mat":
@@ -197,12 +193,8 @@ class Mat:
         return out
 
     def map_ring(self, new_ring: Ring, fn) -> "Mat":
-        out = Mat(new_ring, self.nrows, self.ncols)
-        for (i, j), v in self.d.items():
-            w = new_ring.canon(fn(v))
-            if not new_ring.is_zero(w):
-                out.d[(i, j)] = w
-        return out
+        return Mat(new_ring, self.nrows, self.ncols,
+                   {k: new_ring.canon(fn(v)) for k, v in self.d.items()})
 
     def to_rows(self):
         rows = [[self.ring.zero] * self.ncols for _ in range(self.nrows)]
@@ -263,17 +255,17 @@ def _nov_int_form(ring: Ring, entries: dict):
     return den, out
 
 
-def column_form(ring: Ring, m: Mat, units=None):
+def column_form(ring: Ring, m: Mat):
     """(den, cols, rows): m in int form (see the module docstring), as one
     {row: int} dict per column, {} for a zero column; over Novikov each int
     is a tuple of grid-step terms (k, n).  rows lists, column by column, the
     row r of a map whose every column is the single int entry (r, 1), as
-    faces and degeneracies mostly are; it is None otherwise.
+    faces and degeneracies mostly are; it is None otherwise.  `form` calls
+    it once per matrix and keeps the result.
 
-    Forms share columns: the columns of maps with rows share one dict per
-    (row, int) from units (a check pass shares one), and `column_product`
-    hands an operand's column on as the product's, so no column of a form
-    may be mutated."""
+    Forms share columns: the columns of maps with rows are the interned
+    unit columns (`_unit_columns`), and `column_product` hands an operand's
+    column on as the product's, so no column of a form may be mutated."""
     if ring.kind == "nov":
         den, ints = _nov_int_form(ring, m.d)
     else:
@@ -282,7 +274,7 @@ def column_form(ring: Ring, m: Mat, units=None):
     at = {j: i for i, j in ints} if all(w == one for w in ints.values()) else {}
     if len(at) == len(ints) == m.ncols:  # every column one entry (r, 1)
         rows = [at[j] for j in range(m.ncols)]
-        return den, _unit_columns(rows, one, {} if units is None else units), rows
+        return den, _unit_columns(rows, one), rows
     cols = [{} for _ in range(m.ncols)]
     for (i, j), w in ints.items():
         cols[j][i] = w
@@ -293,52 +285,30 @@ def _int_one(ring: Ring):
     return ((0, 1),) if ring.kind == "nov" else 1
 
 
-def _unit_columns(rows, one, units):
-    """The columns {r: one} of a map with rows, one shared dict per row r
-    from units."""
-    return [units.get((r, one)) or units.setdefault((r, one), {r: one})
+_units = {}  # (row, int one) -> the unit column {row: one}, one dict each
+
+
+def _unit_columns(rows, one):
+    """The columns {r: one} of a map with rows, interned in `_units`."""
+    return [_units.get((r, one)) or _units.setdefault((r, one), {r: one})
             for r in rows]
 
 
-_pass_forms = None  # {id(m): (m, column form), None: units} in a check pass
-
-
-class check_pass:
-    """`with check_pass():` one check pass, inside which `form` writes each
-    matrix once.  The table is module state because checks run inside
-    constructors, which take none; a nested pass joins the outermost, whose
-    exit drops it, so no form outlives its pass (a `Mat` may change)."""
-
-    def __enter__(self):
-        global _pass_forms
-        self.outer = _pass_forms
-        _pass_forms = {None: {}} if self.outer is None else self.outer
-
-    def __exit__(self, *exc):
-        global _pass_forms
-        _pass_forms = self.outer
-
-
 def form(m: Mat):
-    """`column_form` of m, once per check pass; the table holds m, keeping its id."""
-    if _pass_forms is None:
-        return column_form(m.ring, m)
-    got = _pass_forms.get(id(m))
-    if got is None:
-        got = _pass_forms[id(m)] = (m, column_form(m.ring, m, _pass_forms[None]))
-    return got[1]
+    """The `column_form` of m, computed on first use and kept with m (a
+    product or a row map keeps its form from construction)."""
+    if m._form is None:
+        m._form = column_form(m.ring, m)
+    return m._form
 
 
 def row_map(ring: Ring, nrows: int, rows) -> Mat:
     """The nrows x len(rows) matrix whose column j is the single entry
-    (rows[j], 1), as faces and degeneracies mostly are.  Inside a check
-    pass its column form is stored with it, as `form` would compute it, so
-    no check reads the matrix again."""
+    (rows[j], 1), as identities, faces and degeneracies mostly are, with its
+    column form set at construction, as `column_form` would compute it."""
     m = Mat(ring, nrows, len(rows))
     m.d = {(r, j): ring.one for j, r in enumerate(rows)}
-    if _pass_forms is not None:
-        cols = _unit_columns(rows, _int_one(ring), _pass_forms[None])
-        _pass_forms[id(m)] = (m, (1, cols, rows))
+    m._form = (1, _unit_columns(rows, _int_one(ring)), rows)
     return m
 
 
@@ -448,7 +418,7 @@ def slices(m: Mat) -> list:
     """The grid-slice view of a Novikov matrix m: [S_0, ..., S_{K-1}], K =
     ceil(c * q), S_k the base-field column form of the T^(k/q) coefficients
     (None when they are all 0), over the one den of m's int form, regrouped
-    from `form(m)` (so formed once per check pass)."""
+    from m's kept `form`."""
     den, cols, _ = form(m)
     out = [[{} for _ in range(m.ncols)]
            for _ in range(math.ceil(m.ring.cutoff * m.ring.grid))]
@@ -522,9 +492,7 @@ def block_matrix(ring: Ring, nrows: int, ncols: int, blocks) -> Mat:
             key = (i + r0, j + c0)
             w = acc.get(key)
             acc[key] = v if w is None else ring.add(w, v)
-    out = Mat(ring, nrows, ncols)
-    out.d = {k: v for k, v in acc.items() if not ring.is_zero(v)}
-    return out
+    return Mat(ring, nrows, ncols, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -616,12 +584,10 @@ def reduced_echelon(ring: Ring, pivots: dict) -> dict:
 
 
 def _rows_of(mat: Mat):
-    """{row: {col: value}} of mat's nonzero entries; a stored 0 (direct
-    `m.d` assignment) is skipped."""
+    """{row: {col: value}} of mat's entries."""
     rows = {}
     for (i, j), v in mat.d.items():
-        if v:
-            rows.setdefault(i, {})[j] = v
+        rows.setdefault(i, {})[j] = v
     return rows
 
 
@@ -642,15 +608,13 @@ def field_solve_mat(mat: Mat, rhs: Mat):
     ring, n = mat.ring, mat.ncols
     rows = _rows_of(mat)
     for (i, c), v in rhs.d.items():
-        if v:
-            rows.setdefault(i, {})[n + c] = v
+        rows.setdefault(i, {})[n + c] = v
     pivots = eliminate(ring, rows.values())[1]
     if pivots and max(pivots) >= n:
         return None
-    out = Mat(ring, n, rhs.ncols)
-    out.d = {(j, k - n): v for j, row in reduced_echelon(ring, pivots).items()
-             for k, v in row.items() if k >= n}
-    return out
+    return Mat(ring, n, rhs.ncols,
+               {(j, k - n): v for j, row in reduced_echelon(ring, pivots).items()
+                for k, v in row.items() if k >= n})
 
 
 # ---------------------------------------------------------------------------
@@ -699,9 +663,8 @@ class _ZWorker:
         self.rows = {}
         self.colocc = {}
         for (i, j), v in mat.d.items():
-            if v:  # a stored 0 (direct `m.d` assignment) is no entry
-                self.rows.setdefault(i, {})[j] = v
-                self.colocc.setdefault(j, set()).add(i)
+            self.rows.setdefault(i, {})[j] = v
+            self.colocc.setdefault(j, set()).add(i)
         # U as row -> {col: val}, Uinv as col -> {row: val}; both start as I
         self.U = {i: {i: 1} for i in range(self.m)} if track_u else None
         self.Uinv = {i: {i: 1} for i in range(self.m)} if track_u else None

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from .complexes import ChainComplex, ChainMap
 from .errors import DegreeMismatch, UnsupportedRing
-from .linalg import Mat, _ZWorker, eliminate, reduced_echelon
+from .linalg import Mat, _ZWorker, eliminate, reduced_echelon, row_map
 
 
 def _assemble(C: ChainComplex, basis: dict, proj: dict, section: dict):
@@ -63,11 +63,9 @@ def by_classes(C: ChainComplex, classes: dict):
         reps = [i for i, c in enumerate(cls) if c == (i, 1)]
         pos = {i: k for k, i in enumerate(reps)}
         basis[d] = [C.labels(d)[i] for i in reps]
-        proj[d] = Mat(ring, len(reps), len(cls))
-        proj[d].d = {(pos[c[0]], j): sign[c[1]]
-                     for j, c in enumerate(cls) if c is not None}
-        section[d] = Mat(ring, len(cls), len(reps))
-        section[d].d = {(i, k): ring.one for k, i in enumerate(reps)}
+        proj[d] = Mat(ring, len(reps), len(cls), {
+            (pos[c[0]], j): sign[c[1]] for j, c in enumerate(cls) if c is not None})
+        section[d] = row_map(ring, len(cls), reps)
     return _assemble(C, basis, proj, section)
 
 
@@ -88,8 +86,7 @@ def by_span(C: ChainComplex, spans: dict):
         entries.update(((pos[kk], j), ring.neg(v)) for j, row in pivots.items()
                        for kk, v in row.items() if kk != j)
         proj[d] = Mat(ring, len(keep), C.dim(d), entries)
-        section[d] = Mat(ring, C.dim(d), len(keep),
-                         {(j, k): ring.one for k, j in enumerate(keep)})
+        section[d] = row_map(ring, C.dim(d), keep)
     return _assemble(C, basis, proj, section)
 
 

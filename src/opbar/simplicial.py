@@ -23,7 +23,7 @@ import itertools
 from .complexes import ChainComplex, ChainMap, check_chain_maps, \
     first_difference, homology, total
 from .errors import EngineError, TruncationTooSmall
-from .linalg import check_pass, column_form
+from .linalg import form
 from .quotient import by_classes
 
 
@@ -39,10 +39,9 @@ class SimplicialComplexObj:
         self.levels = dict(levels)
         self.faces = dict(faces)
         self.degens = dict(degens)
-        if validate:  # one pass: the maps' chain-map checks and the identities
-            with check_pass():
-                check_chain_maps([*self.faces.values(), *self.degens.values()])
-                w = self.check_identities()
+        if validate:  # the identities reuse the chain-map checks' forms
+            check_chain_maps([*self.faces.values(), *self.degens.values()])
+            w = self.check_identities()
             if w is not None:
                 err = EngineError(f"simplicial identities fail: {w}")
                 err.witness = w
@@ -64,13 +63,9 @@ class SimplicialComplexObj:
         s_i s_j = s_{j+1} s_i (i <= j).
 
         Returns None, or the first failing identity as {"identity": "dd",
-        "ds=id", "ds" or "ss", "n", "i", "j"}.  One check pass (the
-        constructor's, shared with the chain-map checks), so each face and
-        degeneracy is formed once; composites: `complexes.first_difference`."""
-        with check_pass():
-            return self._identities()
-
-    def _identities(self):
+        "ds=id", "ds" or "ss", "n", "i", "j"}.  Each face and degeneracy
+        keeps its column form, so it is formed once (a row map never);
+        composites: `complexes.first_difference`."""
         def degree(x):  # of a stored map or a pair (outer, inner)
             return x.degree if isinstance(x, ChainMap) else x[0].degree + x[1].degree
 
@@ -149,7 +144,7 @@ def normalized_realization(simplicial: SimplicialComplexObj):
     degenerate = set()
     for (n, i), s in simplicial.degens.items():
         for d in simplicial.level(n).degrees():
-            den, cols, rows = column_form(C.ring, s.mat(d))
+            den, cols, rows = form(s.mat(d))
             if any(len(col) != 1 for col in cols):
                 raise EngineError("degeneracy is not label-to-label")
             if rows is None or den != 1:

@@ -8,8 +8,10 @@ from opbar import bar
 from opbar import fixtures as fix
 from opbar.bar import KanAlgebraStructure, free_algebra, operadic_kan, \
     simplicial_kan
+from opbar.barcat import cat_left_kan
 from opbar.coeff import Ring
 from opbar.complexes import ChainComplex, ChainMap, homology
+from opbar.dgcat import DgFunctor, functor_right_module, poset_category
 from opbar.errors import EngineError, NonPermutationAction
 from opbar.lincomb import add_into, eq as lc_eq, linear
 from opbar.multicat import MultiCat
@@ -273,6 +275,37 @@ def test_unit_target_has_no_arity_two():
         {"degree": 0, "rank": 1, "torsion": []}]
 
 
+@pytest.mark.parametrize("n_max,labels,interval", [
+    (2, 9, False), (3, 14, False), (4, 20, False),
+    (2, 21, True), (3, 34, True), (4, 50, True)])
+@pytest.mark.parametrize("ring", [Z, Q], ids=repr)
+def test_unit_operad_kan_matches_the_categorical_kan(ring, n_max, labels,
+                                                     interval):
+    """Onto the unit operad, the operadic extension of the two-object model
+    is the categorical one along the poset 0 -> 1 onto the point, B(R, A,
+    _p point) with R the diagram C0 -> C1: the same dims in every degree,
+    and the same homology on the degrees reliable for both."""
+    carriers = _interval_carriers(ring) if interval else ()
+    M, A, kappa = fix.two_object_kappa(ring, *carriers)
+    C0, C1 = kappa.source, kappa.target
+    real, _ = operadic_kan(fix.projection_to_unit(M), A, n_max)
+    P, Pt = poset_category(ring, 1), poset_category(ring, 0)
+    p = DgFunctor(P, Pt, {0: 0, 1: 0}, lambda F, k: {(0, 0, 0, "u0_0"): ring.one})
+    R = functor_right_module(P, {0: C0, 1: C1},
+                             {(0, 0, "u0_0"): ChainMap.identity(C0),
+                              (1, 1, "u1_1"): ChainMap.identity(C1),
+                              (0, 1, "u0_1"): kappa})
+    cat = cat_left_kan(p, R, n_max).bars[0]
+    ours, theirs = real.complex, cat.complex
+    assert ours.total_dim() == theirs.total_dim() == labels
+    assert {d: ours.dim(d) for d in ours.degrees()} == \
+        {d: theirs.dim(d) for d in theirs.degrees()}
+    shared = sorted(set(real.reliable_degrees) & set(cat.realized.reliable_degrees))
+    assert shared
+    for d in shared:
+        assert homology(ours, d).as_dict() == homology(theirs, d).as_dict(), d
+
+
 @pytest.mark.parametrize("ring,operad,n_cols", [
     (Z, fix.sym_assoc_operad, 137),
     (Q, fix.as_operad, 62),
@@ -462,7 +495,8 @@ def test_graft_and_shuffle_run_once_per_pattern(monkeypatch):
 
 def _oracle_orbit(calc, structure, key, children):
     """Node canonicalization as first written: every permutation through
-    structure.act and koszul_sign; None when the orbit dies."""
+    structure.act and koszul_sign, each sign a ring element (over F_2 +1
+    and -1 are one sign); None when the orbit dies."""
     k = len(children)
     ring = calc.ring
     seen = {}
@@ -480,9 +514,9 @@ def _oracle_orbit(calc, structure, key, children):
         else:
             raise NonPermutationAction("non-unit symmetry coefficient")
         nc = tuple(children[sigma(t) - 1] for t in range(1, k + 1))
-        s *= koszul_sign(sigma, [calc.deg(c) for c in children])
+        s = ring.from_int(s * koszul_sign(sigma, [calc.deg(c) for c in children]))
         cand = (nk, nc)
-        if cand in seen and seen[cand] != s:
+        if cand in seen and not ring.eq(seen[cand], s):
             return None
         seen.setdefault(cand, s)
     return seen
@@ -494,8 +528,8 @@ def _oracle_make_node(calc, kind, key, children):
     if orbit is None:
         return {}
     rep = min(orbit, key=repr)
-    s = orbit[(key, children)] * orbit[rep]
-    return {(kind, rep[0], rep[1]): calc.ring.from_int(s)}
+    return {(kind, rep[0], rep[1]): calc.ring.mul(orbit[(key, children)],
+                                                  orbit[rep])}
 
 
 def _assert_canon_matches_oracle(calc):
@@ -521,9 +555,20 @@ def _free_algebra_calc(monkeypatch, operad, carrier):
 
 @pytest.mark.parametrize("case", ["symas_z_n1", "as_q_n2", "odd_as_z_n1",
                                   "interval_as_z_n1", "free_symas_q2",
-                                  "free_as_z3"])
+                                  "free_as_z3", "odd_as_f2_n1", "odd_as_f3_n1",
+                                  "free_as_f2_odd", "free_as_f3_odd"])
 def test_canonical_nodes_match_oracle(case, monkeypatch):
-    if case == "symas_z_n1":
+    if case in ("odd_as_f2_n1", "odd_as_f3_n1"):
+        ring = Ring.Fp(int(case[8]))
+        calc = _kan_structure(ring, fix.as_operad(ring, 3), 1, _odd_points(ring)).calc
+    elif case in ("free_as_f2_odd", "free_as_f3_odd"):
+        # x (x) x with x odd and closed: its orbit lives over F_2 alone,
+        # where the Koszul sign -1 is +1
+        ring = Ring.Fp(int(case[9]))
+        calc = _free_algebra_calc(monkeypatch, fix.as_operad(ring, 3),
+                                  ChainComplex.single(ring, "x", 1))
+        assert ({} in calc._canon.values()) == (ring.p == 3)
+    elif case == "symas_z_n1":
         calc = _kan_structure(Z, fix.sym_assoc_operad(Z, 3), 1).calc
     elif case == "as_q_n2":
         calc = _kan_structure(Q, fix.as_operad(Q, 3), 2).calc

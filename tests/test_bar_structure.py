@@ -176,18 +176,20 @@ def _corrupted(simp, rng, mode):
     maps = dict(simp.faces if kind == "face" else simp.degens)
     f = maps[key]
     d = rng.choice(sorted(f.mats))
-    m = f.mats[d].clone()
-    pos = rng.choice(sorted(m.d))
+    m = f.mats[d]
+    ent = dict(m.d)
+    pos = rng.choice(sorted(ent))
     i, j = pos
-    free = [(r, j) for r in range(m.nrows) if (r, j) not in m.d] \
-        or [(i, c) for c in range(m.ncols) if (i, c) not in m.d]
+    free = [(r, j) for r in range(m.nrows) if (r, j) not in ent] \
+        or [(i, c) for c in range(m.ncols) if (i, c) not in ent]
     if mode == "drop":
-        del m.d[pos]
+        del ent[pos]
     elif mode == "move" and free:
-        m.d[rng.choice(free)] = m.d.pop(pos)
+        ent[rng.choice(free)] = ent.pop(pos)
     else:
-        m.d[pos] = m.ring.neg(m.d[pos])
-    maps[key] = ChainMap(f.source, f.target, f.degree, {**f.mats, d: m},
+        ent[pos] = m.ring.neg(ent[pos])
+    bad = Mat(m.ring, m.nrows, m.ncols, ent)
+    maps[key] = ChainMap(f.source, f.target, f.degree, {**f.mats, d: bad},
                          validate=False)
     faces = maps if kind == "face" else simp.faces
     degens = maps if kind == "degen" else simp.degens
@@ -751,11 +753,10 @@ def test_tampered_f_breaks_the_augmentation_triangle(monkeypatch):
         def __init__(self, source, target, degree, mats, validate=True):
             labels = [l for d in target.degrees() for l in target.labels(d)]
             if labels and all(l[0] == "lv" for l in labels) and 0 in mats:
-                m = mats[0].clone()
-                for (i, j), v in mats[0].d.items():
-                    if source.labels(0)[j][1] == 0:
-                        m.d[(i, j)] = source.ring.neg(v)
-                mats = {**mats, 0: m}
+                m = mats[0]
+                ent = {(i, j): source.ring.neg(v) if source.labels(0)[j][1] == 0
+                       else v for (i, j), v in m.d.items()}
+                mats = {**mats, 0: Mat(m.ring, m.nrows, m.ncols, ent)}
             super().__init__(source, target, degree, mats, validate)
 
     C = group_ring_category(Z, 3, S3)

@@ -382,27 +382,40 @@ def test_quasi_iso_matches_the_full_cone_oracle(ring):
 
 
 def test_novikov_matrices_are_formed_once(monkeypatch):
-    """`_nov_int_form` runs once per distinct matrix: in `is_quasi_iso` of
-    the source, the target and the map, whose entry chain-map check and
-    residue slicing share one check pass, and in `null_homotopy` of the
-    differentials, whose slices and residue share one."""
+    """`_nov_int_form` runs at most once per matrix in its life: building
+    the source, the target and the map forms what their checks read; then
+    `is_quasi_iso`, whose residue slicing reads the kept forms, forms
+    exactly the matrices that have none yet, and a second validate forms
+    nothing.  `null_homotopy` forms nothing: the conjugated differentials
+    are products, which keep their forms."""
     nov = NOVIKOV_RINGS["q_2_2"]
     calls = []
     real = linalg._nov_int_form
     monkeypatch.setattr(linalg, "_nov_int_form",
                         lambda ring, entries: calls.append(entries) or real(ring, entries))
     rng = random.Random("novikov-forms")
+    late = 0
     for k in range(10):
         f = random_chain_map(rng, nov, tag=f"m{k}")
-        distinct = {id(m) for mats in (f.source.diff, f.target.diff, f.mats)
-                    for m in mats.values()}
-        calls.clear()
+        mats = [m for ms in (f.source.diff, f.target.diff, f.mats) for m in ms.values()]
+        unformed = {id(m.d) for m in mats if m._form is None}
+        built = len(calls)
         is_quasi_iso(f, f.source.degrees())
-        assert len(calls) == len(distinct) > 0
+        during = [id(e) for e in calls[built:]]
+        assert len(during) == len(unformed) and set(during) == unformed
+        late += len(during)
+        assert all(m._form is not None for m in mats)
+        f.validate()
+        f.source.validate()
+        f.target.validate()
+        assert len(calls) == built + len(during)
         C = random_novikov_acyclic(rng, nov, tag=f"a{k}")
-        calls.clear()
+        built = len(calls)
+        assert C.diff and all(m._form is not None for m in C.diff.values())
         null_homotopy(C)
-        assert len(calls) == len(C.diff) > 0
+        assert len(calls) == built
+    ids = [id(e) for e in calls]  # calls keeps each entries dict alive
+    assert len(ids) == len(set(ids)) > 0 and late > 0
 
 
 def test_quasi_iso_checks_the_map_outside_the_window():

@@ -9,9 +9,11 @@
   constructor, which checks its shape and ring.
 * No code outside `complexes.total` imports or names `block_matrix`: every
   sum of complexes is laid out by that one builder.
-* No code outside linalg.py names `_pass_forms` (src/opbar, tests and
-  perfbench alike): the check pass's table of forms has one owner, and
-  everything else reaches it through `check_pass`, `form` and `row_map`.
+* No code outside linalg.py writes a `.d` attribute (src/opbar and tests
+  alike): assigning, augmenting or deleting it or an item of it, or
+  calling `update`, `pop`, `setdefault`, `clear` or `popitem` on it.  A
+  `Mat` is zero-free and keeps its column form, so every other matrix is
+  built by a constructor from finished entries.
 * No string constant in src/opbar holds "Z2": every complex is Z-graded,
   and a second grading would come back as a branch on that string.
 * Every module is imported by another module of the package or named in
@@ -110,15 +112,15 @@ def test_checker_flags_an_unused_import():
 
 # -- assignments to .diff ------------------------------------------------------
 
-def _writes_diff(target) -> bool:
-    """Whether an assignment target is x.diff, an item of it, or holds one."""
+def _writes_attr(target, attr) -> bool:
+    """Whether an assignment target is x.<attr>, an item of it, or holds one."""
     if isinstance(target, (ast.Tuple, ast.List)):
-        return any(_writes_diff(t) for t in target.elts)
+        return any(_writes_attr(t, attr) for t in target.elts)
     if isinstance(target, ast.Starred):
-        return _writes_diff(target.value)
+        return _writes_attr(target.value, attr)
     while isinstance(target, ast.Subscript):
         target = target.value
-    return isinstance(target, ast.Attribute) and target.attr == "diff"
+    return isinstance(target, ast.Attribute) and target.attr == attr
 
 
 def diff_assignments(source: str):
@@ -138,7 +140,7 @@ def diff_assignments(source: str):
                 targets = [child.target]
             else:
                 targets = []
-            hit = any(_writes_diff(t) for t in targets) or (
+            hit = any(_writes_attr(t, "diff") for t in targets) or (
                 isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
                 and child.func.id == "setattr" and len(child.args) > 1
                 and isinstance(child.args[1], ast.Constant)
@@ -217,52 +219,64 @@ def test_checker_flags_a_block_matrix_use():
     assert block_matrix_uses("bar.py", src) == [2, 4, 6, 9, 11]
 
 
-# -- one owner of the pass table ---------------------------------------------------
+# -- writes to Mat.d ------------------------------------------------------------
 
-def _names(node):
-    """The identifiers a node writes: a name, an attribute, an imported
-    name or its alias, a global or nonlocal, a definition or an argument."""
-    if isinstance(node, ast.Name):
-        return [node.id]
-    if isinstance(node, ast.Attribute):
-        return [node.attr]
-    if isinstance(node, ast.alias):
-        return [node.name, node.asname]
-    if isinstance(node, (ast.Global, ast.Nonlocal)):
-        return node.names
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        return [node.name]
-    if isinstance(node, ast.arg):
-        return [node.arg]
-    return []
+MUTATORS = {"update", "pop", "setdefault", "clear", "popitem"}
 
 
-def pass_table_uses(source: str):
-    """Lines that name `_pass_forms` in any way `_names` reads."""
-    return sorted({node.lineno for node in ast.walk(ast.parse(source))
-                   if "_pass_forms" in _names(node)})
+def d_writes(source: str):
+    """Lines that write a `.d` attribute: assign, augment, annotate, loop
+    into or delete it or an item of it, set it through setattr, or call a
+    mutating dict method on it."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For)):
+            targets = [node.target]
+        else:
+            targets = []
+        func = node.func if isinstance(node, ast.Call) else None
+        if any(_writes_attr(t, "d") for t in targets) or (
+                isinstance(func, ast.Attribute) and func.attr in MUTATORS
+                and isinstance(func.value, ast.Attribute)
+                and func.value.attr == "d") or (
+                isinstance(func, ast.Name) and func.id == "setattr"
+                and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value == "d"):
+            out.add(node.lineno)
+    return sorted(out)
 
 
-def test_pass_table_is_named_in_linalg_only():
-    hits = [(str(p.relative_to(ROOT)), line) for p in CALLERS
-            if p != PACKAGE / "linalg.py"
-            for line in pass_table_uses(p.read_text())]
+def test_mat_entries_are_written_in_linalg_only():
+    hits = [(str(p.relative_to(ROOT)), line)
+            for d in ("src/opbar", "tests") for p in sorted((ROOT / d).rglob("*.py"))
+            if p != PACKAGE / "linalg.py" for line in d_writes(p.read_text())]
     assert hits == []
-    assert pass_table_uses((PACKAGE / "linalg.py").read_text())  # it is found
+    assert d_writes((PACKAGE / "linalg.py").read_text())  # it is found
 
 
-def test_checker_flags_a_pass_table_name():
-    src = ("from .linalg import _pass_forms\n"
-           "from . import linalg\n"
-           "from .linalg import check_pass as _pass_forms\n"
-           "def f():\n"
-           "    global _pass_forms\n"
-           "    return linalg._pass_forms[None]\n"
-           "def g(_pass_forms):\n"
-           "    return '_pass_forms'  # a string is no name\n"
-           "class _pass_forms:\n"
-           "    pass_forms = _pass_forms\n")
-    assert pass_table_uses(src) == [1, 3, 5, 6, 7, 9, 10]
+def test_checker_flags_a_d_write():
+    src = ("def tamper(m, k, v, other):\n"
+           "    m.d = {}\n"
+           "    m.d[k] = v\n"
+           "    m.d[k] += v\n"
+           "    a, m.d = 1, {}\n"
+           "    del m.d[k]\n"
+           "    m.d.update(other.d)\n"
+           "    m.d.pop(k)\n"
+           "    m.d.setdefault(k, v)\n"
+           "    m.d.clear()\n"
+           "    m.d.popitem()\n"
+           "    setattr(m, 'd', {})\n"
+           "    m.d: dict = {}\n"
+           "    for m.d[k] in other:\n"
+           "        pass\n"
+           "    d = dict(m.d)\n"
+           "    d[k] = m.d.get(k)\n"
+           "    other.diff[k] = m.d\n"
+           "    return 'm.d = {}', m.d.items()\n")
+    assert d_writes(src) == list(range(2, 15))
 
 
 # -- one grading ---------------------------------------------------------------------

@@ -92,9 +92,8 @@ def _shuffled(rng, a: Mat) -> Mat:
     rows, cols = list(range(a.nrows)), list(range(a.ncols))
     rng.shuffle(rows)
     rng.shuffle(cols)
-    out = Mat.zeros(Z, a.nrows, a.ncols)
-    out.d = {(rows[i], cols[j]): v for (i, j), v in a.d.items()}
-    return out
+    return Mat(Z, a.nrows, a.ncols,
+               {(rows[i], cols[j]): v for (i, j), v in a.d.items()})
 
 
 def test_snf_on_group_bar_differentials_against_sympy():
@@ -128,9 +127,8 @@ def _mixed_diagonal(rng, m, n, ones, torsion, zero_rows, zero_cols):
     a = _unimodular(rng, m).mul(d).mul(_unimodular(rng, n))
     rows = sorted(rng.sample(range(m + zero_rows), m))
     cols = sorted(rng.sample(range(n + zero_cols), n))
-    out = Mat(Z, m + zero_rows, n + zero_cols)
-    out.d = {(rows[i], cols[j]): v for (i, j), v in a.d.items()}
-    return out
+    return Mat(Z, m + zero_rows, n + zero_cols,
+               {(rows[i], cols[j]): v for (i, j), v in a.d.items()})
 
 
 def test_snf_sweep_with_known_invariant_factors():
@@ -185,12 +183,10 @@ def test_snf_unit_phase_and_swap_loop_counts(monkeypatch):
 
 
 def test_stored_zero_is_no_entry():
-    """A `Mat` whose d holds an explicit 0 (direct `m.d` assignment): every
-    kernel reads it as no entry, over each ring."""
+    """A `Mat` built from entries that hold an explicit 0: the constructor
+    drops it, so every kernel reads it as no entry, over each ring."""
     def with_d(ring, m, n, d):
-        a = Mat(ring, m, n)
-        a.d = d
-        return a
+        return Mat(ring, m, n, d)
     z = with_d(Z, 2, 2, {(0, 0): 0, (0, 1): 2, (1, 0): 3})
     assert snf_diagonal(z) == [1, 6]  # looped forever on the pivot 0
     assert field_rank(z) == 2
@@ -204,6 +200,51 @@ def test_stored_zero_is_no_entry():
     assert field_rank(q) == 1
     assert field_solve_mat(q, with_d(Q, 2, 1, {(0, 0): Fraction(1), (1, 0): Fraction(0)})) \
         == Mat(Q, 2, 1, {(1, 0): Fraction(2)})
+
+
+@pytest.mark.parametrize("ring", [Z, Q, Ring.Fp(3), Ring.novikov(Q, 2, 2)],
+                         ids=repr)
+def test_no_builder_leaves_a_stored_zero(ring):
+    """Every public builder and operation drops its zeros, so `is_zero` and
+    `==` agree with the entrywise oracle on `to_rows`."""
+    F2 = Ring.Fp(2)
+    one, two = ring.one, ring.from_int(2)
+    a = Mat.from_rows(ring, [[1, 0, 2], [0, -1, 0]])
+    b = Mat.from_rows(ring, [[1], [1], [0]])  # a b: 1 - 0 and 0 - 1, no cancel
+    c = Mat.from_rows(ring, [[1, 1]])
+    d = Mat.from_rows(ring, [[1], [-1]])  # c d = 1 - 1 cancels
+    s = Mat.from_rows(ring, [[1, 0], [0, 1]])
+    s.set(0, 0, ring.zero)
+    s.set(1, 1, ring.add(one, ring.neg(one)))
+    built = {
+        "constructor": Mat(ring, 2, 2, {(0, 0): ring.zero, (1, 1): one}),
+        "from_rows": Mat.from_rows(ring, [[0, 0], [0, 3]]),
+        "set": s,
+        "add": a.add(a.neg()),
+        "sub": a.sub(a),
+        "scale": a.scale(ring.zero),
+        "mul": c.mul(d),
+        "mul, no cancel": a.mul(b),
+        "map_ring": a.map_ring(F2, lambda v: 2),
+        "map_ring, odd": a.map_ring(F2, lambda v: 3),
+    }
+    if ring.p:
+        built["scale by p"] = a.scale_int(ring.p)
+    for name, m in built.items():
+        r = m.ring
+        assert not any(r.is_zero(v) for v in m.d.values()), name
+        rows = m.to_rows()
+        assert m.is_zero() == all(r.is_zero(v) for row in rows for v in row), name
+        for other in built.values():
+            same = (other.ring, other.nrows, other.ncols) == (r, m.nrows, m.ncols)
+            assert (m == other) == (same and other.to_rows() == rows), name
+    assert built["constructor"] == Mat.from_rows(ring, [[0, 0], [0, 1]])
+    assert built["from_rows"] == Mat(ring, 2, 2, {(1, 1): ring.from_int(3)})
+    for name in ("set", "add", "sub", "scale", "mul", "map_ring", "scale by p"):
+        assert built.get(name, Mat(ring, 0, 0)).is_zero(), name
+    assert built["mul, no cancel"] == Mat.from_rows(ring, [[1], [-1]])
+    assert built["map_ring, odd"] == Mat(F2, 2, 3, {(0, 0): 1, (0, 2): 1, (1, 1): 1})
+    assert two and built["constructor"] != Mat.from_rows(ring, [[0, 0], [0, 2]])
 
 
 # -- the row transform of the Smith diagonalization --------------------------
@@ -529,19 +570,17 @@ def _assert_product_as_oracle(a, b):
 
 def _with_unit_columns(rng, a):
     """a with about half its columns replaced by a unit entry (r, 1)."""
-    out = a.clone()
+    ent = dict(a.d)
     for j in range(a.ncols):
         if a.nrows and rng.random() < 0.5:
-            out.d = {k: v for k, v in out.d.items() if k[1] != j}
-            out.d[(rng.randrange(a.nrows), j)] = a.ring.one
-    return out
+            ent = {k: v for k, v in ent.items() if k[1] != j}
+            ent[(rng.randrange(a.nrows), j)] = a.ring.one
+    return Mat(a.ring, a.nrows, a.ncols, ent)
 
 
 def _unit_column_map(rng, ring, n, k, one):
     """An n x k map whose every column is the single entry one."""
-    f = Mat.zeros(ring, n, k)
-    f.d = {(rng.randrange(n), j): one for j in range(k)}
-    return f
+    return Mat(ring, n, k, {(rng.randrange(n), j): one for j in range(k)})
 
 
 @pytest.mark.parametrize("ring", PRODUCT_RINGS, ids=repr)
@@ -647,16 +686,12 @@ def test_column_product_matches_mat_mul(ring):
             assert linalg.column_form(ring, f)[2] is not None
         got = linalg.column_product(ring, linalg.column_form(ring, g),
                                     linalg.column_form(ring, f))
-        want = Mat(ring, m, k)
-        want.d = _oracle_mul(g, f)
+        want = Mat(ring, m, k, _oracle_mul(g, f))
         assert linalg.columns_equal(ring, got, linalg.column_form(ring, want))
         assert linalg.columns_equal(ring, linalg.column_form(ring, want), got)
         if want.d:
             key = rng.choice(sorted(want.d))
-            bad = want.clone()
-            bad.d[key] = ring.add(bad.d[key], ring.one)
-            if ring.is_zero(bad.d[key]):
-                del bad.d[key]
+            bad = Mat(ring, m, k, {**want.d, key: ring.add(want.d[key], ring.one)})
             assert not linalg.columns_equal(ring, got,
                                             linalg.column_form(ring, bad))
 
@@ -664,32 +699,38 @@ def test_column_product_matches_mat_mul(ring):
 @pytest.mark.parametrize("ring", [Z, Q, Ring.Fp(3), Ring.novikov(Q, 2, 2)],
                          ids=repr)
 def test_row_map_stores_the_form_that_column_form_computes(ring, monkeypatch):
+    """A row map (and `Mat.identity`) carries its form from construction,
+    sharing the interned unit columns; any other matrix is formed once, on
+    first use, and `set` drops the kept form."""
     rng = random.Random(f"row_map:{ring!r}")
     column_form, formed = linalg.column_form, []
 
-    def counting_form(ring, m, *units):
+    def counting_form(ring, m):
         formed.append(m)
-        return column_form(ring, m, *units)
+        return column_form(ring, m)
     monkeypatch.setattr(linalg, "column_form", counting_form)
     shapes = [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(12)]
     for nrows, ncols in shapes + [(3, 0), (0, 0)]:
         rows = [rng.randrange(nrows) for _ in range(ncols)]
         want = Mat(ring, nrows, ncols, {(r, j): ring.one for j, r in enumerate(rows)})
-        with linalg.check_pass():
-            m = linalg.row_map(ring, nrows, rows)
-            stored = linalg.form(m)
-            assert formed == []  # handed over, not formed
-            # the same form, sharing the pass's unit columns
-            assert stored == column_form(ring, m) == column_form(ring, want)
-            assert all(col is linalg.form(linalg.row_map(ring, nrows, rows))[1][j]
-                       for j, col in enumerate(stored[1]))
-        assert m == want and m.d == want.d
-        assert formed == []
-        # outside a check pass nothing is stored: the next pass forms m
         m = linalg.row_map(ring, nrows, rows)
-        with linalg.check_pass():
-            assert linalg.form(m) == column_form(ring, want)
-        assert formed == [m]
+        stored = linalg.form(m)
+        assert formed == []  # set at construction, not formed
+        assert m == want and m.d == want.d
+        assert linalg.form(want) is linalg.form(want) == stored
+        assert formed == [want]  # formed once, on first use
+        # every column is the one interned unit column of its row
+        again = linalg.form(linalg.row_map(ring, nrows, rows))[1]
+        assert all(col is again[j] is linalg.form(want)[1][j]
+                   for j, col in enumerate(stored[1]))
+        ident = Mat.identity(ring, nrows)
+        assert linalg.form(ident) == column_form(ring, ident)
+        assert formed == [want]  # the identity is a row map
+        if ncols:
+            m.set(rows[0], 0, ring.zero)
+            assert m._form is None
+            assert linalg.form(m) == column_form(ring, m)
+            assert formed == [want, m]
         formed.clear()
 
 
@@ -714,8 +755,7 @@ def test_columns_equal_cross_multiplies_denominators():
 def test_mat_mul_off_grid_exponent_raises(exponent):
     nov = Ring.novikov(Q, 2, 2)
     good = Mat.identity(nov, 1)
-    bad = Mat.zeros(nov, 1, 1)
-    bad.d[(0, 0)] = ((exponent, Fraction(1)),)
+    bad = Mat(nov, 1, 1, {(0, 0): ((exponent, Fraction(1)),)})
     with pytest.raises(NonGridExponent):
         bad.mul(good)
     with pytest.raises(NonGridExponent):

@@ -479,14 +479,12 @@ def _tamper(base, kind, rng):
                  if c.dim(c.pred(d))]
         sig, d = rng.choice(spots)
         c = complexes[sig]
-        m = Mat(ring, c.dim(c.pred(d)), c.dim(d))
-        m.d = dict(c.d_mat(d).d)
-        spot = (rng.randrange(m.nrows), rng.randrange(m.ncols))
-        m.d[spot] = ring.add(m.d.get(spot, ring.zero),
+        ent = dict(c.d_mat(d).d)
+        spot = (rng.randrange(c.dim(c.pred(d))), rng.randrange(c.dim(d)))
+        ent[spot] = ring.add(ent.get(spot, ring.zero),
                              ring.from_int(rng.choice((1, -1, 2))))
-        m.d = {k: v for k, v in m.d.items() if not ring.is_zero(v)}
         diff = dict(c.diff)
-        diff[d] = m
+        diff[d] = Mat(ring, c.dim(c.pred(d)), c.dim(d), ent)
         complexes[sig] = ChainComplex(ring, c.grading, c.basis, diff,
                                       validate=False)
     return lambda: MultiCat(ring, base.objects, base.arity_max, complexes,
