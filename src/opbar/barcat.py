@@ -24,11 +24,11 @@ as a matrix straight from codes and per-id tables:
   c // K^(i+2) K^(i+1);
 * degeneracy s_i inserts the unit of the object where c_i ends as the
   digit i + 1, by the same arithmetic.
-Every degeneracy, and every face whose columns each hit one table entry
-with coefficient 1 (every face of a group bar), is a `linalg.row_map`,
-which carries its column form from construction, so the chain-map and
-simplicial identity checks and the augmentation's d_0 chain read that
-form, and no check forms them.
+Each table entry records w, the id of its single hit if its coefficient is
+1, else -1.  Every degeneracy, and every face whose every column has such a
+w (every face of a group bar), is a `linalg.row_map`, which carries its
+column form from construction, so the checks, the realization's sums and
+the augmentation's d_0 chain read that form, and nothing forms them.
 
 The augmentation triangle (`augmentation_maps`) has three maps out of or into
 the realized bar: f multiplies each label out to level 0 of the constant
@@ -76,7 +76,7 @@ class BarBimoduleComplex:
         uks = [u for a in objs for b in objs for u in C.basis_keys(a, b)]
         yks = [y for a in objs for y in Ml.elem_keys(a)]
         keys = self._keys = mks + uks + yks
-        K, one = len(keys), ring.one
+        K = len(keys)
         nm, ny = self._bounds = len(mks), len(mks) + len(uks)
         self._ids = ids = ({k: x for x, k in enumerate(mks)},
                            {k: x for x, k in enumerate(uks, nm)},
@@ -156,15 +156,15 @@ class BarBimoduleComplex:
             def build(col, rows, nrows):
                 hit_rows = []
                 for c in col:
-                    hit = acts.get(c // p % kk) or self._act(c // p % kk)
-                    if len(hit) != 1 or hit[0][1] != one:
+                    w = (acts.get(c // p % kk) or self._act(c // p % kk))[0]
+                    if w < 0:
                         break
-                    hit_rows.append(rows[c % p + hit[0][0] * p + c // r * q])
+                    hit_rows.append(rows[c % p + w * p + c // r * q])
                 else:
                     return row_map(ring, nrows, hit_rows)
                 ent = {}
                 for j, c in enumerate(col):
-                    for w, v in acts.get(c // p % kk) or self._act(c // p % kk):
+                    for w, v in (acts.get(c // p % kk) or self._act(c // p % kk))[1]:
                         ent[(rows[c % p + w * p + c // r * q], j)] = v
                 return matrix(ent, nrows, len(col))
             return build
@@ -190,9 +190,9 @@ class BarBimoduleComplex:
         self.complex = self.realized.complex
 
     def _act(self, ab):
-        """m.u, u then v, or u.y for the ids (a, b), ab = a + b K, as
-        [(id, coefficient)] with canonical nonzero coefficients; read once
-        per pair."""
+        """m.u, u then v, or u.y for the ids (a, b), ab = a + b K, as (w,
+        [(id, coefficient)]) with canonical nonzero coefficients, w the id
+        of a single hit with coefficient one, else -1; read once per pair."""
         got = self._acts.get(ab)
         if got is None:
             ring, keys, (nm, ny) = self.C.ring, self._keys, self._bounds
@@ -203,8 +203,10 @@ class BarBimoduleComplex:
                 hit, back = self.Ml.act_key(keys[a], keys[b]), self._ids[2]
             else:
                 hit, back = self.C.compose_keys(keys[a], keys[b]), self._ids[1]
-            hit = [(back[k], ring.canon(v)) for k, v in hit.items()]
-            got = self._acts[ab] = [kv for kv in hit if not ring.is_zero(kv[1])]
+            hit = [(back[k], c) for k, v in hit.items()
+                   if not ring.is_zero(c := ring.canon(v))]
+            unit = len(hit) == 1 and hit[0][1] == ring.one
+            got = self._acts[ab] = (hit[0][0] if unit else -1, hit)
         return got
 
     # -- the augmentation triangle -----------------------------------------

@@ -14,11 +14,11 @@ Every sum of shifted complexes is laid out by `total`, the one caller of
 a simplicial object and the ordered form of the Kan object.  Part C[n]
 holds the labels prefix + (l,) with the shift sign on d, the parts follow
 each other in every degree, and signed degree-0 maps between parts add the
-cross terms.
+cross terms.  Each differential is summed from its blocks' int forms.
 
 The exact checks (d^2 = 0, chain maps, `first_difference` of two maps)
 decide on the int column forms of `linalg`, which each matrix keeps, so a
-matrix that several checks read is formed once.
+matrix that several checks read is formed once, and a total's never.
 """
 
 from __future__ import annotations
@@ -469,7 +469,8 @@ def total(ring: Ring, parts, arrows, degrees=None) -> ChainComplex:
     (s, t, f, sign), each adding sign * f from part s to part t, where f is
     a degree-0 map C_s -> C_t and n_s = n_t + 1.  Only the given degrees
     (every degree when None) are built, with the differentials between
-    them, and d^2 = 0 is checked on them."""
+    them, each summed from its blocks' forms (`block_matrix`) and keeping
+    its own, on which d^2 = 0 is checked."""
     basis, at = {}, {}  # at[D, p]: where part p's labels start in degree D
     for D in sorted({e + n for _, C, n in parts for e in C.degrees()}):
         if degrees is None or D in degrees:

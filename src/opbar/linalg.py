@@ -4,15 +4,16 @@ Matrices are stored as {(row, col): value} dicts with explicit shape, and
 hold no 0: every builder drops zeros, and only this module writes `Mat.d`.
 Vectors are {index: value} dicts.  No floats anywhere.  One kernel per job:
 
-* products and exact checks -- `column_form` writes a matrix in int form
-  and `column_product` multiplies forms (below).  Each matrix keeps its
-  form: `form` computes it on first use, `Mat.mul` keeps the product's and
-  `row_map` (identities, the bar's faces and degeneracies: every column one
-  entry (r, 1)) sets it at construction, so no matrix is formed twice and
-  `Mat.set` alone drops it.  `Mat.mul` restores the product's values once
-  (`_restore`), while every exact check decides on the forms
-  (`columns_equal` or an emptiness test) and restores values only to name
-  a witness;
+* products, sums and exact checks -- `column_form` writes a matrix in int
+  form, `column_product` multiplies forms, `_placed_sum` sums placed ones
+  (under `block_matrix` and `form_sum`; below).  Each matrix keeps its
+  form: `form` computes it on first use, `from_form` (`Mat.mul`,
+  `block_matrix`) builds a matrix from its form and restores the values
+  once (`_restore`), and `row_map` (identities, the bar's faces and
+  degeneracies: every column one entry (r, 1)) sets it at construction,
+  so no matrix is formed twice and `Mat.set` alone drops it.
+  Every exact check decides on the forms (`columns_equal` or an emptiness
+  test) and restores values only to name a witness;
 * field elimination -- one forward elimination over plain ints
   (`eliminate`: primitive integer rows over Q, monic residues over F_p,
   over Z the rank over Q) and one back-reduction (`reduced_echelon`),
@@ -29,15 +30,15 @@ Vectors are {index: value} dicts.  No floats anywhere.  One kernel per job:
   torsion block; `quotient.by_z_span` tracks the row transform U and its
   inverse, on the swap loop alone.
 
-Products run over plain Python ints, never through `Ring.mul`/`Ring.add`:
-over Q every entry is an int over den, the lcm of the matrix's
-denominators (a kept product's den is its operands' dens multiplied);
+Products and sums run over plain ints, never in `Ring` arithmetic: over Q
+every entry is an int over den, the lcm of the matrix's denominators (a
+kept product's den is its operands' dens multiplied, a sum's their lcm);
 over F_p a residue; over a truncated Novikov ring an int polynomial in the
 grid step, c T^e as the term (k, n) with k = e * q (off the grid raises
 `NonGridExponent`), truncated at k < ceil(c * q).
 Canonical forms are unique, so on canonical operands a restored product
-equals, value for value and type for type, the sum of per-entry ring
-products.
+or sum equals, value for value and type for type, the one computed entry
+by entry in `Ring` arithmetic.
 
 The grid-slice view (`slices`) regroups a Novikov int form by grid step
 into base-field column forms; the null homotopy's lift, cutoff reduction
@@ -166,12 +167,10 @@ class Mat:
             raise MixedRings("matrix product over different rings")
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.ncols} vs {other.nrows}")
-        ring = self.ring
-        out = Mat(ring, self.nrows, other.ncols)
-        if self.d and other.d:
-            out._form = column_product(ring, form(self), form(other))
-            out.d = _restore(ring, out._form)
-        return out
+        if not (self.d and other.d):
+            return Mat(self.ring, self.nrows, other.ncols)
+        return from_form(self.ring, self.nrows,
+                         column_product(self.ring, form(self), form(other)))
 
     def transpose(self) -> "Mat":
         out = Mat(self.ring, self.ncols, self.nrows)
@@ -302,6 +301,13 @@ def form(m: Mat):
     return m._form
 
 
+def from_form(ring: Ring, nrows: int, form) -> Mat:
+    """The matrix of a zero-free column form: values restored once, form kept."""
+    m = Mat(ring, nrows, len(form[1]))
+    m.d, m._form = _restore(ring, form), form
+    return m
+
+
 def row_map(ring: Ring, nrows: int, rows) -> Mat:
     """The nrows x len(rows) matrix whose column j is the single entry
     (rows[j], 1), as identities, faces and degeneracies mostly are, with its
@@ -372,15 +378,14 @@ def _nov_column(ring: Ring, g_cols, col):
                     e = k1 + k2
                     if e < steps:
                         poly[e] = poly.get(e, 0) + n1 * n2
-    out = {}
-    for i, poly in acc.items():
-        if p:
-            terms = tuple((k, poly[k] % p) for k in sorted(poly) if poly[k] % p)
-        else:
-            terms = tuple((k, poly[k]) for k in sorted(poly) if poly[k])
-        if terms:
-            out[i] = terms
-    return out
+    return {i: t for i, poly in acc.items() if (t := _terms(poly, p))}
+
+
+def _terms(poly: dict, p) -> tuple:
+    """{grid step k: int n} as Novikov int terms (k, n), n != 0 mod p."""
+    if p:
+        return tuple((k, poly[k] % p) for k in sorted(poly) if poly[k] % p)
+    return tuple((k, poly[k]) for k in sorted(poly) if poly[k])
 
 
 def _restore(ring: Ring, form) -> dict:
@@ -446,17 +451,10 @@ def from_slices(ring: Ring, forms, nrows: int, ncols: int) -> Mat:
 
 
 def form_sum(ring: Ring, forms):
-    """The column form over Q or F_p of a sum of column forms of one shape,
-    over the lcm of their dens; None when the sum is 0."""
-    den = math.lcm(*(f[0] for f in forms))
-    cols = [{} for _ in forms[0][1]] if forms else []
-    for d, f_cols, _ in forms:
-        for acc, col in zip(cols, f_cols):
-            for i, n in col.items():
-                acc[i] = acc.get(i, 0) + n * (den // d)
-    cols = [{i: n % ring.p if ring.p else n for i, n in c.items()} for c in cols]
-    cols = [{i: n for i, n in c.items() if n} for c in cols]
-    return (den, cols, None) if any(cols) else None
+    """The column form of a sum of column forms of one shape, or None if 0."""
+    s = _placed_sum(ring, len(forms[0][1]) if forms else 0,
+                    [(f, 0, 0, 1) for f in forms])
+    return s if any(s[1]) else None
 
 
 def columns_equal(ring: Ring, a, b) -> bool:
@@ -480,19 +478,42 @@ def columns_equal(ring: Ring, a, b) -> bool:
 
 
 def block_matrix(ring: Ring, nrows: int, ncols: int, blocks) -> Mat:
-    """The sum of placed blocks, for `complexes.total` (its one caller):
-    each (m, row_offset, col_offset, sign) adds sign * m (sign is 1 or -1)
-    at those offsets, walking m's entries once and negating each distinct
-    value object once.  Entries that cancel are dropped."""
-    acc, neg = {}, {}
-    for m, r0, c0, sign in blocks:
-        for (i, j), v in m.d.items():
-            if sign < 0:
-                v = neg.get(id(v)) or neg.setdefault(id(v), ring.neg(v))
-            key = (i + r0, j + c0)
-            w = acc.get(key)
-            acc[key] = v if w is None else ring.add(w, v)
-    return Mat(ring, nrows, ncols, acc)
+    """For `complexes.total`, its one caller: the sum of sign * m (sign +-1)
+    over placed blocks (m, row_offset, col_offset, sign), summed from their
+    kept forms (`_placed_sum`) and kept with its own (`from_form`)."""
+    return from_form(ring, nrows, _placed_sum(
+        ring, ncols, [(form(m), r0, c0, sign) for m, r0, c0, sign in blocks]))
+
+
+def _placed_sum(ring: Ring, ncols: int, placed):
+    """The zero-free form, ncols wide, of sum sign * f over placed forms (f,
+    row_offset, col_offset, sign), over ints at the lcm of their dens (a row
+    map's as +-den at each (r, j)), per grid step over Novikov, mod p."""
+    den = math.lcm(*(f[0] for f, _, _, _ in placed))
+    cols = [{} for _ in range(ncols)]
+    for (d, f_cols, f_rows), r0, c0, sign in placed:
+        s = sign * (den // d)
+        if ring.kind == "nov":
+            for col, f_col in zip(cols[c0:], f_cols):
+                for i, terms in f_col.items():
+                    poly = col.setdefault(i + r0, {})
+                    for k, n in terms:
+                        poly[k] = poly.get(k, 0) + s * n
+        elif f_rows is not None:  # no column walk
+            for j, i in enumerate(f_rows, c0):
+                cols[j][i + r0] = cols[j].get(i + r0, 0) + s
+        else:
+            for col, f_col in zip(cols[c0:], f_cols):
+                for i, n in f_col.items():
+                    col[i + r0] = col.get(i + r0, 0) + s * n
+    if ring.kind == "nov":
+        cols = [{i: t for i, poly in col.items() if (t := _terms(poly, ring.base.p))}
+                for col in cols]
+    elif ring.p:
+        cols = [{i: n % ring.p for i, n in col.items() if n % ring.p} for col in cols]
+    else:
+        cols = [{i: n for i, n in col.items() if n} for col in cols]
+    return den, cols, None
 
 
 # ---------------------------------------------------------------------------

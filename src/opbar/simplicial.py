@@ -6,7 +6,8 @@ so the total differential is
 
     d  =  (-1)^n d_int  +  sum_{i=0..n} (-1)^i d_i      (on the level-n part)
 
-(the internal twist makes the cross terms cancel; d^2 = 0 is asserted).  A
+(the internal twist makes the cross terms cancel; d^2 = 0 is asserted on
+the int form that `total` sums from the levels' and faces' forms).  A
 normalized variant quotients by the degeneracy images, which in this engine
 are always basis labels, so the quotient stays free and exact over any ring;
 it is built by `quotient.by_classes`, the one place quotients are assembled.

@@ -47,6 +47,21 @@ def plus_lone(C, degree):
     return total(C.ring, [(("s0",), C, 0), (("s1",), lone, 0)], [])
 
 
+def ring_block_sum(ring, nrows, ncols, blocks):
+    """Oracle for `linalg.block_matrix`: the sum of placed blocks (m,
+    row_offset, col_offset, sign) in Ring arithmetic, entry by entry, each
+    distinct value object negated once; entries that cancel are dropped."""
+    acc, neg = {}, {}
+    for m, r0, c0, sign in blocks:
+        for (i, j), v in m.d.items():
+            if sign < 0:
+                v = neg.get(id(v)) or neg.setdefault(id(v), ring.neg(v))
+            key = (i + r0, j + c0)
+            w = acc.get(key)
+            acc[key] = v if w is None else ring.add(w, v)
+    return Mat(ring, nrows, ncols, acc)
+
+
 def random_unitriangular(rng, ring, n, lo=-2, hi=2):
     m = Mat.identity(ring, n)
     for i in range(n):

@@ -291,6 +291,26 @@ def test_faces_and_degeneracies_match_the_label_formulas(build, row_faces):
         assert any(simp.level(n).diff for n in range(bar.n_max + 1))
 
 
+@pytest.mark.parametrize("ring,row_face", [(Z, False), (Q, False), (Ring.Fp(2), True)],
+                         ids=["z", "q", "f2"])
+def test_a_minus_one_hit_is_no_unit_of_the_face_table(ring, row_face, monkeypatch):
+    # the hocolim bar of c -> c under -id: d_0 of level 1 pushes m along u0_1
+    # to -m, a single hit with coefficient -1, which only over F_2 is one
+    made, real = [], barcat.row_map
+
+    def recording(*args):
+        made.append(real(*args))
+        return made[-1]
+    monkeypatch.setattr(barcat, "row_map", recording)
+    c = ChainComplex.free(ring, {0: ["a"], 1: ["b"]}, {(1, "b", "a"): 1})
+    bar = telescope_vs_hocolim([c, c], [ChainMap.identity(c).neg()], 2).hocolim
+    _check_against_labels(bar)
+    d0 = bar.simplicial.face(1, 0).mats.values()
+    assert d0 and all(any(m is r for r in made) == row_face for m in d0)
+    minus_one = {v for m in d0 for v in m.d.values()} - {ring.one}
+    assert minus_one == (set() if row_face else {ring.from_int(-1)})
+
+
 # -- cat_left_kan ---------------------------------------------------------------
 
 def test_cat_left_kan_identity_functor():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import opbar.barcat as barcat
 import opbar.linalg as linalg
+import opbar.simplicial as simplicial
 from opbar.barcat import two_sided_bar
 from opbar.coeff import Ring
 from opbar.complexes import ChainComplex, ChainMap, first_difference
@@ -26,6 +27,8 @@ from opbar.errors import DegreeMismatch, EngineError, NotADifferential
 from opbar.linalg import Mat
 from opbar.simplicial import SimplicialComplexObj
 from opbar.symgrp import Perm
+
+from .genutil import ring_block_sum
 
 Z = Ring.Z()
 Q = Ring.Q()
@@ -331,28 +334,69 @@ def test_two_sided_bar_forms_each_matrix_once_and_checks_restore_nothing(monkeyp
     # every face and degeneracy is a row map (2 + 3 + 4 faces and 1 + 2 + 3
     # degeneracies, one matrix each, in degree 0), which carries its form
     # from construction, so none reaches column_form, and neither do the
-    # identity maps of the ds = id check.  The rest is formed once each:
-    # the three realized differentials and seven matrices of the
-    # augmentation triangle (the level differentials are 0 here); no check
-    # restores a value
+    # identity maps of the ds = id check, nor the realized differentials
+    # (three of the bar, one of the constant object), which `total` builds
+    # from their forms.  The rest is formed once each: six matrices of the
+    # augmentation triangle (the tensor projection, f in degrees 0 to 2, p
+    # and q; the level differentials are 0 here); no check restores a value
     assert len(row_maps) == 2 + 3 + 4 + 1 + 2 + 3
     assert sum(id(m) in row_maps for m in formed) == 0
-    assert len({id(m) for m in formed}) == len(formed) == 3 + 7
+    assert len({id(m) for m in formed}) == len(formed) == 6
     assert checks["ChainComplex"] > 0 and checks["ChainMap"] > 0
     assert restored == []
     # checking again forms nothing: each matrix keeps its form
     simp.check_identities()
     bar.complex.validate()
-    assert len(formed) == 3 + 7
+    assert len(formed) == 6
     # the counters count: a new complex's differentials are formed once, a
     # second validate forms nothing, and a failing check restores its witness
     d1 = Mat.from_rows(Q, [[1, 1]])
     C1 = ChainComplex(Q, "Z", {0: ["y"], 1: ["x0", "x1"], 2: ["w"]},
                       {1: d1, 2: Mat.from_rows(Q, [[1], [-1]])})
-    assert len(formed) == 3 + 7 + 2
+    assert len(formed) == 6 + 2
     C1.validate()
-    assert len(formed) == 3 + 7 + 2 and sum(m is d1 for m in formed) == 1
+    assert len(formed) == 6 + 2 and sum(m is d1 for m in formed) == 1
     with pytest.raises(NotADifferential):
         ChainComplex(Q, "Z", {0: ["y"], 1: ["x"], 2: ["w"]},
                      {1: Mat.from_rows(Q, [[1]]), 2: Mat.from_rows(Q, [[1]])})
     assert restored
+
+
+def test_total_realizes_the_regular_s3_bar_without_ring_arithmetic(monkeypatch):
+    calls, depth = Counter(), [0]
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args):
+            if depth[0]:
+                calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("add", "neg", "mul"):
+        counted(Ring, name)
+    counted(linalg, "column_form")
+    total = simplicial.total
+
+    def inside(*args):
+        calls["total"] += 1
+        depth[0] += 1
+        try:
+            return total(*args)
+        finally:
+            depth[0] -= 1
+    monkeypatch.setattr(simplicial, "total", inside)
+    C = group_ring_category(Q, 3, S3)
+    regular = under_functor_left_module(DgFunctor.identity(C), C.objects[0])
+    bar = two_sided_bar(trivial_right_module(C), C, regular, 3)
+    # the bar and the augmentation's constant object are realized by total,
+    # which sums the blocks' kept forms: no Ring arithmetic, nothing formed
+    assert calls == {"total": 2}
+    assert bar.complex.total_dim() == 6 + 36 + 216 + 1296
+    # the counters count: the Ring-arithmetic oracle, inside, adds and negates
+    depth[0] += 1
+    m = Mat.from_rows(Q, [[Fraction(1, 2), 1]])
+    assert ring_block_sum(Q, 1, 2, [(m, 0, 0, 1), (m, 0, 0, -1)]).is_zero()
+    assert linalg.form(m) and calls["add"] == 2 and calls["neg"] == 2
+    assert calls["column_form"] == 1

@@ -21,7 +21,7 @@ from opbar.linalg import (
 )
 from opbar.quotient import by_z_span
 
-from .genutil import random_unitriangular, sympy_rref
+from .genutil import random_unitriangular, ring_block_sum, sympy_rref
 
 Z = Ring.Z()
 Q = Ring.Q()
@@ -548,12 +548,17 @@ PRODUCT_RINGS = [
 
 def _assert_product_as_oracle(a, b):
     got = a.mul(b)
-    want = _oracle_mul(a, b)
     assert (got.nrows, got.ncols) == (a.nrows, b.ncols)
+    _assert_entries(got, _oracle_mul(a, b))
+    return got
+
+
+def _assert_entries(got: Mat, want: dict):
+    """got.d is want, value for value and type for type."""
     assert got.d == want
     assert {k: repr(v) for k, v in got.d.items()} == \
         {k: repr(v) for k, v in want.items()}
-    ring = a.ring
+    ring = got.ring
     for v in got.d.values():
         if ring.kind == "Q":
             assert type(v) is Fraction
@@ -565,7 +570,6 @@ def _assert_product_as_oracle(a, b):
                 assert all(type(c) is int for _, c in v)
         else:
             assert type(v) is int
-    return got
 
 
 def _with_unit_columns(rng, a):
@@ -665,6 +669,52 @@ def test_mat_mul_calls_no_ring_arithmetic(monkeypatch):
         assert not a.mul(b).is_zero()
     assert calls == {"mul": 0, "add": 0}
     assert _oracle_mul(*pairs[0]) and calls["mul"] > 0  # the counters count
+
+
+def _random_blocks(rng, ring, nrows, ncols):
+    """Placed blocks (m, row_offset, col_offset, sign) inside nrows x ncols:
+    random ones (over Q with denominators 2 and 3), row maps, empty ones,
+    and pairs that cancel where they overlap."""
+    blocks = []
+    for _ in range(rng.randint(0, 6)):
+        r, c = rng.randint(0, nrows), rng.randint(0, ncols)
+        r0, c0 = rng.randint(0, nrows - r), rng.randint(0, ncols - c)
+        kind = rng.randrange(4)
+        if kind == 0 and r:
+            m = linalg.row_map(ring, r, [rng.randrange(r) for _ in range(c)])
+        elif kind == 1:
+            m = Mat.zeros(ring, r, c)
+        else:
+            m = _random_mat(rng, ring, r, c)
+            if ring.kind == "Q":
+                den = rng.choice((2, 3))
+                m = Mat(ring, r, c, {k: Fraction(rng.randint(-6, 6), den)
+                                     for k in m.d})
+        sign = rng.choice((1, -1))
+        blocks.append((m, r0, c0, sign))
+        if kind == 3:  # the same block again with the other sign
+            blocks.append((m, r0, c0, -sign))
+    return blocks
+
+
+@pytest.mark.parametrize("ring", [Z, Q, Ring.Fp(3), Ring.novikov(Q, 2, 2)],
+                         ids=repr)
+def test_block_matrix_matches_the_ring_arithmetic_sum(ring):
+    rng = random.Random(f"block_matrix:{ring!r}")
+    cancelled = 0
+    for _ in range(40):
+        nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
+        blocks = _random_blocks(rng, ring, nrows, ncols)
+        got = linalg.block_matrix(ring, nrows, ncols, blocks)
+        want = ring_block_sum(ring, nrows, ncols, blocks)
+        assert (got.nrows, got.ncols) == (nrows, ncols)
+        _assert_entries(got, want.d)
+        assert got._form is not None  # kept from construction
+        assert linalg.columns_equal(ring, linalg.form(got),
+                                    linalg.column_form(ring, got))
+        cancelled += any(b[0].d and b[3] != a[3] and b[0] is a[0]
+                         for a, b in zip(blocks, blocks[1:]))
+    assert cancelled  # the sweep reached a cancelling pair
 
 
 @pytest.mark.parametrize("ring", PRODUCT_RINGS, ids=repr)
