@@ -33,7 +33,9 @@ the augmentation's d_0 chain read that form, and nothing forms them.
 The augmentation triangle (`augmentation_maps`) has three maps out of or into
 the realized bar: f multiplies each label out to level 0 of the constant
 simplicial object on Mr (x)_C Ml, pushing m along u_1, ..., u_n with the
-stored faces d_0 (int column forms, one product per level); q is the
+stored faces d_0 (int column forms, one product per level), and each degree
+of f is those forms placed at their (row, col) offsets (`_placed_sum`),
+kept as its form, so nothing restores and re-forms them; q is the
 identity on level 0 of that realization; p is the tensor projection on level
 0 and 0 above it, read off the labels.  `two_sided_bar` checks q o f = p, so
 it compares the multiplication in f with the projection read off the labels.
@@ -52,7 +54,7 @@ from .dgcat import DgCategory, DgFunctor, LeftModule, RightModule, \
 from .errors import EngineError, ModuleMismatch, NonComposable, \
     NonCommutingSquare, NonTorsionFree, UnsupportedRing
 from .lincomb import add_into, eq as lc_eq
-from .linalg import Mat, _restore, column_product, form, row_map
+from .linalg import Mat, _placed_sum, column_product, form, from_form, row_map
 from .quotient import by_classes, by_span, by_z_span
 from .simplicial import SimplicialComplexObj, constant_simplicial, realize
 
@@ -259,15 +261,14 @@ class BarBimoduleComplex:
                            for e, c in chains[-1].items() if e in d0})
         mats = {}
         for deg in self.complex.degrees():
-            ent, row, col = {}, 0, 0
+            placed, row, col = [], 0, 0
             for n, chain in enumerate(chains):
                 e = deg - n
                 if e in chain:
-                    ent.update(((i + row, j + col), v) for (i, j), v
-                               in _restore(ring, chain[e]).items())
+                    placed.append((chain[e], row, col, 1))
                 row += tensor.dim(e)
                 col += self.simplicial.level(n).dim(e)
-            mats[deg] = Mat(ring, row, col, ent)
+            mats[deg] = from_form(ring, row, col, _placed_sum(ring, col, placed))
         f = ChainMap(self.complex, const.complex, 0, mats)
 
         def q_fn(d, label):
@@ -642,9 +643,12 @@ def reduce_map(fmap: ChainMap, new_cutoff) -> ChainMap:
 
 
 def complete_tower(fmap: ChainMap, cutoffs, degrees) -> TowerReport:
-    """The quasi-isomorphism verdict on fmap at each cutoff, with flags for
-    the differential entries of positive valuation (zero divisors), the
-    torsion obstruction shadow.
+    """The quasi-isomorphism verdict on fmap at each cutoff, with one flag
+    per source or target differential that has entries of positive
+    valuation (zero divisors), the torsion obstruction shadow, naming its
+    side and degree.  An entry has valuation 0 when it has a T^0 term, so
+    a differential is flagged when it has more entries than slice 0 of its
+    kept form.
 
     The verdict at cutoff c is that on `reduce_map`(fmap, c), which keeps
     slice 0 of every matrix.  `is_quasi_iso` decides on that residue, so
@@ -660,11 +664,10 @@ def complete_tower(fmap: ChainMap, cutoffs, degrees) -> TowerReport:
     flags = []
     for side, cpx in (("source", fmap.source), ("target", fmap.target)):
         for d, m in cpx.diff.items():
-            for (i, j), v in m.d.items():
-                if v and ring.valuation(v) > 0:
-                    flags.append(NonTorsionFree(
-                        f"{side} differential entry at degree {d} has positive "
-                        f"valuation {ring.valuation(v)}"))
-                    break
+            units = form(m)[0]
+            if len(m.d) > (sum(map(len, units[1])) if units else 0):
+                flags.append(NonTorsionFree(
+                    f"{side} differential in degree {d} has an entry of "
+                    f"positive valuation"))
     return TowerReport(cutoffs, dict.fromkeys(cutoffs, is_quasi_iso(fmap, degrees)),
                        flags)

@@ -227,9 +227,6 @@ class Ring:
         a = self.canon(a)
         return 1 if a == self.one else -1 if a == self.from_int(-1) else None
 
-    def scale_int(self, n: int, a):
-        return self.mul(self.from_int(n), a)
-
     # -- division (fields, and Novikov units) ----------------------------
 
     def invert(self, a):

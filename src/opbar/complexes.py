@@ -24,7 +24,6 @@ matrix that several checks read is formed once, and a total's never.
 from __future__ import annotations
 
 import itertools
-import math
 
 from . import linalg
 from .coeff import Ring
@@ -396,12 +395,13 @@ def _product(g, f):
 
 def _witness(ring, source, d, rows, lhs, rhs):
     """None when the column forms lhs and rhs (None: zero) hold the same
-    matrix.  Otherwise {"degree", "label", "lhs", "rhs"} at the first label
-    of source degree d where the columns differ, each image as {row label:
-    value}: values are restored only here, to name it."""
+    matrix; a form is zero when it has no entry, a Novikov one when every
+    slice is None.  Otherwise {"degree", "label", "lhs", "rhs"} at the
+    first label of source degree d where the columns differ, each image as
+    {row label: value}: values are restored only here, to name it."""
     if lhs is None or rhs is None:
         rest = lhs if rhs is None else rhs
-        if rest is None or not any(rest[1]):
+        if rest is None or not (any(rest) if ring.is_novikov else any(rest[1])):
             return None
     elif linalg.columns_equal(ring, lhs, rhs):
         return None
@@ -602,14 +602,13 @@ class QuasiIsoResult:
 
 
 def _sliced(x, new_ring):
-    """A Novikov complex or map x over new_ring, from the grid slices of each
-    matrix (`linalg.slices`): over the base field slice 0 (the residue),
-    over a cutoff c' the slices k < ceil(c' q).  A map whose source is its
-    target takes that complex over once."""
-    ring = x.ring if isinstance(x, ChainComplex) else x.source.ring
-    keep = math.ceil(new_ring.cutoff * ring.grid) if new_ring.is_novikov else 1
-    mats = {d: linalg.from_slices(new_ring, linalg.slices(m)[:keep],
-                                  m.nrows, m.ncols)
+    """A Novikov complex or map x over new_ring, each matrix from a prefix
+    of its kept slice form: over the base field slice 0 (the residue), over
+    a cutoff c' the slices k < ceil(c' q); the new matrix keeps that form.
+    A map whose source is its target takes that complex over once."""
+    keep = linalg._steps(new_ring) if new_ring.is_novikov else 0
+    mats = {d: linalg.from_form(new_ring, m.nrows, m.ncols,
+                                linalg.form(m)[:keep] if keep else linalg.form(m)[0])
             for d, m in (x.diff if isinstance(x, ChainComplex) else x.mats).items()}
     if isinstance(x, ChainComplex):
         return ChainComplex(new_ring, "Z", x.basis, mats, validate=False)
@@ -685,15 +684,15 @@ def null_homotopy(C: ChainComplex) -> ChainMap:
 
     Over a field this is an exact linear splitting (`_splitting_homotopy`,
     on the one field elimination of `linalg`).  Over a truncated Novikov
-    ring it is lifted on the grid-slice view (`linalg.slices`, one int form
-    of each matrix of d): D_a is the T^(a/q) coefficient of d, the residue
-    contraction H_0 = hbar of D_0 is that splitting over the base field, and
-    slice k >= 1 of h is H_k = -E_k hbar, where E_k = sum_{a+b=k, b<k}
-    (D_a H_b + H_b D_a) is slice k of d h + h d for the slices found so far;
-    E_k commutes with D_0, so adding T^k H_k cancels it.  Before h is
-    restored, slice k of d h + h d is checked exactly, in every degree, to
-    be the identity (k = 0, NotAcyclic if not) or zero (NoLift if not); over
-    a field the one slice is d itself.
+    ring it is lifted on the kept slice form of each matrix of d: D_a is
+    the T^(a/q) coefficient of d, the residue contraction H_0 = hbar of D_0
+    is that splitting over the base field, and slice k >= 1 of h is H_k =
+    -E_k hbar, where E_k = sum_{a+b=k, b<k} (D_a H_b + H_b D_a) is slice k
+    of d h + h d for the slices found so far; E_k commutes with D_0, so
+    adding T^k H_k cancels it.  Before h is restored from its slices
+    (`linalg.from_form`), slice k of d h + h d is checked exactly, in every
+    degree, to be the identity (k = 0, NotAcyclic if not) or zero (NoLift
+    if not); over a field the one slice is d itself.
     """
     ring = C.ring
     if not (ring.is_field or ring.is_novikov):
@@ -702,14 +701,14 @@ def null_homotopy(C: ChainComplex) -> ChainMap:
     no_contraction = ("no contraction exists: complex has homology" if ring.is_field
                       else "residue complex has homology, so C is not acyclic")
     # the residue and D share each differential's kept int form
-    D = {d: [linalg.form(m)] if ring.is_field else linalg.slices(m)
+    D = {d: [linalg.form(m)] if ring.is_field else linalg.form(m)
          for d, m in C.diff.items()}
     Cbar = C if ring.is_field else _sliced(C, base)
     try:
         hbar = _splitting_homotopy(Cbar)
     except NotAcyclic as err:
         raise err if ring.is_field else NotAcyclic(no_contraction)
-    H = {d: [linalg.form(m)] for d, m in hbar.mats.items()}
+    H = {d: [linalg.form(m) if m.d else None] for d, m in hbar.mats.items()}
     minus_hbar = {d: linalg.form(m.neg()) for d, m in hbar.mats.items()}
 
     def dh_hd(e, k, bs):  # sum over b in bs of D_{k-b} H_b + H_b D_{k-b} on C_e
@@ -719,10 +718,11 @@ def null_homotopy(C: ChainComplex) -> ChainMap:
         return linalg.form_sum(base, [linalg.column_product(base, g, f)
                                       for g, f in pairs if g and f])
 
-    for k in range(math.ceil(ring.cutoff * ring.grid) if ring.is_novikov else 1):
+    for k in range(linalg._steps(ring) if ring.is_novikov else 1):
         E = {e: dh_hd(e, k, range(k)) for e in C.degrees()}  # E_k; E_0 = 0
         for d, mh in (minus_hbar.items() if k else ()):
-            H[d].append(E[C.succ(d)] and linalg.column_product(base, E[C.succ(d)], mh))
+            H[d].append(E[C.succ(d)] and linalg.form_sum(
+                base, [linalg.column_product(base, E[C.succ(d)], mh)]))
         for e in C.degrees():  # slice k of d h + h d
             S = linalg.form_sum(base, [x for x in (E[e], dh_hd(e, k, [k])) if x])
             if k == 0 and not (S and linalg.columns_equal(
@@ -730,5 +730,6 @@ def null_homotopy(C: ChainComplex) -> ChainMap:
                 raise NotAcyclic(no_contraction)
             if k and S:
                 raise NoLift("order-by-order lift failed on a degreewise-free complex")
-    return ChainMap(C, C, 1, {d: linalg.from_slices(ring, hs, C.dim(C.succ(d)), C.dim(d))
+    return ChainMap(C, C, 1, {d: linalg.from_form(ring, C.dim(C.succ(d)), C.dim(d),
+                                                 hs if ring.is_novikov else hs[0])
                               for d, hs in H.items()}, validate=False)

@@ -7,9 +7,9 @@ Vectors are {index: value} dicts.  No floats anywhere.  One kernel per job:
 * products, sums and exact checks -- `column_form` writes a matrix in int
   form, `column_product` multiplies forms, `_placed_sum` sums placed ones
   (under `block_matrix` and `form_sum`; below).  Each matrix keeps its
-  form: `form` computes it on first use, `from_form` (`Mat.mul`,
-  `block_matrix`) builds a matrix from its form and restores the values
-  once (`_restore`), and `row_map` (identities, the bar's faces and
+  form: `form` computes it on first use, `from_form` (products, placed
+  sums, slice prefixes) builds a matrix from its form and restores the
+  values once (`_restore`), and `row_map` (identities, the bar's faces and
   degeneracies: every column one entry (r, 1)) sets it at construction,
   so no matrix is formed twice and `Mat.set` alone drops it.
   Every exact check decides on the forms (`columns_equal` or an emptiness
@@ -33,16 +33,16 @@ Vectors are {index: value} dicts.  No floats anywhere.  One kernel per job:
 Products and sums run over plain ints, never in `Ring` arithmetic: over Q
 every entry is an int over den, the lcm of the matrix's denominators (a
 kept product's den is its operands' dens multiplied, a sum's their lcm);
-over F_p a residue; over a truncated Novikov ring an int polynomial in the
-grid step, c T^e as the term (k, n) with k = e * q (off the grid raises
-`NonGridExponent`), truncated at k < ceil(c * q).
+over F_p a residue.  Over a truncated Novikov ring K[t]/(t^N) (t = T^(1/q),
+N = ceil(c * q)) a form is the slice list [S_0, ..., S_{N-1}]: S_k is the
+base-field form of the T^(k/q) coefficients, with its own den and row
+detection, or None when they are all 0 (an exponent off the grid raises
+`NonGridExponent`).  Each kernel branches once on it and runs the
+base-field kernel slice by slice; the residue is S_0 and the reduction to
+a cutoff c' the first ceil(c' * q) slices.
 Canonical forms are unique, so on canonical operands a restored product
 or sum equals, value for value and type for type, the one computed entry
 by entry in `Ring` arithmetic.
-
-The grid-slice view (`slices`) regroups a Novikov int form by grid step
-into base-field column forms; the null homotopy's lift, cutoff reduction
-and residues run on it, with the base-field kernels, and `from_slices`.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ class Mat:
             raise ValueError(f"shape mismatch {self.ncols} vs {other.nrows}")
         if not (self.d and other.d):
             return Mat(self.ring, self.nrows, other.ncols)
-        return from_form(self.ring, self.nrows,
+        return from_form(self.ring, self.nrows, other.ncols,
                          column_product(self.ring, form(self), form(other)))
 
     def transpose(self) -> "Mat":
@@ -236,61 +236,68 @@ def _fraction_restorer(den: int):
     return restore
 
 
-def _nov_int_form(ring: Ring, entries: dict):
-    """(den, {key: ((k, n), ...)}): each term c T^e becomes the grid step
-    k = e * grid and the int n = c * den, den the lcm of the coefficient
-    denominators (1 over F_p).  Raises NonGridExponent off the grid."""
-    q = ring.grid
-    den = math.lcm(*{c.denominator for v in entries.values() for _, c in v})
-    out = {}
-    for key, v in entries.items():
-        terms = []
-        for e, c in v:
-            k, r = divmod(e.numerator * q, e.denominator)
-            if r or k < 0:
-                raise NonGridExponent(f"exponent {e} not on grid (1/{q})Z>=0")
-            terms.append((k, c.numerator * (den // c.denominator)))
-        out[key] = tuple(terms)
-    return den, out
+def _steps(ring: Ring) -> int:
+    """N = ceil(c * q), the number of slices of a Novikov form over ring."""
+    return math.ceil(ring.cutoff * ring.grid)
 
 
 def column_form(ring: Ring, m: Mat):
     """(den, cols, rows): m in int form (see the module docstring), as one
-    {row: int} dict per column, {} for a zero column; over Novikov each int
-    is a tuple of grid-step terms (k, n).  rows lists, column by column, the
-    row r of a map whose every column is the single int entry (r, 1), as
-    faces and degeneracies mostly are; it is None otherwise.  `form` calls
-    it once per matrix and keeps the result.
+    {row: int} dict per column, {} for a zero column.  rows lists, column
+    by column, the row r of a map whose every column is the single int
+    entry (r, 1), as faces and degeneracies mostly are; it is None
+    otherwise.  Over Novikov the slice list of such forms (`_slice_forms`).
+    `form` calls it once per matrix and keeps the result.
 
     Forms share columns: the columns of maps with rows are the interned
     unit columns (`_unit_columns`), and `column_product` hands an operand's
     column on as the product's, so no column of a form may be mutated."""
     if ring.kind == "nov":
-        den, ints = _nov_int_form(ring, m.d)
-    else:
-        den, ints = _int_form(ring, m.d)
-    one = _int_one(ring)
-    at = {j: i for i, j in ints} if all(w == one for w in ints.values()) else {}
-    if len(at) == len(ints) == m.ncols:  # every column one entry (r, 1)
-        rows = [at[j] for j in range(m.ncols)]
-        return den, _unit_columns(rows, one), rows
-    cols = [{} for _ in range(m.ncols)]
+        return _slice_forms(ring, m.d, m.ncols)
+    return _base_form(ring, m.d, m.ncols)
+
+
+def _base_form(ring: Ring, entries: dict, ncols: int):
+    """The `column_form` of entries {(row, col): value} over Z, Q or F_p."""
+    den, ints = _int_form(ring, entries)
+    cols = [{} for _ in range(ncols)]
     for (i, j), w in ints.items():
         cols[j][i] = w
-    return den, cols, None
+    return _with_rows(den, cols)
 
 
-def _int_one(ring: Ring):
-    return ((0, 1),) if ring.kind == "nov" else 1
+def _with_rows(den: int, cols: list):
+    """The form (den, cols, rows): rows and the interned unit columns when
+    every column is the single int entry (r, 1), else rows None."""
+    rows = []
+    for col in cols:
+        if len(col) != 1 or 1 not in col.values():
+            return den, cols, None
+        rows += col
+    return den, _unit_columns(rows), rows
 
 
-_units = {}  # (row, int one) -> the unit column {row: one}, one dict each
+def _slice_forms(ring: Ring, entries: dict, ncols: int) -> list:
+    """The slice list of Novikov entries: each term c T^e goes to slice k =
+    e * q as the base-field value c, and each nonzero slice is formed as a
+    base-field matrix (`_base_form`).  Raises NonGridExponent off the grid."""
+    q = ring.grid
+    by_step = [{} for _ in range(_steps(ring))]
+    for key, v in entries.items():
+        for e, c in v:
+            k, r = divmod(e.numerator * q, e.denominator)
+            if r or k < 0:
+                raise NonGridExponent(f"exponent {e} not on grid (1/{q})Z>=0")
+            by_step[k][key] = c
+    return [_base_form(ring.base, s, ncols) if s else None for s in by_step]
 
 
-def _unit_columns(rows, one):
-    """The columns {r: one} of a map with rows, interned in `_units`."""
-    return [_units.get((r, one)) or _units.setdefault((r, one), {r: one})
-            for r in rows]
+_units = {}  # row -> the unit column {row: 1}, one dict each
+
+
+def _unit_columns(rows):
+    """The columns {r: 1} of a map with rows, interned in `_units`."""
+    return [_units.get(r) or _units.setdefault(r, {r: 1}) for r in rows]
 
 
 def form(m: Mat):
@@ -301,20 +308,26 @@ def form(m: Mat):
     return m._form
 
 
-def from_form(ring: Ring, nrows: int, form) -> Mat:
-    """The matrix of a zero-free column form: values restored once, form kept."""
-    m = Mat(ring, nrows, len(form[1]))
-    m.d, m._form = _restore(ring, form), form
+def from_form(ring: Ring, nrows: int, ncols: int, form) -> Mat:
+    """The matrix of a zero-free column form: values restored once, form
+    kept; None (a zero slice) gives the zero matrix."""
+    m = Mat(ring, nrows, ncols)
+    if form is not None:
+        m.d, m._form = _restore(ring, form), form
     return m
 
 
 def row_map(ring: Ring, nrows: int, rows) -> Mat:
     """The nrows x len(rows) matrix whose column j is the single entry
     (rows[j], 1), as identities, faces and degeneracies mostly are, with its
-    column form set at construction, as `column_form` would compute it."""
+    column form set at construction, as `column_form` would compute it:
+    over Novikov the unit slice 0 and None above it (None too without
+    columns)."""
     m = Mat(ring, nrows, len(rows))
     m.d = {(r, j): ring.one for j, r in enumerate(rows)}
-    m._form = (1, _unit_columns(rows, _int_one(ring)), rows)
+    m._form = (1, _unit_columns(rows), rows)
+    if ring.kind == "nov":
+        m._form = [m._form if rows else None] + [None] * (_steps(ring) - 1)
     return m
 
 
@@ -324,31 +337,29 @@ def column_product(ring: Ring, g, f):
     Column j of the product is g's column r itself when column j of f is
     the single int entry (r, 1), whatever f's denominator: the product's
     ints are g's ints times f's, over den_g * den_f.  Otherwise g's columns
-    are scaled or accumulated over plain ints, zeros dropped."""
+    are scaled or accumulated over plain ints, zeros dropped.  Over Novikov
+    slice k is the `form_sum` of the base-field products G_a F_b, a + b = k."""
+    if ring.kind == "nov":
+        return [form_sum(ring.base, [column_product(ring.base, G, F)
+                                     for G, F in zip(g[:k + 1], f[k::-1]) if G and F])
+                for k in range(len(g))]
     den_g, g_cols, _ = g
     den_f, f_cols, f_rows = f
     if f_rows is not None:
         return den_g * den_f, [g_cols[r] for r in f_rows], None
-    nov = ring.kind == "nov"
-    p = ring.base.p if nov else ring.p
-    one = _int_one(ring)
+    p = ring.p
     out = []
     for col in f_cols:
         if len(col) == 1:
             ((r, c),) = col.items()
-            if c == one:
+            if c == 1:
                 out.append(g_cols[r])
-                continue
-            if not nov:
-                if p:
-                    out.append({i: c * w % p for i, w in g_cols[r].items()})
-                else:
-                    out.append({i: c * w for i, w in g_cols[r].items()})
-                continue
-        if not col:
+            elif p:
+                out.append({i: c * w % p for i, w in g_cols[r].items()})
+            else:
+                out.append({i: c * w for i, w in g_cols[r].items()})
+        elif not col:
             out.append({})
-        elif nov:
-            out.append(_nov_column(ring, g_cols, col))
         else:
             acc = {}
             get = acc.get
@@ -362,118 +373,50 @@ def column_product(ring: Ring, g, f):
     return den_g * den_f, out, None
 
 
-def _nov_column(ring: Ring, g_cols, col):
-    """One column of a Novikov product: a sum of int polynomials in the
-    grid step, truncated to k1 + k2 < ceil(c * q), terms sorted by k."""
-    steps = math.ceil(ring.cutoff * ring.grid)
-    p = ring.base.p
-    acc = {}
-    for r, c in col.items():
-        for i, w in g_cols[r].items():
-            poly = acc.get(i)
-            if poly is None:
-                poly = acc[i] = {}
-            for k1, n1 in c:
-                for k2, n2 in w:
-                    e = k1 + k2
-                    if e < steps:
-                        poly[e] = poly.get(e, 0) + n1 * n2
-    return {i: t for i, poly in acc.items() if (t := _terms(poly, p))}
-
-
-def _terms(poly: dict, p) -> tuple:
-    """{grid step k: int n} as Novikov int terms (k, n), n != 0 mod p."""
-    if p:
-        return tuple((k, poly[k] % p) for k in sorted(poly) if poly[k] % p)
-    return tuple((k, poly[k]) for k in sorted(poly) if poly[k])
-
-
 def _restore(ring: Ring, form) -> dict:
     """The canonical entries {(row, col): value} of a column form: n / den
-    as a `Fraction` (one object per distinct n), the residue over F_p, and
-    over Novikov each grid step k as the exponent k / q."""
+    as a `Fraction` (one object per distinct n), the residue over F_p; over
+    Novikov the slices' restored values merged into term tuples, slice k
+    at the exponent k / q."""
+    if ring.kind == "nov":
+        terms = {}
+        for k, s in enumerate(form):
+            if s is not None:
+                e = Fraction(k, ring.grid)
+                for key, c in _restore(ring.base, s).items():
+                    terms.setdefault(key, []).append((e, c))
+        return {key: tuple(t) for key, t in terms.items()}
     den, cols, _ = form
     if ring.kind == "Q":
         restore = _fraction_restorer(den)
         return {(i, j): restore(n)
                 for j, col in enumerate(cols) for i, n in col.items()}
-    if ring.kind != "nov":
-        return {(i, j): n for j, col in enumerate(cols) for i, n in col.items()}
-    q = ring.grid
-    exponents = {}
-    if ring.base.kind == "Q":
-        coeff = _fraction_restorer(den)
-    else:
-        def coeff(n):
-            return n
-    out = {}
-    for j, col in enumerate(cols):
-        for i, terms in col.items():
-            restored = []
-            for k, n in terms:
-                e = exponents.get(k)
-                if e is None:
-                    e = exponents[k] = Fraction(k, q)
-                restored.append((e, coeff(n)))
-            out[(i, j)] = tuple(restored)
-    return out
-
-
-def slices(m: Mat) -> list:
-    """The grid-slice view of a Novikov matrix m: [S_0, ..., S_{K-1}], K =
-    ceil(c * q), S_k the base-field column form of the T^(k/q) coefficients
-    (None when they are all 0), over the one den of m's int form, regrouped
-    from m's kept `form`."""
-    den, cols, _ = form(m)
-    out = [[{} for _ in range(m.ncols)]
-           for _ in range(math.ceil(m.ring.cutoff * m.ring.grid))]
-    for j, col in enumerate(cols):
-        for i, terms in col.items():
-            for k, n in terms:
-                out[k][j][i] = n
-    return [(den, cols, None) if any(cols) else None for cols in out]
-
-
-def from_slices(ring: Ring, forms, nrows: int, ncols: int) -> Mat:
-    """The Novikov matrix sum_k T^(k/q) S_k of base-field column forms S_k
-    (None: zero), restored once over the lcm of their dens; over a field,
-    the one S_0."""
-    if ring.kind != "nov":
-        return Mat(ring, nrows, ncols, forms[0] and _restore(ring, forms[0]))
-    forms = [(k, f) for k, f in enumerate(forms) if f]
-    den = math.lcm(*(f[0] for _, f in forms))
-    cols = [{} for _ in range(ncols)]
-    for k, (d, f_cols, _) in forms:
-        for col, f_col in zip(cols, f_cols):
-            for i, n in f_col.items():
-                col.setdefault(i, []).append((k, n * (den // d)))
-    return Mat(ring, nrows, ncols, _restore(ring, (den, cols, None)))
+    return {(i, j): n for j, col in enumerate(cols) for i, n in col.items()}
 
 
 def form_sum(ring: Ring, forms):
-    """The column form of a sum of column forms of one shape, or None if 0."""
-    s = _placed_sum(ring, len(forms[0][1]) if forms else 0,
-                    [(f, 0, 0, 1) for f in forms])
+    """The column form of a sum of base-field column forms of one shape, or
+    None if 0; a single form is its own sum."""
+    s = forms[0] if len(forms) == 1 else _placed_sum(
+        ring, len(forms[0][1]) if forms else 0, [(f, 0, 0, 1) for f in forms])
     return s if any(s[1]) else None
 
 
 def columns_equal(ring: Ring, a, b) -> bool:
     """Whether two column forms hold the same matrix: plain equality of the
     column lists when their denominators agree, otherwise each side scaled
-    by the other's denominator."""
+    by the other's denominator; over Novikov slice by slice."""
+    if ring.kind == "nov":
+        return all(x is y or x and y and columns_equal(ring.base, x, y)
+                   for x, y in zip(a, b))
     den_a, a_cols, _ = a
     den_b, b_cols, _ = b
     if den_a == den_b:
         return a_cols == b_cols
     if len(a_cols) != len(b_cols):
         return False
-    if ring.kind == "nov":
-        def scaled(col, s):
-            return {i: [(k, n * s) for k, n in t] for i, t in col.items()}
-    else:
-        def scaled(col, s):
-            return {i: n * s for i, n in col.items()}
-    return all(scaled(x, den_b) == scaled(y, den_a)
+    return all({i: n * den_b for i, n in x.items()} ==
+               {i: n * den_a for i, n in y.items()}
                for x, y in zip(a_cols, b_cols))
 
 
@@ -481,39 +424,37 @@ def block_matrix(ring: Ring, nrows: int, ncols: int, blocks) -> Mat:
     """For `complexes.total`, its one caller: the sum of sign * m (sign +-1)
     over placed blocks (m, row_offset, col_offset, sign), summed from their
     kept forms (`_placed_sum`) and kept with its own (`from_form`)."""
-    return from_form(ring, nrows, _placed_sum(
+    return from_form(ring, nrows, ncols, _placed_sum(
         ring, ncols, [(form(m), r0, c0, sign) for m, r0, c0, sign in blocks]))
 
 
 def _placed_sum(ring: Ring, ncols: int, placed):
     """The zero-free form, ncols wide, of sum sign * f over placed forms (f,
     row_offset, col_offset, sign), over ints at the lcm of their dens (a row
-    map's as +-den at each (r, j)), per grid step over Novikov, mod p."""
+    map's as +-den at each (r, j)), mod p, with rows when it is a row map
+    (`_with_rows`); over Novikov slice by slice, None where the slice sums
+    to 0."""
+    if ring.kind == "nov":
+        sums = [_placed_sum(ring.base, ncols, [(f[k], r0, c0, sign)
+                                               for f, r0, c0, sign in placed if f[k]])
+                for k in range(_steps(ring))]
+        return [s if any(s[1]) else None for s in sums]
     den = math.lcm(*(f[0] for f, _, _, _ in placed))
     cols = [{} for _ in range(ncols)]
     for (d, f_cols, f_rows), r0, c0, sign in placed:
         s = sign * (den // d)
-        if ring.kind == "nov":
-            for col, f_col in zip(cols[c0:], f_cols):
-                for i, terms in f_col.items():
-                    poly = col.setdefault(i + r0, {})
-                    for k, n in terms:
-                        poly[k] = poly.get(k, 0) + s * n
-        elif f_rows is not None:  # no column walk
+        if f_rows is not None:  # no column walk
             for j, i in enumerate(f_rows, c0):
                 cols[j][i + r0] = cols[j].get(i + r0, 0) + s
         else:
             for col, f_col in zip(cols[c0:], f_cols):
                 for i, n in f_col.items():
                     col[i + r0] = col.get(i + r0, 0) + s * n
-    if ring.kind == "nov":
-        cols = [{i: t for i, poly in col.items() if (t := _terms(poly, ring.base.p))}
-                for col in cols]
-    elif ring.p:
+    if ring.p:
         cols = [{i: n % ring.p for i, n in col.items() if n % ring.p} for col in cols]
     else:
         cols = [{i: n for i, n in col.items() if n} for col in cols]
-    return den, cols, None
+    return _with_rows(den, cols)
 
 
 # ---------------------------------------------------------------------------

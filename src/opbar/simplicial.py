@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 
 from .complexes import ChainComplex, ChainMap, check_chain_maps, \
-    first_difference, homology, total
+    first_difference, total
 from .errors import EngineError, TruncationTooSmall
 from .linalg import form
 from .quotient import by_classes
@@ -125,9 +125,6 @@ class RealizedComplex:
         lo = self.d_min - 1
         return list(range(lo, top + 1))
 
-    def homology(self, degree):
-        return homology(self.complex, degree)
-
 
 def realize(simplicial: SimplicialComplexObj) -> RealizedComplex:
     return RealizedComplex(simplicial)
@@ -139,13 +136,21 @@ def normalized_realization(simplicial: SimplicialComplexObj):
 
     Requires every degeneracy to send basis labels to basis labels (true for
     all constructions in this engine); the quotient is then free on the
-    non-degenerate labels.
+    non-degenerate labels.  Each degeneracy is read off its kept form, over
+    a Novikov ring off slice 0, where the entries 1 lie, every other slice
+    being None.
     """
     C = realize(simplicial).complex
     degenerate = set()
     for (n, i), s in simplicial.degens.items():
         for d in simplicial.level(n).degrees():
-            den, cols, rows = form(s.mat(d))
+            m = s.mat(d)
+            f = form(m)
+            if m.ring.is_novikov:
+                if any(f[1:]):
+                    raise EngineError("degeneracy has a non-unit coefficient")
+                f = f[0] or (1, [{}] * m.ncols, [])  # None: no column has a label
+            den, cols, rows = f
             if any(len(col) != 1 for col in cols):
                 raise EngineError("degeneracy is not label-to-label")
             if rows is None or den != 1:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -36,7 +37,7 @@ from opbar.linalg import Mat
 from opbar.symgrp import Perm
 
 from .genutil import NOVIKOV_RINGS, cyclic_group_homology_oracle, full_cone_quasi_iso_oracle, \
-    novikov_conjugate, plus_lone, \
+    novikov_conjugate, plus_lone, random_chain_map, \
     random_complex, random_novikov_acyclic, random_novikov_element, random_two_term
 
 Z = Ring.Z()
@@ -566,6 +567,46 @@ def test_seeded_tower_verdicts_and_flags():
         assert len(rep.flags) == 2 * len(C.diff) == 4
         if not ok:
             assert {v.witness["degree"] for v in rep.verdicts.values()} == {0}
+
+
+def _flag_oracle(fmap):
+    """The flags of `complete_tower`, from one `Ring.valuation` per entry."""
+    ring = fmap.source.ring
+    return [f"{side} differential in degree {d} has an entry of positive valuation"
+            for side, cpx in (("source", fmap.source), ("target", fmap.target))
+            for d, m in cpx.diff.items()
+            if any(ring.valuation(v) > 0 for v in m.d.values())]
+
+
+@pytest.mark.parametrize("name", NOVIKOV_RINGS)
+def test_tower_flags_match_the_per_entry_valuation_oracle(name):
+    """One flag per differential with an entry of positive valuation, as the
+    per-entry oracle finds them: none for a differential of units, one for
+    a pure T^(k/q) entry (below the cutoff when there is a grid step k >= 1),
+    and the oracle's on seeded complexes with mixed valuations."""
+    nov = NOVIKOV_RINGS[name]
+    rng = random.Random(f"tower flags:{name}")
+    steps = math.ceil(nov.cutoff * nov.grid)
+    t = nov.monomial(1, Fraction(steps - 1, nov.grid))  # 1 when steps == 1
+    units = ChainComplex.free(nov, {0: ["y0", "y1"], 1: ["x"]},
+                              {(1, "x", "y0"): nov.add(nov.one, t),
+                               (1, "x", "y1"): nov.from_int(-1)})
+    pure = ChainComplex.free(nov, {0: ["y"], 1: ["x"]}, {(1, "x", "y"): t})
+    rep = complete_tower(ChainMap.zero(units, pure), [nov.cutoff], range(-1, 3))
+    assert [str(x) for x in rep.flags] == (
+        ["target differential in degree 1 has an entry of positive valuation"]
+        if steps > 1 else [])
+    maps = [ChainMap.zero(units, pure)]
+    for k in range(4):
+        maps.append(random_chain_map(rng, nov, tag=f"m{k}"))
+        maps.append(ChainMap.zero(random_novikov_acyclic(rng, nov, tag=f"a{k}"),
+                                  random_novikov_acyclic(rng, nov, tag=f"b{k}")))
+    seen = set()
+    for f in maps:
+        want = _flag_oracle(f)
+        assert [str(x) for x in complete_tower(f, [nov.cutoff], range(-1, 3)).flags] == want
+        seen.add(bool(want))
+    assert seen == ({True, False} if steps > 1 else {False})
 
 
 @pytest.mark.parametrize("unit", [True, False], ids=["one_plus_t", "t"])

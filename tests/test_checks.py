@@ -336,26 +336,27 @@ def test_two_sided_bar_forms_each_matrix_once_and_checks_restore_nothing(monkeyp
     # from construction, so none reaches column_form, and neither do the
     # identity maps of the ds = id check, nor the realized differentials
     # (three of the bar, one of the constant object), which `total` builds
-    # from their forms.  The rest is formed once each: six matrices of the
-    # augmentation triangle (the tensor projection, f in degrees 0 to 2, p
-    # and q; the level differentials are 0 here); no check restores a value
+    # from their forms, nor f in degrees 0 to 2, summed from the forms of
+    # its d_0 chains.  The rest is formed once each: three matrices of the
+    # augmentation triangle (the tensor projection, p and q; the level
+    # differentials are 0 here); no check restores a value
     assert len(row_maps) == 2 + 3 + 4 + 1 + 2 + 3
     assert sum(id(m) in row_maps for m in formed) == 0
-    assert len({id(m) for m in formed}) == len(formed) == 6
+    assert len({id(m) for m in formed}) == len(formed) == 3
     assert checks["ChainComplex"] > 0 and checks["ChainMap"] > 0
     assert restored == []
     # checking again forms nothing: each matrix keeps its form
     simp.check_identities()
     bar.complex.validate()
-    assert len(formed) == 6
+    assert len(formed) == 3
     # the counters count: a new complex's differentials are formed once, a
     # second validate forms nothing, and a failing check restores its witness
     d1 = Mat.from_rows(Q, [[1, 1]])
     C1 = ChainComplex(Q, "Z", {0: ["y"], 1: ["x0", "x1"], 2: ["w"]},
                       {1: d1, 2: Mat.from_rows(Q, [[1], [-1]])})
-    assert len(formed) == 6 + 2
+    assert len(formed) == 3 + 2
     C1.validate()
-    assert len(formed) == 6 + 2 and sum(m is d1 for m in formed) == 1
+    assert len(formed) == 3 + 2 and sum(m is d1 for m in formed) == 1
     with pytest.raises(NotADifferential):
         ChainComplex(Q, "Z", {0: ["y"], 1: ["x"], 2: ["w"]},
                      {1: Mat.from_rows(Q, [[1]]), 2: Mat.from_rows(Q, [[1]])})

@@ -382,7 +382,7 @@ def test_quasi_iso_matches_the_full_cone_oracle(ring):
 
 
 def test_novikov_matrices_are_formed_once(monkeypatch):
-    """`_nov_int_form` runs at most once per matrix in its life: building
+    """`_slice_forms` runs at most once per matrix in its life: building
     the source, the target and the map forms what their checks read; then
     `is_quasi_iso`, whose residue slicing reads the kept forms, forms
     exactly the matrices that have none yet, and a second validate forms
@@ -390,9 +390,9 @@ def test_novikov_matrices_are_formed_once(monkeypatch):
     are products, which keep their forms."""
     nov = NOVIKOV_RINGS["q_2_2"]
     calls = []
-    real = linalg._nov_int_form
-    monkeypatch.setattr(linalg, "_nov_int_form",
-                        lambda ring, entries: calls.append(entries) or real(ring, entries))
+    real = linalg._slice_forms
+    monkeypatch.setattr(linalg, "_slice_forms", lambda ring, entries, ncols:
+                        calls.append(entries) or real(ring, entries, ncols))
     rng = random.Random("novikov-forms")
     late = 0
     for k in range(10):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -582,6 +583,12 @@ def _with_unit_columns(rng, a):
     return Mat(a.ring, a.nrows, a.ncols, ent)
 
 
+def _slice0(ring, f):
+    """The form that holds the entries 1 of a column form f: f itself, over
+    Novikov its slice 0."""
+    return f[0] if ring.kind == "nov" else f
+
+
 def _unit_column_map(rng, ring, n, k, one):
     """An n x k map whose every column is the single entry one."""
     return Mat(ring, n, k, {(rng.randrange(n), j): one for j in range(k)})
@@ -602,7 +609,7 @@ def test_mat_mul_matches_per_entry_loop(ring):
         ones = [ring.one] + ([Fraction(1, 3)] if ring.kind == "Q" else [])
         for one in ones:
             f = _unit_column_map(rng, ring, n, k, one)
-            assert linalg.column_form(ring, f)[2] is not None
+            assert _slice0(ring, linalg.column_form(ring, f))[2] is not None
             _assert_product_as_oracle(_random_mat(rng, ring, m, n), f)
     for m, n, k in ((0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0)):
         got = _assert_product_as_oracle(_random_mat(rng, ring, m, n),
@@ -733,7 +740,7 @@ def test_column_product_matches_mat_mul(ring):
             one = Fraction(1, 3) if ring.kind == "Q" and trial % 8 == 7 \
                 else ring.one
             f = _unit_column_map(rng, ring, n, k, one)
-            assert linalg.column_form(ring, f)[2] is not None
+            assert _slice0(ring, linalg.column_form(ring, f))[2] is not None
         got = linalg.column_product(ring, linalg.column_form(ring, g),
                                     linalg.column_form(ring, f))
         want = Mat(ring, m, k, _oracle_mul(g, f))
@@ -769,10 +776,14 @@ def test_row_map_stores_the_form_that_column_form_computes(ring, monkeypatch):
         assert m == want and m.d == want.d
         assert linalg.form(want) is linalg.form(want) == stored
         assert formed == [want]  # formed once, on first use
-        # every column is the one interned unit column of its row
-        again = linalg.form(linalg.row_map(ring, nrows, rows))[1]
-        assert all(col is again[j] is linalg.form(want)[1][j]
-                   for j, col in enumerate(stored[1]))
+        # every column is the one interned unit column of its row, over
+        # Novikov in slice 0, which is None without columns
+        unit, again, formed_unit = (
+            _slice0(ring, f) or (1, [], []) for f in
+            (stored, linalg.form(linalg.row_map(ring, nrows, rows)), linalg.form(want)))
+        assert len(unit[1]) == ncols
+        assert all(col is again[1][j] is formed_unit[1][j]
+                   for j, col in enumerate(unit[1]))
         ident = Mat.identity(ring, nrows)
         assert linalg.form(ident) == column_form(ring, ident)
         assert formed == [want]  # the identity is a row map
@@ -796,9 +807,45 @@ def test_columns_equal_cross_multiplies_denominators():
                                 (3, [{0: 3}, {1: 3}], None))
     nov = Ring.novikov(Q, 2, 2)
     assert linalg.columns_equal(nov, linalg.column_form(nov, Mat.identity(nov, 2)),
-                                (3, [{0: ((0, 3),)}, {1: ((0, 3),)}], None))
+                                [(3, [{0: 3}, {1: 3}], None), None, None, None])
     assert not linalg.columns_equal(nov, linalg.column_form(nov, Mat.identity(nov, 2)),
-                                    (3, [{0: ((1, 3),)}, {1: ((0, 3),)}], None))
+                                    [(3, [{}, {1: 3}], None), (3, [{0: 3}, {}], None),
+                                     None, None])
+
+
+@pytest.mark.parametrize("ring", [Ring.novikov(Q, 2, 2), Ring.novikov(Q, Fraction(3, 4), 4),
+                                  Ring.novikov(Ring.Fp(3), 1, 3)], ids=repr)
+def test_every_zero_slice_is_none(ring):
+    """A Novikov form holds None for every zero slice: of a zero matrix, of
+    a row map without columns, and of a product and a block sum whose
+    T^(1/q) terms cancel; a row map's form holds the matrix that the
+    constructor builds from the same entries."""
+    t = ring.monomial(1, Fraction(1, ring.grid))
+    one_plus_t, minus_t = ring.add(ring.one, t), ring.neg(t)
+    g = Mat(ring, 1, 2, {(0, 0): ring.one, (0, 1): ring.one})
+    f = Mat(ring, 2, 1, {(0, 0): one_plus_t, (1, 0): minus_t})
+    a, b = Mat(ring, 1, 1, {(0, 0): one_plus_t}), Mat(ring, 1, 1, {(0, 0): minus_t})
+    built = {
+        "zero": Mat.zeros(ring, 3, 2),
+        "row map without columns": linalg.row_map(ring, 3, []),
+        "identity without columns": Mat.identity(ring, 0),
+        "product": g.mul(f),
+        "block sum": linalg.block_matrix(ring, 1, 1, [(a, 0, 0, 1), (b, 0, 0, 1)]),
+    }
+    for name, m in built.items():
+        kept = linalg.form(m)
+        assert len(kept) == math.ceil(ring.cutoff * ring.grid), name
+        assert all(s is None or any(s[1]) for s in kept), name
+        assert linalg.columns_equal(ring, kept, linalg.column_form(ring, m)), name
+    for name in ("zero", "row map without columns", "identity without columns"):
+        assert linalg.form(built[name]) == [None] * len(linalg.form(built[name]))
+    for name in ("product", "block sum"):  # slice 1 cancels, slice 0 is 1
+        assert built[name].d == {(0, 0): ring.one}, name
+        assert linalg.form(built[name])[1] is None, name
+    for nrows, rows in ((3, []), (3, [2, 0, 2]), (1, [0])):
+        want = Mat(ring, nrows, len(rows), {(r, j): ring.one for j, r in enumerate(rows)})
+        assert linalg.columns_equal(ring, linalg.form(linalg.row_map(ring, nrows, rows)),
+                                    linalg.column_form(ring, want))
 
 
 @pytest.mark.parametrize("exponent", [Fraction(1, 3), Fraction(-1, 2)])
