@@ -15,7 +15,9 @@ Tensor factors are ordered children-first, decoration last (the root complex
 is C_{v_1} (x) ... (x) C_{v_k} (x) O(k)).  Symmetric-group coinvariants at
 every node are realized by canonical orbit representatives: a node label is
 the minimum of its signed orbit in `repr` order, and orbits carrying a sign
-conflict die.
+conflict die.  `WordCalculus` numbers the labels and walks each orbit once;
+the levels, faces, degeneracies and mu's grafts work on those ids, and
+labels are built only for the bases and the views.
 All structure maps canonicalize, and the simplicial identities plus d^2 = 0
 are asserted exactly on every construction.
 """
@@ -27,30 +29,35 @@ import itertools
 from .complexes import ChainComplex, ChainMap, first_difference, total
 from .errors import EngineError, NonPermutationAction
 from .fixtures import unit_operad
+from .linalg import Mat, row_map
 from .lincomb import add_into, linear
 from .multicat import MultiAlgebra, MultiCat, MultiFunctor, _group_gens, aut_group
 from .simplicial import RealizedComplex, SimplicialComplexObj, realize, shuffles
 from .symgrp import GroupRingModule, Perm, koszul_sign, tensor_over_group_ring
 
 
-def _ev_sign(fdeg, args_deg):
-    """Sign of the evaluation pairing in the order (arguments, operation)."""
-    return -1 if (fdeg % 2 and args_deg % 2) else 1
-
-
 class WordCalculus:
-    """Label-level operations for decorated leveled trees over (pi, A).
+    """Operations on decorated leveled trees over (pi, A), on node ids.
 
-    A node (key, children) is made canonical by walking its orbit under
-    S_k, read from a table built once per (structure, key, parities of the
-    children's degrees); the representative is the orbit element whose
-    `repr` is least, its string assembled from memoized per-label reprs.
+    Every node label (leaf, word or root) is numbered on first sight
+    (``_id``, ``_label``), with its degree (``_degs``) and child ids
+    (``_kids``).  Canonical classes live in one table keyed by (kind, key,
+    child ids), ``_canon``: the first node of an orbit walks it under S_k
+    once (`_orbit`), from a table built once per (structure, key, parities
+    of the children's degrees), and stores the class of every member, (id
+    of the representative, +-1), or () when the orbit dies.  The
+    representative is the member whose `repr` is least, assembled from
+    memoized per-id reprs; a one-element orbit needs none.
 
-    One build's levels read per-id tables: `words_by_depth` builds the words
-    of each depth once, from the depth below, and numbers them, keeping each
-    word's child ids (and `level_basis` each root's); a face d_i (i > 0) or
-    degeneracy of a root maps its children through a list over word ids
-    (`_word_images`) filled once from the list one depth down.
+    A build numbers the words of each depth (`words_by_depth`) and the roots
+    of each level (`level_basis`), and reads each node's boundary once
+    (`_boundary`).  A face d_i (i > 0) or degeneracy maps a root's children
+    through the images of the words (`_word_images`) and looks up each
+    class; d_0, the inner collapse of d_1 and mu's levelwise product share
+    one graft memo (`_graft`).  `level_map` writes each degree of a face or
+    degeneracy in one matrix, a `row_map` when every root hits one root with
+    coefficient one.  Labels are read or built only in the views
+    (`make_node`, `deg`, `face`, `degen`) and for the complexes' bases.
     """
 
     def __init__(self, pi: MultiFunctor, A: MultiAlgebra):
@@ -59,36 +66,47 @@ class WordCalculus:
         self.O = pi.target
         self.A = A
         self.ring = self.M.ring
-        self._deg = {}
-        self._canon = {}
+        self._unit = {1: self.ring.one, -1: self.ring.neg(self.ring.one)}
+        self._id = {}         # node label -> id
+        self._label = []      # id -> node label
+        self._degs = []       # id -> degree
+        self._kids = []       # id -> child ids
+        self._repr = {}       # id or key -> repr of its label or itself
+        self._canon = {}      # (kind, key, child ids) -> (id, +-1), or ()
         self._orbit_tables = {}
-        self._repr = {}
-        self._words = []      # depth -> canonical words, in id order
-        self._kids = []       # depth -> child ids of each word
-        self._root_kids = {}  # root label -> child ids
-        self._images = {}     # ("d" or "s", n, i) -> image of each word id
+        self._grafts = {}     # (via, key, sub-keys, parities) -> [(key, coefficient)]
+        self._bds = {}        # id -> boundary ((id, coefficient), ...)
+        self._pos = {}        # id -> row in its degree of its complex
+        self._words = []      # depth -> word ids, in basis order
+        self._roots = {}      # level -> root ids, in basis order
+        self._images = {}     # ("d" or "s", n, i, kind) -> {id: image}
 
-    # -- label structure ----------------------------------------------------
+    # -- node ids -----------------------------------------------------------
+
+    def _intern(self, label) -> int:
+        """The id of a node label, numbered on first sight."""
+        j = self._id.get(label)
+        if j is None:
+            kids = () if label[0] == "lf" else tuple(map(self._intern, label[2]))
+            j = self._add(label, kids)
+        return j
+
+    def _add(self, label, kids) -> int:
+        j = self._id[label] = len(self._label)
+        self._label.append(label)
+        self._kids.append(kids)
+        self._degs.append(label[2] if label[0] == "lf" else
+                          label[1][2] + sum(self._degs[c] for c in kids))
+        return j
+
+    def _node(self, kind, key, kids) -> int:
+        """The id of the node (kind, key, children of ids kids)."""
+        label = (kind, key, tuple(self._label[c] for c in kids))
+        j = self._id.get(label)
+        return self._add(label, kids) if j is None else j
 
     def deg(self, label) -> int:
-        d = self._deg.get(label)
-        if d is None:
-            kind = label[0]
-            if kind == "lf":
-                d = label[2]
-            else:
-                d = label[1][2] + sum(self.deg(c) for c in label[2])
-            self._deg[label] = d
-        return d
-
-    def obj(self, label):
-        if label[0] == "lf":
-            return label[1]
-        return label[1][1]
-
-    def leaf_keys(self, x):
-        c = self.A.carrier(x)
-        return [("lf", x, d, l) for d in c.degrees() for l in c.labels(d)]
+        return self._degs[self._intern(label)]
 
     # -- canonical orbit representatives ----------------------------------
 
@@ -118,45 +136,54 @@ class WordCalculus:
             self._orbit_tables[tk] = table
         return table
 
-    def _orbit(self, structure, key, children):
-        """All signed orbit elements of a node; None when the orbit dies."""
-        parities = tuple(self.deg(c) % 2 for c in children)
-        seen = {}
+    def _orbit(self, kind, structure, key, kids):
+        """Walk the signed orbit of the node (key, children of ids kids) and
+        store the class of every member: () when a member is reached with
+        two signs (the orbit dies), else (representative id, sign)."""
+        orbit, dead = {}, False
+        parities = tuple(self._degs[c] % 2 for c in kids)
         for idx, nk, s in self._orbit_table(structure, key, parities):
-            if seen.setdefault((nk, tuple(children[i] for i in idx)), s) != s:
-                return None
-        return seen
-
-    def _repr_of(self, x) -> str:
-        r = self._repr.get(x)
-        if r is None:
-            r = self._repr[x] = repr(x)
-        return r
+            if orbit.setdefault((nk, tuple([kids[i] for i in idx])), s) != s:
+                dead = True
+        canon = self._canon
+        if dead:
+            for nk, cs in orbit:
+                canon[kind, nk, cs] = ()
+            return
+        rep = min(orbit, key=self._node_repr) if len(orbit) > 1 else (key, kids)
+        r, s_rep = self._node(kind, *rep), orbit[rep]
+        for (nk, cs), s in orbit.items():
+            canon[kind, nk, cs] = (r, s * s_rep)
 
     def _node_repr(self, cand) -> str:
-        """repr(cand) of an orbit element (key, children), assembled from
-        the memoized reprs of the key and of each child."""
-        nk, children = cand
-        rs = [self._repr_of(c) for c in children]
+        """repr of the orbit element (key, child ids) as a label tail,
+        assembled from the memoized reprs of the key and of each child."""
+        (nk, kids), memo, label = cand, self._repr, self._label
+        rs = [memo.get(c) or memo.setdefault(c, repr(label[c])) for c in kids]
         inner = rs[0] + "," if len(rs) == 1 else ", ".join(rs)
-        return "(" + self._repr_of(nk) + ", (" + inner + "))"
+        return "(" + (memo.get(nk) or memo.setdefault(nk, repr(nk))) + \
+            ", (" + inner + "))"
+
+    def _class(self, kind, structure, key, kids):
+        """(id, +-1) of the canonical class of the node (key, children of
+        ids kids), or () when its orbit dies."""
+        hit = self._canon.get((kind, key, kids))
+        if hit is None:
+            self._orbit(kind, structure, key, kids)
+            hit = self._canon[kind, key, kids]
+        return hit
+
+    def _add_hit(self, out, hit, v, odd):
+        """out[class id] += v, times the class sign and (-1)^odd; nothing
+        when the orbit died."""
+        if hit:
+            add_into(self.ring, out, hit[0],
+                     self.ring.neg(v) if (odd + (hit[1] < 0)) % 2 else v)
 
     def make_node(self, kind, structure, key, children) -> dict:
         """Canonical class of a node, as a linear combination (at most one term)."""
-        children = tuple(children)
-        ck = (kind, key, children)
-        cached = self._canon.get(ck)
-        if cached is None:
-            orbit = self._orbit(structure, key, children)
-            if orbit is None:
-                cached = {}
-            else:
-                rep = min(orbit, key=self._node_repr) if len(orbit) > 1 \
-                    else (key, children)
-                s = orbit[(key, children)] * orbit[rep]
-                cached = {(kind, rep[0], rep[1]): self.ring.from_int(s)}
-            self._canon[ck] = cached
-        return cached
+        hit = self._class(kind, structure, key, tuple(map(self._intern, children)))
+        return {self._label[hit[0]]: self._unit[hit[1]]} if hit else {}
 
     def make_word(self, mkey, children) -> dict:
         return self.make_node("wd", self.M, mkey, children)
@@ -164,208 +191,217 @@ class WordCalculus:
     def make_root(self, okey, children) -> dict:
         return self.make_node("rt", self.O, okey, children)
 
-    def node_lc(self, kind, structure, key_lc, child_lcs) -> dict:
-        """Multilinear node constructor."""
-        ring = self.ring
-        acc = {(): ring.one}
-        for lc in child_lcs:
-            new = {}
-            for combo, cv in acc.items():
-                for l, v in lc.items():
-                    add_into(ring, new, combo + (l,), ring.mul(cv, v))
-            acc = new
-        out = {}
-        for key, kv in key_lc.items():
-            for combo, cv in acc.items():
-                for l, v in self.make_node(kind, structure, key, combo).items():
-                    add_into(ring, out, l, ring.mul(kv, ring.mul(cv, v)))
-        return out
+    # -- levels -----------------------------------------------------------------
 
-    # -- differential -------------------------------------------------------
-
-    def diff_label(self, label) -> dict:
-        ring = self.ring
-        kind = label[0]
-        if kind == "lf":
-            _, x, d, l = label
-            return {("lf", x, dd, ll): v
-                    for (dd, ll), v in self.A.diff_carrier(x, (d, l)).items()}
-        structure = self.M if kind == "wd" else self.O
-        key, children = label[1], label[2]
-        out = {}
-        pre = 0
-        for t, c in enumerate(children):
-            s = -1 if pre % 2 else 1
-            for cl, v in self.diff_label(c).items():
-                hit = self.make_node(kind, structure, key,
-                                     children[:t] + (cl,) + children[t + 1:])
-                for l2, v2 in hit.items():
-                    add_into(ring, out, l2,
-                             ring.mul(ring.from_int(s), ring.mul(v, v2)))
-            pre += self.deg(c)
-        s = -1 if pre % 2 else 1
-        for k2, v in structure.diff_key(key).items():
-            for l2, v2 in self.make_node(kind, structure, k2, children).items():
-                add_into(ring, out, l2,
-                         ring.mul(ring.from_int(s), ring.mul(v, v2)))
-        return out
-
-    # -- level enumeration ----------------------------------------------------
+    def _boundary(self, j) -> tuple:
+        """d of the node of id j as ((id, coefficient), ...), read once."""
+        bd = self._bds.get(j)
+        if bd is None:
+            label, out = self._label[j], {}
+            if label[0] == "lf":
+                _, x, d, l = label
+                for (dd, ll), v in self.A.diff_carrier(x, (d, l)).items():
+                    out[self._intern(("lf", x, dd, ll))] = v
+            else:
+                kind, key, kids = label[0], label[1], self._kids[j]
+                structure = self.M if kind == "wd" else self.O
+                pre = 0
+                for t, c in enumerate(kids):
+                    for c2, v in self._boundary(c):
+                        self._add_hit(out, self._class(
+                            kind, structure, key, kids[:t] + (c2,) + kids[t + 1:]),
+                            v, pre)
+                    pre += self._degs[c]
+                for k2, v in structure.diff_key(key).items():
+                    self._add_hit(out, self._class(kind, structure, k2, kids), v, pre)
+            bd = self._bds[j] = tuple(out.items())
+        return bd
 
     def words_by_depth(self, depth):
-        """{object: [canonical word labels]} for uniform-depth words.
+        """{object: [ids of its canonical depth-`depth` words]}.
 
         Builds and numbers the words of every depth up to `depth` once, each
         depth from the one below; this starts a new build."""
         objects = self.M.objects
-        cur = {x: self.leaf_keys(x) for x in objects}
-        self._words = [[l for x in objects for l in cur[x]]]
-        self._kids = [None]
-        self._root_kids = {}
-        self._images = {}
+        cur = {}
+        for x in objects:
+            c = self.A.carrier(x)
+            cur[x] = [self._intern(("lf", x, d, l))
+                      for d in c.degrees() for l in c.labels(d)]
+        self._words = [[j for x in objects for j in cur[x]]]
+        self._roots, self._images = {}, {}
         for _ in range(depth):
-            ids = {l: j for j, l in enumerate(self._words[-1])}
-            prev, cur, kids = cur, {x: [] for x in objects}, {}
+            prev, cur, seen = cur, {x: [] for x in objects}, set()
             for mkey in self.M.all_keys():
                 for combo in itertools.product(*(prev[x] for x in mkey[0])):
-                    for l in self.make_word(mkey, combo):
-                        if l not in kids:
-                            kids[l] = tuple(ids[c] for c in l[2])
-                            cur[self.obj(l)].append(l)
-            self._words.append([l for x in objects for l in cur[x]])
-            self._kids.append([kids[l] for l in self._words[-1]])
+                    hit = self._class("wd", self.M, mkey, combo)
+                    if hit and hit[0] not in seen:
+                        seen.add(hit[0])
+                        cur[mkey[1]].append(hit[0])
+            self._words.append([j for x in objects for j in cur[x]])
         return cur
 
     def level_basis(self, n):
-        """Canonical root labels over the depth-n words of this build."""
-        pool = self._words[n]
-        ids = {w: j for j, w in enumerate(pool)}
-        star = self.O.objects[0]
-        kids = {}
+        """Ids of the canonical roots over the depth-n words of this build."""
+        pool, star = self._words[n], self.O.objects[0]
+        roots = self._roots[n] = []
+        seen = set()
         for k in range(1, self.O.arity_max + 1):
             okeys = self.O.basis_keys((star,) * k, star)
-            if not okeys:
-                continue
-            for combo in itertools.product(pool, repeat=k):
+            for combo in itertools.product(pool, repeat=k) if okeys else ():
                 for okey in okeys:
-                    for l in self.make_root(okey, combo):
-                        if l not in kids:
-                            kids[l] = tuple(ids[w] for w in l[2])
-        self._root_kids.update(kids)
-        return list(kids)
+                    hit = self._class("rt", self.O, okey, combo)
+                    if hit and hit[0] not in seen:
+                        seen.add(hit[0])
+                        roots.append(hit[0])
+        return roots
 
-    def complex_on(self, labels) -> ChainComplex:
-        """The complex on the given labels, graded by `deg`, with d from
-        `diff_label`."""
+    def _by_degree(self, ids) -> dict:
+        """{degree: the ids of that degree, in order}, each id's row noted
+        in ``_pos``."""
         basis = {}
-        for l in labels:
-            basis.setdefault(self.deg(l), []).append(l)
-        return ChainComplex.from_labels(self.ring, basis, self.diff_label)
+        for j in ids:
+            cols = basis.setdefault(self._degs[j], [])
+            self._pos[j] = len(cols)
+            cols.append(j)
+        return basis
+
+    def complex_on(self, ids) -> ChainComplex:
+        """The complex on the nodes of ids, graded by degree, with d read
+        from their boundaries."""
+        basis, ring, pos = self._by_degree(ids), self.ring, self._pos
+        diff = {d: Mat(ring, len(basis.get(d - 1, ())), len(cols),
+                       {(pos[i], j): v for j, c in enumerate(cols)
+                        for i, v in self._boundary(c)})
+                for d, cols in basis.items()}
+        return ChainComplex(ring, "Z", {d: [self._label[j] for j in cols]
+                                        for d, cols in basis.items()}, diff)
 
     def level_complex(self, n) -> ChainComplex:
         return self.complex_on(self.level_basis(n))
 
     # -- faces and degeneracies --------------------------------------------------
 
-    def _collapse(self, pieces, gam, make) -> dict:
-        """sum over gam of make(key, all children), for pieces [(children,
-        key)], with the Koszul sign of moving the tensor factors
-        (c_1, m_1, c_2, m_2, ...) to (c_1, ..., c_k, m_1, ..., m_k)."""
-        ring = self.ring
-        degs, c_pos, m_pos = [], [], []
-        for cs, mk in pieces:
-            for c in cs:
-                c_pos.append(len(degs))
-                degs.append(self.deg(c))
-            m_pos.append(len(degs))
-            degs.append(mk[2])
-        sign = ring.from_int(
-            koszul_sign(Perm([o + 1 for o in c_pos + m_pos]), degs))
-        all_children = tuple(c for cs, _ in pieces for c in cs)
-        out = {}
-        for gk, gv in gam.items():
-            for l2, v2 in make(gk, all_children).items():
-                add_into(ring, out, l2, ring.mul(sign, ring.mul(gv, v2)))
+    def _graft(self, via, key, subs, parities):
+        """[(gamma key, coefficient)] of gamma(key; subs) in M (via "M") or
+        O (via "O", or "pi" on pi's images of the M keys subs), with the
+        Koszul sign (-1)^(sum_{s<t} |sub_s| parities_t) of moving each sub-key
+        past the children of the later pieces; memoized."""
+        mk = (via, key, subs, parities)
+        out = self._grafts.get(mk)
+        if out is None:
+            ring, target = self.ring, self.M if via == "M" else self.O
+            odd = pre = 0
+            for sub, p in zip(subs, parities):
+                odd += pre * p
+                pre += sub[2]
+            if sum(len(s[0]) for s in subs) > target.arity_max:
+                gam = {}  # zero truncation: the composite space vanishes
+            else:
+                gam = target.gamma(key, [self.pi.on_key(s) if via == "pi" else
+                                         {s: ring.one} for s in subs])
+            out = self._grafts[mk] = [(gk, ring.neg(gv) if odd % 2 else gv)
+                                      for gk, gv in gam.items()]
         return out
 
-    def face_root_collapse(self, label) -> dict:
-        """d_0: project depth-1 decorations along pi and compose at the root."""
-        okey, words = label[1], label[2]
-        pieces = []  # (children, mkey) per word
-        for w in words:
-            if w[0] != "wd":
-                raise EngineError("root collapse needs depth >= 1")
-            pieces.append((w[2], w[1]))
-        # gamma in O over the projected decorations
-        gam = self.O.gamma(okey, [self.pi.on_key(mk) for _, mk in pieces])
-        return self._collapse(pieces, gam, self.make_root)
-
-    def collapse_word_once(self, label) -> dict:
-        """Compose a word's children (depth-1 collapse inside M)."""
-        mkey, children = label[1], label[2]
-        pieces = []
-        for c in children:
-            if c[0] != "wd":
-                raise EngineError("inner collapse needs word children")
-            pieces.append((c[2], c[1]))
-        if sum(len(cs) for cs, _ in pieces) > self.M.arity_max:
-            # zero truncation: the composite multimorphism space vanishes
-            gam = {}
-        else:
-            gam = self.M.gamma(mkey, [{mk: self.ring.one} for _, mk in pieces])
-        return self._collapse(pieces, gam, self.make_word)
-
-    def evaluate_word(self, label) -> dict:
-        """Apply the algebra action to a depth-1 word (leaf children)."""
-        ring = self.ring
-        mkey, children = label[1], label[2]
-        args = tuple((c[2], c[3]) for c in children)
-        s = _ev_sign(mkey[2], sum(self.deg(c) for c in children))
-        y = mkey[1]
-        out = {}
-        for (dd, ll), v in self.A.apply_key(mkey, args).items():
-            add_into(ring, out, ("lf", y, dd, ll),
-                     ring.mul(ring.from_int(s), v))
+    def _grafted(self, kind, via, key, pieces) -> dict:
+        """{id: coefficient} of the node gamma(key; the pieces' keys) on the
+        pieces' children, concatenated: d_0 (via pi), the inner collapse
+        (via M) and mu's levelwise product (via O)."""
+        label, degs = self._label, self._degs
+        subs = tuple(label[p][1] for p in pieces)
+        parities = tuple((degs[p] - s[2]) % 2 for p, s in zip(pieces, subs))
+        children = tuple(c for p in pieces for c in self._kids[p])
+        structure, out = self.M if kind == "wd" else self.O, {}
+        for gk, gv in self._graft(via, key, subs, parities):
+            self._add_hit(out, self._class(kind, structure, gk, children), gv, 0)
         return out
+
+    def _map_node(self, kind, key, kids, images) -> dict:
+        """{id: coefficient} of the node with each child c replaced by
+        images[c], multilinearly."""
+        ring = self.ring
+        one, combos, out = ring.one, [((), ring.one)], {}
+        for c in kids:
+            combos = [(cs + (c2,), v if cv == one else ring.mul(cv, v))
+                      for cs, cv in combos for c2, v in images[c]]
+        structure = self.M if kind == "wd" else self.O
+        for cs, cv in combos:
+            self._add_hit(out, self._class(kind, structure, key, cs), cv, 0)
+        return out
+
+    def _evaluate_word(self, w) -> dict:
+        """{leaf id: coefficient}: the algebra action on a depth-1 word,
+        with the sign of the evaluation pairing (arguments, operation)."""
+        ring, mkey, kids = self.ring, self._label[w][1], self._kids[w]
+        odd = mkey[2] % 2 and sum(self._degs[c] for c in kids) % 2
+        args = tuple(self._label[c][2:] for c in kids)
+        return {self._intern(("lf", mkey[1], dd, ll)):
+                ring.neg(ring.canon(v)) if odd else ring.canon(v)
+                for (dd, ll), v in self.A.apply_key(mkey, args).items()}
+
+    def _word_images(self, kind, n, i) -> dict:
+        """{depth-n word id: ((id, coefficient), ...)}, the map that d_i
+        (kind "d", i > 0) or s_i ("s") of level n applies to a root's
+        children: d_1 composes a word with its children (evaluates it if
+        n = 1), s_0 wraps it in a unit, else d_{i-1} or s_{i-1} of level
+        n - 1 maps them."""
+        out = self._images.get((kind, n, i, "wd"))
+        if out is None:
+            label, kids, M = self._label, self._kids, self.M
+            if kind == "s" and i == 0:
+                fn = lambda w: self._map_node("wd", M.unit_key(
+                    label[w][1] if label[w][0] == "lf" else label[w][1][1]),
+                    (w,), {w: ((w, self.ring.one),)})
+            elif kind == "d" and i == 1:
+                fn = self._evaluate_word if n == 1 else \
+                    lambda w: self._grafted("wd", "M", label[w][1], kids[w])
+            else:
+                inner = self._word_images(kind, n - 1, i - 1)
+                fn = lambda w: self._map_node("wd", label[w][1], kids[w], inner)
+            out = self._images[kind, n, i, "wd"] = {
+                w: tuple(fn(w).items()) for w in self._words[n]}
+        return out
+
+    def _root_images(self, kind, n, i) -> dict:
+        """{level-n root id: ((id, coefficient), ...)} of d_i (kind "d") or
+        s_i ("s"): d_0 projects the depth-1 decorations along pi and
+        composes at the root, the others map the children."""
+        out = self._images.get((kind, n, i, "rt"))
+        if out is None:
+            label, kids = self._label, self._kids
+            if kind == "d" and i == 0:
+                fn = lambda r: self._grafted("rt", "pi", label[r][1], kids[r])
+            else:
+                images = self._word_images(kind, n, i)
+                fn = lambda r: self._map_node("rt", label[r][1], kids[r], images)
+            out = self._images[kind, n, i, "rt"] = {
+                r: tuple(fn(r).items()) for r in self._roots[n]}
+        return out
+
+    def level_map(self, kind, n, i, source, target) -> ChainMap:
+        """d_i (kind "d") or s_i ("s") from level n, one matrix per degree:
+        a `row_map` when every root hits one root with coefficient one."""
+        images, ring, pos = self._root_images(kind, n, i), self.ring, self._pos
+        mats = {}
+        for d, cols in self._by_degree(self._roots[n]).items():
+            hits = [images[r] for r in cols]
+            if all(len(h) == 1 and h[0][1] == ring.one for h in hits):
+                mats[d] = row_map(ring, target.dim(d), [pos[h[0][0]] for h in hits])
+            else:
+                mats[d] = Mat(ring, target.dim(d), len(cols),
+                              {(pos[r], j): v for j, h in enumerate(hits) for r, v in h})
+        return ChainMap(source, target, 0, mats, validate=False)
 
     def face(self, n, i, label) -> dict:
         """The i-th face on a level-n root label."""
-        if i == 0:
-            return self.face_root_collapse(label)
-        return self._map_root(label, self._word_images("d", n, i))
+        return {self._label[j]: v
+                for j, v in self._root_images("d", n, i)[self._id[label]]}
 
     def degen(self, n, i, label) -> dict:
         """The i-th degeneracy: insert a unit level at depth i + 1."""
-        return self._map_root(label, self._word_images("s", n, i))
-
-    def _map_root(self, label, images) -> dict:
-        """A root with each child word replaced by its image, multilinearly."""
-        return self.node_lc("rt", self.O, {label[1]: self.ring.one},
-                            [images[c] for c in self._root_kids[label]])
-
-    def _word_images(self, kind, n, i):
-        """[image of each depth-n word] under the map that d_i (kind "d",
-        i > 0) or s_i ("s") of level n applies to a root's children: d_1
-        composes a word with its children (evaluates it if n = 1), s_0 wraps
-        it in a unit, else d_{i-1} or s_{i-1} of level n - 1 maps them."""
-        key = (kind, n, i)
-        out = self._images.get(key)
-        if out is None:
-            words = self._words[n]
-            if kind == "s" and i == 0:
-                out = [self.make_word(self.M.unit_key(self.obj(w)), (w,))
-                       for w in words]
-            elif kind == "d" and i == 1:
-                fn = self.evaluate_word if n == 1 else self.collapse_word_once
-                out = [fn(w) for w in words]
-            else:
-                inner = self._word_images(kind, n - 1, i - 1)
-                one = self.ring.one
-                out = [self.node_lc("wd", self.M, {w[1]: one},
-                                    [inner[c] for c in kids])
-                       for w, kids in zip(words, self._kids[n])]
-            self._images[key] = out
-        return out
+        return {self._label[j]: v
+                for j, v in self._root_images("s", n, i)[self._id[label]]}
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +556,8 @@ def simplicial_kan(pi: MultiFunctor, A: MultiAlgebra, n_max):
 
     Levels are root-coinvariant decorated leveled trees; faces project to the
     operad (d_0), compose inside the multicategory (0 < i < n), or apply the
-    algebra (d_n); degeneracies insert unit levels.  The inputs are
+    algebra (d_n); degeneracies insert unit levels.  Each is built on node
+    ids, one matrix per degree (`WordCalculus.level_map`).  The inputs are
     validated first, and the simplicial identities on every level.  Over Z
     a tree orbit whose stabilizer acts by a sign has coinvariants Z/2 and
     is dropped, as in `free_algebra`.
@@ -532,13 +569,9 @@ def simplicial_kan(pi: MultiFunctor, A: MultiAlgebra, n_max):
     calc.words_by_depth(n_max)
     levels = {n: calc.level_complex(n) for n in range(0, n_max + 1)}
     # checked as chain maps by SimplicialComplexObj, in its one pass
-    faces = {(n, i): ChainMap.from_label_fn(
-        levels[n], levels[n - 1], 0,
-        lambda l, n=n, i=i: calc.face(n, i, l).items(), validate=False)
+    faces = {(n, i): calc.level_map("d", n, i, levels[n], levels[n - 1])
              for n in range(1, n_max + 1) for i in range(0, n + 1)}
-    degens = {(n, i): ChainMap.from_label_fn(
-        levels[n], levels[n + 1], 0,
-        lambda l, n=n, i=i: calc.degen(n, i, l).items(), validate=False)
+    degens = {(n, i): calc.level_map("s", n, i, levels[n], levels[n + 1])
               for n in range(0, n_max) for i in range(0, n + 1)}
     simp = SimplicialComplexObj(n_max, levels, faces, degens)
     simp.calc = calc
@@ -597,19 +630,19 @@ class KanAlgebraStructure:
 
     The realized labels ("lv", n, l) are numbered once, in basis order
     (``_labels``, ``_ids``); per id the structure keeps the level
-    (``_level``), the internal degree of l (``_ideg``), the graft part of l
-    (``_parts``, (root key, parities of its words), filled on first use)
+    (``_level``), the calculus's id of the root l (``_root``, inverted in
+    ``_of_root``), its internal degree (``_ideg``) and arity (``_arity``),
     and the boundary as a tuple of (id, coefficient) (``_boundary``).  mu,
     its checks and their memos work on ids, coefficients combined through
     `Ring.add`, `neg` and `mul`:
 
     * ``_mu_memo``: (ids, okey) -> {id: coefficient};
     * ``_shuffle_memo``: levels (p_1, ..., p_k) -> `_multi_shuffle_words`;
-    * ``_degen_memo``: (id, degeneracy word) -> ((id, +-1), ...);
+    * ``_degen_memo``: (id, degeneracy word) -> ((id, +-1), ...), read off
+      the calculus's degeneracy images;
     * ``_product_memo``: (okey, ids of same-level labels) -> {id:
-      coefficient} of their root graft;
-    * ``_graft_memo``: (okey, parts) -> [(gamma key, coefficient)], the
-      Koszul sign of the reordering included.
+      coefficient} of their root graft, through the graft memo that the
+      calculus shares with d_0 (`WordCalculus._graft`).
 
     Labels come back only in the views `mu_on_labels` (a new dict per call),
     `mu(k)` and the witnesses.
@@ -638,7 +671,6 @@ class KanAlgebraStructure:
         self._shuffle_memo = {}
         self._degen_memo = {}
         self._product_memo = {}
-        self._graft_memo = {}
         for sig in self.calc.M.complexes:
             if not sig[0]:
                 raise EngineError(f"M has the nullary signature {sig!r}, "
@@ -647,9 +679,10 @@ class KanAlgebraStructure:
         self._labels = [z for d in c.degrees() for z in c.labels(d)]
         self._ids = {z: j for j, z in enumerate(self._labels)}
         self._level = [z[1] for z in self._labels]
-        self._ideg = [self.calc.deg(z[2]) for z in self._labels]
-        self._arity = [len(z[2][2]) for z in self._labels]
-        self._parts = [None] * len(self._labels)
+        self._root = [self.calc._id[z[2]] for z in self._labels]
+        self._of_root = {r: z for z, r in enumerate(self._root)}
+        self._ideg = [self.calc._degs[r] for r in self._root]
+        self._arity = [len(self.calc._kids[r]) for r in self._root]
         first, boundary = {}, [[] for _ in self._labels]
         for d in c.degrees():
             first[d] = self._ids[c.labels(d)[0]]
@@ -666,63 +699,29 @@ class KanAlgebraStructure:
         return out
 
     def _degen_word(self, z, word):
-        """Apply s_{w[0]}, s_{w[1]}, ... (0-based indices) to the label of id
+        """Apply s_{w[0]}, s_{w[1]}, ... (0-based indices) to the root of id
         z; the image as a tuple of (id, +-1)."""
         key = (z, word)
         out = self._degen_memo.get(key)
         if out is None:
             ring, calc = self.ring, self.calc
             lvl = self._level[z]
-            cur = {self._labels[z][2]: ring.one}
+            cur = {self._root[z]: ring.one}
             for i in word:
-                cur = linear(ring, lambda l, lv=lvl, ii=i: calc.degen(lv, ii, l),
-                             cur)
+                images = calc._root_images("s", lvl, i)
+                cur = linear(ring, lambda r: dict(images[r]), cur)
                 lvl += 1
-            out = tuple((self._ids[("lv", lvl, l)], ring.as_sign(v))
-                        for l, v in cur.items())
+            out = tuple((self._of_root[r], ring.as_sign(v)) for r, v in cur.items())
             if any(s is None for _, s in out):
                 raise EngineError("degeneracy fold produced a non-unit coefficient")
             self._degen_memo[key] = out
         return out
 
-    def _part(self, z):
-        """(root key, parities of the words) of the label of id z."""
-        deg = self.calc.deg
-        l = self._labels[z][2]
-        part = self._parts[z] = (l[1], tuple(deg(w) % 2 for w in l[2]))
-        return part
-
-    def _graft(self, okey, ids):
-        """[(gamma key, coefficient)] of the root graft of same-level labels
-        along okey, which depends on the labels only through their parts."""
-        parts = self._parts
-        key = (okey, tuple(parts[z] or self._part(z) for z in ids))
-        out = self._graft_memo.get(key)
-        if out is None:
-            # (w_1.., o_1, w_2.., o_2, ..) -> (w_1.., w_2.., .., o_1, o_2, ..):
-            # o_s passes the words of every later z_t
-            odd, pre = 0, 0
-            for ok, parities in key[1]:
-                odd += pre * sum(parities)
-                pre += ok[2]
-            ring = self.ring
-            gam = self.O.gamma(okey, [{ok: ring.one} for ok, _ in key[1]])
-            out = self._graft_memo[key] = [
-                (gk, ring.neg(gv) if odd % 2 else gv)
-                for gk, gv in gam.items()]
-        return out
-
     def _product_body(self, okey, ids) -> dict:
-        """{id: coefficient} of the root graft of same-level ids along okey."""
-        ring = self.ring
-        lvl = self._level[ids[0]]
-        children = tuple(w for z in ids for w in self._labels[z][2][2])
-        out = {}
-        for gk, gv in self._graft(okey, ids):
-            for l2, v2 in self.calc.make_root(gk, children).items():
-                add_into(ring, out, self._ids[("lv", lvl, l2)],
-                         gv if v2 == ring.one else ring.neg(gv))
-        return out
+        """{id: coefficient} of the root graft of same-level ids along okey,
+        from the calculus's graft memo."""
+        lc = self.calc._grafted("rt", "O", okey, tuple(self._root[z] for z in ids))
+        return {self._of_root[r]: v for r, v in lc.items()}
 
     def has_arity(self, k) -> bool:
         """Whether the operad has arity-k operations."""

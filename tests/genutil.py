@@ -10,8 +10,10 @@ from sympy.polys.matrices import DomainMatrix
 
 from opbar.coeff import Ring
 from opbar.complexes import ChainComplex, ChainMap, cone, homology, total
-from opbar.errors import NoLift, NotAcyclic
+from opbar.errors import NoLift, NonPermutationAction, NotAcyclic
 from opbar.linalg import Mat
+from opbar.lincomb import add_into
+from opbar.symgrp import Perm, koszul_sign
 
 
 def random_two_term(rng, ring, n0=None, n1=None, lo=-3, hi=3, tag=""):
@@ -383,3 +385,231 @@ def level_window_columns(structure, k, top):
         if sum(z[1] for z in zs) <= top:
             for okey in okeys:
                 yield zs, okey
+
+
+def assert_same_mats(got, want, where):
+    """Equal nonzero degrees, shapes and entries, each entry with the same
+    type and repr as the oracle's."""
+    assert got.keys() == {d for d, m in want.items() if not m.is_zero()}, where
+    for d, m in got.items():
+        o = want[d]
+        assert (m.nrows, m.ncols) == (o.nrows, o.ncols), (where, d)
+        assert m.d == o.d, (where, d)
+        assert {k: (type(v), repr(v)) for k, v in m.d.items()} == \
+            {k: (type(v), repr(v)) for k, v in o.d.items()}, (where, d)
+
+
+def orbit_members(ring, structure, key, children, degree):
+    """[((image key, children), sign)] of the node (key, children) under
+    every sigma in S_k, in the order of `itertools.permutations`, through
+    structure.act and koszul_sign; the sign a ring element (over F_2 +1
+    and -1 are one sign)."""
+    k = len(children)
+    out = []
+    for images in itertools.permutations(range(1, k + 1)):
+        sigma = Perm(images)
+        hit = structure.act(sigma, key)
+        if len(hit) != 1:
+            raise NonPermutationAction(
+                "node canonicalization needs signed permutation actions")
+        ((nk, coeff),) = hit.items()
+        if ring.eq(coeff, ring.one):
+            s = 1
+        elif ring.eq(coeff, ring.from_int(-1)):
+            s = -1
+        else:
+            raise NonPermutationAction("non-unit symmetry coefficient")
+        nc = tuple(children[sigma(t) - 1] for t in range(1, k + 1))
+        out.append(((nk, nc), ring.from_int(
+            s * koszul_sign(sigma, [degree(c) for c in children]))))
+    return out
+
+
+def oracle_orbit(calc, structure, key, children):
+    """Node canonicalization as first written: the signed orbit, None when
+    a member is reached with two signs."""
+    seen = {}
+    for cand, s in orbit_members(calc.ring, structure, key, children, calc.deg):
+        if cand in seen and not calc.ring.eq(seen[cand], s):
+            return None
+        seen.setdefault(cand, s)
+    return seen
+
+
+def oracle_make_node(calc, kind, key, children):
+    """The class of a node: the repr-least member of its orbit, {} when the
+    orbit dies."""
+    structure = calc.M if kind == "wd" else calc.O
+    orbit = oracle_orbit(calc, structure, key, children)
+    if orbit is None:
+        return {}
+    rep = min(orbit, key=repr)
+    return {(kind, rep[0], rep[1]): calc.ring.mul(orbit[(key, children)],
+                                                  orbit[rep])}
+
+
+class LabelKan:
+    """The simplicial Kan object of pi and A built label by label, as
+    `bar.WordCalculus` first built it: each node made canonical by
+    `oracle_make_node`, the level differentials read from a recursive
+    `diff_label` through `ChainComplex.from_labels`, and every face and
+    degeneracy mapped per label (`node_lc`, `_collapse`) and assembled by
+    `ChainMap.from_label_fn`.  ``levels``, ``faces`` and ``degens`` are
+    those of `simplicial_kan(pi, A, n_max)`."""
+
+    def __init__(self, pi, A, n_max):
+        self.pi, self.M, self.O, self.A = pi, pi.source, pi.target, A
+        self.ring = self.M.ring
+        self._canon, self._images = {}, {}
+        self._words = self._words_by_depth(n_max)
+        self.levels = {n: self._level(n) for n in range(n_max + 1)}
+        self.faces = {(n, i): self._map(n, n - 1, lambda l, n=n, i=i:
+                                        self.face(n, i, l))
+                      for n in range(1, n_max + 1) for i in range(n + 1)}
+        self.degens = {(n, i): self._map(n, n + 1, lambda l, n=n, i=i:
+                                         self._map_root(l, self._word_images("s", n, i)))
+                       for n in range(n_max) for i in range(n + 1)}
+
+    def deg(self, label):
+        if label[0] == "lf":
+            return label[2]
+        return label[1][2] + sum(self.deg(c) for c in label[2])
+
+    def make_node(self, kind, key, children):
+        ck = (kind, key, children)
+        if ck not in self._canon:
+            self._canon[ck] = oracle_make_node(self, kind, key, children)
+        return self._canon[ck]
+
+    def node_lc(self, kind, key_lc, child_lcs):
+        ring = self.ring
+        acc = {(): ring.one}
+        for lc in child_lcs:
+            new = {}
+            for combo, cv in acc.items():
+                for l, v in lc.items():
+                    add_into(ring, new, combo + (l,), ring.mul(cv, v))
+            acc = new
+        out = {}
+        for key, kv in key_lc.items():
+            for combo, cv in acc.items():
+                for l, v in self.make_node(kind, key, combo).items():
+                    add_into(ring, out, l, ring.mul(kv, ring.mul(cv, v)))
+        return out
+
+    def diff_label(self, label):
+        ring = self.ring
+        if label[0] == "lf":
+            _, x, d, l = label
+            return {("lf", x, dd, ll): v
+                    for (dd, ll), v in self.A.diff_carrier(x, (d, l)).items()}
+        kind, key, children = label
+        structure = self.M if kind == "wd" else self.O
+        out, pre = {}, 0
+        for t, c in enumerate(children):
+            s = ring.from_int(-1 if pre % 2 else 1)
+            for cl, v in self.diff_label(c).items():
+                for l2, v2 in self.make_node(
+                        kind, key, children[:t] + (cl,) + children[t + 1:]).items():
+                    add_into(ring, out, l2, ring.mul(s, ring.mul(v, v2)))
+            pre += self.deg(c)
+        s = ring.from_int(-1 if pre % 2 else 1)
+        for k2, v in structure.diff_key(key).items():
+            for l2, v2 in self.make_node(kind, k2, children).items():
+                add_into(ring, out, l2, ring.mul(s, ring.mul(v, v2)))
+        return out
+
+    def _words_by_depth(self, depth):
+        objects, cur = self.M.objects, {}
+        for x in objects:
+            c = self.A.carrier(x)
+            cur[x] = [("lf", x, d, l) for d in c.degrees() for l in c.labels(d)]
+        words = [[l for x in objects for l in cur[x]]]
+        for _ in range(depth):
+            prev, cur, seen = cur, {x: [] for x in objects}, set()
+            for mkey in self.M.all_keys():
+                for combo in itertools.product(*(prev[x] for x in mkey[0])):
+                    for l in self.make_node("wd", mkey, combo):
+                        if l not in seen:
+                            seen.add(l)
+                            cur[mkey[1]].append(l)
+            words.append([l for x in objects for l in cur[x]])
+        return words
+
+    def _level(self, n):
+        star, roots = self.O.objects[0], {}
+        for k in range(1, self.O.arity_max + 1):
+            for combo in itertools.product(self._words[n], repeat=k):
+                for okey in self.O.basis_keys((star,) * k, star):
+                    for l in self.make_node("rt", okey, combo):
+                        roots.setdefault(l)
+        basis = {}
+        for l in roots:
+            basis.setdefault(self.deg(l), []).append(l)
+        return ChainComplex.from_labels(self.ring, basis, self.diff_label)
+
+    def _map(self, n, m, fn):
+        return ChainMap.from_label_fn(self.levels[n], self.levels[m], 0,
+                                      lambda l: list(fn(l).items()))
+
+    def _collapse(self, pieces, gam, kind):
+        """sum over gam of the node (key, all children), for pieces
+        [(children, key)], with the Koszul sign of moving the tensor factors
+        (c_1, m_1, c_2, m_2, ...) to (c_1, ..., c_k, m_1, ..., m_k)."""
+        ring = self.ring
+        degs, c_pos, m_pos = [], [], []
+        for cs, mk in pieces:
+            for c in cs:
+                c_pos.append(len(degs))
+                degs.append(self.deg(c))
+            m_pos.append(len(degs))
+            degs.append(mk[2])
+        sign = ring.from_int(
+            koszul_sign(Perm([o + 1 for o in c_pos + m_pos]), degs))
+        children = tuple(c for cs, _ in pieces for c in cs)
+        out = {}
+        for gk, gv in gam.items():
+            for l2, v2 in self.make_node(kind, gk, children).items():
+                add_into(ring, out, l2, ring.mul(sign, ring.mul(gv, v2)))
+        return out
+
+    def face(self, n, i, label):
+        if i > 0:
+            return self._map_root(label, self._word_images("d", n, i))
+        pieces = [(w[2], w[1]) for w in label[2]]
+        gam = self.O.gamma(label[1], [self.pi.on_key(mk) for _, mk in pieces])
+        return self._collapse(pieces, gam, "rt")
+
+    def _map_root(self, label, images):
+        return self.node_lc("rt", {label[1]: self.ring.one},
+                            [images[c] for c in label[2]])
+
+    def _word_images(self, kind, n, i):
+        """{depth-n word: its image} under the map that d_i (i > 0) or s_i
+        of level n applies to a root's children."""
+        key = (kind, n, i)
+        if key not in self._images:
+            ring, M, out = self.ring, self.M, {}
+            for w in self._words[n]:
+                if kind == "s" and i == 0:
+                    y = w[1] if w[0] == "lf" else w[1][1]
+                    out[w] = self.make_node("wd", M.unit_key(y), (w,))
+                elif kind == "d" and i == 1 and n == 1:
+                    mkey, children = w[1], w[2]
+                    s = -1 if mkey[2] % 2 and sum(map(self.deg, children)) % 2 else 1
+                    out[w] = {}
+                    for (dd, ll), v in self.A.apply_key(
+                            mkey, tuple(c[2:] for c in children)).items():
+                        add_into(ring, out[w], ("lf", mkey[1], dd, ll),
+                                 ring.mul(ring.from_int(s), v))
+                elif kind == "d" and i == 1:
+                    pieces = [(c[2], c[1]) for c in w[2]]
+                    gam = {} if sum(len(cs) for cs, _ in pieces) > M.arity_max \
+                        else M.gamma(w[1], [{mk: ring.one} for _, mk in pieces])
+                    out[w] = self._collapse(pieces, gam, "wd")
+                else:
+                    inner = self._word_images(kind, n - 1, i - 1)
+                    out[w] = self.node_lc("wd", {w[1]: ring.one},
+                                          [inner[c] for c in w[2]])
+            self._images[key] = out
+        return self._images[key]

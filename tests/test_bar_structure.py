@@ -38,7 +38,7 @@ from opbar.linalg import Mat
 from opbar.simplicial import SimplicialComplexObj, constant_simplicial, realize
 from opbar.symgrp import Perm
 
-from .genutil import unitriangular_inverse
+from .genutil import assert_same_mats, unitriangular_inverse
 
 Z = Ring.Z()
 Q = Ring.Q()
@@ -112,13 +112,16 @@ def _novikov_constant():
 
 def _random_nonzero(rng, ring):
     """A nonzero entry: over Q with denominator 1..4, over Novikov up to two
-    terms on the grid below the cutoff."""
+    terms on the grid below the cutoff, and half the time a T^0 term, so
+    that slice 0 of a change of basis is not always the identity."""
     if ring.kind == "Q":
         return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
     if ring.kind == "Fp":
         return rng.randrange(1, ring.p)
     terms = [(Fraction(rng.randrange(4), 2), _random_nonzero(rng, ring.base))
              for _ in range(rng.randint(1, 2))]
+    if rng.random() < 0.5:
+        terms.append((Fraction(0), _random_nonzero(rng, ring.base)))
     return ring.canon(terms) or ring.one
 
 
@@ -241,6 +244,10 @@ def test_conjugated_objects_reach_the_general_columns(simplicial_objects):
             # a column holds the rows of all its slices
             assert any(len(set().union(*col)) > 1
                        for ss in slices for col in zip(*(s[1] for s in ss))), name
+            # and a column of one slice holds several entries, so the
+            # base-field column_product accumulates there
+            assert any(len(col) > 1 for ss in slices for _, cols, _ in ss
+                       for col in cols), name
             continue
         assert any(rows is None for _, _, rows in forms), name
         assert any(len(col) > 1 for _, cols, _ in forms for col in cols), name
@@ -481,18 +488,6 @@ def _oracle_p(bar):
     return ChainMap.from_label_fn2(bar.complex, tensor, 0, p_fn)
 
 
-def _assert_same_mats(got, want, where):
-    """Equal nonzero degrees, shapes and entries, each entry with the same
-    type and repr as the oracle's."""
-    assert got.keys() == {d for d, m in want.items() if not m.is_zero()}, where
-    for d, m in got.items():
-        o = want[d]
-        assert (m.nrows, m.ncols) == (o.nrows, o.ncols), (where, d)
-        assert m.d == o.d, (where, d)
-        assert {k: (type(v), repr(v)) for k, v in m.d.items()} == \
-            {k: (type(v), repr(v)) for k, v in o.d.items()}, (where, d)
-
-
 def _interval_bar():
     C = _interval_category()
     return two_sided_bar(corepresented_right_module(C, 0), C,
@@ -553,20 +548,20 @@ def test_coordinate_bar_equals_label_oracle(name):
               for n in range(bar.n_max + 1)}
     for n, lv in levels.items():
         assert simp.level(n).basis == lv.basis, (name, n)
-        _assert_same_mats(simp.level(n).diff, lv.diff, (name, "level", n))
+        assert_same_mats(simp.level(n).diff, lv.diff, (name, "level", n))
     for (n, i), face in simp.faces.items():
         old = ChainMap.from_label_fn(levels[n], levels[n - 1], 0,
                                      _oracle_face_fn(Mr, C, Ml, n, i))
-        _assert_same_mats(face.mats, old.mats, (name, "face", n, i))
+        assert_same_mats(face.mats, old.mats, (name, "face", n, i))
     for (n, i), degen in simp.degens.items():
         old = ChainMap.from_label_fn(levels[n], levels[n + 1], 0,
                                      _oracle_degen_fn(C, n, i))
-        _assert_same_mats(degen.mats, old.mats, (name, "degen", n, i))
+        assert_same_mats(degen.mats, old.mats, (name, "degen", n, i))
     assert len(simp.faces) == sum(n + 1 for n in range(1, bar.n_max + 1))
     assert len(simp.degens) == sum(n + 1 for n in range(bar.n_max))
     p, f, q, tensor, const = bar.augmentation_maps()
-    _assert_same_mats(f.mats, _per_label_f(bar).mats, (name, "f"))
-    _assert_same_mats(p.mats, _oracle_p(bar).mats, (name, "p"))
+    assert_same_mats(f.mats, _per_label_f(bar).mats, (name, "f"))
+    assert_same_mats(p.mats, _oracle_p(bar).mats, (name, "p"))
 
 
 def test_oracle_bars_reach_signs_and_level_differentials():
