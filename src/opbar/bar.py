@@ -580,19 +580,15 @@ def simplicial_kan(pi: MultiFunctor, A: MultiAlgebra, n_max):
 
 def _validate_inputs(pi: MultiFunctor, A: MultiAlgebra):
     """Raise EngineError, with the validator's dict as ``.witness``, at the
-    first of M, O, pi and A whose `validate` returns a witness.
-    `MultiCat.validate` has no Novikov arithmetic (it raises
-    UnsupportedRing), so over a Novikov ring only pi and A are validated."""
-    checks = [("functor pi", pi), ("algebra A", A)]
-    if not pi.source.ring.is_novikov:
-        checks[:0] = [("multicategory M", pi.source), ("operad O", pi.target)]
-    for role, structure in checks:
+    first of M, O, pi and A whose `validate` returns a witness, over every
+    ring (a Novikov ring included)."""
+    for role, structure in (("multicategory M", pi.source),
+                            ("operad O", pi.target), ("functor pi", pi),
+                            ("algebra A", A)):
         w = structure.validate()
         if w is not None:
-            err = EngineError(f"{role} {structure.name!r} fails "
-                              f"{w['axiom']}: {w!r}")
-            err.witness = w
-            raise err
+            raise EngineError(f"{role} {structure.name!r} fails "
+                              f"{w['axiom']}: {w!r}", witness=w)
 
 
 def operadic_kan(pi: MultiFunctor, A: MultiAlgebra, n_max):
@@ -885,10 +881,10 @@ class KanAlgebraStructure:
         """EngineError naming the first failing column (zs, okey) of a
         check, with both sides as ``.witness``, all in labels."""
         zs = tuple(self._labels[z] for z in ids)
-        err = EngineError(f"{message} on column {zs!r} (x) {okey!r}")
-        err.witness = {"zs": zs, "okey": okey, "lhs": self._as_labels(lhs),
-                       "rhs": self._as_labels(rhs)}
-        return err
+        return EngineError(f"{message} on column {zs!r} (x) {okey!r}",
+                           witness={"zs": zs, "okey": okey,
+                                    "lhs": self._as_labels(lhs),
+                                    "rhs": self._as_labels(rhs)})
 
 
 _ZERO = {}  # the memoized zero of every structure; never mutated

@@ -379,10 +379,8 @@ def two_sided_bar(Mr: RightModule, C: DgCategory, Ml: LeftModule,
     p, f, q, tensor, const = bar.augmentation_maps()
     w = first_difference((q, f), p)
     if w is not None:
-        err = EngineError(f"augmentation triangle does not commute at "
-                          f"{w['label']!r}: {w}")
-        err.witness = w
-        raise err
+        raise EngineError(f"augmentation triangle does not commute at "
+                          f"{w['label']!r}: {w}", witness=w)
     return bar
 
 
@@ -657,6 +655,8 @@ def complete_tower(fmap: ChainMap, cutoffs, degrees) -> TowerReport:
     if not ring.is_novikov:
         raise UnsupportedRing("completion towers live over Novikov rings")
     cutoffs = sorted(Fraction(c) for c in cutoffs)
+    if not cutoffs:
+        raise ValueError("need at least one cutoff")
     if cutoffs[-1] != ring.cutoff:
         raise EngineError("largest cutoff must match the ring")
     if cutoffs[0] <= 0:

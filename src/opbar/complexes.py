@@ -453,11 +453,10 @@ def check_chain_maps(maps):
                          _product(T.diff.get(td), f.mats.get(d)),
                          _product(f.mats.get(S.pred(d)), dS.get(d)))
             if w is not None:
-                err = DegreeMismatch(
+                raise DegreeMismatch(
                     f"not a chain map in degree {d} (d f != "
-                    f"{'-' if f.degree % 2 else ''}f d) at {w['label']!r}: {w}")
-                err.witness = w
-                raise err
+                    f"{'-' if f.degree % 2 else ''}f d) at {w['label']!r}: {w}",
+                    witness=w)
 
 
 def total(ring: Ring, parts, arrows, degrees=None) -> ChainComplex:

@@ -6,7 +6,7 @@ the 1-ary MultiCat `C.M`, under the key translation (a, b, d, l) <->
 v.  It is a chain map in the tensor order (u, v): d(uv) = (du)v + (-1)^{|u|}
 u (dv).  `C.validate()` is `C.M.validate()`, so a witness names a
 multicategory axiom ("eqMultComp3" for a unit law, "leibniz", "eqMultComp1"
-for associativity) with 1-ary keys, and a Novikov ring raises UnsupportedRing.
+for associativity) with 1-ary keys, over every ring, a Novikov ring included.
 
 A right module R has complexes R(a) and m.u in R(b) for m in R(a) and
 u: a -> b; a left module L has u.y in L(a) for y in L(b).  Each is a view of

@@ -6,7 +6,12 @@ Every error raised by engine operations derives from EngineError, so callers
 
 
 class EngineError(Exception):
-    pass
+    """`witness`, when given, is the failing check's dict, kept as
+    ``.witness``."""
+
+    def __init__(self, *args, witness=None):
+        super().__init__(*args)
+        self.witness = witness
 
 
 # -- coefficient rings -------------------------------------------------------

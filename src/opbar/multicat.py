@@ -18,13 +18,18 @@ Conventions (enforced exhaustively by the validator):
 * act(sigma, f) moves M(xs; y) to M(xs o sigma; y) and is a right action:
   act(tau, act(sigma, f)) = act(sigma o tau, f).
 
-The validator numbers the keys once and reads each composite that fits
-arity_max, transposition and differential once, as ((id, int), ...) in the
-int form of `linalg._int_form` (residues over F_p, one denominator over Q);
-each check compares two sides built in int arithmetic.  Its oracle, the same
-checks in Ring arithmetic over all keys, is `_validate_unpruned` in
-tests/test_multicat_validate.py.  Over a Novikov ring it raises
-UnsupportedRing.
+Validation has one arithmetic over every ring.  A MultiCat's `_Tables`
+number its keys once and read each composite that fits arity_max,
+transposition and differential once; an algebra adds its action on each
+tuple of carrier elements and its carrier differential, and a functor its
+value on each source key.  Each table is formed once and kept, and holds an
+lc as ((id, entry), ...) over one denominator: an int (a residue over F_p),
+or over a Novikov ring Lambda_c = K[t]/(t^N), t = T^(1/q), its N slice ints
+(`_Slices`), which multiply as the truncated convolution.  No verdict is
+kept: each `validate` compares the two sides of every check in int
+arithmetic.  The oracles, the same checks in Ring arithmetic over all keys,
+are `_validate_unpruned` in tests/test_multicat_validate.py and the algebra
+and functor oracles in tests/genutil.py.
 
 A dg category is a 1-ary multicategory, and this module stores and validates
 both.  `DgCategory` keeps its (a, b, degree, label) keys but stores no table:
@@ -51,11 +56,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import defaultdict
 
 from .complexes import ChainComplex, ChainMap
-from .errors import EngineError, UnsupportedRing
-from .lincomb import add_into, bilinear, eq as lc_eq, linear, scaled_int
+from .errors import EngineError, NonGridExponent
+from .linalg import _steps
+from .lincomb import add_into, bilinear, linear
 from .symgrp import GroupRingModule, Perm, block_perm, enumerate_group, \
     is_free_module, koszul_sign
 
@@ -222,15 +229,19 @@ class MultiCat:
 
     # -- validation ------------------------------------------------------------
 
+    @functools.cached_property
+    def _tables(self) -> "_Tables":
+        return _Tables(self)
+
     def validate(self):
         """Exhaustive check; returns None, or a witness naming the failure.
 
-        Tables (see the module docstring): outer[(i, g)][f] = inner[(f, i)][g]
-        is f into slot i of g; sym[t][f] and dif[f] are t and d on f.  A side
-        with fewer table factors is scaled by den; act(sigma, .) walks
-        perm_word(sigma) over sym.  A check whose composite has arity above
-        arity_max is skipped: zero truncation makes both of its sides {}.  The
-        checks run in the oracle's order, so the first failure is the same.
+        The checks read the kept `_Tables`: outer[(i, g)][f] = inner[(f,
+        i)][g] is f into slot i of g; sym[t][f] and dif[f] are t and d on f.
+        act(sigma, .) walks perm_word(sigma) over sym.  A check whose
+        composite has arity above arity_max is skipped: zero truncation
+        makes both of its sides {}.  The checks run in the oracle's order,
+        so the first failure is the same.
         """
         for x in self.objects:
             uk = self.unit_key(x)
@@ -239,78 +250,27 @@ class MultiCat:
                 return {"axiom": "unit-missing", "object": x}
             if self.diff_key(uk):
                 return {"axiom": "unit-not-closed", "object": x}
-        if self.ring.is_novikov:
-            raise UnsupportedRing("validate needs Z, Q or F_p coefficients")
-        top, keys = self.arity_max, self.all_keys()
-        ids = {k: n for n, k in enumerate(keys)}
-        ar = [len(k[0]) for k in keys]
-        upto = [[f for f in ids.values() if ar[f] <= b] for b in range(top + 1)]
-
-        def fits(b):  # the ids of arity <= b
-            return upto[min(b, top)] if b >= 0 else []
-
-        slots = [{} for _ in keys]  # g -> {y: the slots of g taking y}
-        for g, k in enumerate(keys):
-            for i, x in enumerate(k[0], 1):
-                slots[g].setdefault(x, []).append(i)
-        comp = [(f, i, g, self.compose_keys(keys[f], i, keys[g]))
-                for g in ids.values() for f in fits(top + 1 - ar[g])
-                for i in slots[g].get(keys[f][1], ())]
-        sym_raw = [(t, f, self.act_transposition(t, k))
-                   for f, k in enumerate(keys) for t in range(1, ar[f])]
-        dif = [self.diff_key(k) for k in keys]
-        den = math.lcm(*{v.denominator for lc in dif + [e[-1] for e in comp]
-                         + [e[-1] for e in sym_raw] for v in lc.values()})
-
-        def ints(lc):
-            return tuple((ids[k], v.numerator * (den // v.denominator))
-                         for k, v in lc.items() if v)
-
-        outer, inner, sym = defaultdict(dict), defaultdict(dict), defaultdict(dict)
-        for f, i, g, lc in comp:
-            outer[(i, g)][f] = inner[(f, i)][g] = ints(lc)
-        for t, f, lc in sym_raw:
-            sym[t][f] = ints(lc)
-        dif = {f: ints(lc) for f, lc in enumerate(dif)}
-        p = self.ring.p
-
-        def into(acc, terms, row, s=1):
-            """acc plus s times the sum of c * row[k] over the terms (k, c)."""
-            get = acc.get
-            for k, c in terms:
-                c *= s
-                for k2, c2 in row.get(k, ()):
-                    acc[k2] = get(k2, 0) + c * c2
-            return acc
+        T = self._tables
+        keys, ar, slots, fits = T.keys, T.arity, T.slots, T.fits
+        outer, inner, sym, dif, den = T.outer, T.inner, T.sym, T.dif, T.den
+        into, same, one, minus = T.into, T.same, T.const(1), T.const(-1)
+        top, by_den = self.arity_max, T.const(den)
 
         def walk(word, acc):  # the transpositions of word, in list order
             for t in word:
                 acc = into({}, acc.items(), sym[t])
             return acc
 
-        def same(a, b, na=2, nb=2):  # a, b: sums of products of na, nb entries
-            if na == nb and a == b:
-                return True
-            if na < nb:
-                a = {k: v * den ** (nb - na) for k, v in a.items()}
-            elif na > nb:
-                b = {k: v * den ** (na - nb) for k, v in b.items()}
-            if p:
-                return {k: v % p for k, v in a.items() if v % p} \
-                    == {k: v % p for k, v in b.items() if v % p}
-            return {k: v for k, v in a.items() if v} \
-                == {k: v for k, v in b.items() if v}
-
-        unit = {x: ids[self.unit_key(x)] for x in self.objects}
+        unit = {x: T.ids[self.unit_key(x)] for x in self.objects}
         for g, key in enumerate(keys):
             for i, x in enumerate(key[0], 1):
-                if not same(dict(outer[(i, g)][unit[x]]), {g: 1}, 1, 0):
+                if not same(dict(outer[(i, g)][unit[x]]), {g: by_den}):
                     return {"axiom": "eqMultComp3", "side": "unit-into",
                             "g": key, "i": i}
-            if not same(dict(outer[(1, unit[key[1]])][g]), {g: 1}, 1, 0):
+            if not same(dict(outer[(1, unit[key[1]])][g]), {g: by_den}):
                 return {"axiom": "eqMultComp3", "side": "into-unit", "g": key}
         for f, key in enumerate(keys):
-            s = -1 if key[2] % 2 else 1
+            s = minus if key[2] % 2 else one
             for g in fits(top + 1 - ar[f]):
                 for i in slots[g].get(key[1], ()):
                     row = outer[(i, g)]
@@ -337,7 +297,8 @@ class MultiCat:
                                     into({}, gh, inner[(f, i1)]),
                                     into({}, outer[(i1, h)].get(f, ()),
                                          inner[(g, j + ar[f] - 1)],
-                                         -1 if fk[2] % 2 and gk[2] % 2 else 1)):
+                                         minus if fk[2] % 2 and gk[2] % 2
+                                         else one)):
                                 return {"axiom": "eqMultComp2", "f": fk,
                                         "g": gk, "h": hk, "i1": i1, "i2": j}
         for f, key in enumerate(keys):
@@ -346,15 +307,15 @@ class MultiCat:
                 tf = sym[i][f]
                 if not same(into({}, tf, dif), into({}, dif[f], sym[i])):
                     return {"axiom": "sym-chain-map", "f": key, "i": i}
-                if not same(into({}, tf, sym[i]), {f: 1}, 2, 0):
+                if not same(into({}, tf, sym[i]), {f: T.const(den * den)}):
                     return {"axiom": "sym-involution", "f": key, "i": i}
             for i in range(1, n - 1):
-                if not same(walk((i, i + 1, i), {f: 1}),
-                            walk((i + 1, i, i + 1), {f: 1}), 3, 3):
+                if not same(walk((i, i + 1, i), {f: one}),
+                            walk((i + 1, i, i + 1), {f: one})):
                     return {"axiom": "sym-braid", "f": key, "i": i}
             for i in range(1, n):
                 for j in range(i + 2, n):
-                    if not same(walk((i, j), {f: 1}), walk((j, i), {f: 1})):
+                    if not same(walk((i, j), {f: one}), walk((j, i), {f: one})):
                         return {"axiom": "sym-commute", "f": key, "i": i,
                                 "j": j}
         for f, key in enumerate(keys):
@@ -373,15 +334,13 @@ class MultiCat:
                     for i in slots[g].get(keys[f][1], ()):
                         ip = t + 1 if i == t else t if i == t + 1 else i
                         word = _block_word(ng, t, i, ar[f])
-                        if not same(into({}, sym[t][g], inner[(f, ip)]),
-                                    walk(word, dict(outer[(i, g)][f])),
-                                    2, 1 + len(word)):
+                        # both sides at den^(1 + len(word))
+                        if not same(into({}, sym[t][g], inner[(f, ip)],
+                                         T.const(den ** (len(word) - 1))),
+                                    walk(word, dict(outer[(i, g)][f]))):
                             return {"axiom": "eqSymAc1", "f": keys[f],
                                     "g": keys[g], "i": i, "t": t}
         return None
-
-    def _slots(self, f, g):
-        return [i for i in range(1, self.arity(g) + 1) if g[0][i - 1] == f[1]]
 
     def __repr__(self):
         return f"MultiCat({self.name}, {len(self.objects)} objects, " \
@@ -396,6 +355,122 @@ def _block_word(ng, t, i, nf):
     sizes[i - 1] = nf
     return tuple(perm_word(block_perm(
         sizes, Perm.transposition(ng, t, t + 1)).inverse()))
+
+
+class _Slices(tuple):
+    """A table entry over a Novikov ring K[t]/(t^N), t = T^(1/q): slot k
+    holds the coefficient of t^k.  Entries add slotwise and multiply as the
+    truncated convolution, so `_Tables` runs one code on ints and slices."""
+
+    def __add__(self, other):
+        return _Slices(map(operator.add, self, other))
+
+    def __radd__(self, other):  # 0 + entry, from acc.get(k, 0) + entry
+        return self
+
+    def __mul__(self, other):  # an int scales slotwise
+        if type(other) is int:
+            return _Slices(x * other for x in self)
+        return _Slices(sum(self[i] * other[k - i] for i in range(k + 1))
+                       for k in range(len(self)))
+
+    def __mod__(self, p):
+        return _Slices(x % p for x in self)
+
+    def __bool__(self):
+        return any(self)
+
+
+class _Tables:
+    """The int tables of a MultiCat M and their arithmetic (module
+    docstring): keys numbered in `all_keys` order (`ids`), slots[g] = {y:
+    the slots of g taking y}, outer[(i, g)][f] = inner[(f, i)][g] (f into
+    slot i of g, for each composite that fits arity_max), sym[t][f] and
+    dif[f] (t and d on f), each over the one denominator `den` (`ints`).
+    A product of entries from tables with dens d_1, ..., d_k is at the
+    scale d_1 ... d_k; a check brings its two sides to one scale with the
+    factor s of `into` before `same` compares them."""
+
+    def __init__(self, M):
+        ring, top = M.ring, M.arity_max
+        self.p = (ring.base if ring.is_novikov else ring).p
+        self.q, self.n = ring.grid, _steps(ring) if ring.is_novikov else 0
+        self.keys = keys = M.all_keys()
+        self.ids = {k: n for n, k in enumerate(keys)}
+        self.arity = ar = [len(k[0]) for k in keys]
+        self._upto = [[f for f, a in enumerate(ar) if a <= b]
+                      for b in range(top + 1)]
+        self.slots = [{y: [i for i, x in enumerate(k[0], 1) if x == y]
+                       for y in k[0]} for k in keys]
+        comp = [(f, i, g, M.compose_keys(keys[f], i, k))
+                for g, k in enumerate(keys) for f in self.fits(top + 1 - ar[g])
+                for i in self.slots[g].get(keys[f][1], ())]
+        sym = [(t, f, M.act_transposition(t, k))
+               for f, k in enumerate(keys) for t in range(1, ar[f])]
+        dif = [M.diff_key(k) for k in keys]
+        self.den = den = self.lcm(dif + [e[-1] for e in comp + sym])
+        self.outer, self.inner, self.sym = [defaultdict(dict) for _ in range(3)]
+        for f, i, g, lc in comp:
+            self.outer[(i, g)][f] = self.inner[(f, i)][g] = \
+                self.ints(lc, self.ids, den)
+        for t, f, lc in sym:
+            self.sym[t][f] = self.ints(lc, self.ids, den)
+        self.dif = {f: self.ints(lc, self.ids, den) for f, lc in enumerate(dif)}
+
+    def fits(self, b):
+        """The ids of arity <= b."""
+        return self._upto[min(b, len(self._upto) - 1)] if b >= 0 else []
+
+    def const(self, n):
+        """The entry of the int n."""
+        return _Slices((n,) + (0,) * (self.n - 1)) if self.n else n
+
+    def lcm(self, lcs):
+        """The one denominator of the values of lcs."""
+        vs = [v for lc in lcs for v in lc.values()]
+        return math.lcm(*{c.denominator for c in (
+            [c for v in vs for _, c in v] if self.n else vs)})
+
+    def ints(self, lc, ids, den):
+        """lc as ((ids[key], value * den), ...), zeros dropped: ints
+        (residues over F_p) or, over a Novikov ring, `_Slices`."""
+        out = []
+        for k, v in lc.items():
+            if self.n:
+                w = [0] * self.n
+                for e, c in v:
+                    s, r = divmod(e * self.q, 1)
+                    if r or s < 0:
+                        raise NonGridExponent(f"exponent {e} is off the grid")
+                    if s < self.n:
+                        w[s] += c.numerator * (den // c.denominator)
+                v = _Slices(w)
+            else:
+                v = v.numerator * (den // v.denominator)
+            if v:
+                out.append((ids[k], v))
+        return tuple(out)
+
+    @staticmethod
+    def into(acc, terms, row, s=1):
+        """acc plus s times the sum of c * row[k] over the terms (k, c)."""
+        get = acc.get
+        for k, c in terms:
+            c *= s
+            for k2, c2 in row.get(k, ()):
+                acc[k2] = get(k2, 0) + c * c2
+        return acc
+
+    def same(self, a, b):
+        """Whether two sums at one scale are equal (mod p over F_p)."""
+        if a == b:
+            return True
+        p = self.p
+        if p:
+            return {k: v % p for k, v in a.items() if v % p} \
+                == {k: v % p for k, v in b.items() if v % p}
+        return {k: v for k, v in a.items() if v} \
+            == {k: v for k, v in b.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -421,19 +496,12 @@ class MultiAlgebra:
     def carrier(self, x) -> ChainComplex:
         return self.carriers[x]
 
-    def arg_tuples(self, xs):
-        pools = []
-        for x in xs:
-            c = self.carrier(x)
-            pools.append([(d, l) for d in c.degrees() for l in c.labels(d)])
-        return itertools.product(*pools)
-
     def apply_key(self, fkey, args) -> dict:
         args = tuple(args)
         cached = self._cache.get((fkey, args))
         if cached is None:
             cached = {k: v for k, v in self._action_fn(self, fkey, args).items()
-                      if not self.ring.is_zero(v)}
+                      if v}
             c = self.carrier(fkey[1])
             d = fkey[2] + sum(a[0] for a in args)
             for k in cached:
@@ -449,104 +517,91 @@ class MultiAlgebra:
         pd = c.pred(d)
         return {(pd, c.labels(pd)[i]): v for i, v in col.items()}
 
+    @functools.cached_property
+    def _tables(self):
+        """(den, pools, elems, act, cdif) over one denominator den, in the
+        arithmetic of M's `_Tables`: for the carriers' elements numbered e
+        (elems[e] = (d, l), pools[x] the ids on x), act[args][f] is key id
+        f on a tuple args of its inputs and cdif[e] the differential of e."""
+        T = self.M._tables
+        elems = [(x, d, l) for x, c in self.carriers.items()
+                 for d in c.degrees() for l in c.labels(d)]
+        eids = {x: {} for x in self.carriers}
+        for e, (x, d, l) in enumerate(elems):
+            eids[x][(d, l)] = e
+        raw = [(a, f, key[1], self.apply_key(key, [elems[e][1:] for e in a]))
+               for f, key in enumerate(T.keys)
+               for a in itertools.product(*(eids[x].values() for x in key[0]))]
+        dif = [self.diff_carrier(x, (d, l)) for x, d, l in elems]
+        den = T.lcm([e[-1] for e in raw] + dif)
+        act = defaultdict(dict)
+        for a, f, y, lc in raw:
+            act[a][f] = T.ints(lc, eids[y], den)
+        return den, {x: tuple(ids.values()) for x, ids in eids.items()}, \
+            [e[1:] for e in elems], act, \
+            {e: T.ints(lc, eids[elems[e][0]], den) for e, lc in enumerate(dif)}
+
     def validate(self):
-        ring = self.ring
-        M = self.M
+        """Exhaustive check of the unit, chain-map (Leibniz), composition and
+        symmetry axioms on M's `_Tables` and the algebra's, in the oracle's
+        order; returns None, or a witness naming the first failure.  A
+        composite above M's arity_max is zero: its check is skipped.  An
+        action off its signature raises when the tables are formed."""
+        M, T = self.M, self.M._tables
+        den, pools, elems, act, cdif = self._tables
+        into, same = T.into, T.same
+
+        def args(a):
+            return tuple(elems[e] for e in a)
+
         for x in M.objects:
-            uk = M.unit_key(x)
-            c = self.carrier(x)
-            for d in c.degrees():
-                for l in c.labels(d):
-                    got = self.apply_key(uk, ((d, l),))
-                    if not lc_eq(ring, got, {(d, l): ring.one}):
-                        return {"axiom": "algebra-unit", "object": x, "label": l}
-        for fkey in M.all_keys():
-            xs, y, fd, _ = fkey
-            for args in self.arg_tuples(xs):
-                lhs = self._diff_out(y, self.apply_key(fkey, args))
-                rhs = {}
-                for k, v in M.diff_key(fkey).items():
-                    for kk, vv in self.apply_key(k, args).items():
-                        add_into(ring, rhs, kk, ring.mul(v, vv))
-                pre = 0
-                for t in range(len(args)):
-                    s = (-1 if fd % 2 else 1) * (-1 if pre % 2 else 1)
-                    for (dd, ll), v in self.diff_carrier(xs[t], args[t]).items():
-                        new_args = args[:t] + ((dd, ll),) + args[t + 1:]
-                        for kk, vv in self.apply_key(fkey, new_args).items():
-                            add_into(ring, rhs, kk,
-                                     ring.mul(ring.from_int(s), ring.mul(v, vv)))
-                    pre += args[t][0]
-                if not lc_eq(ring, lhs, rhs):
-                    return {"axiom": "algebra-chain-map", "f": fkey, "args": args}
-        w = self._validate_composition()
-        if w is not None:
-            return w
-        return self._validate_symmetry()
-
-    def _diff_out(self, y, lc) -> dict:
-        ring = self.ring
-        out = {}
-        for (d, l), v in lc.items():
-            for kk, vv in self.diff_carrier(y, (d, l)).items():
-                add_into(ring, out, kk, ring.mul(v, vv))
-        return out
-
-    def _validate_composition(self):
-        ring = self.ring
-        M = self.M
-        for f in M.all_keys():
-            for g in M.all_keys():
-                if M.arity(f) + M.arity(g) - 1 > M.arity_max:
-                    continue  # composite lies beyond the truncation bound
-                for i in M._slots(f, g):
-                    comp = M.compose_keys(f, i, g)
-                    fxs, gxs = f[0], g[0]
-                    new_xs = gxs[:i - 1] + fxs + gxs[i:]
-                    for args in self.arg_tuples(new_xs):
-                        lhs = {}
-                        for k, v in comp.items():
-                            for kk, vv in self.apply_key(k, args).items():
-                                add_into(ring, lhs, kk, ring.mul(v, vv))
-                        before = args[:i - 1]
-                        mid = args[i - 1:i - 1 + len(fxs)]
-                        after = args[i - 1 + len(fxs):]
-                        pre_deg = sum(d for d, _ in before)
-                        sign = -1 if (f[2] * (g[2] + pre_deg)) % 2 else 1
-                        rhs = {}
-                        for (dd, ll), v in self.apply_key(f, mid).items():
-                            outer = before + ((dd, ll),) + after
-                            for kk, vv in self.apply_key(g, outer).items():
-                                add_into(ring, rhs, kk,
-                                         ring.mul(ring.from_int(sign),
-                                                  ring.mul(v, vv)))
-                        if not lc_eq(ring, lhs, rhs):
-                            return {"axiom": "algebra-composition", "f": f,
-                                    "g": g, "i": i, "args": args}
-        return None
-
-    def _validate_symmetry(self):
-        ring = self.ring
-        M = self.M
-        for f in M.all_keys():
-            n = M.arity(f)
-            xs = f[0]
-            for t in range(1, n):
-                sigma = Perm.transposition(n, t, t + 1)
-                af = M.act(sigma, f)
-                new_xs = tuple(xs[sigma(k) - 1] for k in range(1, n + 1))
-                for args in self.arg_tuples(new_xs):
-                    lhs = {}
-                    for k, v in af.items():
-                        for kk, vv in self.apply_key(k, args).items():
-                            add_into(ring, lhs, kk, ring.mul(v, vv))
-                    inv = sigma.inverse()
-                    back = tuple(args[inv(j) - 1] for j in range(1, n + 1))
-                    ks = koszul_sign(sigma, [d for d, _ in args])
-                    rhs = scaled_int(ring, self.apply_key(f, back), ks)
-                    if not lc_eq(ring, lhs, rhs):
-                        return {"axiom": "eqSymAc-algebra", "f": f, "t": t,
-                                "args": args}
+            u = T.ids.get(M.unit_key(x))
+            for e in pools[x]:
+                if not same(dict(act[(e,)].get(u, ())), {e: T.const(den)}):
+                    return {"axiom": "algebra-unit", "object": x,
+                            "label": elems[e][1]}
+        # chain-map and composition sides at T.den * den^2, symmetry at T.den * den
+        by_den = (T.const(T.den), T.const(-T.den))
+        for f, key in enumerate(T.keys):
+            for a in itertools.product(*(pools[x] for x in key[0])):
+                rhs = into({}, T.dif[f], act[a], T.const(den))
+                pre = key[2]  # (-1)^(|f| + the degrees before slot t)
+                for t, e in enumerate(a):
+                    into(rhs, cdif[e], {e2: act[a[:t] + (e2,) + a[t + 1:]][f]
+                                        for e2, _ in cdif[e]}, by_den[pre % 2])
+                    pre += elems[e][0]
+                if not same(into({}, act[a][f], cdif, by_den[0]), rhs):
+                    return {"axiom": "algebra-chain-map", "f": key,
+                            "args": args(a)}
+        for f, fk in enumerate(T.keys):
+            nf = T.arity[f]
+            for g in T.fits(M.arity_max + 1 - nf):
+                gk = T.keys[g]
+                for i in T.slots[g].get(fk[1], ()):
+                    xs = gk[0][:i - 1] + fk[0] + gk[0][i:]
+                    for a in itertools.product(*(pools[x] for x in xs)):
+                        before, after = a[:i - 1], a[i - 1 + nf:]
+                        fa = act[a[i - 1:i - 1 + nf]][f]
+                        odd = fk[2] * (gk[2] + sum(elems[e][0] for e in before))
+                        rhs = into({}, fa, {e: act[before + (e,) + after][g]
+                                            for e, _ in fa}, by_den[odd % 2])
+                        if not same(into({}, T.outer[(i, g)][f], act[a],
+                                         T.const(den)), rhs):
+                            return {"axiom": "algebra-composition", "f": fk,
+                                    "g": gk, "i": i, "args": args(a)}
+        for f, key in enumerate(T.keys):
+            xs = key[0]
+            for t in range(1, T.arity[f]):
+                swap = xs[:t - 1] + (xs[t], xs[t - 1]) + xs[t + 1:]
+                for a in itertools.product(*(pools[x] for x in swap)):
+                    back = a[:t - 1] + (a[t], a[t - 1]) + a[t + 1:]
+                    # the Koszul sign of swapping args t and t + 1
+                    odd = elems[a[t - 1]][0] % 2 and elems[a[t]][0] % 2
+                    if not same(into({}, T.sym[t][f], act[a],
+                                     T.const(-1 if odd else 1)),
+                                into({}, ((f, by_den[0]),), act[back])):
+                        return {"axiom": "eqSymAc-algebra", "f": key, "t": t,
+                                "args": args(a)}
         return None
 
 
@@ -582,36 +637,48 @@ class MultiFunctor:
             self._cache[key] = cached
         return cached
 
-    def on_lc(self, lc: dict) -> dict:
-        return linear(self.source.ring, self.on_key, lc)
+    @functools.cached_property
+    def _table(self):
+        """(den, pi): pi[f], the value on source key id f, over den."""
+        S, T = self.source._tables, self.target._tables
+        lcs = [self.on_key(k) for k in S.keys]
+        den = S.lcm(lcs)
+        return den, {f: S.ints(lc, T.ids, den) for f, lc in enumerate(lcs)}
 
     def validate(self):
-        ring = self.source.ring
-        S, T = self.source, self.target
-        for x in S.objects:
-            if not lc_eq(ring, self.on_key(S.unit_key(x)),
-                         {T.unit_key(self.on_obj(x)): ring.one}):
+        """Exhaustive check of the unit, chain-map, symmetry and composition
+        axioms on the `_Tables` of source and target and pi's `_table`, in
+        the oracle's order; returns None, or a witness naming the first
+        failure.  Every composite f o_i g of source keys is checked, also one
+        above the source's arity_max (zero).  A value off its signature
+        raises when the tables are formed."""
+        src, tgt = self.source, self.target
+        S, T = src._tables, tgt._tables
+        den, pi = self._table
+        into, same, const = S.into, S.same, S.const
+        for x in src.objects:
+            want = {T.ids.get(tgt.unit_key(self.on_obj(x))): const(den)}
+            if not same(dict(pi.get(S.ids.get(src.unit_key(x)), ())), want):
                 return {"axiom": "functor-unit", "object": x}
-        for f in S.all_keys():
-            if not lc_eq(ring, self.on_lc(S.diff_key(f)),
-                         linear(ring, T.diff_key, self.on_key(f))):
-                return {"axiom": "functor-chain-map", "f": f}
-            for t in range(1, S.arity(f)):
-                lhs = self.on_lc(S.act_transposition(t, f))
-                rhs = linear(ring, lambda k, tt=t: T.act_transposition(tt, k),
-                             self.on_key(f))
-                if not lc_eq(ring, lhs, rhs):
-                    return {"axiom": "functor-symmetry", "f": f, "t": t}
-        for f in S.all_keys():
-            for g in S.all_keys():
-                for i in S._slots(f, g):
-                    lhs = self.on_lc(S.compose_keys(f, i, g))
-                    rhs = bilinear(ring,
-                                   lambda a, b, s=i: T.compose_keys(a, s, b),
-                                   self.on_key(f), self.on_key(g))
-                    if not lc_eq(ring, lhs, rhs):
-                        return {"axiom": "functor-composition", "f": f,
-                                "g": g, "i": i}
+        # each check brings its two sides to the scale S.den * den * T.den
+        for f, key in enumerate(S.keys):
+            if not same(into({}, S.dif[f], pi, const(T.den)),
+                        into({}, pi[f], T.dif, const(S.den))):
+                return {"axiom": "functor-chain-map", "f": key}
+            for t in range(1, S.arity[f]):
+                if not same(into({}, S.sym[t][f], pi, const(T.den)),
+                            into({}, pi[f], T.sym[t], const(S.den))):
+                    return {"axiom": "functor-symmetry", "f": key, "t": t}
+        for f, fk in enumerate(S.keys):
+            for g, gk in enumerate(S.keys):
+                for i in S.slots[g].get(fk[1], ()):
+                    rhs = {}  # at the scale S.den * den * den * T.den
+                    for g2, c in pi[g]:
+                        into(rhs, pi[f], T.outer.get((i, g2), {}), c * S.den)
+                    if not same(into({}, S.outer.get((i, g), {}).get(f, ()),
+                                     pi, const(den * T.den)), rhs):
+                        return {"axiom": "functor-composition", "f": fk,
+                                "g": gk, "i": i}
         return None
 
 
@@ -924,28 +991,17 @@ def prop_of(M: MultiCat, seq_len_max: int) -> PropData:
     """
     ring = M.ring
     order = {x: i for i, x in enumerate(M.objects)}
-    seqs = []
-    for n in range(1, seq_len_max + 1):
-        for xs in itertools.combinations_with_replacement(M.objects, n):
-            seqs.append(tuple(sorted(xs, key=lambda x: order[x])))
+    seqs = [tuple(sorted(xs, key=lambda x: order[x]))
+            for n in range(1, seq_len_max + 1)
+            for xs in itertools.combinations_with_replacement(M.objects, n)]
     homs = {}
     for a in seqs:
         for b in seqs:
             basis = {}
             for f in _surjections(len(a), len(b)):
-                fibers = [tuple(t + 1 for t in range(len(a)) if f[t] == j + 1)
-                          for j in range(len(b))]
-                pools = []
-                dead = False
-                for j, fib in enumerate(fibers):
-                    xs = tuple(a[t - 1] for t in fib)
-                    keys = M.basis_keys(xs, b[j])
-                    if not keys:
-                        dead = True
-                        break
-                    pools.append(keys)
-                if dead:
-                    continue
+                pools = [M.basis_keys(tuple(a[t] for t in range(len(a))
+                                            if f[t] == j + 1), y)
+                         for j, y in enumerate(b)]
                 for combo in itertools.product(*pools):
                     deg = sum(k[2] for k in combo)
                     basis.setdefault(deg, []).append(("s", f, combo))
@@ -956,16 +1012,11 @@ def prop_of(M: MultiCat, seq_len_max: int) -> PropData:
     def compose_fn(C, ukey, vkey):
         return _prop_compose(ring, M, C, ukey, vkey)
 
-    units = {}
-    for a in seqs:
-        f = tuple(range(1, len(a) + 1))
-        units[a] = ("s", f, tuple(M.unit_key(x) for x in a))
+    units = {a: ("s", tuple(range(1, len(a) + 1)),
+                 tuple(M.unit_key(x) for x in a)) for a in seqs}
     cat = DgCategory(ring, seqs, homs, compose_fn, units, name=f"P({M.name})")
-
-    identity_flags = {}
-    for a in seqs:
-        identity_flags[a] = _identity_flag(M, cat, a)
-    return PropData(M, cat, seq_len_max, identity_flags)
+    return PropData(M, cat, seq_len_max,
+                    {a: _identity_flag(M, cat, a) for a in seqs})
 
 
 def _prop_boundary(ring, M, label) -> dict:
@@ -992,35 +1043,20 @@ def _prop_compose(ring, M, C, ukey, vkey):
     # Koszul: rearrange (phi_1..phi_m, psi_1..psi_p) into
     # (phis of g^{-1}(1), psi_1, phis of g^{-1}(2), psi_2, ...)
     degs = [k[2] for k in phis] + [k[2] for k in psis]
-    order = []
-    fibers_g = [sorted(t + 1 for t in range(m) if g[t] == k + 1)
-                for k in range(p)]
-    for k in range(p):
-        order.extend(t - 1 for t in fibers_g[k])
-        order.append(m + k)
-    sign0 = ring.from_int(koszul_sign(Perm([o + 1 for o in order]), degs))
-    chi_parts = []
+    fibers_g = [[t + 1 for t in range(m) if g[t] == k + 1] for k in range(p)]
+    order = [o for k in range(p) for o in fibers_g[k] + [m + k + 1]]
+    acc = {(): ring.from_int(koszul_sign(Perm(order), degs))}
     for k in range(p):
         fib = fibers_g[k]
         gam = M.gamma(psis[k], [phis[t - 1] for t in fib])
         # aligning shuffle: concatenated f-fibers vs sorted union
-        concat = []
-        for t in fib:
-            concat.extend(sorted(s + 1 for s in range(len(a)) if f[s] == t))
-        srt = sorted(concat)
-        rank = {v: i + 1 for i, v in enumerate(srt)}
-        sigma = Perm([rank[v] for v in concat])
-        gam = M.act(sigma.inverse(), gam)
-        chi_parts.append(gam)
-    # expand the tensor of the chi parts multilinearly
+        concat = [s + 1 for t in fib for s in range(len(a)) if f[s] == t]
+        rank = {v: i + 1 for i, v in enumerate(sorted(concat))}
+        gam = M.act(Perm([rank[v] for v in concat]).inverse(), gam)
+        # expand the tensor of the chi parts multilinearly
+        acc = {combo + (kk,): ring.mul(cval, vv)
+               for combo, cval in acc.items() for kk, vv in gam.items()}
     gf = tuple(g[f[s] - 1] for s in range(len(a)))
-    acc = {(): sign0}
-    for part in chi_parts:
-        new = {}
-        for combo, cval in acc.items():
-            for kk, vv in part.items():
-                new[combo + (kk,)] = ring.mul(cval, vv)
-        acc = new
     out = {}
     target = C.hom(a, c)
     for combo, cval in acc.items():
@@ -1036,16 +1072,11 @@ def _prop_compose(ring, M, C, ukey, vkey):
 
 def _identity_flag(M, cat, a) -> bool:
     """Does P(a, a) equal the group ring of Aut(a) on permutation morphisms?"""
-    auts = aut_group(a)
-    hom = cat.hom(a, a)
-    if hom is None or hom.degrees() != [0] or hom.dim(0) != len(auts):
-        return False
+    auts, hom = aut_group(a), cat.hom(a, a)
     units = tuple(M.unit_key(x) for x in a)
-    for g in auts:
-        label = ("s", g.images, units)
-        if not hom.has_label(0, label):
-            return False
-    return True
+    return hom is not None and hom.degrees() == [0] and \
+        hom.dim(0) == len(auts) and \
+        all(hom.has_label(0, ("s", g.images, units)) for g in auts)
 
 
 def perm_morphism(P: PropData, seq, perm: Perm):
@@ -1077,72 +1108,43 @@ def check_freeness(M: MultiCat, pi: MultiFunctor) -> FreenessReport:
     pi maps M to a one-object multicategory O; Freeness 2 concerns the right
     symmetric-group action on O(n) for n <= O.arity_max.
     """
-    ring = M.ring
     O = pi.target
     if len(O.objects) != 1:
         raise EngineError("the target of pi must have one object")
     prop = prop_of(M, 2)
-    details = {}
-    identity = all(prop.identity_flags.values())
-    details["identity"] = {repr(k): v for k, v in prop.identity_flags.items()}
-
-    freeness1 = True
     f1 = {}
     for a in prop.cat.objects:
-        auts = aut_group(a)
-        gens = _group_gens(auts)
+        gens = _group_gens(aut_group(a))
         for b in prop.cat.objects:
             hom = prop.cat.hom(a, b)
-            if hom is None:
-                continue
-            gen_maps = []
-            for g in gens:
-                key = perm_morphism(prop, a, g)
-
-                def fn(d, label, key=key, a=a, b=b):
-                    u = (a, b, d, label)
-                    out = prop.cat.compose_keys(key, u)
-                    return [((kk[3]), v) for kk, v in out.items()]
-
-                gen_maps.append(ChainMap.from_label_fn2(hom, hom, 0, fn,
-                                                        validate=False))
-            mod = GroupRingModule("right", len(a), gens, hom, gen_maps)
-            rep = is_free_module(mod)
-            f1[f"{a}->{b}"] = bool(rep)
-            if not rep:
-                freeness1 = False
-    details["freeness1"] = f1
-
-    freeness2 = True
+            if hom is not None:
+                f1[f"{a}->{b}"] = _is_free(
+                    len(a), gens, hom,
+                    lambda j, d, l, a=a, b=b, gens=gens: prop.cat.compose_keys(
+                        perm_morphism(prop, a, gens[j]), (a, b, d, l)))
     f2 = {}
     star = O.objects[0]
     for n in range(1, O.arity_max + 1):
         xs = (star,) * n
         hom = O.complex(xs, star)
-        if hom is None:
-            f2[n] = True  # zero complex is free
-            continue
-        gens = [Perm.transposition(n, i, i + 1) for i in range(1, n)]
-        gen_maps = []
-        for idx, g in enumerate(gens):
-            i = idx + 1
+        # the zero complex and O(1) are free
+        f2[n] = hom is None or n == 1 or _is_free(
+            n, [Perm.transposition(n, i, i + 1) for i in range(1, n)], hom,
+            lambda j, d, l, xs=xs: O.act_transposition(j + 1, (xs, star, d, l)))
+    details = {"identity": {repr(k): v for k, v in prop.identity_flags.items()},
+               "freeness1": f1, "freeness2": f2}
+    return FreenessReport(all(prop.identity_flags.values()), all(f1.values()),
+                          all(f2.values()), details)
 
-            def fn(d, label, i=i, xs=xs):
-                out = O.act_transposition(i, (xs, star, d, label))
-                return [((kk[3]), v) for kk, v in out.items()]
 
-            gen_maps.append(ChainMap.from_label_fn2(hom, hom, 0, fn,
-                                                    validate=False))
-        if n == 1:
-            f2[n] = True
-            continue
-        mod = GroupRingModule("right", n, gens, hom, gen_maps)
-        rep = is_free_module(mod)
-        f2[n] = bool(rep)
-        if not rep:
-            freeness2 = False
-    details["freeness2"] = f2
-    return FreenessReport(identity, freeness1, freeness2, details)
+def _is_free(n, gens, hom, act) -> bool:
+    """Whether hom is a free right module over the subgroup of S_n that
+    gens generate, gens[j] taking the label l of degree d to the lc
+    act(j, d, l) of keys (..., label)."""
+    maps = [ChainMap.from_label_fn2(
+        hom, hom, 0, lambda d, l, j=j: [(k[3], v) for k, v in act(j, d, l).items()],
+        validate=False) for j in range(len(gens))]
+    return bool(is_free_module(GroupRingModule("right", n, gens, hom, maps)))
 
 
 def _group_gens(elements):

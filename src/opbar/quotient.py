@@ -45,9 +45,8 @@ def _assemble(C: ChainComplex, basis: dict, proj: dict, section: dict):
     try:
         p.validate()
     except DegreeMismatch as err:
-        outer = DegreeMismatch(f"relation span is not a subcomplex: {err}")
-        outer.witness = err.witness
-        raise outer from None
+        raise DegreeMismatch(f"relation span is not a subcomplex: {err}",
+                             witness=err.witness) from None
     return quot.validate(), p
 
 

@@ -44,9 +44,7 @@ class SimplicialComplexObj:
             check_chain_maps([*self.faces.values(), *self.degens.values()])
             w = self.check_identities()
             if w is not None:
-                err = EngineError(f"simplicial identities fail: {w}")
-                err.witness = w
-                raise err
+                raise EngineError(f"simplicial identities fail: {w}", witness=w)
 
     def level(self, n) -> ChainComplex:
         return self.levels[n]

@@ -12,7 +12,7 @@ from opbar.coeff import Ring
 from opbar.complexes import ChainComplex, ChainMap, cone, homology, total
 from opbar.errors import NoLift, NonPermutationAction, NotAcyclic
 from opbar.linalg import Mat
-from opbar.lincomb import add_into
+from opbar.lincomb import add_into, bilinear, eq as lc_eq, linear, scaled_int
 from opbar.symgrp import Perm, koszul_sign
 
 
@@ -613,3 +613,162 @@ class LabelKan:
                                           [inner[c] for c in w[2]])
             self._images[key] = out
         return self._images[key]
+
+
+# -- Ring-arithmetic oracles of MultiAlgebra.validate and MultiFunctor.validate
+
+
+def slots(M, f, g):
+    """The slots of g that take f's output."""
+    return [i for i in range(1, M.arity(g) + 1) if g[0][i - 1] == f[1]]
+
+
+def arg_tuples(A, xs):
+    """Every tuple of carrier basis elements (degree, label) on inputs xs."""
+    pools = []
+    for x in xs:
+        c = A.carrier(x)
+        pools.append([(d, l) for d in c.degrees() for l in c.labels(d)])
+    return itertools.product(*pools)
+
+
+def algebra_validate_oracle(A):
+    """The unit, chain-map, composition and symmetry checks of an algebra,
+    in Ring arithmetic over every key and every tuple of arguments."""
+    ring = A.ring
+    M = A.M
+    for x in M.objects:
+        uk = M.unit_key(x)
+        c = A.carrier(x)
+        for d in c.degrees():
+            for l in c.labels(d):
+                got = A.apply_key(uk, ((d, l),))
+                if not lc_eq(ring, got, {(d, l): ring.one}):
+                    return {"axiom": "algebra-unit", "object": x, "label": l}
+    for fkey in M.all_keys():
+        xs, y, fd, _ = fkey
+        for args in arg_tuples(A, xs):
+            lhs = _diff_out(A, y, A.apply_key(fkey, args))
+            rhs = {}
+            for k, v in M.diff_key(fkey).items():
+                for kk, vv in A.apply_key(k, args).items():
+                    add_into(ring, rhs, kk, ring.mul(v, vv))
+            pre = 0
+            for t in range(len(args)):
+                s = (-1 if fd % 2 else 1) * (-1 if pre % 2 else 1)
+                for (dd, ll), v in A.diff_carrier(xs[t], args[t]).items():
+                    new_args = args[:t] + ((dd, ll),) + args[t + 1:]
+                    for kk, vv in A.apply_key(fkey, new_args).items():
+                        add_into(ring, rhs, kk,
+                                 ring.mul(ring.from_int(s), ring.mul(v, vv)))
+                pre += args[t][0]
+            if not lc_eq(ring, lhs, rhs):
+                return {"axiom": "algebra-chain-map", "f": fkey, "args": args}
+    w = _algebra_composition_oracle(A)
+    if w is not None:
+        return w
+    return _algebra_symmetry_oracle(A)
+
+
+def _diff_out(A, y, lc) -> dict:
+    ring = A.ring
+    out = {}
+    for (d, l), v in lc.items():
+        for kk, vv in A.diff_carrier(y, (d, l)).items():
+            add_into(ring, out, kk, ring.mul(v, vv))
+    return out
+
+
+def _algebra_composition_oracle(A):
+    ring = A.ring
+    M = A.M
+    for f in M.all_keys():
+        for g in M.all_keys():
+            if M.arity(f) + M.arity(g) - 1 > M.arity_max:
+                continue  # composite lies beyond the truncation bound
+            for i in slots(M, f, g):
+                comp = M.compose_keys(f, i, g)
+                fxs, gxs = f[0], g[0]
+                new_xs = gxs[:i - 1] + fxs + gxs[i:]
+                for args in arg_tuples(A, new_xs):
+                    lhs = {}
+                    for k, v in comp.items():
+                        for kk, vv in A.apply_key(k, args).items():
+                            add_into(ring, lhs, kk, ring.mul(v, vv))
+                    before = args[:i - 1]
+                    mid = args[i - 1:i - 1 + len(fxs)]
+                    after = args[i - 1 + len(fxs):]
+                    pre_deg = sum(d for d, _ in before)
+                    sign = -1 if (f[2] * (g[2] + pre_deg)) % 2 else 1
+                    rhs = {}
+                    for (dd, ll), v in A.apply_key(f, mid).items():
+                        outer = before + ((dd, ll),) + after
+                        for kk, vv in A.apply_key(g, outer).items():
+                            add_into(ring, rhs, kk,
+                                     ring.mul(ring.from_int(sign),
+                                              ring.mul(v, vv)))
+                    if not lc_eq(ring, lhs, rhs):
+                        return {"axiom": "algebra-composition", "f": f,
+                                "g": g, "i": i, "args": args}
+    return None
+
+
+def _algebra_symmetry_oracle(A):
+    ring = A.ring
+    M = A.M
+    for f in M.all_keys():
+        n = M.arity(f)
+        xs = f[0]
+        for t in range(1, n):
+            sigma = Perm.transposition(n, t, t + 1)
+            af = M.act(sigma, f)
+            new_xs = tuple(xs[sigma(k) - 1] for k in range(1, n + 1))
+            for args in arg_tuples(A, new_xs):
+                lhs = {}
+                for k, v in af.items():
+                    for kk, vv in A.apply_key(k, args).items():
+                        add_into(ring, lhs, kk, ring.mul(v, vv))
+                inv = sigma.inverse()
+                back = tuple(args[inv(j) - 1] for j in range(1, n + 1))
+                ks = koszul_sign(sigma, [d for d, _ in args])
+                rhs = scaled_int(ring, A.apply_key(f, back), ks)
+                if not lc_eq(ring, lhs, rhs):
+                    return {"axiom": "eqSymAc-algebra", "f": f, "t": t,
+                            "args": args}
+    return None
+
+
+def functor_validate_oracle(F):
+    """The unit, chain-map, symmetry and composition checks of a
+    multifunctor, in Ring arithmetic over every key."""
+    ring = F.source.ring
+    S, T = F.source, F.target
+
+    def on_lc(lc):
+        return linear(ring, F.on_key, lc)
+
+    for x in S.objects:
+        if not lc_eq(ring, F.on_key(S.unit_key(x)),
+                     {T.unit_key(F.on_obj(x)): ring.one}):
+            return {"axiom": "functor-unit", "object": x}
+    for f in S.all_keys():
+        if not lc_eq(ring, on_lc(S.diff_key(f)),
+                     linear(ring, T.diff_key, F.on_key(f))):
+            return {"axiom": "functor-chain-map", "f": f}
+        for t in range(1, S.arity(f)):
+            lhs = on_lc(S.act_transposition(t, f))
+            rhs = linear(ring, lambda k, tt=t: T.act_transposition(tt, k),
+                         F.on_key(f))
+            if not lc_eq(ring, lhs, rhs):
+                return {"axiom": "functor-symmetry", "f": f, "t": t}
+    for f in S.all_keys():
+        for g in S.all_keys():
+            for i in slots(S, f, g):
+                lhs = on_lc(S.compose_keys(f, i, g))
+                rhs = bilinear(ring,
+                               lambda a, b, s=i: T.compose_keys(a, s, b),
+                               F.on_key(f), F.on_key(g))
+                if not lc_eq(ring, lhs, rhs):
+                    return {"axiom": "functor-composition", "f": f,
+                            "g": g, "i": i}
+    return None

@@ -919,3 +919,21 @@ def test_kan_validates_its_inputs_at_entry(operad, axiom, monkeypatch):
         operadic_kan(pi, A, 2)
     assert err.value.witness == O.validate()
     assert err.value.witness["axiom"] == axiom
+
+
+@pytest.mark.parametrize("operad,axiom", [
+    (fix.planted_nonassociative, "eqMultComp1"),
+    (fix.planted_asymmetric, "sym-involution"),
+])
+def test_kan_over_novikov_validates_its_operad_at_entry(operad, axiom,
+                                                        monkeypatch):
+    nov = Ring.novikov(Q, 2, 2)
+    M, A, _ = fix.two_object_kappa(nov)
+    O = operad(nov)
+    pi = fix.projection_to_operad(M, O)
+    monkeypatch.setattr(bar, "WordCalculus",
+                        lambda *args: pytest.fail("levels built"))
+    with pytest.raises(EngineError,
+                       match=f"^operad O '{O.name}' fails {axiom}: ") as err:
+        operadic_kan(pi, A, 2)
+    assert err.value.witness == O.validate()

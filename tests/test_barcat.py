@@ -479,6 +479,15 @@ def test_completion_tower_identity():
     assert not rep.flags
 
 
+def test_completion_tower_needs_a_cutoff():
+    nov = Ring.novikov(Q, 2, 2)
+    idm = ChainMap.identity(ChainComplex.single(nov, "y"))
+    with pytest.raises(ValueError, match="^need at least one cutoff$"):
+        complete_tower(idm, [], range(0, 2))
+    with pytest.raises(ValueError, match="^need cutoff > 0$"):
+        complete_tower(idm, [0, 2], range(0, 2))
+
+
 def test_completion_tower_unit_deformation():
     nov = Ring.novikov(Q, 2, 1)
     c = ChainComplex.free(nov, {0: ["y"], 1: ["x"]},

@@ -10,6 +10,7 @@ None, or witnesses of the same axiom.
 """
 
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -28,7 +29,7 @@ from opbar.dgcat import (
     trivial_right_module,
     under_functor_left_module,
 )
-from opbar.errors import EngineError, UnsupportedRing
+from opbar.errors import EngineError
 from opbar.fixtures import as_operad, poset_multicat
 from opbar.lincomb import bilinear, combine, eq as lc_eq, linear, scaled_int
 from opbar.multicat import prop_of
@@ -110,14 +111,15 @@ AXIOM = {"unit-missing": "unit-missing", "unit-not-closed": "unit-not-closed",
          "leibniz": "leibniz", "associativity": "eqMultComp1"}
 
 
-def _z3_table(**changed):
-    """Z/3 = {e, a, b} from its multiplication table, with entries replaced."""
+def _z3_table(ring=Z, **changed):
+    """R[Z/3] = {e, a, b} from its multiplication table, with entries
+    replaced."""
     comp = {}
     for x, i in (("e", 0), ("a", 1), ("b", 2)):
         for y, j in (("e", 0), ("a", 1), ("b", 2)):
             comp[(x, y)] = [(1, "eab"[(i + j) % 3])]
     comp.update({tuple(xy): hits for xy, hits in changed.items()})
-    return table_category(Z, ["*"], {("*", "*"): {0: ["e", "a", "b"]}}, {},
+    return table_category(ring, ["*"], {("*", "*"): {0: ["e", "a", "b"]}}, {},
                           comp, {"*": "e"}, name="Z/3 planted")
 
 
@@ -207,10 +209,35 @@ def test_functor_validate_agrees_with_oracle(name):
         assert name.startswith("id_")
 
 
-def test_validate_raises_over_novikov():
-    C = group_ring_category(Ring.novikov(Q, 2, 2), 2, [Perm((2, 1))])
-    with pytest.raises(UnsupportedRing):
-        C.validate()
+NOV = Ring.novikov(Q, 2, 2)
+T_HALF = NOV.monomial(1, Fraction(1, 2))
+
+
+def test_validate_over_novikov():
+    """Over Nov(Q, 2, 2) a valid category, functor and modules pass, and
+    each tampered one is witnessed as its oracle says."""
+    C = group_ring_category(NOV, 3, S3)
+    assert C.validate() is None and dg_validate_oracle(C) is None
+    F = DgFunctor.identity(C)
+    assert F.validate() is None and dg_functor_validate_oracle(F) is None
+    for R in (trivial_right_module(C), corepresented_right_module(C, "*")):
+        assert R.validate() is None and right_module_oracle(R) is None
+    L = trivial_left_module(C)
+    assert L.validate() is None and left_module_oracle(L) is None
+    # a a = T^(1/2) b in place of b
+    P = _z3_table(NOV, aa=[(T_HALF, "b")])
+    assert P.validate()["axiom"] == AXIOM[dg_validate_oracle(P)["axiom"]] \
+        == "eqMultComp1"
+    # every basis morphism to (1 + T^(1/2)) times itself
+    F = DgFunctor(C, C, {"*": "*"},
+                  lambda F, k: {k: NOV.add(NOV.one, T_HALF)}, name="unipotent")
+    assert F.validate()["axiom"] == dg_functor_validate_oracle(F)["axiom"] \
+        == "functor-unit"
+    # each morphism acts on r by T^(1/2)
+    R = RightModule(C, {"*": ChainComplex.single(NOV, "r")},
+                    lambda R, m, u: {(u[1], 0, "r"): T_HALF}, name="shifted")
+    assert MODULE_AXIOM[right_module_oracle(R)["axiom"]] \
+        == R.validate()["axiom"] == "algebra-unit"
 
 
 # -- module validators ----------------------------------------------------------

@@ -1,12 +1,16 @@
-"""MultiCat.validate against the exhaustive oracle `_validate_unpruned`.
+"""The table validators against exhaustive Ring-arithmetic oracles.
 
-`validate` checks on int tables: each composite, transposition and
+`MultiCat.validate` checks on int tables: each composite, transposition and
 differential read once, and every check in int arithmetic, with the checks
 whose composite overflows arity_max skipped.  `_validate_unpruned` is the
 exhaustive validator over Ring arithmetic: every unit, Leibniz,
 associativity and equivariance check over all keys, with act(sigma, .) read
-through `MultiCat.act`.  On valid, planted and tampered multicategories,
-`validate` must return the same witness.
+through `MultiCat.act`.  `MultiAlgebra.validate` and `MultiFunctor.validate`
+check on the same tables, plus the algebra's action and carrier
+differential and the functor's values; their oracles are
+`algebra_validate_oracle` and `functor_validate_oracle` in genutil.  On
+valid, planted and tampered structures over Z, Q, F_3 and two Novikov
+rings, each validator must return its oracle's witness.
 """
 
 import random
@@ -15,23 +19,31 @@ from fractions import Fraction
 import pytest
 
 from opbar.coeff import Ring
-from opbar.complexes import ChainComplex
-from opbar.errors import UnsupportedRing
+from opbar.complexes import ChainComplex, ChainMap
 from opbar.fixtures import (
     as_operad,
     bv_operad,
     planted_asymmetric,
     planted_nonassociative,
+    projection_to_operad,
+    projection_to_unit,
     sym_assoc_operad,
+    two_object_kappa,
 )
 from opbar.lincomb import combine, eq as lc_eq, linear, scaled_int
 from opbar.linalg import Mat
-from opbar.multicat import MultiCat, endomorphism_multicat
+from opbar.multicat import MultiAlgebra, MultiCat, MultiFunctor, \
+    endomorphism_multicat
 from opbar.symgrp import Perm, block_perm
+
+from .genutil import algebra_validate_oracle, arg_tuples, \
+    functor_validate_oracle, slots
 
 Z = Ring.Z()
 Q = Ring.Q()
 F3 = Ring.Fp(3)
+NOV_Q = Ring.novikov(Q, 2, 2)
+NOV_F3 = Ring.novikov(F3, 1, 3)
 
 
 def _validate_unpruned(M):
@@ -56,7 +68,7 @@ def _validate_unpruned(M):
             return {"axiom": "eqMultComp3", "side": "into-unit", "g": g}
     for f in keys:
         for g in keys:
-            for i in M._slots(f, g):
+            for i in slots(M, f, g):
                 lhs = linear(ring, M.diff_key, M.compose_keys(f, i, g))
                 rhs = combine(
                     ring, M.compose(M.diff_key(f), i, {g: one}),
@@ -73,16 +85,16 @@ def _assoc_unpruned(M, keys):
     one = ring.one
     for h in keys:
         for g in keys:
-            for j in M._slots(g, h):
+            for j in slots(M, g, h):
                 inner = M.compose_keys(g, j, h)
                 for f in keys:
-                    for i in M._slots(f, g):
+                    for i in slots(M, f, g):
                         lhs = M.compose(M.compose_keys(f, i, g), j, {h: one})
                         rhs = M.compose({f: one}, i + j - 1, inner)
                         if not lc_eq(ring, lhs, rhs):
                             return {"axiom": "eqMultComp1", "f": f, "g": g,
                                     "h": h, "i": i, "j": j}
-                    for i1 in M._slots(f, h):
+                    for i1 in slots(M, f, h):
                         if i1 >= j:
                             continue
                         lhs = M.compose({f: one}, i1, inner)
@@ -122,7 +134,7 @@ def _equivariance_unpruned(M, keys):
     for f in keys:
         nf = M.arity(f)
         for g in keys:
-            for i in M._slots(f, g):
+            for i in slots(M, f, g):
                 base = M.compose_keys(f, i, g)
                 for t in range(1, nf):
                     sigma = Perm.transposition(nf, t, t + 1)
@@ -137,7 +149,7 @@ def _equivariance_unpruned(M, keys):
             sigma = Perm.transposition(ng, t, t + 1)
             ag = M.act(sigma, g)
             for f in keys:
-                for i in M._slots(f, g):
+                for i in slots(M, f, g):
                     base = M.compose_keys(f, i, g)
                     lhs = M.compose({f: one}, sigma.inverse()(i), ag)
                     sizes = [1] * ng
@@ -256,15 +268,47 @@ def test_bv_validate_reads_each_transposition_once(monkeypatch):
     assert acts == []
 
 
+def _arithmetic_calls(monkeypatch):
+    """Counters of the Ring.mul/add/eq/neg and Fraction arithmetic calls."""
+    return [_counted(monkeypatch, Ring, attr)
+            for attr in ("mul", "add", "eq", "neg")] + \
+        [_counted(monkeypatch, Fraction, attr)
+         for attr in ("__mul__", "__rmul__", "__add__", "__radd__", "__eq__")]
+
+
 def test_bv_validate_checks_make_no_ring_or_fraction_arithmetic(monkeypatch):
-    M = bv_operad(Q, 3)[0]
-    ring_ops = [_counted(monkeypatch, Ring, attr)
-                for attr in ("mul", "add", "eq", "neg")]
-    fraction_ops = [_counted(monkeypatch, Fraction, attr)
-                    for attr in ("__mul__", "__rmul__", "__add__", "__radd__",
-                                 "__eq__")]
+    M, A, _ = bv_operad(Q, 3)
+    calls = _arithmetic_calls(monkeypatch)
     assert M.validate() is None
-    assert [len(c) for c in ring_ops + fraction_ops] == [0] * 9
+    assert [len(c) for c in calls] == [0] * 9
+    assert A.validate() is None  # the tautological algebra
+    assert [len(c) for c in calls] == [0] * 9
+
+
+def _kan_fixture(name):
+    """(A, pi) of the kan benchmark's inputs: the two-object model with
+    rank-one carriers over symAs (Z) and As (Q), with degree-1 carriers
+    over As (Z), and over the unit operad (Z)."""
+    ring = Q if name == "as_q" else Z
+    if name == "odd":
+        c0, c1 = ChainComplex.single(Z, "c0", 1), ChainComplex.single(Z, "c1", 1)
+        kappa = ChainMap.from_label_fn(c0, c1, 0, lambda l: [("c1", 1)])
+        M, A, _ = two_object_kappa(Z, c0, c1, kappa)
+    else:
+        M, A, _ = two_object_kappa(ring)
+    if name == "unit":
+        return A, projection_to_unit(M)
+    O = sym_assoc_operad(Z, 3) if name == "symas_z" else as_operad(ring, 3)
+    return A, projection_to_operad(M, O)
+
+
+@pytest.mark.parametrize("name", ["symas_z", "as_q", "odd", "unit"])
+def test_kan_inputs_validate_with_no_ring_or_fraction_arithmetic(name,
+                                                                 monkeypatch):
+    A, pi = _kan_fixture(name)
+    calls = _arithmetic_calls(monkeypatch)
+    assert A.validate() is None and pi.validate() is None
+    assert [len(c) for c in calls] == [0] * 9
 
 
 def test_bv_operad_of_arity_4_is_valid():
@@ -273,9 +317,43 @@ def test_bv_operad_of_arity_4_is_valid():
     assert M.validate() is None
 
 
-def test_validate_refuses_novikov_coefficients():
-    with pytest.raises(UnsupportedRing):
-        as_operad(Ring.novikov(Q, 2, 2), 2).validate()
+@pytest.mark.parametrize("build", [
+    lambda: as_operad(NOV_Q, 3),
+    lambda: sym_assoc_operad(NOV_F3, 3),
+    lambda: bv_operad(NOV_Q, 2)[0],
+    lambda: rescaled_sym_assoc(NOV_Q, 4),
+    lambda: _endo(NOV_F3, _coeff(NOV_F3))[0],
+], ids=["as_nov_q", "sym_assoc_nov_f3", "bv_nov_q", "sym_assoc_rescaled_nov_q",
+        "endo_nov_f3"])
+def test_valid_novikov_structures_pass(build):
+    assert build().validate() is None
+    assert _validate_unpruned(build()) is None
+
+
+@pytest.mark.parametrize("build,axiom", [
+    (lambda: planted_nonassociative(NOV_Q), "eqMultComp1"),
+    (lambda: planted_asymmetric(NOV_F3), "sym-involution"),
+    (lambda: _shifted_as(NOV_Q), "eqSymAc1"),
+], ids=["nonassociative", "asymmetric", "shifted"])
+def test_tampered_novikov_structures_are_witnessed(build, axiom):
+    w = build().validate()
+    assert w is not None and w["axiom"] == axiom
+    assert w == _validate_unpruned(build())
+
+
+def _shifted_as(ring):
+    """As up to arity 3 with mu2 o_1 mu2 = T^(1/q) mu3, a composite whose
+    one coefficient lies on slice 1."""
+    base = as_operad(ring, 3)
+
+    def compose_fn(M, fkey, i, gkey):
+        out = base._compose_fn(M, fkey, i, gkey)
+        if (fkey[3], i, gkey[3]) == ("mu2", 1, "mu2"):
+            out = {k: ring.mul(_shift(ring), v) for k, v in out.items()}
+        return out
+
+    return MultiCat(ring, ["*"], 3, dict(base.complexes), compose_fn,
+                    base._sym_fn, dict(base.units), name="as_shifted")
 
 
 # -- coefficients other than +-1 ------------------------------------------------
@@ -310,8 +388,13 @@ def rescaled_sym_assoc(ring, seed):
     composites and transpositions carry c_f c_g / c_fg and c_f / c_tf."""
     base = sym_assoc_operad(ring, 3)
     rng = random.Random(seed)
-    pool = [ring.from_int(n) for n in (1, 2, -1, -2)] if ring.kind == "Fp" \
-        else [Fraction(n, d) for n in (1, 2, -3) for d in (1, 2, 3)]
+    if ring.is_novikov:  # units: valuation 0
+        t = _shift(ring)
+        pool = [ring.from_int(2), ring.add(ring.one, t), ring.sub(t, ring.one)]
+    elif ring.kind == "Fp":
+        pool = [ring.from_int(n) for n in (1, 2, -1, -2)]
+    else:
+        pool = [Fraction(n, d) for n in (1, 2, -3) for d in (1, 2, 3)]
     c = {k: ring.one if len(k[0]) == 1 else rng.choice(pool)
          for k in base.all_keys()}
 
@@ -443,20 +526,21 @@ def test_planted_axioms_match_unpruned_oracle(build, axiom):
 def _tamper(base, kind, rng):
     """A builder of base with one seeded table entry changed.
 
-    kind: "sign", "double" or "zero" (one coefficient of one composite),
-    "sym" (one coefficient or key of one transposition entry) or "diff"
-    (one entry of one hom differential)."""
+    kind: "sign", "double", "zero" or, over a Novikov ring, "shift" (one
+    coefficient of one composite times -1, 2, 0 or T^(1/q)), "sym" (one
+    coefficient or key of one transposition entry) or "diff" (one entry of
+    one hom differential)."""
     ring = base.ring
     keys = base.all_keys()
     complexes = dict(base.complexes)
     compose_fn, sym_fn = base._compose_fn, base._sym_fn
-    if kind in ("sign", "double", "zero"):
+    if kind in FACTORS:
         triples = [(f, i, g) for g in keys for f in keys
                    if base.arity(f) + base.arity(g) - 1 <= base.arity_max
-                   for i in base._slots(f, g) if base.compose_keys(f, i, g)]
+                   for i in slots(base, f, g) if base.compose_keys(f, i, g)]
         at = rng.choice(triples)
         key = rng.choice(sorted(base.compose_keys(*at), key=repr))
-        scale = ring.from_int({"sign": -1, "double": 2, "zero": 0}[kind])
+        scale = _factor(ring, kind)
 
         def compose_fn(M, f, i, g):
             out = base._compose_fn(M, f, i, g)
@@ -492,10 +576,40 @@ def _tamper(base, kind, rng):
                             name="tampered")
 
 
+FACTORS = ("sign", "double", "zero", "shift")
+
+
+def _shift(ring):
+    """T^(1/q), the grid step of a Novikov ring."""
+    return ring.monomial(ring.base.one, Fraction(1, ring.grid))
+
+
+def _factor(ring, kind):
+    """The factor of a scaling tamper: -1, 2, 0 or T^(1/q)."""
+    if kind == "shift":
+        return _shift(ring)
+    return ring.from_int({"sign": -1, "double": 2, "zero": 0}[kind])
+
+
+def _coeff(ring):
+    """A coefficient other than +-1: 2 over Z, 1/2 over a field, and
+    1/2 + T^(1/q) over a Novikov ring."""
+    if ring.kind == "Z":
+        return 2
+    half = ring.divide(ring.one, ring.from_int(2))
+    return ring.add(half, _shift(ring)) if ring.is_novikov else half
+
+
+def _endo(ring, coeff):
+    """The endomorphism operad of R t -> R a (d t = coeff a), up to arity 2,
+    and its tautological algebra."""
+    c = ChainComplex.free(ring, {0: ["a"], 1: ["t"]}, {(1, "t", "a"): coeff})
+    return endomorphism_multicat(ring, {"X": c}, 2)
+
+
 def _endo_q2():
     """The endomorphism operad of Q t -> Q a (d t = a), up to arity 2."""
-    c = ChainComplex.free(Q, {0: ["a"], 1: ["t"]}, {(1, "t", "a"): 1})
-    return endomorphism_multicat(Q, {"X": c}, 2)[0]
+    return _endo(Q, 1)[0]
 
 
 TAMPER_BASES = {
@@ -510,17 +624,144 @@ TAMPER_BASES = {
                      ("sign", "double", "zero", "sym")),
 }
 
+# fewer seeds: the oracle's Novikov arithmetic is slow
+NOVIKOV_TAMPER_BASES = {
+    "bv_nov_q2": (lambda: bv_operad(NOV_Q, 2)[0], ("shift", "sym", "diff")),
+    "endo_nov_q2": (lambda: _endo(NOV_Q, _coeff(NOV_Q))[0], ("shift", "diff")),
+    "sym_assoc_nov_f3": (lambda: rescaled_sym_assoc(NOV_F3, 3),
+                         ("double", "shift", "sym")),
+}
+
 
 def test_tamper_sweep_matches_unpruned_oracle():
     reached = set()
-    for name, (build, kinds) in TAMPER_BASES.items():
-        for kind in kinds:
-            for seed in range(8):
-                rng = random.Random(f"{name}/{kind}/{seed}")
-                make = _tamper(build(), kind, rng)
-                w = make().validate()
-                assert w == _validate_unpruned(make()), (name, kind, seed)
-                reached.add(w and w["axiom"])
+    for bases, seeds in ((TAMPER_BASES, 8), (NOVIKOV_TAMPER_BASES, 4)):
+        for name, (build, kinds) in bases.items():
+            for kind in kinds:
+                for seed in range(seeds):
+                    rng = random.Random(f"{name}/{kind}/{seed}")
+                    make = _tamper(build(), kind, rng)
+                    w = make().validate()
+                    assert w == _validate_unpruned(make()), (name, kind, seed)
+                    reached.add(w and w["axiom"])
     assert reached >= {"leibniz", "eqMultComp1", "eqMultComp3",
                        "sym-chain-map", "sym-involution", "eqSymAc1",
                        "eqSymAc2"}, reached
+
+
+# -- algebras and functors against their Ring-arithmetic oracles -----------------
+
+SWEEP_RINGS = {"z": Z, "q": Q, "f3": F3, "nov_q": NOV_Q, "nov_f3": NOV_F3}
+
+
+def _sweep_bases(ring):
+    """(M, tautological algebra) of the endomorphism operad of a complex
+    with a differential, and of the BV operad, both up to arity 2."""
+    return {"endo": _endo(ring, _coeff(ring)), "bv": bv_operad(ring, 2)[:2]}
+
+
+def _corrupted(ring, lc, others, rng):
+    """lc with one seeded entry times -1, 2, 0 or (over a Novikov ring)
+    T^(1/q), or moved to one of the keys others."""
+    key = rng.choice(sorted(lc, key=repr))
+    others = [k for k in others if k not in lc]
+    kinds = ["sign", "double", "zero"] + ["shift"] * ring.is_novikov \
+        + ["move"] * bool(others)
+    kind = rng.choice(kinds)
+    out = dict(lc)
+    if kind == "move":
+        out[rng.choice(others)] = out.pop(key)
+    else:
+        out[key] = ring.mul(_factor(ring, kind), out[key])
+    return out
+
+
+def _tampered_algebra(M, A, kind, rng):
+    """A builder of A with one seeded corruption: kind "unit" or "action"
+    corrupts the action of a unit or of another key on one tuple (unit,
+    Leibniz, composition or symmetry); any other kind corrupts M's tables
+    (`_tamper`) under the same action."""
+    ring = M.ring
+    if kind not in ("unit", "action"):
+        make = _tamper(M, kind, rng)
+        return lambda: MultiAlgebra(make(), A.carriers, A._action_fn)
+    units = {M.unit_key(x) for x in M.objects}
+    at = rng.choice([(k, args) for k in M.all_keys()
+                     if (k in units) == (kind == "unit")
+                     for args in arg_tuples(A, k[0]) if A.apply_key(k, args)])
+    value = A.apply_key(*at)
+    d = next(iter(value))[0]
+    new = _corrupted(ring, value, [(d, l) for l in A.carrier(at[0][1]).labels(d)],
+                     rng)
+
+    def action_fn(alg, k, args):
+        return new if (k, args) == at else A._action_fn(alg, k, args)
+    return lambda: MultiAlgebra(M, A.carriers, action_fn)
+
+
+def _tampered_functor(M, kind, rng):
+    """A builder of the identity functor of M with one seeded corruption:
+    kind "unit" or "value" corrupts its value on a unit or on another key;
+    any other kind corrupts the target's tables (`_tamper`)."""
+    ring = M.ring
+    same_objects = {x: x for x in M.objects}
+    if kind not in ("unit", "value"):
+        make = _tamper(M, kind, rng)
+        return lambda: MultiFunctor(M, make(), same_objects,
+                                    lambda F, k: {k: ring.one})
+    units = {M.unit_key(x) for x in M.objects}
+    at = rng.choice([k for k in M.all_keys() if (k in units) == (kind == "unit")])
+    new = _corrupted(ring, {at: ring.one},
+                     [k for k in M.basis_keys(at[0], at[1]) if k[2] == at[2]],
+                     rng)
+    return lambda: MultiFunctor(M, M, same_objects, lambda F, k:
+                                new if k == at else {k: ring.one})
+
+
+def _sweep_kinds(ring, extra):
+    return extra + ("sign", "double", "zero", "sym", "diff") \
+        + ("shift",) * ring.is_novikov
+
+
+@pytest.mark.parametrize("name", SWEEP_RINGS)
+def test_algebra_tamper_sweep_matches_ring_oracle(name):
+    ring = SWEEP_RINGS[name]
+    reached = set()
+    for base, (M, A) in _sweep_bases(ring).items():
+        assert A.validate() is None and algebra_validate_oracle(A) is None
+        for kind in _sweep_kinds(ring, ("unit", "action", "action")):
+            for seed in range(3):
+                rng = random.Random(f"{name}/{base}/{kind}/{seed}")
+                make = _tampered_algebra(M, A, kind, rng)
+                w = make().validate()
+                assert w == algebra_validate_oracle(make()), (base, kind, seed)
+                reached.add(w and w["axiom"])
+    assert reached >= {"algebra-unit", "algebra-chain-map",
+                       "algebra-composition", "eqSymAc-algebra"}, reached
+
+
+@pytest.mark.parametrize("name", SWEEP_RINGS)
+def test_functor_tamper_sweep_matches_ring_oracle(name):
+    ring = SWEEP_RINGS[name]
+    reached = set()
+    for base, (M, _) in _sweep_bases(ring).items():
+        for kind in _sweep_kinds(ring, ("unit", "value", "value")):
+            for seed in range(3):
+                rng = random.Random(f"{name}/{base}/{kind}/{seed}")
+                make = _tampered_functor(M, kind, rng)
+                w = make().validate()
+                assert w == functor_validate_oracle(make()), (base, kind, seed)
+                reached.add(w and w["axiom"])
+    assert reached >= {"functor-unit", "functor-chain-map", "functor-symmetry",
+                       "functor-composition"}, reached
+
+
+@pytest.mark.parametrize("ring", [Z, NOV_Q], ids=["z", "nov_q"])
+def test_functor_composites_above_the_source_bound_are_checked(ring):
+    # As up to arity 2 into As up to arity 3: mu2 o_1 mu2 is 0 in the source
+    # and mu3 in the target
+    S, T = as_operad(ring, 2), as_operad(ring, 3)
+    F = MultiFunctor(S, T, {"*": "*"}, lambda F, k: {k: ring.one})
+    w = F.validate()
+    assert w is not None and w["axiom"] == "functor-composition"
+    assert w == functor_validate_oracle(F)
