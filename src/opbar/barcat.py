@@ -54,7 +54,8 @@ from .dgcat import DgCategory, DgFunctor, LeftModule, RightModule, \
 from .errors import EngineError, ModuleMismatch, NonComposable, \
     NonCommutingSquare, NonTorsionFree, UnsupportedRing
 from .lincomb import add_into, eq as lc_eq
-from .linalg import Mat, _placed_sum, column_product, form, from_form, row_map
+from .linalg import Mat, _cols, _placed_sum, column_product, form, from_form, \
+    row_map
 from .quotient import by_classes, by_span, by_z_span
 from .simplicial import SimplicialComplexObj, constant_simplicial, realize
 
@@ -665,7 +666,7 @@ def complete_tower(fmap: ChainMap, cutoffs, degrees) -> TowerReport:
     for side, cpx in (("source", fmap.source), ("target", fmap.target)):
         for d, m in cpx.diff.items():
             units = form(m)[0]
-            if len(m.d) > (sum(map(len, units[1])) if units else 0):
+            if len(m.d) > (sum(map(len, _cols(units))) if units else 0):
                 flags.append(NonTorsionFree(
                     f"{side} differential in degree {d} has an entry of "
                     f"positive valuation"))

@@ -388,7 +388,7 @@ class ChainMap:
 def _product(g, f):
     """The column form of g f, from the kept forms of g and f; None when g
     or f is absent or zero, and then neither is formed."""
-    if g is None or f is None or not g.d or not f.d:
+    if g is None or f is None or g.is_zero() or f.is_zero():
         return None
     return linalg.column_product(g.ring, linalg.form(g), linalg.form(f))
 
@@ -401,7 +401,7 @@ def _witness(ring, source, d, rows, lhs, rhs):
     {row label: value}: values are restored only here, to name it."""
     if lhs is None or rhs is None:
         rest = lhs if rhs is None else rhs
-        if rest is None or not (any(rest) if ring.is_novikov else any(rest[1])):
+        if rest is None or linalg._is_zero_form(ring, rest):
             return None
     elif linalg.columns_equal(ring, lhs, rhs):
         return None
@@ -707,7 +707,7 @@ def null_homotopy(C: ChainComplex) -> ChainMap:
         hbar = _splitting_homotopy(Cbar)
     except NotAcyclic as err:
         raise err if ring.is_field else NotAcyclic(no_contraction)
-    H = {d: [linalg.form(m) if m.d else None] for d, m in hbar.mats.items()}
+    H = {d: [linalg.form(m)] for d, m in hbar.mats.items()}  # no zero matrix
     minus_hbar = {d: linalg.form(m.neg()) for d, m in hbar.mats.items()}
 
     def dh_hd(e, k, bs):  # sum over b in bs of D_{k-b} H_b + H_b D_{k-b} on C_e
@@ -725,7 +725,7 @@ def null_homotopy(C: ChainComplex) -> ChainMap:
         for e in C.degrees():  # slice k of d h + h d
             S = linalg.form_sum(base, [x for x in (E[e], dh_hd(e, k, [k])) if x])
             if k == 0 and not (S and linalg.columns_equal(
-                    base, S, (1, [{j: 1} for j in range(C.dim(e))], None))):
+                    base, S, (1, None, list(range(C.dim(e)))))):
                 raise NotAcyclic(no_contraction)
             if k and S:
                 raise NoLift("order-by-order lift failed on a degreewise-free complex")

@@ -209,13 +209,16 @@ def poset_category(ring, k) -> DgCategory:
 def _acts_by_one(cat: DgCategory):
     """EngineError naming the first basis morphism of nonzero degree, or the
     first pair whose composite is not one basis morphism with coefficient 1:
-    then acting by 1 on every basis morphism is no module."""
-    keys = cat.all_keys()
+    then acting by 1 on every basis morphism is no module.  Read off the int
+    tables of `cat.M`, where u then v is the outer entry of u into v's slot."""
+    T = cat.M._tables
+    keys = [(xs[0], y, d, l) for xs, y, d, l in T.keys]
     for u in (u for u in keys if u[2]):
         raise EngineError(f"trivial module: basis morphism {u!r} has degree {u[2]}")
-    for u, v in ((u, v) for u in keys for v in keys if v[0] == u[1]):
-        w = {k: c for k, c in cat.compose_keys(u, v).items() if not cat.ring.is_zero(c)}
-        if list(w.values()) != [cat.ring.one]:
+    for (f, u), (g, v) in ((a, b) for a in enumerate(keys) for b in enumerate(keys)):
+        w = T.outer.get((1, g), {}).get(f, ())
+        if v[0] == u[1] and [c for _, c in w] != [T.const(T.den)]:
+            w = {k: c for k, c in cat.compose_keys(u, v).items() if not cat.ring.is_zero(c)}
             raise EngineError(f"trivial module: {u!r} then {v!r} is {w}, "
                               "not one basis morphism with coefficient 1")
 

@@ -1,19 +1,21 @@
 """Sparse exact linear algebra over the coefficient rings.
 
 Matrices are stored as {(row, col): value} dicts with explicit shape, and
-hold no 0: every builder drops zeros, and only this module writes `Mat.d`.
+hold no 0: every builder drops zeros, and only this module writes `Mat._d`.
 Vectors are {index: value} dicts.  No floats anywhere.  One kernel per job:
 
 * products, sums and exact checks -- `column_form` writes a matrix in int
   form, `column_product` multiplies forms, `_placed_sum` sums placed ones
   (under `block_matrix` and `form_sum`; below).  Each matrix keeps its
-  form: `form` computes it on first use, `from_form` (products, placed
-  sums, slice prefixes) builds a matrix from its form and restores the
-  values once (`_restore`), and `row_map` (identities, the bar's faces and
-  degeneracies: every column one entry (r, 1)) sets it at construction,
-  so no matrix is formed twice and `Mat.set` alone drops it.
-  Every exact check decides on the forms (`columns_equal` or an emptiness
-  test) and restores values only to name a witness;
+  form: `form` computes it on first use, and `from_form` builds a matrix
+  from its form alone (products, placed sums, slice prefixes and
+  `row_map`: identities, the bar's faces and degeneracies), whose values
+  `Mat.d` restores (`_restore`) when something first reads them.  So no
+  matrix is formed twice, and `Mat.set` alone drops a form.  A row map's
+  form is (den, None, rows): its unit columns are built only when a
+  kernel needs them (`_cols`), and a product of two is composed on their
+  rows.  Every exact check decides on the forms (`columns_equal` or an
+  emptiness test) and restores values only to name a witness;
 * field elimination -- one forward elimination over plain ints
   (`eliminate`: primitive integer rows over Q, monic residues over F_p,
   over Z the rank over Q) and one back-reduction (`reduced_echelon`),
@@ -72,9 +74,11 @@ def xgcd(a: int, b: int):
 class Mat:
     """A sparse matrix over an exact ring, zero-free: no entry of `d` is 0.
 
-    Only linalg writes `d`; `set` drops the kept column form (`form`)."""
+    Each keeps its int column form (`form`); one built from it (`row_map`,
+    `from_form`) restores `d` from it on first read (`_d` is None until
+    then).  Only linalg writes `_d`; `set` restores `d`, then drops the form."""
 
-    __slots__ = ("ring", "nrows", "ncols", "d", "_form")
+    __slots__ = ("ring", "nrows", "ncols", "_d", "_form")
 
     def __init__(self, ring: Ring, nrows: int, ncols: int, entries=None):
         """entries: {(row, col): canonical value}; the zeros (0, Fraction(0)
@@ -82,8 +86,20 @@ class Mat:
         self.ring = ring
         self.nrows = nrows
         self.ncols = ncols
-        self.d = {k: v for k, v in entries.items() if v} if entries else {}
+        self._d = {k: v for k, v in entries.items() if v} if entries else {}
         self._form = None
+
+    @property
+    def d(self) -> dict:
+        """The entries {(row, col): value}, restored on first read; a write
+        replaces them and drops the kept form."""
+        if self._d is None:
+            self._d = _restore(self.ring, self._form)
+        return self._d
+
+    @d.setter
+    def d(self, entries):
+        self._d, self._form = entries, None
 
     @staticmethod
     def zeros(ring, nrows, ncols) -> "Mat":
@@ -105,22 +121,23 @@ class Mat:
     def set(self, i, j, v):
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
             raise IndexError((i, j))
+        d = self.d
         self._form = None
         if self.ring.is_zero(v):
-            self.d.pop((i, j), None)
+            d.pop((i, j), None)
         else:
-            self.d[(i, j)] = v
+            d[(i, j)] = v
 
     def add_to(self, i, j, v):
         self.set(i, j, self.ring.add(self.get(i, j), v))
 
     def clone(self) -> "Mat":
         m = Mat(self.ring, self.nrows, self.ncols)
-        m.d, m._form = dict(self.d), self._form
+        m._d, m._form = None if self._d is None else dict(self._d), self._form
         return m
 
     def is_zero(self) -> bool:
-        return not self.d
+        return _is_zero_form(self.ring, self._form) if self._d is None else not self._d
 
     def __eq__(self, other):
         return (
@@ -138,7 +155,10 @@ class Mat:
         return f"Mat({self.nrows}x{self.ncols}, {len(self.d)} entries)"
 
     def add(self, other: "Mat") -> "Mat":
-        self._check(other)
+        if self.ring != other.ring:
+            raise MixedRings("matrices over different rings")
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch")
         out = self.clone()
         for (i, j), v in other.d.items():
             out.add_to(i, j, v)
@@ -148,9 +168,8 @@ class Mat:
         return self.add(other.neg())
 
     def neg(self) -> "Mat":
-        out = Mat(self.ring, self.nrows, self.ncols)
-        out.d = {k: self.ring.neg(v) for k, v in self.d.items()}
-        return out
+        return Mat(self.ring, self.nrows, self.ncols,
+                   {k: self.ring.neg(v) for k, v in self.d.items()})
 
     def scale(self, c) -> "Mat":
         return Mat(self.ring, self.nrows, self.ncols,
@@ -167,15 +186,14 @@ class Mat:
             raise MixedRings("matrix product over different rings")
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.ncols} vs {other.nrows}")
-        if not (self.d and other.d):
+        if self.is_zero() or other.is_zero():
             return Mat(self.ring, self.nrows, other.ncols)
         return from_form(self.ring, self.nrows, other.ncols,
                          column_product(self.ring, form(self), form(other)))
 
     def transpose(self) -> "Mat":
-        out = Mat(self.ring, self.ncols, self.nrows)
-        out.d = {(j, i): v for (i, j), v in self.d.items()}
-        return out
+        return Mat(self.ring, self.ncols, self.nrows,
+                   {(j, i): v for (i, j), v in self.d.items()})
 
     def column(self, j) -> dict:
         """Column j as {row: value}.
@@ -201,39 +219,10 @@ class Mat:
             rows[i][j] = v
         return rows
 
-    def _check(self, other: "Mat"):
-        if self.ring != other.ring:
-            raise MixedRings("matrices over different rings")
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-
 
 # ---------------------------------------------------------------------------
 # Products over plain ints, column by column
 # ---------------------------------------------------------------------------
-
-
-def _int_form(ring: Ring, entries: dict):
-    """(den, ints) with entries == ints / den; den is 1 unless over Q."""
-    if ring.kind != "Q":
-        return 1, entries
-    den = math.lcm(*{v.denominator for v in entries.values()})
-    if den == 1:
-        return 1, {key: v.numerator for key, v in entries.items()}
-    return den, {key: v.numerator * (den // v.denominator)
-                 for key, v in entries.items()}
-
-
-def _fraction_restorer(den: int):
-    """n -> Fraction(n, den), one object per distinct n."""
-    restored = {}
-
-    def restore(n):
-        f = restored.get(n)
-        if f is None:
-            f = restored[n] = Fraction(n, den)
-        return f
-    return restore
 
 
 def _steps(ring: Ring) -> int:
@@ -243,38 +232,42 @@ def _steps(ring: Ring) -> int:
 
 def column_form(ring: Ring, m: Mat):
     """(den, cols, rows): m in int form (see the module docstring), as one
-    {row: int} dict per column, {} for a zero column.  rows lists, column
-    by column, the row r of a map whose every column is the single int
-    entry (r, 1), as faces and degeneracies mostly are; it is None
-    otherwise.  Over Novikov the slice list of such forms (`_slice_forms`).
-    `form` calls it once per matrix and keeps the result.
+    {row: int} dict per column, {} for a zero column, and rows None; or,
+    when every column is the single int entry (r, 1), as faces and
+    degeneracies mostly are, cols None and rows the row r of each column
+    (`_cols` builds its unit columns on demand).  Over Novikov the slice
+    list of such forms (`_slice_forms`).  `form` calls it once per matrix
+    and keeps the result.
 
-    Forms share columns: the columns of maps with rows are the interned
-    unit columns (`_unit_columns`), and `column_product` hands an operand's
-    column on as the product's, so no column of a form may be mutated."""
+    Forms share columns: unit columns are interned (`_unit_columns`), and
+    `column_product` hands an operand's column on as the product's, so no
+    column of a form may be mutated."""
     if ring.kind == "nov":
         return _slice_forms(ring, m.d, m.ncols)
     return _base_form(ring, m.d, m.ncols)
 
 
 def _base_form(ring: Ring, entries: dict, ncols: int):
-    """The `column_form` of entries {(row, col): value} over Z, Q or F_p."""
-    den, ints = _int_form(ring, entries)
-    cols = [{} for _ in range(ncols)]
-    for (i, j), w in ints.items():
+    """The `column_form` of entries {(row, col): value} over Z, Q or F_p;
+    over Q the ints are the values times den, the lcm of their denominators."""
+    den, cols = 1, [{} for _ in range(ncols)]
+    if ring.kind == "Q":
+        den = math.lcm(*{v.denominator for v in entries.values()})
+        entries = {k: v.numerator * (den // v.denominator) for k, v in entries.items()}
+    for (i, j), w in entries.items():
         cols[j][i] = w
     return _with_rows(den, cols)
 
 
 def _with_rows(den: int, cols: list):
-    """The form (den, cols, rows): rows and the interned unit columns when
-    every column is the single int entry (r, 1), else rows None."""
+    """The form (den, cols, None), or (den, None, rows) when every column
+    is the single int entry (r, 1)."""
     rows = []
     for col in cols:
         if len(col) != 1 or 1 not in col.values():
             return den, cols, None
         rows += col
-    return den, _unit_columns(rows), rows
+    return den, None, rows
 
 
 def _slice_forms(ring: Ring, entries: dict, ncols: int) -> list:
@@ -300,6 +293,18 @@ def _unit_columns(rows):
     return [_units.get(r) or _units.setdefault(r, {r: 1}) for r in rows]
 
 
+def _cols(f) -> list:
+    """The columns of a base-field form; a row map's are built here."""
+    return f[1] if f[1] is not None else _unit_columns(f[2])
+
+
+def _is_zero_form(ring: Ring, f) -> bool:
+    """Whether a zero-free form holds no entry (over Novikov: no slice)."""
+    if ring.kind == "nov":
+        return not any(f)
+    return not (any(f[1]) if f[1] is not None else f[2])
+
+
 def form(m: Mat):
     """The `column_form` of m, computed on first use and kept with m (a
     product or a row map keeps its form from construction)."""
@@ -309,26 +314,24 @@ def form(m: Mat):
 
 
 def from_form(ring: Ring, nrows: int, ncols: int, form) -> Mat:
-    """The matrix of a zero-free column form: values restored once, form
-    kept; None (a zero slice) gives the zero matrix."""
+    """The matrix of a zero-free column form, which it keeps; `d` restores
+    its values on first read.  None (a zero slice) gives the zero matrix."""
     m = Mat(ring, nrows, ncols)
     if form is not None:
-        m.d, m._form = _restore(ring, form), form
+        m._d, m._form = None, form
     return m
 
 
 def row_map(ring: Ring, nrows: int, rows) -> Mat:
     """The nrows x len(rows) matrix whose column j is the single entry
-    (rows[j], 1), as identities, faces and degeneracies mostly are, with its
-    column form set at construction, as `column_form` would compute it:
-    over Novikov the unit slice 0 and None above it (None too without
-    columns)."""
-    m = Mat(ring, nrows, len(rows))
-    m.d = {(r, j): ring.one for j, r in enumerate(rows)}
-    m._form = (1, _unit_columns(rows), rows)
+    (rows[j], 1), as identities, faces and degeneracies mostly are, built
+    from its form (`from_form`) as `column_form` would compute it: (1,
+    None, rows), over Novikov that in slice 0 and None above it (None too
+    without columns)."""
+    f = (1, None, rows)
     if ring.kind == "nov":
-        m._form = [m._form if rows else None] + [None] * (_steps(ring) - 1)
-    return m
+        f = [f if rows else None] + [None] * (_steps(ring) - 1)
+    return from_form(ring, nrows, len(rows), f)
 
 
 def column_product(ring: Ring, g, f):
@@ -336,15 +339,20 @@ def column_product(ring: Ring, g, f):
 
     Column j of the product is g's column r itself when column j of f is
     the single int entry (r, 1), whatever f's denominator: the product's
-    ints are g's ints times f's, over den_g * den_f.  Otherwise g's columns
-    are scaled or accumulated over plain ints, zeros dropped.  Over Novikov
-    slice k is the `form_sum` of the base-field products G_a F_b, a + b = k."""
+    ints are g's ints times f's, over den_g * den_f; when g is a row map
+    too, the product's rows are g's rows read at f's, and no column is
+    built.  Otherwise g's columns are scaled or accumulated over plain
+    ints, zeros dropped.  Over Novikov slice k is the `form_sum` of the
+    base-field products G_a F_b, a + b = k."""
     if ring.kind == "nov":
         return [form_sum(ring.base, [column_product(ring.base, G, F)
                                      for G, F in zip(g[:k + 1], f[k::-1]) if G and F])
                 for k in range(len(g))]
-    den_g, g_cols, _ = g
+    den_g, _, g_rows = g
     den_f, f_cols, f_rows = f
+    if f_rows is not None and g_rows is not None:
+        return den_g * den_f, None, [g_rows[r] for r in f_rows]
+    g_cols = _cols(g)
     if f_rows is not None:
         return den_g * den_f, [g_cols[r] for r in f_rows], None
     p = ring.p
@@ -386,10 +394,10 @@ def _restore(ring: Ring, form) -> dict:
                 for key, c in _restore(ring.base, s).items():
                     terms.setdefault(key, []).append((e, c))
         return {key: tuple(t) for key, t in terms.items()}
-    den, cols, _ = form
+    den, cols = form[0], _cols(form)
     if ring.kind == "Q":
-        restore = _fraction_restorer(den)
-        return {(i, j): restore(n)
+        fr = {}  # n -> Fraction(n, den); n is never 0
+        return {(i, j): fr.get(n) or fr.setdefault(n, Fraction(n, den))
                 for j, col in enumerate(cols) for i, n in col.items()}
     return {(i, j): n for j, col in enumerate(cols) for i, n in col.items()}
 
@@ -398,19 +406,23 @@ def form_sum(ring: Ring, forms):
     """The column form of a sum of base-field column forms of one shape, or
     None if 0; a single form is its own sum."""
     s = forms[0] if len(forms) == 1 else _placed_sum(
-        ring, len(forms[0][1]) if forms else 0, [(f, 0, 0, 1) for f in forms])
-    return s if any(s[1]) else None
+        ring, len(_cols(forms[0])) if forms else 0, [(f, 0, 0, 1) for f in forms])
+    return None if _is_zero_form(ring, s) else s
 
 
 def columns_equal(ring: Ring, a, b) -> bool:
-    """Whether two column forms hold the same matrix: plain equality of the
-    column lists when their denominators agree, otherwise each side scaled
-    by the other's denominator; over Novikov slice by slice."""
+    """Whether two column forms hold the same matrix: when both are row
+    maps, equal rows (at one den, unless without columns); else plain
+    equality of the column lists when their denominators agree, otherwise
+    each side scaled by the other's denominator; over Novikov per slice."""
     if ring.kind == "nov":
         return all(x is y or x and y and columns_equal(ring.base, x, y)
                    for x, y in zip(a, b))
-    den_a, a_cols, _ = a
-    den_b, b_cols, _ = b
+    den_a, _, a_rows = a
+    den_b, _, b_rows = b
+    if a_rows is not None and b_rows is not None:
+        return a_rows == b_rows and (den_a == den_b or not a_rows)
+    a_cols, b_cols = _cols(a), _cols(b)
     if den_a == den_b:
         return a_cols == b_cols
     if len(a_cols) != len(b_cols):
@@ -438,7 +450,7 @@ def _placed_sum(ring: Ring, ncols: int, placed):
         sums = [_placed_sum(ring.base, ncols, [(f[k], r0, c0, sign)
                                                for f, r0, c0, sign in placed if f[k]])
                 for k in range(_steps(ring))]
-        return [s if any(s[1]) else None for s in sums]
+        return [None if _is_zero_form(ring.base, s) else s for s in sums]
     den = math.lcm(*(f[0] for f, _, _, _ in placed))
     cols = [{} for _ in range(ncols)]
     for (d, f_cols, f_rows), r0, c0, sign in placed:

@@ -631,9 +631,13 @@ class MultiFunctor:
             cached = self._key_fn(self, key)
             want_xs = tuple(self.on_obj(x) for x in key[0])
             want_y = self.on_obj(key[1])
+            hom = self.target.complex(want_xs, want_y)
             for k in cached:
                 if k[0] != want_xs or k[1] != want_y or k[2] != key[2]:
                     raise EngineError(f"functor lands off-signature at {key}")
+                if hom is None or not hom.has_label(k[2], k[3]):
+                    raise EngineError(f"functor value at {key} names {k[3]!r}, "
+                                      "no label of the target")
             self._cache[key] = cached
         return cached
 

@@ -24,7 +24,7 @@ import itertools
 from .complexes import ChainComplex, ChainMap, check_chain_maps, \
     first_difference, total
 from .errors import EngineError, TruncationTooSmall
-from .linalg import form
+from .linalg import _cols, form
 from .quotient import by_classes
 
 
@@ -148,8 +148,8 @@ def normalized_realization(simplicial: SimplicialComplexObj):
                 if any(f[1:]):
                     raise EngineError("degeneracy has a non-unit coefficient")
                 f = f[0] or (1, [{}] * m.ncols, [])  # None: no column has a label
-            den, cols, rows = f
-            if any(len(col) != 1 for col in cols):
+            den, _, rows = f
+            if any(len(col) != 1 for col in _cols(f)):
                 raise EngineError("degeneracy is not label-to-label")
             if rows is None or den != 1:
                 raise EngineError("degeneracy has a non-unit coefficient")

@@ -10,7 +10,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from opbar.coeff import Ring
 from opbar.complexes import ChainComplex, ChainMap, cone, homology, total
-from opbar.errors import NoLift, NonPermutationAction, NotAcyclic
+from opbar.errors import EngineError, NoLift, NonPermutationAction, NotAcyclic
 from opbar.linalg import Mat
 from opbar.lincomb import add_into, bilinear, eq as lc_eq, linear, scaled_int
 from opbar.symgrp import Perm, koszul_sign
@@ -616,6 +616,21 @@ class LabelKan:
 
 
 # -- Ring-arithmetic oracles of MultiAlgebra.validate and MultiFunctor.validate
+
+
+def acts_by_one_oracle(cat):
+    """The Ring-arithmetic check that acting by 1 on every basis morphism
+    of cat is a module: EngineError naming the first basis morphism of
+    nonzero degree, or the first pair u, v whose composite u then v is not
+    one basis morphism with coefficient `ring.one`."""
+    keys = cat.all_keys()
+    for u in (u for u in keys if u[2]):
+        raise EngineError(f"trivial module: basis morphism {u!r} has degree {u[2]}")
+    for u, v in ((u, v) for u in keys for v in keys if v[0] == u[1]):
+        w = {k: c for k, c in cat.compose_keys(u, v).items() if not cat.ring.is_zero(c)}
+        if list(w.values()) != [cat.ring.one]:
+            raise EngineError(f"trivial module: {u!r} then {v!r} is {w}, "
+                              "not one basis morphism with coefficient 1")
 
 
 def slots(M, f, g):

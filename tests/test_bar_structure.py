@@ -243,14 +243,14 @@ def test_conjugated_objects_reach_the_general_columns(simplicial_objects):
             assert any(rows is None for ss in slices for _, _, rows in ss), name
             # a column holds the rows of all its slices
             assert any(len(set().union(*col)) > 1
-                       for ss in slices for col in zip(*(s[1] for s in ss))), name
+                       for ss in slices for col in zip(*map(linalg._cols, ss))), name
             # and a column of one slice holds several entries, so the
             # base-field column_product accumulates there
-            assert any(len(col) > 1 for ss in slices for _, cols, _ in ss
-                       for col in cols), name
+            assert any(len(col) > 1 for ss in slices for s in ss
+                       for col in linalg._cols(s)), name
             continue
         assert any(rows is None for _, _, rows in forms), name
-        assert any(len(col) > 1 for _, cols, _ in forms for col in cols), name
+        assert any(len(col) > 1 for f in forms for col in linalg._cols(f)), name
         if ring.kind == "Q":
             assert len({den for den, _, _ in forms} - {1}) > 1
     plain = simplicial_objects["group_bar_z_s3"]

@@ -401,3 +401,56 @@ def test_total_realizes_the_regular_s3_bar_without_ring_arithmetic(monkeypatch):
     assert ring_block_sum(Q, 1, 2, [(m, 0, 0, 1), (m, 0, 0, -1)]).is_zero()
     assert linalg.form(m) and calls["add"] == 2 and calls["neg"] == 2
     assert calls["column_form"] == 1
+
+
+def test_group_bars_restore_nothing_and_compose_row_maps_on_their_rows(monkeypatch):
+    """Building and checking the integral S_3 bar (n_max 4) and the regular
+    S_3 bar over Q (n_max 3) reads no matrix's values: `_restore` runs 0
+    times.  Each face and degeneracy is a row map, and a product of two row
+    maps is composed on their rows, building no unit column."""
+    calls, inside = Counter(), [0]
+    restore, unit_columns = linalg._restore, linalg._unit_columns
+
+    def counting_restore(ring, form):
+        calls["_restore"] += 1
+        return restore(ring, form)
+
+    def counting_unit_columns(rows):
+        calls["_unit_columns"] += 1
+        calls["_unit_columns of two row maps"] += inside[0]
+        return unit_columns(rows)
+
+    def counting_product(real):
+        def wrapper(ring, g, f):
+            both = g[2] is not None and f[2] is not None
+            calls["products of two row maps"] += both
+            inside[0] += both
+            try:
+                return real(ring, g, f)
+            finally:
+                inside[0] -= both
+        return wrapper
+
+    monkeypatch.setattr(linalg, "_restore", counting_restore)
+    monkeypatch.setattr(linalg, "_unit_columns", counting_unit_columns)
+    monkeypatch.setattr(linalg, "column_product", counting_product(linalg.column_product))
+    monkeypatch.setattr(barcat, "column_product", counting_product(barcat.column_product))
+    integral = barcat.group_bar_complex(Z, 3, S3, 4)
+    C = group_ring_category(Q, 3, S3)
+    regular = two_sided_bar(trivial_right_module(C), C, under_functor_left_module(
+        DgFunctor.identity(C), C.objects[0]), 3)
+    for bar in (integral, regular):
+        bar.simplicial.check_identities()
+        bar.complex.validate()
+    assert calls["_restore"] == 0
+    assert calls["products of two row maps"] > 0
+    assert calls["_unit_columns of two row maps"] == 0
+    # the counters count: reading a realized differential restores it once,
+    # and its product with a row map builds the row map's unit columns
+    d = integral.complex.diff[2]
+    assert d._d is None and d.d and d.d is d.d
+    assert calls["_restore"] == 1
+    built = calls["_unit_columns"]
+    linalg.column_product(Z, linalg.form(linalg.row_map(Z, 2, [0, 1])),
+                          linalg.form(Mat.from_rows(Z, [[1], [2]])))
+    assert calls["_unit_columns"] == built + 1

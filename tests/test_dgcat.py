@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from opbar import dgcat
 from opbar.coeff import Ring
 from opbar.complexes import ChainComplex
 from opbar.dgcat import (
@@ -35,6 +36,7 @@ from opbar.lincomb import bilinear, combine, eq as lc_eq, linear, scaled_int
 from opbar.multicat import prop_of
 from opbar.symgrp import Perm
 
+from .genutil import acts_by_one_oracle
 from .test_bar_structure import _interval_category
 
 Z = Ring.Z()
@@ -464,6 +466,52 @@ def test_trivial_modules_need_composites_of_coefficient_one(xx):
         with pytest.raises(EngineError, match=re.escape(
                 "('*', '*', 0, 'x') then ('*', '*', 0, 'x') is {")):
             build(C)
+
+
+def _x_squared(ring, xx):
+    """ring[x] on one object with x * x = xx (pairs (coefficient, label))."""
+    comp = {("e", "e"): [(1, "e")], ("e", "x"): [(1, "x")], ("x", "e"): [(1, "x")],
+            ("x", "x"): xx}
+    return table_category(ring, ["*"], {("*", "*"): {0: ["e", "x"]}}, {}, comp,
+                          {"*": "e"})
+
+
+ACTS_BY_ONE_CATEGORIES = {
+    **{name: CATEGORIES[name] for name in ("s3_z", "s3_q", "s3_f3", "z3_q", "poset2",
+                                           "planted_unit", "planted_assoc")},
+    **{name: MODULE_CATEGORIES[name] for name in ("interval", "dual", "exterior")},
+    "s3_nov": lambda: group_ring_category(NOV, 3, S3),
+    "poset3_q": lambda: poset_category(Q, 3),
+    "x_squared_one_q": lambda: _x_squared(Q, [(1, "e")]),
+    "x_squared_half_q": lambda: _x_squared(Q, [(Fraction(1, 2), "e")]),
+    "x_squared_three_f2": lambda: _x_squared(Ring.Fp(2), [(3, "e")]),
+    "x_squared_two_f3": lambda: _x_squared(F3, [(2, "e")]),
+    "x_squared_zero": lambda: _x_squared(Z, [(2, "e"), (-2, "e")]),
+    "x_squared_two_terms": lambda: _x_squared(Z, [(1, "e"), (1, "x")]),
+    "x_squared_t_half_nov": lambda: _x_squared(NOV, [(T_HALF, "e")]),
+    "x_squared_one_plus_t_nov": lambda: _x_squared(NOV, [(NOV.add(NOV.one, T_HALF), "e")]),
+    "x_squared_one_nov": lambda: _x_squared(NOV, [(NOV.one, "e")]),
+}
+
+
+@pytest.mark.parametrize("name", ACTS_BY_ONE_CATEGORIES)
+def test_acts_by_one_matches_the_ring_oracle(name):
+    """The table check that the trivial modules exist raises as the Ring
+    oracle does, message for message, on group rings, posets and tampered
+    categories over Z, Q, F_p and Nov(Q, 2, 2)."""
+    C = ACTS_BY_ONE_CATEGORIES[name]()
+
+    def verdict(check):
+        try:
+            check(C)
+        except EngineError as err:
+            return str(err)
+        return None
+    want = verdict(acts_by_one_oracle)
+    assert verdict(dgcat._acts_by_one) == want
+    passes = name.startswith(("s3", "z3", "poset")) or name in (
+        "planted_assoc", "x_squared_one_q", "x_squared_three_f2", "x_squared_one_nov")
+    assert (want is None) == passes, want
 
 
 def test_act_key_returns_the_builders_values():

@@ -222,12 +222,13 @@ def test_checker_flags_a_block_matrix_use():
 # -- writes to Mat.d ------------------------------------------------------------
 
 MUTATORS = {"update", "pop", "setdefault", "clear", "popitem"}
+ENTRIES = {"d", "_d"}  # the `Mat.d` property and its slot
 
 
 def d_writes(source: str):
-    """Lines that write a `.d` attribute: assign, augment, annotate, loop
-    into or delete it or an item of it, set it through setattr, or call a
-    mutating dict method on it."""
+    """Lines that write a `.d` or `._d` attribute: assign, augment,
+    annotate, loop into or delete it or an item of it, set it through
+    setattr, or call a mutating dict method on it."""
     out = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Assign, ast.Delete)):
@@ -237,13 +238,13 @@ def d_writes(source: str):
         else:
             targets = []
         func = node.func if isinstance(node, ast.Call) else None
-        if any(_writes_attr(t, "d") for t in targets) or (
+        if any(_writes_attr(t, a) for t in targets for a in ENTRIES) or (
                 isinstance(func, ast.Attribute) and func.attr in MUTATORS
                 and isinstance(func.value, ast.Attribute)
-                and func.value.attr == "d") or (
+                and func.value.attr in ENTRIES) or (
                 isinstance(func, ast.Name) and func.id == "setattr"
                 and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
-                and node.args[1].value == "d"):
+                and node.args[1].value in ENTRIES):
             out.add(node.lineno)
     return sorted(out)
 
@@ -272,11 +273,16 @@ def test_checker_flags_a_d_write():
            "    m.d: dict = {}\n"
            "    for m.d[k] in other:\n"
            "        pass\n"
+           "    m._d = {}\n"
+           "    m._d[k] = v\n"
+           "    a, m._d = 1, None\n"
+           "    m._d.update(other._d)\n"
+           "    setattr(m, '_d', {})\n"
            "    d = dict(m.d)\n"
-           "    d[k] = m.d.get(k)\n"
-           "    other.diff[k] = m.d\n"
-           "    return 'm.d = {}', m.d.items()\n")
-    assert d_writes(src) == list(range(2, 15))
+           "    d[k] = m.d.get(k) or m._d.get(k)\n"
+           "    other.diff[k] = m.d, m._d\n"
+           "    return 'm._d = {}', m.d.items(), m._d is None\n")
+    assert d_writes(src) == [*range(2, 15), *range(16, 21)]
 
 
 # -- one grading ---------------------------------------------------------------------

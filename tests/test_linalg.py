@@ -11,7 +11,7 @@ from sympy.polys.matrices import DomainMatrix
 import opbar.linalg as linalg
 import opbar.quotient as quotient
 from opbar.coeff import Ring
-from opbar.complexes import ChainComplex
+from opbar.complexes import ChainComplex, cone
 from opbar.errors import NonGridExponent
 from opbar.linalg import (
     Mat,
@@ -22,7 +22,8 @@ from opbar.linalg import (
 )
 from opbar.quotient import by_z_span
 
-from .genutil import random_unitriangular, ring_block_sum, sympy_rref
+from .genutil import random_chain_map, random_unitriangular, ring_block_sum, \
+    sympy_rref
 
 Z = Ring.Z()
 Q = Ring.Q()
@@ -756,34 +757,42 @@ def test_column_product_matches_mat_mul(ring):
 @pytest.mark.parametrize("ring", [Z, Q, Ring.Fp(3), Ring.novikov(Q, 2, 2)],
                          ids=repr)
 def test_row_map_stores_the_form_that_column_form_computes(ring, monkeypatch):
-    """A row map (and `Mat.identity`) carries its form from construction,
-    sharing the interned unit columns; any other matrix is formed once, on
-    first use, and `set` drops the kept form."""
+    """A row map (and `Mat.identity`) carries its form (1, None, rows) from
+    construction, with no values and no columns until read; any other
+    matrix is formed once, on first use, and `set` drops the kept form."""
     rng = random.Random(f"row_map:{ring!r}")
     column_form, formed = linalg.column_form, []
+    unit_columns, built = linalg._unit_columns, []
 
     def counting_form(ring, m):
         formed.append(m)
         return column_form(ring, m)
+
+    def counting_unit_columns(rows):
+        built.append(rows)
+        return unit_columns(rows)
     monkeypatch.setattr(linalg, "column_form", counting_form)
+    monkeypatch.setattr(linalg, "_unit_columns", counting_unit_columns)
     shapes = [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(12)]
     for nrows, ncols in shapes + [(3, 0), (0, 0)]:
         rows = [rng.randrange(nrows) for _ in range(ncols)]
         want = Mat(ring, nrows, ncols, {(r, j): ring.one for j, r in enumerate(rows)})
         m = linalg.row_map(ring, nrows, rows)
         stored = linalg.form(m)
-        assert formed == []  # set at construction, not formed
+        assert formed == [] and built == []  # set at construction, not formed
+        assert m._d is None  # restored on first read
+        # the rows, over Novikov in slice 0, which is None without columns
+        assert _slice0(ring, stored) == ((1, None, rows) if ncols or ring.kind != "nov"
+                                         else None)
         assert m == want and m.d == want.d
+        assert m._d is not None and linalg.form(m) is stored
         assert linalg.form(want) is linalg.form(want) == stored
         assert formed == [want]  # formed once, on first use
-        # every column is the one interned unit column of its row, over
-        # Novikov in slice 0, which is None without columns
-        unit, again, formed_unit = (
-            _slice0(ring, f) or (1, [], []) for f in
-            (stored, linalg.form(linalg.row_map(ring, nrows, rows)), linalg.form(want)))
-        assert len(unit[1]) == ncols
-        assert all(col is again[1][j] is formed_unit[1][j]
-                   for j, col in enumerate(unit[1]))
+        # the columns, built on demand, are the interned unit columns
+        unit, again = (linalg._cols(_slice0(ring, f) or (1, None, []))
+                       for f in (stored, linalg.form(linalg.row_map(ring, nrows, rows))))
+        assert len(unit) == ncols
+        assert all(col is again[j] == {rows[j]: 1} for j, col in enumerate(unit))
         ident = Mat.identity(ring, nrows)
         assert linalg.form(ident) == column_form(ring, ident)
         assert formed == [want]  # the identity is a row map
@@ -793,6 +802,7 @@ def test_row_map_stores_the_form_that_column_form_computes(ring, monkeypatch):
             assert linalg.form(m) == column_form(ring, m)
             assert formed == [want, m]
         formed.clear()
+        built.clear()
 
 
 def test_columns_equal_cross_multiplies_denominators():
@@ -805,6 +815,17 @@ def test_columns_equal_cross_multiplies_denominators():
     assert not linalg.columns_equal(Q, a, (12, [{0: 6}, {0: 4}], None))
     assert linalg.columns_equal(Q, linalg.column_form(Q, Mat.identity(Q, 2)),
                                 (3, [{0: 3}, {1: 3}], None))
+    # row maps compare their rows at one den: 1/3 at each unit entry is no
+    # identity, but it is 2/6 there
+    third = linalg.column_form(Q, Mat(Q, 2, 2, {(0, 0): Fraction(1, 3),
+                                                (1, 1): Fraction(1, 3)}))
+    assert third == (3, None, [0, 1])
+    assert not linalg.columns_equal(Q, third, linalg.form(Mat.identity(Q, 2)))
+    assert not linalg.columns_equal(Q, linalg.form(Mat.identity(Q, 2)), third)
+    assert linalg.columns_equal(Q, third, (3, None, [0, 1]))
+    assert not linalg.columns_equal(Q, third, (3, None, [1, 0]))
+    assert linalg.columns_equal(Q, third, (6, [{0: 2}, {1: 2}], None))
+    assert linalg.columns_equal(Q, (1, None, []), (3, None, []))
     nov = Ring.novikov(Q, 2, 2)
     assert linalg.columns_equal(nov, linalg.column_form(nov, Mat.identity(nov, 2)),
                                 [(3, [{0: 3}, {1: 3}], None), None, None, None])
@@ -835,7 +856,7 @@ def test_every_zero_slice_is_none(ring):
     for name, m in built.items():
         kept = linalg.form(m)
         assert len(kept) == math.ceil(ring.cutoff * ring.grid), name
-        assert all(s is None or any(s[1]) for s in kept), name
+        assert all(s is None or any(linalg._cols(s)) for s in kept), name
         assert linalg.columns_equal(ring, kept, linalg.column_form(ring, m)), name
     for name in ("zero", "row map without columns", "identity without columns"):
         assert linalg.form(built[name]) == [None] * len(linalg.form(built[name]))
@@ -844,8 +865,10 @@ def test_every_zero_slice_is_none(ring):
         assert linalg.form(built[name])[1] is None, name
     for nrows, rows in ((3, []), (3, [2, 0, 2]), (1, [0])):
         want = Mat(ring, nrows, len(rows), {(r, j): ring.one for j, r in enumerate(rows)})
-        assert linalg.columns_equal(ring, linalg.form(linalg.row_map(ring, nrows, rows)),
-                                    linalg.column_form(ring, want))
+        kept = linalg.form(linalg.row_map(ring, nrows, rows))
+        # slice 0 is the row map's rows, with no columns
+        assert kept[0] == ((1, None, rows) if rows else None)
+        assert linalg.columns_equal(ring, kept, linalg.column_form(ring, want))
 
 
 @pytest.mark.parametrize("exponent", [Fraction(1, 3), Fraction(-1, 2)])
@@ -857,3 +880,115 @@ def test_mat_mul_off_grid_exponent_raises(exponent):
         bad.mul(good)
     with pytest.raises(NonGridExponent):
         good.mul(bad)
+
+
+# -- values restored on first read ----------------------------------------------
+
+LAZY_RINGS = [Z, Q, Ring.Fp(2), Ring.Fp(3), Ring.novikov(Q, 2, 2),
+              Ring.novikov(Ring.Fp(3), 1, 3)]
+
+
+def _built_from_forms(rng, ring):
+    """[(kind, build, eager)]: build() makes a fresh matrix from its form,
+    its values not yet restored, and eager holds the same matrix's entries
+    computed in Ring arithmetic.  Row maps, products, placed sums and the
+    differentials of a cone (a `complexes.total`)."""
+    cases = []
+    for _ in range(5):
+        n, k = rng.randint(1, 5), rng.randint(0, 5)
+        rows = [rng.randrange(n) for _ in range(k)]
+        cases.append(("row map", lambda n=n, rows=rows: linalg.row_map(ring, n, rows),
+                      {(r, j): ring.one for j, r in enumerate(rows)}))
+        m, n, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a, b = _random_mat(rng, ring, m, n, 0.7), _random_mat(rng, ring, n, k, 0.7)
+        if rng.random() < 0.5:
+            b = _with_unit_columns(rng, b)
+        if not (a.is_zero() or b.is_zero()):  # else Mat.mul builds 0 without a form
+            cases.append(("product", lambda a=a, b=b: a.mul(b), _oracle_mul(a, b)))
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        blocks = _random_blocks(rng, ring, nrows, ncols)
+        cases.append(("placed sum", lambda r=nrows, c=ncols, bl=blocks:
+                      linalg.block_matrix(ring, r, c, bl),
+                      ring_block_sum(ring, nrows, ncols, blocks).d))
+    f = random_chain_map(rng, ring)
+    S, T = f.source, f.target
+    for D, m in cone(f).diff.items():
+        blocks = [(T.diff.get(D), 0, 0, 1), (f.mats.get(D - 1), 0, T.dim(D), 1),
+                  (S.diff.get(D - 1), T.dim(D - 1), T.dim(D), -1)]
+        eager = ring_block_sum(ring, m.nrows, m.ncols, [b for b in blocks if b[0]])
+        cases.append(("total", lambda D=D: cone(f).diff[D], eager.d))
+    return cases
+
+
+def _typed(x):
+    """x with every value as its repr, so that equal results of different
+    types (1 and Fraction(1)) differ; a Mat as its ring, shape and entries."""
+    if isinstance(x, Mat):
+        return repr(x.ring), x.nrows, x.ncols, _typed(x.d)
+    if isinstance(x, dict):
+        return sorted((k, _typed(v)) for k, v in x.items())
+    if isinstance(x, list):
+        return [_typed(v) for v in x]
+    return repr(x)
+
+
+@pytest.mark.parametrize("ring", LAZY_RINGS, ids=repr)
+def test_restored_values_equal_the_eager_ones(ring):
+    """A matrix built from its form restores on first read the values that
+    Ring arithmetic computes, value for value and type for type, and every
+    reader gives what it gives on the matrix built from those values."""
+    rng = random.Random(f"lazy:{ring!r}")
+    double = lambda v: ring.add(v, v)
+    readers = {
+        "==": lambda x: (x == want, want == x, x == Mat.zeros(ring, x.nrows, x.ncols)),
+        "is_zero": Mat.is_zero,
+        "clone": Mat.clone,
+        "column": lambda x: [x.column(j) for j in range(x.ncols)],
+        "columns": Mat.columns,
+        "transpose": Mat.transpose,
+        "neg": Mat.neg,
+        "map_ring": lambda x: x.map_ring(ring, double),
+    }
+    kinds, nonzero = set(), set()
+    for kind, build, eager in _built_from_forms(rng, ring):
+        m = build()
+        assert m._d is None and m._form is not None, kind
+        assert m.is_zero() == (not eager) and m._d is None, kind  # read off the form
+        _assert_entries(m, eager)
+        assert linalg.columns_equal(ring, m._form, linalg.column_form(ring, m)), kind
+        want = Mat(ring, m.nrows, m.ncols, eager)
+        for name, read in readers.items():
+            x = build()
+            assert _typed(read(x)) == _typed(read(want)), (kind, name)
+        clone = build().clone()
+        assert clone._d is None and _typed(clone) == _typed(want), kind
+        kinds.add(kind)
+        if eager:
+            nonzero.add(kind)
+    assert kinds == nonzero == {"row map", "product", "placed sum", "total"}
+
+
+@pytest.mark.parametrize("ring", LAZY_RINGS, ids=repr)
+def test_writes_to_an_unrestored_matrix_keep_every_other_entry(ring):
+    """`set`, `add_to` and `add` (a clone, then `add_to`) restore the values
+    before they drop the kept form."""
+    rng = random.Random(f"lazy writes:{ring!r}")
+    for kind, build, eager in _built_from_forms(rng, ring):
+        m = build()
+        if not m.ncols or not m.nrows:
+            continue
+        key = (rng.randrange(m.nrows), rng.randrange(m.ncols))
+        v = _random_entry(rng, ring)
+        for write, value in (("set", v), ("add_to", ring.add(eager.get(key, ring.zero), v))):
+            x = build()
+            getattr(x, write)(*key, v)
+            assert x._form is None, (kind, write)
+            want = {k: w for k, w in eager.items() if k != key}
+            if not ring.is_zero(value):
+                want[key] = value
+            _assert_entries(x, want)
+            assert linalg.form(x) == linalg.column_form(ring, Mat(ring, m.nrows, m.ncols, want))
+        want = Mat(ring, m.nrows, m.ncols, eager)
+        x, y = build(), build()
+        assert _typed(x.add(y)) == _typed(want.add(want)), kind
+        assert _typed(x) == _typed(want), kind  # add leaves its operands

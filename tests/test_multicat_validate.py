@@ -20,6 +20,7 @@ import pytest
 
 from opbar.coeff import Ring
 from opbar.complexes import ChainComplex, ChainMap
+from opbar.errors import EngineError
 from opbar.fixtures import (
     as_operad,
     bv_operad,
@@ -754,6 +755,19 @@ def test_functor_tamper_sweep_matches_ring_oracle(name):
                 reached.add(w and w["axiom"])
     assert reached >= {"functor-unit", "functor-chain-map", "functor-symmetry",
                        "functor-composition"}, reached
+
+
+def test_functor_value_naming_a_missing_label_raises():
+    # mu2 to a degree-0 label "nu2" that As(2) lacks: on the signature, but
+    # no key of the target
+    M = as_operad(Z, 2)
+    mu2 = (("*", "*"), "*", 0, "mu2")
+    F = MultiFunctor(M, M, {"*": "*"}, lambda F, k: {
+        (k[0], k[1], 0, "nu2") if k == mu2 else k: Z.one})
+    with pytest.raises(EngineError, match=r"^functor value at .*'mu2'\) names 'nu2', "
+                       "no label of the target$"):
+        F.validate()
+    assert F.on_key((("*",), "*", 0, "mu1")) == {(("*",), "*", 0, "mu1"): 1}
 
 
 @pytest.mark.parametrize("ring", [Z, NOV_Q], ids=["z", "nov_q"])
