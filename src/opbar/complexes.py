@@ -553,9 +553,9 @@ def homology(C: ChainComplex, degree: int) -> HomologyReport:
     diagonal of d_in, whose length is rank(d_in): one Smith diagonalization
     per call, whose unit phase takes each +-1 pivot by row operations and
     drops its row and column (a 1 of the diagonal: the column is then +-e_i,
-    so clearing the row touches it alone), leaving the swap loop the
-    torsion.  Over Z, d_out d_in = 0 is checked before it and
-    NotADifferential names a witness otherwise.
+    so clearing the row touches it alone), then a dense Smith loop on the
+    small block left, which holds the torsion.  Over Z, d_out d_in = 0 is
+    checked before it and NotADifferential names a witness otherwise.
     """
     return _homology(C, degree, {})
 

@@ -23,14 +23,14 @@ Vectors are {index: value} dicts.  No floats anywhere.  One kernel per job:
   homology); `field_solve_mat` fully reduces the matrix with every
   right-hand side, once per degree for the null homotopy's splitting;
   `quotient.by_span` reduces the relation spans;
-* the integer routines -- one Smith diagonalization (`_ZWorker`) whose
-  swap loop's pivot is the first +-1 entry of the trailing block, or
-  without one the smallest-magnitude entry with the fewest fill.
-  `snf_diagonal` (the invariant factors d1 | d2 | ..., integer homology's
-  torsion) tracks no transform: a unit phase first takes the +-1 pivots by
-  row operations and drops their rows and columns, leaving the loop the
-  torsion block; `quotient.by_z_span` tracks the row transform U and its
-  inverse, on the swap loop alone.
+* the integer routines -- one Smith diagonalization (`_ZWorker`), on one
+  path: a unit phase takes the +-1 pivots by row operations on the sparse
+  rows and drops their rows and columns; a dense Smith loop diagonalizes
+  the small block they leave, its pivot the smallest nonzero |entry| of
+  the trailing block, cleared by 2x2 unimodular steps.  `snf_diagonal`
+  (the invariant factors d1 | d2 | ..., integer homology's torsion) tracks
+  no transform; `quotient.by_z_span` tracks the row transform U and its
+  inverse through both phases.
 
 Products and sums run over plain ints, never in `Ring` arithmetic: over Q
 every entry is an int over den, the lcm of the matrix's denominators (a
@@ -444,28 +444,38 @@ def _placed_sum(ring: Ring, ncols: int, placed):
     """The zero-free form, ncols wide, of sum sign * f over placed forms (f,
     row_offset, col_offset, sign), over ints at the lcm of their dens (a row
     map's as +-den at each (r, j)), mod p, with rows when it is a row map
-    (`_with_rows`); over Novikov slice by slice, None where the slice sums
-    to 0."""
+    (`_with_rows`); an entry is dropped where its sum cancels to 0 (mod p).
+    Over Novikov slice by slice, None where the slice sums to 0."""
     if ring.kind == "nov":
         sums = [_placed_sum(ring.base, ncols, [(f[k], r0, c0, sign)
                                                for f, r0, c0, sign in placed if f[k]])
                 for k in range(_steps(ring))]
         return [None if _is_zero_form(ring.base, s) else s for s in sums]
-    den = math.lcm(*(f[0] for f, _, _, _ in placed))
+    den, p = math.lcm(*(f[0] for f, _, _, _ in placed)), ring.p
     cols = [{} for _ in range(ncols)]
     for (d, f_cols, f_rows), r0, c0, sign in placed:
         s = sign * (den // d)
         if f_rows is not None:  # no column walk
             for j, i in enumerate(f_rows, c0):
-                cols[j][i + r0] = cols[j].get(i + r0, 0) + s
+                col, i = cols[j], i + r0
+                w = col.get(i, 0) + s
+                if p:
+                    w %= p
+                if w:
+                    col[i] = w
+                else:
+                    del col[i]
         else:
             for col, f_col in zip(cols[c0:], f_cols):
                 for i, n in f_col.items():
-                    col[i + r0] = col.get(i + r0, 0) + s * n
-    if ring.p:
-        cols = [{i: n % ring.p for i, n in col.items() if n % ring.p} for col in cols]
-    else:
-        cols = [{i: n for i, n in col.items() if n} for col in cols]
+                    i += r0
+                    w = col.get(i, 0) + s * n
+                    if p:
+                        w %= p
+                    if w:
+                        col[i] = w
+                    else:
+                        del col[i]
     return _with_rows(den, cols)
 
 
@@ -621,14 +631,25 @@ def _mix(vecs, i1, i2, a, b, c, d):
     vecs[i1], vecs[i2] = new1, new2
 
 
-class _ZWorker:
-    """Row/column reduction over Z, optionally tracking the row transform.
+def _unimodular(a: int, b: int):
+    """(p, q, r, s) of determinant 1 with r a + s b = 0, for a != 0: when
+    a | b the subtraction (1, 0, -b/a, 1), since xgcd(a, a) would swap;
+    otherwise p a + q b = gcd(a, b) from `xgcd`."""
+    if b % a == 0:
+        return 1, 0, -(b // a), 1
+    x, y, g = xgcd(a, b)
+    return x, y, -(b // g), a // g
 
-    Maintains A as dict-of-rows plus a column-occupancy index.  With
-    track_u, each row operation E is applied to U (rows), so U @ A_orig
-    tracks the row history, and E^-1 to U^-1 (columns) as the inverse
-    column operation, so U @ Uinv stays the identity.  Without it,
-    `diagonalize` runs the unit phase (`_take_units`) before the swap loop.
+
+class _ZWorker:
+    """Smith diagonalization over Z, optionally tracking the row transform.
+
+    One path: the unit phase (`_take_units`) takes the +-1 pivots on A kept
+    as dict-of-rows with a column-occupancy index; a dense Smith loop then
+    diagonalizes the block of rows and columns it leaves.  With track_u,
+    each row operation E is applied to U (rows), so U @ A_orig tracks the
+    row history, and E^-1 to U^-1 (columns), so U @ Uinv stays the
+    identity; track_u changes no pivot.  Column operations are not tracked.
     """
 
     def __init__(self, mat: Mat, track_u=False):
@@ -639,58 +660,10 @@ class _ZWorker:
         for (i, j), v in mat.d.items():
             self.rows.setdefault(i, {})[j] = v
             self.colocc.setdefault(j, set()).add(i)
+        self.pivots = []  # the row of each pivot, in the order taken
         # U as row -> {col: val}, Uinv as col -> {row: val}; both start as I
         self.U = {i: {i: 1} for i in range(self.m)} if track_u else None
         self.Uinv = {i: {i: 1} for i in range(self.m)} if track_u else None
-
-    # -- elementary ops (row ops also applied to U and U^-1) ---------------
-
-    def _set(self, i, j, v):
-        row = self.rows.setdefault(i, {})
-        if v == 0:
-            if j in row:
-                del row[j]
-                occ = self.colocc.get(j)
-                occ.discard(i)
-                if not occ:
-                    del self.colocc[j]
-            if not row:
-                del self.rows[i]
-        else:
-            row[j] = v
-            self.colocc.setdefault(j, set()).add(i)
-
-    def swap_rows(self, i1, i2):
-        if i1 == i2:
-            return
-        r1 = self.rows.pop(i1, {})
-        r2 = self.rows.pop(i2, {})
-        for j in r1:
-            self.colocc[j].discard(i1)
-        for j in r2:
-            self.colocc[j].discard(i2)
-        if r2:
-            self.rows[i1] = r2
-            for j in r2:
-                self.colocc.setdefault(j, set()).add(i1)
-        if r1:
-            self.rows[i2] = r1
-            for j in r1:
-                self.colocc.setdefault(j, set()).add(i2)
-        # every column of r1 or r2 got i2 or i1 back, so none is left empty
-        if self.U is not None:
-            for vecs in (self.U, self.Uinv):
-                vecs[i1], vecs[i2] = vecs.get(i2, {}), vecs.get(i1, {})
-
-    def swap_cols(self, j1, j2):
-        if j1 == j2:
-            return
-        occ = self.colocc.get(j1, set()) | self.colocc.get(j2, set())
-        for i in occ:
-            row = self.rows.get(i, {})
-            a, b = row.get(j1), row.get(j2)
-            self._set(i, j1, b or 0)
-            self._set(i, j2, a or 0)
 
     def addmul_row(self, dst, src, c):
         """row[dst] += c * row[src] (dst != src); on U^-1, col[src] -= c *
@@ -712,71 +685,15 @@ class _ZWorker:
             _addmul(self.U, dst, src, c)
             _addmul(self.Uinv, src, dst, -c)
 
-    def addmul_col(self, dst, src, c):
-        """col[dst] += c * col[src]"""
-        if c == 0:
-            return
-        for i in list(self.colocc.get(src, set())):
-            v = self.rows.get(i, {}).get(src, 0)
-            cur = self.rows.get(i, {}).get(dst, 0)
-            self._set(i, dst, cur + c * v)
-
-    def gcd_rows(self, i1, i2, j):
-        """Unimodular 2x2 row op making A[i1,j] = gcd, A[i2,j] = 0."""
-        a = self.rows.get(i1, {}).get(j, 0)
-        b = self.rows.get(i2, {}).get(j, 0)
-        if b == 0:
-            return
-        if a != 0 and b % a == 0:
-            self.addmul_row(i2, i1, -(b // a))
-            return
-        if a == 0:
-            self.swap_rows(i1, i2)
-            return
-        x, y, g = xgcd(a, b)
-        ag, bg = a // g, b // g
-        r1 = dict(self.rows.get(i1, {}))
-        r2 = dict(self.rows.get(i2, {}))
-        for jj in set(r1) | set(r2):
-            aa, bb = r1.get(jj, 0), r2.get(jj, 0)
-            self._set(i1, jj, x * aa + y * bb)
-            self._set(i2, jj, -bg * aa + ag * bb)
-        if self.U is not None:
-            # [[x, y], [-b/g, a/g]] has inverse [[a/g, -y], [b/g, x]]
-            _mix(self.U, i1, i2, x, y, -bg, ag)
-            _mix(self.Uinv, i1, i2, ag, bg, -y, x)
-
-    def gcd_cols(self, j1, j2, i):
-        a = self.rows.get(i, {}).get(j1, 0)
-        b = self.rows.get(i, {}).get(j2, 0)
-        if b == 0:
-            return
-        if a != 0 and b % a == 0:
-            self.addmul_col(j2, j1, -(b // a))
-            return
-        if a == 0:
-            self.swap_cols(j1, j2)
-            return
-        x, y, g = xgcd(a, b)
-        ag, bg = a // g, b // g
-        occ = set(self.colocc.get(j1, set())) | set(self.colocc.get(j2, set()))
-        for ii in occ:
-            row = self.rows.get(ii, {})
-            aa, bb = row.get(j1, 0), row.get(j2, 0)
-            self._set(ii, j1, x * aa + y * bb)
-            self._set(ii, j2, -bg * aa + ag * bb)
-
-    # -- main loop --------------------------------------------------------
-
     def _take_units(self):
         """The unit phase: one sweep over the columns takes in each column
         j its +-1 entry of the shortest row i, if any, as a pivot.  Row
         operations clear column j in the other rows; then row i and column j
         leave A, with no swap and no column operation.  Exact: column j is
         now +-e_i, so the column operations clearing row i touch row i
-        alone: SNF(A) = 1 (+) SNF(the rest).  Returns the pivots taken."""
+        alone: SNF(A) = 1 (+) SNF(the rest).  Records each pivot row in
+        `pivots`; returns how many it took."""
         rows, colocc = self.rows, self.colocc
-        taken = 0
         for j in range(self.n):
             occ = colocc.get(j, ())
             units = [(len(rows[i]), i) for i in occ if rows[i][j] in (1, -1)]
@@ -790,64 +707,65 @@ class _ZWorker:
                 colocc[c].discard(i)
                 if not colocc[c]:
                     del colocc[c]
-            taken += 1
-        return taken
+            self.pivots.append(i)
+        return len(self.pivots)
 
     def diagonalize(self):
         """Bring A to diagonal form; returns the list of nonzero diagonals.
-        Without track_u, the unit phase (`_take_units`) first takes the +-1
-        pivots, a 1 each; the swap loop then sees the rest, which holds every
-        invariant factor other than 1, the rows and columns the phase
-        emptied being zero.  With track_u the swap loop runs on all of A."""
-        diag = [1] * self._take_units() if self.U is None else []
-        k = 0
-        limit = min(self.m, self.n)
-        while k < limit:
-            piv = self._pick_pivot(k)
-            if piv is None:
+        The unit phase takes the +-1 pivots, a 1 each.  The rows and columns
+        it leaves, which hold every other invariant factor (those it emptied
+        being zero), are copied into a dense block; at each step the
+        smallest nonzero |entry| of the trailing block is the pivot, and
+        2x2 unimodular steps (`_unimodular`) clear its column (row steps,
+        mirrored on U and U^-1) and its row (column steps) until both are
+        clear.  With track_u the pivot rows are then moved first, so the
+        rows r.. of U annihilate A, r the number of pivots."""
+        diag = [1] * self._take_units()
+        ids = sorted(self.rows)
+        cols = sorted({j for row in self.rows.values() for j in row})
+        block = [[self.rows[i].get(j, 0) for j in cols] for i in ids]
+        m, n = len(ids), len(cols)
+        for k in range(min(m, n)):
+            nonzero = [(abs(v), a, b) for a in range(k, m)
+                       for b, v in enumerate(block[a][k:], k) if v]
+            if not nonzero:
                 break
-            pi, pj = piv
-            self.swap_rows(k, pi)
-            self.swap_cols(k, pj)
-            # a gcd step keeps A[k, k] != 0 and clears A[i, k] (A[k, j]),
-            # touching rows k and i (columns k and j) alone
+            _, a, b = min(nonzero)
+            block[k], block[a], ids[k], ids[a] = block[a], block[k], ids[a], ids[k]
+            for row in block:
+                row[k], row[b] = row[b], row[k]
+            # each step keeps the pivot nonzero, and a column step that
+            # refills column k lowers |pivot|, so the loop ends
             while True:
-                for i in sorted(i for i in self.colocc[k] if i > k):
-                    self.gcd_rows(k, i, k)
-                row_cols = sorted(j for j in self.rows[k] if j > k)
-                if not row_cols:
+                for a in range(k + 1, m):
+                    if block[a][k]:
+                        p, q, r, s = _unimodular(block[k][k], block[a][k])
+                        x, y = block[k], block[a]
+                        block[k] = [p * u + q * v for u, v in zip(x, y)]
+                        block[a] = [r * u + s * v for u, v in zip(x, y)]
+                        if self.U is not None:
+                            _mix(self.U, ids[k], ids[a], p, q, r, s)
+                            _mix(self.Uinv, ids[k], ids[a], s, -r, -q, p)
+                for b in range(k + 1, n):
+                    if block[k][b]:
+                        p, q, r, s = _unimodular(block[k][k], block[k][b])
+                        for row in block:
+                            x, y = row[k], row[b]
+                            row[k], row[b] = p * x + q * y, r * x + s * y
+                if not any(block[a][k] for a in range(k + 1, m)):
                     break
-                for j in row_cols:
-                    self.gcd_cols(k, j, k)
-                if not any(i > k for i in self.colocc[k]):
-                    break
-            diag.append(abs(self.rows[k][k]))
-            k += 1
+            diag.append(abs(block[k][k]))
+            self.pivots.append(ids[k])
+        if self.U is not None:
+            order = self.pivots + sorted(set(range(self.m)) - set(self.pivots))
+            self.U = {t: self.U[i] for t, i in enumerate(order)}
+            self.Uinv = {t: self.Uinv[i] for t, i in enumerate(order)}
         return diag
-
-    def _pick_pivot(self, k):
-        """The first +-1 entry of the trailing block; without one, the
-        smallest-magnitude entry with the fewest fill as tie-break."""
-        best = None
-        rows = self.rows
-        for j, occ in self.colocc.items():
-            if j < k:
-                continue
-            for i in occ:
-                if i < k:
-                    continue
-                v = abs(rows[i][j])
-                if v == 1:
-                    return i, j
-                key = (v, len(rows[i]) + len(occ), i, j)
-                if best is None or key < best:
-                    best = key
-        return best and best[2:]
 
 
 def snf_diagonal(mat: Mat):
     """Nonzero diagonal of the Smith normal form, as a divisibility chain:
-    one `_ZWorker.diagonalize` (unit phase, then swap loop), then the chain."""
+    one `_ZWorker.diagonalize` (unit phase, then dense loop), then the chain."""
     if mat.ring.kind != "Z":
         raise ValueError("snf_diagonal is an integer routine")
     return _divisibility_chain(_ZWorker(mat).diagonalize())

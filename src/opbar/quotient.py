@@ -19,8 +19,9 @@ Three front ends compute the basis, P and S:
   ints, then `reduced_echelon`); the quotient basis is the non-pivot
   labels.
 * `by_z_span`, over Z: one Smith diagonalization of the relation matrix
-  that tracks the row transform U and its inverse; the quotient must be
-  free (torsion raises UnsupportedRing), with basis labels ("q", degree, t).
+  (the unit phase, then the dense loop) that tracks the row transform U
+  and its inverse; the quotient must be free (torsion raises
+  UnsupportedRing), with basis labels ("q", degree, t).
 
 The engine-wide free-quotient convention: a class on which the relations
 force x = -x (an orbit whose stabilizer acts by a sign) is sent to 0, so
@@ -92,9 +93,10 @@ def by_span(C: ChainComplex, spans: dict):
 def by_z_span(C: ChainComplex, spans: dict):
     """Quotient by the per-degree spans {d: [{index: int}]} over Z.
 
-    With U R V = diag (Smith normal form, r nonzero entries), the rows r..
-    of U project and the columns r.. of U^-1, tracked next to U, are the
-    section."""
+    With U R V = diag (Smith normal form, r nonzero entries; U from the
+    unit phase and the dense loop of `_ZWorker`, its pivot rows first), the
+    rows r.. of U annihilate R and project, and the columns r.. of U^-1,
+    tracked next to U, are the section."""
     ring = C.ring
     basis, proj, section = {}, {}, {}
     for d in C.degrees():

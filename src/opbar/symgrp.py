@@ -107,10 +107,6 @@ def block_perm(sizes, perm: Perm) -> Perm:
     starts = [0]
     for s in sizes:
         starts.append(starts[-1] + s)
-    images = []
-    # target position runs over blocks perm(1), perm(2), ...: target slot t
-    # holds source letter from block perm(k)
-    out_of = [0] * m
     img = []
     for k in range(1, m + 1):
         b = perm(k)

@@ -224,6 +224,26 @@ def _interval_kan_as_z():
     return operadic_kan(fix.projection_to_operad(M, fix.as_operad(Z, 3)), A, 2)
 
 
+@pytest.mark.parametrize("ring,operad", [(Q, fix.as_operad), (Z, fix.sym_assoc_operad)],
+                         ids=["as_q", "symas_z"])
+@pytest.mark.parametrize("carriers", [lambda ring: (), _interval_carriers],
+                         ids=["default", "interval"])
+def test_kan_homology_is_stable_on_reliable_degrees(ring, operad, carriers):
+    """The stabilization oracle on the Kan object: on every reliable degree
+    of the n_max build (n_max 1 and 2), homology equals that of the
+    n_max + 1 build."""
+    reals = {}
+    for n in (1, 2, 3):
+        M, A, _ = fix.two_object_kappa(ring, *carriers(ring))
+        reals[n] = operadic_kan(fix.projection_to_operad(M, operad(ring, 3)), A, n)[0]
+    for n in (1, 2):
+        degrees = reals[n].reliable_degrees
+        assert degrees
+        for d in degrees:
+            assert homology(reals[n].complex, d).as_dict() == \
+                homology(reals[n + 1].complex, d).as_dict(), (n, d)
+
+
 def test_interval_carrier_passes_both_checks():
     real, structure = _interval_kan_as_z()  # runs both checks
     assert real.reliable_degrees == [-1, 0]

@@ -92,6 +92,22 @@ def test_group_homology_s3_degree_3():
     assert h.free_rank == 0 and h.invariant_factors == [6]
 
 
+@pytest.mark.parametrize("ring", [Z, Ring.Fp(3)], ids=repr)
+@pytest.mark.parametrize("gens", [[Perm((2, 3, 1))], [Perm((2, 1, 3)), Perm((2, 3, 1))]],
+                         ids=["z3", "s3"])
+def test_group_bar_homology_is_stable_on_reliable_degrees(ring, gens):
+    """The stabilization oracle, which assumes no window formula: on every
+    reliable degree of the n_max build, homology equals that of the
+    n_max + 1 build (n_max 2, 3 and 4)."""
+    bars = {n: group_bar_complex(ring, 3, gens, n) for n in range(2, 6)}
+    for n in range(2, 5):
+        degrees = bars[n].realized.reliable_degrees
+        assert degrees
+        for d in degrees:
+            assert homology(bars[n].complex, d).as_dict() == \
+                homology(bars[n + 1].complex, d).as_dict(), (n, d)
+
+
 def _v4_homology_oracle(degree: int):
     """H_degree((Z/2)^2; Z) by Kunneth from H_*(Z/2; Z) = Z, Z/2, 0, Z/2, ...:
     Z in degree 0, (Z/2)^((n+3)/2) for odd n and (Z/2)^(n/2) for even n > 0."""

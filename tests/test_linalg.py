@@ -69,7 +69,8 @@ def _sympy_invariants(a: Mat):
 
 def test_snf_and_rank_against_sympy_on_sparse_small_entries():
     # entries in -3..3 with zero rows and columns, and every fourth matrix
-    # without a +-1 entry, so pivots come from both rules of _pick_pivot
+    # without a +-1 entry, so pivots come from the unit phase and the dense
+    # loop
     rng = random.Random(31)
     shapes = [(0, 4), (4, 0), (0, 0)] + \
         [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(60)]
@@ -135,8 +136,8 @@ def _mixed_diagonal(rng, m, n, ones, torsion, zero_rows, zero_cols):
 
 def test_snf_sweep_with_known_invariant_factors():
     """Invariant factors fixed by construction (Z/2 + Z/2 against Z/4 among
-    them), against sympy and against the swap loop alone: the tracked
-    diagonalization, which skips the unit phase, through the same chain."""
+    them), against sympy and against the diagonalization that tracks U,
+    through the same chain."""
     rng = random.Random(61)
     torsions = ([], [2, 2], [4], [2, 6], [3], [2, 4, 12], [5, 10], [2, 2, 2])
     # (ones, torsion, m, n, zero rows, zero columns); 0 x n shapes first
@@ -160,9 +161,9 @@ def test_snf_sweep_with_known_invariant_factors():
     assert units_and_fill >= 24
 
 
-def test_snf_unit_phase_and_swap_loop_counts(monkeypatch):
+def test_snf_unit_phase_and_dense_loop_counts(monkeypatch):
     """On the bar of Z/3 (n_max 6), the unit phase takes every pivot of the
-    torsion-free d_3 and d_5, and the swap loop takes only the Z/3 factor
+    torsion-free d_3 and d_5, and the dense loop takes only the Z/3 factor
     of d_2, d_4 and d_6."""
     from opbar.barcat import group_bar_complex
     from opbar.symgrp import Perm
@@ -182,6 +183,19 @@ def test_snf_unit_phase_and_swap_loop_counts(monkeypatch):
                       6: (182, 1)}
     assert {e: [f for f in fs if f != 1] for e, fs in factors.items()} == \
         {2: [3], 3: [], 4: [3], 5: [], 6: [3]}
+
+
+@pytest.mark.parametrize("rows", [[[3, 3], [0, 3]], [[2, 2], [2, 2]], [[-2, 2], [2, 2]]])
+def test_snf_on_blocks_with_equal_entries(rows):
+    """A 2x2 step on equal entries a, a subtracts the pivot row or column:
+    xgcd(a, a) gives the swap x = 0, y = 1, on which the dense loop would
+    cycle.  With and without U, against sympy."""
+    a = Mat.from_rows(Z, rows)
+    assert snf_diagonal(a) == _sympy_invariants(a)
+    r, U, Uinv = _worker_transforms(a)
+    assert r == len(_sympy_invariants(a))
+    assert U.mul(Uinv) == Mat.identity(Z, 2)
+    assert all(i < r for i, _ in U.mul(a).d)
 
 
 def test_stored_zero_is_no_entry():
@@ -357,6 +371,32 @@ def test_by_z_span_on_direct_summands(monkeypatch):
                                           for j, vec in enumerate(spans[d])
                                           for i, v in vec.items()})
             assert P.mul(R).is_zero()
+
+
+def test_by_z_span_takes_unit_pivots_while_tracking_u(monkeypatch):
+    """Relations with +-1 entries are pivots of the unit phase though U is
+    tracked; the one without goes to the dense loop.  P R = 0, P S = 1."""
+    taken, sections = [], []
+    take_units, real_assemble = _ZWorker._take_units, quotient._assemble
+
+    def counted(self):
+        assert self.U is not None
+        taken.append(take_units(self))
+        return taken[-1]
+
+    def recording(C, basis, proj, section):
+        sections.append(section)
+        return real_assemble(C, basis, proj, section)
+    monkeypatch.setattr(_ZWorker, "_take_units", counted)
+    monkeypatch.setattr(quotient, "_assemble", recording)
+    C = ChainComplex.free(Z, {0: [f"e{i}" for i in range(5)]}, {})
+    rels = [{0: 1, 2: 3}, {1: -1, 2: 2, 4: 5}, {3: 2, 4: 3}]
+    quot, proj = by_z_span(C, {0: rels})
+    assert taken == [2] and quot.dim(0) == 2
+    P, S = proj.mat(0), sections[0][0]
+    R = Mat(Z, 5, 3, {(i, j): v for j, vec in enumerate(rels) for i, v in vec.items()})
+    assert P.mul(R).is_zero()
+    assert P.mul(S) == Mat.identity(Z, 2)
 
 
 def test_field_rank_against_sympy_random_q():
